@@ -1,6 +1,5 @@
-// Benchmarks: one per table/figure of DESIGN.md's per-experiment index,
-// regenerating each result at Quick scale per iteration, plus engine
-// microbenchmarks. Run with:
+// Benchmarks: one per experiment `rackfab list` prints, regenerating each
+// result at Quick scale per iteration, plus engine microbenchmarks. Run with:
 //
 //	go test -bench=. -benchmem .
 package rackfab_test
@@ -312,13 +311,13 @@ func BenchmarkRouteRebuild(b *testing.B) {
 	b.Run("repair", func(b *testing.B) {
 		g := topo.NewTorus(16, 16, topo.Options{})
 		tab := route.Build(g, route.UniformCost)
-		e := g.Edges()[0]
+		edges := g.Edges()[:1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.SetEnabled(false)
-			tab.Repair(g, route.UniformCost, e)
-			e.SetEnabled(true)
-			tab.Repair(g, route.UniformCost, e)
+			edges[0].SetEnabled(false)
+			tab.RepairBatch(g, route.UniformCost, edges)
+			edges[0].SetEnabled(true)
+			tab.RepairBatch(g, route.UniformCost, edges)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // detlint is the repo's determinism multichecker: it runs the
 // internal/lint analyzer suite (maprange, wallclock, globalrand,
-// strayGoroutine, handleCompare) over the module and exits non-zero on
-// any unannotated finding.
+// strayGoroutine) over the module and exits non-zero on any unannotated
+// finding.
 //
 //	go run ./cmd/detlint ./...
 //	go run ./cmd/detlint ./internal/fluid ./internal/route

@@ -1,6 +1,6 @@
 // Command rackfab regenerates the paper's figures and experiments from the
-// command line. Each experiment ID matches a row of DESIGN.md's
-// per-experiment index:
+// command line. Each experiment ID is one row of `rackfab list` (see the
+// README's Experiments section):
 //
 //	rackfab list                 # show all experiments
 //	rackfab fig1                 # Figure 1 at full scale

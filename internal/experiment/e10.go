@@ -7,7 +7,6 @@ import (
 	"rackfab/internal/faults"
 	"rackfab/internal/fluid"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -70,9 +69,7 @@ func e10Rung(kind string, side int) (e10Cell, error) {
 	}
 
 	sched, flapPulses := e10Schedule(kind, side, g, base.JCT)
-	reg := telemetry.NewRegistry()
-	sm := fluid.NewSolverMetrics(reg)
-	churn, err := fluid.Run(fluid.Config{Graph: g, Faults: sched, Metrics: sm}, specs)
+	churn, err := fluid.Run(fluid.Config{Graph: g, Faults: sched}, specs)
 	if err != nil {
 		return e10Cell{}, fmt.Errorf("%s/%d churn: %w", kind, side*side, err)
 	}
@@ -85,7 +82,7 @@ func e10Rung(kind string, side int) (e10Cell, error) {
 		baseJCT: base.JCT, churnJCT: churn.JCT,
 		reroutes: churn.Faults.Reroutes, starved: churn.Faults.StarvedEpisodes,
 		starvedTime: churn.Faults.StarvedTime,
-		flaps:       flapPulses, warmPct: sm.WarmHitPct(),
+		flaps:       flapPulses, warmPct: churn.Solver.WarmHitPct(),
 	}, nil
 }
 

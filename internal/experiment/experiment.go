@@ -1,7 +1,8 @@
 // Package experiment regenerates the paper's figures and the quantitative
-// claims of its prose, one entry point per row of DESIGN.md's
-// per-experiment index. Every experiment returns a Table that renders to
-// the terminal (and CSV), and is deterministic for a given seed.
+// claims of its prose, one entry point per experiment ID that `rackfab
+// list` prints (README § Experiments). Every experiment returns a Table
+// that renders to the terminal (and CSV), and is deterministic for a given
+// seed.
 package experiment
 
 import (
@@ -14,7 +15,7 @@ import (
 )
 
 // Scale selects experiment sizing: Quick for benchmarks and CI, Full for
-// the numbers quoted in EXPERIMENTS.md.
+// the paper-scale runs (`rackfab -scale full`).
 type Scale int
 
 // Scales.
@@ -57,10 +58,6 @@ func (c Config) Workers() int {
 	}
 	return c.Parallel
 }
-
-// At returns a Config for s with default parallelism — the ergonomic
-// spelling for tests and benchmarks: Fig1(experiment.At(Quick)).
-func At(s Scale) Config { return Config{Scale: s} }
 
 // Sequential returns a Config for s that runs trials one at a time.
 func Sequential(s Scale) Config { return Config{Scale: s, Parallel: 1} }

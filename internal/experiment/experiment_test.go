@@ -69,7 +69,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	tab, err := Fig1(At(Quick))
+	tab, err := Fig1(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	tab, err := Fig2(At(Quick))
+	tab, err := Fig2(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tab, err := E3(At(Quick))
+	tab, err := E3(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tab, err := E4(At(Quick))
+	tab, err := E4(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestE5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("σ* sweep takes seconds of packet-engine work; skipped in -short (race) mode")
 	}
-	tab, err := E5(At(Quick))
+	tab, err := E5(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tab, err := E6(At(Quick))
+	tab, err := E6(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tab, err := E9(At(Quick))
+	tab, err := E9(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tab, err := E7(At(Quick))
+	tab, err := E7(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tab, err := E8(At(Quick))
+	tab, err := E8(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestA1Runs(t *testing.T) {
-	tab, err := A1(At(Quick))
+	tab, err := A1(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestA1Runs(t *testing.T) {
 }
 
 func TestA3Shape(t *testing.T) {
-	tab, err := A3(At(Quick))
+	tab, err := A3(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestA2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bypass ablation takes seconds of packet-engine work; skipped in -short (race) mode")
 	}
-	tab, err := A2(At(Quick))
+	tab, err := A2(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}

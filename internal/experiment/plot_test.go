@@ -93,7 +93,7 @@ func TestPlotDegenerateRanges(t *testing.T) {
 }
 
 func TestFig1Plot(t *testing.T) {
-	tab, err := Fig1(At(Quick))
+	tab, err := Fig1(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 // Runner is one experiment entry point.
 type Runner func(Config) (*Table, error)
 
-// registry maps experiment IDs (DESIGN.md per-experiment index) to
+// registry maps experiment IDs (the rows `rackfab list` prints) to
 // runners. Engine names the simulation backend the experiment's trials run
 // on — "packet" (cycle-accurate datapath), "fluid" (flow-level solver; E8
 // additionally cross-checks one packet trial), or "both" (trials on each

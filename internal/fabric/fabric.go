@@ -252,17 +252,8 @@ func (f *Fabric) PeakQueueDelay() sim.Duration {
 	return peak
 }
 
-// Hosts returns the per-node hosts.
-func (f *Fabric) Hosts() []*host.Host { return f.hosts }
-
-// Switches returns the per-node switches.
-func (f *Fabric) Switches() []*switching.Switch { return f.switches }
-
 // PowerBudget returns the rack power envelope tracker.
 func (f *Fabric) PowerBudget() *power.Budget { return f.budget }
-
-// Table returns the current routing table.
-func (f *Fabric) Table() *route.Table { return f.table }
 
 // RebuildRoutes re-derives forwarding under the given cost function and
 // remembers it for rebuilds after topology mutations.

@@ -58,20 +58,6 @@ func (f *Fabric) onFlowDone(fl *host.Flow) {
 	}
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (f *Fabric) ActiveFlows() int { return len(f.active) }
-
-// Flows returns all flows ever injected, in ID order.
-func (f *Fabric) Flows() []*host.Flow {
-	out := make([]*host.Flow, 0, len(f.flows))
-	for id := host.FlowID(1); id <= f.nextFlow; id++ {
-		if fl, ok := f.flows[id]; ok {
-			out = append(out, fl)
-		}
-	}
-	return out
-}
-
 // RunUntilDone executes the simulation until every injected flow completes
 // or the time limit passes. It returns an error when flows remain
 // unfinished at the limit (including failed flows).

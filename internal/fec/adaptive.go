@@ -1,7 +1,5 @@
 package fec
 
-import "math"
-
 // Adaptive selects FEC profiles from measured bit error rates. It is the
 // per-lane decision engine behind PLP #4: pick the lightest profile (least
 // overhead, least latency) whose predicted post-FEC frame loss meets the
@@ -30,12 +28,6 @@ const DefaultTargetFLR = 1e-9
 // DefaultDeescalateDwell is the default number of consecutive clean picks
 // before the controller steps down the ladder.
 const DefaultDeescalateDwell = 8
-
-// NewAdaptive returns a controller over the standard Ladder with the given
-// frame-loss target (0 means DefaultTargetFLR) and the default dwell.
-func NewAdaptive(targetFLR float64) *Adaptive {
-	return NewAdaptiveDwell(targetFLR, DefaultDeescalateDwell)
-}
 
 // NewAdaptiveDwell returns a controller with an explicit de-escalation
 // dwell (≥1). Large dwells suit bursty channels (see experiment E9).
@@ -103,20 +95,4 @@ func (a *Adaptive) lightest(ber float64, frameBits int, target float64) int {
 		}
 	}
 	return len(a.ladder) - 1
-}
-
-// GoodputScore ranks a profile for a lane: post-FEC goodput fraction,
-// zeroed when the profile cannot meet the loss target. The CRC uses it to
-// price lanes whose FEC burns bandwidth.
-func GoodputScore(p Profile, ber float64, frameBits int, targetFLR float64) float64 {
-	if targetFLR <= 0 {
-		targetFLR = DefaultTargetFLR
-	}
-	loss := p.Code.FrameLossProb(ber, frameBits)
-	if loss > targetFLR {
-		// Degrade smoothly rather than cliff to zero: surviving goodput is
-		// (1−loss)/overhead.
-		return (1 - loss) / p.Overhead() * math.Exp(-loss/targetFLR*1e-3)
-	}
-	return 1 / p.Overhead()
 }

@@ -38,7 +38,7 @@ func TestProfileByName(t *testing.T) {
 }
 
 func TestAdaptiveEscalatesWithBER(t *testing.T) {
-	a := NewAdaptive(1e-9)
+	a := NewAdaptiveDwell(1e-9, DefaultDeescalateDwell)
 	const frameBits = 12000
 
 	// Pristine link: none.
@@ -66,7 +66,7 @@ func TestAdaptiveEscalatesWithBER(t *testing.T) {
 }
 
 func TestAdaptiveMeetsTarget(t *testing.T) {
-	a := NewAdaptive(1e-9)
+	a := NewAdaptiveDwell(1e-9, DefaultDeescalateDwell)
 	const frameBits = 12000
 	for _, ber := range []float64{1e-12, 1e-9, 1e-7, 1e-6} {
 		p, _ := a.Pick(ber, frameBits)
@@ -81,7 +81,7 @@ func TestAdaptiveMeetsTarget(t *testing.T) {
 }
 
 func TestAdaptiveHysteresis(t *testing.T) {
-	a := NewAdaptive(1e-9)
+	a := NewAdaptiveDwell(1e-9, DefaultDeescalateDwell)
 	const frameBits = 12000
 	// Drive up…
 	a.Pick(1e-5, frameBits)
@@ -132,31 +132,6 @@ func indexOf(ladder []Profile, name string) int {
 		}
 	}
 	return -1
-}
-
-func TestGoodputScore(t *testing.T) {
-	ladder := Ladder()
-	// On a clean link, "none" has the best score (no overhead).
-	best := 0.0
-	bestName := ""
-	for _, p := range ladder {
-		if s := GoodputScore(p, 1e-15, 12000, 1e-9); s > best {
-			best, bestName = s, p.Name()
-		}
-	}
-	if bestName != "none" {
-		t.Fatalf("clean-link best = %s", bestName)
-	}
-	// On a noisy link, an RS profile must win.
-	best, bestName = 0.0, ""
-	for _, p := range ladder {
-		if s := GoodputScore(p, 1e-5, 12000, 1e-9); s > best {
-			best, bestName = s, p.Name()
-		}
-	}
-	if bestName == "none" {
-		t.Fatal("noisy-link best should not be none")
-	}
 }
 
 func TestAdaptiveDwellBlocksFlapping(t *testing.T) {

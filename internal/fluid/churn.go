@@ -24,17 +24,6 @@ import (
 // re-pathed onto the repaired table, partitioned ones park at rate 0 until
 // a later repair heals them.
 
-// applyLinkEvent applies one lowered fault event: the edge's capacity
-// becomes Factor × nominal. An up/down transition additionally toggles the
-// edge's administrative state, repairs the routing table incrementally
-// (only destination columns whose shortest-path DAG the edge touched), and
-// moves flows — off a dead link if an alternative exists, back onto live
-// paths for flows a restore just un-partitioned.
-func (en *engine) applyLinkEvent(now sim.Time, ev faults.LinkEvent) {
-	en.faultGroup = append(en.faultGroup[:0], ev)
-	en.applyLinkEventGroup(now, en.faultGroup)
-}
-
 // applyLinkEventGroup applies every lowered fault event of one schedule
 // instant as a single topology transaction — the discipline the packet
 // fabric's fault replay already follows. A node loss lowers to one event

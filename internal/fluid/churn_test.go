@@ -8,7 +8,6 @@ import (
 	"rackfab/internal/faults"
 	"rackfab/internal/route"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -432,21 +431,15 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 	})
 }
 
-// TestSolverMetricsExposed: the telemetry bridge totals the run's counters
-// into registry instruments and reports a warm hit rate.
-func TestSolverMetricsExposed(t *testing.T) {
+// TestSolverStatsAttributeFills: Result.Solver counts every fill under the
+// path that served it and reports a warm hit rate.
+func TestSolverStatsAttributeFills(t *testing.T) {
 	g := topo.NewTorus(4, 4, topo.Options{})
 	specs := workload.Permutation(sim.NewRNG(5), 16, workload.Fixed(1e6))
 
-	reg := telemetry.NewRegistry()
-	sm := NewSolverMetrics(reg)
-	res, err := Run(Config{Graph: g, Metrics: sm}, specs)
+	res, err := Run(Config{Graph: g}, specs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got, want := int64(snap["fluid.warm_hits"]), res.Solver.WarmHits; got != want {
-		t.Fatalf("registry warm_hits = %d, result says %d", got, want)
 	}
 	fills := res.Solver.WarmHits + res.Solver.WarmFallbacks + res.Solver.ColdFills
 	if fills == 0 {
@@ -455,7 +448,7 @@ func TestSolverMetricsExposed(t *testing.T) {
 	if res.Solver.WarmHits == 0 {
 		t.Fatalf("warm engine recorded zero oracle hits over %d fills", fills)
 	}
-	if pct := sm.WarmHitPct(); pct <= 0 || pct > 100 {
+	if pct := res.Solver.WarmHitPct(); pct <= 0 || pct > 100 {
 		t.Fatalf("warm hit pct = %v", pct)
 	}
 

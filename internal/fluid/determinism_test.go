@@ -116,9 +116,7 @@ func TestShuffledInputFingerprint(t *testing.T) {
 			}
 			shuffled := append([]workload.FlowSpec(nil), specs...)
 			for trial := 0; trial < 4; trial++ {
-				rng.Shuffle(len(shuffled), func(i, j int) {
-					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-				})
+				shuffleSpecs(rng, shuffled)
 				for _, coldStart := range []bool{false, true} {
 					res, err := Run(Config{Graph: g, Faults: sched, coldStart: coldStart}, shuffled)
 					if err != nil {

@@ -53,10 +53,6 @@ type Config struct {
 	// restores the graph's administrative link state on exit, so the same
 	// graph can host a fault-free run afterwards.
 	Faults *faults.Schedule
-	// Metrics optionally receives the run's solver counters (warm-start
-	// hit rate, reroutes) — see NewSolverMetrics. Counters accumulate
-	// across runs sharing one SolverMetrics.
-	Metrics *SolverMetrics
 	// Trace, when non-nil, receives the run's flight-recorder events
 	// (arrivals, completions, refill outcomes, fault replay, phase gates)
 	// and windowed per-link utilization/flow-count series. The recorder
@@ -173,15 +169,6 @@ func canonicalOrder(specs []workload.FlowSpec) []int {
 		order[in] = id
 	}
 	return order
-}
-
-// canonicalize returns the specs sorted by (At, Src, Dst, Bytes, Label).
-// Flow IDs are indexes into this order, which makes every tie-break — and
-// therefore the whole run — independent of the caller's spec ordering.
-func canonicalize(specs []workload.FlowSpec) []workload.FlowSpec {
-	sorted := append([]workload.FlowSpec(nil), specs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return specLess(sorted[i], sorted[j]) })
-	return sorted
 }
 
 // Run executes the fluid simulation over the given specs: a Session

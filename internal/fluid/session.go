@@ -499,15 +499,10 @@ func (s *Session) Snapshot() *Result {
 	return res
 }
 
-// finish seals the session's own Result — Run's return value. Counters are
-// copied before Metrics observes them, matching the original single-shot
-// ordering.
+// finish seals the session's own Result — Run's return value.
 func (s *Session) finish() *Result {
 	s.res.Solver = s.en.stats.SolverStats
 	s.res.Faults = s.en.stats.FaultStats
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.observe(s.res)
-	}
 	summarize(s.res)
 	return s.res
 }

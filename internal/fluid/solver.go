@@ -108,7 +108,7 @@ type engine struct {
 	faultDowned []int32
 
 	// stats accumulates the run's solver and fault observability counters,
-	// copied into Result (and any configured SolverMetrics) at end of run.
+	// copied into Result at end of run.
 	stats struct {
 		SolverStats
 		FaultStats

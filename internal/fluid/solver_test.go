@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,34 @@ import (
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
+
+// canonicalize returns the specs sorted by (At, Src, Dst, Bytes, Label).
+// Flow IDs are indexes into this order, which makes every tie-break — and
+// therefore the whole run — independent of the caller's spec ordering.
+func canonicalize(specs []workload.FlowSpec) []workload.FlowSpec {
+	sorted := append([]workload.FlowSpec(nil), specs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return specLess(sorted[i], sorted[j]) })
+	return sorted
+}
+
+// shuffleSpecs permutes specs in place (Fisher–Yates over rng draws).
+func shuffleSpecs(rng *sim.RNG, specs []workload.FlowSpec) {
+	for i := len(specs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		specs[i], specs[j] = specs[j], specs[i]
+	}
+}
+
+// applyLinkEvent applies one lowered fault event: the edge's capacity
+// becomes Factor × nominal. An up/down transition additionally toggles the
+// edge's administrative state, repairs the routing table incrementally
+// (only destination columns whose shortest-path DAG the edge touched), and
+// moves flows — off a dead link if an alternative exists, back onto live
+// paths for flows a restore just un-partitioned.
+func (en *engine) applyLinkEvent(now sim.Time, ev faults.LinkEvent) {
+	en.faultGroup = append(en.faultGroup[:0], ev)
+	en.applyLinkEventGroup(now, en.faultGroup)
+}
 
 // activeEngine builds an engine over g with every spec arrived at t=0, the
 // worst case for bottleneck-share ties.
@@ -111,9 +140,7 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 		checkMaxMin(t, en)
 
 		shuffled := append([]workload.FlowSpec(nil), specs...)
-		rng.Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
+		shuffleSpecs(rng, shuffled)
 		en2 := activeEngine(t, g, shuffled)
 		for fid := range en.flows {
 			if en.flows[fid].rate != en2.flows[fid].rate {

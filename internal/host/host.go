@@ -177,9 +177,6 @@ func New(node int, eng *sim.Engine, cfg Config, cb Callbacks, frameIDs *uint64, 
 	return &Host{node: node, eng: eng, cfg: cfg, cb: cb, nextFrame: frameIDs, onDone: onFlowDone}
 }
 
-// Node returns the host's node ID.
-func (h *Host) Node() int { return h.node }
-
 // Stats returns the instrument block.
 func (h *Host) Stats() *Stats { return &h.stats }
 

@@ -118,4 +118,3 @@ func TestMapRangeAnalyzer(t *testing.T)       { runAnalysisTest(t, MapRange, "ma
 func TestWallClockAnalyzer(t *testing.T)      { runAnalysisTest(t, WallClock, "wallclock") }
 func TestGlobalRandAnalyzer(t *testing.T)     { runAnalysisTest(t, GlobalRand, "globalrand") }
 func TestStrayGoroutineAnalyzer(t *testing.T) { runAnalysisTest(t, StrayGoroutine, "goroutine") }
-func TestHandleCompareAnalyzer(t *testing.T)  { runAnalysisTest(t, HandleCompare, "handlecompare") }

@@ -9,12 +9,12 @@ import (
 
 // Analyzers returns the full determinism suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapRange, WallClock, GlobalRand, StrayGoroutine, HandleCompare}
+	return []*Analyzer{MapRange, WallClock, GlobalRand, StrayGoroutine}
 }
 
 // DetPackages are the packages on the byte-deterministic replay path:
 // everything whose output feeds a fingerprint. MapRange scopes to these;
-// the other four rules apply to every package in the module. The list is
+// the other three rules apply to every package in the module. The list is
 // import paths relative to the module root ("" is the root package).
 var DetPackages = []string{
 	"",

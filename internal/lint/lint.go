@@ -5,8 +5,7 @@
 // in this reproduction rests on byte-identical replay — the sweep, the
 // warm-start solver, the fault replay — and the bug classes that silently
 // break it are exactly the ones a compiler never flags: map-order
-// iteration, wall-clock reads, the global RNG, ad-hoc goroutines, and
-// comparisons of generation-stamped event handles.
+// iteration, wall-clock reads, the global RNG and ad-hoc goroutines.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone so the module
@@ -20,9 +19,9 @@
 //	//det:<key> <reason>
 //
 // either trailing on the offending line or on the line immediately above
-// it. The key names the rule (`ordered`, `wallclock`, `rand`, `goroutine`,
-// `handle`); the reason is mandatory — an annotation without one is itself
-// reported. Annotations are deliberately per-site: there is no file- or
+// it. The key names the rule (`ordered`, `wallclock`, `rand`,
+// `goroutine`); the reason is mandatory — an annotation without one is
+// itself reported. Annotations are deliberately per-site: there is no file- or
 // package-level opt-out.
 package lint
 
@@ -145,15 +144,4 @@ func isPkgFunc(obj types.Object, pkgPath, name string) bool {
 		return false
 	}
 	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
-// namedType reports whether t (or the type it aliases) is the named type
-// pkgPath.name.
-func namedType(t types.Type, pkgPath, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }

@@ -4,83 +4,18 @@
 // The paper's first architectural commitment is backwards compatibility:
 // "No restructuring of the network layer is needed. In particular, existing
 // applications benefit from the architecture with no required change." The
-// fabric therefore carries ordinary Ethernet II frames — MAC addressing,
-// optional 802.1Q tag, IEEE CRC-32 FCS — and everything adaptive happens
-// beneath them. The layer structure (LayerType, per-layer contents/payload)
-// follows the gopacket idioms so the types compose the way Go network code
-// expects.
+// fabric therefore carries ordinary Ethernet II frames — 14-byte header,
+// IEEE CRC-32 FCS, 64-byte minimum — and everything adaptive happens
+// beneath them. The simulator never builds frame bytes: it models a frame
+// by its size on the wire, which is all the phy layer needs to serialize
+// it. This package holds those size formulas for data frames and for the
+// Closed Ring Control's telemetry token, plus the receiver-driven token
+// pacer.
 package netstack
-
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
-// MAC is a 48-bit Ethernet address.
-type MAC [6]byte
-
-// String renders the colon-separated form.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// Broadcast is the all-ones broadcast address.
-var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
-// MACForNode returns the deterministic, locally administered unicast MAC
-// assigned to fabric node id (0x02 prefix sets the local bit).
-func MACForNode(id int) MAC {
-	if id < 0 || id > 0xffffff {
-		panic(fmt.Sprintf("netstack: node id %d outside 24-bit MAC space", id))
-	}
-	return MAC{0x02, 0xfa, 0xb0, byte(id >> 16), byte(id >> 8), byte(id)}
-}
-
-// NodeForMAC inverts MACForNode; ok is false for foreign addresses.
-func NodeForMAC(m MAC) (int, bool) {
-	if m[0] != 0x02 || m[1] != 0xfa || m[2] != 0xb0 {
-		return 0, false
-	}
-	return int(m[3])<<16 | int(m[4])<<8 | int(m[5]), true
-}
-
-// EtherType identifies the payload protocol.
-type EtherType uint16
-
-// Well-known EtherTypes used by the examples and tests.
-const (
-	EtherTypeIPv4   EtherType = 0x0800
-	EtherTypeARP    EtherType = 0x0806
-	EtherTypeVLAN   EtherType = 0x8100
-	EtherTypeFabric EtherType = 0x88B5 // IEEE experimental: fabric test traffic
-)
-
-// VLANTag is an 802.1Q tag.
-type VLANTag struct {
-	// PCP is the 3-bit priority code point.
-	PCP uint8
-	// VID is the 12-bit VLAN identifier.
-	VID uint16
-}
-
-// Frame is an Ethernet II frame. The zero value is not valid; build frames
-// with explicit addresses and payload.
-type Frame struct {
-	Dst, Src MAC
-	// VLAN is the optional 802.1Q tag.
-	VLAN *VLANTag
-	// Type is the payload EtherType.
-	Type EtherType
-	// Payload is the L3+ payload; frames shorter than the 64-byte minimum
-	// are padded on the wire and the pad is preserved on unmarshal.
-	Payload []byte
-}
 
 // Ethernet wire constants.
 const (
 	headerLen   = 14 // dst + src + type
-	vlanLen     = 4
 	fcsLen      = 4
 	minFrameLen = 64 // including FCS
 	MaxPayload  = 1500
@@ -89,59 +24,9 @@ const (
 	WireOverheadBytes = 20
 )
 
-// WireLen returns the frame's on-wire byte count including FCS and any
-// minimum-size padding (but excluding preamble/IFG; see WireOverheadBytes).
-func (f *Frame) WireLen() int {
-	n := headerLen + len(f.Payload) + fcsLen
-	if f.VLAN != nil {
-		n += vlanLen
-	}
-	if n < minFrameLen {
-		n = minFrameLen
-	}
-	return n
-}
-
-// WireBits returns the total line bits the frame occupies, including
-// preamble and inter-frame gap — the number the phy layer serializes.
-func (f *Frame) WireBits() int64 {
-	return int64(f.WireLen()+WireOverheadBytes) * 8
-}
-
-// Marshal appends the wire form (with computed FCS) to dst.
-func (f *Frame) Marshal(dst []byte) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return nil, fmt.Errorf("netstack: payload %d exceeds MTU %d", len(f.Payload), MaxPayload)
-	}
-	start := len(dst)
-	dst = append(dst, f.Dst[:]...)
-	dst = append(dst, f.Src[:]...)
-	if f.VLAN != nil {
-		if f.VLAN.VID > 0x0fff {
-			return nil, fmt.Errorf("netstack: VID %d exceeds 12 bits", f.VLAN.VID)
-		}
-		if f.VLAN.PCP > 7 {
-			return nil, fmt.Errorf("netstack: PCP %d exceeds 3 bits", f.VLAN.PCP)
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(EtherTypeVLAN))
-		tci := uint16(f.VLAN.PCP)<<13 | f.VLAN.VID
-		dst = binary.BigEndian.AppendUint16(dst, tci)
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(f.Type))
-	dst = append(dst, f.Payload...)
-	// Pad to the 60-byte minimum before FCS.
-	for len(dst)-start < minFrameLen-fcsLen {
-		dst = append(dst, 0)
-	}
-	fcs := crc32.ChecksumIEEE(dst[start:])
-	dst = binary.LittleEndian.AppendUint32(dst, fcs)
-	return dst, nil
-}
-
 // WireBitsForPayload returns the line bits of an untagged frame carrying a
 // payload of n bytes, including minimum-size padding, FCS, preamble and
-// inter-frame gap — without materializing the frame. The NIC model uses it
-// to size flow slices.
+// inter-frame gap. The NIC model uses it to size flow slices.
 func WireBitsForPayload(n int) int64 {
 	if n < 0 {
 		panic("netstack: negative payload length")
@@ -173,37 +58,4 @@ func WireBitsForTrain(mtu, n int) int64 {
 		bits += WireBitsForPayload(rem)
 	}
 	return bits
-}
-
-// Unmarshal parses a wire-form frame, verifying the FCS. The returned
-// frame's payload includes any minimum-size padding (Ethernet carries no
-// length field at this layer to strip it).
-func Unmarshal(b []byte) (*Frame, error) {
-	if len(b) < minFrameLen {
-		return nil, fmt.Errorf("netstack: frame of %d bytes below 64-byte minimum", len(b))
-	}
-	body, fcsBytes := b[:len(b)-fcsLen], b[len(b)-fcsLen:]
-	want := binary.LittleEndian.Uint32(fcsBytes)
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("netstack: FCS mismatch: computed %08x, frame carries %08x", got, want)
-	}
-	f := &Frame{}
-	copy(f.Dst[:], body[0:6])
-	copy(f.Src[:], body[6:12])
-	offset := 12
-	etype := EtherType(binary.BigEndian.Uint16(body[offset : offset+2]))
-	offset += 2
-	if etype == EtherTypeVLAN {
-		if len(body) < offset+4 {
-			return nil, fmt.Errorf("netstack: truncated VLAN tag")
-		}
-		tci := binary.BigEndian.Uint16(body[offset : offset+2])
-		f.VLAN = &VLANTag{PCP: uint8(tci >> 13), VID: tci & 0x0fff}
-		offset += 2
-		etype = EtherType(binary.BigEndian.Uint16(body[offset : offset+2]))
-		offset += 2
-	}
-	f.Type = etype
-	f.Payload = append([]byte(nil), body[offset:]...)
-	return f, nil
 }

@@ -1,180 +1,28 @@
 package netstack
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+// This file sizes the Closed Ring Control's telemetry token: the control
+// frame that circulates through every node each epoch, accumulating one
+// record per link (PLP #5 statistics). The token's size matters because
+// the ring round-trip — the control loop's feedback delay — grows with the
+// token's serialization time at every hop, and the token grows linearly
+// with the rack's link count.
 
-// This file defines the wire format of the Closed Ring Control's telemetry
-// token: the control frame that circulates through every node each epoch,
-// accumulating one record per link (PLP #5 statistics). Making the token a
-// real, sized frame matters because the ring round-trip — the control
-// loop's feedback delay — grows with the token's serialization time at
-// every hop, and the token grows linearly with the rack's link count.
-
-// LinkRecord is one link's statistics inside a ring token.
-type LinkRecord struct {
-	// LinkID identifies the link.
-	LinkID uint32
-	// UtilizationMilli is utilization in 1/1000ths (0–1000).
-	UtilizationMilli uint16
-	// QueueDelayNs is the mean VOQ delay in nanoseconds, saturating.
-	QueueDelayNs uint32
-	// BERExponent encodes measured BER as -log10(BER)·10 (e.g. 1e-6.5 →
-	// 65); 255 means "no errors observed".
-	BERExponent uint8
-	// ActiveLanes and TotalLanes describe the bundle shape.
-	ActiveLanes, TotalLanes uint8
-	// PowerDeciWatt is the link draw in 0.1 W units, saturating.
-	PowerDeciWatt uint16
-	// Flags: bit 0 = link up.
-	Flags uint8
-}
-
-// linkRecordLen is the fixed encoding size of one record.
+// linkRecordLen is the encoded size of one link's record: link ID (4
+// bytes), utilization in 1/1000ths (2), mean VOQ delay in ns (4), BER
+// exponent (1), active and total lanes (1 each), draw in 0.1 W (2) and
+// flags (1).
 const linkRecordLen = 4 + 2 + 4 + 1 + 1 + 1 + 2 + 1
 
-// RingToken is the circulating telemetry frame body.
-type RingToken struct {
-	// Seq is the collection epoch number.
-	Seq uint32
-	// Origin is the node that launched this token.
-	Origin uint16
-	// Records accumulate as the token passes each node.
-	Records []LinkRecord
-}
-
-// tokenHeaderLen covers Seq, Origin and the record count.
+// tokenHeaderLen covers the epoch sequence number (4 bytes), the origin
+// node (2) and the record count (2).
 const tokenHeaderLen = 4 + 2 + 2
 
 // MaxTokenRecords bounds a token to one MTU.
 var MaxTokenRecords = (MaxPayload - tokenHeaderLen) / linkRecordLen
 
-// Marshal appends the token's payload encoding to dst.
-func (t *RingToken) Marshal(dst []byte) ([]byte, error) {
-	if len(t.Records) > MaxTokenRecords {
-		return nil, fmt.Errorf("netstack: token with %d records exceeds MTU bound %d", len(t.Records), MaxTokenRecords)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, t.Seq)
-	dst = binary.BigEndian.AppendUint16(dst, t.Origin)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(t.Records)))
-	for _, r := range t.Records {
-		dst = binary.BigEndian.AppendUint32(dst, r.LinkID)
-		dst = binary.BigEndian.AppendUint16(dst, r.UtilizationMilli)
-		dst = binary.BigEndian.AppendUint32(dst, r.QueueDelayNs)
-		dst = append(dst, r.BERExponent, r.ActiveLanes, r.TotalLanes)
-		dst = binary.BigEndian.AppendUint16(dst, r.PowerDeciWatt)
-		dst = append(dst, r.Flags)
-	}
-	return dst, nil
-}
-
-// UnmarshalToken parses a token payload.
-func UnmarshalToken(b []byte) (*RingToken, error) {
-	if len(b) < tokenHeaderLen {
-		return nil, fmt.Errorf("netstack: token payload %d bytes below header", len(b))
-	}
-	t := &RingToken{
-		Seq:    binary.BigEndian.Uint32(b[0:4]),
-		Origin: binary.BigEndian.Uint16(b[4:6]),
-	}
-	count := int(binary.BigEndian.Uint16(b[6:8]))
-	if count > MaxTokenRecords {
-		return nil, fmt.Errorf("netstack: token claims %d records above bound %d", count, MaxTokenRecords)
-	}
-	need := tokenHeaderLen + count*linkRecordLen
-	if len(b) < need {
-		return nil, fmt.Errorf("netstack: token truncated: %d bytes, need %d", len(b), need)
-	}
-	off := tokenHeaderLen
-	t.Records = make([]LinkRecord, count)
-	for i := range t.Records {
-		r := &t.Records[i]
-		r.LinkID = binary.BigEndian.Uint32(b[off : off+4])
-		r.UtilizationMilli = binary.BigEndian.Uint16(b[off+4 : off+6])
-		r.QueueDelayNs = binary.BigEndian.Uint32(b[off+6 : off+10])
-		r.BERExponent = b[off+10]
-		r.ActiveLanes = b[off+11]
-		r.TotalLanes = b[off+12]
-		r.PowerDeciWatt = binary.BigEndian.Uint16(b[off+13 : off+15])
-		r.Flags = b[off+15]
-		off += linkRecordLen
-	}
-	return t, nil
-}
-
-// WireBits returns the full line bits of the token carried in an Ethernet
-// frame (header, FCS, padding, preamble, IFG included).
-func (t *RingToken) WireBits() int64 {
-	return WireBitsForPayload(tokenHeaderLen + len(t.Records)*linkRecordLen)
-}
-
-// EncodeUtilization converts a 0–1 utilization to milli-units.
-func EncodeUtilization(u float64) uint16 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return uint16(math.Round(u * 1000))
-}
-
-// DecodeUtilization inverts EncodeUtilization.
-func DecodeUtilization(m uint16) float64 {
-	if m > 1000 {
-		m = 1000
-	}
-	return float64(m) / 1000
-}
-
-// EncodeBER compresses a BER into the exponent byte: -log10(ber)·10,
-// clamped to [0, 254]; 255 means no observed errors (ber ≤ 0).
-func EncodeBER(ber float64) uint8 {
-	if ber <= 0 {
-		return 255
-	}
-	if ber >= 1 {
-		return 0
-	}
-	v := math.Round(-math.Log10(ber) * 10)
-	if v > 254 {
-		v = 254
-	}
-	if v < 0 {
-		v = 0
-	}
-	return uint8(v)
-}
-
-// DecodeBER inverts EncodeBER (255 → 0).
-func DecodeBER(e uint8) float64 {
-	if e == 255 {
-		return 0
-	}
-	return math.Pow(10, -float64(e)/10)
-}
-
-// EncodeQueueDelayNs saturates a nanosecond count into 32 bits.
-func EncodeQueueDelayNs(ns float64) uint32 {
-	if ns < 0 {
-		return 0
-	}
-	if ns > float64(math.MaxUint32) {
-		return math.MaxUint32
-	}
-	return uint32(ns)
-}
-
-// EncodePowerDeciWatt saturates watts into 0.1 W units.
-func EncodePowerDeciWatt(w float64) uint16 {
-	dw := math.Round(w * 10)
-	if dw < 0 {
-		return 0
-	}
-	if dw > float64(math.MaxUint16) {
-		return math.MaxUint16
-	}
-	return uint16(dw)
+// TokenWireBits returns the full line bits of a token carrying the given
+// number of link records in an Ethernet frame (header, FCS, padding,
+// preamble, IFG included).
+func TokenWireBits(records int) int64 {
+	return WireBitsForPayload(tokenHeaderLen + records*linkRecordLen)
 }

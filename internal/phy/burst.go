@@ -73,13 +73,6 @@ func (c *BurstChannel) InBurst() bool { return c.bad }
 // Transitions returns the number of state flips so far.
 func (c *BurstChannel) Transitions() int { return c.flipCount }
 
-// MeanBER returns the long-run average BER of the channel (dwell-weighted).
-func (c *BurstChannel) MeanBER() float64 {
-	g := float64(c.MeanGoodDwell)
-	b := float64(c.MeanBadDwell)
-	return (c.GoodBER*g + c.BadBER*b) / (g + b)
-}
-
 // AttachBurstChannel installs a burst model on a lane: the lane's BER is
 // refreshed from the channel on every frame transfer.
 func (l *Lane) AttachBurstChannel(c *BurstChannel) { l.burst = c }

@@ -72,11 +72,6 @@ func TestBurstChannelDwellFractions(t *testing.T) {
 	if math.Abs(frac-0.10) > 0.03 {
 		t.Fatalf("bad-state fraction = %v, want ≈0.10", frac)
 	}
-	// MeanBER reflects the dwell weighting.
-	want := (1e-12*900 + 1e-5*100) / 1000
-	if math.Abs(c.MeanBER()-want)/want > 1e-9 {
-		t.Fatalf("MeanBER = %v, want %v", c.MeanBER(), want)
-	}
 }
 
 func TestLaneWithBurstChannel(t *testing.T) {

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 
-	"rackfab/internal/sim"
 	"rackfab/internal/telemetry"
 )
 
@@ -41,7 +40,8 @@ func (s LaneState) String() string {
 
 // LaneStats is the per-lane statistics block of PLP #5: "per-lane
 // statistics such as: bit error rate, latency, and effective bandwidth".
-// The Closed Ring Control reads these through telemetry reports.
+// The Closed Ring Control reads these through telemetry reports; effective
+// bandwidth is reported per link (Link.EffectiveRate).
 type LaneStats struct {
 	// BitsCarried counts data bits delivered on the lane.
 	BitsCarried telemetry.Counter
@@ -55,35 +55,11 @@ type LaneStats struct {
 	UncorrectableFrames telemetry.Counter
 	// Latency smooths observed one-way lane latency (ps).
 	Latency *telemetry.EWMA
-	// rate estimates effective bandwidth in bit/s.
-	rate *telemetry.RateEstimator
 }
 
 func newLaneStats() *LaneStats {
-	return &LaneStats{
-		Latency: telemetry.NewEWMA(0.2),
-		rate:    telemetry.NewRateEstimator(0.3),
-	}
+	return &LaneStats{Latency: telemetry.NewEWMA(0.2)}
 }
-
-// MeasuredBER returns the receiver's bit error rate estimate over the
-// lane's lifetime window. With no traffic it returns 0 (no evidence).
-func (s *LaneStats) MeasuredBER() float64 {
-	bits := s.BitsCarried.Value()
-	if bits == 0 {
-		return 0
-	}
-	return float64(s.PreFECBitErrors.Value()) / float64(bits)
-}
-
-// SampleRate records the cumulative bit count at now and returns the
-// effective bandwidth estimate in bit/s.
-func (s *LaneStats) SampleRate(now sim.Time) float64 {
-	return s.rate.Sample(s.BitsCarried.Value(), int64(now))
-}
-
-// EffectiveBandwidth returns the latest bandwidth estimate in bit/s.
-func (s *LaneStats) EffectiveBandwidth() float64 { return s.rate.Value() }
 
 // Lane is one physical lane: a serial channel at a fixed signalling rate.
 type Lane struct {

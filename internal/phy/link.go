@@ -84,17 +84,6 @@ func (l *Link) ActiveLanes() int {
 	return n
 }
 
-// BypassedLanes returns the number of lanes in bypass mode.
-func (l *Link) BypassedLanes() int {
-	n := 0
-	for _, lane := range l.Lanes {
-		if lane.State() == LaneBypassed {
-			n++
-		}
-	}
-	return n
-}
-
 // RawRate returns the aggregate signalling rate of active lanes in bit/s.
 func (l *Link) RawRate() float64 {
 	var sum float64
@@ -133,20 +122,6 @@ func (l *Link) WorstBER() float64 {
 	for _, lane := range l.Lanes {
 		if lane.Carries() && lane.BER() > worst {
 			worst = lane.BER()
-		}
-	}
-	return worst
-}
-
-// MeasuredBER aggregates receiver-side BER estimates across active lanes
-// (worst lane), which is what the CRC sees.
-func (l *Link) MeasuredBER() float64 {
-	worst := 0.0
-	for _, lane := range l.Lanes {
-		if lane.Carries() {
-			if b := lane.Stats.MeasuredBER(); b > worst {
-				worst = b
-			}
 		}
 	}
 	return worst

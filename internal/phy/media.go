@@ -75,7 +75,7 @@ type Profile struct {
 	SupportsBypass bool
 }
 
-// profiles holds the default calibration, documented in DESIGN.md §5.
+// profiles holds the default per-media calibration.
 var profiles = map[Media]Profile{
 	Backplane: {
 		Media:                Backplane,

@@ -116,14 +116,25 @@ func TestLinkRatesWithFEC(t *testing.T) {
 	}
 }
 
+// bypassedLanes counts l's lanes in bypass mode.
+func bypassedLanes(l *Link) int {
+	n := 0
+	for _, lane := range l.Lanes {
+		if lane.State() == LaneBypassed {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSplitAndBundle(t *testing.T) {
 	l := MustLink(1, Backplane, 2, 2, 25.78125e9)
 	freed, err := l.SplitLanes(1, LaneBypassed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(freed) != 1 || l.ActiveLanes() != 1 || l.BypassedLanes() != 1 {
-		t.Fatalf("split: freed=%d active=%d bypassed=%d", len(freed), l.ActiveLanes(), l.BypassedLanes())
+	if len(freed) != 1 || l.ActiveLanes() != 1 || bypassedLanes(l) != 1 {
+		t.Fatalf("split: freed=%d active=%d bypassed=%d", len(freed), l.ActiveLanes(), bypassedLanes(l))
 	}
 	// Rate halves after the split.
 	if math.Abs(l.RawRate()-25.78125e9) > 1 {
@@ -183,7 +194,8 @@ func TestTransferFrameNoisyNoFEC(t *testing.T) {
 		t.Fatalf("loss frac = %v, want ≈%v", frac, want)
 	}
 	// Receiver BER estimate must be near the truth.
-	got := l.MeasuredBER()
+	st := l.Lanes[0].Stats
+	got := float64(st.PreFECBitErrors.Value()) / float64(st.BitsCarried.Value())
 	if got < 1e-6 || got > 1e-4 {
 		t.Fatalf("measured BER = %v, want ≈1e-5", got)
 	}
@@ -242,7 +254,7 @@ func TestSplitConservationProperty(t *testing.T) {
 		if _, err := l.SplitLanes(keep, LaneBypassed); err != nil {
 			return false
 		}
-		if l.ActiveLanes() != keep || l.BypassedLanes() != lanes-keep {
+		if l.ActiveLanes() != keep || bypassedLanes(l) != lanes-keep {
 			return false
 		}
 		return math.Abs(l.RawRate()-float64(keep)*25.78125e9) < 1

@@ -157,16 +157,6 @@ type Result struct {
 	PowerDeltaW float64
 }
 
-// Executor applies primitives to a concrete fabric. Execution is
-// asynchronous in simulated time: the fabric schedules the state change and
-// invokes done when the primitive has taken effect.
-type Executor interface {
-	// Execute validates and applies cmd. done may be nil. Execute returns
-	// an error immediately for commands the fabric can never apply
-	// (unsupported media capability, unknown link).
-	Execute(cmd Command, done func(Result)) error
-}
-
 // Supported reports whether a media capability profile can execute kind.
 func Supported(p phy.Profile, k Kind) bool {
 	switch k {

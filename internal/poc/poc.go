@@ -41,7 +41,7 @@ type SUMEConfig struct {
 	Media phy.Media
 }
 
-// DefaultSUME returns the calibration in DESIGN.md §5.
+// DefaultSUME returns the default SUME calibration: the values below.
 func DefaultSUME() SUMEConfig {
 	return SUMEConfig{
 		Ports:          4,

@@ -28,7 +28,7 @@ type Model struct {
 	HostNICW float64
 }
 
-// DefaultModel is the calibration documented in DESIGN.md §5.
+// DefaultModel returns the default power calibration: the values below.
 func DefaultModel() Model {
 	return Model{
 		SwitchPortCoreW: 1.10,

@@ -51,17 +51,3 @@ func Worthwhile(bytesRemaining int64, setup sim.Duration, rateBefore, rateAfter 
 	saving := before - after
 	return saving > 0, sim.Seconds(saving)
 }
-
-// ReconfigBenefit estimates the completion-time saving of a topology
-// change that cuts the mean hop count, for traffic of totalBytes in
-// frameBits frames: each frame saves (hopsBefore−hopsAfter) switch
-// traversals of perHop each. This is the first-order, latency-dominated
-// model matching the paper's Figure 1 premise that per-hop switching is
-// the cost that matters at rack scale.
-func ReconfigBenefit(totalBytes int64, frameBits int, hopsBefore, hopsAfter float64, perHop sim.Duration) sim.Duration {
-	if hopsAfter >= hopsBefore || totalBytes <= 0 || frameBits <= 0 {
-		return 0
-	}
-	frames := float64(totalBytes*8) / float64(frameBits)
-	return sim.Duration(frames * (hopsBefore - hopsAfter) * float64(perHop))
-}

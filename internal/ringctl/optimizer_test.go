@@ -84,19 +84,3 @@ func TestThresholdProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReconfigBenefit(t *testing.T) {
-	// 1 GB of 1538B frames saving 1.25 hops at 450 ns each.
-	b := ReconfigBenefit(1e9, 1538*8, 5.25, 4.0, 450*sim.Nanosecond)
-	if b <= 0 {
-		t.Fatal("no benefit computed")
-	}
-	frames := 1e9 * 8 / (1538 * 8.0)
-	want := sim.Duration(frames * 1.25 * float64(450*sim.Nanosecond))
-	if d := b - want; d < -sim.Microsecond || d > sim.Microsecond {
-		t.Fatalf("benefit = %v, want ≈%v", b, want)
-	}
-	if ReconfigBenefit(1e9, 1538*8, 4.0, 5.25, 450*sim.Nanosecond) != 0 {
-		t.Fatal("hop-increasing mutation should have zero benefit")
-	}
-}

@@ -104,15 +104,3 @@ func (b *PriceBook) Snapshot() []struct {
 	sort.Slice(out, func(i, j int) bool { return out[i].Link < out[j].Link })
 	return out
 }
-
-// Mean returns the average price across known links (0 when empty).
-func (b *PriceBook) Mean() float64 {
-	if len(b.prices) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range b.prices {
-		sum += e.Value()
-	}
-	return sum / float64(len(b.prices))
-}

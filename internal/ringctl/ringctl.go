@@ -108,7 +108,7 @@ type Config struct {
 	// epoch floor and the actuation delay.
 	PerHopControl sim.Duration
 	// ControlLaneRate is the dedicated control lane's rate in bit/s
-	// (default 10e9). The token carries one LinkRecord per fabric link,
+	// (default 10e9). The token carries one record per fabric link,
 	// so bigger racks pay a longer serialization per hop — control-loop
 	// lag scales with rack size, as it physically must.
 	ControlLaneRate float64
@@ -147,7 +147,7 @@ type Config struct {
 	PerHopPipeline sim.Duration
 }
 
-// DefaultConfig enables all policies with the DESIGN.md calibration.
+// DefaultConfig enables all policies with the default calibration below.
 func DefaultConfig() Config {
 	return Config{
 		PerHopControl:       100 * sim.Nanosecond,
@@ -196,7 +196,6 @@ type Controller struct {
 	bypassed  map[[2]int]*bypassState // (src,dst) pairs with an issued express setup
 	reconfigd bool
 	epochs    int
-	stopped   bool
 }
 
 // bypassState tracks one policy-built express channel for reclamation.
@@ -252,8 +251,7 @@ func (c *Controller) RingRTT() sim.Duration {
 	if links > netstack.MaxTokenRecords {
 		links = netstack.MaxTokenRecords // jumbo racks would shard tokens
 	}
-	token := netstack.RingToken{Records: make([]netstack.LinkRecord, links)}
-	perHop := c.cfg.PerHopControl + sim.Transmission(token.WireBits(), c.cfg.ControlLaneRate)
+	perHop := c.cfg.PerHopControl + sim.Transmission(netstack.TokenWireBits(links), c.cfg.ControlLaneRate)
 	return sim.Duration(int64(perHop) * int64(g.NumNodes()))
 }
 
@@ -274,9 +272,6 @@ func (c *Controller) Start() {
 	c.eng.After(c.Epoch(), "crc-epoch", c.epoch)
 }
 
-// Stop halts the loop after the current epoch.
-func (c *Controller) Stop() { c.stopped = true }
-
 // Prices exposes the current price book.
 func (c *Controller) Prices() *PriceBook { return c.prices }
 
@@ -288,9 +283,6 @@ func (c *Controller) Epochs() int { return c.epochs }
 
 // epoch is one turn of the ring: collect, then act one ring RTT later.
 func (c *Controller) epoch() {
-	if c.stopped {
-		return
-	}
 	reports := c.fabric.Reports()
 	// The token needs a full ring traversal to deliver the statistics and
 	// distribute decisions; act after that delay on the *collected* (now
@@ -298,9 +290,7 @@ func (c *Controller) epoch() {
 	c.eng.After(c.RingRTT(), "crc-actuate", func() {
 		c.actuate(reports)
 		c.epochs++
-		if !c.stopped {
-			c.eng.After(c.Epoch(), "crc-epoch", c.epoch)
-		}
+		c.eng.After(c.Epoch(), "crc-epoch", c.epoch)
 	})
 }
 

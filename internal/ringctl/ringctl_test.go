@@ -148,9 +148,6 @@ func TestPriceBookOrdering(t *testing.T) {
 	if b.Price(99) != 0 {
 		t.Fatal("unknown link should be free")
 	}
-	if b.Mean() <= 0 {
-		t.Fatal("mean price broken")
-	}
 	if len(b.Snapshot()) != 4 {
 		t.Fatal("snapshot size")
 	}

@@ -43,8 +43,8 @@ func tablesEqual(t *testing.T, label string, want, got *Table) {
 }
 
 // TestRepairMatchesFullBuild drives a table through a deterministic
-// disable/enable churn on three fabric shapes and, after every Repair,
-// demands the repaired table be indistinguishable from a from-scratch
+// disable/enable churn on three fabric shapes and, after every one-edge
+// RepairBatch, demands the repaired table be indistinguishable from a from-scratch
 // Build over the same live topology — distances, primaries, and full ECMP
 // sets. This is the incremental-repair correctness gate.
 func TestRepairMatchesFullBuild(t *testing.T) {
@@ -66,7 +66,7 @@ func TestRepairMatchesFullBuild(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				e := edges[rng.Intn(len(edges))]
 				e.SetEnabled(!e.Enabled()) // toggle: downs and restores interleave
-				rebuiltTotal += tab.Repair(g, UniformCost, e)
+				rebuiltTotal += tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
 				tablesEqual(t, sh.name, Build(g, UniformCost), tab)
 			}
 			if rebuiltTotal == 0 {
@@ -84,7 +84,7 @@ func TestRepairMatchesFullBuild(t *testing.T) {
 func TestRepairNoopOnUnchangedCost(t *testing.T) {
 	g := topo.NewGrid(4, 4, topo.Options{})
 	tab := Build(g, UniformCost)
-	if n := tab.Repair(g, UniformCost, g.Edges()[3]); n != 0 {
+	if n := tab.RepairBatch(g, UniformCost, []*topo.Edge{g.Edges()[3]}); n != 0 {
 		t.Fatalf("no-op repair rebuilt %d columns", n)
 	}
 }
@@ -93,7 +93,7 @@ func TestRepairNoopOnUnchangedCost(t *testing.T) {
 // a 4×4 grid, Path across the cut must return the typed ErrUnreachable —
 // never a zero-value path — NextHop must report no hop (no stale
 // pre-failure edge), and healing the cut must restore both. Exercised
-// through Repair, the path the fault subsystem takes.
+// through RepairBatch, the path the fault subsystem takes.
 func TestPathUnreachableTyped(t *testing.T) {
 	g := topo.NewGrid(4, 4, topo.Options{})
 	tab := Build(g, UniformCost)
@@ -108,7 +108,7 @@ func TestPathUnreachableTyped(t *testing.T) {
 	}
 	for _, e := range cut {
 		e.SetEnabled(false)
-		tab.Repair(g, UniformCost, e)
+		tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
 	}
 	src, dst := g.NodeAt(0, 0), g.NodeAt(3, 3)
 	p, err := tab.Path(src, dst)
@@ -133,7 +133,7 @@ func TestPathUnreachableTyped(t *testing.T) {
 	}
 	// Heal one cut edge: the partition closes and Path works again.
 	cut[2].SetEnabled(true)
-	tab.Repair(g, UniformCost, cut[2])
+	tab.RepairBatch(g, UniformCost, []*topo.Edge{cut[2]})
 	if _, err := tab.Path(src, dst); err != nil {
 		t.Fatalf("path after heal: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestPathUnreachableTyped(t *testing.T) {
 // for multi-edge events (a node loss lowered to its incident links, a
 // scattered multi-link pulse, a heal), applying all administrative changes
 // and then calling RepairBatch once must leave a table routing-identical to
-// calling Repair edge-at-a-time — and to a from-scratch Build — on every
+// a chain of one-edge batches — and to a from-scratch Build — on every
 // fabric shape. The batch may rebuild fewer columns (it never rebuilds one
 // twice) but never more than the sequential sum.
 func TestRepairBatchMatchesSequential(t *testing.T) {
@@ -189,7 +189,7 @@ func TestRepairBatchMatchesSequential(t *testing.T) {
 					}
 					seqCols := 0
 					for _, e := range set {
-						seqCols += seq.Repair(g, UniformCost, e)
+						seqCols += seq.RepairBatch(g, UniformCost, []*topo.Edge{e})
 					}
 					batchCols := batch.RepairBatch(g, UniformCost, set)
 					if batchCols > seqCols {
@@ -245,12 +245,12 @@ func TestRepairTriageIsSelective(t *testing.T) {
 	}
 	tab := Build(g, cost)
 	pricey.SetEnabled(false)
-	if n := tab.Repair(g, cost, pricey); n != 0 {
+	if n := tab.RepairBatch(g, cost, []*topo.Edge{pricey}); n != 0 {
 		t.Fatalf("failing an off-DAG edge rebuilt %d columns, want 0", n)
 	}
 	tablesEqual(t, "down", Build(g, cost), tab)
 	pricey.SetEnabled(true)
-	if n := tab.Repair(g, cost, pricey); n != 0 {
+	if n := tab.RepairBatch(g, cost, []*topo.Edge{pricey}); n != 0 {
 		t.Fatalf("restoring an unattractive edge rebuilt %d columns, want 0", n)
 	}
 	tablesEqual(t, "up", Build(g, cost), tab)
@@ -259,7 +259,7 @@ func TestRepairTriageIsSelective(t *testing.T) {
 	ltab := Build(line, UniformCost)
 	end, _ := line.EdgeBetween(0, 1)
 	end.SetEnabled(false)
-	if n := ltab.Repair(line, UniformCost, end); n != line.NumNodes() {
+	if n := ltab.RepairBatch(line, UniformCost, []*topo.Edge{end}); n != line.NumNodes() {
 		t.Fatalf("end-edge cut rebuilt %d of %d columns", n, line.NumNodes())
 	}
 	tablesEqual(t, "line", Build(line, UniformCost), ltab)
@@ -305,7 +305,7 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 	}
 
 	e.SetEnabled(false)
-	down := tab.Repair(g, UniformCost, e)
+	down := tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
 	if down == 0 {
 		t.Fatal("endpoint columns lost their only 1-hop path yet nothing rebuilt")
 	}
@@ -315,7 +315,7 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 	tablesEqual(t, "down", Build(g, UniformCost), tab)
 
 	e.SetEnabled(true)
-	up := tab.Repair(g, UniformCost, e)
+	up := tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
 	if up == 0 || up >= referenced {
 		t.Fatalf("restore rebuilt %d of %d referencing columns", up, referenced)
 	}

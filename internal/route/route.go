@@ -85,69 +85,6 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 	return t
 }
 
-// Repair updates the table in place after exactly one edge's cost changed
-// (a link failed, recovered, or was re-priced), re-running Dijkstra only
-// for the destination columns whose shortest-path *distances* the change
-// can move. The triage distinguishes three impacts per destination:
-//
-//   - none: the edge was not on the column's shortest-path DAG and the new
-//     cost creates no shorter or tied path — untouched.
-//   - ties only: distances provably survive, only an ECMP tie set at one
-//     endpoint of the edge changes — a cost increase removing one of ≥2
-//     cost-tied next hops, or a decrease landing exactly on the current
-//     shortest cost. The endpoint's tie list is re-derived in place
-//     against the unchanged distance column (in the same adjacency order
-//     buildForDst uses, so the row stays bit-identical to a fresh build);
-//     no Dijkstra runs.
-//   - full: distances can move (the sole shortest path died, a strictly
-//     shorter path appeared, reachability was restored) — one buildForDst
-//     over the current cost snapshot, bit-identical to a fresh Build.
-//
-// On fabrics with equal-cost path diversity (tori, wide grids) most
-// affected columns are ties-only, cutting a repair from ~k Dijkstra runs
-// to k row scrubs — the ~n-fold cut BenchmarkRouteRebuild's repair arm
-// measures.
-//
-// For a sequence of simultaneous changes (a node loss downs several
-// links), use RepairBatch — or call Repair once per edge: each call
-// triages against the then-current distances, which keeps the single-edge
-// tests sound.
-//
-// Rebuilt columns and grown tie lists append fresh segments to the shared
-// arena; the old segments are orphaned, so a table repaired thousands of
-// times grows its arena — rebuild from scratch if repair churn ever
-// dominates. Returns the number of destination columns fully rebuilt
-// (ties-only scrubs are not counted: no column was rebuilt).
-func (t *Table) Repair(g *topo.Graph, cost CostFunc, e *topo.Edge) int {
-	if cost == nil {
-		cost = UniformCost
-	}
-	c1 := cost(e)
-	if !math.IsInf(c1, 1) && c1 <= 0 {
-		panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c1, e.A, e.B))
-	}
-	c0 := t.costOf[e.Index()]
-	if c1 == c0 {
-		return 0
-	}
-	t.costOf[e.Index()] = c1
-	n := t.n
-	a, b := int(e.A), int(e.B)
-	scratch := &buildScratch{dist: make([]float64, n)}
-	rebuilt := 0
-	for dst := 0; dst < n; dst++ {
-		impact, row := t.columnImpact(dst, a, b, c0, c1)
-		if impact == colTies && t.scrubRow(g, row, dst) {
-			impact = colFull // every tie vanished: distances moved after all
-		}
-		if impact == colFull {
-			buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
-			rebuilt++
-		}
-	}
-	return rebuilt
-}
-
 // Per-destination triage outcomes.
 const (
 	colNone = iota // untouched
@@ -155,7 +92,7 @@ const (
 	colFull        // distances can move: full column rebuild
 )
 
-// columnImpact is Repair's per-destination triage: how can an edge (a,b)
+// columnImpact is RepairBatch's per-destination triage: how can an edge (a,b)
 // whose cost moved c0 → c1 touch destination dst? Returns the impact and,
 // for colTies, the node whose tie set must be re-derived. The test is O(1)
 // against the stored distance matrix, which must still describe the
@@ -253,22 +190,48 @@ func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
 	return false
 }
 
-// RepairBatch applies several simultaneous edge-cost changes — a node
-// event's incident links, a multi-link pulse — in one triage pass: all cost
-// snapshots move first, every destination column is tested once against
-// every change (using the pre-batch distance matrix throughout), and each
-// affected column rebuilds exactly once over the final costs.
+// RepairBatch updates the table in place after one or more simultaneous
+// edge-cost changes (a link failed, recovered, or was re-priced; a node
+// event's incident links; a multi-link pulse), re-running Dijkstra only
+// for the destination columns whose shortest-path *distances* the changes
+// can move. All cost snapshots move first, then every destination column
+// is triaged once against every change, using the pre-batch distance
+// matrix throughout. The triage distinguishes three impacts per
+// destination:
 //
-// The result is bit-identical in routing behavior to calling Repair once
-// per edge in any order. Sketch: sequential repairs keep the table
-// equivalent to a fresh Build after every step, so a column neither repair
-// touches has unchanged distances — the batch triage sees exactly the
-// values each sequential triage would, and a column any single-edge test
-// flags is rebuilt here over the union of changes, which is where the
-// sequential chain also lands it. Columns sequential Repair rebuilds more
-// than once collapse to one buildForDst over the same final snapshot.
-// Returns the number of destination columns rebuilt — at most once each,
-// so the count can undercut the sequential sum.
+//   - none: no changed edge was on the column's shortest-path DAG and the
+//     new costs create no shorter or tied path — untouched.
+//   - ties only: distances provably survive, only ECMP tie sets at edge
+//     endpoints change — a cost increase removing one of ≥2 cost-tied
+//     next hops, or a decrease landing exactly on the current shortest
+//     cost. Each touched tie list is re-derived in place against the
+//     unchanged distance column (in the same adjacency order buildForDst
+//     uses, so the row stays bit-identical to a fresh build); no Dijkstra
+//     runs.
+//   - full: distances can move (the sole shortest path died, a strictly
+//     shorter path appeared, reachability was restored) — one buildForDst
+//     over the final cost snapshot, bit-identical to a fresh Build.
+//
+// On fabrics with equal-cost path diversity (tori, wide grids) most
+// affected columns are ties-only, cutting a repair from ~k Dijkstra runs
+// to k row scrubs — the ~n-fold cut BenchmarkRouteRebuild's repair arm
+// measures.
+//
+// The result is bit-identical in routing behavior to a chain of one-edge
+// batches in any order. Sketch: each one-edge repair keeps the table
+// equivalent to a fresh Build, so a column neither repair touches has
+// unchanged distances — the batch triage sees exactly the values each
+// sequential triage would, and a column any single-edge test flags is
+// rebuilt here over the union of changes, which is where the sequential
+// chain also lands it. Columns the chain rebuilds more than once collapse
+// to one buildForDst over the same final snapshot.
+//
+// Rebuilt columns and grown tie lists append fresh segments to the shared
+// arena; the old segments are orphaned, so a table repaired thousands of
+// times grows its arena — rebuild from scratch if repair churn ever
+// dominates. Returns the number of destination columns fully rebuilt, at
+// most once each, so the count can undercut the sequential sum (ties-only
+// scrubs are not counted: no column was rebuilt).
 func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) int {
 	if cost == nil {
 		cost = UniformCost
@@ -383,7 +346,7 @@ func buildForDst(g *topo.Graph, dst topo.NodeID, costOf []float64, t *Table, s *
 	for from := 0; from < n; from++ {
 		idx := from*n + int(dst)
 		t.dist[idx] = dist[from]
-		// Clear before recording: on a Repair rebuild a pair that became
+		// Clear before recording: on a repair rebuild a pair that became
 		// unreachable must not keep the stale pre-failure next hop.
 		t.primary[idx] = nil
 		t.ecmpOff[idx] = 0

@@ -29,9 +29,6 @@ func NewVLB(table *Table, nodes int) *VLB {
 	return &VLB{table: table, n: nodes}
 }
 
-// Table returns the underlying shortest-path table.
-func (v *VLB) Table() *Table { return v.table }
-
 // Intermediate returns the flow's pivot node, derived from the flow hash
 // and excluded from coinciding with src or dst (those degenerate to plain
 // shortest path).
@@ -67,13 +64,4 @@ func (v *VLB) NextHop(src, cur, dst topo.NodeID, flowHash uint64, phase2 bool) (
 	target, nowPhase2 := v.Target(src, cur, dst, flowHash, phase2)
 	e, ok := v.table.NextHopECMP(cur, target, flowHash)
 	return e, nowPhase2, ok
-}
-
-// PathLength returns the VLB path cost for a flow (pivot leg + exit leg).
-func (v *VLB) PathLength(src, dst topo.NodeID, flowHash uint64) float64 {
-	if src == dst {
-		return 0
-	}
-	mid := v.Intermediate(src, dst, flowHash)
-	return v.table.Distance(src, mid) + v.table.Distance(mid, dst)
 }

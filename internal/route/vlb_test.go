@@ -93,9 +93,6 @@ func TestVLBPathMatchesTwoLegs(t *testing.T) {
 	if steps != want {
 		t.Fatalf("VLB walk = %d hops, want %d (via pivot %d)", steps, want, mid)
 	}
-	if got := v.PathLength(src, dst, hash); int(got) != want {
-		t.Fatalf("PathLength = %v, want %d", got, want)
-	}
 }
 
 func TestVLBSpreadsAdversarialLoad(t *testing.T) {
@@ -167,7 +164,8 @@ func TestVLBDeliveryProperty(t *testing.T) {
 			return true
 		}
 		steps := walkVLB(v, src, dst, hash, 16)
-		return steps > 0 && float64(steps) <= v.PathLength(src, dst, hash)
+		mid := v.Intermediate(src, dst, hash)
+		return steps > 0 && float64(steps) <= tab.Distance(src, mid)+tab.Distance(mid, dst)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(111))}); err != nil {
 		t.Fatal(err)

@@ -11,12 +11,15 @@ package sim
 //
 // Ordering is byte-identical to the heap the engine used before: (at, seq)
 // is a unique total order, so any correct priority queue pops the same
-// sequence. calendar_test.go proves it differentially against eventQueue.
+// sequence. calendar_test.go proves it differentially against a binary
+// heap.
 //
 // Invariant: no pending event's day precedes curDay. Pops are monotonic in
-// time and At refuses past scheduling, so pushes can only precede curDay
-// when a blocked popAtMost advanced the cursor to a minimum that was then
-// cancelled; push re-opens the cursor for that case.
+// time and At refuses past scheduling, but a blocked popAtMost still moves
+// the cursor to the pending minimum's day, and the engine then sets its
+// clock to the limit. A later At(t) with limit ≤ t < minimum lands before
+// the cursor (the packet façade does this on RunFor followed by a mid-run
+// Inject); push re-opens the cursor for that case.
 type calendarQueue struct {
 	buckets  []*event
 	mask     uint64 // len(buckets)-1; len(buckets) is a power of two
@@ -54,14 +57,11 @@ func (q *calendarQueue) init(hint int) {
 
 func (q *calendarQueue) len() int { return q.count }
 
-// push files ev under its day bucket. ev.index becomes the bucket index
-// (≥ 0 marks "pending", matching the heap's index contract that Cancel
-// relies on).
+// push files ev under its day bucket.
 func (q *calendarQueue) push(ev *event) {
 	d := uint64(ev.at) / q.width
-	idx := int(d & q.mask)
+	idx := d & q.mask
 	ev.next = q.buckets[idx]
-	ev.index = idx
 	q.buckets[idx] = ev
 	q.count++
 	if d < q.curDay {
@@ -72,10 +72,9 @@ func (q *calendarQueue) push(ev *event) {
 	}
 }
 
-// unlink removes a pending event from its bucket and marks it spent.
-func (q *calendarQueue) unlink(ev *event) {
-	idx := ev.index
-	ev.index = -1
+// unlink removes a pending event from bucket idx, the bucket it is filed
+// under.
+func (q *calendarQueue) unlink(ev *event, idx uint64) {
 	if p := q.buckets[idx]; p == ev {
 		q.buckets[idx] = ev.next
 	} else {
@@ -117,7 +116,7 @@ func (q *calendarQueue) popAtMost(limit Time) *event {
 			if best.at > limit {
 				return nil
 			}
-			q.unlink(best)
+			q.unlink(best, d&q.mask)
 			return best
 		}
 		d++
@@ -129,7 +128,7 @@ func (q *calendarQueue) popAtMost(limit Time) *event {
 	if best.at > limit {
 		return nil
 	}
-	q.unlink(best)
+	q.unlink(best, q.curDay&q.mask)
 	return best
 }
 
@@ -189,9 +188,8 @@ func (q *calendarQueue) resize(n int) {
 	q.curDay = uint64(minAt) / width
 	for ev := head; ev != nil; {
 		next := ev.next
-		idx := int((uint64(ev.at) / width) & q.mask)
+		idx := (uint64(ev.at) / width) & q.mask
 		ev.next = q.buckets[idx]
-		ev.index = idx
 		q.buckets[idx] = ev
 		ev = next
 	}

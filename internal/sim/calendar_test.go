@@ -5,9 +5,75 @@ import (
 	"testing"
 )
 
+// eventQueue is a binary min-heap ordered by (at, seq): the engine's
+// previous future-event list, kept here as the reference implementation
+// the calendar queue is checked against.
+type eventQueue struct {
+	items []*event
+}
+
+func (q *eventQueue) len() int { return len(q.items) }
+
+func (q *eventQueue) less(i, j int) bool {
+	a, b := q.items[i], q.items[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (q *eventQueue) swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
+
+func (q *eventQueue) push(e *event) {
+	q.items = append(q.items, e)
+	q.up(len(q.items) - 1)
+}
+
+func (q *eventQueue) pop() *event {
+	n := len(q.items)
+	q.swap(0, n-1)
+	e := q.items[n-1]
+	q.items[n-1] = nil
+	q.items = q.items[:n-1]
+	if len(q.items) > 0 {
+		q.down(0)
+	}
+	return e
+}
+
+func (q *eventQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+func (q *eventQueue) down(i int) {
+	n := len(q.items)
+	for {
+		left := 2*i + 1
+		if left >= n {
+			return
+		}
+		smallest := left
+		if right := left + 1; right < n && q.less(right, left) {
+			smallest = right
+		}
+		if !q.less(smallest, i) {
+			return
+		}
+		q.swap(i, smallest)
+		i = smallest
+	}
+}
+
 // TestCalendarHeapByteIdentical drives the binary heap (the engine's
 // previous future-event list, kept as the reference implementation) and
-// the calendar queue side by side over fuzzer-driven schedule / cancel /
+// the calendar queue side by side over fuzzer-driven schedule /
 // limited-pop sequences — same-tick bursts, near-term rolling windows,
 // far-future outliers that force the sparse fallback, and floods that
 // force wheel resizes — and asserts the two pop byte-identical (at, seq)
@@ -33,29 +99,13 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 	var cal calendarQueue
 	cal.init(calMinBuckets)
 
-	type pair struct{ h, c *event }
-	var live []pair
-	slot := make(map[uint64]int) // seq → index in live
 	seq := uint64(0)
 	now := Time(0)
 
 	schedule := func(at Time) {
-		h := &event{at: at, seq: seq}
-		c := &event{at: at, seq: seq}
-		heap.push(h)
-		cal.push(c)
-		slot[seq] = len(live)
-		live = append(live, pair{h, c})
+		heap.push(&event{at: at, seq: seq})
+		cal.push(&event{at: at, seq: seq})
 		seq++
-	}
-	dropLive := func(i int) {
-		delete(slot, live[i].c.seq)
-		last := len(live) - 1
-		if i != last {
-			live[i] = live[last]
-			slot[live[i].c.seq] = i
-		}
-		live = live[:last]
 	}
 	pop := func(limit Time) {
 		c := cal.popAtMost(limit)
@@ -78,7 +128,6 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: calendar popped %v after %v — time went backwards", seed, c.at, now)
 		}
 		now = c.at
-		dropLive(slot[c.seq])
 	}
 
 	randomAt := func() Time {
@@ -109,14 +158,6 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 			for k := 0; k < 80; k++ {
 				schedule(base + Time(rng.Int63n(100_000)))
 			}
-		case r < 60: // cancel (reschedule = cancel + schedule elsewhere)
-			if len(live) > 0 {
-				i := rng.Intn(len(live))
-				p := live[i]
-				heap.remove(p.h.index)
-				cal.unlink(p.c)
-				dropLive(i)
-			}
 		default: // pop, sometimes held back by a limit
 			limit := Time(Forever)
 			if rng.Intn(3) == 0 {
@@ -137,7 +178,7 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 // in the regime that stresses the calendar specifically: delays spanning
 // six orders of magnitude, so the wheel resizes, days wrap years, and the
 // sparse fallback fires — while storage recycles through the free list.
-// Every surviving event must fire exactly once, every cancelled one never.
+// Every event must fire exactly once.
 func TestCalendarReuseNoDoubleDelivery(t *testing.T) {
 	const rounds = 120
 	const batch = 60
@@ -145,25 +186,17 @@ func TestCalendarReuseNoDoubleDelivery(t *testing.T) {
 	e := New()
 	fired := make(map[int]int)
 	scheduled := 0
-	cancelled := make(map[int]bool)
 	delays := []Duration{
 		1, 700, Nanosecond, 13 * Nanosecond, 900 * Nanosecond,
 		Microsecond, 47 * Microsecond, Millisecond, 3 * Millisecond,
 	}
 
 	for r := 0; r < rounds; r++ {
-		evs := make([]Event, 0, batch)
-		ids := make([]int, 0, batch)
 		for i := 0; i < batch; i++ {
 			id := scheduled
 			scheduled++
 			d := delays[(i*5+r)%len(delays)] + Duration(i%7)
-			evs = append(evs, e.After(d, "cal-churn", func() { fired[id]++ }))
-			ids = append(ids, id)
-		}
-		for i := 0; i < batch; i += 3 {
-			e.Cancel(evs[i])
-			cancelled[ids[i]] = true
+			e.After(d, "cal-churn", func() { fired[id]++ })
 		}
 		if r%2 == 0 {
 			if err := e.Run(); err != nil {
@@ -181,47 +214,41 @@ func TestCalendarReuseNoDoubleDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < scheduled; id++ {
-		n := fired[id]
-		if cancelled[id] {
-			if n != 0 {
-				t.Fatalf("cancelled event %d fired %d times", id, n)
-			}
-		} else if n != 1 {
+		if n := fired[id]; n != 1 {
 			t.Fatalf("event %d fired %d times, want exactly 1", id, n)
 		}
 	}
 }
 
-// TestCalendarStaleCancelIsNoOp re-pins the generation-stamp contract on
-// the calendar-backed engine: a handle kept past its event's death never
-// cancels the unrelated event that reuses the storage.
-func TestCalendarStaleCancelIsNoOp(t *testing.T) {
+// TestScheduleBeforeBlockedMinimum pins the one path that pushes an event
+// before the calendar's cursor: RunUntil blocks on a pending minimum past
+// its limit (moving the cursor to that minimum's day) and leaves the clock
+// at the limit, so a later At between the limit and the minimum must still
+// fire first.
+func TestScheduleBeforeBlockedMinimum(t *testing.T) {
 	e := New()
-	fired := 0
-	a := e.After(Second, "a", func() { t.Error("cancelled event a fired") })
-	e.Cancel(a)
-	b := e.After(Nanosecond, "b", func() { fired++ })
-	if a.ev != b.ev {
-		t.Fatal("test premise broken: b did not reuse a's storage")
+	var got []Time
+	record := func() { got = append(got, e.Now()) }
+	e.At(Time(6*Microsecond), "pending", record)
+	if err := e.RunUntil(Time(5 * Microsecond)); err != nil {
+		t.Fatal(err)
 	}
-	e.Cancel(a) // stale: must not unlink b from its bucket
-	if b.Canceled() {
-		t.Fatal("stale Cancel(a) cancelled b")
+	if len(got) != 0 || e.Now() != Time(5*Microsecond) {
+		t.Fatalf("RunUntil(5us): fired %v, clock %v; want nothing fired, clock 5us", got, e.Now())
 	}
+	e.At(Time(5500*Nanosecond), "late", record)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("b fired %d times, want 1", fired)
+	want := []Time{Time(5500 * Nanosecond), Time(6 * Microsecond)}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", got, want)
 	}
-	e.Cancel(b) // fired: no-op
-	e.Cancel(Event{})
 }
 
-// TestCalendarSteadyStateZeroAlloc proves the calendar's schedule→fire and
-// schedule→cancel paths allocate nothing once warm, including when
-// consecutive events land in fresh day buckets as the clock advances
-// around the wheel.
+// TestCalendarSteadyStateZeroAlloc proves the calendar's schedule→fire
+// path allocates nothing once warm, including when consecutive events land
+// in fresh day buckets as the clock advances around the wheel.
 func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	nop := func() {}
@@ -235,12 +262,6 @@ func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state schedule/fire allocates %.2f objects per op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(2000, func() {
-		e.Cancel(e.After(Microsecond, "steady", nop))
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state schedule/cancel allocates %.2f objects per op, want 0", allocs)
 	}
 }
 

@@ -41,9 +41,7 @@ func NewSized(hint int) *Engine {
 	return e
 }
 
-// alloc takes event storage off the free list, or allocates fresh. The
-// generation bump on reuse is what invalidates handles to the storage's
-// previous life, keeping late Cancel calls harmless.
+// alloc takes event storage off the free list, or allocates fresh.
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
@@ -51,12 +49,10 @@ func (e *Engine) alloc() *event {
 	}
 	e.free = ev.next
 	ev.next = nil
-	ev.canceled = false
-	ev.gen++
 	return ev
 }
 
-// recycle returns a fired or cancelled event to the free list. The
+// recycle returns a fired event to the free list. The
 // callback is dropped immediately so its captures become collectable.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
@@ -70,9 +66,6 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events waiting in the future event list.
-func (e *Engine) Pending() int { return e.queue.len() }
-
 // SetEventLimit installs a safety cap on the number of executed events.
 // Run returns an error when the cap is reached. Zero removes the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }
@@ -82,11 +75,7 @@ func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }
 // The label is kept for diagnostics and error reports; pass a constant
 // string — formatting a label per event puts an allocation on the hottest
 // path in the simulator.
-//
-// The returned handle stays safe to Cancel forever: once the event fires
-// or is cancelled the engine recycles its storage, and the handle's
-// generation stamp turns any later Cancel into a no-op.
-func (e *Engine) At(t Time, label string, fn func()) Event {
+func (e *Engine) At(t Time, label string, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, t, e.now))
 	}
@@ -97,29 +86,14 @@ func (e *Engine) At(t Time, label string, fn func()) Event {
 	ev.at, ev.seq, ev.fn, ev.label = t, e.seq, fn, label
 	e.seq++
 	e.queue.push(ev)
-	return Event{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.
-func (e *Engine) After(d Duration, label string, fn func()) Event {
+func (e *Engine) After(d Duration, label string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling %q with negative delay %v", label, d))
 	}
-	return e.At(e.now.Add(d), label, fn)
-}
-
-// Cancel removes a pending event and recycles its storage. Cancelling an
-// event that already fired or was already cancelled is a no-op — the
-// handle's generation stamp detects recycled storage — so holders need
-// not track liveness.
-func (e *Engine) Cancel(h Event) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.canceled || ev.index < 0 {
-		return
-	}
-	ev.canceled = true
-	e.queue.unlink(ev)
-	e.recycle(ev)
+	e.At(e.now.Add(d), label, fn)
 }
 
 // Stop makes Run return after the current event completes.
@@ -128,9 +102,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single next event, advancing the clock to it. It returns
 // false when the event list is empty.
 func (e *Engine) Step() bool {
-	// Cancel removes events from the calendar eagerly, so whatever pop
-	// returns is live — no cancelled-event skip loop (which would
-	// double-recycle).
 	ev := e.queue.popAtMost(Forever)
 	if ev == nil {
 		return false

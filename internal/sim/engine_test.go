@@ -94,51 +94,6 @@ func TestEngineAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	ran := false
-	ev := e.After(10*Nanosecond, "x", func() { ran = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double-cancel is a no-op
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked cancelled")
-	}
-}
-
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
-	e := New()
-	var got []string
-	evs := make([]Event, 0, 10)
-	for i := 0; i < 10; i++ {
-		name := string(rune('a' + i))
-		d := Duration(i+1) * Nanosecond
-		evs = append(evs, e.After(d, name, func() { got = append(got, name) }))
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "abcdfgij"
-	if joined := join(got); joined != want {
-		t.Fatalf("ran %q, want %q", joined, want)
-	}
-}
-
-func join(s []string) string {
-	out := ""
-	for _, x := range s {
-		out += x
-	}
-	return out
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	count := 0
@@ -233,46 +188,6 @@ func TestHeapOrderingProperty(t *testing.T) {
 		return sort.SliceIsSorted(executed, func(i, j int) bool { return executed[i] < executed[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: cancelling an arbitrary subset never disturbs the order of the
-// survivors.
-func TestCancelSubsetProperty(t *testing.T) {
-	f := func(times []uint16, mask []bool) bool {
-		if len(times) > 100 {
-			times = times[:100]
-		}
-		e := New()
-		type rec struct {
-			ev   Event
-			at   Time
-			kill bool
-		}
-		recs := make([]rec, 0, len(times))
-		var executed []Time
-		for i, v := range times {
-			at := Time(v) * Time(Nanosecond)
-			ev := e.At(at, "t", func() { executed = append(executed, e.Now()) })
-			kill := i < len(mask) && mask[i]
-			recs = append(recs, rec{ev, at, kill})
-		}
-		want := 0
-		for _, r := range recs {
-			if r.kill {
-				e.Cancel(r.ev)
-			} else {
-				want++
-			}
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		return len(executed) == want &&
-			sort.SliceIsSorted(executed, func(i, j int) bool { return executed[i] < executed[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,141 +1,11 @@
 package sim
 
 // event is the pooled storage behind one scheduled callback. Once an
-// event fires or is cancelled the engine recycles this struct through a
-// free list; the generation counter lets stale handles detect reuse.
+// event fires the engine recycles this struct through a free list.
 type event struct {
-	at       Time
-	seq      uint64 // tie-break: schedule order within one instant
-	fn       func()
-	index    int // heap index, -1 once popped or cancelled
-	canceled bool
-	label    string
-	gen      uint64 // bumped on every reuse of this storage
-	next     *event // free-list link while recycled
-}
-
-// Event is a cancellation handle for a scheduled callback: the pooled
-// storage plus the generation it was issued for. Handles are small
-// values; keep them as long as convenient. A handle whose storage has
-// been recycled for a later event is "stale" — Cancel on it is a
-// guaranteed no-op and its accessors return zero values, so holders
-// never need to track liveness. The zero Event is a valid stale handle.
-type Event struct {
-	ev  *event
-	gen uint64
-}
-
-// live reports whether the handle still addresses its own event (which
-// may be pending, fired, or cancelled — but not yet reused).
-func (h Event) live() bool { return h.ev != nil && h.ev.gen == h.gen }
-
-// At returns the instant the event is scheduled for, or zero if the
-// handle is stale.
-func (h Event) At() Time {
-	if !h.live() {
-		return 0
-	}
-	return h.ev.at
-}
-
-// Label returns the diagnostic label given at scheduling time, or ""
-// if the handle is stale.
-func (h Event) Label() string {
-	if !h.live() {
-		return ""
-	}
-	return h.ev.label
-}
-
-// Canceled reports whether the event was cancelled before firing.
-// Stale handles report false.
-func (h Event) Canceled() bool { return h.live() && h.ev.canceled }
-
-// eventQueue is a binary min-heap ordered by (at, seq). It implements the
-// subset of container/heap we need directly to avoid interface conversions on
-// the hottest path in the simulator.
-type eventQueue struct {
-	items []*event
-}
-
-func (q *eventQueue) len() int { return len(q.items) }
-
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
-}
-
-func (q *eventQueue) push(e *event) {
-	e.index = len(q.items)
-	q.items = append(q.items, e)
-	q.up(e.index)
-}
-
-func (q *eventQueue) pop() *event {
-	n := len(q.items)
-	q.swap(0, n-1)
-	e := q.items[n-1]
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	if len(q.items) > 0 {
-		q.down(0)
-	}
-	e.index = -1
-	return e
-}
-
-// remove deletes the event at heap index i.
-func (q *eventQueue) remove(i int) {
-	n := len(q.items)
-	if i == n-1 {
-		q.items[n-1].index = -1
-		q.items[n-1] = nil
-		q.items = q.items[:n-1]
-		return
-	}
-	q.swap(i, n-1)
-	q.items[n-1].index = -1
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	q.down(i)
-	q.up(i)
-}
-
-func (q *eventQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *eventQueue) down(i int) {
-	n := len(q.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			return
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
+	at    Time
+	seq   uint64 // tie-break: schedule order within one instant
+	fn    func()
+	label string
+	next  *event // bucket chain while pending, free-list link while recycled
 }

@@ -5,10 +5,9 @@ import (
 )
 
 // TestEventReuseNoDoubleDelivery churns the engine through interleaved
-// schedule/cancel/pop cycles far past the free-list's steady state and
-// asserts the delivery invariants that pooling must not break: every
-// surviving event fires exactly once, every cancelled event fires never,
-// and recycled storage never resurrects an old callback.
+// schedule/pop cycles far past the free-list's steady state and asserts
+// the delivery invariants that pooling must not break: every event fires
+// exactly once, and recycled storage never resurrects an old callback.
 func TestEventReuseNoDoubleDelivery(t *testing.T) {
 	const rounds = 200
 	const batch = 50
@@ -16,26 +15,16 @@ func TestEventReuseNoDoubleDelivery(t *testing.T) {
 	e := New()
 	fired := make(map[int]int)
 	scheduled := 0
-	cancelledIDs := make(map[int]bool)
 
 	for r := 0; r < rounds; r++ {
-		evs := make([]Event, 0, batch)
-		ids := make([]int, 0, batch)
 		for i := 0; i < batch; i++ {
 			id := scheduled
 			scheduled++
 			d := Duration(1+(i*7)%13) * Nanosecond
-			evs = append(evs, e.After(d, "churn", func() { fired[id]++ }))
-			ids = append(ids, id)
-		}
-		// Cancel a deterministic third of the batch: some from the middle
-		// of the heap, some heads, some tails.
-		for i := 0; i < batch; i += 3 {
-			e.Cancel(evs[i])
-			cancelledIDs[ids[i]] = true
+			e.After(d, "churn", func() { fired[id]++ })
 		}
 		// Drain half the rounds fully, step the others partially so the
-		// heap and free list keep exchanging storage.
+		// queue and free list keep exchanging storage.
 		if r%2 == 0 {
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
@@ -53,68 +42,14 @@ func TestEventReuseNoDoubleDelivery(t *testing.T) {
 	}
 
 	for id := 0; id < scheduled; id++ {
-		n := fired[id]
-		if cancelledIDs[id] {
-			if n != 0 {
-				t.Fatalf("cancelled event %d fired %d times", id, n)
-			}
-			continue
-		}
-		if n != 1 {
+		if n := fired[id]; n != 1 {
 			t.Fatalf("event %d fired %d times, want exactly 1", id, n)
 		}
 	}
 }
 
-// TestStaleCancelIsNoOp pins the safety contract of pooled events: a
-// handle kept past its event's death must never cancel the unrelated
-// event that later reuses the storage.
-func TestStaleCancelIsNoOp(t *testing.T) {
-	e := New()
-	fired := 0
-
-	// Stale via cancellation: cancel a, then schedule b (reusing a's
-	// storage), then cancel a again.
-	a := e.After(Nanosecond, "a", func() { t.Error("cancelled event a fired") })
-	e.Cancel(a)
-	b := e.After(Nanosecond, "b", func() { fired++ })
-	if a.ev != b.ev {
-		t.Fatal("test premise broken: b did not reuse a's storage")
-	}
-	e.Cancel(a) // stale: must not touch b
-	if b.Canceled() {
-		t.Fatal("stale Cancel(a) cancelled b")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("b fired %d times, want 1", fired)
-	}
-
-	// Stale via firing: after b fired, its storage is free again; a new
-	// event c reuses it and a late Cancel(b) must not touch c.
-	c := e.After(Nanosecond, "c", func() { fired++ })
-	if b.ev != c.ev {
-		t.Fatal("test premise broken: c did not reuse b's storage")
-	}
-	e.Cancel(b)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("c fired; total %d, want 2", fired)
-	}
-
-	// Stale accessors report zero values; the zero handle is inert.
-	if a.At() != 0 || a.Label() != "" || a.Canceled() {
-		t.Fatalf("stale handle leaks reused state: at=%v label=%q canceled=%v", a.At(), a.Label(), a.Canceled())
-	}
-	e.Cancel(Event{})
-}
-
 // TestEventReuseRecycles proves the free list actually recycles: in steady
-// state a schedule→fire cycle performs no Event allocation.
+// state a schedule→fire cycle performs no event allocation.
 func TestEventReuseRecycles(t *testing.T) {
 	e := New()
 	nop := func() {}
@@ -134,22 +69,6 @@ func TestEventReuseRecycles(t *testing.T) {
 	}
 }
 
-// TestEventReuseCancelRecycles is the cancel-path twin: schedule→cancel in
-// steady state must not allocate either.
-func TestEventReuseCancelRecycles(t *testing.T) {
-	e := New()
-	nop := func() {}
-	for i := 0; i < 64; i++ {
-		e.Cancel(e.After(Nanosecond, "warm", nop))
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Cancel(e.After(Nanosecond, "steady", nop))
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state schedule/cancel allocates %.1f objects per op, want 0", allocs)
-	}
-}
-
 // BenchmarkEngineSchedule measures the schedule→fire hot path: a rolling
 // window of pending events with one scheduled and one popped per
 // iteration — the regime every packet model keeps the engine in.
@@ -165,17 +84,5 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(window*Nanosecond, "bench", nop)
 		e.Step()
-	}
-}
-
-// BenchmarkEngineScheduleCancel measures the schedule→cancel path, the
-// other half of the free-list churn (timeouts that almost never fire).
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := New()
-	nop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Cancel(e.After(Nanosecond, "bench", nop))
 	}
 }

@@ -67,9 +67,6 @@ func (r *RNG) Int63() int64 { return r.src.Int63() }
 // Perm returns a random permutation of [0,n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
-// Shuffle randomizes element order via the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // NormFloat64 returns a standard normal draw.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 

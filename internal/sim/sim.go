@@ -3,9 +3,8 @@
 //
 // The paper evaluates its architecture inside OMNeT++, a discrete-event
 // simulator. This package is the Go substitute: a future-event-list engine
-// with a picosecond-resolution clock, cancellable events, and seeded,
-// splittable random number streams so that every run is reproducible from a
-// single seed.
+// with a picosecond-resolution clock and seeded, splittable random number
+// streams so that every run is reproducible from a single seed.
 //
 // Picosecond resolution is required because a single byte at 25.78125 Gb/s
 // serializes in ~310 ps; nanoseconds would accumulate rounding error across
@@ -49,9 +48,6 @@ func (t Time) Before(u Time) bool { return t < u }
 
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
-
-// Seconds returns the timestamp as seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Duration returns the time since the zero instant as a Duration.
 func (t Time) Duration() Duration { return Duration(t) }

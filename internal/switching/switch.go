@@ -94,7 +94,8 @@ type Config struct {
 	PauseWatchdog sim.Duration
 }
 
-// DefaultConfig returns the DESIGN.md §5 calibration for a port count.
+// DefaultConfig returns the default switch calibration for a port count:
+// the values below.
 func DefaultConfig(ports int) Config {
 	return Config{
 		Ports:              ports,
@@ -203,17 +204,8 @@ func New(node int, eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 	return s
 }
 
-// Node returns the owning node's ID.
-func (s *Switch) Node() int { return s.node }
-
-// Config returns the switch configuration.
-func (s *Switch) Config() Config { return s.cfg }
-
 // Stats returns the instrument block.
 func (s *Switch) Stats() *Stats { return &s.stats }
-
-// Buffered returns the total frames currently queued.
-func (s *Switch) Buffered() int { return s.buffered }
 
 // Inject delivers a frame to input port at the moment it becomes available
 // to the switching logic (the fabric schedules this per the forwarding
@@ -281,9 +273,6 @@ func (s *Switch) SetOutputPaused(port int, paused bool) {
 
 // WatchdogTrips counts forced pause releases (deadlock-breaker activity).
 func (s *Switch) WatchdogTrips() int { return s.watchdogs }
-
-// OutputBusy reports whether port is currently serializing a frame.
-func (s *Switch) OutputBusy(port int) bool { return s.outBusy[port] }
 
 // tryGrant runs the arbiter for one output: find the next input (round
 // robin from the output's pointer) whose head-of-line frame for this output

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -99,23 +98,12 @@ func (h *Histogram) RecordN(v int64, n int64) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the exact sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest recorded sample (0 when empty).
@@ -157,26 +145,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge folds other into h. Precisions must match.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.subBits != h.subBits {
-		panic("telemetry: merging histograms of different precision")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
 // Reset forgets all samples.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
@@ -186,31 +154,4 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.MaxInt64
 	h.max = 0
-}
-
-// Summary is a compact immutable view of a histogram used in reports.
-type Summary struct {
-	Count          int64
-	Mean           float64
-	Min, P50, P90  int64
-	P99, P999, Max int64
-}
-
-// Summarize captures the standard report quantiles.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.count,
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-		Max:   h.Max(),
-	}
-}
-
-// String renders the summary for debugging.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d max=%d", s.Count, s.Mean, s.P50, s.P99, s.Max)
 }

@@ -32,14 +32,6 @@ type Window struct {
 	Last  float64
 }
 
-// Mean returns the window's average observation.
-func (w Window) Mean() float64 {
-	if w.Count == 0 {
-		return 0
-	}
-	return w.Sum / float64(w.Count)
-}
-
 // NewSeries returns a series with the given window width in picoseconds,
 // keeping at most maxWindows recent windows (≤ 0 means an implementation
 // default of 1024).
@@ -52,9 +44,6 @@ func NewSeries(intervalPs int64, maxWindows int) *Series {
 	}
 	return &Series{interval: intervalPs, maxWindows: maxWindows}
 }
-
-// Interval returns the window width in picoseconds.
-func (s *Series) Interval() int64 { return s.interval }
 
 // Evicted returns how many closed windows fell off the retention bound.
 func (s *Series) Evicted() int64 { return s.evicted }

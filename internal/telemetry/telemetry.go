@@ -1,6 +1,6 @@
 // Package telemetry provides the measurement substrate for the fabric
-// models: counters, gauges, EWMA estimators, log-bucket latency histograms,
-// and a registry that renders result tables.
+// models: counters, gauges, EWMA estimators, log-bucket latency
+// histograms, windowed series and exact nearest-rank percentiles.
 //
 // The paper's Physical Layer Primitive #5 is "per-lane statistics such as
 // bit error rate, latency, and effective bandwidth"; those lane statistics
@@ -34,9 +34,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a point-in-time level (queue depth, power draw, price).
 type Gauge struct {
 	bits atomic.Uint64
@@ -47,9 +44,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Add adjusts the level by delta.
-func (g *Gauge) Add(delta float64) { g.Set(g.Value() + delta) }
 
 // EWMA is an exponentially weighted moving average with configurable weight
 // for new observations. It is the smoother used for link latency and
@@ -85,40 +79,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Primed reports whether at least one sample has been observed.
 func (e *EWMA) Primed() bool { return e.primed }
-
-// Reset forgets all history.
-func (e *EWMA) Reset() { e.value = 0; e.primed = false }
-
-// RateEstimator converts a monotone byte/bit count into a windowed rate.
-// The Closed Ring Control uses it for "effective bandwidth" per lane.
-type RateEstimator struct {
-	ewma      *EWMA
-	lastCount int64
-	lastAt    int64 // picoseconds
-	started   bool
-}
-
-// NewRateEstimator returns a rate estimator smoothing with weight alpha.
-func NewRateEstimator(alpha float64) *RateEstimator {
-	return &RateEstimator{ewma: NewEWMA(alpha)}
-}
-
-// Sample records that the cumulative count was count at time atPs.
-// It returns the current rate estimate in count-units per second.
-func (r *RateEstimator) Sample(count int64, atPs int64) float64 {
-	if !r.started {
-		r.lastCount, r.lastAt, r.started = count, atPs, true
-		return 0
-	}
-	dt := atPs - r.lastAt
-	if dt <= 0 {
-		return r.ewma.Value()
-	}
-	rate := float64(count-r.lastCount) / (float64(dt) * 1e-12)
-	r.lastCount, r.lastAt = count, atPs
-	r.ewma.Observe(rate)
-	return r.ewma.Value()
-}
-
-// Value returns the current rate estimate in count-units per second.
-func (r *RateEstimator) Value() float64 { return r.ewma.Value() }

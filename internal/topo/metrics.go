@@ -66,23 +66,6 @@ func (g *Graph) MeanHops() (float64, error) {
 	return float64(total) / float64(pairs-int64(n)), nil
 }
 
-// Diameter returns the maximum shortest-path hop count over live edges,
-// or -1 when disconnected.
-func (g *Graph) Diameter() int {
-	worst := 0
-	for src := 0; src < g.NumNodes(); src++ {
-		for _, d := range g.HopsFrom(NodeID(src)) {
-			if d == -1 {
-				return -1
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
 // Validate checks structural invariants: endpoint bounds, adjacency
 // symmetry, no self loops, connectivity.
 func (g *Graph) Validate() error {
@@ -109,15 +92,4 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("topo: graph disconnected")
 	}
 	return nil
-}
-
-// Degree returns the number of live incident edges of n.
-func (g *Graph) Degree(n NodeID) int {
-	d := 0
-	for _, e := range g.adj[n] {
-		if e.Link.Up() {
-			d++
-		}
-	}
-	return d
 }

@@ -93,35 +93,3 @@ func GridToTorusPlan(g *Graph, keepLanes int) (*Plan, error) {
 	}
 	return plan, nil
 }
-
-// TorusBackToGridPlan reverses a grid→torus reconfiguration: tear down the
-// wrap bypasses and re-bundle every link to full width.
-func TorusBackToGridPlan(g *Graph) (*Plan, error) {
-	if g.Kind() != "grid" {
-		return nil, fmt.Errorf("topo: reverse plan runs on the (reconfigured) grid graph, got %s", g.Kind())
-	}
-	plan := &Plan{Name: "torus→grid"}
-	for y := 0; y < g.Height(); y++ {
-		path := make([]int, 0, g.Width())
-		for x := 0; x < g.Width(); x++ {
-			path = append(path, int(g.NodeAt(x, y)))
-		}
-		plan.Commands = append(plan.Commands, plp.Command{Kind: plp.BypassOff, Path: path, Reason: "drop row wrap"})
-	}
-	for x := 0; x < g.Width(); x++ {
-		path := make([]int, 0, g.Height())
-		for y := 0; y < g.Height(); y++ {
-			path = append(path, int(g.NodeAt(x, y)))
-		}
-		plan.Commands = append(plan.Commands, plp.Command{Kind: plp.BypassOff, Path: path, Reason: "drop column wrap"})
-	}
-	seen := map[int]bool{}
-	for _, e := range g.Edges() {
-		if e.Express || seen[int(e.Link.ID)] {
-			continue
-		}
-		seen[int(e.Link.ID)] = true
-		plan.Commands = append(plan.Commands, plp.Command{Kind: plp.Bundle, Link: e.Link.ID, Reason: "restore full bundle"})
-	}
-	return plan, nil
-}

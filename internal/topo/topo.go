@@ -46,9 +46,6 @@ type Edge struct {
 	disabled bool
 }
 
-// ID returns the underlying link's identity.
-func (e *Edge) ID() phy.LinkID { return e.Link.ID }
-
 // Index returns the edge's stable per-graph index: construction and express
 // edges are numbered in insertion order starting at 0, and an index is never
 // reused even after RemoveExpress. Indexes are dense in

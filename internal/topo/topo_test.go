@@ -10,6 +10,34 @@ import (
 	"rackfab/internal/plp"
 )
 
+// Diameter returns the maximum shortest-path hop count over live edges,
+// or -1 when disconnected.
+func (g *Graph) Diameter() int {
+	worst := 0
+	for src := 0; src < g.NumNodes(); src++ {
+		for _, d := range g.HopsFrom(NodeID(src)) {
+			if d == -1 {
+				return -1
+			}
+			if d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst
+}
+
+// Degree returns the number of live incident edges of n.
+func (g *Graph) Degree(n NodeID) int {
+	d := 0
+	for _, e := range g.adj[n] {
+		if e.Link.Up() {
+			d++
+		}
+	}
+	return d
+}
+
 func TestGridStructure(t *testing.T) {
 	g := NewGrid(4, 3, Options{})
 	if g.NumNodes() != 12 {
@@ -252,26 +280,6 @@ func TestGridToTorusPlanValidation(t *testing.T) {
 	}
 	if _, err := GridToTorusPlan(NewGrid(4, 4, Options{Media: phy.CopperDAC}), 1); err == nil {
 		t.Error("bypass-incapable media accepted")
-	}
-}
-
-func TestTorusBackToGridPlan(t *testing.T) {
-	g := NewGrid(4, 4, Options{})
-	plan, err := TorusBackToGridPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs, bundles int
-	for _, c := range plan.Commands {
-		switch c.Kind {
-		case plp.BypassOff:
-			offs++
-		case plp.Bundle:
-			bundles++
-		}
-	}
-	if offs != 8 || bundles != len(g.Edges()) {
-		t.Fatalf("offs=%d bundles=%d", offs, bundles)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestRingAllReduceShape(t *testing.T) {
 		}
 	}
 	// Classic volume: each node moves 2·bytes·(N−1)/N in total.
-	if got, want := TotalBytes(flatten(phases))/int64(nodes), 2*chunk*int64(nodes-1); got != want {
+	if got, want := totalBytes(flatten(phases))/int64(nodes), 2*chunk*int64(nodes-1); got != want {
 		t.Errorf("per-node volume = %d, want %d", got, want)
 	}
 }

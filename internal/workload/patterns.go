@@ -181,15 +181,6 @@ func Range(n int) []int {
 	return out
 }
 
-// TotalBytes sums the bytes of a spec list.
-func TotalBytes(specs []FlowSpec) int64 {
-	var sum int64
-	for _, s := range specs {
-		sum += s.Bytes
-	}
-	return sum
-}
-
 // ValidateSpecs checks all specs target the fabric and carry bytes.
 func ValidateSpecs(specs []FlowSpec, nodes int) error {
 	for i, s := range specs {

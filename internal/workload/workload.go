@@ -182,19 +182,3 @@ func (e Empirical) Mean() float64 {
 
 // Name identifies the distribution.
 func (e Empirical) Name() string { return e.label }
-
-// Validate checks the CDF is well formed.
-func (e Empirical) Validate() error {
-	if len(e.Sizes) == 0 || len(e.Sizes) != len(e.CDF) {
-		return fmt.Errorf("workload: CDF shape mismatch")
-	}
-	for i := 1; i < len(e.Sizes); i++ {
-		if e.Sizes[i] <= e.Sizes[i-1] || e.CDF[i] <= e.CDF[i-1] {
-			return fmt.Errorf("workload: CDF not strictly increasing at %d", i)
-		}
-	}
-	if e.CDF[len(e.CDF)-1] != 1.0 {
-		return fmt.Errorf("workload: CDF does not end at 1")
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,31 @@ import (
 
 	"rackfab/internal/sim"
 )
+
+// Validate checks the CDF is well formed.
+func (e Empirical) Validate() error {
+	if len(e.Sizes) == 0 || len(e.Sizes) != len(e.CDF) {
+		return fmt.Errorf("workload: CDF shape mismatch")
+	}
+	for i := 1; i < len(e.Sizes); i++ {
+		if e.Sizes[i] <= e.Sizes[i-1] || e.CDF[i] <= e.CDF[i-1] {
+			return fmt.Errorf("workload: CDF not strictly increasing at %d", i)
+		}
+	}
+	if e.CDF[len(e.CDF)-1] != 1.0 {
+		return fmt.Errorf("workload: CDF does not end at 1")
+	}
+	return nil
+}
+
+// totalBytes sums the bytes of a spec list.
+func totalBytes(specs []FlowSpec) int64 {
+	var sum int64
+	for _, s := range specs {
+		sum += s.Bytes
+	}
+	return sum
+}
 
 func TestFixed(t *testing.T) {
 	d := Fixed(1500)
@@ -158,8 +184,8 @@ func TestShuffle(t *testing.T) {
 	if len(specs) != 56 {
 		t.Fatalf("specs = %d", len(specs))
 	}
-	if TotalBytes(specs) != 56e6 {
-		t.Fatalf("total = %d", TotalBytes(specs))
+	if totalBytes(specs) != 56e6 {
+		t.Fatalf("total = %d", totalBytes(specs))
 	}
 	if err := ValidateSpecs(specs, 8); err != nil {
 		t.Fatal(err)
