@@ -11,17 +11,6 @@ import (
 	"rackfab/internal/topo"
 )
 
-// simRNGForCluster derives a labeled RNG stream off the cluster seed.
-func simRNGForCluster(c *Cluster, label string) *sim.RNG {
-	return sim.NewRNG(c.cfg.Seed).Split(label)
-}
-
-// ringctlMinFlowSize indirects the optimizer (keeps the public signature
-// free of internal types).
-func ringctlMinFlowSize(setup sim.Duration, rb, ra float64) int64 {
-	return ringctl.MinFlowSize(setup, rb, ra)
-}
-
 // This file exposes the library's advanced capabilities through the public
 // façade: channel fault models, routing disciplines, link pricing
 // introspection, and the FEC ladder. Everything here wraps internal
@@ -48,7 +37,7 @@ func (c *Cluster) AttachBurstChannel(a, b int, cfg BurstChannelConfig) error {
 	if !ok {
 		return fmt.Errorf("rackfab: no link between %d and %d", a, b)
 	}
-	rng := simRNGForCluster(c, fmt.Sprintf("burst/%d-%d", a, b))
+	rng := sim.NewRNG(c.cfg.Seed).Split(fmt.Sprintf("burst/%d-%d", a, b))
 	for _, lane := range e.Link.Lanes {
 		ch, err := phy.NewBurstChannel(
 			rng.SplitIndexed("lane", lane.Index),
@@ -154,5 +143,5 @@ func FECLadder() []FECProfileInfo {
 // (bit/s) shortens completion — the paper's central reconfiguration
 // criterion, exposed for planning tools.
 func MinFlowSizeForBypass(setup time.Duration, rateBefore, rateAfter float64) int64 {
-	return ringctlMinFlowSize(simDur(setup), rateBefore, rateAfter)
+	return ringctl.MinFlowSize(simDur(setup), rateBefore, rateAfter)
 }

@@ -22,7 +22,10 @@ import (
 // of (config, faults, operation sequence), the restored cluster is
 // bit-identical to the original at the checkpoint instant, and a run split
 // across a checkpoint/restore boundary produces byte-identical results —
-// including flight-recorder traces — to an unbroken run.
+// including flight-recorder traces — to an unbroken run. The one trace gap:
+// Cluster.RunPhases records its phase-open markers itself and journals only
+// its inject and run-until-done operations, so a restored trace lacks the
+// markers of barriers opened before the checkpoint.
 //
 // The journal grows with the operation count, not with simulated time or
 // flow state, and injected-spec memory is the same memory the caller's
@@ -50,15 +53,12 @@ type journalOp struct {
 const ckptMagic = "rkfbck01"
 
 // Checkpoint serializes the cluster's full operation history in a
-// byte-stable form. Fluid engine only, and not after RunPhases (phase
-// gating is not journaled). The bytes embed a digest of the construction
-// Config — Restore must be handed an identical one.
+// byte-stable form. Fluid engine only; RunPhases journals as its
+// per-phase inject and run-until-done operations. The bytes embed a digest
+// of the construction Config — Restore must be handed an identical one.
 func (c *Cluster) Checkpoint() ([]byte, error) {
 	if c.fl == nil {
 		return nil, fmt.Errorf("rackfab: Checkpoint requires the fluid engine (EngineFluid)")
-	}
-	if c.fl.noCheckpoint {
-		return nil, fmt.Errorf("rackfab: Checkpoint is unavailable after RunPhases")
 	}
 	b := []byte(ckptMagic)
 	b = binary.LittleEndian.AppendUint64(b, cfgDigest(c.cfg))
@@ -120,7 +120,7 @@ func Restore(cfg Config, data []byte) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	nev := int(r.u32())
+	nev := r.count(faultEventBytes)
 	events := make([]faults.Event, 0, nev)
 	for i := 0; i < nev && r.err == nil; i++ {
 		ev := faults.Event{
@@ -131,13 +131,13 @@ func Restore(cfg Config, data []byte) (*Cluster, error) {
 		}
 		events = append(events, ev)
 	}
-	nops := int(r.u32())
+	nops := r.count(1) // an op is at least its kind byte
 	ops := make([]journalOp, 0, nops)
 	for i := 0; i < nops && r.err == nil; i++ {
 		op := journalOp{kind: opKind(r.u8())}
 		switch op.kind {
 		case opInject:
-			nsp := int(r.u32())
+			nsp := r.count(minSpecBytes)
 			op.specs = make([]workload.FlowSpec, 0, nsp)
 			for j := 0; j < nsp && r.err == nil; j++ {
 				s := workload.FlowSpec{
@@ -209,6 +209,14 @@ func (b *fluidBackend) replay(op journalOp) error {
 	}
 }
 
+// Serialized sizes Restore checks element counts against: a fault event
+// is At, Target, Kind, Frac; a spec is Src, Dst, Bytes, At and a label
+// length, before the label bytes.
+const (
+	faultEventBytes = 8 + 8 + 1 + 8
+	minSpecBytes    = 4*8 + 4
+)
+
 // ckptReader is a little-endian cursor over checkpoint bytes; the first
 // short read latches err and every later read returns zero.
 type ckptReader struct {
@@ -226,6 +234,18 @@ func (r *ckptReader) take(n int) []byte {
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
+}
+
+// count reads an element count and checks it against the bytes left, each
+// element taking at least minBytes, so a corrupt count latches the
+// truncation error (and returns 0) instead of sizing an allocation.
+func (r *ckptReader) count(minBytes int) int {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(minBytes) > uint64(len(r.b)) {
+		r.err = fmt.Errorf("checkpoint truncated")
+		return 0
+	}
+	return int(n)
 }
 
 func (r *ckptReader) u8() uint8 {

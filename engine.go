@@ -55,8 +55,7 @@ type backend interface {
 	inject(specs []FlowSpec) ([]*Flow, error)
 	runFor(d time.Duration) error
 	runUntilDone(limit time.Duration) error
-	runPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow, error)
-	now() time.Duration
+	now() sim.Time
 	applyFaults(s *FaultSchedule) error
 	flows() []*Flow
 	fill(r *Report)
@@ -177,42 +176,13 @@ func (b *packetBackend) runFor(d time.Duration) error {
 	return b.fab.RunFor(simDur(d))
 }
 
-// runPhases drives barrier-synchronized phases: each phase injects relative
-// to the instant the previous phase drained (RunUntilDone leaves the clock
-// at the last completion event) and runs to completion under the shared
-// absolute limit. This is the packet twin of fluid.NewPhasedSession.
-func (b *packetBackend) runPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow, error) {
-	out := make([][]*Flow, 0, len(phases))
-	for i, ph := range phases {
-		if len(ph) == 0 {
-			return nil, fmt.Errorf("rackfab: phase %d is empty", i)
-		}
-		flows, err := b.inject(ph)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.runUntilDone(limit); err != nil {
-			return nil, fmt.Errorf("rackfab: phase %d: %w", i, err)
-		}
-		for _, f := range flows {
-			if !f.Done() {
-				return nil, fmt.Errorf("rackfab: phase %d flow %d→%d unfinished (failed or limit hit)", i, f.spec.Src, f.spec.Dst)
-			}
-		}
-		out = append(out, flows)
-	}
-	return out, nil
-}
-
 func (b *packetBackend) flows() []*Flow { return b.handles }
 
 func (b *packetBackend) runUntilDone(limit time.Duration) error {
 	return b.fab.RunUntilDone(sim.Time(simDur(limit)))
 }
 
-func (b *packetBackend) now() time.Duration {
-	return fromSim(sim.Duration(b.eng.Now()))
-}
+func (b *packetBackend) now() sim.Time { return b.eng.Now() }
 
 func (b *packetBackend) applyFaults(s *FaultSchedule) error {
 	sched, err := s.lower(b.fab.Graph())
@@ -284,16 +254,12 @@ type fluidBackend struct {
 	sess    *fluid.Session
 	trace   *trace.Recorder // shared with Cluster; nil = tracing off
 
-	journal      []journalOp
-	noCheckpoint bool // set by runPhases: phase gating is not journaled
+	journal []journalOp
 }
 
 func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 	wl := make([]workload.FlowSpec, len(specs))
-	var base sim.Time
-	if b.sess != nil {
-		base = b.sess.Now()
-	}
+	base := b.now()
 	for i, s := range specs {
 		wl[i] = workload.FlowSpec{
 			Src: s.Src, Dst: s.Dst, Bytes: s.Bytes,
@@ -309,8 +275,8 @@ func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 		}
 	} else {
 		// Mid-run injection: At values are relative to the current instant
-		// (same convention as the packet engine). A phased session rejects
-		// this; previously returned handles keep their IDs either way.
+		// (same convention as the packet engine), and previously returned
+		// handles keep their IDs.
 		ids, err := b.sess.Inject(wl)
 		if err != nil {
 			return nil, err
@@ -410,59 +376,13 @@ func (b *fluidBackend) retire() int {
 	return b.sess.Retire()
 }
 
-// runPhases lowers barrier-synchronized phases onto a phased fluid session.
-// Like ordinary fluid injection the spec set must be closed up front, so
-// phases cannot mix with prior Inject calls or an already-started run.
-func (b *fluidBackend) runPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow, error) {
-	if b.sess != nil {
-		return nil, fmt.Errorf("rackfab: the fluid engine accepts RunPhases only before the first Run call")
-	}
-	if len(b.pending) > 0 {
-		return nil, fmt.Errorf("rackfab: the fluid engine cannot mix RunPhases with pending Inject specs")
-	}
-	// Phase gating replays through NewPhasedSession, not the op journal;
-	// checkpointing a phased run is out of scope (phased sessions also
-	// reject mid-run Inject and Retire).
-	b.noCheckpoint = true
-	b.journal = nil
-	wl := make([][]workload.FlowSpec, len(phases))
-	out := make([][]*Flow, len(phases))
-	for p, ph := range phases {
-		wl[p] = make([]workload.FlowSpec, len(ph))
-		out[p] = make([]*Flow, len(ph))
-		for i, s := range ph {
-			wl[p][i] = workload.FlowSpec{
-				Src: s.Src, Dst: s.Dst, Bytes: s.Bytes,
-				At:    sim.Time(simDur(s.At)),
-				Label: s.Label,
-			}
-			out[p][i] = &Flow{spec: s, fb: b, id: -1}
-			b.handles = append(b.handles, out[p][i])
-		}
-	}
-	sess, err := fluid.NewPhasedSession(fluid.Config{Graph: b.graph, Faults: b.sched, Trace: b.trace}, wl)
-	if err != nil {
-		b.handles = b.handles[:0]
-		return nil, err
-	}
-	b.sess = sess
-	order := sess.Order()
-	for i, f := range b.handles {
-		f.id = order[i]
-	}
-	if err := b.runUntilDone(limit); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func (b *fluidBackend) flows() []*Flow { return b.handles }
 
-func (b *fluidBackend) now() time.Duration {
+func (b *fluidBackend) now() sim.Time {
 	if b.sess == nil {
 		return 0
 	}
-	return fromSim(sim.Duration(b.sess.Now()))
+	return b.sess.Now()
 }
 
 func (b *fluidBackend) applyFaults(s *FaultSchedule) error {

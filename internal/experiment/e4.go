@@ -70,21 +70,16 @@ func E4(cfg Config) (*Table, error) {
 	}
 
 	// Establish the natural draw, then cap at 94% of it. The cap depends
-	// on the uncapped result, so E4 is a dependent Stages chain — the
-	// sequential counterpart of a Sweep fan-out.
-	results, err := Stages([]Stage[*result]{
-		{Name: "uncapped", Run: func(*result) (*result, error) {
-			return run(0, flowsPerLoad)
-		}},
-		{Name: "capped", Run: func(free *result) (*result, error) {
-			return run(free.peakW*0.94, flowsPerLoad)
-		}},
-	})
+	// on the uncapped result, so the two runs go in order.
+	free, err := run(0, flowsPerLoad)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiment: uncapped run: %w", err)
 	}
-	free, capped := results[0], results[1]
 	capW := free.peakW * 0.94
+	capped, err := run(capW, flowsPerLoad)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: capped run: %w", err)
+	}
 
 	t := &Table{
 		Title:   fmt.Sprintf("E4 — power budget enforcement, %d-node grid, cap = 94%% of natural draw (%.0f W)", n, capW),

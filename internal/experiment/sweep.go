@@ -109,34 +109,6 @@ func Sweep[R any](cfg Config, trials []Trial[R]) ([]R, error) {
 	return results, nil
 }
 
-// Stage is one step of a dependent chain: unlike a Trial, a Stage's Run
-// receives the previous stage's result, so later stages can derive their
-// parameters from earlier measurements (E4 caps power at a fraction of the
-// natural draw it first has to measure). The first stage receives the zero
-// value of R.
-type Stage[R any] struct {
-	Name string
-	Run  func(prev R) (R, error)
-}
-
-// Stages executes a dependent chain strictly in order on the calling
-// goroutine — the declarative sibling of Sweep for work that cannot fan
-// out — and returns the results indexed like the input slice. The first
-// error stops the chain, wrapped with the stage name.
-func Stages[R any](stages []Stage[R]) ([]R, error) {
-	results := make([]R, len(stages))
-	var prev R
-	for i, st := range stages {
-		r, err := st.Run(prev)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: stage %q: %w", st.Name, err)
-		}
-		results[i] = r
-		prev = r
-	}
-	return results, nil
-}
-
 // defaultWorkers resolves a Parallel setting of zero or less.
 // GOMAXPROCS(0) rather than NumCPU: it respects cgroup CPU quotas and
 // explicit user limits, where NumCPU would oversubscribe a container

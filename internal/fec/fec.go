@@ -1,25 +1,22 @@
-// Package fec implements the forward-error-correction substrate behind the
+// Package fec models the forward-error-correction substrate behind the
 // paper's Physical Layer Primitive #4, "adaptive forward error correction".
 //
 // Real 100G links run IEEE 802.3 RS-FEC over GF(2^10) (KR4: RS(528,514),
-// KP4: RS(544,514)). We substitute the same code family over GF(2^8) —
-// RS(255,239) with t=8 and RS(255,223) with t=16 — plus a Hamming(72,64)
-// SECDED code for the low-latency end of the ladder and a pass-through
-// "none" profile. The decoder pipeline is the textbook hardware pipeline:
-// syndrome computation, Berlekamp–Massey, Chien search, Forney. The
-// adaptive controller trades the ladder's overhead and latency against the
-// post-FEC frame-loss probability computed from the measured bit error rate,
-// which is exactly the decision the paper's CRC makes per lane.
+// KP4: RS(544,514)). The ladder here uses the same code family over GF(2^8)
+// — RS(255,239) with t=8 and RS(255,223) with t=16 — plus a Hamming(72,64)
+// SECDED code for the low-latency end and a pass-through "none" profile.
+// The simulator never encodes or decodes bits: a code is its block shape
+// (k data bytes carried in n coded bytes, which sets the bandwidth
+// overhead) and an analytic post-decode frame-loss probability under
+// independent bit errors. The adaptive controller trades each profile's
+// overhead and latency against that loss probability at the measured bit
+// error rate, which is exactly the decision the paper's CRC makes per lane.
 package fec
 
-import (
-	"errors"
-	"fmt"
+import "rackfab/internal/sim"
 
-	"rackfab/internal/sim"
-)
-
-// Code is a systematic block code over bytes.
+// Code is a systematic block code over bytes, reduced to what the simulator
+// uses: its block shape and its analytic loss model.
 type Code interface {
 	// Name identifies the code in reports and CRC decisions.
 	Name() string
@@ -27,22 +24,11 @@ type Code interface {
 	DataLen() int
 	// BlockLen is the number of coded bytes per block (n).
 	BlockLen() int
-	// Encode appends the coded block for data (len = DataLen) to dst and
-	// returns the extended slice.
-	Encode(dst, data []byte) []byte
-	// Decode recovers the payload from a coded block (len = BlockLen),
-	// returning the payload, the number of corrected symbol errors, and an
-	// error when the block is uncorrectable. The input block is not modified.
-	Decode(block []byte) (data []byte, corrected int, err error)
 	// FrameLossProb returns the probability that a frame of frameBits data
 	// bits is lost after decoding, given an independent bit error rate on
 	// the wire. It is the analytic model the adaptive controller uses.
 	FrameLossProb(ber float64, frameBits int) float64
 }
-
-// ErrUncorrectable is wrapped by Decode errors when the error pattern
-// exceeds the code's correction capability.
-var ErrUncorrectable = errors.New("fec: uncorrectable block")
 
 // noneCode is the pass-through profile: zero overhead, zero correction.
 type noneCode struct{ k int }
@@ -58,22 +44,6 @@ func NewNone(k int) Code {
 func (c noneCode) Name() string  { return "none" }
 func (c noneCode) DataLen() int  { return c.k }
 func (c noneCode) BlockLen() int { return c.k }
-
-func (c noneCode) Encode(dst, data []byte) []byte {
-	if len(data) != c.k {
-		panic(fmt.Sprintf("fec: none encode len %d, want %d", len(data), c.k))
-	}
-	return append(dst, data...)
-}
-
-func (c noneCode) Decode(block []byte) ([]byte, int, error) {
-	if len(block) != c.k {
-		return nil, 0, fmt.Errorf("fec: none decode len %d, want %d", len(block), c.k)
-	}
-	out := make([]byte, c.k)
-	copy(out, block)
-	return out, 0, nil
-}
 
 func (c noneCode) FrameLossProb(ber float64, frameBits int) float64 {
 	// Without FEC any bit error loses the frame (FCS catches it).

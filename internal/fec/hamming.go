@@ -1,10 +1,6 @@
 package fec
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "math"
 
 // hamming7264 is the classic (72,64) SECDED code used on memory buses and
 // low-latency links: 64 data bits, 7 Hamming parity bits, 1 overall parity
@@ -18,117 +14,6 @@ func NewHamming7264() Code { return hamming7264{} }
 func (hamming7264) Name() string  { return "secded(72,64)" }
 func (hamming7264) DataLen() int  { return 8 }
 func (hamming7264) BlockLen() int { return 9 }
-
-// layout: the 72-bit codeword uses 1-indexed positions 1..71 for the
-// extended Hamming(71,64) part plus position 0 for the overall parity.
-// Positions that are powers of two hold parity; the rest hold data bits in
-// ascending order.
-
-// dataPositions lists the 64 non-power-of-two positions in 1..71.
-var dataPositions = func() [64]int {
-	var out [64]int
-	i := 0
-	for pos := 1; pos <= 71 && i < 64; pos++ {
-		if pos&(pos-1) != 0 { // not a power of two
-			out[i] = pos
-			i++
-		}
-	}
-	if i != 64 {
-		panic("fec: hamming layout broken")
-	}
-	return out
-}()
-
-func (hamming7264) Encode(dst, data []byte) []byte {
-	if len(data) != 8 {
-		panic(fmt.Sprintf("fec: secded encode len %d, want 8", len(data)))
-	}
-	var word [72]bool
-	for i := 0; i < 64; i++ {
-		bit := data[i/8]>>(uint(i)%8)&1 == 1
-		word[dataPositions[i]] = bit
-	}
-	// Hamming parity bits: parity p at position 2^j covers positions with
-	// bit j set in their index.
-	for j := 0; j < 7; j++ {
-		p := 1 << j
-		parity := false
-		for pos := 1; pos <= 71; pos++ {
-			if pos&p != 0 && pos != p && word[pos] {
-				parity = !parity
-			}
-		}
-		word[p] = parity
-	}
-	// Overall parity over positions 1..71 stored at position 0.
-	overall := false
-	for pos := 1; pos <= 71; pos++ {
-		if word[pos] {
-			overall = !overall
-		}
-	}
-	word[0] = overall
-
-	var out [9]byte
-	for pos := 0; pos < 72; pos++ {
-		if word[pos] {
-			out[pos/8] |= 1 << (uint(pos) % 8)
-		}
-	}
-	return append(dst, out[:]...)
-}
-
-func (hamming7264) Decode(block []byte) ([]byte, int, error) {
-	if len(block) != 9 {
-		return nil, 0, fmt.Errorf("fec: secded decode len %d, want 9", len(block))
-	}
-	var word [72]bool
-	for pos := 0; pos < 72; pos++ {
-		word[pos] = block[pos/8]>>(uint(pos)%8)&1 == 1
-	}
-	// Syndrome: XOR of positions (1..71) holding a set bit.
-	syndrome := 0
-	for pos := 1; pos <= 71; pos++ {
-		if word[pos] {
-			syndrome ^= pos
-		}
-	}
-	// Recompute overall parity over 1..71 and compare with stored bit.
-	overall := false
-	for pos := 1; pos <= 71; pos++ {
-		if word[pos] {
-			overall = !overall
-		}
-	}
-	parityOK := overall == word[0]
-
-	corrected := 0
-	switch {
-	case syndrome == 0 && parityOK:
-		// clean
-	case syndrome == 0 && !parityOK:
-		// The overall parity bit itself flipped.
-		corrected = 1
-	case syndrome != 0 && !parityOK:
-		// Single-bit error at position syndrome.
-		if syndrome > 71 {
-			return nil, 0, fmt.Errorf("%w: secded syndrome %d out of range", ErrUncorrectable, syndrome)
-		}
-		word[syndrome] = !word[syndrome]
-		corrected = 1
-	default: // syndrome != 0 && parityOK
-		return nil, 0, fmt.Errorf("%w: secded double-bit error", ErrUncorrectable)
-	}
-
-	out := make([]byte, 8)
-	for i := 0; i < 64; i++ {
-		if word[dataPositions[i]] {
-			out[i/8] |= 1 << (uint(i) % 8)
-		}
-	}
-	return out, corrected, nil
-}
 
 // FrameLossProb: a 72-bit block fails with ≥2 bit errors.
 func (hamming7264) FrameLossProb(ber float64, frameBits int) float64 {
@@ -145,6 +30,3 @@ func (hamming7264) FrameLossProb(ber float64, frameBits int) float64 {
 	blocks := float64(frameBits+63) / 64
 	return -math.Expm1(blocks * math.Log1p(-pBlock))
 }
-
-// popcount8 is used by tests to count injected bit errors.
-func popcount8(b byte) int { return bits.OnesCount8(b) }

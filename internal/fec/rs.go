@@ -5,12 +5,11 @@ import (
 	"math"
 )
 
-// rsCode is a systematic Reed–Solomon code RS(n, k) over GF(2^8) with
-// generator roots α^0 … α^(n-k-1) (fcr = 0). It corrects up to t = (n−k)/2
-// symbol (byte) errors per block.
+// rsCode is a systematic Reed–Solomon code RS(n, k) over GF(2^8), kept as
+// its shape: it corrects up to t = (n−k)/2 symbol (byte) errors per block,
+// which is all FrameLossProb needs.
 type rsCode struct {
 	n, k, t int
-	gen     []byte // generator polynomial, highest degree first, monic
 }
 
 // NewRS constructs RS(n, k). n must be ≤ 255 (the GF(2^8) block bound),
@@ -24,12 +23,7 @@ func NewRS(n, k int) (Code, error) {
 	case (n-k)%2 != 0:
 		return nil, fmt.Errorf("fec: RS parity n-k=%d must be even", n-k)
 	}
-	// g(x) = Π_{i=0}^{n-k-1} (x − α^i)
-	gen := []byte{1}
-	for i := 0; i < n-k; i++ {
-		gen = polyMul(gen, []byte{1, gfExp[i]})
-	}
-	return &rsCode{n: n, k: k, t: (n - k) / 2, gen: gen}, nil
+	return &rsCode{n: n, k: k, t: (n - k) / 2}, nil
 }
 
 // MustRS is NewRS that panics on invalid parameters; for package-level
@@ -45,191 +39,6 @@ func MustRS(n, k int) Code {
 func (c *rsCode) Name() string  { return fmt.Sprintf("rs(%d,%d)", c.n, c.k) }
 func (c *rsCode) DataLen() int  { return c.k }
 func (c *rsCode) BlockLen() int { return c.n }
-
-// Correctable returns t, the maximum number of correctable symbol errors.
-func (c *rsCode) Correctable() int { return c.t }
-
-// Encode produces the systematic codeword data‖parity. Parity is the
-// remainder of data(x)·x^(n−k) divided by g(x), computed with the standard
-// LFSR long division.
-func (c *rsCode) Encode(dst, data []byte) []byte {
-	if len(data) != c.k {
-		panic(fmt.Sprintf("fec: rs encode len %d, want %d", len(data), c.k))
-	}
-	parity := make([]byte, c.n-c.k)
-	for _, d := range data {
-		feedback := d ^ parity[0]
-		copy(parity, parity[1:])
-		parity[len(parity)-1] = 0
-		if feedback != 0 {
-			for i := range parity {
-				// gen[0] is 1 (monic); gen[i+1] multiplies the feedback.
-				parity[i] ^= gfMul(c.gen[i+1], feedback)
-			}
-		}
-	}
-	dst = append(dst, data...)
-	return append(dst, parity...)
-}
-
-// Decode corrects up to t symbol errors in place on a copy of block.
-func (c *rsCode) Decode(block []byte) ([]byte, int, error) {
-	if len(block) != c.n {
-		return nil, 0, fmt.Errorf("fec: rs decode len %d, want %d", len(block), c.n)
-	}
-	recv := make([]byte, c.n)
-	copy(recv, block)
-
-	// Syndromes S_j = r(α^j), j = 0 … n−k−1.
-	synd := make([]byte, c.n-c.k)
-	clean := true
-	for j := range synd {
-		synd[j] = polyEval(recv, gfExp[j])
-		if synd[j] != 0 {
-			clean = false
-		}
-	}
-	if clean {
-		return recv[:c.k], 0, nil
-	}
-
-	// Berlekamp–Massey: find the error locator σ(x), lowest degree first
-	// internally (sigma[i] is the coefficient of x^i).
-	sigma, err := berlekampMassey(synd, c.t)
-	if err != nil {
-		return nil, 0, err
-	}
-	degree := len(sigma) - 1
-
-	// Chien search: X_i = α^{P_i} where P_i is the error position as a
-	// power of x. Byte index in the block is n−1−P.
-	positions := make([]int, 0, degree)
-	for p := 0; p < c.n; p++ {
-		// Evaluate σ at α^{-p}.
-		xinv := gfExp[(255-p)%255]
-		var acc byte
-		for i := len(sigma) - 1; i >= 0; i-- {
-			acc = gfMul(acc, xinv) ^ sigma[i]
-		}
-		if acc == 0 {
-			positions = append(positions, p)
-		}
-	}
-	if len(positions) != degree {
-		return nil, 0, fmt.Errorf("%w: locator degree %d but %d roots", ErrUncorrectable, degree, len(positions))
-	}
-
-	// Error evaluator Ω(x) = S(x)·σ(x) mod x^{2t}, lowest degree first.
-	omega := make([]byte, c.n-c.k)
-	for i := range omega {
-		var acc byte
-		for j := 0; j <= i && j < len(sigma); j++ {
-			if i-j < len(synd) {
-				acc ^= gfMul(sigma[j], synd[i-j])
-			}
-		}
-		omega[i] = acc
-	}
-
-	// Forney: with fcr = 0, Y_i = X_i · Ω(X_i^{-1}) / σ'(X_i^{-1}).
-	for _, p := range positions {
-		xi := gfExp[p%255]
-		xinv := gfInv(xi)
-		// Ω(X_i^{-1})
-		var num byte
-		for i := len(omega) - 1; i >= 0; i-- {
-			num = gfMul(num, xinv) ^ omega[i]
-		}
-		// σ'(X_i^{-1}): formal derivative keeps odd-degree terms.
-		var den byte
-		for i := 1; i < len(sigma); i += 2 {
-			den ^= gfMul(sigma[i], gfPow(xinv, i-1))
-		}
-		if den == 0 {
-			return nil, 0, fmt.Errorf("%w: zero Forney denominator", ErrUncorrectable)
-		}
-		magnitude := gfMul(xi, gfDiv(num, den))
-		idx := c.n - 1 - p
-		recv[idx] ^= magnitude
-	}
-
-	// Verify: all syndromes of the corrected word must vanish. This catches
-	// miscorrections when more than t errors occurred.
-	for j := 0; j < c.n-c.k; j++ {
-		if polyEval(recv, gfExp[j]) != 0 {
-			return nil, 0, fmt.Errorf("%w: residual syndrome after correction", ErrUncorrectable)
-		}
-	}
-	return recv[:c.k], len(positions), nil
-}
-
-// berlekampMassey computes the minimal error-locator polynomial (lowest
-// degree first) for the syndrome sequence, rejecting locators beyond the
-// correction bound t.
-func berlekampMassey(synd []byte, t int) ([]byte, error) {
-	sigma := []byte{1} // σ(x), lowest degree first
-	prev := []byte{1}  // B(x)
-	var l int          // current number of assumed errors
-	var m = 1          // shift since last update
-	var b byte = 1     // last discrepancy
-
-	for n := 0; n < len(synd); n++ {
-		// Discrepancy d = S_n + Σ_{i=1..l} σ_i S_{n−i}.
-		d := synd[n]
-		for i := 1; i <= l && i < len(sigma); i++ {
-			d ^= gfMul(sigma[i], synd[n-i])
-		}
-		if d == 0 {
-			m++
-			continue
-		}
-		if 2*l <= n {
-			// σ ← σ − (d/b)·x^m·B; and promote B ← old σ.
-			old := make([]byte, len(sigma))
-			copy(old, sigma)
-			coef := gfDiv(d, b)
-			shifted := make([]byte, len(prev)+m)
-			for i, c := range prev {
-				shifted[i+m] = gfMul(c, coef)
-			}
-			sigma = xorLow(sigma, shifted)
-			l = n + 1 - l
-			prev = old
-			b = d
-			m = 1
-		} else {
-			coef := gfDiv(d, b)
-			shifted := make([]byte, len(prev)+m)
-			for i, c := range prev {
-				shifted[i+m] = gfMul(c, coef)
-			}
-			sigma = xorLow(sigma, shifted)
-			m++
-		}
-	}
-	// Trim high-order zeros (highest degree is at the end here).
-	for len(sigma) > 1 && sigma[len(sigma)-1] == 0 {
-		sigma = sigma[:len(sigma)-1]
-	}
-	if len(sigma)-1 > t {
-		return nil, fmt.Errorf("%w: %d errors exceed t=%d", ErrUncorrectable, len(sigma)-1, t)
-	}
-	return sigma, nil
-}
-
-// xorLow XORs two lowest-degree-first coefficient slices.
-func xorLow(a, b []byte) []byte {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]byte, n)
-	copy(out, a)
-	for i, c := range b {
-		out[i] ^= c
-	}
-	return out
-}
 
 // FrameLossProb models a frame of frameBits data bits carried in
 // ceil(frameBits/8k) blocks; the frame survives only if every block has at

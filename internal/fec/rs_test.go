@@ -1,12 +1,8 @@
 package fec
 
 import (
-	"bytes"
-	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestRSParams(t *testing.T) {
@@ -26,156 +22,8 @@ func TestRSParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.(*rsCode).Correctable() != 8 {
-		t.Fatalf("t = %d, want 8", c.(*rsCode).Correctable())
-	}
-}
-
-func TestRSEncodeIsSystematic(t *testing.T) {
-	c := MustRS(255, 239)
-	data := make([]byte, 239)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	block := c.Encode(nil, data)
-	if len(block) != 255 {
-		t.Fatalf("block len = %d", len(block))
-	}
-	if !bytes.Equal(block[:239], data) {
-		t.Fatal("encoding not systematic")
-	}
-}
-
-func TestRSCodewordHasZeroSyndromes(t *testing.T) {
-	c := MustRS(255, 223).(*rsCode)
-	rng := rand.New(rand.NewSource(20))
-	data := make([]byte, 223)
-	rng.Read(data)
-	block := c.Encode(nil, data)
-	for j := 0; j < c.n-c.k; j++ {
-		if s := polyEval(block, gfExp[j]); s != 0 {
-			t.Fatalf("syndrome %d nonzero: %d", j, s)
-		}
-	}
-}
-
-func TestRSDecodeClean(t *testing.T) {
-	c := MustRS(255, 239)
-	data := make([]byte, 239)
-	for i := range data {
-		data[i] = byte(255 - i)
-	}
-	block := c.Encode(nil, data)
-	got, corrected, err := c.Decode(block)
-	if err != nil || corrected != 0 || !bytes.Equal(got, data) {
-		t.Fatalf("clean decode: corrected=%d err=%v", corrected, err)
-	}
-}
-
-func TestRSCorrectsUpToT(t *testing.T) {
-	for _, params := range []struct{ n, k int }{{255, 239}, {255, 223}, {64, 48}, {15, 11}} {
-		c := MustRS(params.n, params.k).(*rsCode)
-		rng := rand.New(rand.NewSource(int64(params.n*1000 + params.k)))
-		for trial := 0; trial < 25; trial++ {
-			data := make([]byte, c.k)
-			rng.Read(data)
-			block := c.Encode(nil, data)
-			nerr := 1 + rng.Intn(c.t)
-			positions := rng.Perm(c.n)[:nerr]
-			for _, p := range positions {
-				var flip byte
-				for flip == 0 {
-					flip = byte(rng.Intn(256))
-				}
-				block[p] ^= flip
-			}
-			got, corrected, err := c.Decode(block)
-			if err != nil {
-				t.Fatalf("RS(%d,%d) trial %d: %v (injected %d)", c.n, c.k, trial, err, nerr)
-			}
-			if corrected != nerr {
-				t.Fatalf("RS(%d,%d): corrected %d, injected %d", c.n, c.k, corrected, nerr)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("RS(%d,%d): data corrupted after decode", c.n, c.k)
-			}
-		}
-	}
-}
-
-func TestRSExactlyTErrors(t *testing.T) {
-	c := MustRS(255, 223).(*rsCode) // t = 16
-	rng := rand.New(rand.NewSource(21))
-	data := make([]byte, c.k)
-	rng.Read(data)
-	block := c.Encode(nil, data)
-	for _, p := range rng.Perm(c.n)[:c.t] {
-		block[p] ^= byte(1 + rng.Intn(255))
-	}
-	got, corrected, err := c.Decode(block)
-	if err != nil || corrected != c.t || !bytes.Equal(got, data) {
-		t.Fatalf("t errors: corrected=%d err=%v", corrected, err)
-	}
-}
-
-func TestRSRejectsBeyondT(t *testing.T) {
-	c := MustRS(255, 239).(*rsCode) // t = 8
-	rng := rand.New(rand.NewSource(22))
-	rejected := 0
-	const trials = 40
-	for trial := 0; trial < trials; trial++ {
-		data := make([]byte, c.k)
-		rng.Read(data)
-		block := c.Encode(nil, data)
-		// Inject 2t+1 errors: decoding must either fail or at minimum not
-		// silently return wrong data while claiming success with residual
-		// syndrome checks enabled.
-		for _, p := range rng.Perm(c.n)[:2*c.t+1] {
-			block[p] ^= byte(1 + rng.Intn(255))
-		}
-		got, _, err := c.Decode(block)
-		if err != nil {
-			if !errors.Is(err, ErrUncorrectable) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			rejected++
-			continue
-		}
-		// A miscorrection to some *other* valid codeword is information-
-		// theoretically possible but must be rare.
-		if bytes.Equal(got, data) {
-			t.Fatal("decode claims success with 2t+1 errors and original data?")
-		}
-	}
-	if rejected < trials*3/4 {
-		t.Fatalf("only %d/%d overloads rejected", rejected, trials)
-	}
-}
-
-func TestRSDecodeWrongLength(t *testing.T) {
-	c := MustRS(255, 239)
-	if _, _, err := c.Decode(make([]byte, 10)); err == nil {
-		t.Fatal("wrong-length block accepted")
-	}
-}
-
-// Property: encode→corrupt(≤t)→decode is the identity on the data.
-func TestRSRoundTripProperty(t *testing.T) {
-	c := MustRS(64, 48).(*rsCode) // t=8, small enough for quick
-	f := func(seed int64, nerrRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, c.k)
-		rng.Read(data)
-		block := c.Encode(nil, data)
-		nerr := int(nerrRaw) % (c.t + 1)
-		for _, p := range rng.Perm(c.n)[:nerr] {
-			block[p] ^= byte(1 + rng.Intn(255))
-		}
-		got, corrected, err := c.Decode(block)
-		return err == nil && corrected == nerr && bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(23))}); err != nil {
-		t.Fatal(err)
+	if c.(*rsCode).t != 8 {
+		t.Fatalf("t = %d, want 8", c.(*rsCode).t)
 	}
 }
 
@@ -216,36 +64,6 @@ func TestFrameLossProbMonotone(t *testing.T) {
 	for _, ber := range []float64{1e-8, 1e-6, 1e-5} {
 		if c.FrameLossProb(ber, 12000) >= none.FrameLossProb(ber, 12000) {
 			t.Fatalf("RS worse than none at BER %v", ber)
-		}
-	}
-}
-
-func BenchmarkRSEncode255_239(b *testing.B) {
-	c := MustRS(255, 239)
-	data := make([]byte, 239)
-	rand.New(rand.NewSource(1)).Read(data)
-	dst := make([]byte, 0, 255)
-	b.SetBytes(239)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.Encode(dst[:0], data)
-	}
-}
-
-func BenchmarkRSDecode255_239_8err(b *testing.B) {
-	c := MustRS(255, 239)
-	rng := rand.New(rand.NewSource(2))
-	data := make([]byte, 239)
-	rng.Read(data)
-	block := c.Encode(nil, data)
-	for _, p := range rng.Perm(255)[:8] {
-		block[p] ^= byte(1 + rng.Intn(255))
-	}
-	b.SetBytes(255)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decode(block); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		t.Helper()
 		g := topo.NewGrid(4, 4, topo.Options{})
 		en := newEngine(g, 450*sim.Nanosecond)
-		if err := en.addFlows(specs); err != nil {
+		if err := en.addBatch(specs); err != nil {
 			t.Fatal(err)
 		}
 		for i := range en.flows {

@@ -54,7 +54,7 @@ type Config struct {
 	// graph can host a fault-free run afterwards.
 	Faults *faults.Schedule
 	// Trace, when non-nil, receives the run's flight-recorder events
-	// (arrivals, completions, refill outcomes, fault replay, phase gates)
+	// (arrivals, completions, refill outcomes, fault replay)
 	// and windowed per-link utilization/flow-count series. The recorder
 	// must already have its link tracks initialized (trace.LinkNames over
 	// Graph). Traces differ between warm and cold solver paths — fill

@@ -112,22 +112,6 @@ func TestSessionInjectMatchesUpfront(t *testing.T) {
 	}
 }
 
-// TestSessionInjectPhasedRejected: phase gating indexes the full phase-major
-// ID space, so phased sessions must refuse mid-run batches.
-func TestSessionInjectPhasedRejected(t *testing.T) {
-	g := topo.NewGrid(4, 4, topo.Options{})
-	s, err := NewPhasedSession(Config{Graph: g}, [][]workload.FlowSpec{sessionSpecs()[:2], sessionSpecs()[2:4]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Inject(injectBatch2()); err == nil {
-		t.Fatal("phased session accepted Inject")
-	}
-	if got := s.Retire(); got != 0 {
-		t.Fatalf("phased session retired %d flows", got)
-	}
-}
-
 // TestSessionRetireBitIdentical: draining completions and prefix-retiring
 // flow state mid-run must leave the remaining computation bit-identical to a
 // session that never retires — the uniform ID rebase preserves every solver

@@ -18,7 +18,10 @@ import (
 // completion in any sequence of Advance calls produces state byte-identical
 // to a single Run over the same inputs — the loop body is shared, only the
 // stopping condition differs (TestSessionMatchesRun holds the two shapes
-// equal, faulted and fault-free).
+// equal, faulted and fault-free). Flows enter only through Inject —
+// NewSession's specs are simply the first batch — so every flow is routed
+// by one function and waits in one arrival queue; barrier-synchronized
+// phases are the caller's loop of Inject and AdvanceUntilDone.
 type Session struct {
 	cfg Config
 	en  *engine
@@ -31,16 +34,13 @@ type Session struct {
 
 	linkEvents []faults.LinkEvent
 	now        sim.Time
-	arrived    int
 	faulted    int
 
-	// Unphased sessions schedule pending arrivals through this (At, flow
-	// ID) min-heap instead of a cursor, so mid-run Inject can append
-	// batches whose instants interleave with flows already waiting. For a
-	// single batch the pop order is exactly cursor order: canonical IDs
-	// are At-major, so (At, fid) ascending ≡ fid ascending. Phased
-	// sessions keep the cursor (the gate needs contiguous phase-major
-	// IDs) and reject Inject.
+	// arrivalQ schedules pending arrivals as an (At, flow ID) min-heap, so
+	// a mid-run Inject can append batches whose instants interleave with
+	// flows already waiting. Within one batch the pop order is plain ID
+	// order: canonical IDs are At-major, so (At, fid) ascending ≡ fid
+	// ascending.
 	arrivalQ heapx.Heap[arrivalEntry]
 
 	// idBase is the count of flows retired (prefix-compacted) so far:
@@ -48,17 +48,6 @@ type Session struct {
 	// before a Retire stay valid forever; the internal rebase is a uniform
 	// shift, invariant for every ordering the solver depends on.
 	idBase int
-
-	// Phase gating (NewPhasedSession). phaseEnd[p] is the exclusive flow-ID
-	// bound of phase p (cumulative counts); nil means unphased. Flows of
-	// phase p+1 are held until every flow with ID < phaseEnd[p] has arrived
-	// AND completed; the instant the last one drains becomes phaseBase, and
-	// phase-relative spec.At values anchor there. IDs are phase-major
-	// (canonical order within each phase), so the arrival cursor never
-	// crosses a phase boundary while the gate is shut.
-	phaseEnd  []int
-	phase     int
-	phaseBase sim.Time
 
 	// status caches each flow's completion record by flow ID — Result
 	// keeps completion order, this keeps handle order.
@@ -80,8 +69,7 @@ type FlowStatus struct {
 }
 
 // arrivalEntry is one pending arrival: ordered by instant, then flow ID — a
-// total order, so tied arrivals resolve in canonical ID order exactly as the
-// cursor they replace did.
+// total order, so tied arrivals resolve in canonical ID order.
 type arrivalEntry struct {
 	at  sim.Time
 	fid int32
@@ -95,62 +83,13 @@ func (e arrivalEntry) Before(other arrivalEntry) bool {
 	return e.fid < other.fid
 }
 
-// NewSession validates the configuration, routes the canonicalized specs,
-// and lowers the fault schedule, without running anything: the clock sits
-// at zero until the first Advance.
+// NewSession validates the configuration and lowers the fault schedule into
+// an empty session, then injects specs as its first batch (canonical IDs
+// 0..len(specs)−1, see Order), without running anything: the clock sits at
+// zero until the first Advance.
 func NewSession(cfg Config, specs []workload.FlowSpec) (*Session, error) {
-	order := canonicalOrder(specs)
-	sorted := make([]workload.FlowSpec, len(specs))
-	for i, s := range specs {
-		sorted[order[i]] = s
-	}
-	return newSession(cfg, sorted, order, nil)
-}
-
-// NewPhasedSession builds a Session over barrier-synchronized phases: flows
-// of phase p+1 are released only once every flow of phase p has completed,
-// and each spec's At is relative to its phase's release instant — the
-// bulk-synchronous shape of collective workloads (workload.RingAllReduce
-// and friends emit exactly this [][]FlowSpec form). Flow IDs are
-// phase-major with canonical order inside each phase, so Order() flattens
-// phases by input position and the whole run stays a pure function of the
-// per-phase spec multisets. A single-phase call is identical to NewSession.
-func NewPhasedSession(cfg Config, phases [][]workload.FlowSpec) (*Session, error) {
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("fluid: phased session needs at least one phase")
-	}
-	var sorted []workload.FlowSpec
-	var order []int
-	phaseEnd := make([]int, 0, len(phases))
-	base := 0
-	for pi, ph := range phases {
-		if len(ph) == 0 {
-			return nil, fmt.Errorf("fluid: phase %d is empty", pi)
-		}
-		po := canonicalOrder(ph)
-		seg := make([]workload.FlowSpec, len(ph))
-		for i, s := range ph {
-			seg[po[i]] = s
-		}
-		sorted = append(sorted, seg...)
-		for _, id := range po {
-			order = append(order, base+id)
-		}
-		base += len(ph)
-		phaseEnd = append(phaseEnd, base)
-	}
-	return newSession(cfg, sorted, order, phaseEnd)
-}
-
-// newSession is the shared constructor: sorted is already in flow-ID order
-// (canonical, phase-major when phaseEnd is non-nil) and order maps input
-// positions to those IDs.
-func newSession(cfg Config, sorted []workload.FlowSpec, order []int, phaseEnd []int) (*Session, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("fluid: config needs a graph")
-	}
-	if err := workload.ValidateSpecs(sorted, cfg.Graph.NumNodes()); err != nil {
-		return nil, err
 	}
 	if cfg.PerHopLatency <= 0 {
 		cfg.PerHopLatency = 450 * sim.Nanosecond
@@ -158,26 +97,18 @@ func newSession(cfg Config, sorted []workload.FlowSpec, order []int, phaseEnd []
 	if cfg.Limit == 0 {
 		cfg.Limit = sim.Forever
 	}
-
-	en := newEngine(cfg.Graph, cfg.PerHopLatency)
-	en.cold = cfg.coldStart
-	en.trace = cfg.Trace
-	if err := en.addFlows(sorted); err != nil {
-		return nil, fmt.Errorf("fluid: routing: %w", err)
-	}
-
 	linkEvents, err := cfg.Faults.Links(cfg.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("fluid: faults: %w", err)
 	}
+	en := newEngine(cfg.Graph, cfg.PerHopLatency)
+	en.cold = cfg.coldStart
+	en.trace = cfg.Trace
 	s := &Session{
 		cfg:        cfg,
 		en:         en,
-		res:        &Result{Flows: make([]FlowResult, 0, len(en.flows))},
-		order:      order,
+		res:        &Result{Flows: make([]FlowResult, 0, len(specs))},
 		linkEvents: linkEvents,
-		status:     make([]FlowStatus, len(en.flows)),
-		phaseEnd:   phaseEnd,
 	}
 	if len(linkEvents) > 0 {
 		s.savedEdges = cfg.Graph.Edges()
@@ -186,13 +117,8 @@ func newSession(cfg Config, sorted []workload.FlowSpec, order []int, phaseEnd []
 			s.savedEnabled[i] = e.Enabled()
 		}
 	}
-	if phaseEnd == nil {
-		// Canonical IDs are At-major, so these pushes arrive in key order
-		// and the heap build is a plain append.
-		s.arrivalQ.Grow(len(en.flows))
-		for i := range en.flows {
-			s.arrivalQ.Push(arrivalEntry{at: en.flows[i].spec.At, fid: int32(i)})
-		}
+	if s.order, err = s.Inject(specs); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -207,12 +133,7 @@ func (s *Session) Order() []int { return s.order }
 func (s *Session) Now() sim.Time { return s.now }
 
 // pending returns the number of flows that have not yet arrived.
-func (s *Session) pending() int {
-	if s.phaseEnd != nil {
-		return len(s.en.flows) - s.arrived
-	}
-	return s.arrivalQ.Len()
-}
+func (s *Session) pending() int { return s.arrivalQ.Len() }
 
 // Done reports whether every flow has arrived and completed.
 func (s *Session) Done() bool {
@@ -279,42 +200,17 @@ func (s *Session) AdvanceUntilDone(until sim.Time) error {
 func (s *Session) advance(until sim.Time, idleForward bool) error {
 	en := s.en
 	for s.pending() > 0 || en.activeCount > 0 {
-		// Phase gate: when the current phase has fully arrived and drained,
-		// the next phase anchors at this very instant. Loop (not if): a
-		// degenerate schedule could drain several phases at one instant only
-		// if a later phase completed in zero time, which positive Bytes
-		// forbids — but the loop keeps the invariant local.
-		for s.phaseEnd != nil && s.phase+1 < len(s.phaseEnd) &&
-			s.arrived == s.phaseEnd[s.phase] && en.activeCount == 0 {
-			s.phase++
-			s.phaseBase = s.now
-			en.trace.Record(trace.Event{
-				At: s.now, Kind: trace.PhaseOpen,
-				Flow: -1, Link: -1, Node: -1, Value: int64(s.phase),
-			})
-		}
 		nextDone, doneID := en.nextDone()
 		nextArrival := sim.Forever
 		arriveFid := int32(-1)
-		if s.phaseEnd != nil {
-			if s.arrived < len(en.flows) && s.arrived < s.phaseEnd[s.phase] {
-				arriveFid = int32(s.arrived)
-				nextArrival = s.phaseBase.Add(sim.Duration(en.flows[s.arrived].spec.At))
-			}
-		} else if s.arrivalQ.Len() > 0 {
+		if s.arrivalQ.Len() > 0 {
 			e := s.arrivalQ.Min()
 			arriveFid = e.fid
-			nextArrival = e.at
-		}
-		if arriveFid >= 0 && nextArrival < s.now {
-			nextArrival = s.now
+			nextArrival = max(e.at, s.now)
 		}
 		nextFault := sim.Forever
 		if s.faulted < len(s.linkEvents) {
-			nextFault = s.linkEvents[s.faulted].At
-			if nextFault < s.now {
-				nextFault = s.now
-			}
+			nextFault = max(s.linkEvents[s.faulted].At, s.now)
 		}
 		next := nextDone
 		if nextArrival < next {
@@ -357,9 +253,7 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 			en.applyLinkEventGroup(s.now, s.linkEvents[s.faulted:j])
 			s.faulted = j
 		case next == nextArrival && arriveFid >= 0:
-			if s.phaseEnd == nil {
-				s.arrivalQ.Pop()
-			}
+			s.arrivalQ.Pop()
 			s.res.Events++
 			spec := en.flows[arriveFid].spec
 			en.trace.RecordFlow(trace.Event{
@@ -367,7 +261,6 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 				Flow: s.publicID(arriveFid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
 			})
 			en.arrive(arriveFid, s.now)
-			s.arrived++
 		default:
 			s.res.Events++
 			fr := en.complete(doneID, s.now)
@@ -386,18 +279,15 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 	return nil
 }
 
-// Inject appends a batch of specs to a running unphased session — the
-// service-mode entry point. At values are absolute session instants; an At
-// earlier than the clock arrives immediately, exactly as an initial spec
-// bypassed by time would. The returned IDs are batch-major: total flows ever
-// added + canonical position within this batch, so IDs handed out for
-// earlier batches never renumber. A destination unreachable under a live
-// fault is not an error: the flow parks unrouted and is re-pathed when it
-// arrives or when the partition heals.
+// Inject appends a batch of specs to the session — the one way flows enter
+// it, before the first Advance or mid-run. At values are absolute session
+// instants; an At earlier than the clock arrives immediately. The returned
+// IDs are batch-major: total flows ever added + canonical position within
+// this batch, so IDs handed out for earlier batches never renumber. A
+// destination unreachable under a live fault is not an error: the flow
+// parks unrouted and is re-pathed when it arrives or when the partition
+// heals.
 func (s *Session) Inject(specs []workload.FlowSpec) ([]int, error) {
-	if s.phaseEnd != nil {
-		return nil, fmt.Errorf("fluid: phased sessions do not accept mid-run Inject")
-	}
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -435,12 +325,8 @@ func (s *Session) Inject(specs []workload.FlowSpec) ([]int, error) {
 // arrival order) is invariant under it, so a retired session's subsequent
 // computation is bit-identical to an unretired one's. Pending flows are
 // never Done, so the cut never crosses an arrival still in the queue.
-// Phased sessions never retire (the gate indexes the full ID space);
-// returns the number of flows retired.
+// Returns the number of flows retired.
 func (s *Session) Retire() int {
-	if s.phaseEnd != nil {
-		return 0
-	}
 	cut := 0
 	for cut < len(s.status) && s.status[cut].Done {
 		cut++

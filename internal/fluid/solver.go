@@ -91,7 +91,7 @@ type engine struct {
 	// Fault-injection state. nominalCap is the healthy-capacity snapshot
 	// fault factors multiply; edgeByIdx resolves a stable link ID back to
 	// its edge for enable/disable + route repair; routesChanged marks the
-	// table diverged from the one addFlows pre-routed against, so arrivals
+	// table diverged from the one addBatch routed against, so arrivals
 	// re-path; starvedNow counts active flows pinned at rate 0.
 	nominalCap    []float64
 	edgeByIdx     []*topo.Edge
@@ -172,7 +172,7 @@ type engine struct {
 // are snapshotted once into nominalCap; the live linkCap starts equal and
 // moves only through applyLinkEvent (fault injection) — a fault-free run
 // never reconfigures mid-flight. The routing table is built lazily by
-// addFlows — a run over zero specs (which guards probe for) never pays the
+// addBatch — a run over zero specs (which guards probe for) never pays the
 // O(n²) table build.
 func newEngine(g *topo.Graph, perHop sim.Duration) *engine {
 	en := &engine{
@@ -208,40 +208,24 @@ func (en *engine) onlySeedLinks(fid int32) bool {
 	return true
 }
 
-// addFlows routes the canonicalized specs and allocates flow state. Flows
-// start inactive; arrive activates them in spec-time order.
-func (en *engine) addFlows(specs []workload.FlowSpec) error {
-	en.flows = make([]flowState, len(specs))
-	en.flowEpoch = make([]uint32, len(specs))
-	en.frozenEpoch = make([]uint32, len(specs))
-	en.suspect = make([]uint32, len(specs))
-	if len(specs) > 0 && en.table == nil {
-		en.table = route.Build(en.graph, route.UniformCost)
-	}
-	for i, spec := range specs {
-		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
-		if err != nil {
-			return err
-		}
-		links := make([]int32, len(path))
-		for j, e := range path {
-			links[j] = int32(e.Index())
-		}
-		en.flows[i] = flowState{spec: spec, links: links, hops: len(path)}
-	}
-	return nil
-}
-
-// addBatch routes and appends a mid-run batch of canonicalized specs —
-// Session.Inject's engine half. Unlike addFlows, an unreachable destination
-// is not an error here: an injection can race an unhealed fault, so the
-// flow parks with no path (it starves at rate 0 on arrival) and repath /
-// rescueStarved pick it up when the topology heals. The zero epoch stamps
-// of appended entries are never live: engine.epoch starts counting at 1.
+// addBatch routes and appends a batch of canonicalized specs —
+// Session.Inject's engine half, the only way flows enter the engine. Flows
+// start inactive; arrive activates them. An unreachable destination is not
+// an error: an injection can race an unhealed fault, so the flow parks with
+// no path (it starves at rate 0 on arrival) and repath / rescueStarved pick
+// it up when the topology heals. The zero epoch stamps of appended entries
+// are never live: engine.epoch starts counting at 1.
 func (en *engine) addBatch(specs []workload.FlowSpec) error {
-	if len(specs) > 0 && en.table == nil {
+	if len(specs) == 0 {
+		return nil
+	}
+	if en.table == nil {
 		en.table = route.Build(en.graph, route.UniformCost)
 	}
+	en.flows = slices.Grow(en.flows, len(specs))
+	en.flowEpoch = slices.Grow(en.flowEpoch, len(specs))
+	en.frozenEpoch = slices.Grow(en.frozenEpoch, len(specs))
+	en.suspect = slices.Grow(en.suspect, len(specs))
 	for _, spec := range specs {
 		fs := flowState{spec: spec}
 		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
@@ -267,11 +251,12 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 }
 
 // arrive activates flow fid at `now` and re-solves its component. After a
-// fault has changed routing, the path pre-computed by addFlows may be
-// stale: the flow re-paths against the repaired table, and if its
-// destination is currently unreachable it keeps the pre-fault path — every
-// such path crosses a dead link, so the flow parks at rate 0 until a
-// repair heals the partition (rescueStarved re-paths it then).
+// fault has changed routing, the path addBatch computed may be stale: the
+// flow re-paths against the repaired table, and if its destination is
+// currently unreachable it keeps the path it was injected with (or none, if
+// it was injected unreachable) — every such path crosses a dead link, so
+// the flow parks at rate 0 until a repair heals the partition
+// (rescueStarved re-paths it then).
 func (en *engine) arrive(fid int32, now sim.Time) {
 	f := &en.flows[fid]
 	if en.routesChanged {

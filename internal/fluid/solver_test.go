@@ -47,7 +47,7 @@ func (en *engine) applyLinkEvent(now sim.Time, ev faults.LinkEvent) {
 func activeEngine(t testing.TB, g *topo.Graph, specs []workload.FlowSpec) *engine {
 	t.Helper()
 	en := newEngine(g, 450*sim.Nanosecond)
-	if err := en.addFlows(canonicalize(specs)); err != nil {
+	if err := en.addBatch(canonicalize(specs)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range en.flows {
@@ -172,10 +172,10 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 	warm := newEngine(g, 450*sim.Nanosecond)
 	cold := newEngine(g, 450*sim.Nanosecond)
 	cold.cold = true
-	if err := warm.addFlows(specs); err != nil {
+	if err := warm.addBatch(specs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.addFlows(specs); err != nil {
+	if err := cold.addBatch(specs); err != nil {
 		t.Fatal(err)
 	}
 	edges := g.Edges()
@@ -411,4 +411,78 @@ func BenchmarkFluidAllocate(b *testing.B) {
 			en.compactDone() // as Run does after every event; bounds the heap
 		}
 	})
+}
+
+// TestMergeFallbackFillOnce pins the chronology-merge replay: a component
+// merge whose oracle entries were stamped by different fills reconstructs
+// the merged round schedule by rate (each part's own chronology preserved
+// via the seq tie-break) and replays warm — zero fallbacks through the
+// merge, never a ColdFill. The pre-merge arrivals also replay warm: an
+// empty-oracle fill is the trivial schedule, driven entirely by the live
+// seed-link minimum with the newcomer absorbed.
+func TestMergeFallbackFillOnce(t *testing.T) {
+	g := topo.NewLine(7, topo.Options{})
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: 1, Bytes: 1e6, At: 0, Label: "A"},
+		{Src: 5, Dst: 6, Bytes: 2e6, At: 0, Label: "B"},
+		// C spans the whole line, merging A's and B's disjoint components.
+		{Src: 0, Dst: 6, Bytes: 1e6, At: 1 * sim.Time(sim.Microsecond), Label: "C"},
+	}
+	s, err := NewSession(Config{Graph: g}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Advance to just before the merge: A and B each arrived into an empty
+	// component — two trivial warm replays, nothing cold, no fallback.
+	if err := s.Advance(999 * sim.Time(sim.Nanosecond)); err != nil {
+		t.Fatal(err)
+	}
+	pre := s.Snapshot().Solver
+	if want := (SolverStats{WarmHits: 2}); pre != want {
+		t.Fatalf("solver stats before the merge = %+v, want %+v", pre, want)
+	}
+	// C's arrival merges the two components. Their oracle entries carry two
+	// different fill stamps, but each part's levels ascend in its own freeze
+	// order, so the rate-sorted union is a valid merged schedule; A and B —
+	// suspects whose every link is on C's (seed) path — are absorbed at the
+	// new shared level rather than killing the schedule. Zero fallbacks.
+	if err := s.Advance(1 * sim.Time(sim.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ActiveFlows(); got != 3 {
+		t.Fatalf("want 3 active flows after the merge arrival, got %d", got)
+	}
+	mid := s.Snapshot().Solver
+	if want := (SolverStats{WarmHits: 3}); mid != want {
+		t.Errorf("solver stats after merge arrival = %+v, want %+v (the merge replays warm)", mid, want)
+	}
+
+	if err := s.AdvanceUntilDone(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	fin := s.Snapshot().Solver
+	if fin.ColdFills != 0 {
+		t.Errorf("merged components went cold %d times, want 0 (warm path throughout)", fin.ColdFills)
+	}
+	// Completions: A departs (C replays at its old shared level off the
+	// merged fill's schedule — a hit), then C departs (B's rate must RISE
+	// to the full link, which no replay of old levels can produce — the
+	// run's lone legitimate fallback), then B empties its component
+	// (counted as neither).
+	if want := (SolverStats{WarmHits: 4, WarmFallbacks: 1}); fin != want {
+		t.Errorf("final solver stats = %+v, want %+v", fin, want)
+	}
+}
+
+// TestNearestRankShared holds fluid.NearestRank and telemetry.NearestRank
+// to one behavior across the whole small-n range — the convention has
+// exactly one definition and this pins any future re-derivation drift.
+func TestNearestRankShared(t *testing.T) {
+	for n := 1; n <= 500; n++ {
+		for _, pct := range []int{1, 50, 90, 99, 100} {
+			if got, want := NearestRank(n, pct), telemetry.NearestRank(n, pct); got != want {
+				t.Fatalf("NearestRank(%d, %d) = %d, telemetry says %d", n, pct, got, want)
+			}
+		}
+	}
 }

@@ -8,8 +8,8 @@ import "rackfab/internal/sim"
 // of the prior phase has completed — the bulk-synchronous structure of
 // all-reduce and all-to-all steps in distributed training, and exactly the
 // pattern whose tail latency the SLO telemetry measures. Spec At values are
-// phase-relative; the engines anchor each phase at the instant the previous
-// one drains. Generators are pure functions of their arguments (no RNG):
+// phase-relative; Cluster.RunPhases anchors each phase at the instant the
+// previous one drains. Generators are pure functions of their arguments (no RNG):
 // collective schedules are fixed by the algorithm, not sampled.
 
 // RingAllReduce generates the ring all-reduce schedule over nodes ranks:

@@ -332,17 +332,45 @@ func (c *Cluster) RunUntilDone(limit time.Duration) error {
 }
 
 // RunPhases executes barrier-synchronized phases to completion: each
-// phase's flows release only once every flow of the prior phase has
+// phase's flows release only once every flow injected so far has
 // completed, with phase-relative At values anchored at the drain instant —
 // the bulk-synchronous shape collective workloads (RingAllReduceTraffic and
-// friends) emit. It returns per-phase flow handles. On the fluid engine the
-// phase set must be the whole workload (no prior Inject or Run calls);
-// limit caps total simulated time, as in RunUntilDone.
+// friends) emit. It returns per-phase flow handles. Each phase is an
+// ordinary Inject followed by RunUntilDone, so RunPhases mixes freely with
+// earlier Inject and Run calls (it waits for their flows too), a fluid
+// cluster can Checkpoint after it, and a traced cluster records a
+// phase-open event at every barrier on either engine. limit caps total
+// simulated time, as in RunUntilDone.
 func (c *Cluster) RunPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("rackfab: RunPhases needs at least one phase")
 	}
-	return c.be.runPhases(phases, limit)
+	out := make([][]*Flow, 0, len(phases))
+	for i, ph := range phases {
+		if len(ph) == 0 {
+			return nil, fmt.Errorf("rackfab: phase %d is empty", i)
+		}
+		if i > 0 {
+			c.trace.Record(trace.Event{
+				At: c.be.now(), Kind: trace.PhaseOpen,
+				Flow: -1, Link: -1, Node: -1, Value: int64(i),
+			})
+		}
+		flows, err := c.be.inject(ph)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.be.runUntilDone(limit); err != nil {
+			return nil, fmt.Errorf("rackfab: phase %d: %w", i, err)
+		}
+		for _, f := range flows {
+			if !f.Done() {
+				return nil, fmt.Errorf("rackfab: phase %d flow %d→%d unfinished (failed or limit hit)", i, f.spec.Src, f.spec.Dst)
+			}
+		}
+		out = append(out, flows)
+	}
+	return out, nil
 }
 
 // PeakQueueDelay reports the worst per-hop frame queueing delay any link
@@ -442,7 +470,7 @@ func (c *Cluster) Decisions() []string {
 }
 
 // Now returns the current simulated time.
-func (c *Cluster) Now() time.Duration { return c.be.now() }
+func (c *Cluster) Now() time.Duration { return fromSim(sim.Duration(c.be.now())) }
 
 // simDur converts an API duration (ns resolution) to simulator picoseconds.
 func simDur(d time.Duration) sim.Duration {

@@ -312,12 +312,7 @@ type fluidServiceTarget struct {
 	b *fluidBackend
 }
 
-func (t *fluidServiceTarget) Now() sim.Time {
-	if t.b.sess == nil {
-		return 0
-	}
-	return t.b.sess.Now()
-}
+func (t *fluidServiceTarget) Now() sim.Time { return t.b.now() }
 
 func (t *fluidServiceTarget) Inject(specs []workload.FlowSpec) error {
 	return t.b.injectAbs(specs)
@@ -376,7 +371,7 @@ func newPacketServiceTarget(b *packetBackend, g *topo.Graph) *packetServiceTarge
 	return &packetServiceTarget{b: b, graph: g, hops: make([][]int, g.NumNodes())}
 }
 
-func (t *packetServiceTarget) Now() sim.Time { return t.b.eng.Now() }
+func (t *packetServiceTarget) Now() sim.Time { return t.b.now() }
 
 func (t *packetServiceTarget) Inject(specs []workload.FlowSpec) error {
 	flows, err := t.b.fab.InjectFlows(specs)

@@ -2,6 +2,7 @@ package rackfab
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -324,7 +325,7 @@ func TestRestoreGuards(t *testing.T) {
 		t.Fatal("resume accepted the packet engine")
 	}
 
-	// Checkpoint is fluid-only, and unavailable after RunPhases.
+	// Checkpoint is fluid-only, and available after RunPhases.
 	cp, err := New(Config{Topology: Grid, Width: 4, Height: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -339,8 +340,69 @@ func TestRestoreGuards(t *testing.T) {
 	if _, err := cf.RunPhases([][]FlowSpec{{{Src: 0, Dst: 5, Bytes: 1e4}}}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cf.Checkpoint(); err == nil {
-		t.Fatal("phased cluster accepted Checkpoint")
+	if _, err := cf.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after RunPhases: %v", err)
+	}
+}
+
+// TestRestoreRejectsCorruptCounts: each element count in a checkpoint —
+// fault events, journal ops, an inject's specs — tampered to 0xFFFFFFFF
+// must come back as an error from Restore and ResumeService instead of
+// sizing an allocation from it.
+func TestRestoreRejectsCorruptCounts(t *testing.T) {
+	cfg := svcClusterConfig()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyFaults(svcFlaps(c)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Serve(svcServeConfig("poisson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	svcCkpt, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cluster checkpoint is the tail of the service checkpoint.
+	tail := len(svcCkpt) - len(ckpt)
+	if tail < 0 || !bytes.Equal(svcCkpt[tail:], ckpt) {
+		t.Fatal("service checkpoint does not end with the cluster checkpoint")
+	}
+	// Layout: magic, Config digest, fault-event count and events, op count,
+	// then the first op's kind byte and (for an inject) its spec count.
+	const eventsAt = len(ckptMagic) + 8
+	nev := int(binary.LittleEndian.Uint32(ckpt[eventsAt:]))
+	opsAt := eventsAt + 4 + nev*faultEventBytes
+	if nev == 0 || opKind(ckpt[opsAt+4]) != opInject {
+		t.Fatalf("want fault events and a journal opening with an inject (events %d, first op %d)", nev, ckpt[opsAt+4])
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+	}{
+		{"fault events", eventsAt},
+		{"ops", opsAt},
+		{"specs", opsAt + 5},
+	} {
+		bad := append([]byte(nil), ckpt...)
+		binary.LittleEndian.PutUint32(bad[tc.at:], 0xFFFFFFFF)
+		if _, err := Restore(cfg, bad); err == nil {
+			t.Errorf("Restore accepted a corrupt %s count", tc.name)
+		}
+		badSvc := append(append([]byte(nil), svcCkpt[:tail]...), bad...)
+		if _, err := ResumeService(cfg, svcServeConfig("poisson"), badSvc); err == nil {
+			t.Errorf("ResumeService accepted a corrupt %s count", tc.name)
+		}
 	}
 }
 

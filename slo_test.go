@@ -3,6 +3,9 @@ package rackfab
 import (
 	"testing"
 	"time"
+
+	"rackfab/internal/sim"
+	"rackfab/internal/trace"
 )
 
 // incastSpecs returns the canonical 16→1 pattern the token-vs-VLB
@@ -199,7 +202,6 @@ func TestRunPhasesAcrossEngines(t *testing.T) {
 			if len(out) != 2 || len(out[0]) != 2 || len(out[1]) != 2 {
 				t.Fatalf("handles are not phase-shaped: %d phases", len(out))
 			}
-			var p0End time.Duration
 			for _, f := range out[0] {
 				fct, err := f.CompletionTime()
 				if err != nil {
@@ -208,23 +210,202 @@ func TestRunPhasesAcrossEngines(t *testing.T) {
 				if fct <= 0 {
 					t.Fatal("phase-0 flow has non-positive FCT")
 				}
-				_ = fct
 			}
 			jct0, err := JobCompletionTime(out[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			p0End = jct0
 			jctAll, err := JobCompletionTime(append(append([]*Flow(nil), out[0]...), out[1]...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if jctAll <= p0End {
-				t.Errorf("whole-job JCT %v not beyond phase-0 JCT %v; phases overlapped", jctAll, p0End)
+			if jctAll <= jct0 {
+				t.Errorf("whole-job JCT %v not beyond phase-0 JCT %v; phases overlapped", jctAll, jct0)
 			}
 			// The report sees all four flows.
 			if got := c.Report().SLO.Flows; got != 4 {
 				t.Errorf("SLO population = %d, want 4", got)
+			}
+		})
+	}
+}
+
+// barrierPhases is a three-phase schedule on a 4×4 grid whose last phase
+// carries a non-zero phase-relative At.
+func barrierPhases() [][]FlowSpec {
+	return [][]FlowSpec{
+		{
+			{Src: 0, Dst: 5, Bytes: 200e3, Label: "p0"},
+			{Src: 10, Dst: 3, Bytes: 400e3, Label: "p0"},
+		},
+		{
+			{Src: 5, Dst: 0, Bytes: 100e3, Label: "p1"},
+			{Src: 3, Dst: 10, Bytes: 100e3, Label: "p1"},
+		},
+		{
+			{Src: 15, Dst: 0, Bytes: 50e3, At: 3 * time.Microsecond, Label: "p2"},
+		},
+	}
+}
+
+// drainInstant returns the instant the last flow of a finished phase
+// drained: the completion event RunUntilDone leaves the clock at. A fluid
+// FCT also carries the hops×450ns delivery tail, which the event instant
+// excludes (the packet engine simulates that tail frame by frame).
+func drainInstant(t *testing.T, phase []*Flow) sim.Time {
+	t.Helper()
+	var last sim.Time
+	for _, f := range phase {
+		_, end, err := f.window()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.fb != nil {
+			end = end.Add(-sim.Duration(int64(450*sim.Nanosecond) * int64(f.fb.status(f).Hops)))
+		}
+		last = max(last, end)
+	}
+	return last
+}
+
+// TestRunPhasesBarrierInstant holds the barrier semantics on both engines:
+// every flow of phase p+1 starts exactly at the instant the last flow of
+// phase p drained, plus its phase-relative At, and the clock ends at the
+// last phase's drain.
+func TestRunPhasesBarrierInstant(t *testing.T) {
+	phases := barrierPhases()
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 3, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.RunPhases(phases, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 1; p < len(out); p++ {
+				drain := drainInstant(t, out[p-1])
+				for i, f := range out[p] {
+					start, _, err := f.window()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := drain.Add(simDur(phases[p][i].At)); start != want {
+						t.Errorf("phase %d flow %d started at %v, want the phase-%d drain %v + At = %v",
+							p, i, start, p-1, drain, want)
+					}
+				}
+			}
+			if got, want := c.be.now(), drainInstant(t, out[len(out)-1]); got != want {
+				t.Errorf("clock ends at %v, want the last drain %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRunPhasesRejectsBadShapes: both engines refuse zero phases and an
+// empty phase.
+func TestRunPhasesRejectsBadShapes(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{Topology: Line, Width: 3, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.RunPhases(nil, time.Second); err == nil {
+				t.Error("want error for zero phases")
+			}
+			if _, err := c.RunPhases([][]FlowSpec{
+				{{Src: 0, Dst: 1, Bytes: 1e3}},
+				{},
+			}, time.Second); err == nil {
+				t.Error("want error for an empty phase")
+			}
+		})
+	}
+}
+
+// TestRunPhasesCheckpointSplit: fluid RunPhases mixes with earlier Inject
+// and RunFor calls (waiting for their in-flight flows too) and journals as
+// ordinary operations, so a cluster checkpointed after it and restored
+// finishes more phases exactly as the cluster that never stopped.
+func TestRunPhasesCheckpointSplit(t *testing.T) {
+	cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: EngineFluid, Seed: 6}
+	phases := barrierPhases()
+	start := func() *Cluster {
+		t.Helper()
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Inject(UniformTraffic(c, 20, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunFor(20 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunPhases(phases[:2], time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !c.fl.sess.Done() {
+			t.Fatal("RunPhases returned with injected flows still in flight")
+		}
+		return c
+	}
+
+	unbroken := start()
+	if _, err := unbroken.RunPhases(phases[1:], time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt, err := start().Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(cfg, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.RunPhases(phases[1:], time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Now(), unbroken.Now(); got != want {
+		t.Errorf("restored clock %v, want %v", got, want)
+	}
+	if got, want := stripSLO(restored.Report().String()), stripSLO(unbroken.Report().String()); got != want {
+		t.Errorf("split run diverged:\n--- unbroken ---\n%s--- restored ---\n%s", want, got)
+	}
+}
+
+// TestRunPhasesTracesPhaseOpen: a traced cluster records one phase-open
+// event per barrier, stamped at the drain instant, on either engine.
+func TestRunPhasesTracesPhaseOpen(t *testing.T) {
+	phases := barrierPhases()
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: eng, Trace: &TraceConfig{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.RunPhases(phases, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opens []trace.Event
+			for _, ev := range c.trace.Events() {
+				if ev.Kind == trace.PhaseOpen {
+					opens = append(opens, ev)
+				}
+			}
+			if len(opens) != len(phases)-1 {
+				t.Fatalf("recorded %d phase-open events, want %d", len(opens), len(phases)-1)
+			}
+			for i, ev := range opens {
+				if ev.Value != int64(i+1) || ev.At != drainInstant(t, out[i]) {
+					t.Errorf("phase-open %d = (phase %d at %v), want (phase %d at %v)",
+						i, ev.Value, ev.At, i+1, drainInstant(t, out[i]))
+				}
 			}
 		})
 	}

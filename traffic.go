@@ -21,8 +21,7 @@ type FlowSpec struct {
 // engines accept injections at any time, including mid-run: At is relative
 // to the current simulated instant, and on the fluid engine a mid-run batch
 // gets batch-major flow IDs (canonical within the batch) so handles from
-// earlier batches never renumber. Mid-run injection is rejected only inside
-// RunPhases on the fluid engine, where the phase set must be closed.
+// earlier batches never renumber.
 func (c *Cluster) Inject(specs []FlowSpec) ([]*Flow, error) {
 	return c.be.inject(specs)
 }
