@@ -495,3 +495,37 @@ func TestFaultScheduleValidation(t *testing.T) {
 		t.Fatal("out-of-range node accepted")
 	}
 }
+
+// TestClockNeverRunsBackwards: a run limit behind the clock runs nothing
+// and leaves Now where it was, on both engines: RunUntilDone with a limit
+// already passed, and RunFor with a negative duration.
+func TestClockNeverRunsBackwards(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 3, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Inject([]FlowSpec{{Src: 0, Dst: 15, Bytes: 100_000_000}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunFor(100 * time.Microsecond); err != nil {
+			t.Fatalf("%v: RunFor: %v", eng, err)
+		}
+		err = c.RunUntilDone(50 * time.Microsecond)
+		if err == nil {
+			t.Fatalf("%v: RunUntilDone(50us) finished a 100 MB flow", eng)
+		}
+		if got := c.Now(); got != 100*time.Microsecond {
+			t.Fatalf("%v: Now after RunUntilDone(50us) = %v, want 100us", eng, got)
+		}
+		if eng == EnginePacket && !strings.Contains(err.Error(), "at 100us") {
+			t.Fatalf("%v: error %q does not report the clock at 100us", eng, err)
+		}
+		if err := c.RunFor(-40 * time.Microsecond); err != nil {
+			t.Fatalf("%v: RunFor(-40us): %v", eng, err)
+		}
+		if got := c.Now(); got != 100*time.Microsecond {
+			t.Fatalf("%v: Now after RunFor(-40us) = %v, want 100us", eng, got)
+		}
+	}
+}

@@ -74,15 +74,18 @@ func (q *eventQueue) down(i int) {
 // TestCalendarHeapByteIdentical drives the binary heap (the engine's
 // previous future-event list, kept as the reference implementation) and
 // the calendar queue side by side over fuzzer-driven schedule /
-// limited-pop sequences — same-tick bursts, near-term rolling windows,
-// far-future outliers that force the sparse fallback, and floods that
-// force wheel resizes — and asserts the two pop byte-identical (at, seq)
-// sequences. (at, seq) is a unique total order, so identical sequences
-// mean identical event ordering in every model run.
+// limited-pop sequences, and asserts the two pop byte-identical (at, seq)
+// sequences. The op mix crosses every queue regime: same-tick bursts,
+// near-term rolling windows, floods that resize the wheel, lockstep bursts
+// of hundreds of events at one instant, pops that schedule at their own
+// instant and at one shared next instant, a far tail past the year (held
+// through resizes), and a cursor re-opened before a blocked minimum while
+// far events wait. (at, seq) is a unique total order, so identical
+// sequences mean identical event ordering in every model run.
 func TestCalendarHeapByteIdentical(t *testing.T) {
 	// -short (the race pass) keeps the differential but trims the seed ×
 	// ops budget: race instrumentation multiplies the cost ~10x and three
-	// seeds still cross every queue regime (resize, sparse fallback).
+	// seeds still cross every queue regime.
 	seeds, ops := int64(8), 2500
 	if testing.Short() {
 		seeds, ops = 3, 1200
@@ -101,13 +104,14 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 
 	seq := uint64(0)
 	now := Time(0)
+	reopened, farAtReopen, grownWithFar := 0, 0, 0
 
 	schedule := func(at Time) {
 		heap.push(&event{at: at, seq: seq})
 		cal.push(&event{at: at, seq: seq})
 		seq++
 	}
-	pop := func(limit Time) {
+	pop := func(limit Time) *event {
 		c := cal.popAtMost(limit)
 		var h *event
 		if heap.len() > 0 && heap.items[0].at <= limit {
@@ -118,7 +122,7 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 				seed, limit, h == nil, c == nil)
 		}
 		if c == nil {
-			return
+			return nil
 		}
 		if c.at != h.at || c.seq != h.seq {
 			t.Fatalf("seed %d: ordering diverged: heap popped (at=%v seq=%d), calendar popped (at=%v seq=%d)",
@@ -128,6 +132,7 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: calendar popped %v after %v — time went backwards", seed, c.at, now)
 		}
 		now = c.at
+		return c
 	}
 
 	randomAt := func() Time {
@@ -138,14 +143,14 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 			return now + Time(rng.Int63n(20_000))
 		case 6, 7, 8: // microsecond-scale timeouts
 			return now + Time(rng.Int63n(5_000_000))
-		default: // far future: seconds away, forces the sparse fallback
+		default: // far future: seconds away, past any year
 			return now + Time(rng.Int63n(2_000_000_000_000))
 		}
 	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 40: // schedule, occasionally a same-tick burst
+		case r < 34: // schedule, occasionally a same-tick burst
 			at := randomAt()
 			schedule(at)
 			if rng.Intn(8) == 0 {
@@ -153,10 +158,69 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 					schedule(at)
 				}
 			}
-		case r < 45: // flood: push the count past the wheel's grow threshold
+		case r < 38: // flood: push the count past the wheel's grow threshold
+			days, far := len(cal.days), cal.far.Len()
 			base := randomAt()
 			for k := 0; k < 80; k++ {
 				schedule(base + Time(rng.Int63n(100_000)))
+			}
+			if len(cal.days) != days && far > 0 {
+				grownWithFar++
+			}
+		case r < 40: // lockstep burst: every host files an event at one instant
+			at := now + Time(rng.Int63n(4_000))
+			for k := 256 + rng.Intn(256); k > 0; k-- {
+				schedule(at)
+			}
+		case r < 43: // lockstep drain: each pop schedules at its own instant
+			// and at one instant shared by the whole drain
+			next := now + Time(1+rng.Int63n(3_000))
+			for k := 16 + rng.Intn(64); k > 0; k-- {
+				c := pop(Forever)
+				if c == nil {
+					break
+				}
+				if next <= c.at {
+					next = c.at + Time(1+rng.Int63n(3_000))
+				}
+				if rng.Intn(2) == 0 {
+					schedule(c.at)
+				}
+				schedule(next)
+			}
+		case r < 45: // far tail: milliseconds to seconds past any year
+			for k := 1 + rng.Intn(8); k > 0; k-- {
+				schedule(now + Time(1_000_000_000+rng.Int63n(2_000_000_000_000)))
+			}
+		case r < 48: // re-open: drain up to a gap wider than the wheel's
+			// year, block a pop short of the minimum past it (moving the
+			// cursor to its day), then schedule between the limit and that
+			// minimum, as a mid-run Inject does
+			year := Time(len(cal.days)) << cal.shift
+			for heap.len() > 0 && heap.items[0].at-now <= year {
+				pop(Forever)
+			}
+			if heap.len() == 0 {
+				break
+			}
+			least := heap.items[0].at
+			limit := now + Time(rng.Int63n(int64(least-now)))
+			if pop(limit) != nil {
+				t.Fatalf("seed %d: pop(%v) returned an event before the minimum %v", seed, limit, least)
+			}
+			// Instants at halving distances from the limit: the earliest
+			// re-opens the cursor, and later ones past the shortened year
+			// wait far while the blocked minimum stays on the wheel.
+			cursor := cal.curDay
+			gap := int64(least - limit)
+			for j := 6; j >= 1; j-- {
+				schedule(limit + Time(gap>>j))
+			}
+			if cal.curDay < cursor {
+				reopened++
+				if cal.far.Len() > 0 && cal.far.Min().at < least {
+					farAtReopen++
+				}
 			}
 		default: // pop, sometimes held back by a limit
 			limit := Time(Forever)
@@ -171,6 +235,10 @@ func runCalendarDiff(t *testing.T, seed int64, ops int) {
 	}
 	if cal.len() != 0 {
 		t.Fatalf("seed %d: heap drained but calendar still holds %d events", seed, cal.len())
+	}
+	if reopened == 0 || farAtReopen == 0 || grownWithFar == 0 {
+		t.Fatalf("seed %d: %d re-opened cursors, %d with far events ahead of the blocked minimum, %d grows with far events pending; the op mix lost a regime",
+			seed, reopened, farAtReopen, grownWithFar)
 	}
 }
 
@@ -291,5 +359,52 @@ func TestCalendarFarFutureOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pop %d: got %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// lockstep schedules the regime BenchmarkEngineLockstep and
+// TestCalendarLockstepWorkPerPop share: 1024 hosts whose events share one
+// instant, each rescheduling itself 2 µs ahead, and 32 epoch timers spread
+// over a millisecond, each rescheduling 1 ms ahead.
+func lockstep(e *Engine) {
+	var host, epoch func()
+	host = func() { e.After(2*Microsecond, "host", host) }
+	epoch = func() { e.After(Millisecond, "epoch", epoch) }
+	for i := 0; i < 1024; i++ {
+		e.At(0, "host", host)
+	}
+	for i := 1; i <= 32; i++ {
+		e.At(Time(i)*Time(Millisecond)/32, "epoch", epoch)
+	}
+}
+
+// TestCalendarLockstepWorkPerPop pins the queue's cost in the regime the
+// packet engine runs 1024 hosts in: lockstep bursts, epoch timers, and a
+// far tail of fault events seconds ahead. Days scanned plus instants
+// walked stay at or below calDriftFactor per pop.
+func TestCalendarLockstepWorkPerPop(t *testing.T) {
+	e := New()
+	lockstep(e)
+	nop := func() {}
+	for i := 1; i <= 64; i++ {
+		e.At(Time(i)*Time(50*Millisecond), "fault", nop)
+	}
+	horizon := Time(3 * Millisecond)
+	if testing.Short() {
+		horizon = Time(Millisecond)
+	}
+	if err := e.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	q := &e.queue
+	perPop := float64(q.work) / float64(q.pops)
+	t.Logf("%d pops, %.2f days scanned + instants walked per pop, %d days of %d ps, %d far",
+		q.pops, perPop, len(q.days), 1<<q.shift, q.far.Len())
+	if perPop > calDriftFactor {
+		t.Fatalf("lockstep regime costs %.2f days scanned + instants walked per pop, want ≤ %d",
+			perPop, calDriftFactor)
+	}
+	if q.far.Len() == 0 {
+		t.Fatal("the fault tail never reached the far heap")
 	}
 }

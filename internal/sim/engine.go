@@ -121,9 +121,10 @@ func (e *Engine) Step() bool {
 // Stop is called, or the event safety cap trips.
 func (e *Engine) Run() error { return e.RunUntil(e.limit) }
 
-// RunUntil executes events with timestamps ≤ limit. The clock is left at the
-// last executed event (or moved to limit if the list drained earlier than the
-// limit with pending later events).
+// RunUntil executes events with timestamps ≤ limit, then moves the clock to
+// limit unless limit is Forever or Stop or the event cap ended the run
+// first. The clock never moves backwards: a limit before Now runs nothing
+// and leaves it where it was.
 func (e *Engine) RunUntil(limit Time) error {
 	if e.running {
 		return errors.New("sim: Run re-entered from inside an event")
@@ -137,7 +138,9 @@ func (e *Engine) RunUntil(limit Time) error {
 		if ev == nil {
 			if e.queue.len() > 0 {
 				// Blocked on the limit with later events pending.
-				e.now = limit
+				if limit > e.now {
+					e.now = limit
+				}
 				return nil
 			}
 			break

@@ -191,3 +191,28 @@ func TestHeapOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClockOnlyMovesForward: a RunUntil limit behind the clock, with later
+// events pending, runs nothing and leaves the clock where it was.
+func TestClockOnlyMovesForward(t *testing.T) {
+	e := New()
+	fired := 0
+	e.At(Time(200*Microsecond), "later", func() { fired++ })
+	if err := e.RunUntil(Time(100 * Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []Time{Time(50 * Microsecond), Time(60 * Microsecond), 0} {
+		if err := e.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() != Time(100*Microsecond) || fired != 0 {
+			t.Fatalf("RunUntil(%v) after RunUntil(100us): clock %v, fired %d; want 100us, 0", limit, e.Now(), fired)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != Time(200*Microsecond) || fired != 1 {
+		t.Fatalf("Run: clock %v, fired %d; want 200us, 1", e.Now(), fired)
+	}
+}
