@@ -1,20 +1,29 @@
 package experiment
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.golden from the current output")
 
 // TestExperimentsDeterministic is the regression gate for the paper's
 // reproducibility claim and for the parallel trial runner: every
 // registered experiment, run at Quick scale,
 //
-//  1. renders byte-identical tables on two sequential runs (same seeds →
+//  1. renders the bytes committed in testdata/quick/<id>.golden (so a
+//     change that shifts every run equally still fails),
+//  2. renders byte-identical tables on two sequential runs (same seeds →
 //     same bytes), and
-//  2. renders the same bytes when its trials are fanned out across a
+//  3. renders the same bytes when its trials are fanned out across a
 //     worker pool as when they run one at a time.
 //
 // Comparison uses Table.Fingerprint, which masks columns explicitly
-// marked volatile (wall-clock timings) and nothing else.
+// marked volatile (wall-clock timings) and nothing else. Run with -update
+// to rewrite the goldens; a change that does so lists each rewritten file,
+// and why, in CHANGES.md.
 func TestExperimentsDeterministic(t *testing.T) {
 	// The two tens-of-seconds experiments are skipped in -short mode so
 	// the full-suite race pass (`go test -race -short ./...`) stays under
@@ -38,6 +47,19 @@ func TestExperimentsDeterministic(t *testing.T) {
 				return tab.Fingerprint()
 			}
 			seq1 := render(Sequential(Quick))
+			golden := filepath.Join("testdata", "quick", id+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(seq1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%s: %v (run with -update to create it)", id, err)
+			}
+			if seq1 != string(want) {
+				t.Fatalf("%s differs from %s:\n--- golden ---\n%s\n--- got ---\n%s", id, golden, want, seq1)
+			}
 			seq2 := render(Sequential(Quick))
 			if seq1 != seq2 {
 				t.Fatalf("%s is not repeatable across sequential runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", id, seq1, seq2)
