@@ -12,6 +12,7 @@ import (
 	"rackfab/internal/host"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
+	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
 	"rackfab/internal/workload"
@@ -429,8 +430,8 @@ func (b *fluidBackend) fill(r *Report) {
 		r.FCT = Summary{
 			Count:  int64(n),
 			MeanUs: sum / float64(n) / us,
-			P50Us:  float64(fcts[fluid.NearestRank(n, 50)]) / us,
-			P99Us:  float64(fcts[fluid.NearestRank(n, 99)]) / us,
+			P50Us:  float64(fcts[telemetry.NearestRank(n, 50)]) / us,
+			P99Us:  float64(fcts[telemetry.NearestRank(n, 99)]) / us,
 			MaxUs:  float64(fcts[n-1]) / us,
 		}
 		r.MeanHops = float64(hops) / float64(n)

@@ -382,10 +382,7 @@ func TestFluidSurfaceGuards(t *testing.T) {
 	if err := c.ApplyGridToTorus(1); !errors.Is(err, ErrPacketOnly) {
 		t.Fatalf("ApplyGridToTorus: %v", err)
 	}
-	if err := c.AttachBurstChannel(0, 1, BurstChannelConfig{}); !errors.Is(err, ErrPacketOnly) {
-		t.Fatalf("AttachBurstChannel: %v", err)
-	}
-	if c.Decisions() != nil || c.PowerW() != 0 || c.LinkPrices() != nil {
+	if c.Decisions() != nil || c.PowerW() != 0 {
 		t.Fatal("fluid cluster leaked packet-only state")
 	}
 

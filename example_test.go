@@ -88,25 +88,3 @@ func Example_fluidFaults() {
 	// Output:
 	// flows: 64/64 complete, capacity events: 2, rerouted around the flap: true
 }
-
-// ExampleMinFlowSizeForBypass evaluates the paper's central optimization:
-// the smallest flow for which a reconfiguration pays for itself.
-func ExampleMinFlowSizeForBypass() {
-	sigma := rackfab.MinFlowSizeForBypass(time.Millisecond, 25e9, 50e9)
-	fmt.Printf("reconfigure only for flows above %d MB\n", sigma/1_000_000)
-	// Output:
-	// reconfigure only for flows above 6 MB
-}
-
-// ExampleFECLadder lists the adaptive FEC ladder the Closed Ring Control
-// walks as channel quality degrades.
-func ExampleFECLadder() {
-	for _, p := range rackfab.FECLadder() {
-		fmt.Printf("%-14s overhead %.3f\n", p.Name, p.Overhead)
-	}
-	// Output:
-	// none           overhead 1.000
-	// secded(72,64)  overhead 1.125
-	// rs(255,239)    overhead 1.067
-	// rs(255,223)    overhead 1.143
-}

@@ -7,6 +7,7 @@ import (
 	"rackfab/internal/faults"
 	"rackfab/internal/fluid"
 	"rackfab/internal/sim"
+	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -137,7 +138,7 @@ func e10PacketRung(kind string, side int) (e10Cell, error) {
 		}
 		sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
 		fs := f.FaultStats()
-		return sum / sim.Duration(len(fcts)), fcts[fluid.NearestRank(len(fcts), 99)],
+		return sum / sim.Duration(len(fcts)), fcts[telemetry.NearestRank(len(fcts), 99)],
 			latest.Sub(earliest), fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
 	}
 

@@ -28,7 +28,8 @@ type Config struct {
 	// Host configures every node's NIC.
 	Host host.Config
 	// ExpressPorts reserves switch ports per node for runtime bypass
-	// channels (PLP #2).
+	// channels (PLP #2). A node's fabric links plus ExpressPorts may not
+	// exceed route.MaxDegree.
 	ExpressPorts int
 	// PowerCapW is the rack power budget (0 = uncapped).
 	PowerCapW float64
@@ -150,6 +151,12 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	}
 	if cfg.ExpressPorts < 0 {
 		return nil, fmt.Errorf("fabric: negative express ports")
+	}
+	for node := 0; node < cfg.Graph.NumNodes(); node++ {
+		if deg := len(cfg.Graph.Adjacent(topo.NodeID(node))) + cfg.ExpressPorts; deg > route.MaxDegree {
+			return nil, fmt.Errorf("fabric: node %d could reach %d links with %d express ports; routing allows %d",
+				node, deg, cfg.ExpressPorts, route.MaxDegree)
+		}
 	}
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 50 * sim.Microsecond

@@ -7,6 +7,7 @@ import (
 	"rackfab/internal/phy"
 	"rackfab/internal/plp"
 	"rackfab/internal/ringctl"
+	"rackfab/internal/route"
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
@@ -100,6 +101,74 @@ func TestExpressPortExhaustion(t *testing.T) {
 	if _, ok := g.ExpressBetween(0, 2); !ok {
 		t.Fatal("bypass after port release failed")
 	}
+}
+
+// TestExpressPortsFitRouteDegree: a route table's tie masks cover
+// route.MaxDegree links per node, so New refuses an ExpressPorts value that
+// could push a node past it and accepts the largest one that fits.
+func TestExpressPortsFitRouteDegree(t *testing.T) {
+	g := topo.NewGrid(3, 3, topo.Options{})
+	fits := route.MaxDegree - 4 // the centre node has four fabric links
+	for _, ports := range []int{fits, fits + 1} {
+		cfg := DefaultConfig(g)
+		cfg.ExpressPorts = ports
+		_, err := New(sim.New(), cfg)
+		if ok := ports <= fits; (err == nil) != ok {
+			t.Fatalf("ExpressPorts %d: err = %v, want accepted = %v", ports, err, ok)
+		}
+	}
+}
+
+// TestRoutesTrackAdjacency pins route.Table's adjacency invariant: tie
+// masks name positions in g.Adjacent, so after an express channel comes
+// and goes through Execute, the fabric's table must pick exactly the hops
+// a fresh Build over the live graph picks, for every pair and hash.
+func TestRoutesTrackAdjacency(t *testing.T) {
+	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
+	eng, f := build(t, g)
+	n := topo.NodeID(g.NumNodes())
+	check := func(stage string) {
+		t.Helper()
+		fresh := route.Build(g, f.costFn)
+		for from := topo.NodeID(0); from < n; from++ {
+			for dst := topo.NodeID(0); dst < n; dst++ {
+				for h := uint64(0); h < route.MaxDegree; h++ {
+					got, gotOK := f.table.NextHopECMP(from, dst, h)
+					want, wantOK := fresh.NextHopECMP(from, dst, h)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("%s: %d→%d hash %d: hop %v (%v), fresh Build %v (%v)", stage, from, dst, h, got, gotOK, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+	path := []int{0, 1, 2, 3}
+	for i := 0; i+1 < len(path); i++ {
+		e, _ := g.EdgeBetween(topo.NodeID(path[i]), topo.NodeID(path[i+1]))
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Execute(plp.Command{Kind: plp.BypassOn, Path: path}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.ExpressBetween(0, 3); !ok {
+		t.Fatal("express channel missing after BypassOn")
+	}
+	check("break + bypass on")
+	if err := f.Execute(plp.Command{Kind: plp.BypassOff, Path: path}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(sim.Time(20 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.ExpressBetween(0, 3); ok {
+		t.Fatal("express channel still present after BypassOff")
+	}
+	check("bypass off")
 }
 
 func TestBundleRestoresRate(t *testing.T) {

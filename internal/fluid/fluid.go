@@ -209,16 +209,6 @@ func summarize(res *Result) {
 	}
 	sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
 	res.MeanFCT = sim.Duration(sum / float64(len(fcts)))
-	res.P99FCT = fcts[NearestRank(len(fcts), 99)]
+	res.P99FCT = fcts[telemetry.NearestRank(len(fcts), 99)]
 	res.JCT = latest.Sub(earliest)
-}
-
-// NearestRank returns the 0-based index of the pct-th percentile sample
-// under the nearest-rank convention: the ceil(pct/100·n)-th smallest of n
-// sorted samples. The convention has exactly one definition, owned by
-// telemetry.NearestRank (where Histogram.Quantile and the SLO attainment
-// computation resolve the same rank); this re-export only spares fluid
-// callers the extra import — do not re-derive the arithmetic per caller.
-func NearestRank(n, pct int) int {
-	return telemetry.NearestRank(n, pct)
 }

@@ -474,15 +474,18 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	}
 }
 
-// TestNearestRankShared holds fluid.NearestRank and telemetry.NearestRank
-// to one behavior across the whole small-n range — the convention has
-// exactly one definition and this pins any future re-derivation drift.
+// TestNearestRankShared holds the fluid summary's P99 to
+// telemetry.NearestRank across the whole small-n range — the convention
+// has exactly one definition and this pins any future re-derivation drift.
 func TestNearestRankShared(t *testing.T) {
 	for n := 1; n <= 500; n++ {
-		for _, pct := range []int{1, 50, 90, 99, 100} {
-			if got, want := NearestRank(n, pct), telemetry.NearestRank(n, pct); got != want {
-				t.Fatalf("NearestRank(%d, %d) = %d, telemetry says %d", n, pct, got, want)
-			}
+		res := &Result{}
+		for k := n; k >= 1; k-- { // descending: summarize must sort
+			res.Flows = append(res.Flows, FlowResult{FCT: sim.Duration(k)})
+		}
+		summarize(res)
+		if want := sim.Duration(telemetry.NearestRank(n, 99) + 1); res.P99FCT != want {
+			t.Fatalf("n=%d: summarize P99 = %d, telemetry.NearestRank says %d", n, res.P99FCT, want)
 		}
 	}
 }

@@ -77,10 +77,6 @@ func (c *BurstChannel) Transitions() int { return c.flipCount }
 // refreshed from the channel on every frame transfer.
 func (l *Lane) AttachBurstChannel(c *BurstChannel) { l.burst = c }
 
-// DetachBurstChannel removes a burst model, freezing the lane at its
-// current BER.
-func (l *Lane) DetachBurstChannel() { l.burst = nil }
-
 // refreshBER advances any attached burst channel to now.
 func (l *Lane) refreshBER(now sim.Time) {
 	if l.burst != nil {

@@ -1,8 +1,6 @@
 package ringctl
 
 import (
-	"sort"
-
 	"rackfab/internal/phy"
 	"rackfab/internal/power"
 	"rackfab/internal/sim"
@@ -84,23 +82,4 @@ func (b *PriceBook) Price(id phy.LinkID) float64 {
 		return e.Value()
 	}
 	return 0
-}
-
-// Snapshot returns all known prices sorted by link ID.
-func (b *PriceBook) Snapshot() []struct {
-	Link  phy.LinkID
-	Price float64
-} {
-	out := make([]struct {
-		Link  phy.LinkID
-		Price float64
-	}, 0, len(b.prices))
-	for id, e := range b.prices {
-		out = append(out, struct {
-			Link  phy.LinkID
-			Price float64
-		}{id, e.Value()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Link < out[j].Link })
-	return out
 }

@@ -272,9 +272,6 @@ func (c *Controller) Start() {
 	c.eng.After(c.Epoch(), "crc-epoch", c.epoch)
 }
 
-// Prices exposes the current price book.
-func (c *Controller) Prices() *PriceBook { return c.prices }
-
 // Decisions returns the decision log.
 func (c *Controller) Decisions() []Decision { return c.decisions }
 

@@ -148,8 +148,8 @@ func TestPriceBookOrdering(t *testing.T) {
 	if b.Price(99) != 0 {
 		t.Fatal("unknown link should be free")
 	}
-	if len(b.Snapshot()) != 4 {
-		t.Fatal("snapshot size")
+	if len(b.prices) != 4 {
+		t.Fatal("price book size")
 	}
 }
 

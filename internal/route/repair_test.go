@@ -2,41 +2,30 @@ package route
 
 import (
 	"errors"
-	"math"
+	"runtime"
 	"testing"
 
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
 )
 
-// tablesEqual asserts t2 routes identically to t1: same distances, same
-// primary next hops, same ECMP tie sets (as edge-index sets, arena layout
-// aside).
+// tablesEqual asserts got routes identically to want over the same graph:
+// same distances and same tie masks, hence the same primary and ECMP next
+// hops.
 func tablesEqual(t *testing.T, label string, want, got *Table) {
 	t.Helper()
 	if want.n != got.n {
 		t.Fatalf("%s: n %d vs %d", label, want.n, got.n)
 	}
 	n := want.n
-	for from := 0; from < n; from++ {
-		for dst := 0; dst < n; dst++ {
-			idx := from*n + dst
-			dw, dg := want.dist[idx], got.dist[idx]
-			if dw != dg && !(math.IsInf(dw, 1) && math.IsInf(dg, 1)) {
+	for dst := 0; dst < n; dst++ {
+		for from := 0; from < n; from++ {
+			idx := dst*n + from
+			if dw, dg := want.dist[idx], got.dist[idx]; dw != dg {
 				t.Fatalf("%s: dist %d→%d = %v, want %v", label, from, dst, dg, dw)
 			}
-			if want.primary[idx] != got.primary[idx] {
-				t.Fatalf("%s: primary %d→%d = %v, want %v", label, from, dst, got.primary[idx], want.primary[idx])
-			}
-			if want.ecmpCnt[idx] != got.ecmpCnt[idx] {
-				t.Fatalf("%s: ecmp count %d→%d = %d, want %d", label, from, dst, got.ecmpCnt[idx], want.ecmpCnt[idx])
-			}
-			for k := int32(0); k < want.ecmpCnt[idx]; k++ {
-				w := want.arena[want.ecmpOff[idx]+k]
-				g := got.arena[got.ecmpOff[idx]+k]
-				if w != g {
-					t.Fatalf("%s: ecmp[%d] %d→%d = %v, want %v", label, k, from, dst, g, w)
-				}
+			if mw, mg := want.ties[idx], got.ties[idx]; mw != mg {
+				t.Fatalf("%s: ties %d→%d = %016b, want %016b", label, from, dst, mg, mw)
 			}
 		}
 	}
@@ -45,8 +34,8 @@ func tablesEqual(t *testing.T, label string, want, got *Table) {
 // TestRepairMatchesFullBuild drives a table through a deterministic
 // disable/enable churn on three fabric shapes and, after every one-edge
 // RepairBatch, demands the repaired table be indistinguishable from a from-scratch
-// Build over the same live topology — distances, primaries, and full ECMP
-// sets. This is the incremental-repair correctness gate.
+// Build over the same live topology — distances and full tie masks. This
+// is the incremental-repair correctness gate.
 func TestRepairMatchesFullBuild(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -279,21 +268,14 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 	e := g.Edges()[0]
 	n := g.NumNodes()
 
-	// Columns whose shortest-path DAG references e as primary or tie.
+	// Columns whose shortest-path DAG references e: a tie at either
+	// endpoint (the primary is the lowest tie).
 	referenced := 0
 	for dst := 0; dst < n; dst++ {
 		hit := false
-		for from := 0; from < n && !hit; from++ {
-			idx := from*n + dst
-			if tab.primary[idx] == e {
-				hit = true
-				break
-			}
-			for k := int32(0); k < tab.ecmpCnt[idx]; k++ {
-				if tab.arena[tab.ecmpOff[idx]+k] == e {
-					hit = true
-					break
-				}
+		for _, from := range []topo.NodeID{e.A, e.B} {
+			for i, x := range g.Adjacent(from) {
+				hit = hit || (x == e && tab.ties[dst*n+int(from)]&(1<<i) != 0)
 			}
 		}
 		if hit {
@@ -320,4 +302,40 @@ func TestRepairTieScrubAvoidsRebuild(t *testing.T) {
 		t.Fatalf("restore rebuilt %d of %d referencing columns", up, referenced)
 	}
 	tablesEqual(t, "up", Build(g, UniformCost), tab)
+}
+
+// TestRepairRetainsNoMemory: a rebuilt column overwrites itself, so a
+// table's bytes depend on the node count alone, not on how many repairs it
+// has seen. 400 single-link down/up flaps on an 8×8 grid must leave the
+// live heap where the warm-up left it.
+func TestRepairRetainsNoMemory(t *testing.T) {
+	g := topo.NewGrid(8, 8, topo.Options{})
+	tab := Build(g, UniformCost)
+	edges := g.Edges()
+	flap := func(i int) {
+		e := edges[i%len(edges)]
+		e.SetEnabled(false)
+		tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
+		e.SetEnabled(true)
+		tab.RepairBatch(g, UniformCost, []*topo.Edge{e})
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for i := 0; i < 10; i++ {
+		flap(i)
+	}
+	before := heap()
+	for i := 0; i < 400; i++ {
+		flap(i)
+	}
+	grown := heap() - before
+	runtime.KeepAlive(tab)
+	if grown >= 512<<10 {
+		t.Fatalf("400 flaps grew the live heap by %d KB, want < 512 KB", grown>>10)
+	}
+	tablesEqual(t, "after flaps", Build(g, UniformCost), tab)
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"rackfab/internal/heapx"
 	"rackfab/internal/topo"
@@ -39,38 +40,51 @@ func UniformCost(e *topo.Edge) float64 {
 	return 1
 }
 
-// Table holds next-hop routing state for every (node, destination) pair.
-// Cost-tied next hops for all pairs share one backing arena addressed by
-// (offset, count) per pair — a rebuild allocates a handful of flat slices
-// instead of one slice header per reachable pair.
+// MaxDegree is the most links a node may have: a pair's cost-tied next
+// hops are a 16-bit mask over the node's adjacency list.
+const MaxDegree = 16
+
+// Table holds next-hop routing state for every (node, destination) pair,
+// laid out as one contiguous column per destination. ties[dst*n+from] is a
+// bitmask over positions in g.Adjacent(from): bit i set means
+// g.Adjacent(from)[i] starts a minimum-cost path to dst, and the lowest set
+// bit is the deterministic primary next hop. dist[dst*n+from] is the total
+// path cost. Build allocates both once and RepairBatch rewrites them in
+// place, so a table's bytes depend on the node count alone, not on its
+// repair history, and it holds no pointer the GC must scan per pair.
+//
+// A table is valid only while its graph's adjacency is unchanged, since its
+// masks name adjacency positions. Adjacency changes only in
+// topo.Graph.AddExpress and RemoveExpress, and every caller of those
+// rebuilds the table with Build before the next lookup.
 type Table struct {
-	n       int
-	primary []*topo.Edge // [from*n+dst] deterministic best next hop
-	ecmpOff []int32      // [from*n+dst] offset of the pair's ties in arena
-	ecmpCnt []int32      // [from*n+dst] number of cost-tied next hops
-	arena   []*topo.Edge // concatenated tie lists
-	dist    []float64    // [from*n+dst] total path cost
-	costOf  []float64    // [edge index] cost snapshot of the last build/repair
+	g      *topo.Graph
+	n      int
+	ties   []uint16  // [dst*n+from] cost-tied next hops over g.Adjacent(from)
+	dist   []float64 // [dst*n+from] total path cost
+	costOf []float64 // [edge index] cost snapshot of the last build/repair
 }
 
 // Build runs one backward Dijkstra per destination over the live graph and
 // records, for every node, the incident edge(s) starting a minimum-cost
 // path to that destination. Edge costs are evaluated once up front: a cost
 // function reads live link state, and one build must see a consistent
-// snapshot of it anyway.
+// snapshot of it anyway. Build panics if a node has more than MaxDegree
+// links, a state only a bug can reach.
 func Build(g *topo.Graph, cost CostFunc) *Table {
 	n := g.NumNodes()
+	for v := 0; v < n; v++ {
+		if d := len(g.Adjacent(topo.NodeID(v))); d > MaxDegree {
+			panic(fmt.Sprintf("route: node %d has %d links, more than MaxDegree %d", v, d, MaxDegree))
+		}
+	}
 	t := &Table{
-		n:       n,
-		primary: make([]*topo.Edge, n*n),
-		ecmpOff: make([]int32, n*n),
-		ecmpCnt: make([]int32, n*n),
-		dist:    make([]float64, n*n),
+		g:      g,
+		n:      n,
+		ties:   make([]uint16, n*n),
+		dist:   make([]float64, n*n),
+		costOf: make([]float64, g.EdgeIndexBound()),
 	}
-	for i := range t.dist {
-		t.dist[i] = math.Inf(1)
-	}
-	t.costOf = make([]float64, g.EdgeIndexBound())
 	for _, e := range g.Edges() {
 		c := cost(e)
 		if !math.IsInf(c, 1) && c <= 0 {
@@ -78,9 +92,9 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		}
 		t.costOf[e.Index()] = c
 	}
-	scratch := &buildScratch{dist: make([]float64, n)}
+	var pq heapx.Heap[nodeDist]
 	for dst := 0; dst < n; dst++ {
-		buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
+		t.buildColumn(g, dst, &pq)
 	}
 	return t
 }
@@ -100,8 +114,8 @@ const (
 // column against every change BEFORE mutating it.
 func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
 	const eps = 1e-9
-	n := t.n
-	da, db := t.dist[a*n+dst], t.dist[b*n+dst]
+	off := dst * t.n
+	da, db := t.dist[off+a], t.dist[off+b]
 	if !math.IsInf(c0, 1) && !math.IsInf(da, 1) && !math.IsInf(db, 1) {
 		gap, hiNode := da-db, a
 		if gap < 0 {
@@ -113,7 +127,7 @@ func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
 			}
 			// Increase or removal: the edge leaves the far endpoint's tie
 			// set. Distances survive iff a cost-tied alternative remains.
-			if t.ecmpCnt[hiNode*n+dst] >= 2 {
+			if bits.OnesCount16(t.ties[off+hiNode]) >= 2 {
 				return colTies, hiNode
 			}
 			return colFull, 0
@@ -137,57 +151,36 @@ func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
 	return colNone, 0
 }
 
-// scrubRow re-derives the ECMP tie set of one (from, dst) pair against the
-// stored (unchanged) distance column and current cost snapshot, walking
-// g.Adjacent in the same order buildForDst does so the resulting list is
-// bit-identical to a fresh build's. The list shrinks in place; growth
-// appends a fresh arena segment. Returns true when the row emptied — the
-// signal that the triage's distance-survival assumption broke (every tie
-// of a reachable pair vanished) and the caller must fall back to a full
-// column rebuild.
-func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
+// tieMask is the tie rule: the mask of from's links that start a
+// minimum-cost path to the destination whose distance column is col, under
+// the cost snapshot costOf. The destination itself (distance 0) and
+// unreachable nodes have no ties.
+func tieMask(g *topo.Graph, costOf []float64, from int, col []float64) uint16 {
 	const eps = 1e-9
-	n := t.n
-	idx := from*n + dst
-	dv := t.dist[idx]
-	if from == dst || math.IsInf(dv, 1) {
-		return false
+	d := col[from]
+	if d == 0 || math.IsInf(d, 1) {
+		return 0
 	}
-	adj := g.Adjacent(topo.NodeID(from))
-	tied := func(e *topo.Edge) bool {
-		c := t.costOf[e.Index()]
-		if math.IsInf(c, 1) {
-			return false
-		}
-		return math.Abs(c+t.dist[int(e.Other(topo.NodeID(from)))*n+dst]-dv) < eps
-	}
-	newCnt := int32(0)
-	for _, e := range adj {
-		if tied(e) {
-			newCnt++
+	var mask uint16
+	for i, e := range g.Adjacent(topo.NodeID(from)) {
+		c := costOf[e.Index()]
+		if !math.IsInf(c, 1) && math.Abs(c+col[e.Other(topo.NodeID(from))]-d) < eps {
+			mask |= 1 << i
 		}
 	}
-	if newCnt == 0 {
-		t.primary[idx] = nil
-		t.ecmpCnt[idx] = 0
-		return true
-	}
-	off := t.ecmpOff[idx]
-	if newCnt > t.ecmpCnt[idx] {
-		off = int32(len(t.arena))
-		t.arena = append(t.arena, make([]*topo.Edge, newCnt)...)
-		t.ecmpOff[idx] = off
-	}
-	w := off
-	for _, e := range adj {
-		if tied(e) {
-			t.arena[w] = e
-			w++
-		}
-	}
-	t.ecmpCnt[idx] = newCnt
-	t.primary[idx] = t.arena[off]
-	return false
+	return mask
+}
+
+// scrubRow re-derives the tie mask of one (from, dst) pair against the
+// stored (unchanged) distance column and the current cost snapshot. It
+// reports whether the row emptied: the triage's distance-survival
+// assumption broke (every tie of a reachable pair vanished) and the caller
+// must rebuild the column.
+func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
+	col := t.dist[dst*t.n : (dst+1)*t.n]
+	mask := tieMask(g, t.costOf, from, col)
+	t.ties[dst*t.n+from] = mask
+	return mask == 0
 }
 
 // RepairBatch updates the table in place after one or more simultaneous
@@ -204,12 +197,11 @@ func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
 //   - ties only: distances provably survive, only ECMP tie sets at edge
 //     endpoints change — a cost increase removing one of ≥2 cost-tied
 //     next hops, or a decrease landing exactly on the current shortest
-//     cost. Each touched tie list is re-derived in place against the
-//     unchanged distance column (in the same adjacency order buildForDst
-//     uses, so the row stays bit-identical to a fresh build); no Dijkstra
+//     cost. Each touched row's tie mask is re-derived in place against the
+//     unchanged distance column by the same rule Build uses; no Dijkstra
 //     runs.
 //   - full: distances can move (the sole shortest path died, a strictly
-//     shorter path appeared, reachability was restored) — one buildForDst
+//     shorter path appeared, reachability was restored) — one buildColumn
 //     over the final cost snapshot, bit-identical to a fresh Build.
 //
 // On fabrics with equal-cost path diversity (tori, wide grids) most
@@ -224,12 +216,11 @@ func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
 // sequential triage would, and a column any single-edge test flags is
 // rebuilt here over the union of changes, which is where the sequential
 // chain also lands it. Columns the chain rebuilds more than once collapse
-// to one buildForDst over the same final snapshot.
+// to one buildColumn over the same final snapshot.
 //
-// Rebuilt columns and grown tie lists append fresh segments to the shared
-// arena; the old segments are orphaned, so a table repaired thousands of
-// times grows its arena — rebuild from scratch if repair churn ever
-// dominates. Returns the number of destination columns fully rebuilt, at
+// Every write lands in the table's fixed-size arrays, so repair never grows
+// it. g must be the graph the table was built over, with its adjacency
+// unchanged. Returns the number of destination columns fully rebuilt, at
 // most once each, so the count can undercut the sequential sum (ties-only
 // scrubs are not counted: no column was rebuilt).
 func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) int {
@@ -256,11 +247,10 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 	if len(changes) == 0 {
 		return 0
 	}
-	n := t.n
-	scratch := &buildScratch{dist: make([]float64, n)}
+	var pq heapx.Heap[nodeDist]
 	rebuilt := 0
 	var rows []int // ties-only rows of the current column, deduplicated
-	for dst := 0; dst < n; dst++ {
+	for dst := 0; dst < t.n; dst++ {
 		// Triage this column against every change before mutating it: a
 		// column's own distances are exactly the pre-batch ones until its
 		// scrub/rebuild below, and no other column's repair touches them.
@@ -296,114 +286,79 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			}
 		}
 		if impact == colFull {
-			buildForDst(g, topo.NodeID(dst), t.costOf, t, scratch)
+			t.buildColumn(g, dst, &pq)
 			rebuilt++
 		}
 	}
 	return rebuilt
 }
 
-// buildScratch is per-destination working memory reused across the n
-// Dijkstra passes of one Build. The frontier is a heapx heap rather than
-// container/heap: the interface{} boxing there allocated on every push,
-// which dominated Build's allocation profile at rack scale.
-type buildScratch struct {
-	dist []float64
-	pq   heapx.Heap[nodeDist]
-}
-
-// buildForDst fills column dst of the table.
-func buildForDst(g *topo.Graph, dst topo.NodeID, costOf []float64, t *Table, s *buildScratch) {
-	n := g.NumNodes()
-	dist := s.dist
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// buildColumn runs Dijkstra from dst directly into its distance column,
+// then derives the column's tie masks. The frontier is a heapx heap reused
+// across columns rather than container/heap: the interface{} boxing there
+// allocated on every push, which dominated Build's allocation profile at
+// rack scale.
+func (t *Table) buildColumn(g *topo.Graph, dst int, pq *heapx.Heap[nodeDist]) {
+	col := t.dist[dst*t.n : (dst+1)*t.n]
+	for i := range col {
+		col[i] = math.Inf(1)
 	}
-	dist[dst] = 0
-	pq := &s.pq
+	col[dst] = 0
 	pq.Reset()
-	pq.Push(nodeDist{node: dst, dist: 0})
+	pq.Push(nodeDist{node: topo.NodeID(dst), dist: 0})
 	for pq.Len() > 0 {
 		cur := pq.Pop()
-		if cur.dist > dist[cur.node] {
+		if cur.dist > col[cur.node] {
 			continue // stale entry
 		}
 		for _, e := range g.Adjacent(cur.node) {
-			c := costOf[e.Index()]
+			c := t.costOf[e.Index()]
 			if math.IsInf(c, 1) {
 				continue
 			}
 			next := e.Other(cur.node)
-			if nd := cur.dist + c; nd < dist[next] {
-				dist[next] = nd
+			if nd := cur.dist + c; nd < col[next] {
+				col[next] = nd
 				pq.Push(nodeDist{node: next, dist: nd})
 			}
 		}
 	}
-	// Record next hops: from every node, the edges that step onto a
-	// shortest path toward dst.
-	const eps = 1e-9
-	for from := 0; from < n; from++ {
-		idx := from*n + int(dst)
-		t.dist[idx] = dist[from]
-		// Clear before recording: on a repair rebuild a pair that became
-		// unreachable must not keep the stale pre-failure next hop.
-		t.primary[idx] = nil
-		t.ecmpOff[idx] = 0
-		t.ecmpCnt[idx] = 0
-		if topo.NodeID(from) == dst || math.IsInf(dist[from], 1) {
-			continue
-		}
-		off := int32(len(t.arena))
-		for _, e := range g.Adjacent(topo.NodeID(from)) {
-			c := costOf[e.Index()]
-			if math.IsInf(c, 1) {
-				continue
-			}
-			if math.Abs(c+dist[e.Other(topo.NodeID(from))]-dist[from]) < eps {
-				t.arena = append(t.arena, e)
-			}
-		}
-		cnt := int32(len(t.arena)) - off
-		if cnt == 0 {
-			continue
-		}
-		t.primary[idx] = t.arena[off]
-		t.ecmpOff[idx] = off
-		t.ecmpCnt[idx] = cnt
+	ties := t.ties[dst*t.n : (dst+1)*t.n]
+	for from := range ties {
+		ties[from] = tieMask(g, t.costOf, from, col)
 	}
 }
 
-// NextHop returns the deterministic best next-hop edge from from toward to.
-// ok is false for self-delivery or unreachable destinations — including
-// pairs partitioned by a failure and repaired into the table afterwards
-// (buildForDst clears the stale hop rather than leaving the dead edge).
+// NextHop returns the deterministic best next-hop edge from from toward to:
+// the first cost-tied link in adjacency order. ok is false for
+// self-delivery or unreachable destinations — including pairs partitioned
+// by a failure and repaired into the table afterwards.
 func (t *Table) NextHop(from, to topo.NodeID) (*topo.Edge, bool) {
-	if from == to {
+	mask := t.ties[int(to)*t.n+int(from)]
+	if mask == 0 {
 		return nil, false
 	}
-	e := t.primary[int(from)*t.n+int(to)]
-	return e, e != nil
+	return t.g.Adjacent(from)[bits.TrailingZeros16(mask)], true
 }
 
 // NextHopECMP hash-spreads over all cost-tied next hops so distinct flows
-// between the same pair take distinct equal-cost paths.
+// between the same pair take distinct equal-cost paths: it returns the
+// (flowHash mod ties)-th tied link in adjacency order.
 func (t *Table) NextHopECMP(from, to topo.NodeID, flowHash uint64) (*topo.Edge, bool) {
-	if from == to {
+	mask := t.ties[int(to)*t.n+int(from)]
+	if mask == 0 {
 		return nil, false
 	}
-	idx := int(from)*t.n + int(to)
-	cnt := t.ecmpCnt[idx]
-	if cnt == 0 {
-		return nil, false
+	for k := flowHash % uint64(bits.OnesCount16(mask)); k > 0; k-- {
+		mask &= mask - 1 // drop the lowest tie
 	}
-	return t.arena[uint64(t.ecmpOff[idx])+flowHash%uint64(cnt)], true
+	return t.g.Adjacent(from)[bits.TrailingZeros16(mask)], true
 }
 
 // Distance returns the total path cost from from to to (+Inf when
 // unreachable, 0 for self).
 func (t *Table) Distance(from, to topo.NodeID) float64 {
-	return t.dist[int(from)*t.n+int(to)]
+	return t.dist[int(to)*t.n+int(from)]
 }
 
 // Reachable reports whether to can be reached from from.

@@ -169,6 +169,15 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Width <= 0 {
 		return nil, fmt.Errorf("rackfab: width must be positive")
 	}
+	if cfg.LanesPerLink < 0 {
+		return nil, fmt.Errorf("rackfab: lanes per link must not be negative")
+	}
+	if cfg.NodeSpacingM < 0 {
+		return nil, fmt.Errorf("rackfab: node spacing must not be negative")
+	}
+	if cfg.PowerCapW < 0 {
+		return nil, fmt.Errorf("rackfab: power cap must not be negative")
+	}
 	media, err := mediaOf(cfg.Media)
 	if err != nil {
 		return nil, err
@@ -201,6 +210,9 @@ func New(cfg Config) (*Cluster, error) {
 	case Line:
 		g = topo.NewLine(cfg.Width, opts)
 	case Ring:
+		if cfg.Width < 3 {
+			return nil, fmt.Errorf("rackfab: ring needs at least 3 nodes")
+		}
 		g = topo.NewRing(cfg.Width, opts)
 	default:
 		return nil, fmt.Errorf("rackfab: unknown topology %q", cfg.Topology)
@@ -440,6 +452,17 @@ func (c *Cluster) DisableLanes(a, b, n int) error {
 	}
 	c.pk.fab.RebuildRoutes(nil)
 	return nil
+}
+
+// SetValiantRouting switches the fabric between shortest-path forwarding
+// (default) and Valiant load balancing — the oblivious two-phase
+// discipline the A3 ablation compares against the CRC's adaptive pricing.
+// A no-op on the fluid engine, which always routes shortest-path.
+func (c *Cluster) SetValiantRouting(enabled bool) {
+	if c.pk == nil {
+		return
+	}
+	c.pk.fab.SetVLB(enabled)
 }
 
 // LinkFECName reports the FEC profile currently installed on the link

@@ -24,6 +24,44 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidConfig: New refuses every invalid Config with an
+// error, never a panic, on both engines.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero width", func(c *Config) { c.Width = 0 }},
+		{"grid without height", func(c *Config) { c.Height = 0 }},
+		{"torus with negative height", func(c *Config) { c.Topology, c.Height = Torus, -1 }},
+		{"unknown topology", func(c *Config) { c.Topology = "blob" }},
+		{"unknown media", func(c *Config) { c.Media = "aether" }},
+		{"unknown switch mode", func(c *Config) { c.SwitchMode = "warp" }},
+		{"unknown engine", func(c *Config) { c.Engine = "abacus" }},
+		{"fluid with control", func(c *Config) { c.Engine, c.Control = EngineFluid, ControlOn() }},
+		{"ring of two", func(c *Config) { c.Topology, c.Width = Ring, 2 }},
+		{"negative lanes", func(c *Config) { c.LanesPerLink = -1 }},
+		{"negative spacing", func(c *Config) { c.NodeSpacingM = -1 }},
+		{"negative power cap", func(c *Config) { c.PowerCapW = -1 }},
+	}
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		for _, tc := range cases {
+			t.Run(string(engine)+"/"+tc.name, func(t *testing.T) {
+				cfg := Config{Topology: Grid, Width: 4, Height: 4, Seed: 1, Engine: engine}
+				tc.mut(&cfg)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("New panicked: %v", r)
+					}
+				}()
+				if _, err := New(cfg); err == nil {
+					t.Fatalf("New accepted %+v", cfg)
+				}
+			})
+		}
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 1})
 	if err != nil {
@@ -205,4 +243,25 @@ func TestPowerCap(t *testing.T) {
 	if c.PowerW() <= 0 {
 		t.Fatal("no power accounting")
 	}
+}
+
+func TestSetValiantRouting(t *testing.T) {
+	c, err := New(Config{Topology: Torus, Width: 4, Height: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetValiantRouting(true)
+	if _, err := c.Inject([]FlowSpec{{Src: 0, Dst: 15, Bytes: 15000}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunUntilDone(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	vlbHops := c.Report().MeanHops
+	// VLB pivots inflate hop counts past the torus diameter-bounded
+	// shortest path for this pair (≤ 2).
+	if vlbHops <= 2.0 {
+		t.Fatalf("VLB mean hops %v too short", vlbHops)
+	}
+	c.SetValiantRouting(false)
 }
