@@ -13,12 +13,14 @@ var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.golden from
 // reproducibility claim and for the parallel trial runner: every
 // registered experiment, run at Quick scale,
 //
-//  1. renders the bytes committed in testdata/quick/<id>.golden (so a
-//     change that shifts every run equally still fails),
-//  2. renders byte-identical tables on two sequential runs (same seeds →
-//     same bytes), and
-//  3. renders the same bytes when its trials are fanned out across a
+//  1. renders the bytes committed in testdata/quick/<id>.golden on a
+//     sequential run (so a change that shifts every run equally still
+//     fails), and
+//  2. renders the same bytes when its trials are fanned out across a
 //     worker pool as when they run one at a time.
+//
+// Two independent runs are thus checked against the committed bytes; a
+// second sequential run would add nothing the golden does not already pin.
 //
 // Comparison uses Table.Fingerprint, which masks columns explicitly
 // marked volatile (wall-clock timings) and nothing else. Run with -update
@@ -59,10 +61,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 			}
 			if seq1 != string(want) {
 				t.Fatalf("%s differs from %s:\n--- golden ---\n%s\n--- got ---\n%s", id, golden, want, seq1)
-			}
-			seq2 := render(Sequential(Quick))
-			if seq1 != seq2 {
-				t.Fatalf("%s is not repeatable across sequential runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", id, seq1, seq2)
 			}
 			par := render(Config{Scale: Quick, Parallel: 4})
 			if par != seq1 {

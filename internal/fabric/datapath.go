@@ -95,18 +95,13 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 	// Channel error model. A train draws once for its whole wire burst
 	// (runs that inject BER pin NICs to per-frame granularity, so trains
 	// only ever see clean channels in practice).
-	outcome := link.TransferFrame(f.rng, f.eng.Now(), fr.DataBits)
-	if outcome.Lost {
+	if link.TransferFrame(f.rng, f.eng.Now(), fr.DataBits) {
 		// Cut-through semantics: the corrupt frame still propagates; the
 		// destination NIC's FCS check catches it and NACKs.
 		if ctx, ok := fr.Meta.(*host.FrameCtx); ok {
 			ctx.Corrupt = true
 		}
-		n := int64(fr.Frames)
-		if n < 1 {
-			n = 1
-		}
-		f.stats.Corrupt.Add(n)
+		f.stats.Corrupt.Add(int64(fr.Frames))
 	}
 
 	// Direction accounting for utilization reports.
@@ -138,8 +133,6 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 		ingress = serialize + prop + fecLat
 	}
 	fr.Hops++
-	latency := f.eng.Now().Sub(fr.Injected)
-	link.ObserveLatency(latency)
 	f.eng.After(ingress, "link-rx", func() {
 		peerPort, ok := f.portOf[peer][e]
 		if !ok {
@@ -162,9 +155,6 @@ func minInt64(a, b int64) int64 {
 // across train lengths.
 func (f *Fabric) deliver(node int, fr *switching.Frame) {
 	n := int64(fr.Frames)
-	if n < 1 {
-		n = 1
-	}
 	f.stats.Delivered.Add(n)
 	f.stats.Latency.RecordN(int64(f.eng.Now().Sub(fr.Injected)), n)
 	f.stats.Hops.RecordN(int64(fr.Hops), n)

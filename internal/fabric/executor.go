@@ -101,7 +101,6 @@ func (f *Fabric) pumpPLP() {
 			// surface loudly rather than silently dropping the plan step.
 			panic(fmt.Sprintf("fabric: applying %v: %v", job.cmd, err))
 		}
-		f.plpServed++
 		if job.done != nil {
 			job.done(res)
 		}
@@ -329,6 +328,3 @@ func (f *Fabric) donorLane(e *topo.Edge) *phy.Lane {
 	}
 	return nil
 }
-
-// PLPServed returns the number of primitives applied (testing/reporting).
-func (f *Fabric) PLPServed() int { return f.plpServed }

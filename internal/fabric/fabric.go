@@ -61,19 +61,21 @@ func DefaultConfig(g *topo.Graph) Config {
 	}
 }
 
-// Stats aggregates fabric-wide instruments.
+// Stats aggregates the fabric-wide instruments that a run's Report and the
+// experiments read. Delivered, Corrupt, Latency and Hops count a train as
+// the member frames it carries.
 type Stats struct {
 	// Latency is the end-to-end frame latency distribution (ps).
 	Latency *telemetry.Histogram
 	// Hops is the per-frame switch-traversal distribution.
 	Hops *telemetry.Histogram
-	// Delivered, Dropped, Corrupt count frames.
+	// Delivered, Dropped, Corrupt count frames (Dropped counts a dropped
+	// train once).
 	Delivered telemetry.Counter
 	Dropped   telemetry.Counter
 	Corrupt   telemetry.Counter
-	// FlowsCompleted and FlowsFailed count flows.
+	// FlowsCompleted counts flows.
 	FlowsCompleted telemetry.Counter
-	FlowsFailed    telemetry.Counter
 	// FCT is the flow-completion-time distribution (ps).
 	FCT *telemetry.Histogram
 }
@@ -123,15 +125,12 @@ type Fabric struct {
 
 	trace *trace.Recorder // nil = flight recorder off
 
-	flows        map[host.FlowID]*host.Flow
 	active       map[host.FlowID]*host.Flow
 	nextFlow     host.FlowID
-	frameIDs     uint64
 	stats        Stats
 	stopWhenIdle bool
 	plpQueue     []plpJob
 	plpBusy      bool
-	plpServed    int
 
 	// Fault replay (see faults.go): stable edge-index lookup, the
 	// applied-event counters Report surfaces, and the open starvation
@@ -174,7 +173,6 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		budget:  power.NewBudget(cfg.PowerCapW),
 		pmodel:  power.DefaultModel(),
 		claimed: make(map[*phy.Lane][2]topo.NodeID),
-		flows:   make(map[host.FlowID]*host.Flow),
 		active:  make(map[host.FlowID]*host.Flow),
 		portOf:  make([]map[*topo.Edge]int, n),
 		edgeAt:  make([][]*topo.Edge, n),
@@ -225,8 +223,8 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 				f.traceNICQueue(node, enq, flow, depth)
 			}
 		}
-		f.switches[node] = switching.New(node, eng, swCfg, swCb)
-		f.hosts[node] = host.New(node, eng, cfg.Host, hostCb, &f.frameIDs, f.onFlowDone)
+		f.switches[node] = switching.New(eng, swCfg, swCb)
+		f.hosts[node] = host.New(node, eng, cfg.Host, hostCb, f.onFlowDone)
 	}
 	for _, e := range f.g.Edges() {
 		f.links[e.Link.ID] = &linkState{edge: e, qDelay: telemetry.NewEWMA(0.2)}

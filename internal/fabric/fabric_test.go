@@ -116,8 +116,8 @@ func TestECMPBalancesAcrossTies(t *testing.T) {
 	}
 	right, _ := g.EdgeBetween(g.NodeAt(0, 0), g.NodeAt(1, 0))
 	down, _ := g.EdgeBetween(g.NodeAt(0, 0), g.NodeAt(0, 1))
-	br := right.Link.Lanes[0].Stats.FramesCarried.Value() + right.Link.Lanes[1].Stats.FramesCarried.Value()
-	bd := down.Link.Lanes[0].Stats.FramesCarried.Value() + down.Link.Lanes[1].Stats.FramesCarried.Value()
+	br := right.Link.Lanes[0].Stats.BitsCarried.Value() + right.Link.Lanes[1].Stats.BitsCarried.Value()
+	bd := down.Link.Lanes[0].Stats.BitsCarried.Value() + down.Link.Lanes[1].Stats.BitsCarried.Value()
 	if br == 0 || bd == 0 {
 		t.Fatalf("ECMP did not spread: right=%d down=%d", br, bd)
 	}
@@ -188,16 +188,17 @@ func TestGridToTorusReconfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	served := 0
 	for _, cmd := range plan.Commands {
-		if err := f.Execute(cmd, nil); err != nil {
+		if err := f.Execute(cmd, func(plp.Result) { served++ }); err != nil {
 			t.Fatalf("executing %v: %v", cmd, err)
 		}
 	}
 	if err := eng.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if f.PLPServed() != len(plan.Commands) {
-		t.Fatalf("served %d of %d commands", f.PLPServed(), len(plan.Commands))
+	if served != len(plan.Commands) {
+		t.Fatalf("served %d of %d commands", served, len(plan.Commands))
 	}
 	hopsAfter, err := g.MeanHops()
 	if err != nil {
@@ -397,7 +398,11 @@ func TestClosedLoopWithController(t *testing.T) {
 			t.Fatalf("flow %d unfinished", fl.ID)
 		}
 	}
-	if !ctl.Reconfigured() {
+	reconfigured := false
+	for _, d := range ctl.Decisions() {
+		reconfigured = reconfigured || (d.Policy == "reconfig" && d.Cmd != nil)
+	}
+	if !reconfigured {
 		t.Fatal("controller never reconfigured the hot grid")
 	}
 	if jct, err := JobCompletionTime(flows); err != nil || jct <= 0 {
@@ -428,7 +433,6 @@ func TestLoopbackFlow(t *testing.T) {
 	_, f := build(t, g)
 	// Src == Dst is rejected by ValidateSpecs; drive the host directly.
 	fl := &host.Flow{ID: 99, Src: 0, Dst: 0, Bytes: 1500}
-	f.flows[99] = fl
 	f.active[99] = fl
 	f.eng.At(0, "start", func() { f.hosts[0].StartFlow(fl) })
 	if err := f.RunUntilDone(sim.Time(sim.Second)); err != nil {

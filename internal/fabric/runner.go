@@ -24,9 +24,7 @@ func (f *Fabric) InjectFlows(specs []workload.FlowSpec) ([]*host.Flow, error) {
 			Src:   spec.Src,
 			Dst:   spec.Dst,
 			Bytes: spec.Bytes,
-			Label: spec.Label,
 		}
-		f.flows[fl.ID] = fl
 		f.active[fl.ID] = fl
 		flows = append(flows, fl)
 		at := spec.At
@@ -79,7 +77,6 @@ func (f *Fabric) RunUntilDone(limit sim.Time) error {
 				failed++
 			}
 		}
-		f.stats.FlowsFailed.Add(int64(failed))
 		return fmt.Errorf("fabric: %d flows unfinished at %v (%d failed)", n, f.eng.Now(), failed)
 	}
 	return nil

@@ -47,12 +47,6 @@ func NewAdaptiveDwell(targetFLR float64, dwell int) *Adaptive {
 	}
 }
 
-// Ladder exposes the controller's profile ladder.
-func (a *Adaptive) Ladder() []Profile { return a.ladder }
-
-// Current returns the profile currently selected.
-func (a *Adaptive) Current() Profile { return a.ladder[a.current] }
-
 // Pick returns the profile for the measured BER and frame size, updating
 // the controller state. The returned bool reports whether the selection
 // changed (i.e. the CRC must issue a SetFEC primitive).

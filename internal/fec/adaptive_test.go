@@ -54,7 +54,7 @@ func TestAdaptiveEscalatesWithBER(t *testing.T) {
 	lastIdx := 0
 	for _, ber := range []float64{1e-10, 1e-8, 1e-6, 1e-5, 1e-4} {
 		p, _ = a.Pick(ber, frameBits)
-		idx := indexOf(a.Ladder(), p.Name())
+		idx := indexOf(Ladder(), p.Name())
 		if idx < lastIdx {
 			t.Fatalf("de-escalated to %s at BER %v", p.Name(), ber)
 		}
@@ -72,7 +72,7 @@ func TestAdaptiveMeetsTarget(t *testing.T) {
 		p, _ := a.Pick(ber, frameBits)
 		if loss := p.Code.FrameLossProb(ber, frameBits); loss > 1e-9 {
 			// Unless even the heaviest profile cannot meet it.
-			heaviest := a.Ladder()[len(a.Ladder())-1]
+			heaviest := Ladder()[len(Ladder())-1]
 			if p.Name() != heaviest.Name() {
 				t.Fatalf("BER %v: picked %s with loss %v > target", ber, p.Name(), loss)
 			}
@@ -84,15 +84,13 @@ func TestAdaptiveHysteresis(t *testing.T) {
 	a := NewAdaptiveDwell(1e-9, DefaultDeescalateDwell)
 	const frameBits = 12000
 	// Drive up…
-	a.Pick(1e-5, frameBits)
-	up := a.Current().Name()
-	if up == "none" {
+	if up, _ := a.Pick(1e-5, frameBits); up.Name() == "none" {
 		t.Fatal("did not escalate")
 	}
 	// …then improve the BER slightly past the escalation boundary: with
 	// hysteresis the controller must hold the heavier profile at a BER that
 	// is only marginally better.
-	boundary := findEscalationBoundary(a.Ladder(), frameBits)
+	boundary := findEscalationBoundary(Ladder(), frameBits)
 	_, changed := a.Pick(boundary*0.99, frameBits)
 	if changed {
 		t.Fatal("flapped down within hysteresis band")
@@ -137,8 +135,7 @@ func indexOf(ladder []Profile, name string) int {
 func TestAdaptiveDwellBlocksFlapping(t *testing.T) {
 	a := NewAdaptiveDwell(1e-9, 4)
 	const frameBits = 12000
-	a.Pick(1e-5, frameBits) // escalate
-	if a.Current().Name() == "none" {
+	if p, _ := a.Pick(1e-5, frameBits); p.Name() == "none" {
 		t.Fatal("did not escalate")
 	}
 	// Alternate clean/noisy readings (a bursty channel seen through a
@@ -154,11 +151,12 @@ func TestAdaptiveDwellBlocksFlapping(t *testing.T) {
 		}
 	}
 	// A sustained clean channel does step down.
+	var p Profile
 	for i := 0; i <= 4; i++ {
-		a.Pick(1e-15, frameBits)
+		p, _ = a.Pick(1e-15, frameBits)
 	}
-	if a.Current().Name() != "none" {
-		t.Fatalf("sustained clean channel stuck at %s", a.Current().Name())
+	if p.Name() != "none" {
+		t.Fatalf("sustained clean channel stuck at %s", p.Name())
 	}
 }
 

@@ -140,9 +140,6 @@ func (s *Session) Done() bool {
 	return s.pending() == 0 && s.en.activeCount == 0
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (s *Session) ActiveFlows() int { return s.en.activeCount }
-
 // Remaining returns the number of flows not yet completed (active or not
 // yet arrived).
 func (s *Session) Remaining() int {

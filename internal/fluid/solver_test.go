@@ -449,7 +449,7 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	if err := s.Advance(1 * sim.Time(sim.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ActiveFlows(); got != 3 {
+	if got := s.en.activeCount; got != 3 {
 		t.Fatalf("want 3 active flows after the merge arrival, got %d", got)
 	}
 	mid := s.Snapshot().Solver

@@ -12,7 +12,6 @@ import (
 	"rackfab/internal/netstack"
 	"rackfab/internal/sim"
 	"rackfab/internal/switching"
-	"rackfab/internal/telemetry"
 )
 
 // FlowID identifies a flow within a run.
@@ -24,17 +23,13 @@ type Flow struct {
 	Src   int
 	Dst   int
 	Bytes int64
-	// Label groups flows for reporting (e.g. "shuffle", "background").
-	Label string
 
 	// progress
 	started    sim.Time
 	finished   sim.Time
 	done       bool
 	failed     bool
-	sentBytes  int64 // bytes handed to the NIC (first transmission only)
 	ackedBytes int64 // bytes delivered clean
-	frames     int64
 	retx       int64
 }
 
@@ -81,8 +76,6 @@ type FrameCtx struct {
 	// Corrupt marks a frame poisoned by an uncorrectable FEC block; the
 	// receiving NIC detects it on the final FCS check and NACKs.
 	Corrupt bool
-	// Retransmit marks a NACK- or drop-triggered resend.
-	Retransmit bool
 	// Retries counts resend attempts for this frame.
 	Retries int
 }
@@ -127,14 +120,6 @@ type Callbacks struct {
 	Trace func(enq bool, flow FlowID, depth int)
 }
 
-// Stats is the per-host instrument block.
-type Stats struct {
-	FramesSent      telemetry.Counter
-	FramesDelivered telemetry.Counter
-	FramesCorrupt   telemetry.Counter
-	BytesDelivered  telemetry.Counter
-}
-
 // Host is one node's end system: NIC send queue plus receive side.
 type Host struct {
 	node int
@@ -142,12 +127,10 @@ type Host struct {
 	cfg  Config
 	cb   Callbacks
 
-	sendQ     []*switching.Frame
-	nicBusy   bool
-	paused    bool
-	stats     Stats
-	nextFrame *uint64 // shared frame-ID allocator
-	onDone    func(*Flow)
+	sendQ   []*switching.Frame
+	nicBusy bool
+	paused  bool
+	onDone  func(*Flow)
 }
 
 // SetPaused applies fabric backpressure to the NIC: a paused NIC finishes
@@ -162,23 +145,17 @@ func (h *Host) SetPaused(paused bool) {
 	}
 }
 
-// Paused reports whether the NIC is currently held by backpressure.
-func (h *Host) Paused() bool { return h.paused }
-
-// New builds a host for node. frameIDs is the run-wide frame ID allocator
-// shared by all hosts; onFlowDone (optional) fires at flow completion.
-func New(node int, eng *sim.Engine, cfg Config, cb Callbacks, frameIDs *uint64, onFlowDone func(*Flow)) *Host {
+// New builds a host for node; onFlowDone (optional) fires at flow
+// completion.
+func New(node int, eng *sim.Engine, cfg Config, cb Callbacks, onFlowDone func(*Flow)) *Host {
 	if cfg.NICRate <= 0 || cfg.MTU <= 0 {
 		panic("host: invalid config")
 	}
 	if cb.Inject == nil {
 		panic("host: Inject callback required")
 	}
-	return &Host{node: node, eng: eng, cfg: cfg, cb: cb, nextFrame: frameIDs, onDone: onFlowDone}
+	return &Host{node: node, eng: eng, cfg: cfg, cb: cb, onDone: onFlowDone}
 }
-
-// Stats returns the instrument block.
-func (h *Host) Stats() *Stats { return &h.stats }
 
 // StartFlow begins transmitting a flow from this host. The flow must
 // originate here.
@@ -208,11 +185,10 @@ func (h *Host) enqueueFlowFrames(f *Flow) {
 			payload = remaining
 		}
 		members := (int(payload) + h.cfg.MTU - 1) / h.cfg.MTU
-		h.queueFrame(f, seq, int(payload), members, false)
+		h.queueFrame(&FrameCtx{Flow: f, Seq: seq, PayloadBytes: int(payload), Frames: members})
 		remaining -= payload
 		seq += int64(members)
 	}
-	f.frames = seq
 	h.pump()
 }
 
@@ -225,22 +201,19 @@ func (h *Host) wireBits(payload, members int) int64 {
 	return netstack.WireBitsForTrain(h.cfg.MTU, payload)
 }
 
-// queueFrame appends one frame (or train) to the NIC queue.
-func (h *Host) queueFrame(f *Flow, seq int64, payload, members int, retx bool) {
-	id := *h.nextFrame
-	*h.nextFrame++
+// queueFrame appends the frame (or train) ctx describes to the NIC queue.
+func (h *Host) queueFrame(ctx *FrameCtx) {
 	fr := &switching.Frame{
-		ID:       id,
-		SrcNode:  f.Src,
-		DstNode:  f.Dst,
-		DataBits: h.wireBits(payload, members),
-		FlowID:   uint64(f.ID),
-		Frames:   members,
-		Meta:     &FrameCtx{Flow: f, Seq: seq, PayloadBytes: payload, Frames: members, Retransmit: retx},
+		SrcNode:  ctx.Flow.Src,
+		DstNode:  ctx.Flow.Dst,
+		DataBits: h.wireBits(ctx.PayloadBytes, ctx.Frames),
+		FlowID:   uint64(ctx.Flow.ID),
+		Frames:   ctx.Frames,
+		Meta:     ctx,
 	}
 	h.sendQ = append(h.sendQ, fr)
 	if h.cb.Trace != nil {
-		h.cb.Trace(true, f.ID, len(h.sendQ))
+		h.cb.Trace(true, ctx.Flow.ID, len(h.sendQ))
 	}
 }
 
@@ -258,11 +231,6 @@ func (h *Host) pump() {
 	fr.Injected = h.eng.Now()
 	tx := sim.Transmission(fr.DataBits, h.cfg.NICRate)
 	h.eng.After(tx, "nic-tx", func() {
-		ctx := fr.Meta.(*FrameCtx)
-		h.stats.FramesSent.Add(int64(ctx.members()))
-		if !ctx.Retransmit {
-			ctx.Flow.sentBytes += int64(ctx.PayloadBytes)
-		}
 		h.cb.Inject(fr)
 		h.nicBusy = false
 		h.pump()
@@ -280,7 +248,6 @@ func (h *Host) Deliver(fr *switching.Frame, sender *Host) {
 	if ctx.Corrupt {
 		// A corrupt train NACKs and resends whole: the members shared one
 		// wire event, so corruption poisons all of them together.
-		h.stats.FramesCorrupt.Add(int64(ctx.members()))
 		delay := sim.Duration(0)
 		if h.cb.NACKDelay != nil {
 			delay = h.cb.NACKDelay(h.node, fr.SrcNode)
@@ -288,8 +255,6 @@ func (h *Host) Deliver(fr *switching.Frame, sender *Host) {
 		sender.Retransmit(ctx, delay)
 		return
 	}
-	h.stats.FramesDelivered.Add(int64(ctx.members()))
-	h.stats.BytesDelivered.Add(int64(ctx.PayloadBytes))
 	flow := ctx.Flow
 	flow.ackedBytes += int64(ctx.PayloadBytes)
 	if !flow.done && flow.ackedBytes >= flow.Bytes {
@@ -317,38 +282,9 @@ func (h *Host) Retransmit(ctx *FrameCtx, delay sim.Duration) {
 		ctx.Flow.retx++
 		fresh := *ctx // new context: the old frame may still be in flight
 		fresh.Corrupt = false
-		fresh.Retransmit = true
-		h.queueFrameCtx(&fresh)
+		h.queueFrame(&fresh)
 		h.pump()
 	})
-}
-
-// queueFrameCtx enqueues a frame for an existing context.
-func (h *Host) queueFrameCtx(ctx *FrameCtx) {
-	id := *h.nextFrame
-	*h.nextFrame++
-	fr := &switching.Frame{
-		ID:       id,
-		SrcNode:  ctx.Flow.Src,
-		DstNode:  ctx.Flow.Dst,
-		DataBits: h.wireBits(ctx.PayloadBytes, ctx.members()),
-		FlowID:   uint64(ctx.Flow.ID),
-		Frames:   ctx.members(),
-		Meta:     ctx,
-	}
-	h.sendQ = append(h.sendQ, fr)
-	if h.cb.Trace != nil {
-		h.cb.Trace(true, ctx.Flow.ID, len(h.sendQ))
-	}
-}
-
-// members returns the context's member-frame count, treating legacy
-// zero-valued contexts as single frames.
-func (c *FrameCtx) members() int {
-	if c.Frames < 1 {
-		return 1
-	}
-	return c.Frames
 }
 
 // SetTrainLength changes the NIC's coalescing limit for frames queued
@@ -361,6 +297,3 @@ func (h *Host) SetTrainLength(n int) {
 	}
 	h.cfg.TrainLength = n
 }
-
-// QueuedFrames returns the NIC backlog (testing and telemetry).
-func (h *Host) QueuedFrames() int { return len(h.sendQ) }

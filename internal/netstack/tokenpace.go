@@ -123,8 +123,5 @@ func (p *TokenPacer) Grant(req sim.Time, bytes int64) (sim.Time, error) {
 	return release, nil
 }
 
-// Outstanding returns the granted-but-undrained bytes as of the last Grant.
-func (p *TokenPacer) Outstanding() int64 { return p.outstanding }
-
 // Stats returns the pacer's admission counters.
 func (p *TokenPacer) Stats() TokenPacerStats { return p.stats }

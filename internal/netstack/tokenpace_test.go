@@ -92,11 +92,8 @@ func TestTokenPacerCreditAccounting(t *testing.T) {
 			t.Fatalf("grant %d deferred to %v with window room free", i, rel)
 		}
 	}
-	if got := p.Outstanding(); got != 3000 {
-		t.Fatalf("Outstanding = %d, want 3000", got)
-	}
-	// The fourth must wait for the oldest to drain: sequential drains end
-	// at 8, 16, 24 µs — the head frees at 8 µs.
+	// The window is now full, so the fourth must wait for the oldest to
+	// drain: sequential drains end at 8, 16, 24 µs — the head frees at 8 µs.
 	rel, err := p.Grant(0, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +110,14 @@ func TestTokenPacerCreditAccounting(t *testing.T) {
 	if rel != far {
 		t.Errorf("post-drain grant released at %v, want its request time %v", rel, far)
 	}
-	if got := p.Outstanding(); got != 3000 {
-		t.Errorf("Outstanding = %d, want 3000 (only the fresh grant)", got)
+	// Only the fresh grant is outstanding, and it fills the window: one
+	// more byte waits for its 24 µs drain.
+	rel, err = p.Grant(far, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := far.Add(sim.Seconds(24000e-9)); rel != want {
+		t.Errorf("grant behind a full window released at %v, want %v", rel, want)
 	}
 }
 

@@ -19,10 +19,9 @@ type BurstChannel struct {
 	// MeanGoodDwell and MeanBadDwell are the mean state durations.
 	MeanGoodDwell, MeanBadDwell sim.Duration
 
-	bad       bool
-	nextFlip  sim.Time
-	rng       *sim.RNG
-	flipCount int
+	bad      bool
+	nextFlip sim.Time
+	rng      *sim.RNG
 }
 
 // NewBurstChannel validates and returns a channel model. The model starts
@@ -54,7 +53,6 @@ func NewBurstChannel(rng *sim.RNG, goodBER, badBER float64, meanGood, meanBad si
 func (c *BurstChannel) BERAt(now sim.Time) float64 {
 	for now.After(c.nextFlip) || now == c.nextFlip {
 		c.bad = !c.bad
-		c.flipCount++
 		dwell := c.MeanGoodDwell
 		if c.bad {
 			dwell = c.MeanBadDwell
@@ -66,12 +64,6 @@ func (c *BurstChannel) BERAt(now sim.Time) float64 {
 	}
 	return c.GoodBER
 }
-
-// InBurst reports whether the channel is currently in the Bad state.
-func (c *BurstChannel) InBurst() bool { return c.bad }
-
-// Transitions returns the number of state flips so far.
-func (c *BurstChannel) Transitions() int { return c.flipCount }
 
 // AttachBurstChannel installs a burst model on a lane: the lane's BER is
 // refreshed from the channel on every frame transfer.

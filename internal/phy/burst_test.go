@@ -45,11 +45,9 @@ func TestBurstChannelAlternates(t *testing.T) {
 			t.Fatal("BER outside the two states")
 		}
 	}
+	// The channel starts Good, so a Bad sample means it flipped.
 	if !sawGood || !sawBad {
 		t.Fatalf("states not both visited: good=%v bad=%v", sawGood, sawBad)
-	}
-	if c.Transitions() == 0 {
-		t.Fatal("no transitions recorded")
 	}
 }
 
@@ -62,8 +60,7 @@ func TestBurstChannelDwellFractions(t *testing.T) {
 	}
 	badSamples, total := 0, 0
 	for now := sim.Time(0); now < sim.Time(2*sim.Second); now = now.Add(10 * sim.Microsecond) {
-		c.BERAt(now)
-		if c.InBurst() {
+		if c.BERAt(now) == c.BadBER {
 			badSamples++
 		}
 		total++
@@ -75,7 +72,7 @@ func TestBurstChannelDwellFractions(t *testing.T) {
 }
 
 func TestLaneWithBurstChannel(t *testing.T) {
-	l := MustLink(1, Backplane, 2, 1, 25.78125e9)
+	l := testLink(t, 1)
 	rng := sim.NewRNG(4)
 	ch, err := NewBurstChannel(rng, 1e-15, 3e-5, 500*sim.Microsecond, 500*sim.Microsecond)
 	if err != nil {
@@ -87,7 +84,7 @@ func TestLaneWithBurstChannel(t *testing.T) {
 	const frames = 4000
 	for i := 0; i < frames; i++ {
 		now := sim.Time(i) * sim.Time(5*sim.Microsecond)
-		if l.TransferFrame(frameRng, now, 1500*8).Lost {
+		if l.TransferFrame(frameRng, now, 1500*8) {
 			lost++
 		}
 	}

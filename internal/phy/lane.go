@@ -40,25 +40,17 @@ func (s LaneState) String() string {
 
 // LaneStats is the per-lane statistics block of PLP #5: "per-lane
 // statistics such as: bit error rate, latency, and effective bandwidth".
-// The Closed Ring Control reads these through telemetry reports; effective
-// bandwidth is reported per link (Link.EffectiveRate).
+// Only the bit error rate is kept per lane: the fabric turns these two
+// counters into each link's windowed ringctl.LinkReport.MeasuredBER for the
+// Closed Ring Control. Latency is reported per link as LinkReport.QueueDelay,
+// from the fabric's per-link queue-delay EWMA, and effective bandwidth per
+// link as Link.EffectiveRate.
 type LaneStats struct {
-	// BitsCarried counts data bits delivered on the lane.
+	// BitsCarried counts wire bits (FEC expansion included) the lane
+	// carried.
 	BitsCarried telemetry.Counter
-	// FramesCarried counts frames (or frame slices) delivered.
-	FramesCarried telemetry.Counter
 	// PreFECBitErrors counts raw channel bit errors seen by the receiver.
 	PreFECBitErrors telemetry.Counter
-	// CorrectedSymbols counts FEC-corrected symbols.
-	CorrectedSymbols telemetry.Counter
-	// UncorrectableFrames counts frames lost to FEC failure.
-	UncorrectableFrames telemetry.Counter
-	// Latency smooths observed one-way lane latency (ps).
-	Latency *telemetry.EWMA
-}
-
-func newLaneStats() *LaneStats {
-	return &LaneStats{Latency: telemetry.NewEWMA(0.2)}
 }
 
 // Lane is one physical lane: a serial channel at a fixed signalling rate.
@@ -75,7 +67,7 @@ type Lane struct {
 	// burst optionally drives ber through a Gilbert–Elliott model.
 	burst *BurstChannel
 	// Stats is the PLP #5 statistics block.
-	Stats *LaneStats
+	Stats LaneStats
 }
 
 // NewLane returns an up lane at the given rate with a pristine channel.
@@ -83,7 +75,7 @@ func NewLane(index int, rate float64) *Lane {
 	if rate <= 0 {
 		panic("phy: lane rate must be positive")
 	}
-	return &Lane{Index: index, Rate: rate, state: LaneUp, ber: 1e-15, Stats: newLaneStats()}
+	return &Lane{Index: index, Rate: rate, state: LaneUp, ber: 1e-15}
 }
 
 // State returns the lane's operational state.

@@ -13,7 +13,7 @@ type LinkID int
 // Link is a bundle of lanes over one media span — the paper's unit of
 // reconfiguration. PLP #1 (break/bundle) changes how many lanes carry
 // switched traffic; PLP #3 (on/off) powers lanes; PLP #4 picks the FEC
-// profile; PLP #5 is exposed through each lane's Stats.
+// profile; PLP #5's BER counters are each lane's Stats.
 type Link struct {
 	ID LinkID
 	// LengthM is the physical span in meters.
@@ -52,15 +52,6 @@ func NewLink(id LinkID, media Media, lengthM float64, laneCount int, laneRate fl
 	none, _ := fec.ProfileByName("none")
 	l.fecP = none
 	return l, nil
-}
-
-// MustLink is NewLink panicking on error, for tests and fixed topologies.
-func MustLink(id LinkID, media Media, lengthM float64, laneCount int, laneRate float64) *Link {
-	l, err := NewLink(id, media, lengthM, laneCount, laneRate)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // Profile returns the media capability profile.
@@ -127,68 +118,33 @@ func (l *Link) WorstBER() float64 {
 	return worst
 }
 
-// TransferOutcome reports what happened to one frame on the wire.
-type TransferOutcome struct {
-	// Lost reports the frame was uncorrectable and discarded.
-	Lost bool
-	// PreFECBitErrors is the raw channel error count for the frame.
-	PreFECBitErrors int64
-	// CorrectedSymbols counts symbols repaired by FEC.
-	CorrectedSymbols int64
-}
-
 // TransferFrame runs the channel error model for one frame of dataBits at
-// instant now and updates per-lane statistics. Loss is decided by the FEC
+// instant now and reports whether the frame was lost. The frame's wire
+// bits stripe evenly over the lanes that carry; each such lane counts its
+// share and a sampled raw bit-error count in its Stats, so receiver BER
+// estimation sees realistic statistics. Loss is decided by the FEC
 // profile's analytic post-FEC loss probability at the link's true BER
-// (refreshed through any attached burst channel); raw error counts are
-// sampled so receiver BER estimation sees realistic statistics.
-func (l *Link) TransferFrame(rng *sim.RNG, now sim.Time, dataBits int64) TransferOutcome {
-	wireBits := int64(float64(dataBits) * l.fecP.Overhead())
-	active := make([]*Lane, 0, len(l.Lanes))
+// (refreshed through any attached burst channel). The RNG draw order is
+// fixed: one Binomial per carrying lane in lane order, then one Float64.
+func (l *Link) TransferFrame(rng *sim.RNG, now sim.Time, dataBits int64) (lost bool) {
+	carrying := 0
 	for _, lane := range l.Lanes {
 		if lane.Carries() {
 			lane.refreshBER(now)
-			active = append(active, lane)
+			carrying++
 		}
 	}
-	if len(active) == 0 {
+	if carrying == 0 {
 		panic(fmt.Sprintf("phy: TransferFrame on down link %d", l.ID))
 	}
-	out := TransferOutcome{}
-	perLane := wireBits / int64(len(active))
-	for _, lane := range active {
-		errs := rng.Binomial(perLane, lane.BER())
-		out.PreFECBitErrors += errs
-		lane.Stats.BitsCarried.Add(perLane)
-		lane.Stats.FramesCarried.Inc()
-		lane.Stats.PreFECBitErrors.Add(errs)
-	}
-	lossP := l.fecP.Code.FrameLossProb(l.WorstBER(), int(dataBits))
-	if rng.Float64() < lossP {
-		out.Lost = true
-		for _, lane := range active {
-			lane.Stats.UncorrectableFrames.Inc()
-		}
-		return out
-	}
-	// Corrected symbols: every raw bit error that was not part of a lost
-	// frame was repaired (conservatively one symbol per bit error).
-	out.CorrectedSymbols = out.PreFECBitErrors
-	if out.CorrectedSymbols > 0 {
-		for _, lane := range active {
-			lane.Stats.CorrectedSymbols.Add(out.CorrectedSymbols / int64(len(active)))
-		}
-	}
-	return out
-}
-
-// ObserveLatency folds a measured one-way latency into active lanes' stats.
-func (l *Link) ObserveLatency(d sim.Duration) {
+	perLane := int64(float64(dataBits)*l.fecP.Overhead()) / int64(carrying)
 	for _, lane := range l.Lanes {
 		if lane.Carries() {
-			lane.Stats.Latency.Observe(float64(d))
+			lane.Stats.BitsCarried.Add(perLane)
+			lane.Stats.PreFECBitErrors.Add(rng.Binomial(perLane, lane.BER()))
 		}
 	}
+	return rng.Float64() < l.fecP.Code.FrameLossProb(l.WorstBER(), int(dataBits))
 }
 
 // SplitLanes moves the top (len−keep) lanes out of switched service and

@@ -73,7 +73,6 @@ type Budget struct {
 	lastWatts float64
 	energyJ   float64
 	peakW     float64
-	overSince sim.Time
 	overTime  sim.Duration
 	over      bool
 	started   bool
@@ -111,11 +110,7 @@ func (b *Budget) Observe(now sim.Time, watts float64) {
 	if watts > b.peakW {
 		b.peakW = watts
 	}
-	nowOver := b.CapW > 0 && watts > b.CapW
-	if nowOver && !b.over {
-		b.overSince = now
-	}
-	b.over = nowOver
+	b.over = b.CapW > 0 && watts > b.CapW
 }
 
 // CurrentW returns the last observed draw.
@@ -126,9 +121,6 @@ func (b *Budget) PeakW() float64 { return b.peakW }
 
 // EnergyJ returns the integrated consumption up to the last observation.
 func (b *Budget) EnergyJ() float64 { return b.energyJ }
-
-// Over reports whether the last observation exceeded the cap.
-func (b *Budget) Over() bool { return b.over }
 
 // OverTime returns total time spent above the cap.
 func (b *Budget) OverTime() sim.Duration { return b.overTime }

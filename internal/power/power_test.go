@@ -11,7 +11,10 @@ import (
 
 func TestLinkPowerStates(t *testing.T) {
 	m := DefaultModel()
-	l := phy.MustLink(1, phy.Backplane, 2, 4, 25.78125e9)
+	l, err := phy.NewLink(1, phy.Backplane, 2, 4, 25.78125e9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prof := l.Profile()
 	// 4 active lanes, both ends.
 	want := 8 * prof.LanePowerW
@@ -39,7 +42,10 @@ func TestLinkPowerStates(t *testing.T) {
 
 func TestLinkPowerFEC(t *testing.T) {
 	m := DefaultModel()
-	l := phy.MustLink(1, phy.Backplane, 2, 2, 25.78125e9)
+	l, err := phy.NewLink(1, phy.Backplane, 2, 2, 25.78125e9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := m.LinkPower(l)
 	rs, _ := fec.ProfileByName("rs(255,239)")
 	l.SetFEC(rs)
@@ -89,22 +95,24 @@ func TestBudgetEnergyIntegration(t *testing.T) {
 func TestBudgetOverCap(t *testing.T) {
 	b := NewBudget(80)
 	b.Observe(0, 50)
-	if b.Over() {
-		t.Fatal("under cap flagged over")
-	}
 	if hw, capped := b.HeadroomW(); !capped || hw != 30 {
 		t.Fatalf("headroom = %v capped=%v", hw, capped)
 	}
 	b.Observe(sim.Time(sim.Second), 100)
-	if !b.Over() {
-		t.Fatal("over cap not flagged")
+	if b.OverTime() != 0 {
+		t.Fatalf("under-cap second counted over: over time = %v", b.OverTime())
+	}
+	if hw, _ := b.HeadroomW(); hw != -20 {
+		t.Fatalf("headroom over cap = %v", hw)
 	}
 	b.Observe(sim.Time(3*sim.Second), 60)
-	if b.Over() {
-		t.Fatal("still flagged over after recovery")
-	}
 	if b.OverTime() != 2*sim.Second {
 		t.Fatalf("over time = %v", b.OverTime())
+	}
+	// Back under the cap: no further over time accrues.
+	b.Observe(sim.Time(4*sim.Second), 60)
+	if b.OverTime() != 2*sim.Second {
+		t.Fatalf("over time grew after recovery: %v", b.OverTime())
 	}
 }
 

@@ -377,6 +377,3 @@ func (c *Controller) ApplyGridToTorus(keepLanes int) error {
 	c.reconfigd = true
 	return nil
 }
-
-// Reconfigured reports whether the topology mutation already ran.
-func (c *Controller) Reconfigured() bool { return c.reconfigd }

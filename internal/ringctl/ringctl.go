@@ -195,7 +195,6 @@ type Controller struct {
 	bypasses  int
 	bypassed  map[[2]int]*bypassState // (src,dst) pairs with an issued express setup
 	reconfigd bool
-	epochs    int
 }
 
 // bypassState tracks one policy-built express channel for reclamation.
@@ -275,9 +274,6 @@ func (c *Controller) Start() {
 // Decisions returns the decision log.
 func (c *Controller) Decisions() []Decision { return c.decisions }
 
-// Epochs returns how many collection rounds have completed.
-func (c *Controller) Epochs() int { return c.epochs }
-
 // epoch is one turn of the ring: collect, then act one ring RTT later.
 func (c *Controller) epoch() {
 	reports := c.fabric.Reports()
@@ -286,7 +282,6 @@ func (c *Controller) epoch() {
 	// slightly stale) view — an honest closed-loop model.
 	c.eng.After(c.RingRTT(), "crc-actuate", func() {
 		c.actuate(reports)
-		c.epochs++
 		c.eng.After(c.Epoch(), "crc-epoch", c.epoch)
 	})
 }

@@ -122,7 +122,10 @@ func TestECMPSpreads(t *testing.T) {
 
 func TestExpressEdgeShortcut(t *testing.T) {
 	g := topo.NewGrid(4, 1, topo.Options{})
-	link := phy.MustLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g.AddExpress(0, 3, []topo.NodeID{1, 2}, link)
 	tab := Build(g, UniformCost)
 	if d := tab.Distance(0, 3); d != 1 {

@@ -11,6 +11,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rackfab/internal/sim"
@@ -209,9 +210,9 @@ func (d *Driver) MarshalState() []byte {
 	cur := d.cfg.Source.MarshalState()
 	b := make([]byte, 0, 1+8+8+4+len(cur))
 	b = append(b, driverStateVersion)
-	b = appendU64(b, uint64(d.ticks))
-	b = appendU64(b, uint64(d.retainedPeak))
-	b = appendU32(b, uint32(len(cur)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.ticks))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.retainedPeak))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cur)))
 	b = append(b, cur...)
 	return b
 }
@@ -229,9 +230,9 @@ func (d *Driver) RestoreState(state []byte) error {
 	if state[0] != driverStateVersion {
 		return fmt.Errorf("service: driver state version %d, want %d", state[0], driverStateVersion)
 	}
-	d.ticks = int64(readU64(state[1:]))
-	d.retainedPeak = int(readU64(state[9:]))
-	n := int(readU32(state[17:]))
+	d.ticks = int64(binary.LittleEndian.Uint64(state[1:]))
+	d.retainedPeak = int(binary.LittleEndian.Uint64(state[9:]))
+	n := int(binary.LittleEndian.Uint32(state[17:]))
 	if len(state) != 21+n {
 		return fmt.Errorf("service: driver state length %d, want %d", len(state), 21+n)
 	}
@@ -242,25 +243,4 @@ func (d *Driver) RestoreState(state []byte) error {
 	d.fct.Reset()
 	d.account(d.t.Drain())
 	return nil
-}
-
-// appendU64/appendU32/readU64/readU32 are the little-endian helpers shared
-// with the façade's checkpoint codec (kept local: internal/service must not
-// import the root package).
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

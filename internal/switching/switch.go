@@ -17,15 +17,12 @@ import (
 	"fmt"
 
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 )
 
 // Frame is the unit of switched traffic: simulation metadata for one
 // Ethernet frame in flight. The wire encoding lives in netstack; the
-// switch only needs sizes and identity.
+// switch only needs sizes and addresses.
 type Frame struct {
-	// ID is unique per frame within a run.
-	ID uint64
 	// SrcNode and DstNode are fabric node IDs.
 	SrcNode, DstNode int
 	// DataBits is the frame's wire size before FEC expansion, including
@@ -41,11 +38,11 @@ type Frame struct {
 	// VLBPhase2 is Valiant load balancing's per-frame phase bit: false
 	// while the frame heads for its pivot node, true once past it.
 	VLBPhase2 bool
-	// Frames is the member count when this Frame is a train of coalesced
-	// consecutive same-flow frames sharing one scheduling event (0 or 1
-	// means a single frame). DataBits already sums the members' wire
-	// bits; the switch treats a train as one VOQ entry and the endpoints
-	// expand per-member accounting on delivery.
+	// Frames is the member count, ≥ 1: a Frame with Frames > 1 is a
+	// train of coalesced consecutive same-flow frames sharing one
+	// scheduling event. DataBits already sums the members' wire bits; the
+	// switch treats a train as one VOQ entry and the endpoints expand
+	// per-member accounting on delivery.
 	Frames int
 	// Deadline, retry counts etc. travel in Meta, opaque to the switch.
 	Meta interface{}
@@ -131,31 +128,17 @@ type Callbacks struct {
 	Trace func(enq bool, out int, f *Frame, depth int)
 }
 
-// Stats exposes the switch's instruments.
-type Stats struct {
-	// Forwarded counts frames granted to an output.
-	Forwarded telemetry.Counter
-	// Dropped counts discarded frames.
-	Dropped telemetry.Counter
-	// QueueDelay is the VOQ residency distribution in picoseconds.
-	QueueDelay *telemetry.Histogram
-	// Occupancy tracks instantaneous buffered frames.
-	Occupancy telemetry.Gauge
-}
-
 // queued is one VOQ entry.
 type queued struct {
 	frame      *Frame
 	eligibleAt sim.Time
-	enqueued   sim.Time
 }
 
 // Switch is one node's packet switch.
 type Switch struct {
-	node int
-	eng  *sim.Engine
-	cfg  Config
-	cb   Callbacks
+	eng *sim.Engine
+	cfg Config
+	cb  Callbacks
 
 	voq        [][][]queued // [input][output]fifo
 	inputCount []int        // frames buffered per input
@@ -163,13 +146,10 @@ type Switch struct {
 	outPaused  []bool
 	pauseGen   []uint64 // per output: generation counter for the watchdog
 	rrPointer  []int    // per output, next input to consider
-	stats      Stats
-	buffered   int
-	watchdogs  int
 }
 
-// New builds a switch for the given node.
-func New(node int, eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
+// New builds a switch.
+func New(eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 	if cfg.Ports <= 0 {
 		panic("switching: switch needs ports")
 	}
@@ -186,7 +166,6 @@ func New(node int, eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 		cfg.PauseLowWatermark = cfg.PauseHighWatermark / 3
 	}
 	s := &Switch{
-		node:       node,
 		eng:        eng,
 		cfg:        cfg,
 		cb:         cb,
@@ -200,12 +179,8 @@ func New(node int, eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 	for i := range s.voq {
 		s.voq[i] = make([][]queued, cfg.Ports)
 	}
-	s.stats.QueueDelay = telemetry.NewHistogram()
 	return s
 }
-
-// Stats returns the instrument block.
-func (s *Switch) Stats() *Stats { return &s.stats }
 
 // Inject delivers a frame to input port at the moment it becomes available
 // to the switching logic (the fabric schedules this per the forwarding
@@ -230,12 +205,9 @@ func (s *Switch) Inject(port int, f *Frame) {
 		s.drop(f, "voq-overflow")
 		return
 	}
-	now := s.eng.Now()
-	entry := queued{frame: f, eligibleAt: now.Add(s.cfg.PipelineLatency), enqueued: now}
+	entry := queued{frame: f, eligibleAt: s.eng.Now().Add(s.cfg.PipelineLatency)}
 	s.voq[port][out] = append(s.voq[port][out], entry)
 	s.inputCount[port]++
-	s.buffered++
-	s.stats.Occupancy.Set(float64(s.buffered))
 	if s.inputCount[port] == s.cfg.PauseHighWatermark && s.cb.Pause != nil {
 		s.cb.Pause(port, true)
 	}
@@ -262,7 +234,6 @@ func (s *Switch) SetOutputPaused(port int, paused bool) {
 		gen := s.pauseGen[port]
 		s.eng.After(s.cfg.PauseWatchdog, "pause-watchdog", func() {
 			if s.outPaused[port] && s.pauseGen[port] == gen {
-				s.watchdogs++
 				s.outPaused[port] = false
 				s.pauseGen[port]++
 				s.tryGrant(port)
@@ -270,9 +241,6 @@ func (s *Switch) SetOutputPaused(port int, paused bool) {
 		})
 	}
 }
-
-// WatchdogTrips counts forced pause releases (deadlock-breaker activity).
-func (s *Switch) WatchdogTrips() int { return s.watchdogs }
 
 // tryGrant runs the arbiter for one output: find the next input (round
 // robin from the output's pointer) whose head-of-line frame for this output
@@ -296,15 +264,11 @@ func (s *Switch) tryGrant(out int) {
 		// Grant.
 		s.voq[in][out] = q[1:]
 		s.inputCount[in]--
-		s.buffered--
-		s.stats.Occupancy.Set(float64(s.buffered))
 		if s.inputCount[in] == s.cfg.PauseLowWatermark && s.cb.Pause != nil {
 			s.cb.Pause(in, false)
 		}
 		// iSLIP pointer update: advance past the granted input.
 		s.rrPointer[out] = (in + 1) % n
-		s.stats.Forwarded.Inc()
-		s.stats.QueueDelay.Record(int64(now.Sub(head.enqueued)))
 		if s.cb.Trace != nil {
 			s.cb.Trace(false, out, head.frame, len(s.voq[in][out]))
 		}
@@ -321,7 +285,6 @@ func (s *Switch) tryGrant(out int) {
 }
 
 func (s *Switch) drop(f *Frame, reason string) {
-	s.stats.Dropped.Inc()
 	if s.cb.Drop != nil {
 		s.cb.Drop(f, reason)
 	}

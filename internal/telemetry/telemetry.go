@@ -1,23 +1,21 @@
 // Package telemetry provides the measurement substrate for the fabric
-// models: counters, gauges, EWMA estimators, log-bucket latency
-// histograms, windowed series and exact nearest-rank percentiles.
+// models: counters, EWMA estimators, log-bucket latency histograms,
+// windowed series and exact nearest-rank percentiles.
+//
+// Every instrument is a plain value with no locking: each simulated world
+// (one engine and its fabric) runs on a single goroutine, and the sweep
+// pool gives every trial its own world.
 //
 // The paper's Physical Layer Primitive #5 is "per-lane statistics such as
-// bit error rate, latency, and effective bandwidth"; those lane statistics
-// (phy.LaneStats) are built from the estimators in this package, and the
-// Closed Ring Control consumes them through the telemetry snapshot types.
+// bit error rate, latency, and effective bandwidth"; the lane counters in
+// phy.LaneStats and the fabric's per-link latency EWMA are built from the
+// instruments in this package, and the Closed Ring Control consumes them
+// as per-link reports.
 package telemetry
 
-import (
-	"math"
-	"sync/atomic"
-)
-
 // Counter is a monotonically increasing event count (frames, bits, drops).
-// It is atomic so the rare cross-goroutine readers (progress reporting in
-// examples) never tear a read; the hot path is still a single-threaded add.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter by n (n may not be negative).
@@ -25,25 +23,14 @@ func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic("telemetry: Counter.Add negative")
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a point-in-time level (queue depth, power draw, price).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (c *Counter) Value() int64 { return c.v }
 
 // EWMA is an exponentially weighted moving average with configurable weight
 // for new observations. It is the smoother used for link latency and
@@ -76,6 +63,3 @@ func (e *EWMA) Observe(v float64) {
 
 // Value returns the current smoothed estimate (zero before any sample).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one sample has been observed.
-func (e *EWMA) Primed() bool { return e.primed }

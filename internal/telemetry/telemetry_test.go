@@ -24,18 +24,10 @@ func TestCounterNegativePanics(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3.5)
-	if g.Value() != 3.5 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-}
-
 func TestEWMAPriming(t *testing.T) {
 	e := NewEWMA(0.2)
-	if e.Primed() {
-		t.Fatal("primed before any sample")
+	if e.Value() != 0 {
+		t.Fatalf("value %v before any sample, want 0", e.Value())
 	}
 	e.Observe(100)
 	if e.Value() != 100 {

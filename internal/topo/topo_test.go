@@ -189,7 +189,10 @@ func TestDisconnection(t *testing.T) {
 
 func TestExpressEdges(t *testing.T) {
 	g := NewGrid(4, 4, Options{})
-	link := phy.MustLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := g.AddExpress(g.NodeAt(0, 0), g.NodeAt(3, 0), []NodeID{1, 2}, link)
 	if !e.Express || len(e.Via) != 2 {
 		t.Fatal("express edge malformed")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,47 @@ func TestServiceSoakRetainedBounded(t *testing.T) {
 	}
 	if st.AttainPct <= 0 || st.P99FCT <= 0 {
 		t.Fatalf("soak produced empty statistics: %+v", st)
+	}
+}
+
+// TestPacketServiceHeapFlat: on the packet engine, service-mode state is
+// bounded for all state, not only the retained-flow count. About 20k more
+// flows served over one simulated second must leave the live heap where
+// the warm-up left it.
+func TestPacketServiceHeapFlat(t *testing.T) {
+	c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: EnginePacket, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Serve(ServeConfig{
+		Tick:     time.Millisecond,
+		Arrivals: ArrivalSpec{Seed: 8, Rate: 20000, Sizes: "fixed:2000"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	if err := s.RunUntil(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.Stats().Injected
+	before := heap()
+	if err := s.RunUntil(1050 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	grown := heap() - before
+	runtime.KeepAlive(s)
+	if served := s.Stats().Injected - warm; served < 15000 {
+		t.Fatalf("served only %d flows after warm-up", served)
+	}
+	if grown >= 256<<10 {
+		t.Fatalf("serving %d flows grew the live heap by %d KB, want < 256 KB",
+			s.Stats().Injected-warm, grown>>10)
 	}
 }
 
