@@ -72,7 +72,7 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 	if port == 0 {
 		// Egress to the local host: deliver when serialization completes.
 		tx := sim.Transmission(fr.DataBits, f.cfg.Host.NICRate)
-		f.eng.After(tx, "host-rx", func() { f.deliver(node, fr) })
+		f.eng.PostAfter(tx, (*hostRx)(f), node, fr)
 		return
 	}
 	e := f.edgeAt[node][port]
@@ -81,7 +81,6 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 		return
 	}
 	ls := f.links[e.Link.ID]
-	peer := int(e.Other(topo.NodeID(node)))
 	link := e.Link
 
 	serialize := link.SerializationDelay(fr.DataBits)
@@ -133,15 +132,26 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 		ingress = serialize + prop + fecLat
 	}
 	fr.Hops++
-	f.eng.After(ingress, "link-rx", func() {
-		peerPort, ok := f.portOf[peer][e]
-		if !ok {
-			f.onDrop(fr, "peer-port-gone")
-			return
-		}
-		f.switches[peer].Inject(peerPort, fr)
-	})
+	f.eng.PostAfter(ingress, ls, int(e.Other(topo.NodeID(node))), fr)
 }
+
+// Handle is the link-rx event: frame x has reached node peer's ingress
+// over ls's edge (its header under cut-through, its tail otherwise).
+func (ls *linkState) Handle(peer int, x any) {
+	f, fr := ls.fab, x.(*switching.Frame)
+	peerPort, ok := f.portOf[peer][ls.edge]
+	if !ok {
+		f.onDrop(fr, "peer-port-gone")
+		return
+	}
+	f.switches[peer].Inject(peerPort, fr)
+}
+
+// hostRx is the host-rx event: frame x has finished serializing onto node
+// arg's host port.
+type hostRx Fabric
+
+func (f *hostRx) Handle(node int, x any) { (*Fabric)(f).deliver(node, x.(*switching.Frame)) }
 
 func minInt64(a, b int64) int64 {
 	if a < b {

@@ -269,7 +269,7 @@ func (f *Fabric) applyBypassOn(cmd plp.Command) error {
 		via = append(via, topo.NodeID(n))
 	}
 	e := f.g.AddExpress(a, b, via, link)
-	f.links[link.ID] = &linkState{edge: e, windowStart: f.eng.Now(), qDelay: telemetry.NewEWMA(0.2)}
+	f.links[link.ID] = &linkState{fab: f, edge: e, windowStart: f.eng.Now(), qDelay: telemetry.NewEWMA(0.2)}
 	for _, donor := range donors {
 		f.claimed[donor] = [2]topo.NodeID{a, b}
 	}

@@ -80,8 +80,10 @@ type Stats struct {
 	FCT *telemetry.Histogram
 }
 
-// linkState is the fabric's per-link bookkeeping.
+// linkState is the fabric's per-link bookkeeping, and the handler of the
+// link's link-rx events.
 type linkState struct {
+	fab  *Fabric
 	edge *topo.Edge
 	// busyPs accumulates transmitter busy time per direction (index 0:
 	// A→B, 1: B→A) since windowStart, for utilization reports.
@@ -227,7 +229,7 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		f.hosts[node] = host.New(node, eng, cfg.Host, hostCb, f.onFlowDone)
 	}
 	for _, e := range f.g.Edges() {
-		f.links[e.Link.ID] = &linkState{edge: e, qDelay: telemetry.NewEWMA(0.2)}
+		f.links[e.Link.ID] = &linkState{fab: f, edge: e, qDelay: telemetry.NewEWMA(0.2)}
 	}
 	f.costFn = route.UniformCost
 	f.table = route.Build(f.g, f.costFn)

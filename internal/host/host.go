@@ -9,6 +9,7 @@ package host
 import (
 	"fmt"
 
+	"rackfab/internal/fifo"
 	"rackfab/internal/netstack"
 	"rackfab/internal/sim"
 	"rackfab/internal/switching"
@@ -60,7 +61,9 @@ func (f *Flow) FCT() sim.Duration {
 func (f *Flow) Retransmits() int64 { return f.retx }
 
 // FrameCtx is the per-frame transport context carried in
-// switching.Frame.Meta.
+// switching.Frame.Meta. It also holds the frame itself, so one allocation
+// backs both; once the receiver consumes a clean frame, the pair goes back
+// to the sending host's free list.
 type FrameCtx struct {
 	Flow *Flow
 	// Seq is the frame index within the flow (the first member's index
@@ -78,6 +81,8 @@ type FrameCtx struct {
 	Corrupt bool
 	// Retries counts resend attempts for this frame.
 	Retries int
+
+	frame switching.Frame
 }
 
 // MaxRetries bounds per-frame resend attempts; a frame exceeding it marks
@@ -120,6 +125,17 @@ type Callbacks struct {
 	Trace func(enq bool, flow FlowID, depth int)
 }
 
+// sendEntry is one NIC queue entry: a flow cursor, which cuts the flow's
+// next frame or train only when the NIC pulls, or (retx non-nil) one
+// queued retransmit.
+type sendEntry struct {
+	flow  *Flow
+	seq   int64 // index of the next frame to cut
+	left  int64 // bytes not yet cut
+	train int   // the train length in force when the flow was queued
+	retx  *FrameCtx
+}
+
 // Host is one node's end system: NIC send queue plus receive side.
 type Host struct {
 	node int
@@ -127,7 +143,9 @@ type Host struct {
 	cfg  Config
 	cb   Callbacks
 
-	sendQ   []*switching.Frame
+	sendQ   fifo.Queue[sendEntry]
+	queued  int // frames and trains still in sendQ
+	free    []*FrameCtx
 	nicBusy bool
 	paused  bool
 	onDone  func(*Flow)
@@ -158,7 +176,9 @@ func New(node int, eng *sim.Engine, cfg Config, cb Callbacks, onFlowDone func(*F
 }
 
 // StartFlow begins transmitting a flow from this host. The flow must
-// originate here.
+// originate here. It queues one cursor that cuts the flow into MTU frames,
+// coalescing up to TrainLength consecutive ones into a train, as the NIC
+// pulls them.
 func (h *Host) StartFlow(f *Flow) {
 	if f.Src != h.node {
 		panic(fmt.Sprintf("host %d: flow %d originates at %d", h.node, f.ID, f.Src))
@@ -167,28 +187,16 @@ func (h *Host) StartFlow(f *Flow) {
 		panic(fmt.Sprintf("host: flow %d has no bytes", f.ID))
 	}
 	f.started = h.eng.Now()
-	h.enqueueFlowFrames(f)
-}
-
-// enqueueFlowFrames slices the flow into MTU frames, coalesces up to
-// TrainLength consecutive ones into train events, and queues them.
-func (h *Host) enqueueFlowFrames(f *Flow) {
-	train := h.cfg.TrainLength
-	if train < 1 {
-		train = 1
-	}
-	remaining := f.Bytes
-	seq := int64(0)
-	for remaining > 0 {
-		payload := int64(train) * int64(h.cfg.MTU)
-		if remaining < payload {
-			payload = remaining
+	train := max(h.cfg.TrainLength, 1)
+	per := int64(train) * int64(h.cfg.MTU)
+	n := int((f.Bytes + per - 1) / per)
+	if h.cb.Trace != nil {
+		for i := 1; i <= n; i++ {
+			h.cb.Trace(true, f.ID, h.queued+i)
 		}
-		members := (int(payload) + h.cfg.MTU - 1) / h.cfg.MTU
-		h.queueFrame(&FrameCtx{Flow: f, Seq: seq, PayloadBytes: int(payload), Frames: members})
-		remaining -= payload
-		seq += int64(members)
 	}
+	h.queued += n
+	h.sendQ.Push(sendEntry{flow: f, left: f.Bytes, train: train})
 	h.pump()
 }
 
@@ -201,40 +209,69 @@ func (h *Host) wireBits(payload, members int) int64 {
 	return netstack.WireBitsForTrain(h.cfg.MTU, payload)
 }
 
-// queueFrame appends the frame (or train) ctx describes to the NIC queue.
-func (h *Host) queueFrame(ctx *FrameCtx) {
-	fr := &switching.Frame{
-		SrcNode:  ctx.Flow.Src,
-		DstNode:  ctx.Flow.Dst,
-		DataBits: h.wireBits(ctx.PayloadBytes, ctx.Frames),
-		FlowID:   uint64(ctx.Flow.ID),
-		Frames:   ctx.Frames,
-		Meta:     ctx,
+// newCtx takes frame storage off the free list, or allocates fresh.
+func (h *Host) newCtx() *FrameCtx {
+	n := len(h.free)
+	if n == 0 {
+		return &FrameCtx{}
 	}
-	h.sendQ = append(h.sendQ, fr)
-	if h.cb.Trace != nil {
-		h.cb.Trace(true, ctx.Flow.ID, len(h.sendQ))
+	ctx := h.free[n-1]
+	h.free = h.free[:n-1]
+	return ctx
+}
+
+// cut takes the context of the next frame (or train) off the NIC queue:
+// the head's retransmit, or the next cut of the head's flow.
+func (h *Host) cut() *FrameCtx {
+	e := h.sendQ.Front()
+	if e.retx != nil {
+		return h.sendQ.Pop().retx
 	}
+	mtu := int64(h.cfg.MTU)
+	payload := min(int64(e.train)*mtu, e.left)
+	members := (payload + mtu - 1) / mtu
+	ctx := h.newCtx()
+	ctx.Flow, ctx.Seq, ctx.PayloadBytes, ctx.Frames = e.flow, e.seq, int(payload), int(members)
+	e.seq += members
+	if e.left -= payload; e.left == 0 {
+		h.sendQ.Pop()
+	}
+	return ctx
 }
 
 // pump drains the NIC queue at NICRate.
 func (h *Host) pump() {
-	if h.nicBusy || h.paused || len(h.sendQ) == 0 {
+	if h.nicBusy || h.paused || h.queued == 0 {
 		return
 	}
-	fr := h.sendQ[0]
-	h.sendQ = h.sendQ[1:]
+	ctx := h.cut()
+	h.queued--
 	if h.cb.Trace != nil {
-		h.cb.Trace(false, FlowID(fr.FlowID), len(h.sendQ))
+		h.cb.Trace(false, ctx.Flow.ID, h.queued)
+	}
+	fr := &ctx.frame
+	*fr = switching.Frame{
+		SrcNode:  ctx.Flow.Src,
+		DstNode:  ctx.Flow.Dst,
+		DataBits: h.wireBits(ctx.PayloadBytes, ctx.Frames),
+		FlowID:   uint64(ctx.Flow.ID),
+		Injected: h.eng.Now(),
+		Frames:   ctx.Frames,
+		Meta:     ctx,
 	}
 	h.nicBusy = true
-	fr.Injected = h.eng.Now()
-	tx := sim.Transmission(fr.DataBits, h.cfg.NICRate)
-	h.eng.After(tx, "nic-tx", func() {
-		h.cb.Inject(fr)
-		h.nicBusy = false
-		h.pump()
-	})
+	h.eng.PostAfter(sim.Transmission(fr.DataBits, h.cfg.NICRate), (*nicTx)(h), 0, fr)
+}
+
+// nicTx is the nic-tx event: frame x has finished serializing out of the
+// NIC and enters the fabric.
+type nicTx Host
+
+func (n *nicTx) Handle(_ int, x any) {
+	h := (*Host)(n)
+	h.cb.Inject(x.(*switching.Frame))
+	h.nicBusy = false
+	h.pump()
 }
 
 // Deliver is called by the fabric when a frame reaches this host's NIC.
@@ -264,6 +301,9 @@ func (h *Host) Deliver(fr *switching.Frame, sender *Host) {
 			h.onDone(flow)
 		}
 	}
+	// The frame is consumed: nothing reads it or its context again.
+	*ctx = FrameCtx{}
+	sender.free = append(sender.free, ctx)
 }
 
 // Retransmit schedules a resend of the frame described by ctx after delay.
@@ -280,15 +320,22 @@ func (h *Host) Retransmit(ctx *FrameCtx, delay sim.Duration) {
 	}
 	h.eng.After(delay, "retx", func() {
 		ctx.Flow.retx++
-		fresh := *ctx // new context: the old frame may still be in flight
-		fresh.Corrupt = false
-		h.queueFrame(&fresh)
+		// A new context: the old frame may still be in flight.
+		fresh := h.newCtx()
+		fresh.Flow, fresh.Seq, fresh.PayloadBytes, fresh.Frames, fresh.Retries =
+			ctx.Flow, ctx.Seq, ctx.PayloadBytes, ctx.Frames, ctx.Retries
+		h.sendQ.Push(sendEntry{retx: fresh})
+		h.queued++
+		if h.cb.Trace != nil {
+			h.cb.Trace(true, ctx.Flow.ID, h.queued)
+		}
 		h.pump()
 	})
 }
 
-// SetTrainLength changes the NIC's coalescing limit for frames queued
-// from now on (in-flight and already-queued frames keep their shape).
+// SetTrainLength changes the NIC's coalescing limit for flows queued from
+// now on. In-flight and already-queued frames keep their shape: a queued
+// flow's cursor keeps the train length it was queued with.
 // The fabric drops every NIC to per-frame granularity when a run turns
 // on per-frame observation such as BER injection.
 func (h *Host) SetTrainLength(n int) {

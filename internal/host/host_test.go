@@ -214,3 +214,88 @@ func TestTwoFlowsShareNIC(t *testing.T) {
 		t.Fatal("queued flow finished before the head flow")
 	}
 }
+
+// nicEvent is one observation of the NIC trace hook.
+type nicEvent struct {
+	enq   bool
+	flow  FlowID
+	depth int
+}
+
+// TestNICTraceDepths pins the NIC queue's trace: StartFlow reports one
+// enqueue per frame with depths d+1 … d+n, each pull reports a dequeue
+// with the count left, and a retransmit joins the tail of the queue,
+// behind a flow queued before it.
+func TestNICTraceDepths(t *testing.T) {
+	lb := newLoopback(0) // a corrupt frame is NACKed the instant it leaves
+	var got []nicEvent
+	h := lb.hosts[0]
+	h.cb.Trace = func(enq bool, flow FlowID, depth int) { got = append(got, nicEvent{enq, flow, depth}) }
+	lb.corruptSeqs[1] = true // flow 1's second frame is resent once
+	f1 := &Flow{ID: 1, Src: 0, Dst: 1, Bytes: 4500}
+	f2 := &Flow{ID: 2, Src: 0, Dst: 1, Bytes: 1500}
+	lb.eng.At(0, "start", func() {
+		h.StartFlow(f1)
+		h.StartFlow(f2)
+	})
+	if err := lb.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []nicEvent{
+		{true, 1, 1}, {true, 1, 2}, {true, 1, 3}, {false, 1, 2}, // f1 queued, frame 0 pulled
+		{true, 2, 3},                 // f2 queued behind it
+		{false, 1, 2}, {false, 1, 1}, // frames 1 and 2 pulled; 1 is NACKed
+		{true, 1, 2}, // the resend joins behind f2
+		{false, 2, 1}, {false, 1, 0},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("NIC trace\n got %v\nwant %v", got, want)
+	}
+	if !slices.Equal(lb.sent, []int64{0, 1, 2, 0, 1}) {
+		t.Fatalf("sent seqs = %v", lb.sent)
+	}
+	if !f1.Done() || !f2.Done() || f1.Retransmits() != 1 {
+		t.Fatalf("done %v/%v, retransmits %d", f1.Done(), f2.Done(), f1.Retransmits())
+	}
+}
+
+// TestSetTrainLengthKeepsQueuedShape checks that a flow already queued
+// keeps the train length it was queued with, even though the NIC cuts its
+// later trains after SetTrainLength changed the limit.
+func TestSetTrainLengthKeepsQueuedShape(t *testing.T) {
+	eng := sim.New()
+	type shape struct {
+		flow     uint64
+		seq      int64
+		frames   int
+		payload  int
+		dataBits int64
+	}
+	var got []shape
+	var h *Host
+	h = New(0, eng, DefaultConfig(), Callbacks{
+		Inject: func(f *switching.Frame) {
+			ctx := f.Meta.(*FrameCtx)
+			got = append(got, shape{f.FlowID, ctx.Seq, f.Frames, ctx.PayloadBytes, f.DataBits})
+		},
+	}, nil)
+	eng.At(0, "start", func() {
+		h.SetTrainLength(4)
+		h.StartFlow(&Flow{ID: 1, Src: 0, Dst: 1, Bytes: 15000}) // 10 MTU frames
+		h.SetTrainLength(1)
+		h.StartFlow(&Flow{ID: 2, Src: 0, Dst: 1, Bytes: 2000})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []shape{
+		{1, 0, 4, 6000, netstack.WireBitsForTrain(1500, 6000)},
+		{1, 4, 4, 6000, netstack.WireBitsForTrain(1500, 6000)},
+		{1, 8, 2, 3000, netstack.WireBitsForTrain(1500, 3000)},
+		{2, 0, 1, 1500, netstack.WireBitsForPayload(1500)},
+		{2, 1, 1, 500, netstack.WireBitsForPayload(500)},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("injected frames\n got %v\nwant %v", got, want)
+	}
+}

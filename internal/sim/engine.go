@@ -52,10 +52,11 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// recycle returns a fired event to the free list. The
-// callback is dropped immediately so its captures become collectable.
+// recycle returns a fired event to the free list. The handler and the
+// pointer argument are dropped immediately, so a spent event pins neither
+// a closure's captures nor a frame.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.h, ev.x = nil, nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -72,9 +73,9 @@ func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
 // always a model bug, and silently reordering time would invalidate results.
-// The label is kept for diagnostics and error reports; pass a constant
-// string — formatting a label per event puts an allocation on the hottest
-// path in the simulator.
+// The label names the event in that panic only; pass a constant string —
+// formatting a label per event puts an allocation on the hottest path in
+// the simulator. Per-frame events use PostAt instead.
 func (e *Engine) At(t Time, label string, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, t, e.now))
@@ -82,10 +83,7 @@ func (e *Engine) At(t Time, label string, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.label = t, e.seq, fn, label
-	e.seq++
-	e.queue.push(ev)
+	e.push(t, Func(fn), 0, nil)
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.
@@ -94,6 +92,37 @@ func (e *Engine) After(d Duration, label string, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling %q with negative delay %v", label, d))
 	}
 	e.At(e.now.Add(d), label, fn)
+}
+
+// PostAt schedules h.Handle(arg, x) at instant t. It is At for the hot
+// paths: the handler and both arguments live in the pooled event, so
+// nothing is allocated when h and x are pointer-shaped. Scheduling in the
+// past panics, naming h's type.
+func (e *Engine) PostAt(t Time, h Handler, arg int, x any) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling %T at %v which is before now %v", h, t, e.now))
+	}
+	if h == nil {
+		panic("sim: scheduling nil handler")
+	}
+	e.push(t, h, arg, x)
+}
+
+// PostAfter schedules h.Handle(arg, x) d after the current instant.
+// Negative d panics, naming h's type.
+func (e *Engine) PostAfter(d Duration, h Handler, arg int, x any) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: scheduling %T with negative delay %v", h, d))
+	}
+	e.PostAt(e.now.Add(d), h, arg, x)
+}
+
+// push files one event at t, stamped with the next schedule sequence.
+func (e *Engine) push(t Time, h Handler, arg int, x any) {
+	ev := e.alloc()
+	ev.at, ev.seq, ev.h, ev.arg, ev.x = t, e.seq, h, arg, x
+	e.seq++
+	e.queue.push(ev)
 }
 
 // Stop makes Run return after the current event completes.
@@ -108,12 +137,12 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.executed++
-	fn := ev.fn
-	// Recycle before running: the callback sees a consistent "my event
+	h, arg, x := ev.h, ev.arg, ev.x
+	// Recycle before running: the handler sees a consistent "my event
 	// is spent" world and may immediately reuse the storage for what it
 	// schedules next.
 	e.recycle(ev)
-	fn()
+	h.Handle(arg, x)
 	return true
 }
 
@@ -147,17 +176,14 @@ func (e *Engine) RunUntil(limit Time) error {
 		}
 		e.now = ev.at
 		e.executed++
-		fn := ev.fn
-		// Remember the label before recycling in case the safety-cap
-		// error below needs it.
-		label := ev.label
+		h, arg, x := ev.h, ev.arg, ev.x
 		e.recycle(ev)
-		fn()
+		h.Handle(arg, x)
 		if e.stopped {
 			return ErrStopped
 		}
 		if e.maxEvent != 0 && e.executed >= e.maxEvent {
-			return fmt.Errorf("sim: event limit %d reached at %v (last %q)", e.maxEvent, e.now, label)
+			return fmt.Errorf("sim: event limit %d reached at %v (last %T)", e.maxEvent, e.now, h)
 		}
 	}
 	if limit != Forever && limit > e.now {

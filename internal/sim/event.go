@@ -1,13 +1,33 @@
 package sim
 
-// event is the pooled storage behind one scheduled callback. Once an
+// Handler is a typed event callback. PostAt stores the handler and its two
+// arguments in the pooled event itself, so a per-frame event allocates
+// nothing as long as h and x are pointer-shaped: a model object (or a
+// named pointer type over one, one per event kind) and, say, a frame.
+type Handler interface {
+	Handle(arg int, x any)
+}
+
+// Func adapts a closure to Handler; At and After schedule through it. A
+// func value is pointer-shaped, so storing one in an event's interface
+// does not allocate: closures and typed events share one event type and
+// one dispatch path.
+type Func func()
+
+// Handle runs the closure.
+func (fn Func) Handle(int, any) { fn() }
+
+// event is the pooled storage behind one scheduled handler. Once an
 // event fires the engine recycles this struct through a free list.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break: schedule order within one instant
-	fn    func()
-	label string
-	next  *event // day chain while pending, free-list link while recycled
+	at  Time
+	seq uint64 // tie-break: schedule order within one instant
+	h   Handler
+	x   any
+	arg int
+	// next is the day chain while pending, the free-list link while
+	// recycled.
+	next *event
 	// runEnd is read only on the first event of a run (the events of one
 	// day sharing an instant): it points at the run's last event, so a
 	// push into the middle of a day skips whole instants.

@@ -16,6 +16,7 @@ package switching
 import (
 	"fmt"
 
+	"rackfab/internal/fifo"
 	"rackfab/internal/sim"
 )
 
@@ -140,8 +141,12 @@ type Switch struct {
 	cfg Config
 	cb  Callbacks
 
-	voq        [][][]queued // [input][output]fifo
-	inputCount []int        // frames buffered per input
+	// voq holds one ring per (input, output) pair at [in*Ports+out]. A
+	// ring grows by doubling while its VOQ fills, so its storage stops at
+	// the first power of two at or above VOQCapacity, and is reused from
+	// then on.
+	voq        []fifo.Queue[queued]
+	inputCount []int // frames buffered per input
 	outBusy    []bool
 	outPaused  []bool
 	pauseGen   []uint64 // per output: generation counter for the watchdog
@@ -169,15 +174,12 @@ func New(eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 		eng:        eng,
 		cfg:        cfg,
 		cb:         cb,
-		voq:        make([][][]queued, cfg.Ports),
+		voq:        make([]fifo.Queue[queued], cfg.Ports*cfg.Ports),
 		inputCount: make([]int, cfg.Ports),
 		outBusy:    make([]bool, cfg.Ports),
 		outPaused:  make([]bool, cfg.Ports),
 		pauseGen:   make([]uint64, cfg.Ports),
 		rrPointer:  make([]int, cfg.Ports),
-	}
-	for i := range s.voq {
-		s.voq[i] = make([][]queued, cfg.Ports)
 	}
 	return s
 }
@@ -199,22 +201,38 @@ func (s *Switch) Inject(port int, f *Frame) {
 		s.drop(f, "bad-output")
 		return
 	}
-	if len(s.voq[port][out]) >= s.cfg.VOQCapacity {
+	q := &s.voq[port*s.cfg.Ports+out]
+	if q.Len() >= s.cfg.VOQCapacity {
 		// Pause should prevent this; overflow means the upstream had
 		// frames in flight past the watermark. Tail-drop.
 		s.drop(f, "voq-overflow")
 		return
 	}
-	entry := queued{frame: f, eligibleAt: s.eng.Now().Add(s.cfg.PipelineLatency)}
-	s.voq[port][out] = append(s.voq[port][out], entry)
+	eligibleAt := s.eng.Now().Add(s.cfg.PipelineLatency)
+	q.Push(queued{frame: f, eligibleAt: eligibleAt})
 	s.inputCount[port]++
 	if s.inputCount[port] == s.cfg.PauseHighWatermark && s.cb.Pause != nil {
 		s.cb.Pause(port, true)
 	}
 	if s.cb.Trace != nil {
-		s.cb.Trace(true, out, f, len(s.voq[port][out]))
+		s.cb.Trace(true, out, f, q.Len())
 	}
-	s.eng.At(entry.eligibleAt, "sw-eligible", func() { s.tryGrant(out) })
+	s.eng.PostAt(eligibleAt, (*swEligible)(s), out, nil)
+}
+
+// swEligible is the sw-eligible event: a frame queued for output out has
+// cleared the pipeline, so the output re-arbitrates.
+type swEligible Switch
+
+func (s *swEligible) Handle(out int, _ any) { (*Switch)(s).tryGrant(out) }
+
+// swOutFree is the sw-out-free event: output out has finished serializing
+// its frame and takes the next grant.
+type swOutFree Switch
+
+func (s *swOutFree) Handle(out int, _ any) {
+	s.outBusy[out] = false
+	(*Switch)(s).tryGrant(out)
 }
 
 // SetOutputPaused pauses or resumes an output (the downstream ingress asked
@@ -253,16 +271,15 @@ func (s *Switch) tryGrant(out int) {
 	n := s.cfg.Ports
 	for i := 0; i < n; i++ {
 		in := (s.rrPointer[out] + i) % n
-		q := s.voq[in][out]
-		if len(q) == 0 {
+		q := &s.voq[in*n+out]
+		if q.Len() == 0 {
 			continue
 		}
-		head := q[0]
-		if head.eligibleAt.After(now) {
+		if q.Front().eligibleAt.After(now) {
 			continue // its own eligibility event will re-arbitrate
 		}
 		// Grant.
-		s.voq[in][out] = q[1:]
+		head := q.Pop()
 		s.inputCount[in]--
 		if s.inputCount[in] == s.cfg.PauseLowWatermark && s.cb.Pause != nil {
 			s.cb.Pause(in, false)
@@ -270,16 +287,13 @@ func (s *Switch) tryGrant(out int) {
 		// iSLIP pointer update: advance past the granted input.
 		s.rrPointer[out] = (in + 1) % n
 		if s.cb.Trace != nil {
-			s.cb.Trace(false, out, head.frame, len(s.voq[in][out]))
+			s.cb.Trace(false, out, head.frame, q.Len())
 		}
 
 		tx := s.cb.TxTime(out, head.frame)
 		s.outBusy[out] = true
 		s.cb.Transmit(out, head.frame)
-		s.eng.After(tx, "sw-out-free", func() {
-			s.outBusy[out] = false
-			s.tryGrant(out)
-		})
+		s.eng.PostAfter(tx, (*swOutFree)(s), out, nil)
 		return
 	}
 }
