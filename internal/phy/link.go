@@ -25,6 +25,18 @@ type Link struct {
 
 	profile Profile
 	fecP    fec.Profile
+	loss    lossMemo
+}
+
+// lossMemo is a one-entry cache of the FEC loss model: a lane's BER takes
+// few distinct values (a burst channel has two), and RS evaluates hundreds
+// of Lgamma and Exp terms per call. It lives on the link, not on the
+// shared fec.Code values, so parallel trials never share it.
+type lossMemo struct {
+	code fec.Code
+	ber  float64
+	bits int
+	p    float64
 }
 
 // NewLink builds a link of laneCount lanes at laneRate over media. All
@@ -144,7 +156,17 @@ func (l *Link) TransferFrame(rng *sim.RNG, now sim.Time, dataBits int64) (lost b
 			lane.Stats.PreFECBitErrors.Add(rng.Binomial(perLane, lane.BER()))
 		}
 	}
-	return rng.Float64() < l.fecP.Code.FrameLossProb(l.WorstBER(), int(dataBits))
+	return rng.Float64() < l.frameLossProb(l.WorstBER(), int(dataBits))
+}
+
+// frameLossProb returns the current code's FrameLossProb(ber, bits),
+// evaluating it only when the key differs from the last call's.
+func (l *Link) frameLossProb(ber float64, bits int) float64 {
+	m := &l.loss
+	if m.code != l.fecP.Code || m.ber != ber || m.bits != bits {
+		*m = lossMemo{code: l.fecP.Code, ber: ber, bits: bits, p: l.fecP.Code.FrameLossProb(ber, bits)}
+	}
+	return m.p
 }
 
 // SplitLanes moves the top (len−keep) lanes out of switched service and

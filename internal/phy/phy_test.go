@@ -233,6 +233,30 @@ func TestTransferFrameNoisyWithRS(t *testing.T) {
 	}
 }
 
+// TestFrameLossProbMemo checks the per-link loss memo against the FEC
+// model evaluated directly, across repeated keys and changes of BER,
+// frame size and FEC profile.
+func TestFrameLossProbMemo(t *testing.T) {
+	l := testLink(t, 1)
+	none, _ := fec.ProfileByName("none")
+	rs, _ := fec.ProfileByName("rs(255,239)")
+	steps := []struct {
+		prof fec.Profile
+		ber  float64
+		bits int
+	}{
+		{rs, 1e-5, 12000}, {rs, 1e-5, 12000}, {rs, 1e-4, 12000}, {rs, 1e-5, 12000},
+		{rs, 1e-5, 512}, {none, 1e-5, 512}, {none, 1e-5, 512}, {rs, 1e-5, 512}, {rs, 0, 512},
+	}
+	for i, s := range steps {
+		l.SetFEC(s.prof)
+		got, want := l.frameLossProb(s.ber, s.bits), s.prof.Code.FrameLossProb(s.ber, s.bits)
+		if got != want {
+			t.Fatalf("step %d (%s, ber %g, %d bits): memo %g, model %g", i, s.prof.Name(), s.ber, s.bits, got, want)
+		}
+	}
+}
+
 func TestWorstBER(t *testing.T) {
 	l := testLink(t, 4)
 	l.Lanes[2].SetBER(1e-6)
