@@ -170,9 +170,6 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("σ* sweep takes seconds of packet-engine work; skipped in -short (race) mode")
-	}
 	tab, err := E5(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
