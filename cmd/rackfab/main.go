@@ -8,6 +8,7 @@
 //	rackfab -csv out.csv e5      # also write CSV
 //	rackfab -parallel 8 e8       # fan independent trials over 8 workers
 //	rackfab all                  # run everything
+//	rackfab -cpuprofile cpu.out -memprofile mem.out a2   # profile one run
 package main
 
 import (
@@ -29,6 +30,8 @@ func main() {
 	tracePath := flag.String("trace", "", "write the flight-recorder trace to this path: Perfetto-loadable Chrome JSON, or the stable text form for .txt paths (facade-driven trials only; byte-identical at any -parallel)")
 	expFlag := flag.String("experiment", "", "experiment ID to run (equivalent to the positional form)")
 	engineFlag := flag.String("engine", "", "simulation backend: packet or fluid (sim: selects the cluster engine; experiments: validates/filters by the experiment's engine)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole command to this path (any subcommand; output is unchanged)")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this path when the command ends (any subcommand; output is unchanged)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -66,55 +69,67 @@ func main() {
 		arg = flag.Arg(0)
 		rest = flag.Args()[1:]
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rackfab: profile: %v\n", err)
+		os.Exit(1)
+	}
+	code := dispatch(arg, rest, cfg, *engineFlag, *tracePath, *csvPath, *plotFlag)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "rackfab: profile: %v\n", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
+}
+
+// dispatch runs one subcommand or experiment and returns the exit code.
+func dispatch(arg string, rest []string, cfg experiment.Config, engine, tracePath, csvPath string, plot bool) int {
 	switch arg {
 	case "sim":
-		if err := runSim(rest, *engineFlag, *tracePath); err != nil {
+		if err := runSim(rest, engine, tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: sim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
 	case "serve":
-		if err := runServe(rest, *engineFlag); err != nil {
+		if err := runServe(rest, engine); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: serve: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
 	case "list":
 		for _, line := range experiment.List() {
 			fmt.Println(line)
 		}
-		return
 	case "all":
 		for _, id := range experiment.IDs() {
 			// "both"-engine experiments survive either filter.
-			if eng, _ := experiment.EngineOf(id); *engineFlag != "" && eng != *engineFlag && eng != "both" {
+			if eng, _ := experiment.EngineOf(id); engine != "" && eng != engine && eng != "both" {
 				continue // -engine filters the sweep to one backend
 			}
-			if err := runOne(id, cfg, *csvPath, *plotFlag); err != nil {
+			if err := runOne(id, cfg, csvPath, plot); err != nil {
 				fmt.Fprintf(os.Stderr, "rackfab: %s: %v\n", id, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Println()
 		}
-		if err := writeTraceSet(*tracePath, cfg.Trace); err != nil {
+		if err := writeTraceSet(tracePath, cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
 	default:
-		if eng, ok := experiment.EngineOf(arg); ok && *engineFlag != "" && eng != *engineFlag && eng != "both" {
-			fmt.Fprintf(os.Stderr, "rackfab: %s runs on the %s engine, not %s (see `rackfab list`)\n", arg, eng, *engineFlag)
-			os.Exit(2)
+		if eng, ok := experiment.EngineOf(arg); ok && engine != "" && eng != engine && eng != "both" {
+			fmt.Fprintf(os.Stderr, "rackfab: %s runs on the %s engine, not %s (see `rackfab list`)\n", arg, eng, engine)
+			return 2
 		}
-		if err := runOne(arg, cfg, *csvPath, *plotFlag); err != nil {
+		if err := runOne(arg, cfg, csvPath, plot); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: %s: %v\n", arg, err)
-			os.Exit(1)
+			return 1
 		}
-		if err := writeTraceSet(*tracePath, cfg.Trace); err != nil {
+		if err := writeTraceSet(tracePath, cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "rackfab: trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeTraceSet exports an experiment run's collected flight-recorder
@@ -192,6 +207,10 @@ func usage() {
 -parallel N fans an experiment's independent trials over N workers
 (0 = one per CPU, 1 = sequential). Every trial owns its own engine,
 fabric, and RNG streams, so output is byte-identical at any setting.
+
+-cpuprofile and -memprofile write pprof CPU and allocation profiles of any
+run (go tool pprof reads them); they observe the process only, so the
+output is the same with or without them.
 
 -engine selects the simulation backend: for `+"`sim`"+` it picks the
 cluster engine (packet = cycle-accurate datapath, fluid = flow-level
