@@ -147,8 +147,8 @@ func (ls *linkState) Handle(peer int, x any) {
 	f.switches[peer].Inject(peerPort, fr)
 }
 
-// hostRx is the host-rx event: frame x has finished serializing onto node
-// arg's host port.
+// hostRx is the host-rx event: frame x has finished serializing out of
+// node's switch port 0 and reaches the node's host.
 type hostRx Fabric
 
 func (f *hostRx) Handle(node int, x any) { (*Fabric)(f).deliver(node, x.(*switching.Frame)) }

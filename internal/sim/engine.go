@@ -83,7 +83,7 @@ func (e *Engine) At(t Time, label string, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e.push(t, Func(fn), 0, nil)
+	e.push(t, closure(fn), 0, nil)
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.

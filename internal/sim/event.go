@@ -8,26 +8,23 @@ type Handler interface {
 	Handle(arg int, x any)
 }
 
-// Func adapts a closure to Handler; At and After schedule through it. A
-// func value is pointer-shaped, so storing one in an event's interface
-// does not allocate: closures and typed events share one event type and
-// one dispatch path.
-type Func func()
+// closure adapts At's callback to Handler. A func value is
+// pointer-shaped, so storing one in an event's interface does not
+// allocate: closures and typed events share one event type and one
+// dispatch path.
+type closure func()
 
-// Handle runs the closure.
-func (fn Func) Handle(int, any) { fn() }
+func (fn closure) Handle(int, any) { fn() }
 
 // event is the pooled storage behind one scheduled handler. Once an
 // event fires the engine recycles this struct through a free list.
 type event struct {
-	at  Time
-	seq uint64 // tie-break: schedule order within one instant
-	h   Handler
-	x   any
-	arg int
-	// next is the day chain while pending, the free-list link while
-	// recycled.
-	next *event
+	at   Time
+	seq  uint64 // tie-break: schedule order within one instant
+	h    Handler
+	x    any
+	arg  int
+	next *event // day chain while pending, free-list link while recycled
 	// runEnd is read only on the first event of a run (the events of one
 	// day sharing an instant): it points at the run's last event, so a
 	// push into the middle of a day skips whole instants.
