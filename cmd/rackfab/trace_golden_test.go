@@ -14,7 +14,7 @@ import (
 	"rackfab/internal/experiment"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/trace_digests.txt from the current exports")
+var update = flag.Bool("update", false, "rewrite the digest files in testdata from the current outputs")
 
 // TestTraceExportDigests pins the flight-recorder exports the CLI writes
 // against committed SHA-256 digests, so a change that shifts every run
@@ -49,12 +49,24 @@ func TestTraceExportDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(b)
-		fmt.Fprintf(&got, "%s %s\n", filepath.Base(path), hex.EncodeToString(sum[:]))
+		fmt.Fprintf(&got, "%s %s\n", filepath.Base(path), digest(b))
 	}
-	golden := filepath.Join("testdata", "trace_digests.txt")
+	checkDigests(t, "trace_digests.txt", got.String())
+}
+
+// digest is the hex SHA-256 of b, as sha256sum prints it.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkDigests compares got with the committed testdata/<name>, which
+// -update rewrites first.
+func checkDigests(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,8 +74,8 @@ func TestTraceExportDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got.String() != string(want) {
-		t.Fatalf("trace exports differ from %s:\n--- golden ---\n%s--- got ---\n%s", golden, want, got.String())
+	if got != string(want) {
+		t.Fatalf("outputs differ from %s:\n--- golden ---\n%s--- got ---\n%s", golden, want, got)
 	}
 }
 
