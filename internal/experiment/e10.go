@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rackfab/internal/fabric"
 	"rackfab/internal/faults"
 	"rackfab/internal/fluid"
 	"rackfab/internal/sim"
@@ -102,7 +103,7 @@ func e10PacketRung(kind string, side int) (e10Cell, error) {
 		if err != nil {
 			return 0, 0, 0, 0, 0, 0, err
 		}
-		f.SetFrameTrains(16)
+		f.SetFrameTrains(fabric.TrainLength)
 		if sched != nil {
 			if _, err := f.ScheduleFaults(sched, nil); err != nil {
 				return 0, 0, 0, 0, 0, 0, err
@@ -117,7 +118,6 @@ func e10PacketRung(kind string, side int) (e10Cell, error) {
 		}
 		fcts := make([]sim.Duration, 0, len(flows))
 		var sum sim.Duration
-		var earliest, latest sim.Time
 		for i, flw := range flows {
 			if !flw.Done() || flw.Failed() {
 				return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: flow %d unfinished", kind, side*side, i)
@@ -125,21 +125,17 @@ func e10PacketRung(kind string, side int) (e10Cell, error) {
 			d := flw.FCT()
 			fcts = append(fcts, d)
 			sum += d
-			end := flw.Started().Add(d)
-			if i == 0 || flw.Started().Before(earliest) {
-				earliest = flw.Started()
-			}
-			if end.After(latest) {
-				latest = end
-			}
 		}
 		if len(fcts) == 0 {
 			return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: %w", kind, side*side, ErrNoCompletedFlows)
 		}
+		if jct, err = fabric.JobCompletionTime(flows); err != nil {
+			return 0, 0, 0, 0, 0, 0, err
+		}
 		sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
 		fs := f.FaultStats()
 		return sum / sim.Duration(len(fcts)), fcts[telemetry.NearestRank(len(fcts), 99)],
-			latest.Sub(earliest), fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
+			jct, fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
 	}
 
 	baseMean, baseP99, baseJCT, _, _, _, err := run(nil)

@@ -15,13 +15,12 @@ func E7(cfg Config) (*Table, error) {
 	frames := cfg.Scale.pick(200, 2000)
 	hopCounts := []int{1, 2, 3}
 
-	sume := poc.DefaultSUME()
 	trials := make([]Trial[*poc.Report], 0, len(hopCounts))
 	for _, hops := range hopCounts {
 		trials = append(trials, Trial[*poc.Report]{
 			Name: fmt.Sprintf("hops=%d", hops),
 			Run: func() (*poc.Report, error) {
-				return poc.Validate(sume, hops, frames, 1500, int64(42+hops))
+				return poc.Validate(hops, frames, 1500, int64(42+hops))
 			},
 		})
 	}
@@ -42,7 +41,7 @@ func E7(cfg Config) (*Table, error) {
 			us(rep.SimP99), us(rep.HWP99), fmt.Sprintf("%.2f%%", rep.P99ErrPct),
 		)
 	}
-	t.AddNote("PoC model: 4-port 10G store-and-forward device, %v ± %v pipeline per hop", sume.PipelineMean, sume.PipelineJitter)
+	t.AddNote("PoC model: 4-port 10G store-and-forward device, %v ± %v pipeline per hop", poc.PipelineMean, poc.PipelineJitter)
 	t.AddNote("pass bar: mean error within a few percent before trusting the large-scale sweep (E8)")
 	return t, nil
 }

@@ -3,9 +3,11 @@ package experiment
 import (
 	"fmt"
 
-	"rackfab/internal/fabric"
+	"rackfab/internal/host"
+	"rackfab/internal/netstack"
 	"rackfab/internal/phy"
 	"rackfab/internal/sim"
+	"rackfab/internal/switching"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -24,7 +26,7 @@ func Fig1(cfg Config) (*Table, error) {
 	maxHops := cfg.Scale.pick(8, 20)
 	const (
 		spacingM = 2.0
-		pipeline = 450 * sim.Nanosecond
+		pipeline = switching.DefaultPipelineLatency
 	)
 	media := phy.ProfileOf(phy.OpticalFiber)
 	perHopMedia := media.Propagation(spacingM)
@@ -33,7 +35,7 @@ func Fig1(cfg Config) (*Table, error) {
 	for hops := 1; hops <= maxHops; hops++ {
 		trials = append(trials, Trial[sim.Duration]{
 			Name: fmt.Sprintf("hops=%d", hops),
-			Run:  func() (sim.Duration, error) { return fig1Measure(hops, spacingM, pipeline) },
+			Run:  func() (sim.Duration, error) { return fig1Measure(hops, spacingM) },
 		})
 	}
 	measured, err := Sweep(cfg, trials)
@@ -96,25 +98,23 @@ func Fig1Plot(t *Table) (*Plot, error) {
 // fig1Measure runs one probe frame over a hops-link line fabric and
 // returns its end-to-end latency minus the source NIC serialization, i.e.
 // the fabric-attributable latency Figure 1 plots.
-func fig1Measure(hops int, spacingM float64, pipeline sim.Duration) (sim.Duration, error) {
+func fig1Measure(hops int, spacingM float64) (sim.Duration, error) {
+	const probeBytes = 46 // the payload of a minimum-size frame
 	g := topo.NewLine(hops+1, topo.Options{
 		LanesPerLink: 4,
 		Media:        phy.OpticalFiber,
 		NodeSpacingM: spacingM,
 	})
-	eng, f, err := buildFabric(g, 1, func(c *fabric.Config) {
-		c.Switch.PipelineLatency = pipeline
-	})
+	_, f, err := buildFabric(g, 1)
 	if err != nil {
 		return 0, err
 	}
-	_ = eng
-	if _, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: hops, Bytes: 46}}); err != nil {
+	if _, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: hops, Bytes: probeBytes}}); err != nil {
 		return 0, err
 	}
 	if err := f.RunUntilDone(sim.Time(sim.Second)); err != nil {
 		return 0, err
 	}
-	nicSerial := sim.Transmission(64*8+20*8, 100e9)
+	nicSerial := sim.Transmission(netstack.WireBitsForPayload(probeBytes), host.DefaultConfig().NICRate)
 	return sim.Duration(f.Stats().Latency.Max()) - nicSerial, nil
 }

@@ -126,7 +126,7 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 	// the frame straight to the far endpoint either way.
 	var ingress sim.Duration
 	if f.cfg.Switch.Mode == switching.CutThrough {
-		header := link.SerializationDelay(minInt64(f.cfg.CutThroughHeaderBits, fr.DataBits))
+		header := link.SerializationDelay(minInt64(CutThroughHeaderBits, fr.DataBits))
 		ingress = header + prop + fecLat
 	} else {
 		ingress = serialize + prop + fecLat
@@ -175,7 +175,7 @@ func (f *Fabric) deliver(node int, fr *switching.Frame) {
 func (f *Fabric) onDrop(fr *switching.Frame, reason string) {
 	f.stats.Dropped.Inc()
 	if ctx, ok := fr.Meta.(*host.FrameCtx); ok {
-		f.hosts[ctx.Flow.Src].Retransmit(ctx, f.cfg.RetryDelay)
+		f.hosts[ctx.Flow.Src].Retransmit(ctx, RetryDelay)
 	}
 	_ = reason
 }

@@ -35,11 +35,6 @@ type Config struct {
 	PowerCapW float64
 	// Seed drives all stochastic elements (error injection).
 	Seed int64
-	// RetryDelay is the transport's resend delay after a fabric drop.
-	RetryDelay sim.Duration
-	// CutThroughHeaderBits is how much of a frame must arrive before a
-	// cut-through switch can begin forwarding (header + lookup window).
-	CutThroughHeaderBits int64
 	// Trace, when non-nil, receives the datapath's flight-recorder events
 	// (flow arrivals/completions, VOQ and NIC queue churn, fault replay)
 	// and windowed per-link utilization/queue-depth series. The recorder
@@ -48,16 +43,28 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
+// The fabric's datapath calibration.
+const (
+	// RetryDelay is the transport's resend delay after a fabric drop.
+	RetryDelay = 50 * sim.Microsecond
+	// CutThroughHeaderBits is how much of a frame must arrive before a
+	// cut-through switch can begin forwarding (header + lookup window).
+	CutThroughHeaderBits = 64 * 8
+	// TrainLength is the NIC train length (host.Config.TrainLength) of a
+	// run that observes no individual frame.
+	TrainLength = 16
+	// queueDelayWeight is the EWMA weight of a link's VOQ-delay average.
+	queueDelayWeight = 0.2
+)
+
 // DefaultConfig returns the standard assembly for a graph.
 func DefaultConfig(g *topo.Graph) Config {
 	return Config{
-		Graph:                g,
-		Switch:               switching.DefaultConfig(0), // ports filled per node
-		Host:                 host.DefaultConfig(),
-		ExpressPorts:         4,
-		Seed:                 1,
-		RetryDelay:           50 * sim.Microsecond,
-		CutThroughHeaderBits: 64 * 8,
+		Graph:        g,
+		Switch:       switching.DefaultConfig(0), // ports filled per node
+		Host:         host.DefaultConfig(),
+		ExpressPorts: 4,
+		Seed:         1,
 	}
 }
 
@@ -122,7 +129,6 @@ type Fabric struct {
 
 	links   map[phy.LinkID]*linkState
 	budget  *power.Budget
-	pmodel  power.Model
 	claimed map[*phy.Lane][2]topo.NodeID // donated lanes in use, by express endpoints
 
 	trace *trace.Recorder // nil = flight recorder off
@@ -159,12 +165,6 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 				node, deg, cfg.ExpressPorts, route.MaxDegree)
 		}
 	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 50 * sim.Microsecond
-	}
-	if cfg.CutThroughHeaderBits <= 0 {
-		cfg.CutThroughHeaderBits = 64 * 8
-	}
 	n := cfg.Graph.NumNodes()
 	f := &Fabric{
 		eng:     eng,
@@ -173,7 +173,6 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		rng:     sim.NewRNG(cfg.Seed),
 		links:   make(map[phy.LinkID]*linkState),
 		budget:  power.NewBudget(cfg.PowerCapW),
-		pmodel:  power.DefaultModel(),
 		claimed: make(map[*phy.Lane][2]topo.NodeID),
 		active:  make(map[host.FlowID]*host.Flow),
 		portOf:  make([]map[*topo.Edge]int, n),
@@ -229,7 +228,7 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		f.hosts[node] = host.New(node, eng, cfg.Host, hostCb, f.onFlowDone)
 	}
 	for _, e := range f.g.Edges() {
-		f.links[e.Link.ID] = &linkState{fab: f, edge: e, qDelay: telemetry.NewEWMA(0.2)}
+		f.links[e.Link.ID] = &linkState{fab: f, edge: e, qDelay: telemetry.NewEWMA(queueDelayWeight)}
 	}
 	f.costFn = route.UniformCost
 	f.table = route.Build(f.g, f.costFn)
@@ -302,7 +301,7 @@ func (f *Fabric) SetFrameTrains(n int) {
 func (f *Fabric) samplePower() {
 	var w float64
 	for _, e := range f.g.Edges() {
-		w += f.pmodel.LinkPower(e.Link)
+		w += power.LinkPower(e.Link)
 	}
 	for node := range f.switches {
 		active := 0
@@ -311,7 +310,7 @@ func (f *Fabric) samplePower() {
 				active++
 			}
 		}
-		w += f.pmodel.NodePower(active)
+		w += power.NodePower(active)
 	}
 	f.budget.Observe(f.eng.Now(), w)
 }

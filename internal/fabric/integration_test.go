@@ -266,7 +266,6 @@ func TestBypassLifecycleEndToEnd(t *testing.T) {
 	cfg := ringctl.DefaultConfig()
 	cfg.Epoch = 50 * sim.Microsecond
 	cfg.EnableReconfig, cfg.EnablePower, cfg.EnableFEC, cfg.EnableRouting = false, false, false, false
-	cfg.BypassReclaimEpochs = 4
 	ctl := ringctl.New(eng, f, cfg)
 	ctl.Start()
 

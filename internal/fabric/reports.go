@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"rackfab/internal/phy"
+	"rackfab/internal/power"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
 )
@@ -56,7 +57,7 @@ func (f *Fabric) Reports() []ringctl.LinkReport {
 			QueueDelay:    sim.Duration(ls.qDelay.Value()),
 			MeasuredBER:   ls.lastBER,
 			EffectiveRate: link.EffectiveRate(),
-			PowerW:        f.pmodel.LinkPower(link),
+			PowerW:        power.LinkPower(link),
 			ActiveLanes:   link.ActiveLanes(),
 			TotalLanes:    len(link.Lanes),
 			Media:         link.Media,

@@ -213,7 +213,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 	mk := func(specs []workload.FlowSpec) (*topo.Graph, *engine) {
 		t.Helper()
 		g := topo.NewGrid(4, 4, topo.Options{})
-		en := newEngine(g, 450*sim.Nanosecond)
+		en := newEngine(g)
 		if err := en.addBatch(specs); err != nil {
 			t.Fatal(err)
 		}

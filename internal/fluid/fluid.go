@@ -39,11 +39,6 @@ type Config struct {
 	// snapshotted once at the start of the run as the nominal healthy
 	// state. Only Faults events move capacities after that.
 	Graph *topo.Graph
-	// PerHopLatency is added to each flow's completion time per path hop
-	// (the switch traversal the packet engine simulates in full).
-	PerHopLatency sim.Duration
-	// Limit bounds simulated time (0 = none).
-	Limit sim.Time
 	// Faults is an optional fault timeline applied mid-run: link capacity
 	// changes (down / up / degrade, node loss lowered to its incident
 	// links) interleave with flow arrivals and completions, winning exact
@@ -107,7 +102,9 @@ type FaultStats struct {
 	StarvedTime     sim.Duration
 }
 
-// FlowResult is one completed flow.
+// FlowResult is one completed flow. FCT includes one
+// switching.DefaultPipelineLatency per path hop: the switch traversal the
+// packet engine simulates in full.
 type FlowResult struct {
 	Spec  workload.FlowSpec
 	Start sim.Time
@@ -120,9 +117,11 @@ type FlowResult struct {
 // input order — produce identical Results.
 type Result struct {
 	Flows []FlowResult
-	// MeanFCT and P99FCT summarize completion times. P99FCT uses the
-	// nearest-rank convention (the ceil(0.99·n)-th smallest sample),
-	// matching telemetry.Histogram.Quantile.
+	// MeanFCT and P99FCT summarize completion times. P99FCT is the exact
+	// nearest-rank sample, the ceil(0.99·n)-th smallest
+	// (telemetry.NearestRank). telemetry.Histogram.Quantile resolves the
+	// same rank but returns the lower bound of that sample's bucket, up to
+	// 6.25% low.
 	MeanFCT, P99FCT sim.Duration
 	// JCT is the barrier completion time across all flows.
 	JCT sim.Duration

@@ -91,17 +91,11 @@ func NewSession(cfg Config, specs []workload.FlowSpec) (*Session, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("fluid: config needs a graph")
 	}
-	if cfg.PerHopLatency <= 0 {
-		cfg.PerHopLatency = 450 * sim.Nanosecond
-	}
-	if cfg.Limit == 0 {
-		cfg.Limit = sim.Forever
-	}
 	linkEvents, err := cfg.Faults.Links(cfg.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("fluid: faults: %w", err)
 	}
-	en := newEngine(cfg.Graph, cfg.PerHopLatency)
+	en := newEngine(cfg.Graph)
 	en.cold = cfg.coldStart
 	en.trace = cfg.Trace
 	s := &Session{
@@ -177,10 +171,9 @@ func (s *Session) FlowStatus(id int) FlowStatus {
 // Advance runs the event loop until the next event lies strictly after
 // `until` (events at exactly `until` are processed), every flow completes,
 // or an error state is reached. The error conditions — starvation behind an
-// unhealed partition, a stall, the configured Limit — are exactly Run's,
-// and they are permanent: the session cannot progress past them. If the
-// run completes before `until`, the clock idles forward to `until` —
-// RunFor semantics.
+// unhealed partition, or a stall — are exactly Run's, and they are
+// permanent: the session cannot progress past them. If the run completes
+// before `until`, the clock idles forward to `until` — RunFor semantics.
 func (s *Session) Advance(until sim.Time) error {
 	return s.advance(until, true)
 }
@@ -221,9 +214,6 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 				return fmt.Errorf("fluid: %d flows starved behind an unhealed partition at %v (no repair scheduled)", en.starvedNow, s.now)
 			}
 			return fmt.Errorf("fluid: stalled at %v with %d active flows and no progress", s.now, en.activeCount)
-		}
-		if next > s.cfg.Limit {
-			return fmt.Errorf("fluid: time limit %v exceeded with %d flows left", s.cfg.Limit, en.activeCount+s.pending())
 		}
 		if next > until {
 			if until > s.now {

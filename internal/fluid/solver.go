@@ -9,6 +9,7 @@ import (
 	"rackfab/internal/heapx"
 	"rackfab/internal/route"
 	"rackfab/internal/sim"
+	"rackfab/internal/switching"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
 	"rackfab/internal/workload"
@@ -71,9 +72,8 @@ type levelEntry struct {
 // by flow ID or link ID (topo Edge.Index); nothing on the hot path iterates
 // a Go map, so identical inputs produce byte-identical results.
 type engine struct {
-	graph  *topo.Graph
-	table  *route.Table
-	perHop sim.Duration
+	graph *topo.Graph
+	table *route.Table
 
 	// cold disables the warm-start replay so every refill runs progressive
 	// filling from zero. The two paths are bit-identical by construction
@@ -174,11 +174,8 @@ type engine struct {
 // never reconfigures mid-flight. The routing table is built lazily by
 // addBatch — a run over zero specs (which guards probe for) never pays the
 // O(n²) table build.
-func newEngine(g *topo.Graph, perHop sim.Duration) *engine {
-	en := &engine{
-		graph:  g,
-		perHop: perHop,
-	}
+func newEngine(g *topo.Graph) *engine {
+	en := &engine{graph: g}
 	nl := g.EdgeIndexBound()
 	en.linkCap = make([]float64, nl)
 	en.nominalCap = make([]float64, nl)
@@ -304,7 +301,7 @@ func (en *engine) complete(fid int32, now sim.Time) FlowResult {
 	return FlowResult{
 		Spec:  f.spec,
 		Start: f.start,
-		FCT:   now.Sub(f.start) + sim.Duration(int64(en.perHop)*int64(f.hops)),
+		FCT:   now.Sub(f.start) + sim.Duration(int64(switching.DefaultPipelineLatency)*int64(f.hops)),
 		Hops:  f.hops,
 	}
 }

@@ -46,7 +46,7 @@ func (en *engine) applyLinkEvent(now sim.Time, ev faults.LinkEvent) {
 // worst case for bottleneck-share ties.
 func activeEngine(t testing.TB, g *topo.Graph, specs []workload.FlowSpec) *engine {
 	t.Helper()
-	en := newEngine(g, 450*sim.Nanosecond)
+	en := newEngine(g)
 	if err := en.addBatch(canonicalize(specs)); err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, withFaults bool, check func(warm, cold *engine)) {
 	t.Helper()
 	specs = canonicalize(specs)
-	warm := newEngine(g, 450*sim.Nanosecond)
-	cold := newEngine(g, 450*sim.Nanosecond)
+	warm := newEngine(g)
+	cold := newEngine(g)
 	cold.cold = true
 	if err := warm.addBatch(specs); err != nil {
 		t.Fatal(err)

@@ -94,8 +94,6 @@ const MaxRetries = 1000
 type Config struct {
 	// NICRate is the host injection rate in bit/s.
 	NICRate float64
-	// MTU is the payload bytes per frame.
-	MTU int
 	// TrainLength is the maximum number of consecutive same-flow MTU
 	// frames the NIC coalesces into one train event (≤1 disables
 	// batching: every frame is its own event). Trains charge the wire the
@@ -108,7 +106,7 @@ type Config struct {
 
 // DefaultConfig matches a 100G host NIC at per-frame granularity.
 func DefaultConfig() Config {
-	return Config{NICRate: 100e9, MTU: 1500, TrainLength: 1}
+	return Config{NICRate: 100e9, TrainLength: 1}
 }
 
 // Callbacks connect a host to the fabric.
@@ -166,7 +164,7 @@ func (h *Host) SetPaused(paused bool) {
 // New builds a host for node; onFlowDone (optional) fires at flow
 // completion.
 func New(node int, eng *sim.Engine, cfg Config, cb Callbacks, onFlowDone func(*Flow)) *Host {
-	if cfg.NICRate <= 0 || cfg.MTU <= 0 {
+	if cfg.NICRate <= 0 {
 		panic("host: invalid config")
 	}
 	if cb.Inject == nil {
@@ -188,7 +186,7 @@ func (h *Host) StartFlow(f *Flow) {
 	}
 	f.started = h.eng.Now()
 	train := max(h.cfg.TrainLength, 1)
-	per := int64(train) * int64(h.cfg.MTU)
+	per := int64(train) * netstack.MaxPayload
 	n := int((f.Bytes + per - 1) / per)
 	if h.cb.Trace != nil {
 		for i := 1; i <= n; i++ {
@@ -206,7 +204,7 @@ func (h *Host) wireBits(payload, members int) int64 {
 	if members <= 1 {
 		return netstack.WireBitsForPayload(payload)
 	}
-	return netstack.WireBitsForTrain(h.cfg.MTU, payload)
+	return netstack.WireBitsForTrain(payload)
 }
 
 // newCtx takes frame storage off the free list, or allocates fresh.
@@ -227,7 +225,7 @@ func (h *Host) cut() *FrameCtx {
 	if e.retx != nil {
 		return h.sendQ.Pop().retx
 	}
-	mtu := int64(h.cfg.MTU)
+	const mtu = netstack.MaxPayload
 	payload := min(int64(e.train)*mtu, e.left)
 	members := (payload + mtu - 1) / mtu
 	ctx := h.newCtx()

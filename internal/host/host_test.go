@@ -289,9 +289,9 @@ func TestSetTrainLengthKeepsQueuedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []shape{
-		{1, 0, 4, 6000, netstack.WireBitsForTrain(1500, 6000)},
-		{1, 4, 4, 6000, netstack.WireBitsForTrain(1500, 6000)},
-		{1, 8, 2, 3000, netstack.WireBitsForTrain(1500, 3000)},
+		{1, 0, 4, 6000, netstack.WireBitsForTrain(6000)},
+		{1, 4, 4, 6000, netstack.WireBitsForTrain(6000)},
+		{1, 8, 2, 3000, netstack.WireBitsForTrain(3000)},
 		{2, 0, 1, 1500, netstack.WireBitsForPayload(1500)},
 		{2, 1, 1, 500, netstack.WireBitsForPayload(500)},
 	}

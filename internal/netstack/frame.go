@@ -39,22 +39,19 @@ func WireBitsForPayload(n int) int64 {
 }
 
 // WireBitsForTrain returns the total line bits of a train of untagged
-// frames jointly carrying a payload of n bytes sliced at mtu boundaries:
-// full-MTU frames plus one remainder frame, each with its own header, FCS,
-// padding, preamble and inter-frame gap. The NIC model batches consecutive
-// same-flow frames into one train event but must charge the wire exactly
-// what per-frame transmission would have — a train is scheduling
-// coalescing, not header compression.
-func WireBitsForTrain(mtu, n int) int64 {
-	if mtu <= 0 {
-		panic("netstack: non-positive MTU")
-	}
+// frames jointly carrying a payload of n bytes sliced at MaxPayload
+// boundaries: full-MTU frames plus one remainder frame, each with its own
+// header, FCS, padding, preamble and inter-frame gap. The NIC model batches
+// consecutive same-flow frames into one train event but must charge the
+// wire exactly what per-frame transmission would have — a train is
+// scheduling coalescing, not header compression.
+func WireBitsForTrain(n int) int64 {
 	if n < 0 {
 		panic("netstack: negative payload length")
 	}
-	full := n / mtu
-	bits := int64(full) * WireBitsForPayload(mtu)
-	if rem := n - full*mtu; rem > 0 {
+	full := n / MaxPayload
+	bits := int64(full) * WireBitsForPayload(MaxPayload)
+	if rem := n - full*MaxPayload; rem > 0 {
 		bits += WireBitsForPayload(rem)
 	}
 	return bits

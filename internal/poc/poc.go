@@ -25,33 +25,19 @@ import (
 	"rackfab/internal/workload"
 )
 
-// SUMEConfig calibrates the hardware model.
-type SUMEConfig struct {
-	// Ports is the device port count (the SUME carries 4 SFP+ cages).
-	Ports int
+// The SUME-class device calibration.
+const (
 	// LaneRate is the port rate (10G SFP+).
-	LaneRate float64
+	LaneRate = 10e9
 	// PipelineMean is the measured per-hop forwarding latency.
-	PipelineMean sim.Duration
+	PipelineMean = 650 * sim.Nanosecond
 	// PipelineJitter is the per-hop latency standard deviation.
-	PipelineJitter sim.Duration
+	PipelineJitter = 30 * sim.Nanosecond
 	// SpacingM is the cable length between devices.
-	SpacingM float64
+	SpacingM = 2.0
 	// Media is the cable type.
-	Media phy.Media
-}
-
-// DefaultSUME returns the default SUME calibration: the values below.
-func DefaultSUME() SUMEConfig {
-	return SUMEConfig{
-		Ports:          4,
-		LaneRate:       10e9,
-		PipelineMean:   650 * sim.Nanosecond,
-		PipelineJitter: 30 * sim.Nanosecond,
-		SpacingM:       2.0,
-		Media:          phy.CopperDAC,
-	}
-}
+	Media = phy.CopperDAC
+)
 
 // MeasureLinear replays frames across a chain of hops cables joining
 // hops+1 integrated node devices (each a SUME-class store-and-forward
@@ -62,7 +48,7 @@ func DefaultSUME() SUMEConfig {
 // Gaussian jitter per traversal and cable flight time per segment:
 //
 //	total = serial_NIC + (hops+1)·(pipeline + serial) + hops·prop
-func MeasureLinear(rng *sim.RNG, cfg SUMEConfig, hops, frames, payloadBytes int) (*telemetry.Histogram, error) {
+func MeasureLinear(rng *sim.RNG, hops, frames, payloadBytes int) (*telemetry.Histogram, error) {
 	if hops < 1 {
 		return nil, fmt.Errorf("poc: need ≥1 hop, got %d", hops)
 	}
@@ -73,14 +59,14 @@ func MeasureLinear(rng *sim.RNG, cfg SUMEConfig, hops, frames, payloadBytes int)
 		return nil, fmt.Errorf("poc: need ≥1 frame")
 	}
 	bits := netstack.WireBitsForPayload(payloadBytes)
-	prop := phy.ProfileOf(cfg.Media).Propagation(cfg.SpacingM)
-	serial := sim.Transmission(bits, cfg.LaneRate)
+	prop := phy.ProfileOf(Media).Propagation(SpacingM)
+	serial := sim.Transmission(bits, LaneRate)
 	hist := telemetry.NewHistogram()
 	for i := 0; i < frames; i++ {
 		total := serial // source NIC serialization
 		for dev := 0; dev < hops+1; dev++ {
-			jitter := sim.Duration(float64(cfg.PipelineJitter) * rng.NormFloat64())
-			pipe := cfg.PipelineMean + jitter
+			jitter := sim.Duration(float64(PipelineJitter) * rng.NormFloat64())
+			pipe := PipelineMean + jitter
 			if pipe < 0 {
 				pipe = 0
 			}
@@ -105,9 +91,9 @@ type Report struct {
 // simulator is configured with the PoC's calibration (10G single-lane
 // links, the SUME pipeline constant) — validation checks the simulation
 // machinery, not the constants.
-func Validate(cfg SUMEConfig, hops, frames, payloadBytes int, seed int64) (*Report, error) {
+func Validate(hops, frames, payloadBytes int, seed int64) (*Report, error) {
 	// Hardware side.
-	hw, err := MeasureLinear(sim.NewRNG(seed), cfg, hops, frames, payloadBytes)
+	hw, err := MeasureLinear(sim.NewRNG(seed), hops, frames, payloadBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -116,15 +102,15 @@ func Validate(cfg SUMEConfig, hops, frames, payloadBytes int, seed int64) (*Repo
 	// pipeline, store-and-forward — the reference NetFPGA switch design.
 	g := topo.NewLine(hops+1, topo.Options{
 		LanesPerLink: 1,
-		LaneRate:     cfg.LaneRate,
-		Media:        cfg.Media,
-		NodeSpacingM: cfg.SpacingM,
+		LaneRate:     LaneRate,
+		Media:        Media,
+		NodeSpacingM: SpacingM,
 	})
 	eng := sim.New()
 	fcfg := fabric.DefaultConfig(g)
 	fcfg.Switch.Mode = switching.StoreAndForward
-	fcfg.Switch.PipelineLatency = cfg.PipelineMean
-	fcfg.Host.NICRate = cfg.LaneRate
+	fcfg.Switch.PipelineLatency = PipelineMean
+	fcfg.Host.NICRate = LaneRate
 	fcfg.Seed = seed
 	f, err := fabric.New(eng, fcfg)
 	if err != nil {

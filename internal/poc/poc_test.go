@@ -7,9 +7,8 @@ import (
 )
 
 func TestMeasureLinearShape(t *testing.T) {
-	cfg := DefaultSUME()
 	rng := sim.NewRNG(1)
-	hist, err := MeasureLinear(rng, cfg, 3, 2000, 1500)
+	hist, err := MeasureLinear(rng, 3, 2000, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +29,11 @@ func TestMeasureLinearShape(t *testing.T) {
 }
 
 func TestMeasureLinearScalesWithHops(t *testing.T) {
-	cfg := DefaultSUME()
-	m1, err := MeasureLinear(sim.NewRNG(2), cfg, 1, 500, 1500)
+	m1, err := MeasureLinear(sim.NewRNG(2), 1, 500, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := MeasureLinear(sim.NewRNG(2), cfg, 3, 500, 1500)
+	m3, err := MeasureLinear(sim.NewRNG(2), 3, 500, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +45,13 @@ func TestMeasureLinearScalesWithHops(t *testing.T) {
 }
 
 func TestMeasureLinearValidation(t *testing.T) {
-	cfg := DefaultSUME()
-	if _, err := MeasureLinear(sim.NewRNG(1), cfg, 0, 10, 100); err == nil {
+	if _, err := MeasureLinear(sim.NewRNG(1), 0, 10, 100); err == nil {
 		t.Fatal("0 hops accepted")
 	}
-	if _, err := MeasureLinear(sim.NewRNG(1), cfg, 100, 10, 100); err == nil {
+	if _, err := MeasureLinear(sim.NewRNG(1), 100, 10, 100); err == nil {
 		t.Fatal("absurd chain accepted")
 	}
-	if _, err := MeasureLinear(sim.NewRNG(1), cfg, 1, 0, 100); err == nil {
+	if _, err := MeasureLinear(sim.NewRNG(1), 1, 0, 100); err == nil {
 		t.Fatal("0 frames accepted")
 	}
 }
@@ -62,8 +59,7 @@ func TestMeasureLinearValidation(t *testing.T) {
 func TestValidationAgreement(t *testing.T) {
 	// The paper's methodology bar: the small-scale simulation must agree
 	// with the hardware PoC before the large-scale results are trusted.
-	cfg := DefaultSUME()
-	rep, err := Validate(cfg, 3, 300, 1500, 42)
+	rep, err := Validate(3, 300, 1500, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +73,8 @@ func TestValidationAgreement(t *testing.T) {
 }
 
 func TestValidationAcrossHopCounts(t *testing.T) {
-	cfg := DefaultSUME()
 	for _, hops := range []int{1, 2, 3} {
-		rep, err := Validate(cfg, hops, 200, 1500, int64(100+hops))
+		rep, err := Validate(hops, 200, 1500, int64(100+hops))
 		if err != nil {
 			t.Fatalf("hops %d: %v", hops, err)
 		}

@@ -15,32 +15,23 @@ import (
 	"rackfab/internal/sim"
 )
 
-// Model holds the fabric's power calibration. Lane and bypass power come
-// from each link's media profile; the constants here cover the switching
-// logic the paper wants packets to avoid.
-type Model struct {
+// The switching logic's power calibration. Lane and bypass power come from
+// each link's media profile; these constants cover the switching logic the
+// paper wants packets to avoid.
+const (
 	// SwitchPortCoreW is the per-port power of the switching logic (MAC,
 	// buffering, crossbar share) while the port is active.
-	SwitchPortCoreW float64
+	SwitchPortCoreW = 1.10
 	// SwitchIdleW is the per-node base power of the switch core.
-	SwitchIdleW float64
+	SwitchIdleW = 4.0
 	// HostNICW is the per-node NIC power.
-	HostNICW float64
-}
-
-// DefaultModel returns the default power calibration: the values below.
-func DefaultModel() Model {
-	return Model{
-		SwitchPortCoreW: 1.10,
-		SwitchIdleW:     4.0,
-		HostNICW:        3.5,
-	}
-}
+	HostNICW = 3.5
+)
 
 // LinkPower prices a link's current physical state in watts: both ends of
 // every lane at the media's active/bypass draw, plus both ends' FEC engines
 // when a profile heavier than "none" is installed.
-func (m Model) LinkPower(l *phy.Link) float64 {
+func LinkPower(l *phy.Link) float64 {
 	prof := l.Profile()
 	var w float64
 	for _, lane := range l.Lanes {
@@ -60,8 +51,8 @@ func (m Model) LinkPower(l *phy.Link) float64 {
 }
 
 // NodePower prices one node's switch+NIC at the given active port count.
-func (m Model) NodePower(activePorts int) float64 {
-	return m.SwitchIdleW + m.HostNICW + float64(activePorts)*m.SwitchPortCoreW
+func NodePower(activePorts int) float64 {
+	return SwitchIdleW + HostNICW + float64(activePorts)*SwitchPortCoreW
 }
 
 // Budget tracks consumption against the rack cap and integrates energy.

@@ -10,7 +10,6 @@ import (
 )
 
 func TestLinkPowerStates(t *testing.T) {
-	m := DefaultModel()
 	l, err := phy.NewLink(1, phy.Backplane, 2, 4, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
@@ -18,7 +17,7 @@ func TestLinkPowerStates(t *testing.T) {
 	prof := l.Profile()
 	// 4 active lanes, both ends.
 	want := 8 * prof.LanePowerW
-	if got := m.LinkPower(l); math.Abs(got-want) > 1e-9 {
+	if got := LinkPower(l); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("power = %v, want %v", got, want)
 	}
 	// Bypass two lanes: they drop to retimer draw.
@@ -26,7 +25,7 @@ func TestLinkPowerStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = 4*prof.LanePowerW + 4*prof.BypassLanePowerW
-	if got := m.LinkPower(l); math.Abs(got-want) > 1e-9 {
+	if got := LinkPower(l); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("split power = %v, want %v", got, want)
 	}
 	// Dark lanes draw nothing.
@@ -35,21 +34,20 @@ func TestLinkPowerStates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.LinkPower(l); got != 0 {
+	if got := LinkPower(l); got != 0 {
 		t.Fatalf("dark link draws %v", got)
 	}
 }
 
 func TestLinkPowerFEC(t *testing.T) {
-	m := DefaultModel()
 	l, err := phy.NewLink(1, phy.Backplane, 2, 2, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := m.LinkPower(l)
+	base := LinkPower(l)
 	rs, _ := fec.ProfileByName("rs(255,239)")
 	l.SetFEC(rs)
-	if got := m.LinkPower(l); math.Abs(got-base-2*rs.PowerW) > 1e-9 {
+	if got := LinkPower(l); math.Abs(got-base-2*rs.PowerW) > 1e-9 {
 		t.Fatalf("FEC power delta = %v, want %v", got-base, 2*rs.PowerW)
 	}
 	// FEC engines idle when the link is dark.
@@ -58,19 +56,18 @@ func TestLinkPowerFEC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.LinkPower(l); got != 0 {
+	if got := LinkPower(l); got != 0 {
 		t.Fatalf("dark link with FEC draws %v", got)
 	}
 }
 
 func TestNodePower(t *testing.T) {
-	m := DefaultModel()
-	p0 := m.NodePower(0)
-	p4 := m.NodePower(4)
+	p0 := NodePower(0)
+	p4 := NodePower(4)
 	if p4 <= p0 {
 		t.Fatal("ports must cost power")
 	}
-	if math.Abs((p4-p0)-4*m.SwitchPortCoreW) > 1e-9 {
+	if math.Abs((p4-p0)-4*SwitchPortCoreW) > 1e-9 {
 		t.Fatalf("port delta = %v", p4-p0)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"rackfab/internal/fec"
+	"rackfab/internal/netstack"
 	"rackfab/internal/phy"
 	"rackfab/internal/plp"
 	"rackfab/internal/topo"
@@ -17,8 +18,10 @@ type linkFEC struct {
 }
 
 // runFECPolicy walks every link's measured BER through its adaptive
-// controller and issues SetFEC where the selection changed.
+// controller and issues SetFEC where the selection changed. The loss model
+// is sized for a full-MTU data frame on the wire.
 func (c *Controller) runFECPolicy(reports []LinkReport) {
+	frameBits := int(netstack.WireBitsForPayload(netstack.MaxPayload))
 	for _, r := range reports {
 		if !r.Up {
 			continue
@@ -29,10 +32,10 @@ func (c *Controller) runFECPolicy(reports []LinkReport) {
 			if dwell <= 0 {
 				dwell = fec.DefaultDeescalateDwell
 			}
-			st = &linkFEC{adaptive: fec.NewAdaptiveDwell(c.cfg.TargetFLR, dwell), current: "none"}
+			st = &linkFEC{adaptive: fec.NewAdaptiveDwell(fec.DefaultTargetFLR, dwell), current: "none"}
 			c.fecStates[r.Link] = st
 		}
-		prof, changed := st.adaptive.Pick(r.MeasuredBER, c.cfg.FrameBits)
+		prof, changed := st.adaptive.Pick(r.MeasuredBER, frameBits)
 		if !changed || prof.Name() == st.current {
 			continue
 		}
@@ -125,7 +128,7 @@ func (c *Controller) runPowerPolicy(reports []LinkReport) {
 // flows whose remaining bytes clear the σ* threshold — "pre-fetching
 // techniques, but at the physical layer of the interconnect".
 func (c *Controller) runBypassPolicy(reports []LinkReport) {
-	if c.bypasses >= c.cfg.MaxBypasses {
+	if c.bypasses >= MaxBypasses {
 		return
 	}
 	_ = reports
@@ -136,7 +139,7 @@ func (c *Controller) runBypassPolicy(reports []LinkReport) {
 	// cannot prevent double-donation.
 	donated := make(map[phy.LinkID]bool)
 	for _, f := range flows {
-		if c.bypasses >= c.cfg.MaxBypasses {
+		if c.bypasses >= MaxBypasses {
 			return
 		}
 		if f.Src == f.Dst {
@@ -298,12 +301,12 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 		if !have {
 			continue
 		}
-		if r.Utilization > c.cfg.BypassIdleUtilization {
+		if r.Utilization > BypassIdleUtilization {
 			st.idleEpochs = 0
 			continue
 		}
 		st.idleEpochs++
-		if st.idleEpochs < c.cfg.BypassReclaimEpochs {
+		if st.idleEpochs < BypassReclaimEpochs {
 			continue
 		}
 		off := plp.Command{

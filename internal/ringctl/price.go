@@ -7,6 +7,16 @@ import (
 	"rackfab/internal/telemetry"
 )
 
+// The price normalizers.
+const (
+	// refQueueDelay normalizes queue delay: a link whose mean VOQ delay
+	// equals it scores latency weight 1.
+	refQueueDelay = 10 * sim.Microsecond
+	// refBER normalizes link health: measured BER at refBER scores health
+	// weight 1 (and clips above).
+	refBER = 1e-6
+)
+
 // PriceBook maintains the per-link price tags. A price is a dimensionless
 // congestion/latency/health/power composite ≥ 0; zero means an idle,
 // healthy, cheap link. Prices are EWMA-smoothed so one noisy epoch cannot
@@ -15,23 +25,14 @@ type PriceBook struct {
 	weights   PriceWeights
 	smoothing float64
 	prices    map[phy.LinkID]*telemetry.EWMA
-
-	// refQueueDelay normalizes queue delay: a link whose mean VOQ delay
-	// equals it scores latency weight 1.
-	refQueueDelay sim.Duration
-	// refBER normalizes link health: measured BER at refBER scores health
-	// weight 1 (and clips above).
-	refBER float64
 }
 
 // NewPriceBook returns an empty book.
 func NewPriceBook(w PriceWeights, smoothing float64) *PriceBook {
 	return &PriceBook{
-		weights:       w,
-		smoothing:     smoothing,
-		prices:        make(map[phy.LinkID]*telemetry.EWMA),
-		refQueueDelay: 10 * sim.Microsecond,
-		refBER:        1e-6,
+		weights:   w,
+		smoothing: smoothing,
+		prices:    make(map[phy.LinkID]*telemetry.EWMA),
 	}
 }
 
@@ -59,9 +60,9 @@ func (b *PriceBook) rawPrice(r LinkReport, powerDenom float64) float64 {
 		// large finite price so EWMA recovery works when it returns.
 		return 1e6
 	}
-	latTerm := float64(r.QueueDelay) / float64(b.refQueueDelay)
+	latTerm := float64(r.QueueDelay) / float64(refQueueDelay)
 	congTerm := r.Utilization * r.Utilization
-	healthTerm := r.MeasuredBER / b.refBER
+	healthTerm := r.MeasuredBER / refBER
 	if healthTerm > 1e3 {
 		healthTerm = 1e3
 	}

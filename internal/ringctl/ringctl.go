@@ -100,28 +100,38 @@ func DefaultWeights() PriceWeights {
 	return PriceWeights{Latency: 1.0, Congestion: 0.8, Health: 2.0, Power: 0.3}
 }
 
-// Config parameterizes the controller.
-type Config struct {
+// The controller's calibration.
+const (
 	// PerHopControl is the control ring's per-node processing latency.
 	// Together with the telemetry token's serialization time at
 	// ControlLaneRate it sets the ring round-trip — both the collection
 	// epoch floor and the actuation delay.
-	PerHopControl sim.Duration
-	// ControlLaneRate is the dedicated control lane's rate in bit/s
-	// (default 10e9). The token carries one record per fabric link,
-	// so bigger racks pay a longer serialization per hop — control-loop
-	// lag scales with rack size, as it physically must.
-	ControlLaneRate float64
+	PerHopControl = 100 * sim.Nanosecond
+	// ControlLaneRate is the dedicated control lane's rate in bit/s. The
+	// token carries one record per fabric link, so bigger racks pay a
+	// longer serialization per hop — control-loop lag scales with rack
+	// size, as it physically must.
+	ControlLaneRate = 10e9
+	// PriceSmoothing is the EWMA weight for price updates.
+	PriceSmoothing = 0.4
+	// MaxBypasses caps live express channels.
+	MaxBypasses = 8
+	// BypassReclaimEpochs tears an idle express channel down after this
+	// many consecutive low-utilization epochs, re-bundling the donor
+	// lanes. Reclamation only touches channels the bypass policy itself
+	// built — reconfiguration wrap links are never reclaimed.
+	BypassReclaimEpochs = 4
+	// BypassIdleUtilization is the utilization floor below which an
+	// express channel counts as idle.
+	BypassIdleUtilization = 0.02
+)
+
+// Config parameterizes the controller.
+type Config struct {
 	// Epoch overrides the derived collection period when nonzero.
 	Epoch sim.Duration
 	// Weights shape the price function.
 	Weights PriceWeights
-	// PriceSmoothing is the EWMA weight for price updates (0,1].
-	PriceSmoothing float64
-	// TargetFLR is the post-FEC frame-loss objective for PLP #4.
-	TargetFLR float64
-	// FrameBits sizes the FEC loss model (default: 1538-byte wire frame).
-	FrameBits int
 	// FECDeescalateDwell is the number of consecutive clean epochs before
 	// a lane's FEC steps down the ladder (0 = fec.DefaultDeescalateDwell).
 	// Size it above the channel's burst period in epochs — see E9.
@@ -129,40 +139,22 @@ type Config struct {
 	// EnableFEC / EnableRouting / EnablePower / EnableBypass /
 	// EnableReconfig gate the policies (ablation switches).
 	EnableFEC, EnableRouting, EnablePower, EnableBypass, EnableReconfig bool
-	// MaxBypasses caps live express channels.
-	MaxBypasses int
-	// BypassReclaimEpochs tears an idle express channel down after this
-	// many consecutive low-utilization epochs, re-bundling the donor
-	// lanes (0 = 4). Reclamation only touches channels the bypass policy
-	// itself built — reconfiguration wrap links are never reclaimed.
-	BypassReclaimEpochs int
-	// BypassIdleUtilization is the utilization floor below which an
-	// express channel counts as idle (0 = 0.02).
-	BypassIdleUtilization float64
 	// ReconfigUtilization triggers grid→torus when mean utilization
 	// crosses it (0 disables the automatic trigger).
 	ReconfigUtilization float64
-	// PerHopPipeline is the switch traversal latency used in benefit
-	// estimates.
-	PerHopPipeline sim.Duration
 }
 
-// DefaultConfig enables all policies with the default calibration below.
+// DefaultConfig enables every policy with the default price weights and
+// reconfiguration trigger.
 func DefaultConfig() Config {
 	return Config{
-		PerHopControl:       100 * sim.Nanosecond,
 		Weights:             DefaultWeights(),
-		PriceSmoothing:      0.4,
-		TargetFLR:           1e-9,
-		FrameBits:           1538 * 8,
 		EnableFEC:           true,
 		EnableRouting:       true,
 		EnablePower:         true,
 		EnableBypass:        true,
 		EnableReconfig:      true,
-		MaxBypasses:         8,
 		ReconfigUtilization: 0.55,
-		PerHopPipeline:      450 * sim.Nanosecond,
 	}
 }
 
@@ -205,35 +197,11 @@ type bypassState struct {
 
 // New builds a controller. Call Start to begin the control loop.
 func New(eng *sim.Engine, fab Fabric, cfg Config) *Controller {
-	if cfg.PerHopControl <= 0 {
-		cfg.PerHopControl = 100 * sim.Nanosecond
-	}
-	if cfg.PriceSmoothing <= 0 || cfg.PriceSmoothing > 1 {
-		cfg.PriceSmoothing = 0.4
-	}
-	if cfg.FrameBits <= 0 {
-		cfg.FrameBits = 1538 * 8
-	}
-	if cfg.MaxBypasses <= 0 {
-		cfg.MaxBypasses = 8
-	}
-	if cfg.PerHopPipeline <= 0 {
-		cfg.PerHopPipeline = 450 * sim.Nanosecond
-	}
-	if cfg.ControlLaneRate <= 0 {
-		cfg.ControlLaneRate = 10e9
-	}
-	if cfg.BypassReclaimEpochs <= 0 {
-		cfg.BypassReclaimEpochs = 4
-	}
-	if cfg.BypassIdleUtilization <= 0 {
-		cfg.BypassIdleUtilization = 0.02
-	}
 	return &Controller{
 		eng:       eng,
 		fabric:    fab,
 		cfg:       cfg,
-		prices:    NewPriceBook(cfg.Weights, cfg.PriceSmoothing),
+		prices:    NewPriceBook(cfg.Weights, PriceSmoothing),
 		fecStates: make(map[phy.LinkID]*linkFEC),
 		bypassed:  make(map[[2]int]*bypassState),
 	}
@@ -250,7 +218,7 @@ func (c *Controller) RingRTT() sim.Duration {
 	if links > netstack.MaxTokenRecords {
 		links = netstack.MaxTokenRecords // jumbo racks would shard tokens
 	}
-	perHop := c.cfg.PerHopControl + sim.Transmission(netstack.TokenWireBits(links), c.cfg.ControlLaneRate)
+	perHop := PerHopControl + sim.Transmission(netstack.TokenWireBits(links), ControlLaneRate)
 	return sim.Duration(int64(perHop) * int64(g.NumNodes()))
 }
 

@@ -337,7 +337,6 @@ func TestBypassReclaim(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.EnableReconfig, cfg.EnableFEC, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
-	cfg.BypassReclaimEpochs = 3
 	c := New(eng, fab, cfg)
 	c.Start()
 	if err := eng.RunUntil(sim.Time(80 * sim.Microsecond)); err != nil {
@@ -397,7 +396,6 @@ func TestBusyBypassNotReclaimed(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.EnableReconfig, cfg.EnableFEC, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
-	cfg.BypassReclaimEpochs = 2
 	c := New(eng, fab, cfg)
 	c.Start()
 	if err := eng.RunUntil(sim.Time(80 * sim.Microsecond)); err != nil {

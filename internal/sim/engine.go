@@ -15,8 +15,6 @@ type Engine struct {
 	executed uint64
 	running  bool
 	stopped  bool
-	limit    Time
-	maxEvent uint64 // safety valve against runaway models; 0 = unlimited
 	free     *event // recycled event storage, linked through event.next
 }
 
@@ -36,7 +34,7 @@ func NewSized(hint int) *Engine {
 	if hint < 0 {
 		hint = 0
 	}
-	e := &Engine{limit: Forever}
+	e := &Engine{}
 	e.queue.init(hint)
 	return e
 }
@@ -66,10 +64,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
-
-// SetEventLimit installs a safety cap on the number of executed events.
-// Run returns an error when the cap is reached. Zero removes the cap.
-func (e *Engine) SetEventLimit(n uint64) { e.maxEvent = n }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
 // always a model bug, and silently reordering time would invalidate results.
@@ -146,14 +140,13 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the list drains, the optional time limit passes,
-// Stop is called, or the event safety cap trips.
-func (e *Engine) Run() error { return e.RunUntil(e.limit) }
+// Run executes events until the list drains or Stop is called.
+func (e *Engine) Run() error { return e.RunUntil(Forever) }
 
 // RunUntil executes events with timestamps ≤ limit, then moves the clock to
-// limit unless limit is Forever or Stop or the event cap ended the run
-// first. The clock never moves backwards: a limit before Now runs nothing
-// and leaves it where it was.
+// limit unless limit is Forever or Stop ended the run first. The clock
+// never moves backwards: a limit before Now runs nothing and leaves it
+// where it was.
 func (e *Engine) RunUntil(limit Time) error {
 	if e.running {
 		return errors.New("sim: Run re-entered from inside an event")
@@ -181,9 +174,6 @@ func (e *Engine) RunUntil(limit Time) error {
 		h.Handle(arg, x)
 		if e.stopped {
 			return ErrStopped
-		}
-		if e.maxEvent != 0 && e.executed >= e.maxEvent {
-			return fmt.Errorf("sim: event limit %d reached at %v (last %T)", e.maxEvent, e.now, h)
 		}
 	}
 	if limit != Forever && limit > e.now {

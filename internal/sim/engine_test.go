@@ -136,20 +136,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	e := New()
-	e.SetEventLimit(5)
-	var tick func()
-	tick = func() { e.After(Nanosecond, "tick", tick) }
-	e.After(Nanosecond, "tick", tick)
-	if err := e.Run(); err == nil {
-		t.Fatal("expected event-limit error")
-	}
-	if e.Executed() != 5 {
-		t.Fatalf("executed = %d, want 5", e.Executed())
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(10*Time(Nanosecond), "x", func() {

@@ -24,7 +24,7 @@ type Time int64
 type Duration int64
 
 // Common durations. These mirror the time package so call sites read
-// naturally, e.g. 450 * sim.Nanosecond.
+// naturally, e.g. 10 * sim.Microsecond.
 const (
 	Picosecond  Duration = 1
 	Nanosecond           = 1000 * Picosecond

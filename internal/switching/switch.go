@@ -68,6 +68,28 @@ func (m Mode) String() string {
 	return "store-and-forward"
 }
 
+// The switch calibration every switch shares.
+const (
+	// DefaultPipelineLatency is the fixed traversal latency of the
+	// switching logic — lookup, crossbar setup, MAC pipelines: Figure 1's
+	// "state-of-the-art cut through switch" per-hop cost. It is the one
+	// definition of a switch hop; the fluid engine and the SLO model
+	// charge it per hop too.
+	DefaultPipelineLatency = 450 * sim.Nanosecond
+	// VOQCapacity is the per-VOQ buffer capacity in frames.
+	VOQCapacity = 64
+	// PauseHighWatermark pauses the upstream when an input's total
+	// buffered frames reach it; PauseLowWatermark resumes below it.
+	PauseHighWatermark = 48
+	PauseLowWatermark  = 16
+	// PauseWatchdog force-releases an output held paused for this long.
+	// Hop-by-hop pause deadlocks in cyclic topologies (the classic PFC
+	// circular wait — a torus is exactly such a cycle); the watchdog
+	// breaks the cycle and lets the overflow/retransmit path recover,
+	// mirroring the PFC watchdogs production switches ship.
+	PauseWatchdog = 100 * sim.Microsecond
+)
+
 // Config sizes a switch.
 type Config struct {
 	// Ports is the port count.
@@ -75,35 +97,14 @@ type Config struct {
 	// Mode is the forwarding discipline (used by the fabric to compute
 	// ingress eligibility; recorded here for reports).
 	Mode Mode
-	// PipelineLatency is the fixed traversal latency of the switching
-	// logic — lookup, crossbar setup, MAC pipelines. Figure 1's
-	// "state-of-the-art cut through switch" per-hop cost.
+	// PipelineLatency is the per-hop traversal latency:
+	// DefaultPipelineLatency, or a calibrated device's own.
 	PipelineLatency sim.Duration
-	// VOQCapacity is the per-VOQ buffer capacity in frames.
-	VOQCapacity int
-	// PauseHighWatermark pauses the upstream when an input's total
-	// buffered frames reach it; PauseLowWatermark resumes below it.
-	PauseHighWatermark, PauseLowWatermark int
-	// PauseWatchdog force-releases an output held paused for this long.
-	// Hop-by-hop pause deadlocks in cyclic topologies (the classic PFC
-	// circular wait — a torus is exactly such a cycle); the watchdog
-	// breaks the cycle and lets the overflow/retransmit path recover,
-	// mirroring the PFC watchdogs production switches ship.
-	PauseWatchdog sim.Duration
 }
 
-// DefaultConfig returns the default switch calibration for a port count:
-// the values below.
+// DefaultConfig returns the default switch configuration for a port count.
 func DefaultConfig(ports int) Config {
-	return Config{
-		Ports:              ports,
-		Mode:               CutThrough,
-		PipelineLatency:    450 * sim.Nanosecond,
-		VOQCapacity:        64,
-		PauseHighWatermark: 48,
-		PauseLowWatermark:  16,
-		PauseWatchdog:      100 * sim.Microsecond,
-	}
+	return Config{Ports: ports, Mode: CutThrough, PipelineLatency: DefaultPipelineLatency}
 }
 
 // Callbacks connect a switch to its fabric.
@@ -161,15 +162,6 @@ func New(eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 	if cb.Forward == nil || cb.TxTime == nil || cb.Transmit == nil {
 		panic("switching: Forward, TxTime and Transmit callbacks are required")
 	}
-	if cfg.VOQCapacity <= 0 {
-		cfg.VOQCapacity = 64
-	}
-	if cfg.PauseHighWatermark <= 0 || cfg.PauseHighWatermark > cfg.VOQCapacity*cfg.Ports {
-		cfg.PauseHighWatermark = cfg.VOQCapacity * 3 / 4
-	}
-	if cfg.PauseLowWatermark <= 0 || cfg.PauseLowWatermark >= cfg.PauseHighWatermark {
-		cfg.PauseLowWatermark = cfg.PauseHighWatermark / 3
-	}
 	s := &Switch{
 		eng:        eng,
 		cfg:        cfg,
@@ -202,7 +194,7 @@ func (s *Switch) Inject(port int, f *Frame) {
 		return
 	}
 	q := &s.voq[port*s.cfg.Ports+out]
-	if q.Len() >= s.cfg.VOQCapacity {
+	if q.Len() >= VOQCapacity {
 		// Pause should prevent this; overflow means the upstream had
 		// frames in flight past the watermark. Tail-drop.
 		s.drop(f, "voq-overflow")
@@ -211,7 +203,7 @@ func (s *Switch) Inject(port int, f *Frame) {
 	eligibleAt := s.eng.Now().Add(s.cfg.PipelineLatency)
 	q.Push(queued{frame: f, eligibleAt: eligibleAt})
 	s.inputCount[port]++
-	if s.inputCount[port] == s.cfg.PauseHighWatermark && s.cb.Pause != nil {
+	if s.inputCount[port] == PauseHighWatermark && s.cb.Pause != nil {
 		s.cb.Pause(port, true)
 	}
 	if s.cb.Trace != nil {
@@ -248,16 +240,14 @@ func (s *Switch) SetOutputPaused(port int, paused bool) {
 		s.tryGrant(port)
 		return
 	}
-	if s.cfg.PauseWatchdog > 0 {
-		gen := s.pauseGen[port]
-		s.eng.After(s.cfg.PauseWatchdog, "pause-watchdog", func() {
-			if s.outPaused[port] && s.pauseGen[port] == gen {
-				s.outPaused[port] = false
-				s.pauseGen[port]++
-				s.tryGrant(port)
-			}
-		})
-	}
+	gen := s.pauseGen[port]
+	s.eng.After(PauseWatchdog, "pause-watchdog", func() {
+		if s.outPaused[port] && s.pauseGen[port] == gen {
+			s.outPaused[port] = false
+			s.pauseGen[port]++
+			s.tryGrant(port)
+		}
+	})
 }
 
 // tryGrant runs the arbiter for one output: find the next input (round
@@ -281,7 +271,7 @@ func (s *Switch) tryGrant(out int) {
 		// Grant.
 		head := q.Pop()
 		s.inputCount[in]--
-		if s.inputCount[in] == s.cfg.PauseLowWatermark && s.cb.Pause != nil {
+		if s.inputCount[in] == PauseLowWatermark && s.cb.Pause != nil {
 			s.cb.Pause(in, false)
 		}
 		// iSLIP pointer update: advance past the granted input.

@@ -138,14 +138,10 @@ func TestNoRouteDrops(t *testing.T) {
 }
 
 func TestVOQOverflowDrops(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.VOQCapacity = 4
-	cfg.PauseHighWatermark = 3
-	cfg.PauseLowWatermark = 1
-	h := newHarness(2, cfg)
+	h := newHarness(2, DefaultConfig(2))
 	h.txTime = 10 * sim.Microsecond // slow drain
 	h.eng.At(0, "inject", func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 70; i++ {
 			h.sw.Inject(0, frame(uint64(i), 1))
 		}
 	})
@@ -159,19 +155,15 @@ func TestVOQOverflowDrops(t *testing.T) {
 		}
 	}
 	if overflow != 6 {
-		t.Fatalf("overflow drops = %d, want 6 (cap 4)", overflow)
+		t.Fatalf("overflow drops = %d, want 6 (cap %d)", overflow, VOQCapacity)
 	}
 }
 
 func TestPauseWatermarks(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.VOQCapacity = 16
-	cfg.PauseHighWatermark = 4
-	cfg.PauseLowWatermark = 2
-	h := newHarness(2, cfg)
+	h := newHarness(2, DefaultConfig(2))
 	h.txTime = sim.Microsecond
 	h.eng.At(0, "inject", func() {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < PauseHighWatermark+2; i++ {
 			h.sw.Inject(0, frame(uint64(i), 1))
 		}
 	})
@@ -231,9 +223,7 @@ func TestQueueDelayStats(t *testing.T) {
 }
 
 func TestPauseWatchdogBreaksDeadlock(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.PauseWatchdog = 20 * sim.Microsecond
-	h := newHarness(2, cfg)
+	h := newHarness(2, DefaultConfig(2))
 	h.eng.At(0, "setup", func() {
 		// Downstream never releases: without the watchdog this frame
 		// would be stranded forever (the PFC circular-wait pattern).
@@ -246,15 +236,13 @@ func TestPauseWatchdogBreaksDeadlock(t *testing.T) {
 	if len(h.sent) != 1 {
 		t.Fatalf("sent %d frames; watchdog never fired", len(h.sent))
 	}
-	if h.sent[0].at != sim.Time(20*sim.Microsecond) {
-		t.Fatalf("watchdog released at %v, want 20us", h.sent[0].at)
+	if h.sent[0].at != sim.Time(100*sim.Microsecond) {
+		t.Fatalf("watchdog released at %v, want 100us", h.sent[0].at)
 	}
 }
 
 func TestPauseWatchdogNotTrippedByNormalRelease(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.PauseWatchdog = 100 * sim.Microsecond
-	h := newHarness(2, cfg)
+	h := newHarness(2, DefaultConfig(2))
 	h.eng.At(0, "setup", func() {
 		h.sw.SetOutputPaused(1, true)
 		h.sw.Inject(0, frame(1, 1))

@@ -4,12 +4,10 @@ import "sort"
 
 // NearestRank returns the 0-based index of the pct-th percentile sample
 // under the nearest-rank convention: the ceil(pct/100·n)-th smallest of n
-// sorted samples. This is the same rank Histogram.Quantile resolves, so
-// histogram summaries, fluid tables, and the public façade's report agree
-// at every n (n=12 previously disagreed: (n-1)·99/100 indexes the 11th
-// sample where nearest-rank demands the 12th). This is the ONE definition
-// of the convention — fluid.NearestRank delegates here, and no caller may
-// re-derive it.
+// sorted samples. This is the ONE definition of the convention; no caller
+// may re-derive it. Histogram.Quantile resolves the same rank but returns
+// the lower bound of that sample's bucket, so a histogram summary reads up
+// to 6.25% below the exact sample this index selects.
 func NearestRank(n, pct int) int {
 	idx := (n*pct + 99) / 100 // ceil(n·pct/100)
 	if idx < 1 {

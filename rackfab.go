@@ -141,7 +141,8 @@ type Config struct {
 	Faults *FaultSchedule
 	// SLOTargetX sets the completion-time SLO multiplier k for Report's SLO
 	// section: a flow attains the SLO when its FCT is within k× its ideal
-	// (uncontended) FCT. 0 means the default of 4.
+	// (uncontended) FCT. 0 means the default of 4; New rejects a negative
+	// or NaN value.
 	SLOTargetX float64
 	// Trace, when non-nil, turns on the flight recorder on either engine:
 	// bounded, deterministic event and time-series capture exported via
@@ -177,6 +178,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.PowerCapW < 0 {
 		return nil, fmt.Errorf("rackfab: power cap must not be negative")
+	}
+	if !(cfg.SLOTargetX >= 0) {
+		return nil, fmt.Errorf("rackfab: SLO target multiplier must be a non-negative number, got %v", cfg.SLOTargetX)
 	}
 	media, err := mediaOf(cfg.Media)
 	if err != nil {
@@ -260,7 +264,7 @@ func (c *Cluster) buildPacket(g *topo.Graph) error {
 		// consecutive same-flow frames into trains: identical wire bits and
 		// fair sharing, an order of magnitude fewer datapath events.
 		// SetLinkBER drops the fabric back to per-frame granularity.
-		fcfg.Host.TrainLength = 16
+		fcfg.Host.TrainLength = fabric.TrainLength
 	}
 	switch cfg.SwitchMode {
 	case CutThrough, "":

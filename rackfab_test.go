@@ -1,6 +1,8 @@
 package rackfab
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +27,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNewRejectsInvalidConfig: New refuses every invalid Config with an
-// error, never a panic, on both engines.
+// error, never a panic, on both engines; so does Serve for an invalid
+// ServeConfig.
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,6 +46,8 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"negative lanes", func(c *Config) { c.LanesPerLink = -1 }},
 		{"negative spacing", func(c *Config) { c.NodeSpacingM = -1 }},
 		{"negative power cap", func(c *Config) { c.PowerCapW = -1 }},
+		{"negative SLO target", func(c *Config) { c.SLOTargetX = -1 }},
+		{"NaN SLO target", func(c *Config) { c.SLOTargetX = math.NaN() }},
 	}
 	for _, engine := range []Engine{EnginePacket, EngineFluid} {
 		for _, tc := range cases {
@@ -56,6 +61,19 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 				}()
 				if _, err := New(cfg); err == nil {
 					t.Fatalf("New accepted %+v", cfg)
+				}
+			})
+		}
+		for _, x := range []float64{-1, math.NaN()} {
+			t.Run(string(engine)+"/serve SLO target "+strconv.FormatFloat(x, 'g', -1, 64), func(t *testing.T) {
+				c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 1, Engine: engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scfg := svcServeConfig("poisson")
+				scfg.SLOTargetX = x
+				if _, err := c.Serve(scfg); err == nil {
+					t.Fatalf("Serve accepted SLOTargetX %v", x)
 				}
 			})
 		}

@@ -53,7 +53,8 @@ type ServeConfig struct {
 	// tick; negative disables retirement, letting flow state accumulate).
 	RetireEvery int
 	// SLOTargetX overrides the attainment multiplier (0 = the cluster's
-	// Config.SLOTargetX, itself defaulting to 4).
+	// Config.SLOTargetX, itself defaulting to 4). Serve rejects a negative
+	// or NaN value.
 	SLOTargetX float64
 }
 
@@ -94,6 +95,9 @@ func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	}
 	if tick < 0 {
 		return nil, fmt.Errorf("rackfab: serve tick must be positive, got %v", tick)
+	}
+	if !(cfg.SLOTargetX >= 0) {
+		return nil, fmt.Errorf("rackfab: serve SLO target multiplier must be a non-negative number, got %v", cfg.SLOTargetX)
 	}
 	if wireRate == 0 {
 		for _, e := range c.graph.Edges() {

@@ -6,15 +6,16 @@ import (
 
 	"rackfab/internal/netstack"
 	"rackfab/internal/sim"
+	"rackfab/internal/switching"
 	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
 
 // sloPerHopLatency is the per-hop traversal latency the ideal-FCT model
-// charges — the same 450 ns the fluid engine defaults to, so the SLO
+// charges — the switch hop the fluid engine charges too, so the SLO
 // denominator is identical across engines.
-const sloPerHopLatency = 450 * sim.Nanosecond
+const sloPerHopLatency = switching.DefaultPipelineLatency
 
 // SLOReport summarizes completion-time SLO attainment: the fraction of
 // completed flows whose FCT stayed within TargetX× their ideal

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rackfab/internal/sim"
+	"rackfab/internal/switching"
 	"rackfab/internal/trace"
 )
 
@@ -250,8 +251,9 @@ func barrierPhases() [][]FlowSpec {
 
 // drainInstant returns the instant the last flow of a finished phase
 // drained: the completion event RunUntilDone leaves the clock at. A fluid
-// FCT also carries the hops×450ns delivery tail, which the event instant
-// excludes (the packet engine simulates that tail frame by frame).
+// FCT also carries a delivery tail of one switch pipeline per hop, which
+// the event instant excludes (the packet engine simulates that tail frame
+// by frame).
 func drainInstant(t *testing.T, phase []*Flow) sim.Time {
 	t.Helper()
 	var last sim.Time
@@ -261,7 +263,7 @@ func drainInstant(t *testing.T, phase []*Flow) sim.Time {
 			t.Fatal(err)
 		}
 		if f.fb != nil {
-			end = end.Add(-sim.Duration(int64(450*sim.Nanosecond) * int64(f.fb.status(f).Hops)))
+			end = end.Add(-sim.Duration(int64(switching.DefaultPipelineLatency) * int64(f.fb.status(f).Hops)))
 		}
 		last = max(last, end)
 	}
