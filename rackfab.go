@@ -47,6 +47,7 @@ package rackfab
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rackfab/internal/fabric"
@@ -179,7 +180,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.PowerCapW < 0 {
 		return nil, fmt.Errorf("rackfab: power cap must not be negative")
 	}
-	if !(cfg.SLOTargetX >= 0) {
+	if cfg.SLOTargetX < 0 || math.IsNaN(cfg.SLOTargetX) {
 		return nil, fmt.Errorf("rackfab: SLO target multiplier must be a non-negative number, got %v", cfg.SLOTargetX)
 	}
 	media, err := mediaOf(cfg.Media)

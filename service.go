@@ -96,7 +96,7 @@ func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	if tick < 0 {
 		return nil, fmt.Errorf("rackfab: serve tick must be positive, got %v", tick)
 	}
-	if !(cfg.SLOTargetX >= 0) {
+	if cfg.SLOTargetX < 0 || math.IsNaN(cfg.SLOTargetX) {
 		return nil, fmt.Errorf("rackfab: serve SLO target multiplier must be a non-negative number, got %v", cfg.SLOTargetX)
 	}
 	if wireRate == 0 {
