@@ -8,214 +8,129 @@ import (
 
 	"rackfab/internal/faults"
 	"rackfab/internal/sim"
-	"rackfab/internal/workload"
 )
 
-// This file is the checkpoint/restore surface of the fluid engine: a
-// byte-stable, event-sourced serialization of a running Cluster.
+// This file is the checkpoint/restore surface of service mode, on either
+// engine. Both engines are deterministic, so a served cluster's state is a
+// function of its inputs alone: the Config, the ServeConfig, the fault
+// schedules applied while the clock read zero, and the number of ticks
+// run. A checkpoint records exactly those, and ResumeService rebuilds the
+// cluster from them and ticks it again. The resumed service is therefore
+// bit-identical to the original, flight-recorder trace included, and a
+// checkpoint's size does not grow with the soak; a resume costs as much
+// simulation as the ticks it re-runs.
 //
-// The fluid backend journals every state-mutating public operation —
-// injected batches (with their absolute arrival instants), clock advances,
-// retirements — and Checkpoint writes that journal plus the lowered fault
-// schedule. Restore builds a fresh Cluster from the same Config and replays
-// the journal; because every engine computation is a deterministic function
-// of (config, faults, operation sequence), the restored cluster is
-// bit-identical to the original at the checkpoint instant, and a run split
-// across a checkpoint/restore boundary produces byte-identical results —
-// including flight-recorder traces — to an unbroken run. The one trace gap:
-// Cluster.RunPhases records its phase-open markers itself and journals only
-// its inject and run-until-done operations, so a restored trace lacks the
-// markers of barriers opened before the checkpoint.
-//
-// The journal grows with the operation count, not with simulated time or
-// flow state, and injected-spec memory is the same memory the caller's
-// batches already occupied. A retired flow stays out of engine state; only
-// its original spec persists in the journal.
-
-// opKind tags one journal operation.
-type opKind uint8
-
-const (
-	opInject       opKind = 1 // inject specs (pending before the run, live after)
-	opRunFor       opKind = 2 // Advance to the absolute instant `until`
-	opRunUntilDone opKind = 3 // AdvanceUntilDone with absolute limit `until`
-	opRetire       opKind = 4 // prefix-retire completed flow state
-)
-
-// journalOp is one recorded operation.
-type journalOp struct {
-	kind  opKind
-	until sim.Time
-	specs []workload.FlowSpec
-}
+// A cluster driven any other way (an exported mutator before or after
+// Serve, a second Serve, a failed Tick, ApplyFaults once the clock has
+// moved) is not a function of those inputs, and Service.Checkpoint
+// refuses it.
 
 // ckptMagic versions the checkpoint layout; bump on any format change.
-const ckptMagic = "rkfbck01"
+const ckptMagic = "rkfbsv02"
 
-// Checkpoint serializes the cluster's full operation history in a
-// byte-stable form. Fluid engine only; RunPhases journals as its
-// per-phase inject and run-until-done operations. The bytes embed a digest
-// of the construction Config — Restore must be handed an identical one.
-func (c *Cluster) Checkpoint() ([]byte, error) {
-	if c.fl == nil {
-		return nil, fmt.Errorf("rackfab: Checkpoint requires the fluid engine (EngineFluid)")
+// servedBy is Cluster.drivenBy while one Service's ticks are all that
+// drove the cluster.
+const servedBy = "Serve"
+
+// offScript notes an exported call that drives the cluster outside its
+// Service's ticks. The first such call is the one Checkpoint names.
+func (c *Cluster) offScript(op string) {
+	if c.drivenBy == "" || c.drivenBy == servedBy {
+		c.drivenBy = op
 	}
-	b := []byte(ckptMagic)
-	b = binary.LittleEndian.AppendUint64(b, cfgDigest(c.cfg))
-	var events []faults.Event
-	if c.fl.sched != nil {
-		events = c.fl.sched.Events()
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(events)))
-	for _, e := range events {
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.At))
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.Target))
-		b = append(b, byte(e.Kind))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Frac))
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.fl.journal)))
-	for _, op := range c.fl.journal {
-		b = append(b, byte(op.kind))
-		switch op.kind {
-		case opInject:
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(op.specs)))
-			for _, s := range op.specs {
-				b = binary.LittleEndian.AppendUint64(b, uint64(s.Src))
-				b = binary.LittleEndian.AppendUint64(b, uint64(s.Dst))
-				b = binary.LittleEndian.AppendUint64(b, uint64(s.Bytes))
-				b = binary.LittleEndian.AppendUint64(b, uint64(s.At))
-				b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Label)))
-				b = append(b, s.Label...)
-			}
-		case opRunFor, opRunUntilDone:
-			b = binary.LittleEndian.AppendUint64(b, uint64(op.until))
-		}
-	}
-	return b, nil
 }
 
-// Restore rebuilds a cluster from Checkpoint bytes. cfg must equal the
-// Config the checkpointed cluster was built with (a digest mismatch
-// errors), except Faults, which must be nil: the lowered fault timeline —
-// including any schedule merged in via ApplyFaults — travels inside the
-// checkpoint. The restored cluster carries no flow handles; it is the
-// service-mode resume surface, where completions are drained rather than
-// held per handle.
-func Restore(cfg Config, data []byte) (*Cluster, error) {
-	if cfg.Engine != EngineFluid {
-		return nil, fmt.Errorf("rackfab: Restore requires the fluid engine (EngineFluid)")
+// Checkpoint serializes the service's inputs in a byte-stable form: a
+// digest of the Config and ServeConfig, the lowered fault schedules
+// applied while the clock read zero, in call order, and the tick count.
+// It errors if anything but this service's ticks drove the cluster.
+func (s *Service) Checkpoint() ([]byte, error) {
+	if s.c.drivenBy != servedBy {
+		return nil, fmt.Errorf("rackfab: cannot checkpoint: something other than the service's ticks drove the cluster (first: %s)", s.c.drivenBy)
 	}
+	b := []byte(ckptMagic)
+	b = binary.LittleEndian.AppendUint64(b, ckptDigest(s.c.cfg, s.cfg))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.c.zeroFaults)))
+	for _, sched := range s.c.zeroFaults {
+		events := sched.Events()
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(events)))
+		for _, e := range events {
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.At))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Target))
+			b = append(b, byte(e.Kind))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Frac))
+		}
+	}
+	return binary.LittleEndian.AppendUint64(b, uint64(s.d.Stats().Ticks)), nil
+}
+
+// ResumeService rebuilds a service from Checkpoint bytes. cfg and scfg
+// must equal the originals (a digest mismatch errors), except that
+// cfg.Faults must be nil: the fault schedules travel inside the
+// checkpoint. The resume builds a fresh cluster, re-applies those
+// schedules, serves it and runs the recorded number of ticks, so the
+// resumed service continues byte-identically to one that never
+// checkpointed.
+func ResumeService(cfg Config, scfg ServeConfig, data []byte) (*Service, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("rackfab: Restore rejects cfg.Faults — the fault schedule travels inside the checkpoint")
+		return nil, fmt.Errorf("rackfab: ResumeService rejects cfg.Faults — the fault schedules travel inside the checkpoint")
 	}
 	r := &ckptReader{b: data}
 	if string(r.take(len(ckptMagic))) != ckptMagic {
-		return nil, fmt.Errorf("rackfab: not a checkpoint (bad magic)")
+		return nil, fmt.Errorf("rackfab: not a service checkpoint (bad magic)")
 	}
-	digest := r.u64()
-	if r.err == nil && digest != cfgDigest(cfg) {
-		return nil, fmt.Errorf("rackfab: checkpoint was taken under a different Config")
+	if digest := r.u64(); r.err == nil && digest != ckptDigest(cfg, scfg) {
+		return nil, fmt.Errorf("rackfab: checkpoint was taken under a different Config or ServeConfig")
 	}
-	c, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	nev := r.count(faultEventBytes)
-	events := make([]faults.Event, 0, nev)
-	for i := 0; i < nev && r.err == nil; i++ {
-		ev := faults.Event{
-			At:     sim.Time(r.u64()),
-			Target: int(r.u64()),
-			Kind:   faults.Kind(r.u8()),
-			Frac:   math.Float64frombits(r.u64()),
+	nsched := r.count(4) // a schedule is at least its event count
+	scheds := make([]*faults.Schedule, 0, nsched)
+	for i := 0; i < nsched && r.err == nil; i++ {
+		nev := r.count(faultEventBytes)
+		events := make([]faults.Event, 0, nev)
+		for j := 0; j < nev && r.err == nil; j++ {
+			events = append(events, faults.Event{
+				At:     sim.Time(r.u64()),
+				Target: int(r.u64()),
+				Kind:   faults.Kind(r.u8()),
+				Frac:   math.Float64frombits(r.u64()),
+			})
 		}
-		events = append(events, ev)
+		scheds = append(scheds, faults.New(events...))
 	}
-	nops := r.count(1) // an op is at least its kind byte
-	ops := make([]journalOp, 0, nops)
-	for i := 0; i < nops && r.err == nil; i++ {
-		op := journalOp{kind: opKind(r.u8())}
-		switch op.kind {
-		case opInject:
-			nsp := r.count(minSpecBytes)
-			op.specs = make([]workload.FlowSpec, 0, nsp)
-			for j := 0; j < nsp && r.err == nil; j++ {
-				s := workload.FlowSpec{
-					Src:   int(r.u64()),
-					Dst:   int(r.u64()),
-					Bytes: int64(r.u64()),
-					At:    sim.Time(r.u64()),
-				}
-				s.Label = string(r.take(int(r.u32())))
-				op.specs = append(op.specs, s)
-			}
-		case opRunFor, opRunUntilDone:
-			op.until = sim.Time(r.u64())
-		case opRetire:
-		default:
-			return nil, fmt.Errorf("rackfab: checkpoint has unknown op kind %d", op.kind)
-		}
-		ops = append(ops, op)
-	}
+	ticks := r.u64()
 	if r.err != nil {
 		return nil, fmt.Errorf("rackfab: %w", r.err)
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("rackfab: checkpoint has %d trailing bytes", len(r.b))
 	}
-	if len(events) > 0 {
-		sched := faults.New(events...)
+	c, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, sched := range scheds {
 		if err := sched.Validate(c.graph); err != nil {
 			return nil, fmt.Errorf("rackfab: %w", err)
 		}
-		c.fl.sched = sched
-	}
-	for i, op := range ops {
-		if err := c.fl.replay(op); err != nil {
-			return nil, fmt.Errorf("rackfab: replaying checkpoint op %d: %w", i, err)
+		if err := c.applyFaults(sched); err != nil {
+			return nil, err
 		}
 	}
-	c.fl.journal = ops
-	return c, nil
+	s, err := c.Serve(scfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := uint64(0); i < ticks; i++ {
+		if err := s.Tick(); err != nil {
+			return nil, fmt.Errorf("rackfab: re-running checkpointed tick %d: %w", i, err)
+		}
+	}
+	return s, nil
 }
 
-// replay applies one journaled operation without re-recording it.
-func (b *fluidBackend) replay(op journalOp) error {
-	switch op.kind {
-	case opInject:
-		if b.sess == nil {
-			b.pending = append(b.pending, op.specs...)
-			return nil
-		}
-		_, err := b.sess.Inject(op.specs)
-		return err
-	case opRunFor:
-		if err := b.ensure(); err != nil {
-			return err
-		}
-		return b.sess.Advance(op.until)
-	case opRunUntilDone:
-		if err := b.ensure(); err != nil {
-			return err
-		}
-		return b.sess.AdvanceUntilDone(op.until)
-	case opRetire:
-		if b.sess != nil {
-			b.sess.Retire()
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown journal op %d", op.kind)
-	}
-}
-
-// Serialized sizes Restore checks element counts against: a fault event
-// is At, Target, Kind, Frac; a spec is Src, Dst, Bytes, At and a label
-// length, before the label bytes.
-const (
-	faultEventBytes = 8 + 8 + 1 + 8
-	minSpecBytes    = 4*8 + 4
-)
+// faultEventBytes is a serialized fault event's size (At, Target, Kind,
+// Frac), which ResumeService checks event counts against.
+const faultEventBytes = 8 + 8 + 1 + 8
 
 // ckptReader is a little-endian cursor over checkpoint bytes; the first
 // short read latches err and every later read returns zero.
@@ -272,16 +187,17 @@ func (r *ckptReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// cfgDigest hashes the Config fields that shape engine state, so Restore
-// can reject a checkpoint replayed under a different world. TraceConfig
-// sizing is deliberately excluded (it bounds the recorder, not the
-// simulation); trace on/off is included because byte-identical trace
-// exports across a split require recording on both sides.
-func cfgDigest(cfg Config) uint64 {
+// ckptDigest hashes every Config field that shapes engine state, and the
+// whole ServeConfig, so ResumeService can reject a checkpoint resumed under
+// different inputs. Config.Faults is left out because the schedules travel
+// inside the checkpoint, and TraceConfig sizing because it bounds the
+// recorder, not the simulation. Trace on/off is included: a split run's
+// trace export equals the unbroken run's only if both sides record.
+func ckptDigest(cfg Config, scfg ServeConfig) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%s|%g|%s|%g|%d|%v|%s|%g|%v",
+	fmt.Fprintf(h, "%s|%d|%d|%d|%s|%g|%s|%g|%d|%#v|%s|%g|%v|%#v",
 		cfg.Topology, cfg.Width, cfg.Height, cfg.LanesPerLink, cfg.Media,
 		cfg.NodeSpacingM, cfg.SwitchMode, cfg.PowerCapW, cfg.Seed,
-		cfg.Control.Enabled, cfg.Engine, cfg.SLOTargetX, cfg.Trace != nil)
+		cfg.Control, cfg.Engine, cfg.SLOTargetX, cfg.Trace != nil, scfg)
 	return h.Sum64()
 }

@@ -190,10 +190,11 @@ func runOne(id string, cfg experiment.Config, csvPath string, plot bool) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := table.CSV(f); err != nil {
+			f.Close()
 			return err
 		}
+		return f.Close()
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"rackfab"
@@ -13,16 +14,16 @@ import (
 // open-loop load — the soak gate's entry point. The run prints the service
 // fingerprint (byte-stable across identical runs, and across a
 // checkpoint/restore split), so CI can `cmp` a split run against an
-// unbroken one. engine is the top-level -engine selection ("" = fluid —
-// checkpointing is a fluid-engine surface); the subcommand's own -engine
-// flag overrides it.
+// unbroken one. engine is the top-level -engine selection ("" = fluid);
+// the subcommand's own -engine flag overrides it. Flag combinations that
+// cannot checkpoint as asked are rejected before the first tick.
 func runServe(args []string, engine string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		width      = fs.Int("width", 16, "fabric width in nodes")
 		height     = fs.Int("height", 16, "fabric height")
 		seed       = fs.Int64("seed", 1, "simulation seed")
-		engineSub  = fs.String("engine", "", "simulation backend: fluid (checkpointable) or packet")
+		engineSub  = fs.String("engine", "", "simulation backend: fluid or packet")
 		tick       = fs.Duration("tick", 100*time.Millisecond, "service tick: generate/advance cadence in simulated time")
 		duration   = fs.Duration("duration", 10*time.Minute, "simulated soak duration")
 		rate       = fs.Float64("rate", 50, "open-loop arrival rate in flows/s")
@@ -33,12 +34,27 @@ func runServe(args []string, engine string) error {
 		flapStart  = fs.Duration("flap-start", 1*time.Second, "earliest flap onset (with -flaps)")
 		flapGap    = fs.Duration("flap-gap", 30*time.Second, "mean gap between flap onsets (with -flaps)")
 		meanOutage = fs.Duration("mean-outage", 5*time.Second, "mean flap outage duration (with -flaps)")
-		ckptAt     = fs.Duration("checkpoint-at", 0, "checkpoint once the clock reaches this instant (0 = never)")
+		ckptAt     = fs.Duration("checkpoint-at", 0, "checkpoint once the clock reaches this instant (with -checkpoint-out; 0 = never)")
 		ckptOut    = fs.String("checkpoint-out", "", "write the checkpoint to this path (with -checkpoint-at; run stops there unless -duration is later)")
-		restore    = fs.String("restore", "", "resume from a checkpoint file instead of starting fresh (flap flags must repeat the original's)")
+		restore    = fs.String("restore", "", "resume from a checkpoint file instead of starting fresh (cluster and load flags must repeat the original's; the flap schedule comes from the checkpoint, so flap flags are refused)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if (*ckptAt != 0) != (*ckptOut != "") {
+		return fmt.Errorf("-checkpoint-at and -checkpoint-out go together")
+	}
+	if *restore != "" {
+		var flap []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "flaps", "flap-start", "flap-gap", "mean-outage":
+				flap = append(flap, "-"+f.Name)
+			}
+		})
+		if len(flap) > 0 {
+			return fmt.Errorf("-restore takes the flap schedule from the checkpoint; drop %s", strings.Join(flap, " "))
+		}
 	}
 	if *engineSub != "" {
 		engine = *engineSub
@@ -105,16 +121,16 @@ func runServe(args []string, engine string) error {
 			*width, *height, eng, *process, *rate, *tick)
 	}
 
-	if *ckptAt > 0 && *ckptAt > s.Now() {
+	if *ckptOut != "" {
+		if *ckptAt <= s.Now() {
+			return fmt.Errorf("-checkpoint-at %v is not after the service clock %v", *ckptAt, s.Now())
+		}
 		if err := s.RunUntil(*ckptAt); err != nil {
 			return err
 		}
 		data, err := s.Checkpoint()
 		if err != nil {
 			return err
-		}
-		if *ckptOut == "" {
-			return fmt.Errorf("-checkpoint-at needs -checkpoint-out")
 		}
 		if err := os.WriteFile(*ckptOut, data, 0o644); err != nil {
 			return err

@@ -161,8 +161,11 @@ func runSim(args []string, engine, flightTrace string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := workload.WriteTrace(f, wl); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", *traceOut)

@@ -57,7 +57,7 @@ type backend interface {
 	runFor(d time.Duration) error
 	runUntilDone(limit time.Duration) error
 	now() sim.Time
-	applyFaults(s *FaultSchedule) error
+	applyFaults(s *faults.Schedule) error
 	flows() []*Flow
 	fill(r *Report)
 }
@@ -185,16 +185,12 @@ func (b *packetBackend) runUntilDone(limit time.Duration) error {
 
 func (b *packetBackend) now() sim.Time { return b.eng.Now() }
 
-func (b *packetBackend) applyFaults(s *FaultSchedule) error {
-	sched, err := s.lower(b.fab.Graph())
-	if err != nil {
-		return err
-	}
+func (b *packetBackend) applyFaults(sched *faults.Schedule) error {
 	var onApply func([]faults.LinkEvent, int)
 	if b.ctl != nil {
 		onApply = b.ctl.NoteFaults
 	}
-	_, err = b.fab.ScheduleFaults(sched, onApply)
+	_, err := b.fab.ScheduleFaults(sched, onApply)
 	return err
 }
 
@@ -244,9 +240,7 @@ func (b *packetBackend) fill(r *Report) {
 // fluidBackend adapts the incremental max-min solver to the Cluster
 // surface. Before the first Run call specs accumulate and the session is
 // built lazily; after it, Inject routes batches into the live session
-// (batch-major flow IDs, so earlier handles never renumber). Every
-// state-mutating call is also recorded in an operation journal — the
-// event-sourced history Cluster.Checkpoint serializes and Restore replays.
+// (batch-major flow IDs, so earlier handles never renumber).
 type fluidBackend struct {
 	graph   *topo.Graph
 	sched   *faults.Schedule
@@ -254,8 +248,6 @@ type fluidBackend struct {
 	handles []*Flow
 	sess    *fluid.Session
 	trace   *trace.Recorder // shared with Cluster; nil = tracing off
-
-	journal []journalOp
 }
 
 func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
@@ -286,7 +278,6 @@ func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 			flows[i] = &Flow{spec: s, fb: b, id: ids[i]}
 		}
 	}
-	b.record(journalOp{kind: opInject, specs: wl})
 	b.handles = append(b.handles, flows...)
 	return flows, nil
 }
@@ -297,16 +288,10 @@ func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 func (b *fluidBackend) injectAbs(wl []workload.FlowSpec) error {
 	if b.sess == nil {
 		b.pending = append(b.pending, wl...)
-	} else if _, err := b.sess.Inject(wl); err != nil {
-		return err
+		return nil
 	}
-	b.record(journalOp{kind: opInject, specs: wl})
-	return nil
-}
-
-// record appends one operation to the checkpoint journal.
-func (b *fluidBackend) record(op journalOp) {
-	b.journal = append(b.journal, op)
+	_, err := b.sess.Inject(wl)
+	return err
 }
 
 // ensure seals the spec set and builds the session, resolving every
@@ -331,23 +316,18 @@ func (b *fluidBackend) runFor(d time.Duration) error {
 	return b.advanceBy(simDur(d))
 }
 
-// advanceBy advances the session clock by d, journaling the absolute
-// target instant (recorded before the Advance so a checkpoint taken after
-// a failed advance still replays to the same state).
+// advanceBy advances the session clock by d.
 func (b *fluidBackend) advanceBy(d sim.Duration) error {
 	if err := b.ensure(); err != nil {
 		return err
 	}
-	until := b.sess.Now().Add(d)
-	b.record(journalOp{kind: opRunFor, until: until})
-	return b.sess.Advance(until)
+	return b.sess.Advance(b.sess.Now().Add(d))
 }
 
 func (b *fluidBackend) runUntilDone(limit time.Duration) error {
 	if err := b.ensure(); err != nil {
 		return err
 	}
-	b.record(journalOp{kind: opRunUntilDone, until: sim.Time(simDur(limit))})
 	if err := b.sess.AdvanceUntilDone(sim.Time(simDur(limit))); err != nil {
 		return err
 	}
@@ -358,9 +338,7 @@ func (b *fluidBackend) runUntilDone(limit time.Duration) error {
 }
 
 // drainCompleted hands off the session's completions accumulated since the
-// last drain (nil before the run starts). Draining is deliberately NOT
-// journaled: a restore replay keeps every completion, so the service layer
-// can rebuild its streaming statistics from the full history.
+// last drain (nil before the run starts).
 func (b *fluidBackend) drainCompleted() []fluid.FlowResult {
 	if b.sess == nil {
 		return nil
@@ -368,12 +346,11 @@ func (b *fluidBackend) drainCompleted() []fluid.FlowResult {
 	return b.sess.TakeCompleted()
 }
 
-// retire journals and executes a prefix retirement of completed flow state.
+// retire executes a prefix retirement of completed flow state.
 func (b *fluidBackend) retire() int {
 	if b.sess == nil {
 		return 0
 	}
-	b.record(journalOp{kind: opRetire})
 	return b.sess.Retire()
 }
 
@@ -386,13 +363,9 @@ func (b *fluidBackend) now() sim.Time {
 	return b.sess.Now()
 }
 
-func (b *fluidBackend) applyFaults(s *FaultSchedule) error {
+func (b *fluidBackend) applyFaults(sched *faults.Schedule) error {
 	if b.sess != nil {
 		return fmt.Errorf("rackfab: the fluid engine accepts fault schedules only before the first Run call")
-	}
-	sched, err := s.lower(b.graph)
-	if err != nil {
-		return err
 	}
 	if b.sched == nil {
 		b.sched = sched

@@ -183,9 +183,29 @@ func (s *FaultSchedule) lower(g *topo.Graph) (*faults.Schedule, error) {
 // derived from the built cluster (PoissonFlaps) can be applied. The packet
 // engine accepts schedules at any time (events already in the past apply
 // immediately); the fluid engine accepts them only before the first Run
-// call.
+// call. A service checkpoint records the schedules applied while the
+// clock reads zero; one applied later makes Service.Checkpoint refuse.
 func (c *Cluster) ApplyFaults(s *FaultSchedule) error {
-	return c.be.applyFaults(s)
+	if c.be.now() != 0 {
+		c.offScript("ApplyFaults after the clock moved")
+	}
+	sched, err := s.lower(c.graph)
+	if err != nil {
+		return err
+	}
+	return c.applyFaults(sched)
+}
+
+// applyFaults hands a lowered schedule to the engine and, while the clock
+// reads zero, logs it for Service.Checkpoint.
+func (c *Cluster) applyFaults(sched *faults.Schedule) error {
+	if err := c.be.applyFaults(sched); err != nil {
+		return err
+	}
+	if c.be.now() == 0 {
+		c.zeroFaults = append(c.zeroFaults, sched)
+	}
+	return nil
 }
 
 // FlapConfig parameterizes the Poisson link-flap generator.

@@ -2,8 +2,7 @@
 // synchronous generate → inject → advance → drain → retire loop over an
 // engine-agnostic Target. The driver owns the streaming statistics (FCT
 // histogram, SLO attainment, retained-state accounting) so a soak never
-// accumulates per-flow results, and its mutable cursor serializes byte-
-// stably for checkpoint/restore.
+// accumulates per-flow results.
 //
 // The whole package is single-goroutine by design: every tick is a plain
 // function call on the caller's goroutine, so service mode inherits the
@@ -11,7 +10,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"rackfab/internal/sim"
@@ -69,7 +67,7 @@ type Config struct {
 }
 
 // Driver runs the service loop. All statistics are streaming: state is a
-// handful of counters, one histogram, and the arrival cursor, independent
+// handful of counters, one histogram, and the arrival source, independent
 // of how long the soak has run.
 type Driver struct {
 	cfg Config
@@ -134,8 +132,6 @@ func (d *Driver) RunUntil(until sim.Time) error {
 }
 
 // account folds a drained completion batch into the streaming statistics.
-// Order matters only for byte-stable histogram state across restore, and
-// Drain's completion order is itself deterministic.
 func (d *Driver) account(cs []Completion) {
 	for _, c := range cs {
 		d.completed++
@@ -167,8 +163,7 @@ type Stats struct {
 }
 
 // Stats returns the current snapshot. Injected and Retired derive from the
-// target (reclaimed + still-held = ever injected), so they survive a
-// checkpoint/restore cycle without being serialized.
+// target: reclaimed + still-held = ever injected.
 func (d *Driver) Stats() Stats {
 	s := Stats{
 		Ticks:        d.ticks,
@@ -197,50 +192,4 @@ func (d *Driver) Fingerprint() string {
 		d.cfg.Source.Name(), s.Ticks, int64(d.t.Now()),
 		s.Injected, s.Completed, s.Attained, s.Retired, s.Retained, s.RetainedPeak,
 		int64(s.P50FCT), int64(s.P99FCT), int64(s.MaxFCT))
-}
-
-// driverStateVersion tags the MarshalState layout.
-const driverStateVersion = 1
-
-// MarshalState serializes the driver's mutable cursor: tick count, retained
-// peak, and the arrival source cursor. The completion statistics are NOT
-// serialized — RestoreState rebuilds them exactly by re-accounting the
-// replayed target's completion history.
-func (d *Driver) MarshalState() []byte {
-	cur := d.cfg.Source.MarshalState()
-	b := make([]byte, 0, 1+8+8+4+len(cur))
-	b = append(b, driverStateVersion)
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.ticks))
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.retainedPeak))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cur)))
-	b = append(b, cur...)
-	return b
-}
-
-// RestoreState restores a cursor serialized by MarshalState onto a freshly
-// constructed driver whose target has already replayed the checkpoint's
-// operation journal. The replay never drains, so the target is holding the
-// session's entire completion history; re-accounting it here rebuilds the
-// histogram and counters byte-identically to the original streaming run
-// (the one O(history) step of a restore).
-func (d *Driver) RestoreState(state []byte) error {
-	if len(state) < 1+8+8+4 {
-		return fmt.Errorf("service: driver state truncated (%d bytes)", len(state))
-	}
-	if state[0] != driverStateVersion {
-		return fmt.Errorf("service: driver state version %d, want %d", state[0], driverStateVersion)
-	}
-	d.ticks = int64(binary.LittleEndian.Uint64(state[1:]))
-	d.retainedPeak = int(binary.LittleEndian.Uint64(state[9:]))
-	n := int(binary.LittleEndian.Uint32(state[17:]))
-	if len(state) != 21+n {
-		return fmt.Errorf("service: driver state length %d, want %d", len(state), 21+n)
-	}
-	if err := d.cfg.Source.UnmarshalState(state[21 : 21+n]); err != nil {
-		return err
-	}
-	d.completed, d.attained = 0, 0
-	d.fct.Reset()
-	d.account(d.t.Drain())
-	return nil
 }

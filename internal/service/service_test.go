@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strings"
 	"testing"
 
 	"rackfab/internal/sim"
@@ -172,72 +171,3 @@ var errScripted = &scriptedErr{}
 type scriptedErr struct{}
 
 func (*scriptedErr) Error() string { return "scripted failure" }
-
-func TestDriverStateRoundTrip(t *testing.T) {
-	const tick = sim.Millisecond
-	const horizon = 8
-	newSource := func() workload.ArrivalProcess {
-		src, err := workload.NewPoisson(7, 16, 5000, workload.Fixed(1000), "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
-	ideal := func(Completion) sim.Duration { return 50 * sim.Microsecond }
-
-	// Original streaming run: RetireEvery -1 so the target's retained set
-	// matches what a journal replay rebuilds (replay never retires what a
-	// never-drained driver hasn't swept).
-	tgt1 := &fakeTarget{delay: 100 * sim.Microsecond}
-	d1 := newTestDriver(t, Config{Tick: tick, Source: newSource(), Ideal: ideal, RetireEvery: -1}, tgt1)
-	if err := d1.RunUntil(sim.Time(horizon * tick)); err != nil {
-		t.Fatal(err)
-	}
-	state := d1.MarshalState()
-	if again := d1.MarshalState(); string(again) != string(state) {
-		t.Fatal("MarshalState is not byte-stable")
-	}
-	fpWant := d1.Fingerprint()
-	if !strings.Contains(fpWant, "source=") || !strings.Contains(fpWant, "fct p50=") {
-		t.Fatalf("fingerprint shape: %q", fpWant)
-	}
-
-	// Replay twin: re-drive the same injections and advances against a fresh
-	// target WITHOUT ever draining — exactly what checkpoint journal replay
-	// does — then restore the cursor, which re-accounts the full history.
-	tgt2 := &fakeTarget{delay: 100 * sim.Microsecond}
-	replaySrc := newSource()
-	var now sim.Time
-	for i := 0; i < horizon; i++ {
-		to := now.Add(tick)
-		if specs := replaySrc.Next(to); len(specs) > 0 {
-			if err := tgt2.Inject(specs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tgt2.RunFor(tick); err != nil {
-			t.Fatal(err)
-		}
-		now = to
-	}
-	d2 := newTestDriver(t, Config{Tick: tick, Source: newSource(), Ideal: ideal, RetireEvery: -1}, tgt2)
-	if err := d2.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.Fingerprint(); got != fpWant {
-		t.Fatalf("restore drifted:\n--- original ---\n%s--- restored ---\n%s", fpWant, got)
-	}
-
-	// Rejections.
-	if err := d2.RestoreState(state[:3]); err == nil {
-		t.Fatal("accepted truncated state")
-	}
-	bad := append([]byte(nil), state...)
-	bad[0] = 99
-	if err := d2.RestoreState(bad); err == nil {
-		t.Fatal("accepted wrong version")
-	}
-	if err := d2.RestoreState(append(append([]byte(nil), state...), 0)); err == nil {
-		t.Fatal("accepted trailing bytes")
-	}
-}

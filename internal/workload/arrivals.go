@@ -5,23 +5,19 @@
 // instant T" each tick and injects the batch mid-run.
 //
 // Every process carries its own Stream (a splitmix64 counter generator whose
-// whole state is one uint64), so a checkpoint can serialize the cursor
-// exactly and a restored process continues the identical draw sequence. The
-// math/rand-backed sim.RNG cannot do that — its internal state is opaque —
-// which is why service mode does not use it.
+// whole state is one uint64), so its draws depend on its seed and the
+// sequence of Next calls alone.
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"rackfab/internal/sim"
 )
 
-// Stream is a serializable deterministic random stream (splitmix64). Its
-// entire state is the counter, so MarshalState/UnmarshalState on the arrival
-// processes below can capture it byte-exactly.
+// Stream is a deterministic random stream (splitmix64) whose entire state
+// is one counter.
 type Stream struct {
 	state uint64
 }
@@ -74,12 +70,6 @@ type ArrivalProcess interface {
 	// sequence: splitting a run across Next(a); Next(b) yields the same flows
 	// as one Next(b).
 	Next(to sim.Time) []FlowSpec
-	// MarshalState serializes the mutable cursor (not the configuration) in
-	// a byte-stable form.
-	MarshalState() []byte
-	// UnmarshalState restores a cursor serialized by MarshalState on a
-	// process constructed with the same configuration.
-	UnmarshalState(b []byte) error
 	// Name identifies the process in reports.
 	Name() string
 }
@@ -145,24 +135,6 @@ func (p *Poisson) emit(at sim.Time) FlowSpec {
 // Name identifies the process.
 func (p *Poisson) Name() string {
 	return fmt.Sprintf("poisson(%gfps,%s)", p.rate, p.sizes.Name())
-}
-
-// MarshalState serializes the cursor: RNG counter + pre-drawn next arrival.
-func (p *Poisson) MarshalState() []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b[0:], p.rng.state)
-	binary.LittleEndian.PutUint64(b[8:], uint64(p.next))
-	return b
-}
-
-// UnmarshalState restores a cursor serialized by MarshalState.
-func (p *Poisson) UnmarshalState(b []byte) error {
-	if len(b) != 16 {
-		return fmt.Errorf("workload: Poisson cursor is 16 bytes, got %d", len(b))
-	}
-	p.rng.state = binary.LittleEndian.Uint64(b[0:])
-	p.next = sim.Time(binary.LittleEndian.Uint64(b[8:]))
-	return nil
 }
 
 // Markov is a two-state Markov-modulated Poisson process: the arrival rate
@@ -273,26 +245,4 @@ func (m *Markov) Next(to sim.Time) []FlowSpec {
 // Name identifies the process.
 func (m *Markov) Name() string {
 	return fmt.Sprintf("mmpp(%g/%gfps,%s)", m.rateBurst, m.rateQuiet, m.sizes.Name())
-}
-
-// MarshalState serializes the cursor: RNG counter, mode, mode end, next.
-func (m *Markov) MarshalState() []byte {
-	b := make([]byte, 25)
-	binary.LittleEndian.PutUint64(b[0:], m.rng.state)
-	b[8] = m.mode
-	binary.LittleEndian.PutUint64(b[9:], uint64(m.modeEnd))
-	binary.LittleEndian.PutUint64(b[17:], uint64(m.next))
-	return b
-}
-
-// UnmarshalState restores a cursor serialized by MarshalState.
-func (m *Markov) UnmarshalState(b []byte) error {
-	if len(b) != 25 {
-		return fmt.Errorf("workload: Markov cursor is 25 bytes, got %d", len(b))
-	}
-	m.rng.state = binary.LittleEndian.Uint64(b[0:])
-	m.mode = b[8]
-	m.modeEnd = sim.Time(binary.LittleEndian.Uint64(b[9:]))
-	m.next = sim.Time(binary.LittleEndian.Uint64(b[17:]))
-	return nil
 }

@@ -83,55 +83,6 @@ func TestArrivalsTickInvariant(t *testing.T) {
 	}
 }
 
-// TestArrivalsMarshalRoundTrip: serializing the cursor mid-run and restoring
-// it onto a fresh same-config process must continue the identical sequence.
-func TestArrivalsMarshalRoundTrip(t *testing.T) {
-	const (
-		split   = sim.Time(700 * sim.Microsecond)
-		horizon = sim.Time(2 * sim.Millisecond)
-	)
-	for _, tc := range []struct {
-		name    string
-		make    func() ArrivalProcess
-		badSize int
-	}{
-		{"poisson", func() ArrivalProcess { return newTestPoisson(t) }, 15},
-		{"markov", func() ArrivalProcess { return newTestMarkov(t) }, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			unbroken := tc.make()
-			head := drainFingerprint(unbroken, split, 50*sim.Microsecond)
-			state := unbroken.MarshalState()
-
-			restored := tc.make()
-			if err := restored.UnmarshalState(state); err != nil {
-				t.Fatal(err)
-			}
-			if got := restored.MarshalState(); !bytes.Equal(got, state) {
-				t.Fatalf("cursor does not round-trip: %x vs %x", got, state)
-			}
-
-			var wantTail, gotTail bytes.Buffer
-			for _, s := range unbroken.Next(horizon) {
-				fmt.Fprintln(&wantTail, specLine(s))
-			}
-			for _, s := range restored.Next(horizon) {
-				fmt.Fprintln(&gotTail, specLine(s))
-			}
-			if head == "" || wantTail.Len() == 0 {
-				t.Fatal("degenerate split: empty head or tail")
-			}
-			if wantTail.String() != gotTail.String() {
-				t.Fatalf("restored process diverges after split:\nwant:\n%s\ngot:\n%s", wantTail.String(), gotTail.String())
-			}
-
-			if err := restored.UnmarshalState(make([]byte, tc.badSize)); err == nil {
-				t.Fatal("UnmarshalState accepted a truncated cursor")
-			}
-		})
-	}
-}
-
 // TestArrivalsShape sanity-checks the generated specs: valid endpoints,
 // positive sizes, non-decreasing At, and that the Markov process actually
 // modulates (bursty windows denser than quiet ones).

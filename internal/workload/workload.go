@@ -33,8 +33,8 @@ type SizeDist interface {
 	Sample(rng *sim.RNG) int64
 	// SampleU maps one uniform draw u ∈ [0,1) to a flow size (always ≥ 1):
 	// the distribution's quantile function. The open-loop arrival processes
-	// use it so serializable Stream cursors can drive any SizeDist without
-	// touching the math/rand byte-streams behind Sample.
+	// use it so their own Streams can drive any SizeDist without touching
+	// the math/rand byte-streams behind Sample.
 	SampleU(u float64) int64
 	// Mean returns the distribution mean, used to convert offered load
 	// into an arrival rate.
@@ -72,27 +72,29 @@ type Pareto struct {
 
 // Sample draws one size.
 func (p Pareto) Sample(rng *sim.RNG) int64 {
-	v := int64(rng.Pareto(p.Alpha, float64(p.MinBytes)))
-	return p.clamp(v)
+	return p.clamp(rng.Pareto(p.Alpha, float64(p.MinBytes)))
 }
 
 // SampleU maps a uniform draw to a size via the closed-form Pareto quantile.
 func (p Pareto) SampleU(u float64) int64 {
 	// The quantile is xm/(1-F)^(1/alpha); u is uniform so 1-u works as well
 	// and keeps u=0 the minimum rather than a division by zero.
-	v := int64(float64(p.MinBytes) / math.Pow(1-u, 1/p.Alpha))
-	return p.clamp(v)
+	return p.clamp(float64(p.MinBytes) / math.Pow(1-u, 1/p.Alpha))
 }
 
-// clamp applies the truncation and the ≥ 1 floor.
-func (p Pareto) clamp(v int64) int64 {
-	if p.MaxBytes > 0 && v > p.MaxBytes {
-		v = p.MaxBytes
+// clamp applies the truncation and the ≥ 1 floor in float64, before
+// converting: a float64 beyond int64's range converts to an unspecified
+// value (on amd64, one that the floor turned into a 1-byte flow).
+func (p Pareto) clamp(v float64) int64 {
+	switch {
+	case p.MaxBytes > 0 && v > float64(p.MaxBytes):
+		return p.MaxBytes
+	case v >= math.MaxInt64:
+		return math.MaxInt64
+	case v < 1:
+		return 1
 	}
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return int64(v)
 }
 
 // Mean returns the truncated-Pareto mean (approximated analytically for the

@@ -62,6 +62,27 @@ func TestParetoProperties(t *testing.T) {
 	}
 }
 
+// TestParetoClampsBeyondInt64: a draw whose quantile overflows int64 must
+// clamp to the bound (or to MaxInt64 without one), not convert to an
+// unspecified value and fall to the 1-byte floor.
+func TestParetoClampsBeyondInt64(t *testing.T) {
+	top := math.Nextafter(1, 0)
+	if got := (Pareto{Alpha: 1.05, MinBytes: 1e6}).SampleU(top); got != math.MaxInt64 {
+		t.Errorf("unbounded SampleU(%v) = %d, want MaxInt64", top, got)
+	}
+	if got := (Pareto{Alpha: 1.05, MinBytes: 1e6, MaxBytes: 1e9}).SampleU(top); got != 1e9 {
+		t.Errorf("bounded SampleU(%v) = %d, want the 1e9 bound", top, got)
+	}
+	// At alpha 0.01 nearly every draw's quantile overflows int64.
+	d := Pareto{Alpha: 0.01, MinBytes: 1e6, MaxBytes: 1e12}
+	rng := sim.NewRNG(4)
+	for i := 0; i < 100; i++ {
+		if v := d.Sample(rng); v < d.MinBytes || v > d.MaxBytes {
+			t.Fatalf("Sample = %d, want within [%d, %d]", v, d.MinBytes, d.MaxBytes)
+		}
+	}
+}
+
 func TestEmpiricalCDFs(t *testing.T) {
 	for _, e := range []Empirical{WebSearch(), DataMining()} {
 		if err := e.Validate(); err != nil {

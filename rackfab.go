@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"rackfab/internal/fabric"
+	"rackfab/internal/faults"
 	"rackfab/internal/phy"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
@@ -163,6 +164,16 @@ type Cluster struct {
 	pk    *packetBackend  // non-nil iff Engine == EnginePacket
 	fl    *fluidBackend   // non-nil iff Engine == EngineFluid
 	trace *trace.Recorder // non-nil iff Config.Trace was set
+
+	// zeroFaults holds the lowered fault schedules applied while the clock
+	// read zero, in call order: the inputs a checkpoint records besides the
+	// two configs and the tick count.
+	zeroFaults []*faults.Schedule
+	// drivenBy says what has driven the cluster, which decides whether a
+	// checkpoint can reproduce it: "" while nothing has, servedBy while
+	// only one Service's ticks have, else the first call that drove it
+	// another way.
+	drivenBy string
 }
 
 // New builds a cluster. The simulation clock starts at zero; nothing runs
@@ -246,7 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("rackfab: unknown engine %q", cfg.Engine)
 	}
 	if cfg.Faults != nil {
-		if err := c.be.applyFaults(cfg.Faults); err != nil {
+		if err := c.ApplyFaults(cfg.Faults); err != nil {
 			return nil, err
 		}
 	}
@@ -340,11 +351,15 @@ func (c *Cluster) PowerW() float64 {
 }
 
 // RunFor advances simulated time by d.
-func (c *Cluster) RunFor(d time.Duration) error { return c.be.runFor(d) }
+func (c *Cluster) RunFor(d time.Duration) error {
+	c.offScript("RunFor")
+	return c.be.runFor(d)
+}
 
 // RunUntilDone runs until every injected flow completes, or errors at the
 // simulated-time limit.
 func (c *Cluster) RunUntilDone(limit time.Duration) error {
+	c.offScript("RunUntilDone")
 	return c.be.runUntilDone(limit)
 }
 
@@ -354,11 +369,11 @@ func (c *Cluster) RunUntilDone(limit time.Duration) error {
 // the bulk-synchronous shape collective workloads (RingAllReduceTraffic and
 // friends) emit. It returns per-phase flow handles. Each phase is an
 // ordinary Inject followed by RunUntilDone, so RunPhases mixes freely with
-// earlier Inject and Run calls (it waits for their flows too), a fluid
-// cluster can Checkpoint after it, and a traced cluster records a
-// phase-open event at every barrier on either engine. limit caps total
-// simulated time, as in RunUntilDone.
+// earlier Inject and Run calls (it waits for their flows too), and a traced
+// cluster records a phase-open event at every barrier on either engine.
+// limit caps total simulated time, as in RunUntilDone.
 func (c *Cluster) RunPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow, error) {
+	c.offScript("RunPhases")
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("rackfab: RunPhases needs at least one phase")
 	}
@@ -406,6 +421,7 @@ func (c *Cluster) PeakQueueDelay() (time.Duration, error) {
 // entry point is for deterministic experiments). keepLanes is the switched
 // lane count left on every link (typically 1).
 func (c *Cluster) ApplyGridToTorus(keepLanes int) error {
+	c.offScript("ApplyGridToTorus")
 	if c.pk == nil {
 		return errPacketOnly("grid→torus reconfiguration")
 	}
@@ -419,6 +435,7 @@ func (c *Cluster) ApplyGridToTorus(keepLanes int) error {
 // SetLinkBER sets the true channel bit error rate on the link joining
 // nodes a and b (fault injection for the adaptive-FEC path).
 func (c *Cluster) SetLinkBER(a, b int, ber float64) error {
+	c.offScript("SetLinkBER")
 	if c.pk == nil {
 		return errPacketOnly("BER injection")
 	}
@@ -439,6 +456,7 @@ func (c *Cluster) SetLinkBER(a, b int, ber float64) error {
 // injection / degradation for the adaptive-routing path). For
 // engine-agnostic capacity faults use a FaultSchedule instead.
 func (c *Cluster) DisableLanes(a, b, n int) error {
+	c.offScript("DisableLanes")
 	if c.pk == nil {
 		return errPacketOnly("lane control")
 	}
@@ -464,6 +482,7 @@ func (c *Cluster) DisableLanes(a, b, n int) error {
 // discipline the A3 ablation compares against the CRC's adaptive pricing.
 // A no-op on the fluid engine, which always routes shortest-path.
 func (c *Cluster) SetValiantRouting(enabled bool) {
+	c.offScript("SetValiantRouting")
 	if c.pk == nil {
 		return
 	}

@@ -2,7 +2,6 @@ package rackfab
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +48,16 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"negative SLO target", func(c *Config) { c.SLOTargetX = -1 }},
 		{"NaN SLO target", func(c *Config) { c.SLOTargetX = math.NaN() }},
 	}
+	serveCases := []struct {
+		name string
+		mut  func(*ServeConfig)
+	}{
+		{"SLO target -1", func(s *ServeConfig) { s.SLOTargetX = -1 }},
+		{"SLO target NaN", func(s *ServeConfig) { s.SLOTargetX = math.NaN() }},
+		{"pareto max below zero", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:1.2:-1" }},
+		{"pareto max below min", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:1.2:999" }},
+		{"pareto NaN alpha", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:NaN" }},
+	}
 	for _, engine := range []Engine{EnginePacket, EngineFluid} {
 		for _, tc := range cases {
 			t.Run(string(engine)+"/"+tc.name, func(t *testing.T) {
@@ -64,16 +73,16 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 				}
 			})
 		}
-		for _, x := range []float64{-1, math.NaN()} {
-			t.Run(string(engine)+"/serve SLO target "+strconv.FormatFloat(x, 'g', -1, 64), func(t *testing.T) {
+		for _, tc := range serveCases {
+			t.Run(string(engine)+"/serve "+tc.name, func(t *testing.T) {
 				c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 1, Engine: engine})
 				if err != nil {
 					t.Fatal(err)
 				}
 				scfg := svcServeConfig("poisson")
-				scfg.SLOTargetX = x
+				tc.mut(&scfg)
 				if _, err := c.Serve(scfg); err == nil {
-					t.Fatalf("Serve accepted SLOTargetX %v", x)
+					t.Fatalf("Serve accepted %+v", scfg)
 				}
 			})
 		}

@@ -1,7 +1,6 @@
 package rackfab
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -18,15 +17,15 @@ import (
 // This file is the public service-mode surface: a long-running cluster
 // under open-loop load. Serve wraps either engine behind the synchronous
 // service driver (generate → inject → advance → drain → retire, one tick
-// per call); on the fluid engine a running Service checkpoints and resumes
-// byte-identically via Service.Checkpoint and ResumeService.
+// per call); a running Service checkpoints and resumes byte-identically
+// via Service.Checkpoint and ResumeService (checkpoint.go).
 
 // ArrivalSpec declares an open-loop arrival process.
 type ArrivalSpec struct {
 	// Process selects the generator: "poisson" (default) or "markov" (a
 	// two-state burst/quiet MMPP).
 	Process string
-	// Seed seeds the serializable arrival stream (default 1).
+	// Seed seeds the arrival stream (default 1).
 	Seed uint64
 	// Rate is the arrival rate in flows per second (the burst-mode rate
 	// for "markov"). Required.
@@ -69,22 +68,15 @@ type ServiceStats struct {
 
 // Service is a cluster under open-loop service-mode load.
 type Service struct {
-	c        *Cluster
-	d        *service.Driver
-	wireRate float64
+	c   *Cluster
+	d   *service.Driver
+	cfg ServeConfig
 }
 
 // Serve starts service mode on the cluster. The cluster should be freshly
 // constructed (fault schedules applied, nothing run yet); ticks then drive
-// everything. Works on both engines; checkpointing requires EngineFluid.
+// everything. Works on both engines, and so does Service.Checkpoint.
 func (c *Cluster) Serve(cfg ServeConfig) (*Service, error) {
-	return c.serve(cfg, 0)
-}
-
-// serve builds the service; wireRate > 0 pins the ideal-FCT wire rate
-// (the resume path, where the live graph may be mid-fault and its current
-// fastest link slower than at the original Serve call).
-func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	src, err := buildArrivals(c.Nodes(), cfg.Arrivals)
 	if err != nil {
 		return nil, err
@@ -99,11 +91,10 @@ func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	if cfg.SLOTargetX < 0 || math.IsNaN(cfg.SLOTargetX) {
 		return nil, fmt.Errorf("rackfab: serve SLO target multiplier must be a non-negative number, got %v", cfg.SLOTargetX)
 	}
-	if wireRate == 0 {
-		for _, e := range c.graph.Edges() {
-			if r := e.Link.EffectiveRate(); r > wireRate {
-				wireRate = r
-			}
+	var wireRate float64
+	for _, e := range c.graph.Edges() {
+		if r := e.Link.EffectiveRate(); r > wireRate {
+			wireRate = r
 		}
 	}
 	if wireRate <= 0 {
@@ -119,12 +110,11 @@ func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	if targetX == 0 {
 		targetX = c.sloTargetX()
 	}
-	rate := wireRate
 	d, err := service.New(service.Config{
 		Tick:   simDur(tick),
 		Source: src,
 		Ideal: func(cp service.Completion) sim.Duration {
-			return workload.IdealFCT(cp.Bytes, rate, cp.Hops, sloPerHopLatency)
+			return workload.IdealFCT(cp.Bytes, wireRate, cp.Hops, sloPerHopLatency)
 		},
 		SLOTargetX:  targetX,
 		RetireEvery: cfg.RetireEvery,
@@ -132,7 +122,12 @@ func (c *Cluster) serve(cfg ServeConfig, wireRate float64) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{c: c, d: d, wireRate: wireRate}, nil
+	if c.drivenBy == "" {
+		c.drivenBy = servedBy
+	} else {
+		c.offScript("a second Serve")
+	}
+	return &Service{c: c, d: d, cfg: cfg}, nil
 }
 
 // buildArrivals lowers an ArrivalSpec onto a workload.ArrivalProcess.
@@ -203,8 +198,11 @@ func parseSizes(s string) (workload.SizeDist, error) {
 		if len(parts) == 3 {
 			max, err3 = strconv.ParseInt(parts[2], 10, 64)
 		}
-		if err1 != nil || err2 != nil || err3 != nil || min < 1 || alpha <= 0 {
+		if err1 != nil || err2 != nil || err3 != nil || min < 1 || !(alpha > 0) {
 			return nil, fmt.Errorf("rackfab: bad size spec %q", s)
+		}
+		if max < 0 || (max > 0 && max < min) {
+			return nil, fmt.Errorf("rackfab: bad size spec %q (max must be 0 for no bound, or at least min)", s)
 		}
 		return workload.Pareto{Alpha: alpha, MinBytes: min, MaxBytes: max}, nil
 	default:
@@ -213,11 +211,20 @@ func parseSizes(s string) (workload.SizeDist, error) {
 }
 
 // Tick runs one service iteration.
-func (s *Service) Tick() error { return s.d.Tick() }
+func (s *Service) Tick() error { return s.failed(s.d.Tick()) }
 
 // RunUntil ticks until the simulated clock reaches at least t.
 func (s *Service) RunUntil(t time.Duration) error {
-	return s.d.RunUntil(sim.Time(simDur(t)))
+	return s.failed(s.d.RunUntil(sim.Time(simDur(t))))
+}
+
+// failed passes a tick's error through, noting that the failed tick may
+// have half run: a checkpoint can only re-run whole ones.
+func (s *Service) failed(err error) error {
+	if err != nil {
+		s.c.offScript("a failed Tick")
+	}
+	return err
 }
 
 // Now returns the current simulated time.
@@ -256,62 +263,10 @@ func (s *Service) Fingerprint() string {
 	return fp
 }
 
-// svcMagic versions the service checkpoint layout (wraps the cluster's).
-const svcMagic = "rkfbsv01"
-
-// Checkpoint serializes the whole service — driver cursor, arrival stream,
-// and the cluster's operation journal — in a byte-stable form. Fluid
-// engine only.
-func (s *Service) Checkpoint() ([]byte, error) {
-	cluster, err := s.c.Checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	st := s.d.MarshalState()
-	b := []byte(svcMagic)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.wireRate))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st)))
-	b = append(b, st...)
-	b = append(b, cluster...)
-	return b, nil
-}
-
-// ResumeService rebuilds a service from Checkpoint bytes. cfg and scfg
-// must equal the originals (cfg.Faults nil — the schedule travels inside
-// the checkpoint). The restore replays the cluster's operation journal and
-// re-accounts the replayed completion history, so the resumed service
-// continues byte-identically to one that never checkpointed.
-func ResumeService(cfg Config, scfg ServeConfig, data []byte) (*Service, error) {
-	if len(data) < len(svcMagic)+12 || string(data[:len(svcMagic)]) != svcMagic {
-		return nil, fmt.Errorf("rackfab: not a service checkpoint (bad magic)")
-	}
-	data = data[len(svcMagic):]
-	wireRate := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	if len(data) < 12+n {
-		return nil, fmt.Errorf("rackfab: service checkpoint truncated")
-	}
-	driverState, clusterBytes := data[12:12+n], data[12+n:]
-	c, err := Restore(cfg, clusterBytes)
-	if err != nil {
-		return nil, err
-	}
-	s, err := c.serve(scfg, wireRate)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.d.RestoreState(driverState); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // ---------------------------------------------------------------------------
 // Engine adapters
 
-// fluidServiceTarget adapts the fluid backend to the service driver. All
-// operations route through the journaling entry points, so a service run
-// checkpoints for free.
+// fluidServiceTarget adapts the fluid backend to the service driver.
 type fluidServiceTarget struct {
 	b *fluidBackend
 }

@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// svcClusterConfig is the shared world of the service-mode tests: a fluid
-// 4×4 grid with the flight recorder on, so split-run equality can compare
-// trace bytes as well as fingerprints.
-func svcClusterConfig() Config {
+// svcClusterConfig is the shared world of the service-mode tests: a 4×4
+// grid on the given engine with the flight recorder on, so split-run
+// equality can compare trace bytes as well as fingerprints.
+func svcClusterConfig(engine Engine) Config {
 	return Config{
 		Topology: Grid, Width: 4, Height: 4,
-		Engine: EngineFluid, Seed: 9,
+		Engine: engine, Seed: 9,
 		Trace: &TraceConfig{},
 	}
 }
@@ -56,87 +56,89 @@ func serviceTraceText(t *testing.T, c *Cluster) string {
 	return buf.String()
 }
 
-// TestServiceCheckpointSplitRunBitIdentical is the tentpole acceptance
-// gate: a service run split across a Checkpoint/ResumeService boundary —
-// with open-loop arrivals and a PoissonFlaps schedule active — must be
-// byte-identical to the unbroken run, in both the service fingerprint and
-// the flight-recorder trace text.
+// startService builds the shared world on engine, applies the flap
+// schedule, serves process's load and runs it to until.
+func startService(t *testing.T, engine Engine, process string, until time.Duration) *Service {
+	t.Helper()
+	c, err := New(svcClusterConfig(engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyFaults(svcFlaps(c)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Serve(svcServeConfig(process))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(until); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestServiceCheckpointSplitRunBitIdentical is the checkpoint acceptance
+// gate: on either engine, a service run split across a
+// Checkpoint/ResumeService boundary — with open-loop arrivals and a
+// PoissonFlaps schedule applied before Serve — must be byte-identical to
+// the unbroken run in the service fingerprint, the flight-recorder trace
+// text and the end-of-run checkpoint bytes. The checkpoint is inputs plus a
+// tick count, so its size does not grow between the two instants.
 func TestServiceCheckpointSplitRunBitIdentical(t *testing.T) {
 	for _, process := range []string{"poisson", "markov"} {
 		t.Run(process, func(t *testing.T) {
-			mid, end := 10*time.Millisecond, 20*time.Millisecond
+			for _, engine := range []Engine{EnginePacket, EngineFluid} {
+				t.Run(string(engine), func(t *testing.T) {
+					mid, end := 10*time.Millisecond, 20*time.Millisecond
 
-			// Unbroken run.
-			c1, err := New(svcClusterConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c1.ApplyFaults(svcFlaps(c1)); err != nil {
-				t.Fatal(err)
-			}
-			s1, err := c1.Serve(svcServeConfig(process))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s1.RunUntil(end); err != nil {
-				t.Fatal(err)
-			}
-			wantFP, wantTrace := s1.Fingerprint(), serviceTraceText(t, c1)
-			wantCkpt, err := s1.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
+					s1 := startService(t, engine, process, end)
+					wantFP, wantTrace := s1.Fingerprint(), serviceTraceText(t, s1.Cluster())
+					wantCkpt, err := s1.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// Split run: same world to mid, checkpoint, resume, continue.
-			c2, err := New(svcClusterConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c2.ApplyFaults(svcFlaps(c2)); err != nil {
-				t.Fatal(err)
-			}
-			s2, err := c2.Serve(svcServeConfig(process))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s2.RunUntil(mid); err != nil {
-				t.Fatal(err)
-			}
-			ckpt, err := s2.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Serialization must be stable: checkpointing twice is identical.
-			again, err := s2.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ckpt, again) {
-				t.Fatal("two checkpoints of the same state differ")
-			}
+					s2 := startService(t, engine, process, mid)
+					ckpt, err := s2.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Serialization must be stable: checkpointing twice is identical.
+					again, err := s2.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(ckpt, again) {
+						t.Fatal("two checkpoints of the same state differ")
+					}
+					if len(ckpt) != len(wantCkpt) {
+						t.Fatalf("checkpoint grew from %d bytes at %v to %d at %v", len(ckpt), mid, len(wantCkpt), end)
+					}
 
-			s3, err := ResumeService(svcClusterConfig(), svcServeConfig(process), ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := s3.Fingerprint(); got != s2.Fingerprint() {
-				t.Fatalf("restored fingerprint diverged at the boundary:\n--- original ---\n%s--- restored ---\n%s", s2.Fingerprint(), got)
-			}
-			if err := s3.RunUntil(end); err != nil {
-				t.Fatal(err)
-			}
-			if got := s3.Fingerprint(); got != wantFP {
-				t.Fatalf("split run diverged:\n--- unbroken ---\n%s--- split ---\n%s", wantFP, got)
-			}
-			if got := serviceTraceText(t, s3.Cluster()); got != wantTrace {
-				t.Fatal("split-run trace text diverged from the unbroken run")
-			}
-			gotCkpt, err := s3.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotCkpt, wantCkpt) {
-				t.Fatal("end-of-run checkpoint bytes diverged between unbroken and split runs")
+					s3, err := ResumeService(svcClusterConfig(engine), svcServeConfig(process), ckpt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s3.Fingerprint(); got != s2.Fingerprint() {
+						t.Fatalf("restored fingerprint diverged at the boundary:\n--- original ---\n%s--- restored ---\n%s", s2.Fingerprint(), got)
+					}
+					if err := s3.RunUntil(end); err != nil {
+						t.Fatal(err)
+					}
+					if got := s3.Fingerprint(); got != wantFP {
+						t.Fatalf("split run diverged:\n--- unbroken ---\n%s--- split ---\n%s", wantFP, got)
+					}
+					if got := serviceTraceText(t, s3.Cluster()); got != wantTrace {
+						t.Fatal("split-run trace text diverged from the unbroken run")
+					}
+					gotCkpt, err := s3.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gotCkpt, wantCkpt) {
+						t.Fatal("end-of-run checkpoint bytes diverged between unbroken and split runs")
+					}
+				})
 			}
 		})
 	}
@@ -187,44 +189,48 @@ func TestServiceSoakRetainedBounded(t *testing.T) {
 	}
 }
 
-// TestPacketServiceHeapFlat: on the packet engine, service-mode state is
-// bounded for all state, not only the retained-flow count. About 20k more
-// flows served over one simulated second must leave the live heap where
-// the warm-up left it.
+// TestPacketServiceHeapFlat: service-mode state is bounded for all state,
+// not only the retained-flow count, on either engine. About 20k more flows
+// served over one simulated second must leave the live heap where the
+// warm-up left it.
 func TestPacketServiceHeapFlat(t *testing.T) {
-	c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: EnginePacket, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Serve(ServeConfig{
-		Tick:     time.Millisecond,
-		Arrivals: ArrivalSpec{Seed: 8, Rate: 20000, Sizes: "fixed:2000"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	if err := s.RunUntil(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	warm := s.Stats().Injected
-	before := heap()
-	if err := s.RunUntil(1050 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	grown := heap() - before
-	runtime.KeepAlive(s)
-	if served := s.Stats().Injected - warm; served < 15000 {
-		t.Fatalf("served only %d flows after warm-up", served)
-	}
-	if grown >= 256<<10 {
-		t.Fatalf("serving %d flows grew the live heap by %d KB, want < 256 KB",
-			s.Stats().Injected-warm, grown>>10)
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(engine), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c.Serve(ServeConfig{
+				Tick:     time.Millisecond,
+				Arrivals: ArrivalSpec{Seed: 8, Rate: 20000, Sizes: "fixed:2000"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap := func() int64 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return int64(ms.HeapAlloc)
+			}
+			if err := s.RunUntil(50 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			warm := s.Stats().Injected
+			before := heap()
+			if err := s.RunUntil(1050 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			grown := heap() - before
+			runtime.KeepAlive(s)
+			if served := s.Stats().Injected - warm; served < 15000 {
+				t.Fatalf("served only %d flows after warm-up", served)
+			}
+			if grown >= 256<<10 {
+				t.Fatalf("serving %d flows grew the live heap by %d KB, want < 256 KB",
+					s.Stats().Injected-warm, grown>>10)
+			}
+		})
 	}
 }
 
@@ -328,183 +334,201 @@ func TestInjectMidRunHandleStability(t *testing.T) {
 	}
 }
 
-// TestRestoreGuards pins the checkpoint surface's error contract.
+// TestRestoreGuards pins ResumeService's error contract: it refuses bytes
+// that are not a whole checkpoint and inputs that differ from the
+// original's, down to one ServeConfig field.
 func TestRestoreGuards(t *testing.T) {
-	cfg := svcClusterConfig()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Serve(svcServeConfig("poisson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntil(2 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	cfg, scfg := svcClusterConfig(EngineFluid), svcServeConfig("poisson")
+	s := startService(t, EngineFluid, "poisson", 2*time.Millisecond)
 	ckpt, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ResumeService(cfg, scfg, ckpt); err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := ResumeService(cfg, svcServeConfig("poisson"), []byte("junk")); err == nil {
-		t.Fatal("resume accepted junk bytes")
-	}
-	bad := cfg
-	bad.Seed++
-	if _, err := ResumeService(bad, svcServeConfig("poisson"), ckpt); err == nil {
-		t.Fatal("resume accepted a different Config")
-	}
+	otherSeed := cfg
+	otherSeed.Seed++
 	withFaults := cfg
 	withFaults.Faults = NewFaultSchedule(FaultSpec{At: time.Millisecond, Kind: LinkDown, A: 0, B: 1})
-	if _, err := ResumeService(withFaults, svcServeConfig("poisson"), ckpt); err == nil {
-		t.Fatal("resume accepted cfg.Faults alongside the checkpointed schedule")
-	}
 	pkt := cfg
 	pkt.Engine = EnginePacket
-	pkt.Trace = nil
-	if _, err := ResumeService(pkt, svcServeConfig("poisson"), ckpt); err == nil {
-		t.Fatal("resume accepted the packet engine")
+	fasterRate := scfg
+	fasterRate.Arrivals.Rate *= 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		scfg ServeConfig
+		data []byte
+	}{
+		{"junk bytes", cfg, scfg, []byte("junk")},
+		{"a truncated checkpoint", cfg, scfg, ckpt[:len(ckpt)-1]},
+		{"trailing bytes", cfg, scfg, append(ckpt[:len(ckpt):len(ckpt)], 0)},
+		{"a different Config", otherSeed, scfg, ckpt},
+		{"cfg.Faults alongside the checkpointed schedules", withFaults, scfg, ckpt},
+		{"the other engine", pkt, scfg, ckpt},
+		{"a ServeConfig differing only in Rate", cfg, fasterRate, ckpt},
+	} {
+		if _, err := ResumeService(tc.cfg, tc.scfg, tc.data); err == nil {
+			t.Errorf("ResumeService accepted %s", tc.name)
+		}
 	}
 
-	// Checkpoint is fluid-only, and available after RunPhases.
-	cp, err := New(Config{Topology: Grid, Width: 4, Height: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.Checkpoint(); err == nil {
-		t.Fatal("packet cluster accepted Checkpoint")
-	}
-	cf, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: EngineFluid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cf.RunPhases([][]FlowSpec{{{Src: 0, Dst: 5, Bytes: 1e4}}}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cf.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint after RunPhases: %v", err)
+	// Every ControlConfig field shapes the packet run, so each is digested.
+	on := svcClusterConfig(EnginePacket)
+	on.Control = ControlOn()
+	off := on
+	off.Control.DisableFEC = true
+	if ckptDigest(on, scfg) == ckptDigest(off, scfg) {
+		t.Error("the checkpoint digest ignores Control.DisableFEC")
 	}
 }
 
 // TestRestoreRejectsCorruptCounts: each element count in a checkpoint —
-// fault events, journal ops, an inject's specs — tampered to 0xFFFFFFFF
-// must come back as an error from Restore and ResumeService instead of
-// sizing an allocation from it.
+// fault schedules, and one schedule's events — tampered to 0xFFFFFFFF
+// must come back as an error from ResumeService instead of sizing an
+// allocation from it, and so must a fault event naming no link.
 func TestRestoreRejectsCorruptCounts(t *testing.T) {
-	cfg := svcClusterConfig()
-	c, err := New(cfg)
+	cfg, scfg := svcClusterConfig(EngineFluid), svcServeConfig("poisson")
+	s := startService(t, EngineFluid, "poisson", 2*time.Millisecond)
+	ckpt, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ApplyFaults(svcFlaps(c)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Serve(svcServeConfig("poisson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntil(2 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	svcCkpt, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cluster checkpoint is the tail of the service checkpoint.
-	tail := len(svcCkpt) - len(ckpt)
-	if tail < 0 || !bytes.Equal(svcCkpt[tail:], ckpt) {
-		t.Fatal("service checkpoint does not end with the cluster checkpoint")
-	}
-	// Layout: magic, Config digest, fault-event count and events, op count,
-	// then the first op's kind byte and (for an inject) its spec count.
-	const eventsAt = len(ckptMagic) + 8
-	nev := int(binary.LittleEndian.Uint32(ckpt[eventsAt:]))
-	opsAt := eventsAt + 4 + nev*faultEventBytes
-	if nev == 0 || opKind(ckpt[opsAt+4]) != opInject {
-		t.Fatalf("want fault events and a journal opening with an inject (events %d, first op %d)", nev, ckpt[opsAt+4])
+	// Layout: magic, digest, schedule count, then the first schedule's
+	// event count and its first event (At, then Target).
+	const schedsAt = len(ckptMagic) + 8
+	const eventsAt = schedsAt + 4
+	if n, nev := binary.LittleEndian.Uint32(ckpt[schedsAt:]), binary.LittleEndian.Uint32(ckpt[eventsAt:]); n != 1 || nev == 0 {
+		t.Fatalf("want one schedule with events, got %d schedules, first with %d events", n, nev)
 	}
 	for _, tc := range []struct {
 		name string
 		at   int
 	}{
-		{"fault events", eventsAt},
-		{"ops", opsAt},
-		{"specs", opsAt + 5},
+		{"schedule count", schedsAt},
+		{"event count", eventsAt},
 	} {
 		bad := append([]byte(nil), ckpt...)
 		binary.LittleEndian.PutUint32(bad[tc.at:], 0xFFFFFFFF)
-		if _, err := Restore(cfg, bad); err == nil {
-			t.Errorf("Restore accepted a corrupt %s count", tc.name)
+		if _, err := ResumeService(cfg, scfg, bad); err == nil {
+			t.Errorf("ResumeService accepted a corrupt %s", tc.name)
 		}
-		badSvc := append(append([]byte(nil), svcCkpt[:tail]...), bad...)
-		if _, err := ResumeService(cfg, svcServeConfig("poisson"), badSvc); err == nil {
-			t.Errorf("ResumeService accepted a corrupt %s count", tc.name)
-		}
+	}
+	bad := append([]byte(nil), ckpt...)
+	binary.LittleEndian.PutUint64(bad[eventsAt+4+8:], 1<<40)
+	if _, err := ResumeService(cfg, scfg, bad); err == nil {
+		t.Error("ResumeService accepted a fault event naming no link")
 	}
 }
 
-// stripSLO drops the report's SLO line: SLO attainment is computed from
-// flow handles, which Restore documents it does not rebuild (service mode
-// accounts SLO from drained completions instead).
-func stripSLO(report string) string {
-	var kept []string
-	for _, line := range strings.Split(report, "\n") {
-		if !strings.HasPrefix(line, "slo:") {
-			kept = append(kept, line)
-		}
+// TestServiceCheckpointRefusesOffScript: a checkpoint records only inputs
+// and a tick count, so Service.Checkpoint must refuse once anything but
+// the service's own ticks drove the cluster — and keep working when the
+// only extra call is ApplyFaults while the clock reads zero, before or
+// after Serve.
+func TestServiceCheckpointRefusesOffScript(t *testing.T) {
+	scfg := ServeConfig{Tick: time.Millisecond, Arrivals: ArrivalSpec{Seed: 3, Rate: 5000, Sizes: "fixed:20000"}}
+	phase := []FlowSpec{{Src: 0, Dst: 5, Bytes: 1e4}}
+	linkDown := NewFaultSchedule(FaultSpec{At: 5 * time.Millisecond, Kind: LinkDown, A: 0, B: 1})
+	// An unhealed node loss strands the node's flows; the fluid engine
+	// errors the first tick that has nothing else left to run.
+	nodeLoss := NewFaultSchedule(FaultSpec{At: 1500 * time.Microsecond, Kind: NodeDown, Node: 0})
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+		before func(c *Cluster) error // runs before Serve
+		after  func(c *Cluster, s *Service) error
+		fails  bool // after is expected to return an error
+	}{
+		{name: "Inject before Serve", engine: EnginePacket,
+			before: func(c *Cluster) error { _, err := c.Inject(phase); return err }},
+		{name: "Inject", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { _, err := c.Inject(phase); return err }},
+		{name: "RunFor", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.RunFor(time.Millisecond) }},
+		{name: "RunUntilDone", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.RunUntilDone(time.Second) }},
+		{name: "RunPhases", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error {
+				_, err := c.RunPhases([][]FlowSpec{phase}, time.Second)
+				return err
+			}},
+		{name: "ApplyGridToTorus", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.ApplyGridToTorus(1) }},
+		{name: "SetLinkBER", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.SetLinkBER(0, 1, 1e-9) }},
+		{name: "DisableLanes", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.DisableLanes(0, 1, 1) }},
+		{name: "SetValiantRouting", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { c.SetValiantRouting(true); return nil }},
+		{name: "ApplyFaults after the clock moved", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { return c.ApplyFaults(linkDown) }},
+		{name: "a second Serve", engine: EnginePacket,
+			after: func(c *Cluster, _ *Service) error { _, err := c.Serve(scfg); return err }},
+		{name: "a failed Tick", engine: EngineFluid,
+			before: func(c *Cluster) error { return c.ApplyFaults(nodeLoss) },
+			after:  func(_ *Cluster, s *Service) error { return s.RunUntil(time.Second) },
+			fails:  true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: tc.engine, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.before != nil {
+				if err := tc.before(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := c.Serve(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.after != nil {
+				if err := tc.after(c, s); (err != nil) != tc.fails {
+					t.Fatalf("call returned %v, want failure %v", err, tc.fails)
+				}
+			}
+			if _, err := s.Checkpoint(); err == nil {
+				t.Fatal("Checkpoint accepted a cluster driven outside its service's ticks")
+			}
+		})
 	}
-	return strings.Join(kept, "\n")
-}
 
-// TestClusterCheckpointPlainRun: the checkpoint surface also works outside
-// service mode — a plain Inject/RunFor sequence restores bit-identically
-// at the engine level (handles, and with them the handle-derived SLO report
-// section, are documented as not restored).
-func TestClusterCheckpointPlainRun(t *testing.T) {
-	cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: EngineFluid, Seed: 4}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Inject(UniformTraffic(c, 40, 64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunFor(50 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Inject(UniformTraffic(c, 10, 32<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunFor(50 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(cfg, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Now() != c.Now() {
-		t.Fatalf("restored clock %v, want %v", r.Now(), c.Now())
-	}
-	if got, want := r.Report().String(), stripSLO(c.Report().String()); got != want {
-		t.Fatalf("restored report diverged:\n--- original ---\n%s--- restored ---\n%s", want, got)
-	}
-	// Both continue identically.
-	if err := c.RunUntilDone(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RunUntilDone(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.Report().String(), stripSLO(c.Report().String()); got != want {
-		t.Fatalf("post-restore run diverged:\n--- original ---\n%s--- restored ---\n%s", want, got)
-	}
+	t.Run("ApplyFaults at clock zero", func(t *testing.T) {
+		cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: EnginePacket, Seed: 5}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ApplyFaults(linkDown); err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.Serve(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ApplyFaults(NewFaultSchedule(FaultSpec{At: 8 * time.Millisecond, Kind: LinkUp, A: 0, B: 1})); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ResumeService(cfg, scfg, ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Fingerprint(), s.Fingerprint(); got != want {
+			t.Fatalf("resumed fingerprint diverged:\n--- original ---\n%s--- resumed ---\n%s", want, got)
+		}
+	})
 }

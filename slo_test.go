@@ -328,58 +328,6 @@ func TestRunPhasesRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestRunPhasesCheckpointSplit: fluid RunPhases mixes with earlier Inject
-// and RunFor calls (waiting for their in-flight flows too) and journals as
-// ordinary operations, so a cluster checkpointed after it and restored
-// finishes more phases exactly as the cluster that never stopped.
-func TestRunPhasesCheckpointSplit(t *testing.T) {
-	cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: EngineFluid, Seed: 6}
-	phases := barrierPhases()
-	start := func() *Cluster {
-		t.Helper()
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Inject(UniformTraffic(c, 20, 64<<10)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunFor(20 * time.Microsecond); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunPhases(phases[:2], time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if !c.fl.sess.Done() {
-			t.Fatal("RunPhases returned with injected flows still in flight")
-		}
-		return c
-	}
-
-	unbroken := start()
-	if _, err := unbroken.RunPhases(phases[1:], time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt, err := start().Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(cfg, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.RunPhases(phases[1:], time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.Now(), unbroken.Now(); got != want {
-		t.Errorf("restored clock %v, want %v", got, want)
-	}
-	if got, want := stripSLO(restored.Report().String()), stripSLO(unbroken.Report().String()); got != want {
-		t.Errorf("split run diverged:\n--- unbroken ---\n%s--- restored ---\n%s", want, got)
-	}
-}
-
 // TestRunPhasesTracesPhaseOpen: a traced cluster records one phase-open
 // event per barrier, stamped at the drain instant, on either engine.
 func TestRunPhasesTracesPhaseOpen(t *testing.T) {

@@ -23,6 +23,7 @@ type FlowSpec struct {
 // gets batch-major flow IDs (canonical within the batch) so handles from
 // earlier batches never renumber.
 func (c *Cluster) Inject(specs []FlowSpec) ([]*Flow, error) {
+	c.offScript("Inject")
 	return c.be.inject(specs)
 }
 
