@@ -292,12 +292,14 @@ func BenchmarkServiceTick(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteRebuild measures price-driven routing maintenance on a
-// 256-node torus. The full arm is the from-scratch rebuild the CRC paid
-// every epoch before incremental repair; the repair arm is one link
-// failing and recovering against a live table — on a symmetric fabric most
-// affected columns are ECMP tie scrubs, so the per-event cost drops by
-// roughly the node count.
+// BenchmarkRouteRebuild measures routing maintenance on a 256-node torus.
+// The full arm is a from-scratch Build: one Dijkstra per destination. The
+// repair arm is one link failing and recovering against a live table. In
+// each direction the triage leaves most of the 256 columns alone or
+// re-derives a tie mask in place, and repairs the 14 columns whose
+// distances move over the few nodes whose distance changes. Re-running
+// Dijkstra on those columns was 98% of the arm's time before they were
+// repaired in place; BENCH_engine.json records both.
 func BenchmarkRouteRebuild(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		g := topo.NewTorus(16, 16, topo.Options{})

@@ -26,7 +26,7 @@ import (
 
 // FaultStats counts the fabric's applied fault replay, mirroring the fluid
 // engine's accounting: capacity events after node-loss lowering,
-// routing-table destination columns rebuilt by incremental repair, active
+// routing-table destination columns whose distances a repair rewrote, active
 // flows a fault instant pushed onto new paths, and starvation episodes —
 // flows whose destination a fault cut off entirely, closed (and only then
 // counted, matching the fluid engine) when a later repair heals the
@@ -92,7 +92,8 @@ func (f *Fabric) ScheduleFaults(sched *faults.Schedule, onApply func(evs []fault
 }
 
 // applyFaultGroup applies one instant's capacity events and repairs the
-// routing table once. Returns the number of destination columns rebuilt.
+// routing table once. Returns the number of destination columns whose
+// distances the repair rewrote.
 func (f *Fabric) applyFaultGroup(evs []faults.LinkEvent) int {
 	edges := make([]*topo.Edge, len(evs))
 	downed := make(map[*topo.Edge]bool)

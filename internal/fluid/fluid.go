@@ -86,8 +86,8 @@ func (s SolverStats) WarmHitPct() float64 {
 }
 
 // FaultStats summarizes the run's churn: capacity events applied (after
-// node-loss lowering), routing-table destination columns rebuilt by
-// incremental repair, flows moved to a new path mid-flight, starvation
+// node-loss lowering), routing-table destination columns whose distances
+// a repair rewrote, flows moved to a new path mid-flight, starvation
 // episodes (an active flow pinned at rate 0 by a dead link for a positive
 // span of simulated time — same-instant freeze/revive transients during a
 // fault's own reroute cascade don't count), and the total flow-time spent

@@ -339,3 +339,33 @@ func TestRepairRetainsNoMemory(t *testing.T) {
 	}
 	tablesEqual(t, "after flaps", Build(g, UniformCost), tab)
 }
+
+// TestRepairAllocatesNothing: a warmed RepairBatch runs its triage, tie
+// scrubs and column repairs on scratch the table already holds, so it
+// allocates nothing. Each run loses a torus node and a single link and
+// brings both back: column repairs and tie scrubs in both directions.
+func TestRepairAllocatesNothing(t *testing.T) {
+	g := topo.NewTorus(8, 8, topo.Options{})
+	tab := Build(g, UniformCost)
+	node := append([]*topo.Edge(nil), g.Adjacent(9)...)
+	link := g.Edges()[40:41]
+	repaired := 0
+	flap := func() {
+		for _, batch := range [][]*topo.Edge{node, link} {
+			for _, up := range []bool{false, true} {
+				for _, e := range batch {
+					e.SetEnabled(up)
+				}
+				repaired += tab.RepairBatch(g, UniformCost, batch)
+			}
+		}
+	}
+	flap()
+	if repaired == 0 {
+		t.Fatal("the flaps repaired no column")
+	}
+	if allocs := testing.AllocsPerRun(20, flap); allocs != 0 {
+		t.Fatalf("a warmed repair allocates %.0f objects per flap cycle, want 0", allocs)
+	}
+	tablesEqual(t, "after flaps", Build(g, UniformCost), tab)
+}

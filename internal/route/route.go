@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"rackfab/internal/heapx"
 	"rackfab/internal/topo"
@@ -51,7 +52,9 @@ const MaxDegree = 16
 // bit is the deterministic primary next hop. dist[dst*n+from] is the total
 // path cost. Build allocates both once and RepairBatch rewrites them in
 // place, so a table's bytes depend on the node count alone, not on its
-// repair history, and it holds no pointer the GC must scan per pair.
+// repair history, and it holds no pointer the GC must scan per pair. Build
+// also sizes the repair scratch below by n (the change list grows to the
+// largest batch), so a warmed RepairBatch allocates nothing.
 //
 // A table is valid only while its graph's adjacency is unchanged, since its
 // masks name adjacency positions. Adjacency changes only in
@@ -63,6 +66,23 @@ type Table struct {
 	ties   []uint16  // [dst*n+from] cost-tied next hops over g.Adjacent(from)
 	dist   []float64 // [dst*n+from] total path cost
 	costOf []float64 // [edge index] cost snapshot of the last build/repair
+
+	// Repair scratch. mark and rowMark are per-node stamps relative to
+	// epoch, which advances once per repaired column, so no column clears
+	// them.
+	changes []costChange // the batch's edges whose cost moved
+	rows    []int        // ties-only rows of the column being triaged
+	moved   []int        // nodes whose distance repairColumn rewrote
+	mark    []uint32     // [node] repairColumn's verdict: epoch+markKeep/Lost/Lowered
+	rowMark []uint32     // [node] epoch once the column's tie mask is re-derived
+	epoch   uint32
+	pq      heapx.Heap[nodeDist]
+}
+
+// costChange is one edge whose cost moved c0 → c1 in a repair batch.
+type costChange struct {
+	a, b   int
+	c0, c1 float64
 }
 
 // Build runs one backward Dijkstra per destination over the live graph and
@@ -79,11 +99,15 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		}
 	}
 	t := &Table{
-		g:      g,
-		n:      n,
-		ties:   make([]uint16, n*n),
-		dist:   make([]float64, n*n),
-		costOf: make([]float64, g.EdgeIndexBound()),
+		g:       g,
+		n:       n,
+		ties:    make([]uint16, n*n),
+		dist:    make([]float64, n*n),
+		costOf:  make([]float64, g.EdgeIndexBound()),
+		rows:    make([]int, 0, n),
+		moved:   make([]int, 0, n),
+		mark:    make([]uint32, n),
+		rowMark: make([]uint32, n),
 	}
 	for _, e := range g.Edges() {
 		c := cost(e)
@@ -92,9 +116,9 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		}
 		t.costOf[e.Index()] = c
 	}
-	var pq heapx.Heap[nodeDist]
+	t.pq.Grow(n)
 	for dst := 0; dst < n; dst++ {
-		t.buildColumn(g, dst, &pq)
+		t.buildColumn(g, dst)
 	}
 	return t
 }
@@ -103,7 +127,7 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 const (
 	colNone = iota // untouched
 	colTies        // distances survive; one endpoint's ECMP tie set changes
-	colFull        // distances can move: full column rebuild
+	colFull        // distances can move: incremental column repair
 )
 
 // columnImpact is RepairBatch's per-destination triage: how can an edge (a,b)
@@ -185,12 +209,11 @@ func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
 
 // RepairBatch updates the table in place after one or more simultaneous
 // edge-cost changes (a link failed, recovered, or was re-priced; a node
-// event's incident links; a multi-link pulse), re-running Dijkstra only
-// for the destination columns whose shortest-path *distances* the changes
-// can move. All cost snapshots move first, then every destination column
-// is triaged once against every change, using the pre-batch distance
-// matrix throughout. The triage distinguishes three impacts per
-// destination:
+// event's incident links; a multi-link pulse), repairing distances only in
+// the destination columns whose shortest-path *distances* the changes can
+// move. All cost snapshots move first, then every destination column is
+// triaged once against every change, using the pre-batch distance matrix
+// throughout. The triage distinguishes three impacts per destination:
 //
 //   - none: no changed edge was on the column's shortest-path DAG and the
 //     new costs create no shorter or tied path — untouched.
@@ -198,40 +221,41 @@ func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
 //     endpoints change — a cost increase removing one of ≥2 cost-tied
 //     next hops, or a decrease landing exactly on the current shortest
 //     cost. Each touched row's tie mask is re-derived in place against the
-//     unchanged distance column by the same rule Build uses; no Dijkstra
-//     runs.
-//   - full: distances can move (the sole shortest path died, a strictly
-//     shorter path appeared, reachability was restored) — one buildColumn
-//     over the final cost snapshot, bit-identical to a fresh Build.
+//     unchanged distance column by the same rule Build uses.
+//   - distances move (the sole shortest path died, a strictly shorter path
+//     appeared, reachability was restored): repairColumn rewrites only the
+//     distances that move and the tie masks that can follow them.
 //
-// On fabrics with equal-cost path diversity (tori, wide grids) most
-// affected columns are ties-only, cutting a repair from ~k Dijkstra runs
-// to k row scrubs — the ~n-fold cut BenchmarkRouteRebuild's repair arm
-// measures.
+// A repaired column equals a fresh Build's bit for bit. Costs are positive
+// and dist+c > dist holds in float64 for every distance and cost a table
+// sees, so a column's distances are the unique fixed point of
+// dist[v] = min over links (v,u) of dist[u]+c, with dist[dst] = 0 — the
+// point Build's Dijkstra reaches, and the one repairColumn restores. Tie
+// masks are a function of the distances and costs, so they follow. The
+// triage compares distances within 1e-9, so where path sums round (costs
+// that are not short binary fractions), two paths a few ulps apart pass
+// for a tie and a ties-only verdict keeps a distance those ulps from
+// Build's. On whole or quarter costs the sums are exact and the whole
+// table equals a fresh Build.
 //
 // The result is bit-identical in routing behavior to a chain of one-edge
 // batches in any order. Sketch: each one-edge repair keeps the table
 // equivalent to a fresh Build, so a column neither repair touches has
 // unchanged distances — the batch triage sees exactly the values each
 // sequential triage would, and a column any single-edge test flags is
-// rebuilt here over the union of changes, which is where the sequential
-// chain also lands it. Columns the chain rebuilds more than once collapse
-// to one buildColumn over the same final snapshot.
+// repaired here over the union of changes, which is where the sequential
+// chain also lands it.
 //
 // Every write lands in the table's fixed-size arrays, so repair never grows
 // it. g must be the graph the table was built over, with its adjacency
-// unchanged. Returns the number of destination columns fully rebuilt, at
-// most once each, so the count can undercut the sequential sum (ties-only
-// scrubs are not counted: no column was rebuilt).
+// unchanged. Returns the number of destination columns whose distances the
+// triage found could move, at most once each, so the count can undercut
+// the sequential sum (ties-only scrubs are not counted).
 func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) int {
 	if cost == nil {
 		cost = UniformCost
 	}
-	type change struct {
-		a, b   int
-		c0, c1 float64
-	}
-	changes := make([]change, 0, len(edges))
+	t.changes = t.changes[:0]
 	for _, e := range edges {
 		c1 := cost(e)
 		if !math.IsInf(c1, 1) && c1 <= 0 {
@@ -242,21 +266,19 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			continue // also drops duplicate edges: the second sees c0 == c1
 		}
 		t.costOf[e.Index()] = c1
-		changes = append(changes, change{a: int(e.A), b: int(e.B), c0: c0, c1: c1})
+		t.changes = append(t.changes, costChange{a: int(e.A), b: int(e.B), c0: c0, c1: c1})
 	}
-	if len(changes) == 0 {
+	if len(t.changes) == 0 {
 		return 0
 	}
-	var pq heapx.Heap[nodeDist]
-	rebuilt := 0
-	var rows []int // ties-only rows of the current column, deduplicated
+	repaired := 0
 	for dst := 0; dst < t.n; dst++ {
 		// Triage this column against every change before mutating it: a
 		// column's own distances are exactly the pre-batch ones until its
-		// scrub/rebuild below, and no other column's repair touches them.
+		// scrub/repair below, and no other column's repair touches them.
 		impact := colNone
-		rows = rows[:0]
-		for _, ch := range changes {
+		t.rows = t.rows[:0]
+		for _, ch := range t.changes {
 			imp, row := t.columnImpact(dst, ch.a, ch.b, ch.c0, ch.c1)
 			if imp == colFull {
 				impact = colFull
@@ -264,12 +286,8 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			}
 			if imp == colTies {
 				impact = colTies
-				dup := false
-				for _, r := range rows {
-					dup = dup || r == row
-				}
-				if !dup {
-					rows = append(rows, row)
+				if !slices.Contains(t.rows, row) {
+					t.rows = append(t.rows, row)
 				}
 			}
 		}
@@ -277,8 +295,8 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			// Scrub each touched row once over the final costs. A row that
 			// empties means the changes composed into a distance move no
 			// single-edge test could see (e.g. both ties of a node dying in
-			// one batch) — escalate to a full rebuild.
-			for _, row := range rows {
+			// one batch) — escalate to a distance repair.
+			for _, row := range t.rows {
 				if t.scrubRow(g, row, dst) {
 					impact = colFull
 					break
@@ -286,11 +304,170 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			}
 		}
 		if impact == colFull {
-			t.buildColumn(g, dst, &pq)
-			rebuilt++
+			t.repairColumn(g, dst)
+			repaired++
 		}
 	}
-	return rebuilt
+	return repaired
+}
+
+// Verdicts repairColumn stamps into Table.mark, as offsets from the
+// column's epoch. A node without a stamp keeps its distance.
+const (
+	markKeep    = iota // an unchanged neighbour still witnesses its distance
+	markLost           // its distance lost every witness: reset and re-derived
+	markLowered        // its distance fell in the Dijkstra pass
+	markSpan           // epoch advance per column
+)
+
+// repairColumn rewrites dst's column, which must hold the distances of the
+// costs before t.changes, into the fixed point of the costs after them,
+// touching only the nodes whose distance moves (Ramalingam–Reps):
+//
+//  1. Starting from the endpoints of edges whose cost rose, and in
+//     ascending old distance, collect the nodes left with no exact
+//     witness: a neighbour u, itself not collected, over a finite-cost
+//     link, with dist[u]+c == dist[v]. A witness is strictly nearer than
+//     the node it witnesses, so each node's witnesses are settled before
+//     it is examined, and a collected node puts every farther neighbour up
+//     for examination.
+//  2. Reset the collected nodes to +Inf and seed each with its best
+//     uncollected neighbour; relax the links whose cost fell; then run
+//     Dijkstra from the seeds, over the nodes whose distance improves.
+//     Every value written is the length of a real path, and every link
+//     ends relaxed, so the column lands on the unique fixed point: the one
+//     a fresh buildColumn computes.
+//  3. Re-derive the tie masks that can change: those of nodes whose
+//     distance was rewritten, of their neighbours, and of the changed
+//     links' endpoints.
+func (t *Table) repairColumn(g *topo.Graph, dst int) {
+	off := dst * t.n
+	col := t.dist[off : off+t.n]
+	if t.epoch > math.MaxUint32-2*markSpan {
+		clear(t.mark)
+		clear(t.rowMark)
+		t.epoch = 0
+	}
+	t.epoch += markSpan
+	keep, lost, lowered := t.epoch+markKeep, t.epoch+markLost, t.epoch+markLowered
+
+	// Pass 1: collect the nodes whose distance lost every witness.
+	t.moved = t.moved[:0]
+	t.pq.Reset()
+	for _, ch := range t.changes {
+		if ch.c1 > ch.c0 {
+			t.pushFinite(ch.a, col)
+			t.pushFinite(ch.b, col)
+		}
+	}
+	for t.pq.Len() > 0 {
+		cur := t.pq.Pop()
+		v := int(cur.node)
+		if t.mark[v] == keep || t.mark[v] == lost {
+			continue // queued twice
+		}
+		if t.witnessed(g, v, col, lost) {
+			t.mark[v] = keep
+			continue
+		}
+		t.mark[v] = lost
+		t.moved = append(t.moved, v)
+		for _, e := range g.Adjacent(cur.node) {
+			if w := int(e.Other(cur.node)); col[w] > cur.dist {
+				t.pushFinite(w, col)
+			}
+		}
+	}
+
+	// Pass 2: re-derive the collected nodes and relax the cheaper links.
+	for _, v := range t.moved {
+		col[v] = math.Inf(1)
+	}
+	for _, v := range t.moved {
+		best := math.Inf(1)
+		for _, e := range g.Adjacent(topo.NodeID(v)) {
+			u := int(e.Other(topo.NodeID(v)))
+			if d := col[u] + t.costOf[e.Index()]; t.mark[u] != lost && d < best {
+				best = d
+			}
+		}
+		if !math.IsInf(best, 1) {
+			col[v] = best
+			t.pq.Push(nodeDist{node: topo.NodeID(v), dist: best})
+		}
+	}
+	for _, ch := range t.changes {
+		if ch.c1 < ch.c0 {
+			t.lower(ch.b, col[ch.a]+ch.c1, col, lost, lowered)
+			t.lower(ch.a, col[ch.b]+ch.c1, col, lost, lowered)
+		}
+	}
+	for t.pq.Len() > 0 {
+		cur := t.pq.Pop()
+		if cur.dist > col[cur.node] {
+			continue // stale entry
+		}
+		for _, e := range g.Adjacent(cur.node) {
+			t.lower(int(e.Other(cur.node)), cur.dist+t.costOf[e.Index()], col, lost, lowered)
+		}
+	}
+
+	// Pass 3: re-derive the tie masks the moves and cost changes can reach.
+	ties := t.ties[off : off+t.n]
+	for _, v := range t.moved {
+		t.retie(g, v, col, ties)
+		for _, e := range g.Adjacent(topo.NodeID(v)) {
+			t.retie(g, int(e.Other(topo.NodeID(v))), col, ties)
+		}
+	}
+	for _, ch := range t.changes {
+		t.retie(g, ch.a, col, ties)
+		t.retie(g, ch.b, col, ties)
+	}
+}
+
+// pushFinite queues v for repairColumn's first pass, keyed by its old
+// distance. The destination (0) and unreachable nodes have no witness to
+// lose.
+func (t *Table) pushFinite(v int, col []float64) {
+	if d := col[v]; d != 0 && !math.IsInf(d, 1) {
+		t.pq.Push(nodeDist{node: topo.NodeID(v), dist: d})
+	}
+}
+
+// witnessed reports whether a neighbour of v not stamped lost reaches v's
+// (finite) distance exactly, hence over a finite-cost link.
+func (t *Table) witnessed(g *topo.Graph, v int, col []float64, lost uint32) bool {
+	for _, e := range g.Adjacent(topo.NodeID(v)) {
+		u := int(e.Other(topo.NodeID(v)))
+		if t.mark[u] != lost && col[u]+t.costOf[e.Index()] == col[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// lower relaxes v to distance d if that is shorter, recording v as moved
+// and queueing it for repairColumn's Dijkstra pass.
+func (t *Table) lower(v int, d float64, col []float64, lost, lowered uint32) {
+	if d >= col[v] {
+		return
+	}
+	col[v] = d
+	if t.mark[v] != lost && t.mark[v] != lowered {
+		t.mark[v] = lowered
+		t.moved = append(t.moved, v)
+	}
+	t.pq.Push(nodeDist{node: topo.NodeID(v), dist: d})
+}
+
+// retie re-derives v's tie mask in the column being repaired, once per
+// column.
+func (t *Table) retie(g *topo.Graph, v int, col []float64, ties []uint16) {
+	if t.rowMark[v] != t.epoch {
+		t.rowMark[v] = t.epoch
+		ties[v] = tieMask(g, t.costOf, v, col)
+	}
 }
 
 // buildColumn runs Dijkstra from dst directly into its distance column,
@@ -298,12 +475,13 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 // across columns rather than container/heap: the interface{} boxing there
 // allocated on every push, which dominated Build's allocation profile at
 // rack scale.
-func (t *Table) buildColumn(g *topo.Graph, dst int, pq *heapx.Heap[nodeDist]) {
+func (t *Table) buildColumn(g *topo.Graph, dst int) {
 	col := t.dist[dst*t.n : (dst+1)*t.n]
 	for i := range col {
 		col[i] = math.Inf(1)
 	}
 	col[dst] = 0
+	pq := &t.pq
 	pq.Reset()
 	pq.Push(nodeDist{node: topo.NodeID(dst), dist: 0})
 	for pq.Len() > 0 {

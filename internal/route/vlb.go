@@ -29,15 +29,19 @@ func NewVLB(table *Table, nodes int) *VLB {
 	return &VLB{table: table, n: nodes}
 }
 
-// Intermediate returns the flow's pivot node, derived from the flow hash
-// and excluded from coinciding with src or dst (those degenerate to plain
-// shortest path).
+// Intermediate returns the flow's pivot node: the first node from the
+// flow hash onward that is neither src nor dst (a pivot there would
+// degenerate to plain shortest path). A fabric with no other node has no
+// pivot to offer; Intermediate then returns dst, and the flow takes the
+// plain shortest path.
 func (v *VLB) Intermediate(src, dst topo.NodeID, flowHash uint64) topo.NodeID {
-	mid := topo.NodeID(flowHash % uint64(v.n))
-	for mid == src || mid == dst {
-		mid = topo.NodeID((uint64(mid) + 1) % uint64(v.n))
+	base := flowHash % uint64(v.n)
+	for k := uint64(0); k < 3; k++ { // src and dst rule out at most two
+		if mid := topo.NodeID((base + k) % uint64(v.n)); mid != src && mid != dst {
+			return mid
+		}
 	}
-	return mid
+	return dst
 }
 
 // Target returns the node a frame standing at cur should steer toward and

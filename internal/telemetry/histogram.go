@@ -144,14 +144,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	return h.max
 }
-
-// Reset forgets all samples.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = 0
-}

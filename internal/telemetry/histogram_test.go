@@ -55,15 +55,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(42)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestNegativeSamplePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -292,3 +292,31 @@ func TestSetValiantRouting(t *testing.T) {
 	}
 	c.SetValiantRouting(false)
 }
+
+// TestValiantRoutingWithoutPivot: on a two-node line every node is a
+// flow's source or destination, so VLB has no pivot to offer and must route
+// the flow on the plain shortest path. The run happens in a goroutine so
+// that a hang fails this test instead of stalling the package.
+func TestValiantRoutingWithoutPivot(t *testing.T) {
+	c, err := New(Config{Topology: Line, Width: 2, Engine: EnginePacket})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetValiantRouting(true)
+	if _, err := c.Inject([]FlowSpec{{Src: 0, Dst: 1, Bytes: 15000}}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.RunUntilDone(time.Second) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("RunUntilDone did not return within 1 s: VLB found no pivot and kept looking")
+	}
+	if r := c.Report(); r.FlowsCompleted != 1 || r.MeanHops != 1 {
+		t.Fatalf("completed %d flows over %v mean hops, want 1 over 1", r.FlowsCompleted, r.MeanHops)
+	}
+}

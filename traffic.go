@@ -185,8 +185,10 @@ type FaultReport struct {
 	// CapacityEvents counts applied per-link capacity changes (node loss
 	// lowered to its incident links).
 	CapacityEvents int64
-	// RouteRepairs counts routing-table destination columns rebuilt by
-	// incremental repair.
+	// RouteRepairs counts the routing-table destination columns whose
+	// distances a fault could move, each repaired in place over the nodes
+	// whose distance changes. A column that only re-derives tie masks is
+	// not counted.
 	RouteRepairs int64
 	// Reroutes counts flows moved to a new path mid-flight.
 	Reroutes int64
