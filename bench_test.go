@@ -293,22 +293,30 @@ func BenchmarkServiceTick(b *testing.B) {
 }
 
 // BenchmarkRouteRebuild measures routing maintenance on a 256-node torus.
-// The full arm is a from-scratch Build: one Dijkstra per destination. The
-// repair arm is one link failing and recovering against a live table. In
-// each direction the triage leaves most of the 256 columns alone or
-// re-derives a tie mask in place, and repairs the 14 columns whose
+// The full arm is a from-scratch Build under UniformCost, whose equal costs
+// let each column search pop a FIFO queue. The priced arm is the same Build
+// under fixed unequal costs, the binary-heap search every CRC re-price
+// takes. The repair arm is one link failing and recovering against a live
+// table. In each direction the triage leaves most of the 256 columns alone
+// or re-derives a tie mask in place, and repairs the 14 columns whose
 // distances move over the few nodes whose distance changes. Re-running
 // Dijkstra on those columns was 98% of the arm's time before they were
-// repaired in place; BENCH_engine.json records both.
+// repaired in place; BENCH_engine.json records all three. Build spreads
+// its columns over GOMAXPROCS goroutines, so CI gates full and priced at
+// -cpu 1.
 func BenchmarkRouteRebuild(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
+	build := func(b *testing.B, cost route.CostFunc) {
 		g := topo.NewTorus(16, 16, topo.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if t := route.Build(g, route.UniformCost); t == nil {
+			if t := route.Build(g, cost); t == nil {
 				b.Fatal("nil table")
 			}
 		}
+	}
+	b.Run("full", func(b *testing.B) { build(b, route.UniformCost) })
+	b.Run("priced", func(b *testing.B) {
+		build(b, func(e *topo.Edge) float64 { return 1 + 0.137*float64(e.Index()%7) })
 	})
 	b.Run("repair", func(b *testing.B) {
 		g := topo.NewTorus(16, 16, topo.Options{})

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -332,15 +334,33 @@ func TestReportsReflectTraffic(t *testing.T) {
 	}
 }
 
+// TestTopFlows: TopFlows returns the k flows a full sort by (bytes
+// remaining descending, ID ascending) puts first, snapshot for snapshot,
+// for k below, at and above the number of active flows, and nil for
+// k <= 0. Most flows share one size, so before the run the ID tie-break
+// decides among them.
 func TestTopFlows(t *testing.T) {
 	g := topo.NewGrid(3, 3, topo.Options{})
 	_, f := build(t, g)
-	if _, err := f.InjectFlows([]workload.FlowSpec{
+	specs := []workload.FlowSpec{
 		{Src: 0, Dst: 8, Bytes: 100e6},
 		{Src: 1, Dst: 7, Bytes: 1e3},
-	}); err != nil {
+	}
+	for i := 0; i < 24; i++ {
+		specs = append(specs, workload.FlowSpec{Src: i % 9, Dst: (i + 4) % 9, Bytes: 5e6})
+	}
+	if _, err := f.InjectFlows(specs); err != nil {
 		t.Fatal(err)
 	}
+	check := func(when string) {
+		t.Helper()
+		for _, k := range []int{-1, 0, 1, 4, 7, len(f.active), len(f.active) + 5} {
+			if got, want := f.TopFlows(k), sortedTopFlows(f, k); !slices.Equal(got, want) {
+				t.Fatalf("%s, k=%d: TopFlows = %+v, want %+v", when, k, got, want)
+			}
+		}
+	}
+	check("before the run")
 	if err := f.RunFor(100 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +368,35 @@ func TestTopFlows(t *testing.T) {
 	if len(top) != 1 || top[0].BytesRemaining < 50e6 {
 		t.Fatalf("top flows = %+v", top)
 	}
+	check("mid-run")
+}
+
+// sortedTopFlows is TopFlows' reference: snapshot every active flow, sort
+// them all and keep the first k.
+func sortedTopFlows(f *Fabric, k int) []ringctl.FlowSnapshot {
+	if k <= 0 {
+		return nil
+	}
+	var snaps []ringctl.FlowSnapshot
+	//det:ordered sorted below by a total order
+	for _, fl := range f.active {
+		elapsed := f.eng.Now().Sub(fl.Started()).Seconds()
+		rate := 0.0
+		if elapsed > 0 {
+			rate = float64(fl.AckedBytes()) * 8 / elapsed
+		}
+		snaps = append(snaps, ringctl.FlowSnapshot{
+			ID: uint64(fl.ID), Src: fl.Src, Dst: fl.Dst,
+			BytesRemaining: fl.Remaining(), Rate: rate,
+		})
+	}
+	sort.Slice(snaps, func(i, j int) bool {
+		if snaps[i].BytesRemaining != snaps[j].BytesRemaining {
+			return snaps[i].BytesRemaining > snaps[j].BytesRemaining
+		}
+		return snaps[i].ID < snaps[j].ID
+	})
+	return snaps[:min(k, len(snaps))]
 }
 
 func TestPowerAccounting(t *testing.T) {

@@ -96,13 +96,13 @@ func (f *Fabric) ScheduleFaults(sched *faults.Schedule, onApply func(evs []fault
 // distances the repair rewrote.
 func (f *Fabric) applyFaultGroup(evs []faults.LinkEvent) int {
 	edges := make([]*topo.Edge, len(evs))
-	downed := make(map[*topo.Edge]bool)
+	downed := make(map[int32]bool)
 	restored := false
 	for i, ev := range evs {
 		e := f.edgeByIdx[ev.Edge]
 		edges[i] = e
 		if ev.Factor == 0 && e.Enabled() {
-			downed[e] = true
+			downed[int32(e.Index())] = true
 		} else if ev.Factor > 0 && !e.Enabled() {
 			restored = true
 		}
@@ -172,9 +172,9 @@ func (f *Fabric) starvedSince(id host.FlowID) bool {
 
 // flowsCrossing returns, in ascending flow-ID order, every active flow
 // whose current shortest path (under the pre-repair table) crosses a link
-// in `downed`. Flows whose destination was already unreachable are skipped:
-// their episode is already open.
-func (f *Fabric) flowsCrossing(downed map[*topo.Edge]bool) []*host.Flow {
+// whose edge index is in `downed`. Flows whose destination was already
+// unreachable are skipped: their episode is already open.
+func (f *Fabric) flowsCrossing(downed map[int32]bool) []*host.Flow {
 	ids := make([]host.FlowID, 0, len(f.active))
 	//det:ordered keys are collected then sorted before any ordered use
 	for id := range f.active {
@@ -188,8 +188,8 @@ func (f *Fabric) flowsCrossing(downed map[*topo.Edge]bool) []*host.Flow {
 		if err != nil {
 			continue
 		}
-		for _, e := range path {
-			if downed[e] {
+		for _, li := range path {
+			if downed[li] {
 				hit = append(hit, fl)
 				break
 			}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"sort"
 
+	"rackfab/internal/host"
 	"rackfab/internal/phy"
 	"rackfab/internal/power"
 	"rackfab/internal/ringctl"
@@ -68,34 +69,52 @@ func (f *Fabric) Reports() []ringctl.LinkReport {
 	return reports
 }
 
-// TopFlows returns up to k in-flight flows ordered by bytes remaining —
-// the elephants the bypass policy considers.
+// TopFlows returns up to k in-flight flows ordered by bytes remaining,
+// then by ID — the elephants the bypass policy considers. It keeps the k
+// best flows in an insertion buffer while ranging the active set and
+// snapshots only those. It returns nil for k <= 0.
 func (f *Fabric) TopFlows(k int) []ringctl.FlowSnapshot {
-	now := f.eng.Now()
-	snaps := make([]ringctl.FlowSnapshot, 0, len(f.active))
-	//det:ordered snapshots are fully ordered by (BytesRemaining, ID) below before truncation
+	if k <= 0 {
+		return nil
+	}
+	top := make([]*host.Flow, 0, min(k, len(f.active)))
+	//det:ordered the buffer holds the k best under a total order (Remaining, then ID), whatever the visit order
 	for _, fl := range f.active {
+		if len(top) == k && !ahead(fl, top[k-1]) {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, nil)
+		}
+		i := len(top) - 1
+		for ; i > 0 && ahead(fl, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = fl
+	}
+	now := f.eng.Now()
+	snaps := make([]ringctl.FlowSnapshot, len(top))
+	for i, fl := range top {
 		elapsed := now.Sub(fl.Started()).Seconds()
 		rate := 0.0
 		if elapsed > 0 {
 			rate = float64(fl.AckedBytes()) * 8 / elapsed
 		}
-		snaps = append(snaps, ringctl.FlowSnapshot{
+		snaps[i] = ringctl.FlowSnapshot{
 			ID:             uint64(fl.ID),
 			Src:            fl.Src,
 			Dst:            fl.Dst,
 			BytesRemaining: fl.Remaining(),
 			Rate:           rate,
-		})
-	}
-	sort.Slice(snaps, func(i, j int) bool {
-		if snaps[i].BytesRemaining != snaps[j].BytesRemaining {
-			return snaps[i].BytesRemaining > snaps[j].BytesRemaining
 		}
-		return snaps[i].ID < snaps[j].ID
-	})
-	if len(snaps) > k {
-		snaps = snaps[:k]
 	}
 	return snaps
+}
+
+// ahead is TopFlows' order: more bytes remaining first, then the lower ID.
+func ahead(a, b *host.Flow) bool {
+	if ra, rb := a.Remaining(), b.Remaining(); ra != rb {
+		return ra > rb
+	}
+	return a.ID < b.ID
 }

@@ -101,11 +101,7 @@ func (en *engine) repath(fid int32) ([]int32, bool) {
 		}
 		panic(fmt.Sprintf("fluid: repath flow %d: %v", fid, err))
 	}
-	links := make([]int32, len(path))
-	for i, e := range path {
-		links[i] = int32(e.Index())
-	}
-	return links, true
+	return path, true
 }
 
 // reroute moves active flow fid onto a new path mid-flight and re-solves

@@ -394,13 +394,9 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			if bf.starved || sf.starved {
 				t.Fatalf("flow %d still starved after the restore instant", fid)
 			}
-			path, err := healed.Path(topo.NodeID(bf.spec.Src), topo.NodeID(bf.spec.Dst))
+			want, err := healed.Path(topo.NodeID(bf.spec.Src), topo.NodeID(bf.spec.Dst))
 			if err != nil {
 				t.Fatal(err)
-			}
-			want := make([]int32, len(path))
-			for i, e := range path {
-				want[i] = int32(e.Index())
 			}
 			if !slices.Equal(bf.links, want) {
 				t.Fatalf("rescued flow %d not on the healed shortest path: %v, want %v", fid, bf.links, want)

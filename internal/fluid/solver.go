@@ -228,11 +228,7 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
 		switch {
 		case err == nil:
-			links := make([]int32, len(path))
-			for j, e := range path {
-				links[j] = int32(e.Index())
-			}
-			fs.links = links
+			fs.links = path
 			fs.hops = len(path)
 		case errors.Is(err, route.ErrUnreachable):
 			// Parked: every current path crosses a dead link.

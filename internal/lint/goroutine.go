@@ -13,6 +13,10 @@ import (
 // nondeterministic interleaving sneaks into a replayable simulator.
 var approvedGoroutineFiles = []string{
 	"internal/experiment/sweep.go", // the bounded trial worker pool
+	// route.Build's column workers: each writes only its own contiguous
+	// range of destination columns, every column is a function of the
+	// graph and costs alone, and all join before Build returns.
+	"internal/route/build.go",
 }
 
 // StrayGoroutine flags `go` statements outside the approved concurrency

@@ -8,9 +8,10 @@ import (
 	"rackfab/internal/topo"
 )
 
-// FuzzRepairBatch drives a table through fuzzer-chosen batches of edge-cost
-// changes and, after every batch, demands it equal a fresh Build over the
-// same costs: every distance bit for bit and every tie mask. A batch moves
+// FuzzRepairBatch builds a table, demands it equal referenceBuild, drives
+// it through fuzzer-chosen batches of edge-cost changes and, after every
+// batch, demands it equal a fresh Build over the same costs: every
+// distance bit for bit and every tie mask. A batch moves
 // 1–4 edges up, down (finite to smaller finite included), to +Inf or back
 // from it, so it reaches each triage outcome and each pass of the
 // incremental column repair, on fractional costs as well as whole ones.
@@ -39,6 +40,7 @@ func FuzzRepairBatch(f *testing.F) {
 		}
 		costFn := func(e *topo.Edge) float64 { return cost[e.Index()] }
 		tab := Build(g, costFn)
+		tablesEqual(t, fmt.Sprintf("%s build", g.Kind()), referenceBuild(g, costFn), tab)
 		var batch []*topo.Edge
 		for step := 0; len(ops) >= 3 && step < 64; step++ {
 			k := 1 + int(ops[0])%4

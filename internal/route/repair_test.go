@@ -80,8 +80,8 @@ func TestRepairNoopOnUnchangedCost(t *testing.T) {
 
 // TestPathUnreachableTyped is the partition regression: after a cut splits
 // a 4×4 grid, Path across the cut must return the typed ErrUnreachable —
-// never a zero-value path — NextHop must report no hop (no stale
-// pre-failure edge), and healing the cut must restore both. Exercised
+// never a zero-value path — NextHopECMP must report no hop for any hash (no
+// stale pre-failure edge), and healing the cut must restore both. Exercised
 // through RepairBatch, the path the fault subsystem takes.
 func TestPathUnreachableTyped(t *testing.T) {
 	g := topo.NewGrid(4, 4, topo.Options{})
@@ -107,11 +107,10 @@ func TestPathUnreachableTyped(t *testing.T) {
 	if p != nil {
 		t.Fatalf("Path returned a non-nil path %v alongside the error", p)
 	}
-	if hop, ok := tab.NextHop(src, dst); ok {
-		t.Fatalf("NextHop across the partition returned stale edge %v-%v", hop.A, hop.B)
-	}
-	if _, ok := tab.NextHopECMP(src, dst, 12345); ok {
-		t.Fatal("NextHopECMP across the partition returned a hop")
+	for h := uint64(0); h < 4; h++ {
+		if hop, ok := tab.NextHopECMP(src, dst, h); ok {
+			t.Fatalf("NextHopECMP across the partition returned stale edge %v-%v", hop.A, hop.B)
+		}
 	}
 	if tab.Reachable(src, dst) {
 		t.Fatal("Reachable across the partition")

@@ -51,21 +51,29 @@ const MaxDegree = 16
 // g.Adjacent(from)[i] starts a minimum-cost path to dst, and the lowest set
 // bit is the deterministic primary next hop. dist[dst*n+from] is the total
 // path cost. Build allocates both once and RepairBatch rewrites them in
-// place, so a table's bytes depend on the node count alone, not on its
+// place, so a table's bytes depend on the graph's shape alone, not on its
 // repair history, and it holds no pointer the GC must scan per pair. Build
 // also sizes the repair scratch below by n (the change list grows to the
 // largest batch), so a warmed RepairBatch allocates nothing.
 //
-// A table is valid only while its graph's adjacency is unchanged, since its
-// masks name adjacency positions. Adjacency changes only in
-// topo.Graph.AddExpress and RemoveExpress, and every caller of those
-// rebuilds the table with Build before the next lookup.
+// Build records the graph's adjacency once, as flat per-slot arrays that
+// every search, tie and path loop reads: node v's links are the slots
+// adjOff[v] up to adjOff[v+1], in g.Adjacent(v) order, so bit i of v's tie
+// mask names slot adjOff[v]+i. A table is valid only while its graph's
+// adjacency is unchanged. Adjacency changes only in topo.Graph.AddExpress
+// and RemoveExpress, and every caller of those rebuilds the table with
+// Build before the next lookup.
 type Table struct {
 	g      *topo.Graph
 	n      int
 	ties   []uint16  // [dst*n+from] cost-tied next hops over g.Adjacent(from)
 	dist   []float64 // [dst*n+from] total path cost
 	costOf []float64 // [edge index] cost snapshot of the last build/repair
+
+	adjOff  []int32   // [node] first slot; adjOff[n] is the slot count
+	adjNbr  []int32   // [slot] the node the link leads to
+	adjEdge []int32   // [slot] the link's edge index
+	adjCost []float64 // [slot] costOf[adjEdge[slot]], so the loops read a cost in one load
 
 	// Repair scratch. mark and rowMark are per-node stamps relative to
 	// epoch, which advances once per repaired column, so no column clears
@@ -85,42 +93,17 @@ type costChange struct {
 	c0, c1 float64
 }
 
-// Build runs one backward Dijkstra per destination over the live graph and
-// records, for every node, the incident edge(s) starting a minimum-cost
-// path to that destination. Edge costs are evaluated once up front: a cost
-// function reads live link state, and one build must see a consistent
-// snapshot of it anyway. Build panics if a node has more than MaxDegree
-// links, a state only a bug can reach.
-func Build(g *topo.Graph, cost CostFunc) *Table {
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		if d := len(g.Adjacent(topo.NodeID(v))); d > MaxDegree {
-			panic(fmt.Sprintf("route: node %d has %d links, more than MaxDegree %d", v, d, MaxDegree))
+// setCost records c as edge e's cost, in costOf and in the snapshot slot
+// that holds e at each endpoint.
+func (t *Table) setCost(e *topo.Edge, c float64) {
+	t.costOf[e.Index()] = c
+	for _, v := range [2]topo.NodeID{e.A, e.B} {
+		for s := t.adjOff[v]; s < t.adjOff[v+1]; s++ {
+			if t.adjEdge[s] == int32(e.Index()) {
+				t.adjCost[s] = c
+			}
 		}
 	}
-	t := &Table{
-		g:       g,
-		n:       n,
-		ties:    make([]uint16, n*n),
-		dist:    make([]float64, n*n),
-		costOf:  make([]float64, g.EdgeIndexBound()),
-		rows:    make([]int, 0, n),
-		moved:   make([]int, 0, n),
-		mark:    make([]uint32, n),
-		rowMark: make([]uint32, n),
-	}
-	for _, e := range g.Edges() {
-		c := cost(e)
-		if !math.IsInf(c, 1) && c <= 0 {
-			panic(fmt.Sprintf("route: non-positive edge cost %v on %d-%d", c, e.A, e.B))
-		}
-		t.costOf[e.Index()] = c
-	}
-	t.pq.Grow(n)
-	for dst := 0; dst < n; dst++ {
-		t.buildColumn(g, dst)
-	}
-	return t
 }
 
 // Per-destination triage outcomes.
@@ -177,18 +160,21 @@ func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
 
 // tieMask is the tie rule: the mask of from's links that start a
 // minimum-cost path to the destination whose distance column is col, under
-// the cost snapshot costOf. The destination itself (distance 0) and
-// unreachable nodes have no ties.
-func tieMask(g *topo.Graph, costOf []float64, from int, col []float64) uint16 {
+// the cost snapshot. The destination itself (distance 0) and unreachable
+// nodes have no ties; an +Inf cost or neighbour distance makes the sum
+// +Inf, never a tie.
+func (t *Table) tieMask(from int, col []float64) uint16 {
 	const eps = 1e-9
 	d := col[from]
 	if d == 0 || math.IsInf(d, 1) {
 		return 0
 	}
 	var mask uint16
-	for i, e := range g.Adjacent(topo.NodeID(from)) {
-		c := costOf[e.Index()]
-		if !math.IsInf(c, 1) && math.Abs(c+col[e.Other(topo.NodeID(from))]-d) < eps {
+	lo, hi := t.adjOff[from], t.adjOff[from+1]
+	nbr, cost := t.adjNbr[lo:hi], t.adjCost[lo:hi]
+	cost = cost[:len(nbr)]
+	for i, w := range nbr {
+		if math.Abs(cost[i]+col[w]-d) < eps {
 			mask |= 1 << i
 		}
 	}
@@ -200,9 +186,9 @@ func tieMask(g *topo.Graph, costOf []float64, from int, col []float64) uint16 {
 // reports whether the row emptied: the triage's distance-survival
 // assumption broke (every tie of a reachable pair vanished) and the caller
 // must rebuild the column.
-func (t *Table) scrubRow(g *topo.Graph, from, dst int) bool {
+func (t *Table) scrubRow(from, dst int) bool {
 	col := t.dist[dst*t.n : (dst+1)*t.n]
-	mask := tieMask(g, t.costOf, from, col)
+	mask := t.tieMask(from, col)
 	t.ties[dst*t.n+from] = mask
 	return mask == 0
 }
@@ -265,7 +251,7 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 		if c1 == c0 {
 			continue // also drops duplicate edges: the second sees c0 == c1
 		}
-		t.costOf[e.Index()] = c1
+		t.setCost(e, c1)
 		t.changes = append(t.changes, costChange{a: int(e.A), b: int(e.B), c0: c0, c1: c1})
 	}
 	if len(t.changes) == 0 {
@@ -297,14 +283,14 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 			// single-edge test could see (e.g. both ties of a node dying in
 			// one batch) — escalate to a distance repair.
 			for _, row := range t.rows {
-				if t.scrubRow(g, row, dst) {
+				if t.scrubRow(row, dst) {
 					impact = colFull
 					break
 				}
 			}
 		}
 		if impact == colFull {
-			t.repairColumn(g, dst)
+			t.repairColumn(dst)
 			repaired++
 		}
 	}
@@ -336,11 +322,11 @@ const (
 //     Dijkstra from the seeds, over the nodes whose distance improves.
 //     Every value written is the length of a real path, and every link
 //     ends relaxed, so the column lands on the unique fixed point: the one
-//     a fresh buildColumn computes.
+//     a fresh Build computes.
 //  3. Re-derive the tie masks that can change: those of nodes whose
 //     distance was rewritten, of their neighbours, and of the changed
 //     links' endpoints.
-func (t *Table) repairColumn(g *topo.Graph, dst int) {
+func (t *Table) repairColumn(dst int) {
 	off := dst * t.n
 	col := t.dist[off : off+t.n]
 	if t.epoch > math.MaxUint32-2*markSpan {
@@ -366,15 +352,15 @@ func (t *Table) repairColumn(g *topo.Graph, dst int) {
 		if t.mark[v] == keep || t.mark[v] == lost {
 			continue // queued twice
 		}
-		if t.witnessed(g, v, col, lost) {
+		if t.witnessed(v, col, lost) {
 			t.mark[v] = keep
 			continue
 		}
 		t.mark[v] = lost
 		t.moved = append(t.moved, v)
-		for _, e := range g.Adjacent(cur.node) {
-			if w := int(e.Other(cur.node)); col[w] > cur.dist {
-				t.pushFinite(w, col)
+		for _, w := range t.adjNbr[t.adjOff[v]:t.adjOff[v+1]] {
+			if col[w] > cur.dist {
+				t.pushFinite(int(w), col)
 			}
 		}
 	}
@@ -385,9 +371,9 @@ func (t *Table) repairColumn(g *topo.Graph, dst int) {
 	}
 	for _, v := range t.moved {
 		best := math.Inf(1)
-		for _, e := range g.Adjacent(topo.NodeID(v)) {
-			u := int(e.Other(topo.NodeID(v)))
-			if d := col[u] + t.costOf[e.Index()]; t.mark[u] != lost && d < best {
+		for s := t.adjOff[v]; s < t.adjOff[v+1]; s++ {
+			u := t.adjNbr[s]
+			if d := col[u] + t.adjCost[s]; t.mark[u] != lost && d < best {
 				best = d
 			}
 		}
@@ -407,22 +393,22 @@ func (t *Table) repairColumn(g *topo.Graph, dst int) {
 		if cur.dist > col[cur.node] {
 			continue // stale entry
 		}
-		for _, e := range g.Adjacent(cur.node) {
-			t.lower(int(e.Other(cur.node)), cur.dist+t.costOf[e.Index()], col, lost, lowered)
+		for s := t.adjOff[cur.node]; s < t.adjOff[cur.node+1]; s++ {
+			t.lower(int(t.adjNbr[s]), cur.dist+t.adjCost[s], col, lost, lowered)
 		}
 	}
 
 	// Pass 3: re-derive the tie masks the moves and cost changes can reach.
 	ties := t.ties[off : off+t.n]
 	for _, v := range t.moved {
-		t.retie(g, v, col, ties)
-		for _, e := range g.Adjacent(topo.NodeID(v)) {
-			t.retie(g, int(e.Other(topo.NodeID(v))), col, ties)
+		t.retie(v, col, ties)
+		for _, w := range t.adjNbr[t.adjOff[v]:t.adjOff[v+1]] {
+			t.retie(int(w), col, ties)
 		}
 	}
 	for _, ch := range t.changes {
-		t.retie(g, ch.a, col, ties)
-		t.retie(g, ch.b, col, ties)
+		t.retie(ch.a, col, ties)
+		t.retie(ch.b, col, ties)
 	}
 }
 
@@ -437,10 +423,10 @@ func (t *Table) pushFinite(v int, col []float64) {
 
 // witnessed reports whether a neighbour of v not stamped lost reaches v's
 // (finite) distance exactly, hence over a finite-cost link.
-func (t *Table) witnessed(g *topo.Graph, v int, col []float64, lost uint32) bool {
-	for _, e := range g.Adjacent(topo.NodeID(v)) {
-		u := int(e.Other(topo.NodeID(v)))
-		if t.mark[u] != lost && col[u]+t.costOf[e.Index()] == col[v] {
+func (t *Table) witnessed(v int, col []float64, lost uint32) bool {
+	for s := t.adjOff[v]; s < t.adjOff[v+1]; s++ {
+		u := t.adjNbr[s]
+		if t.mark[u] != lost && col[u]+t.adjCost[s] == col[v] {
 			return true
 		}
 	}
@@ -463,65 +449,18 @@ func (t *Table) lower(v int, d float64, col []float64, lost, lowered uint32) {
 
 // retie re-derives v's tie mask in the column being repaired, once per
 // column.
-func (t *Table) retie(g *topo.Graph, v int, col []float64, ties []uint16) {
+func (t *Table) retie(v int, col []float64, ties []uint16) {
 	if t.rowMark[v] != t.epoch {
 		t.rowMark[v] = t.epoch
-		ties[v] = tieMask(g, t.costOf, v, col)
+		ties[v] = t.tieMask(v, col)
 	}
-}
-
-// buildColumn runs Dijkstra from dst directly into its distance column,
-// then derives the column's tie masks. The frontier is a heapx heap reused
-// across columns rather than container/heap: the interface{} boxing there
-// allocated on every push, which dominated Build's allocation profile at
-// rack scale.
-func (t *Table) buildColumn(g *topo.Graph, dst int) {
-	col := t.dist[dst*t.n : (dst+1)*t.n]
-	for i := range col {
-		col[i] = math.Inf(1)
-	}
-	col[dst] = 0
-	pq := &t.pq
-	pq.Reset()
-	pq.Push(nodeDist{node: topo.NodeID(dst), dist: 0})
-	for pq.Len() > 0 {
-		cur := pq.Pop()
-		if cur.dist > col[cur.node] {
-			continue // stale entry
-		}
-		for _, e := range g.Adjacent(cur.node) {
-			c := t.costOf[e.Index()]
-			if math.IsInf(c, 1) {
-				continue
-			}
-			next := e.Other(cur.node)
-			if nd := cur.dist + c; nd < col[next] {
-				col[next] = nd
-				pq.Push(nodeDist{node: next, dist: nd})
-			}
-		}
-	}
-	ties := t.ties[dst*t.n : (dst+1)*t.n]
-	for from := range ties {
-		ties[from] = tieMask(g, t.costOf, from, col)
-	}
-}
-
-// NextHop returns the deterministic best next-hop edge from from toward to:
-// the first cost-tied link in adjacency order. ok is false for
-// self-delivery or unreachable destinations — including pairs partitioned
-// by a failure and repaired into the table afterwards.
-func (t *Table) NextHop(from, to topo.NodeID) (*topo.Edge, bool) {
-	mask := t.ties[int(to)*t.n+int(from)]
-	if mask == 0 {
-		return nil, false
-	}
-	return t.g.Adjacent(from)[bits.TrailingZeros16(mask)], true
 }
 
 // NextHopECMP hash-spreads over all cost-tied next hops so distinct flows
 // between the same pair take distinct equal-cost paths: it returns the
-// (flowHash mod ties)-th tied link in adjacency order.
+// (flowHash mod ties)-th tied link in adjacency order. ok is false for
+// self-delivery or unreachable destinations — including pairs partitioned
+// by a failure and repaired into the table afterwards.
 func (t *Table) NextHopECMP(from, to topo.NodeID, flowHash uint64) (*topo.Edge, bool) {
 	mask := t.ties[int(to)*t.n+int(from)]
 	if mask == 0 {
@@ -544,32 +483,42 @@ func (t *Table) Reachable(from, to topo.NodeID) bool {
 	return !math.IsInf(t.Distance(from, to), 1)
 }
 
-// Path materializes the primary path as an edge list. An unreachable
-// destination — a genuine partition — returns an error wrapping
-// ErrUnreachable (never a zero-value path); any other error means the
-// table is inconsistent (a routing loop), which would indicate a build bug
-// rather than a network condition.
-func (t *Table) Path(from, to topo.NodeID) ([]*topo.Edge, error) {
+// Path returns the primary path's links, as edge indices (topo.Edge.Index)
+// in one exact-size slice. An unreachable destination — a genuine
+// partition — returns an error wrapping ErrUnreachable (never a zero-value
+// path); any other error means the table is inconsistent (a routing loop),
+// which would indicate a build bug rather than a network condition.
+func (t *Table) Path(from, to topo.NodeID) ([]int32, error) {
 	if from == to {
 		return nil, nil
 	}
 	if math.IsInf(t.Distance(from, to), 1) {
 		return nil, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
 	}
-	var path []*topo.Edge
-	cur := from
-	for cur != to {
-		e, ok := t.NextHop(cur, to)
-		if !ok {
+	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
+	hops := 0
+	for cur := int32(from); cur != int32(to); hops++ {
+		if ties[cur] == 0 {
 			return nil, fmt.Errorf("route: no next hop from %d to %d", cur, to)
 		}
-		path = append(path, e)
-		cur = e.Other(cur)
-		if len(path) > t.n {
+		if hops == t.n {
 			return nil, fmt.Errorf("route: loop routing %d→%d", from, to)
 		}
+		cur = t.adjNbr[t.primary(cur, ties)]
+	}
+	path := make([]int32, hops)
+	cur := int32(from)
+	for i := range path {
+		s := t.primary(cur, ties)
+		path[i], cur = t.adjEdge[s], t.adjNbr[s]
 	}
 	return path, nil
+}
+
+// primary returns the snapshot slot of v's primary next hop in the tie
+// column ties, which must hold a tie for v.
+func (t *Table) primary(v int32, ties []uint16) int32 {
+	return t.adjOff[v] + int32(bits.TrailingZeros16(ties[v]))
 }
 
 // nodeDist is a priority-queue entry.

@@ -37,7 +37,8 @@ func TestPathFollowsTable(t *testing.T) {
 	}
 	// Path must be contiguous from src to dst.
 	cur := src
-	for _, e := range path {
+	for _, li := range path {
+		e := edgeByIndex(t, g, li)
 		if !e.Touches(cur) {
 			t.Fatal("discontiguous path")
 		}
@@ -51,7 +52,7 @@ func TestPathFollowsTable(t *testing.T) {
 func TestSelfAndUnreachable(t *testing.T) {
 	g := topo.NewLine(3, topo.Options{})
 	tab := Build(g, UniformCost)
-	if _, ok := tab.NextHop(1, 1); ok {
+	if _, ok := tab.NextHopECMP(1, 1, 0); ok {
 		t.Fatal("self next hop")
 	}
 	if p, err := tab.Path(1, 1); err != nil || p != nil {
@@ -91,8 +92,8 @@ func TestWeightedRoutesAvoidExpensiveLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range path {
-		if e == exp {
+	for _, li := range path {
+		if int(li) == exp.Index() {
 			t.Fatal("route used the expensive link")
 		}
 	}
@@ -132,7 +133,7 @@ func TestExpressEdgeShortcut(t *testing.T) {
 		t.Fatalf("distance with express = %v, want 1", d)
 	}
 	path, err := tab.Path(0, 3)
-	if err != nil || len(path) != 1 || !path[0].Express {
+	if err != nil || len(path) != 1 || !edgeByIndex(t, g, path[0]).Express {
 		t.Fatalf("path should be the express edge: %v err=%v", path, err)
 	}
 }
@@ -197,6 +198,18 @@ func TestNoLoopsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// edgeByIndex returns g's edge whose Index is idx, the form Path returns.
+func edgeByIndex(t *testing.T, g *topo.Graph, idx int32) *topo.Edge {
+	t.Helper()
+	for _, e := range g.Edges() {
+		if e.Index() == int(idx) {
+			return e
+		}
+	}
+	t.Fatalf("no edge with index %d", idx)
+	return nil
 }
 
 func abs(x int) int {
