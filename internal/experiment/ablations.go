@@ -95,7 +95,9 @@ func A1(cfg Config) (*Table, error) {
 // A2 ablates the bypass policy: elephants with and without the express
 // channels of PLP #2, CRC otherwise identical. The paper frames bypass as
 // "pre-fetching at the physical layer"; the elephant completion times are
-// where it pays.
+// where it pays. Each arm stops at the event that completes its elephant,
+// with background flows still in flight, and counts the express channels
+// standing at that instant.
 func A2(cfg Config) (*Table, error) {
 	scale := cfg.Scale
 	side := scale.pick(4, 6)
@@ -120,8 +122,6 @@ func A2(cfg Config) (*Table, error) {
 		cfg.EnableBypass = bypass
 		ctl := ringctl.New(eng, f, cfg)
 		ctl.Start()
-		_ = eng
-		_ = ctl
 
 		// One elephant crosses the rack through sustained cross traffic:
 		// streams of medium flows occupy every interior link for the
@@ -156,7 +156,7 @@ func A2(cfg Config) (*Table, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
+		if err := f.RunUntilDone(sim.Time(60*sim.Second), flows[0]); err != nil {
 			return 0, 0, err
 		}
 		express := 0

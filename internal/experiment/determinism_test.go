@@ -27,18 +27,9 @@ var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.golden from
 // to rewrite the goldens; a change that does so lists each rewritten file,
 // and why, in CHANGES.md.
 func TestExperimentsDeterministic(t *testing.T) {
-	// a2, the one experiment that takes tens of seconds under the race
-	// detector, is skipped in -short mode so the full-suite race pass
-	// (`go test -race -short ./...`) stays under a few minutes; the plain
-	// CI Test step still runs everything. e5 stays in: its 1 GB flows
-	// drive the lazy NIC queue under the race detector.
-	slow := map[string]bool{"a2": true}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			if testing.Short() && slow[id] {
-				t.Skipf("%s takes tens of seconds; skipped in -short (race) mode", id)
-			}
 			run, ok := Lookup(id)
 			if !ok {
 				t.Fatalf("experiment %q missing from registry", id)

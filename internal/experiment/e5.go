@@ -20,7 +20,8 @@ import (
 // provisioned at t=0 (paying the full Break+Bypass setup latency before
 // the channel exists). Small probes finish before the express pays off;
 // large probes win big. The crossover should sit near the analytic
-// σ* = C·r_b·r_a/(8(r_a−r_b)).
+// σ* = C·r_b·r_a/(8(r_a−r_b)). Each trial stops at the event that
+// completes its probe; the background elephants never finish.
 func E5(cfg Config) (*Table, error) {
 	sizes := []int64{16e3, 64e3, 256e3, 1e6, 4e6}
 	if cfg.Scale == Full {
@@ -29,7 +30,7 @@ func E5(cfg Config) (*Table, error) {
 
 	run := func(bytes int64, express bool) (sim.Duration, error) {
 		g := topo.NewLine(5, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 31)
+		_, f, err := buildFabric(g, 31)
 		if err != nil {
 			return 0, err
 		}
@@ -62,16 +63,8 @@ func E5(cfg Config) (*Table, error) {
 		}
 		probeFlow := flows[2]
 		// Run until the probe (not the elephants) completes.
-		for probeStep := 0; !probeFlow.Done(); probeStep++ {
-			if probeStep > 2_000_000 {
-				return 0, fmt.Errorf("experiment: probe never completed")
-			}
-			if !eng.Step() {
-				break
-			}
-		}
-		if !probeFlow.Done() {
-			return 0, fmt.Errorf("experiment: probe unfinished")
+		if err := f.RunUntilDone(sim.Time(60*sim.Second), probeFlow); err != nil {
+			return 0, err
 		}
 		return probeFlow.FCT(), nil
 	}

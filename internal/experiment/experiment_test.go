@@ -329,9 +329,6 @@ func TestA3Shape(t *testing.T) {
 }
 
 func TestA2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bypass ablation takes seconds of packet-engine work; skipped in -short (race) mode")
-	}
 	tab, err := A2(Config{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)

@@ -133,12 +133,14 @@ type Fabric struct {
 
 	trace *trace.Recorder // nil = flight recorder off
 
-	active       map[host.FlowID]*host.Flow
-	nextFlow     host.FlowID
-	stats        Stats
-	stopWhenIdle bool
-	plpQueue     []plpJob
-	plpBusy      bool
+	active   map[host.FlowID]*host.Flow
+	nextFlow host.FlowID
+	stats    Stats
+	// waiting holds the unfinished flows RunUntilDone waits for while it
+	// runs (active itself when the caller measures none), nil otherwise.
+	waiting  map[host.FlowID]*host.Flow
+	plpQueue []plpJob
+	plpBusy  bool
 
 	// Fault replay (see faults.go): stable edge-index lookup, the
 	// applied-event counters Report surfaces, and the open starvation

@@ -51,28 +51,42 @@ func (f *Fabric) onFlowDone(fl *host.Flow) {
 		At: f.eng.Now(), Kind: trace.FlowComplete,
 		Flow: int64(fl.ID), Link: -1, Node: int32(fl.Dst), Value: int64(fl.FCT()),
 	})
-	if len(f.active) == 0 && f.stopWhenIdle {
-		f.eng.Stop()
+	if f.waiting != nil {
+		delete(f.waiting, fl.ID)
+		if len(f.waiting) == 0 {
+			f.eng.Stop()
+		}
 	}
 }
 
-// RunUntilDone executes the simulation until every injected flow completes
-// or the time limit passes. It returns an error when flows remain
-// unfinished at the limit (including failed flows).
-func (f *Fabric) RunUntilDone(limit sim.Time) error {
-	f.stopWhenIdle = true
-	defer func() { f.stopWhenIdle = false }()
-	if len(f.active) == 0 {
+// RunUntilDone executes the simulation until the flows its caller measures
+// complete or the time limit passes. With no measured flows it waits for
+// every injected flow. Otherwise it stops right after the event that
+// completes the last measured flow, whatever else is still in flight, so
+// the clock reads that completion. It returns an error when waited-for
+// flows remain unfinished at the limit (including failed flows).
+func (f *Fabric) RunUntilDone(limit sim.Time, measured ...*host.Flow) error {
+	f.waiting = f.active
+	if len(measured) > 0 {
+		f.waiting = make(map[host.FlowID]*host.Flow, len(measured))
+		for _, fl := range measured {
+			if !fl.Done() {
+				f.waiting[fl.ID] = fl
+			}
+		}
+	}
+	defer func() { f.waiting = nil }()
+	if len(f.waiting) == 0 {
 		return nil
 	}
 	err := f.eng.RunUntil(limit)
 	if err != nil && !errors.Is(err, sim.ErrStopped) {
 		return err
 	}
-	if n := len(f.active); n > 0 {
+	if n := len(f.waiting); n > 0 {
 		failed := 0
 		//det:ordered commutative integer count: the loop only increments a counter
-		for _, fl := range f.active {
+		for _, fl := range f.waiting {
 			if fl.Failed() {
 				failed++
 			}
