@@ -102,8 +102,7 @@ func BenchmarkPacketEngine(b *testing.B) {
 }
 
 // BenchmarkPacketEngineTraced is BenchmarkPacketEngine with the flight
-// recorder on at defaults (every flow sampled, per-transmission busy
-// accounting). The gap between the two is the tracing overhead the
+// recorder on (every flow recorded, per-transmission busy accounting). The gap between the two is the tracing overhead the
 // README quotes; tracing off is a nil-pointer test on the hot path, so
 // BenchmarkPacketEngine itself is the zero-cost baseline.
 func BenchmarkPacketEngineTraced(b *testing.B) {
@@ -111,7 +110,7 @@ func BenchmarkPacketEngineTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cluster, err := rackfab.New(rackfab.Config{
 			Topology: rackfab.Grid, Width: 4, Height: 4, Seed: int64(i),
-			Trace: &rackfab.TraceConfig{},
+			Trace: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -26,7 +26,7 @@ import (
 // refuses it.
 
 // ckptMagic versions the checkpoint layout; bump on any format change.
-const ckptMagic = "rkfbsv02"
+const ckptMagic = "rkfbsv03"
 
 // servedBy is Cluster.drivenBy while one Service's ticks are all that
 // drove the cluster.
@@ -190,14 +190,13 @@ func (r *ckptReader) u64() uint64 {
 // ckptDigest hashes every Config field that shapes engine state, and the
 // whole ServeConfig, so ResumeService can reject a checkpoint resumed under
 // different inputs. Config.Faults is left out because the schedules travel
-// inside the checkpoint, and TraceConfig sizing because it bounds the
-// recorder, not the simulation. Trace on/off is included: a split run's
-// trace export equals the unbroken run's only if both sides record.
+// inside the checkpoint. Trace is included: a split run's trace export
+// equals the unbroken run's only if both sides record.
 func ckptDigest(cfg Config, scfg ServeConfig) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%s|%g|%s|%g|%d|%#v|%s|%g|%v|%#v",
+	fmt.Fprintf(h, "%s|%d|%d|%d|%s|%s|%g|%d|%#v|%s|%g|%v|%#v",
 		cfg.Topology, cfg.Width, cfg.Height, cfg.LanesPerLink, cfg.Media,
-		cfg.NodeSpacingM, cfg.SwitchMode, cfg.PowerCapW, cfg.Seed,
-		cfg.Control, cfg.Engine, cfg.SLOTargetX, cfg.Trace != nil, scfg)
+		cfg.SwitchMode, cfg.PowerCapW, cfg.Seed,
+		cfg.Control, cfg.Engine, cfg.SLOTargetX, cfg.Trace, scfg)
 	return h.Sum64()
 }

@@ -57,7 +57,7 @@ func main() {
 	}
 	cfg := experiment.Config{Scale: scale, Parallel: *parallel}
 	if *tracePath != "" {
-		cfg.Trace = rackfab.NewTraceSet(rackfab.TraceConfig{})
+		cfg.Trace = rackfab.NewTraceSet()
 	}
 
 	// -experiment overrides the positional form; its sub-arguments are

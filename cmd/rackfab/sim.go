@@ -75,10 +75,6 @@ func runSim(args []string, engine, flightTrace string) error {
 		}
 	}
 
-	var traceCfg *rackfab.TraceConfig
-	if flightTrace != "" {
-		traceCfg = &rackfab.TraceConfig{}
-	}
 	cluster, err := rackfab.New(rackfab.Config{
 		Topology:     rackfab.Topology(*topoFlag),
 		Width:        *width,
@@ -90,7 +86,7 @@ func runSim(args []string, engine, flightTrace string) error {
 		Seed:         *seed,
 		Engine:       eng,
 		Control:      rackfab.ControlConfig{Enabled: ctl},
-		Trace:        traceCfg,
+		Trace:        flightTrace != "",
 	})
 	if err != nil {
 		return err

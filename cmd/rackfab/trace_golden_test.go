@@ -31,7 +31,7 @@ func TestTraceExportDigests(t *testing.T) {
 	quiet(t)
 
 	e12 := filepath.Join(dir, "e12-quick.txt")
-	cfg := experiment.Config{Scale: experiment.Quick, Parallel: 1, Trace: rackfab.NewTraceSet(rackfab.TraceConfig{})}
+	cfg := experiment.Config{Scale: experiment.Quick, Parallel: 1, Trace: rackfab.NewTraceSet()}
 	if err := runOne("e12", cfg, "", false); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"rackfab/internal/fluid"
 	"rackfab/internal/host"
 	"rackfab/internal/ringctl"
+	"rackfab/internal/service"
 	"rackfab/internal/sim"
 	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
@@ -51,12 +52,13 @@ func errPacketOnly(op string) error {
 // backend is the engine-agnostic surface Cluster routes the public API
 // through: traffic injection, the run loop, fault application, and report
 // filling. One implementation wraps the packet fabric, the other the fluid
-// solver.
+// solver. Each is also the service driver's target, so Serve ticks the
+// backend itself; its Inject takes absolute instants and makes no façade
+// handles.
 type backend interface {
+	service.Target
 	inject(specs []FlowSpec) ([]*Flow, error)
-	runFor(d time.Duration) error
 	runUntilDone(limit time.Duration) error
-	now() sim.Time
 	applyFaults(s *faults.Schedule) error
 	flows() []*Flow
 	fill(r *Report)
@@ -139,21 +141,10 @@ func (f *Flow) window() (start, end sim.Time, err error) {
 	return st.Start, st.Start.Add(st.FCT), nil
 }
 
-// ---------------------------------------------------------------------------
-// Packet backend
-
-// packetBackend drives the cycle-accurate fabric (and, when enabled, the
-// Closed Ring Control).
-type packetBackend struct {
-	eng     *sim.Engine
-	fab     *fabric.Fabric
-	ctl     *ringctl.Controller
-	handles []*Flow
-}
-
-func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
+// lowerSpecs converts façade specs, whose At is relative to base, to the
+// engines' absolute-instant form.
+func lowerSpecs(specs []FlowSpec, base sim.Time) []workload.FlowSpec {
 	wl := make([]workload.FlowSpec, len(specs))
-	base := b.eng.Now()
 	for i, s := range specs {
 		wl[i] = workload.FlowSpec{
 			Src: s.Src, Dst: s.Dst, Bytes: s.Bytes,
@@ -161,7 +152,47 @@ func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 			Label: s.Label,
 		}
 	}
-	inner, err := b.fab.InjectFlows(wl)
+	return wl
+}
+
+// faultReport converts an engine's fault counters to Report units.
+func faultReport(fs faults.Stats) FaultReport {
+	r := FaultReport{
+		CapacityEvents:  fs.CapacityEvents,
+		RouteRepairs:    fs.RouteRepairs,
+		Reroutes:        fs.Reroutes,
+		StarvedEpisodes: fs.StarvedEpisodes,
+	}
+	if fs.StarvedEpisodes > 0 {
+		r.MeanRecovery = fromSim(fs.StarvedTime / sim.Duration(fs.StarvedEpisodes))
+	}
+	return r
+}
+
+// ---------------------------------------------------------------------------
+// Packet backend
+
+// packetBackend drives the cycle-accurate fabric (and, when enabled, the
+// Closed Ring Control). Flows injected through the façade keep handles.
+// Flows the service driver injects stay in live and specs only until Drain
+// sees them finish, so a soak's memory is bounded by the in-flight flow
+// count: that is the packet engine's retirement, as host state frees with
+// the last reference. hops caches shortest-path hop counts for the
+// ideal-FCT model, built per source on first use.
+type packetBackend struct {
+	eng     *sim.Engine
+	fab     *fabric.Fabric
+	ctl     *ringctl.Controller
+	handles []*Flow
+
+	live    []*host.Flow
+	specs   []workload.FlowSpec
+	retired int64
+	hops    [][]int
+}
+
+func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
+	inner, err := b.fab.InjectFlows(lowerSpecs(specs, b.eng.Now()))
 	if err != nil {
 		return nil, err
 	}
@@ -173,9 +204,17 @@ func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 	return flows, nil
 }
 
-func (b *packetBackend) runFor(d time.Duration) error {
-	return b.fab.RunFor(simDur(d))
+func (b *packetBackend) Inject(specs []workload.FlowSpec) error {
+	flows, err := b.fab.InjectFlows(specs)
+	if err != nil {
+		return err
+	}
+	b.live = append(b.live, flows...)
+	b.specs = append(b.specs, specs...)
+	return nil
 }
+
+func (b *packetBackend) RunFor(d sim.Duration) error { return b.fab.RunFor(d) }
 
 func (b *packetBackend) flows() []*Flow { return b.handles }
 
@@ -183,7 +222,55 @@ func (b *packetBackend) runUntilDone(limit time.Duration) error {
 	return b.fab.RunUntilDone(sim.Time(simDur(limit)))
 }
 
-func (b *packetBackend) now() sim.Time { return b.eng.Now() }
+func (b *packetBackend) Now() sim.Time { return b.eng.Now() }
+
+func (b *packetBackend) Drain() []service.Completion {
+	g := b.fab.Graph()
+	if b.hops == nil {
+		b.hops = make([][]int, g.NumNodes())
+	}
+	var out []service.Completion
+	kept := 0
+	for i, f := range b.live {
+		switch {
+		case f.Failed():
+			// Abandoned flows leave the live set (and the SLO denominator).
+			b.retired++
+		case f.Done():
+			sp := b.specs[i]
+			if b.hops[sp.Src] == nil {
+				b.hops[sp.Src] = g.HopsFrom(topo.NodeID(sp.Src))
+			}
+			h := b.hops[sp.Src][sp.Dst]
+			if h < 0 {
+				h = 0
+			}
+			out = append(out, service.Completion{
+				Src: sp.Src, Dst: sp.Dst, Bytes: sp.Bytes,
+				Start: f.Started(), FCT: f.FCT(), Hops: h, Label: sp.Label,
+			})
+			b.retired++
+		default:
+			b.live[kept] = f
+			b.specs[kept] = b.specs[i]
+			kept++
+		}
+	}
+	for i := kept; i < len(b.live); i++ {
+		b.live[i] = nil
+	}
+	b.live = b.live[:kept]
+	b.specs = b.specs[:kept]
+	return out
+}
+
+// Retire is a no-op on the packet engine: Drain already released the
+// finished flows, which is all the state the backend holds for them.
+func (b *packetBackend) Retire() int { return 0 }
+
+func (b *packetBackend) Retained() int { return len(b.live) }
+
+func (b *packetBackend) RetiredTotal() int64 { return b.retired }
 
 func (b *packetBackend) applyFaults(sched *faults.Schedule) error {
 	var onApply func([]faults.LinkEvent, int)
@@ -224,14 +311,7 @@ func (b *packetBackend) fill(r *Report) {
 	if b.ctl != nil {
 		r.CRCDecisions = len(b.ctl.Decisions())
 	}
-	fs := b.fab.FaultStats()
-	r.Faults.CapacityEvents = fs.CapacityEvents
-	r.Faults.RouteRepairs = fs.RouteRepairs
-	r.Faults.Reroutes = fs.Reroutes
-	r.Faults.StarvedEpisodes = fs.StarvedEpisodes
-	if fs.StarvedEpisodes > 0 {
-		r.Faults.MeanRecovery = fromSim(fs.StarvedTime / sim.Duration(fs.StarvedEpisodes))
-	}
+	r.Faults = faultReport(b.fab.FaultStats())
 }
 
 // ---------------------------------------------------------------------------
@@ -251,15 +331,7 @@ type fluidBackend struct {
 }
 
 func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
-	wl := make([]workload.FlowSpec, len(specs))
-	base := b.now()
-	for i, s := range specs {
-		wl[i] = workload.FlowSpec{
-			Src: s.Src, Dst: s.Dst, Bytes: s.Bytes,
-			At:    base.Add(simDur(s.At)),
-			Label: s.Label,
-		}
-	}
+	wl := lowerSpecs(specs, b.Now())
 	flows := make([]*Flow, len(specs))
 	if b.sess == nil {
 		b.pending = append(b.pending, wl...)
@@ -282,10 +354,7 @@ func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 	return flows, nil
 }
 
-// injectAbs injects a workload batch with absolute At instants without
-// creating façade handles — the service driver's entry point, where flow
-// state is drained and retired rather than held per handle.
-func (b *fluidBackend) injectAbs(wl []workload.FlowSpec) error {
+func (b *fluidBackend) Inject(wl []workload.FlowSpec) error {
 	if b.sess == nil {
 		b.pending = append(b.pending, wl...)
 		return nil
@@ -312,12 +381,7 @@ func (b *fluidBackend) ensure() error {
 	return nil
 }
 
-func (b *fluidBackend) runFor(d time.Duration) error {
-	return b.advanceBy(simDur(d))
-}
-
-// advanceBy advances the session clock by d.
-func (b *fluidBackend) advanceBy(d sim.Duration) error {
+func (b *fluidBackend) RunFor(d sim.Duration) error {
 	if err := b.ensure(); err != nil {
 		return err
 	}
@@ -337,26 +401,51 @@ func (b *fluidBackend) runUntilDone(limit time.Duration) error {
 	return nil
 }
 
-// drainCompleted hands off the session's completions accumulated since the
-// last drain (nil before the run starts).
-func (b *fluidBackend) drainCompleted() []fluid.FlowResult {
+// Drain hands off the session's completions accumulated since the last
+// drain (none before the run starts).
+func (b *fluidBackend) Drain() []service.Completion {
 	if b.sess == nil {
 		return nil
 	}
-	return b.sess.TakeCompleted()
+	rs := b.sess.TakeCompleted()
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]service.Completion, len(rs))
+	for i, r := range rs {
+		out[i] = service.Completion{
+			Src: r.Spec.Src, Dst: r.Spec.Dst, Bytes: r.Spec.Bytes,
+			Start: r.Start, FCT: r.FCT, Hops: r.Hops, Label: r.Spec.Label,
+		}
+	}
+	return out
 }
 
-// retire executes a prefix retirement of completed flow state.
-func (b *fluidBackend) retire() int {
+// Retire executes a prefix retirement of completed flow state.
+func (b *fluidBackend) Retire() int {
 	if b.sess == nil {
 		return 0
 	}
 	return b.sess.Retire()
 }
 
+func (b *fluidBackend) Retained() int {
+	if b.sess == nil {
+		return len(b.pending)
+	}
+	return b.sess.RetainedFlows()
+}
+
+func (b *fluidBackend) RetiredTotal() int64 {
+	if b.sess == nil {
+		return 0
+	}
+	return int64(b.sess.Retired())
+}
+
 func (b *fluidBackend) flows() []*Flow { return b.handles }
 
-func (b *fluidBackend) now() sim.Time {
+func (b *fluidBackend) Now() sim.Time {
 	if b.sess == nil {
 		return 0
 	}
@@ -409,15 +498,7 @@ func (b *fluidBackend) fill(r *Report) {
 		}
 		r.MeanHops = float64(hops) / float64(n)
 	}
-	r.Faults = FaultReport{
-		CapacityEvents:  snap.Faults.CapacityEvents,
-		RouteRepairs:    snap.Faults.RouteRepairs,
-		Reroutes:        snap.Faults.Reroutes,
-		StarvedEpisodes: snap.Faults.StarvedEpisodes,
-	}
-	if snap.Faults.StarvedEpisodes > 0 {
-		r.Faults.MeanRecovery = fromSim(snap.Faults.StarvedTime / sim.Duration(snap.Faults.StarvedEpisodes))
-	}
+	r.Faults = faultReport(snap.Faults)
 	r.Solver = SolverReport{
 		WarmHits:      snap.Solver.WarmHits,
 		WarmFallbacks: snap.Solver.WarmFallbacks,

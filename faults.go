@@ -186,7 +186,7 @@ func (s *FaultSchedule) lower(g *topo.Graph) (*faults.Schedule, error) {
 // call. A service checkpoint records the schedules applied while the
 // clock reads zero; one applied later makes Service.Checkpoint refuse.
 func (c *Cluster) ApplyFaults(s *FaultSchedule) error {
-	if c.be.now() != 0 {
+	if c.be.Now() != 0 {
 		c.offScript("ApplyFaults after the clock moved")
 	}
 	sched, err := s.lower(c.graph)
@@ -202,7 +202,7 @@ func (c *Cluster) applyFaults(sched *faults.Schedule) error {
 	if err := c.be.applyFaults(sched); err != nil {
 		return err
 	}
-	if c.be.now() == 0 {
+	if c.be.Now() == 0 {
 		c.zeroFaults = append(c.zeroFaults, sched)
 	}
 	return nil

@@ -40,7 +40,7 @@ func e12Incast(engine rackfab.Engine, mode string, side int, k float64, tr *rack
 	c, err := rackfab.New(rackfab.Config{
 		Topology: rackfab.Grid, Width: side, Height: side,
 		Seed: e12Seed, Engine: engine,
-		SLOTargetX: k, Trace: tr.ClusterConfig(),
+		SLOTargetX: k, Trace: tr != nil,
 	})
 	if err != nil {
 		return e12Cell{}, err
@@ -94,7 +94,7 @@ func e12Collective(engine rackfab.Engine, side int, faulted bool, tr *rackfab.Tr
 		c, err := rackfab.New(rackfab.Config{
 			Topology: rackfab.Grid, Width: side, Height: side,
 			Seed: e12Seed, Engine: engine, Faults: sched,
-			Trace: tr.ClusterConfig(),
+			Trace: tr != nil,
 		})
 		if err != nil {
 			return nil, 0, err

@@ -16,7 +16,7 @@ import (
 // interleaving has nothing to bite on.
 func TestSweepTraceSetByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(parallel int) string {
-		ts := rackfab.NewTraceSet(rackfab.TraceConfig{})
+		ts := rackfab.NewTraceSet()
 		trials := make([]Trial[int], 4)
 		for i := range trials {
 			name := fmt.Sprintf("trial-%d", i)
@@ -24,7 +24,7 @@ func TestSweepTraceSetByteIdenticalAcrossWorkers(t *testing.T) {
 			trials[i] = Trial[int]{Name: name, Run: func() (int, error) {
 				c, err := rackfab.New(rackfab.Config{
 					Topology: rackfab.Grid, Width: 4, Height: 4,
-					Seed: seed, Trace: ts.ClusterConfig(),
+					Seed: seed, Trace: true,
 				})
 				if err != nil {
 					return 0, err

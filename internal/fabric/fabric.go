@@ -8,6 +8,7 @@ package fabric
 import (
 	"fmt"
 
+	"rackfab/internal/faults"
 	"rackfab/internal/host"
 	"rackfab/internal/phy"
 	"rackfab/internal/power"
@@ -146,7 +147,7 @@ type Fabric struct {
 	// applied-event counters Report surfaces, and the open starvation
 	// episodes (flow ID → episode start) awaiting a healing repair.
 	edgeByIdx  []*topo.Edge
-	faultStats FaultStats
+	faultStats faults.Stats
 	starved    map[host.FlowID]sim.Time
 }
 

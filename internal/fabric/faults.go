@@ -24,23 +24,9 @@ import (
 	"rackfab/internal/trace"
 )
 
-// FaultStats counts the fabric's applied fault replay, mirroring the fluid
-// engine's accounting: capacity events after node-loss lowering,
-// routing-table destination columns whose distances a repair rewrote, active
-// flows a fault instant pushed onto new paths, and starvation episodes —
-// flows whose destination a fault cut off entirely, closed (and only then
-// counted, matching the fluid engine) when a later repair heals the
-// partition with positive elapsed time.
-type FaultStats struct {
-	CapacityEvents  int64
-	RouteRepairs    int64
-	Reroutes        int64
-	StarvedEpisodes int64
-	StarvedTime     sim.Duration
-}
-
-// FaultStats returns the replay counters accumulated so far.
-func (f *Fabric) FaultStats() FaultStats { return f.faultStats }
+// FaultStats returns the replay counters accumulated so far. A starvation
+// episode here is a flow whose destination a fault cut off entirely.
+func (f *Fabric) FaultStats() faults.Stats { return f.faultStats }
 
 // ScheduleFaults validates the schedule, lowers it to per-link capacity
 // events, and registers them on the simulation clock. Events sharing one

@@ -32,7 +32,7 @@ func (f *Fabric) InjectFlows(specs []workload.FlowSpec) ([]*host.Flow, error) {
 			at = f.eng.Now()
 		}
 		f.eng.At(at, "flow-start", func() {
-			f.trace.RecordFlow(trace.Event{
+			f.trace.Record(trace.Event{
 				At: f.eng.Now(), Kind: trace.FlowArrive,
 				Flow: int64(fl.ID), Link: -1, Node: int32(fl.Src), Value: fl.Bytes,
 			})
@@ -47,7 +47,7 @@ func (f *Fabric) onFlowDone(fl *host.Flow) {
 	delete(f.active, fl.ID)
 	f.stats.FlowsCompleted.Inc()
 	f.stats.FCT.Record(int64(fl.FCT()))
-	f.trace.RecordFlow(trace.Event{
+	f.trace.Record(trace.Event{
 		At: f.eng.Now(), Kind: trace.FlowComplete,
 		Flow: int64(fl.ID), Link: -1, Node: int32(fl.Dst), Value: int64(fl.FCT()),
 	})

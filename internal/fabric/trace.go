@@ -12,9 +12,9 @@ import (
 // and host callbacks are left nil otherwise), so the tracing-off datapath
 // pays nothing beyond the nil checks already in place.
 
-// traceQueue observes one switch VOQ push or grant: a sampled per-flow
-// event plus a depth observation on the output link's windowed series.
-// out 0 is egress to the local host (no link; Node identifies the queue).
+// traceQueue observes one switch VOQ push or grant: a per-flow event plus
+// a depth observation on the output link's windowed series. out 0 is
+// egress to the local host (no link; Node identifies the queue).
 func (f *Fabric) traceQueue(node int, enq bool, out int, fr *switching.Frame, depth int) {
 	li := int32(-1)
 	if out > 0 && out < len(f.edgeAt[node]) {
@@ -27,7 +27,7 @@ func (f *Fabric) traceQueue(node int, enq bool, out int, fr *switching.Frame, de
 	if enq {
 		kind = trace.Enqueue
 	}
-	f.trace.RecordFlow(trace.Event{
+	f.trace.Record(trace.Event{
 		At: f.eng.Now(), Kind: kind,
 		Flow: int64(fr.FlowID), Link: li, Node: int32(node), Value: int64(depth),
 	})
@@ -40,7 +40,7 @@ func (f *Fabric) traceNICQueue(node int, enq bool, flow host.FlowID, depth int) 
 	if enq {
 		kind = trace.Enqueue
 	}
-	f.trace.RecordFlow(trace.Event{
+	f.trace.Record(trace.Event{
 		At: f.eng.Now(), Kind: kind,
 		Flow: int64(flow), Link: -1, Node: int32(node), Value: int64(depth),
 	})

@@ -24,6 +24,26 @@ import (
 	"rackfab/internal/topo"
 )
 
+// Stats counts an engine's applied fault replay, the same way on both
+// engines: capacity events applied (after node-loss lowering),
+// routing-table destination columns whose distances a repair rewrote,
+// active flows a fault instant moved onto a new path, and starvation
+// episodes. An episode is an active flow pinned at rate zero by a dead
+// link for a positive span of simulated time, counted when a later repair
+// heals the partition; same-instant freeze/revive transients during a
+// fault's own reroute cascade don't count. StarvedTime is the total
+// flow-time spent starved, so StarvedTime/StarvedEpisodes is the mean
+// service-recovery time after a failure: flows an immediate reroute saved
+// never appear, flows that had to wait for the repair contribute their
+// outage.
+type Stats struct {
+	CapacityEvents  int64
+	RouteRepairs    int64
+	Reroutes        int64
+	StarvedEpisodes int64
+	StarvedTime     sim.Duration
+}
+
 // Kind classifies one fault event.
 type Kind uint8
 

@@ -48,7 +48,7 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 		newCap := en.nominalCap[li] * ev.Factor
 		wasUp := en.linkCap[li] > 0
 		isUp := newCap > 0
-		en.stats.CapacityEvents++
+		en.stats.Faults.CapacityEvents++
 		en.linkCap[li] = newCap
 		en.trace.Record(trace.Event{
 			At: now, Kind: trace.FaultApply,
@@ -69,7 +69,7 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 	}
 	if len(en.faultEdges) > 0 && en.table != nil {
 		cols := en.table.RepairBatch(en.graph, route.UniformCost, en.faultEdges)
-		en.stats.RouteRepairs += int64(cols)
+		en.stats.Faults.RouteRepairs += int64(cols)
 		en.routesChanged = true
 		en.trace.Record(trace.Event{
 			At: now, Kind: trace.FaultRepair,
@@ -129,7 +129,7 @@ func (en *engine) reroute(now sim.Time, fid int32, links []int32) {
 	for _, li := range links {
 		en.linkFlows[li] = append(en.linkFlows[li], fid)
 	}
-	en.stats.Reroutes++
+	en.stats.Faults.Reroutes++
 	en.refill(now, en.seedBuf, -1)
 }
 

@@ -288,17 +288,17 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 	}
 	sameStats := func(seq, batch *engine) {
 		t.Helper()
-		if seq.stats.CapacityEvents != batch.stats.CapacityEvents {
-			t.Fatalf("capacity events %d vs %d", seq.stats.CapacityEvents, batch.stats.CapacityEvents)
+		if seq.stats.Faults.CapacityEvents != batch.stats.Faults.CapacityEvents {
+			t.Fatalf("capacity events %d vs %d", seq.stats.Faults.CapacityEvents, batch.stats.Faults.CapacityEvents)
 		}
-		if seq.stats.StarvedEpisodes != batch.stats.StarvedEpisodes || seq.stats.StarvedTime != batch.stats.StarvedTime {
-			t.Fatalf("starvation accounting diverged: %+v vs %+v", seq.stats.FaultStats, batch.stats.FaultStats)
+		if seq.stats.Faults.StarvedEpisodes != batch.stats.Faults.StarvedEpisodes || seq.stats.Faults.StarvedTime != batch.stats.Faults.StarvedTime {
+			t.Fatalf("starvation accounting diverged: %+v vs %+v", seq.stats.Faults, batch.stats.Faults)
 		}
-		if batch.stats.RouteRepairs > seq.stats.RouteRepairs {
-			t.Fatalf("batch rebuilt %d columns, sequential only %d", batch.stats.RouteRepairs, seq.stats.RouteRepairs)
+		if batch.stats.Faults.RouteRepairs > seq.stats.Faults.RouteRepairs {
+			t.Fatalf("batch rebuilt %d columns, sequential only %d", batch.stats.Faults.RouteRepairs, seq.stats.Faults.RouteRepairs)
 		}
-		if batch.stats.Reroutes > seq.stats.Reroutes {
-			t.Fatalf("batch rerouted %d times, sequential only %d", batch.stats.Reroutes, seq.stats.Reroutes)
+		if batch.stats.Faults.Reroutes > seq.stats.Faults.Reroutes {
+			t.Fatalf("batch rerouted %d times, sequential only %d", batch.stats.Faults.Reroutes, seq.stats.Faults.Reroutes)
 		}
 	}
 	drain := func(en *engine) []FlowResult {
@@ -331,7 +331,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		apply(seq, evsSeq[:h], false)
 		apply(batch, evsBatch[:h], true)
 		sameFlows(seq, batch, "after node loss", down)
-		if seq.stats.Reroutes == 0 {
+		if seq.stats.Faults.Reroutes == 0 {
 			t.Fatal("node loss rerouted nothing — the scenario is inert")
 		}
 		if seq.starvedNow != 0 {

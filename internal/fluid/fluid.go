@@ -85,23 +85,6 @@ func (s SolverStats) WarmHitPct() float64 {
 	return 100 * float64(s.WarmHits) / float64(total)
 }
 
-// FaultStats summarizes the run's churn: capacity events applied (after
-// node-loss lowering), routing-table destination columns whose distances
-// a repair rewrote, flows moved to a new path mid-flight, starvation
-// episodes (an active flow pinned at rate 0 by a dead link for a positive
-// span of simulated time — same-instant freeze/revive transients during a
-// fault's own reroute cascade don't count), and the total flow-time spent
-// starved. StarvedTime/StarvedEpisodes is the mean service-recovery time
-// after a failure: flows an immediate reroute saved never appear, flows
-// that had to wait for the repair contribute their outage.
-type FaultStats struct {
-	CapacityEvents  int64
-	RouteRepairs    int64
-	Reroutes        int64
-	StarvedEpisodes int64
-	StarvedTime     sim.Duration
-}
-
 // FlowResult is one completed flow. FCT includes one
 // switching.DefaultPipelineLatency per path hop: the switch traversal the
 // packet engine simulates in full.
@@ -133,7 +116,7 @@ type Result struct {
 	// determinism fingerprints mask this field.
 	Solver SolverStats
 	// Faults summarizes applied churn; zero-valued on fault-free runs.
-	Faults FaultStats
+	Faults faults.Stats
 }
 
 // specLess is the canonical spec order: (At, Src, Dst, Bytes, Label).

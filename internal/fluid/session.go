@@ -243,7 +243,7 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 			s.arrivalQ.Pop()
 			s.res.Events++
 			spec := en.flows[arriveFid].spec
-			en.trace.RecordFlow(trace.Event{
+			en.trace.Record(trace.Event{
 				At: s.now, Kind: trace.FlowArrive,
 				Flow: s.publicID(arriveFid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
 			})
@@ -251,7 +251,7 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 		default:
 			s.res.Events++
 			fr := en.complete(doneID, s.now)
-			en.trace.RecordFlow(trace.Event{
+			en.trace.Record(trace.Event{
 				At: s.now, Kind: trace.FlowComplete,
 				Flow: s.publicID(doneID), Link: -1, Node: int32(fr.Spec.Dst), Value: int64(fr.FCT),
 			})
@@ -366,7 +366,7 @@ func (s *Session) Snapshot() *Result {
 		Flows:  append([]FlowResult(nil), s.res.Flows...),
 		Events: s.res.Events,
 		Solver: s.en.stats.SolverStats,
-		Faults: s.en.stats.FaultStats,
+		Faults: s.en.stats.Faults,
 	}
 	summarize(res)
 	return res
@@ -375,7 +375,7 @@ func (s *Session) Snapshot() *Result {
 // finish seals the session's own Result — Run's return value.
 func (s *Session) finish() *Result {
 	s.res.Solver = s.en.stats.SolverStats
-	s.res.Faults = s.en.stats.FaultStats
+	s.res.Faults = s.en.stats.Faults
 	summarize(s.res)
 	return s.res
 }

@@ -111,7 +111,7 @@ type engine struct {
 	// copied into Result at end of run.
 	stats struct {
 		SolverStats
-		FaultStats
+		Faults faults.Stats
 	}
 
 	// Completion-time heap with lazy invalidation: entries are (finish,
@@ -759,8 +759,8 @@ func (en *engine) setRate(fid int32, now sim.Time, rate float64) {
 			// one fault instant (it was mid-queue while its down event's
 			// reroutes re-solved the component) never lost service time.
 			if d := now.Sub(f.starvedAt); d > 0 {
-				en.stats.StarvedEpisodes++
-				en.stats.StarvedTime += d
+				en.stats.Faults.StarvedEpisodes++
+				en.stats.Faults.StarvedTime += d
 			}
 			f.starved = false
 			en.starvedNow--

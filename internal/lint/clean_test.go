@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -30,9 +33,96 @@ func TestDetlintClean(t *testing.T) {
 	}
 }
 
-// TestDetScope pins the maprange scoping: the deterministic replay path
-// is opt-in by package list, and the list must resolve against this
-// module's real layout.
+// TestPublicSettingsHaveCallers keeps the façade's settings honest: every
+// field of Config, ControlConfig, ServeConfig, ArrivalSpec and FlapConfig
+// must be set, by a composite-literal key or an assignment, in at least one
+// non-test file of the module (cmd/, examples/, internal/, perfbench/ or
+// the root package). A setting that nothing sets belongs in a named
+// constant where it is read.
+func TestPublicSettingsHaveCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module plus std imports from source")
+	}
+	l := testLoader(t)
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var facade *Package
+	for _, pkg := range pkgs {
+		if pkg.Path == l.Module() {
+			facade = pkg
+		}
+	}
+	if facade == nil {
+		t.Fatalf("no root package %q", l.Module())
+	}
+	settings := make(map[*types.Var]string)
+	for _, name := range []string{"Config", "ControlConfig", "ServeConfig", "ArrivalSpec", "FlapConfig"} {
+		obj := facade.Types.Scope().Lookup(name)
+		if obj == nil {
+			t.Fatalf("the root package has no type %s", name)
+		}
+		st := obj.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			settings[st.Field(i)] = name + "." + st.Field(i).Name()
+		}
+	}
+
+	set := make(map[*types.Var]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := pkg.Info.TypeOf(n)
+					if p, ok := typ.(*types.Pointer); ok {
+						typ = p.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, el := range n.Elts {
+						kv, keyed := el.(*ast.KeyValueExpr)
+						if !keyed {
+							set[st.Field(i)] = true
+							continue
+						}
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+								set[v] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && pkg.Info.Selections[sel] != nil {
+							if v, ok := pkg.Info.Selections[sel].Obj().(*types.Var); ok {
+								set[v] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for v, name := range settings {
+		if !set[v] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is set by no non-test file; make it a named constant where it is read", name)
+	}
+}
+
+// TestDetScope pins the maprange scoping: every package is on the
+// deterministic replay path unless it is one of the exempt host-side
+// tools.
 func TestDetScope(t *testing.T) {
 	cases := []struct {
 		pkg string
@@ -45,9 +135,13 @@ func TestDetScope(t *testing.T) {
 		{"rackfab/internal/faults", true},
 		{"rackfab/internal/route", true},
 		{"rackfab/internal/experiment", true},
-		{"rackfab/internal/telemetry", false},
-		{"rackfab/internal/fec", false},
-		{"rackfab/cmd/detlint", false},
+		{"rackfab/internal/ringctl", true},
+		{"rackfab/internal/telemetry", true},
+		{"rackfab/internal/fec", true},
+		{"rackfab/cmd/detlint", true},
+		{"rackfab/cmd/rackfab", true},
+		{"rackfab/cmd/benchgate", false},
+		{"rackfab/perfbench", false},
 	}
 	for _, c := range cases {
 		if got := inDetScope("rackfab", c.pkg); got != c.in {
@@ -56,23 +150,19 @@ func TestDetScope(t *testing.T) {
 	}
 }
 
-// TestDetPackagesExist keeps the scope list honest: every listed package
-// must actually load from the module, so a future rename cannot silently
-// drop a package out of maprange coverage.
+// TestDetPackagesExist keeps the exempt list honest: every listed package
+// must actually load from the module, so a stale entry cannot linger after
+// a rename.
 func TestDetPackagesExist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the listed packages from source")
 	}
 	l := testLoader(t)
-	for _, rel := range DetPackages {
-		path := l.Module()
-		dir := l.Root()
-		if rel != "" {
-			path += "/" + rel
-			dir = filepath.Join(dir, filepath.FromSlash(rel))
-		}
+	for _, rel := range MapRangeExempt {
+		path := l.Module() + "/" + rel
+		dir := filepath.Join(l.Root(), filepath.FromSlash(rel))
 		if _, err := l.LoadDir(dir, path); err != nil {
-			t.Errorf("DetPackages entry %q does not load: %v", rel, err)
+			t.Errorf("MapRangeExempt entry %q does not load: %v", rel, err)
 		}
 	}
 }

@@ -12,33 +12,26 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{MapRange, WallClock, GlobalRand, StrayGoroutine}
 }
 
-// DetPackages are the packages on the byte-deterministic replay path:
-// everything whose output feeds a fingerprint. MapRange scopes to these;
-// the other three rules apply to every package in the module. The list is
-// import paths relative to the module root ("" is the root package).
-var DetPackages = []string{
-	"",
-	"internal/experiment",
-	"internal/fabric",
-	"internal/faults",
-	"internal/fluid",
-	"internal/route",
-	"internal/service",
-	"internal/sim",
-	"internal/trace",
-	"internal/workload",
+// MapRangeExempt lists the host-side tools that MapRange skips: they
+// summarize measurements and feed no simulated result. Every other package
+// in the module is on the byte-deterministic replay path, so a new package
+// is checked by default. The other three rules apply to every package. The
+// list is import paths relative to the module root.
+var MapRangeExempt = []string{
+	"cmd/benchgate",
+	"perfbench",
 }
 
 // inDetScope reports whether the import path (under module modpath) is on
 // the deterministic replay path.
 func inDetScope(modpath, pkgPath string) bool {
 	rel := strings.TrimPrefix(strings.TrimPrefix(pkgPath, modpath), "/")
-	for _, p := range DetPackages {
+	for _, p := range MapRangeExempt {
 		if rel == p {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Finding is one aggregated diagnostic.

@@ -15,9 +15,8 @@ import (
 //
 //	//det:ordered <why the order cannot reach output>
 //
-// The driver scopes this analyzer to the packages on the deterministic
-// replay path (see DetPackages); telemetry-only or test helper packages
-// are exempt wholesale.
+// The driver applies this analyzer to every package except the host-side
+// tools in MapRangeExempt.
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc:  "flags range over a map in deterministic packages unless //det:ordered justifies it",

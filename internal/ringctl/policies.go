@@ -1,7 +1,9 @@
 package ringctl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rackfab/internal/fec"
@@ -291,8 +293,22 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 	for _, r := range reports {
 		byLink[r.Link] = r
 	}
+	// Visit channels in (src, dst) order: several may go idle in one
+	// epoch, and their commands and log lines must not follow map order.
+	// At most MaxBypasses channels live at once, so the keys fit in buf
+	// and the sort allocates nothing.
+	var buf [MaxBypasses][2]int
+	pairs := buf[:0]
+	//det:ordered keys are collected then sorted before any ordered use
+	for pair := range c.bypassed {
+		pairs = append(pairs, pair)
+	}
+	slices.SortFunc(pairs, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	g := c.fabric.Graph()
-	for pair, st := range c.bypassed {
+	for _, pair := range pairs {
+		st := c.bypassed[pair]
 		e, ok := g.ExpressBetween(topo.NodeID(pair[0]), topo.NodeID(pair[1]))
 		if !ok {
 			continue // still setting up, or already gone

@@ -411,6 +411,69 @@ func TestBusyBypassNotReclaimed(t *testing.T) {
 	}
 }
 
+// TestBypassReclaimOrderIsDeterministic idles three express channels in
+// the same epoch. Their BypassOff and Bundle commands, and the decision
+// lines that log them, must come out in (src, dst) order on every run:
+// map order would differ from run to run.
+func TestBypassReclaimOrderIsDeterministic(t *testing.T) {
+	run := func() []string {
+		eng := sim.New()
+		g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
+		fab := newFakeFabric(t, g)
+		fab.reportAll(0.3, 1e-13)
+		// Three elephants, each along its own grid row.
+		fab.flows = []FlowSnapshot{
+			{ID: 1, Src: 8, Dst: 11, BytesRemaining: 500e6, Rate: 10e9},
+			{ID: 2, Src: 0, Dst: 3, BytesRemaining: 500e6, Rate: 10e9},
+			{ID: 3, Src: 4, Dst: 7, BytesRemaining: 500e6, Rate: 10e9},
+		}
+		cfg := DefaultConfig()
+		cfg.EnableReconfig, cfg.EnableFEC, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
+		c := New(eng, fab, cfg)
+		c.Start()
+		if err := eng.RunUntil(sim.Time(80 * sim.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+		if n := countKind(fab.executed, plp.BypassOn); n != 3 {
+			t.Fatalf("built %d express channels, want 3: %v", n, fab.executed)
+		}
+		built := len(c.Decisions())
+
+		// All three elephants drain; their channels idle together.
+		fab.flows = nil
+		fab.reportAll(0.0, 1e-13)
+		if err := eng.RunUntil(sim.Time(2 * sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if n := countKind(fab.executed, plp.BypassOff); n != 3 {
+			t.Fatalf("reclaimed %d express channels, want 3", n)
+		}
+		var log []string
+		for _, d := range c.Decisions()[built:] {
+			log = append(log, d.String())
+		}
+		return log
+	}
+
+	want := run()
+	var reclaimed []string
+	for _, line := range want {
+		if strings.Contains(line, "reclaim express") {
+			reclaimed = append(reclaimed, line)
+		}
+	}
+	if len(reclaimed) != 3 || !strings.Contains(reclaimed[0], "0→3") ||
+		!strings.Contains(reclaimed[1], "4→7") || !strings.Contains(reclaimed[2], "8→11") {
+		t.Fatalf("reclaims not in (src, dst) order:\n%s", strings.Join(reclaimed, "\n"))
+	}
+	for i := 0; i < 40; i++ {
+		if got := run(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d logged a different reclaim order:\n%s\nwant:\n%s",
+				i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 func TestReconfigPolicyTriggersOnUtilization(t *testing.T) {
 	eng := sim.New()
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})

@@ -61,9 +61,6 @@ type Config struct {
 	// SLOTargetX is the attainment multiplier k (FCT ≤ k × ideal attains);
 	// 0 means 4, matching the façade's Report default.
 	SLOTargetX float64
-	// RetireEvery is the tick period of retire sweeps (default 1 = every
-	// tick; negative disables retirement).
-	RetireEvery int
 }
 
 // Driver runs the service loop. All statistics are streaming: state is a
@@ -91,15 +88,12 @@ func New(cfg Config, t Target) (*Driver, error) {
 	if cfg.SLOTargetX == 0 {
 		cfg.SLOTargetX = 4
 	}
-	if cfg.RetireEvery == 0 {
-		cfg.RetireEvery = 1
-	}
 	return &Driver{cfg: cfg, t: t, fct: telemetry.NewHistogram()}, nil
 }
 
 // Tick runs one service iteration: synthesize this tick's arrivals, inject
-// them, advance the clock one tick, account the completions, and (on the
-// retire cadence) release their engine state.
+// them, advance the clock one tick, account the completions, and release
+// their engine state.
 func (d *Driver) Tick() error {
 	to := d.t.Now().Add(d.cfg.Tick)
 	if specs := d.cfg.Source.Next(to); len(specs) > 0 {
@@ -112,9 +106,7 @@ func (d *Driver) Tick() error {
 	}
 	d.account(d.t.Drain())
 	d.ticks++
-	if d.cfg.RetireEvery > 0 && d.ticks%int64(d.cfg.RetireEvery) == 0 {
-		d.t.Retire()
-	}
+	d.t.Retire()
 	if r := d.t.Retained(); r > d.retainedPeak {
 		d.retainedPeak = r
 	}

@@ -118,18 +118,19 @@ func TestDriverTickAccounting(t *testing.T) {
 	}
 }
 
-func TestDriverRetireDisabled(t *testing.T) {
+func TestDriverRetiresEveryTick(t *testing.T) {
 	tgt := &fakeTarget{delay: 100 * sim.Microsecond}
-	d := newTestDriver(t, Config{RetireEvery: -1}, tgt)
-	if err := d.RunUntil(sim.Time(10 * sim.Millisecond)); err != nil {
-		t.Fatal(err)
+	d := newTestDriver(t, Config{}, tgt)
+	for i := 0; i < 10; i++ {
+		if err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if len(tgt.kept) != 0 {
+			t.Fatalf("tick %d left %d drained flows unretired", i, len(tgt.kept))
+		}
 	}
-	st := d.Stats()
-	if st.Retired != 0 {
-		t.Fatalf("retired %d with retirement disabled", st.Retired)
-	}
-	if int64(st.Retained) != st.Injected {
-		t.Fatalf("retained %d, injected %d — drained flows were dropped", st.Retained, st.Injected)
+	if st := d.Stats(); st.Completed == 0 || st.Retired != st.Completed {
+		t.Fatalf("retired %d of %d completed flows", st.Retired, st.Completed)
 	}
 }
 

@@ -33,14 +33,10 @@ type Window struct {
 }
 
 // NewSeries returns a series with the given window width in picoseconds,
-// keeping at most maxWindows recent windows (≤ 0 means an implementation
-// default of 1024).
+// keeping at most maxWindows recent windows. Both must be positive.
 func NewSeries(intervalPs int64, maxWindows int) *Series {
-	if intervalPs <= 0 {
-		panic("telemetry: Series interval must be positive")
-	}
-	if maxWindows <= 0 {
-		maxWindows = 1024
+	if intervalPs <= 0 || maxWindows <= 0 {
+		panic("telemetry: Series interval and window bound must be positive")
 	}
 	return &Series{interval: intervalPs, maxWindows: maxWindows}
 }

@@ -23,16 +23,16 @@ import (
 func (r *Recorder) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if r == nil {
-		fmt.Fprintf(bw, "rackfab-trace v1 disabled\n")
+		fmt.Fprintf(bw, "rackfab-trace v2 disabled\n")
 		return bw.Flush()
 	}
-	fmt.Fprintf(bw, "rackfab-trace v1 events=%d retained=%d overwritten=%d unsampled=%d sample-every=%d\n",
-		r.total, len(r.events), r.Dropped(), r.sampled, r.cfg.SampleEvery)
+	fmt.Fprintf(bw, "rackfab-trace v2 events=%d retained=%d overwritten=%d\n",
+		r.total, len(r.events), r.Dropped())
 	for _, ev := range r.Events() {
 		fmt.Fprintf(bw, "t=%dps %s flow=%d link=%s node=%d v=%d\n",
 			int64(ev.At), ev.Kind, ev.Flow, r.linkName(ev.Link), ev.Node, ev.Value)
 	}
-	fmt.Fprintf(bw, "series interval=%dps windows<=%d\n", int64(r.cfg.SeriesInterval), r.cfg.SeriesWindows)
+	fmt.Fprintf(bw, "series interval=%dps windows<=%d\n", int64(SeriesInterval), SeriesWindows)
 	for i := range r.links {
 		ls := &r.links[i]
 		writeSeriesText(bw, ls.name, "util", ls.util)
@@ -121,7 +121,7 @@ func (r *Recorder) writeJSONInto(emit func(string), pid int, name string) {
 				q(ev.Kind.String()), pid, tid, ts, ev.Flow, ev.Node, ev.Value))
 		}
 	}
-	interval := int64(r.cfg.SeriesInterval)
+	interval := int64(SeriesInterval)
 	for i := range r.links {
 		ls := &r.links[i]
 		// Utilization per window: summed busy fractions (packet) or the

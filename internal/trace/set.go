@@ -15,23 +15,14 @@ import (
 // registration; a recorder itself stays single-threaded inside its trial's
 // private world.
 type Set struct {
-	cfg   Config
 	mu    sync.Mutex
 	names []string
 	recs  map[string]*Recorder
 }
 
-// NewSet returns an empty set whose recorders share cfg.
-func NewSet(cfg Config) *Set {
-	return &Set{cfg: cfg, recs: make(map[string]*Recorder)}
-}
-
-// Config returns the sizing the set hands to each cluster's recorder.
-func (s *Set) Config() Config {
-	if s == nil {
-		return Config{}
-	}
-	return s.cfg
+// NewSet returns an empty set.
+func NewSet() *Set {
+	return &Set{recs: make(map[string]*Recorder)}
 }
 
 // Add registers r under name. Nil sets and nil recorders are no-ops, so

@@ -9,11 +9,8 @@
 // Bounded memory is a design rule, not an option: the ring overwrites its
 // oldest events (tallying how many scrolled off) and the series keep a
 // sliding set of recent windows, so tracing a full-scale or long-running
-// run costs O(capacity), never O(events). Per-flow events are thinned by
-// deterministic sampling — a flow is recorded iff
-// splitmix64(flowID) mod SampleEvery == 0, a pure hash of the canonical
-// flow ID rather than an RNG draw, so the sampled population is identical
-// run to run and independent of event interleaving.
+// run costs O(Capacity + links × SeriesWindows), never O(events). Every
+// flow's events are recorded.
 package trace
 
 import (
@@ -97,35 +94,16 @@ type Event struct {
 	Value int64 // kind-specific scalar
 }
 
-// Config sizes a Recorder. Zero values select the defaults.
-type Config struct {
-	// Capacity bounds the event ring (default 65536 events).
-	Capacity int
-	// SampleEvery keeps one in N flows (default 1 — every flow). The
-	// kept set is hash-selected from canonical flow IDs, never random.
-	SampleEvery int
+// The recorder's fixed sizes.
+const (
+	// Capacity bounds the event ring.
+	Capacity = 65536
 	// SeriesInterval is the window width of the per-link utilization and
-	// queue-depth series (default 1µs of simulated time).
-	SeriesInterval sim.Duration
-	// SeriesWindows bounds the retained windows per series (default 1024).
-	SeriesWindows int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 65536
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
-	if c.SeriesInterval <= 0 {
-		c.SeriesInterval = sim.Microsecond
-	}
-	if c.SeriesWindows <= 0 {
-		c.SeriesWindows = 1024
-	}
-	return c
-}
+	// queue-depth series.
+	SeriesInterval = sim.Microsecond
+	// SeriesWindows bounds the retained windows per series.
+	SeriesWindows = 1024
+)
 
 // linkSeries is one link's windowed telemetry pair.
 type linkSeries struct {
@@ -139,12 +117,10 @@ type linkSeries struct {
 // and tracing-off costs nothing. A Recorder belongs to one cluster/session
 // world and is single-threaded like the engine that feeds it.
 type Recorder struct {
-	cfg     Config
-	events  []Event
-	next    int   // ring write cursor
-	total   int64 // events ever recorded (≥ len(events))
-	sampled int64 // flow-scoped candidates suppressed by sampling
-	links   []linkSeries
+	events []Event
+	next   int   // ring write cursor
+	total  int64 // events ever recorded (≥ len(events))
+	links  []linkSeries
 	// utilSummed selects how a utilization window reduces to one number:
 	// true for the packet engine (samples are per-transmission busy
 	// fractions; window utilization = Sum), false for the fluid engine
@@ -154,9 +130,8 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
-	return &Recorder{cfg: cfg, events: make([]Event, 0, cfg.Capacity)}
+func NewRecorder() *Recorder {
+	return &Recorder{events: make([]Event, 0, Capacity)}
 }
 
 // InitLinks declares the link track set: one utilization and one depth
@@ -172,8 +147,8 @@ func (r *Recorder) InitLinks(names []string, utilSummed bool) {
 	for i, name := range names {
 		r.links[i] = linkSeries{
 			name:  name,
-			util:  telemetry.NewSeries(int64(r.cfg.SeriesInterval), r.cfg.SeriesWindows),
-			depth: telemetry.NewSeries(int64(r.cfg.SeriesInterval), r.cfg.SeriesWindows),
+			util:  telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
+			depth: telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
 		}
 	}
 }
@@ -187,25 +162,6 @@ func LinkNames(g *topo.Graph) []string {
 		names[e.Index()] = fmt.Sprintf("L%d:%d-%d", e.Index(), e.A, e.B)
 	}
 	return names
-}
-
-// splitmix64 is the finalizer of Steele et al.'s SplitMix64 — the same
-// mix the datapath uses for ECMP tie-breaks. One round is enough to
-// decorrelate adjacent flow IDs so 1-in-N sampling draws a spread
-// population instead of an ID-range prefix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// KeepFlow reports whether flow id is in the deterministic sample set.
-func (r *Recorder) KeepFlow(id int64) bool {
-	if r == nil {
-		return false
-	}
-	return splitmix64(uint64(id))%uint64(r.cfg.SampleEvery) == 0
 }
 
 // Record appends ev to the ring, overwriting the oldest event when full.
@@ -225,18 +181,6 @@ func (r *Recorder) Record(ev Event) {
 	}
 }
 
-// RecordFlow records a flow-scoped event iff its flow is sampled.
-func (r *Recorder) RecordFlow(ev Event) {
-	if r == nil {
-		return
-	}
-	if !r.KeepFlow(ev.Flow) {
-		r.sampled++
-		return
-	}
-	r.Record(ev)
-}
-
 // ObserveBusy folds a transmitter-busy observation — busyPs picoseconds of
 // serialization starting at simulated instant at — into link li's
 // utilization series as a fraction of the window width, so a window's Sum
@@ -246,7 +190,7 @@ func (r *Recorder) ObserveBusy(li int32, at sim.Time, busyPs float64) {
 	if r == nil || int(li) >= len(r.links) {
 		return
 	}
-	r.links[li].util.Observe(int64(at), busyPs/float64(r.cfg.SeriesInterval))
+	r.links[li].util.Observe(int64(at), busyPs/float64(SeriesInterval))
 }
 
 // ObserveUtil folds an instantaneous utilization fraction (0..1) into link

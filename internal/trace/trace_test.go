@@ -11,45 +11,25 @@ import (
 )
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 4})
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	r := NewRecorder()
+	for i := 0; i < Capacity+extra; i++ {
 		r.Record(Event{At: sim.Time(i), Kind: Enqueue, Flow: int64(i), Link: -1, Node: -1})
 	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
+	if r.Total() != Capacity+extra {
+		t.Fatalf("Total = %d, want %d", r.Total(), Capacity+extra)
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", r.Dropped())
+	if r.Dropped() != extra {
+		t.Fatalf("Dropped = %d, want %d", r.Dropped(), extra)
 	}
 	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != Capacity {
+		t.Fatalf("retained %d events, want %d", len(evs), Capacity)
 	}
 	for i, ev := range evs {
-		if want := int64(6 + i); ev.Flow != want {
+		if want := int64(extra + i); ev.Flow != want {
 			t.Fatalf("event %d: flow %d, want %d (oldest-first order broken)", i, ev.Flow, want)
 		}
-	}
-}
-
-func TestFlowSamplingIsDeterministicHash(t *testing.T) {
-	r := NewRecorder(Config{SampleEvery: 4})
-	kept := 0
-	for id := int64(0); id < 4096; id++ {
-		if r.KeepFlow(id) != (splitmix64(uint64(id))%4 == 0) {
-			t.Fatalf("KeepFlow(%d) disagrees with the documented hash rule", id)
-		}
-		if r.KeepFlow(id) {
-			kept++
-		}
-	}
-	// The hash spreads the kept set: roughly 1 in 4, never an ID prefix.
-	if kept < 3*4096/16 || kept > 5*4096/16 {
-		t.Fatalf("kept %d of 4096 flows at SampleEvery=4", kept)
-	}
-	r.RecordFlow(Event{Flow: 1}) // splitmix64(1)%4 != 0 — suppressed
-	if got := len(r.Events()); got != 0 {
-		t.Fatalf("unsampled flow recorded %d events", got)
 	}
 }
 
@@ -57,11 +37,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.InitLinks([]string{"a"}, true)
 	r.Record(Event{})
-	r.RecordFlow(Event{})
 	r.ObserveBusy(0, 0, 1)
 	r.ObserveUtil(0, 0, 1)
 	r.ObserveDepth(0, 0, 1)
-	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 || r.KeepFlow(0) {
+	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	var buf bytes.Buffer
@@ -84,18 +63,19 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func populate(r *Recorder) {
 	g := topo.NewGrid(2, 2, topo.Options{})
 	r.InitLinks(LinkNames(g), true)
-	r.RecordFlow(Event{At: 1000, Kind: FlowArrive, Flow: 0, Link: -1, Node: 1, Value: 4096})
+	r.Record(Event{At: 1000, Kind: FlowArrive, Flow: 0, Link: -1, Node: 1, Value: 4096})
 	r.Record(Event{At: 1500, Kind: FaultApply, Flow: -1, Link: 2, Node: -1, Value: 0})
-	r.RecordFlow(Event{At: 2000, Kind: Enqueue, Flow: 0, Link: 1, Node: 0, Value: 3})
-	r.RecordFlow(Event{At: 9000, Kind: FlowComplete, Flow: 0, Link: -1, Node: 2, Value: 8000})
-	r.ObserveBusy(0, 500, 250)
-	r.ObserveBusy(0, 900, 250)
+	r.Record(Event{At: 2000, Kind: Enqueue, Flow: 0, Link: 1, Node: 0, Value: 3})
+	r.Record(Event{At: 9000, Kind: FlowComplete, Flow: 0, Link: -1, Node: 2, Value: 8000})
+	// Two quarter-window transmissions in link 0's first window.
+	r.ObserveBusy(0, 500, float64(SeriesInterval)/4)
+	r.ObserveBusy(0, 900, float64(SeriesInterval)/4)
 	r.ObserveDepth(1, 2000, 3)
 }
 
 func TestExportsAreStableAndValid(t *testing.T) {
 	render := func() (string, string) {
-		r := NewRecorder(Config{SeriesInterval: sim.Duration(1000)})
+		r := NewRecorder()
 		populate(r)
 		var txt, js bytes.Buffer
 		if err := r.WriteText(&txt); err != nil {
@@ -126,9 +106,9 @@ func TestExportsAreStableAndValid(t *testing.T) {
 
 func TestSetExportsInSortedNameOrder(t *testing.T) {
 	render := func(order []string) string {
-		s := NewSet(Config{})
+		s := NewSet()
 		for _, name := range order {
-			r := NewRecorder(s.Config())
+			r := NewRecorder()
 			r.Record(Event{At: 1, Kind: PhaseOpen, Flow: -1, Link: -1, Node: -1})
 			s.Add(name, r)
 		}
@@ -149,19 +129,19 @@ func TestSetExportsInSortedNameOrder(t *testing.T) {
 }
 
 func TestSetRejectsDuplicateNames(t *testing.T) {
-	s := NewSet(Config{})
-	s.Add("x", NewRecorder(Config{}))
+	s := NewSet()
+	s.Add("x", NewRecorder())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Add did not panic")
 		}
 	}()
-	s.Add("x", NewRecorder(Config{}))
+	s.Add("x", NewRecorder())
 }
 
 func TestNilSetIsSafe(t *testing.T) {
 	var s *Set
-	s.Add("x", NewRecorder(Config{}))
+	s.Add("x", NewRecorder())
 	if s.Len() != 0 {
 		t.Fatal("nil set has length")
 	}

@@ -100,12 +100,10 @@ type ControlConfig struct {
 	Enabled bool
 	// Epoch overrides the collection period (0 = derived from ring RTT).
 	Epoch time.Duration
-	// DisableFEC, DisableRouting, DisablePower, DisableBypass,
-	// DisableReconfig switch individual policies off (ablations).
-	DisableFEC, DisableRouting, DisablePower, DisableBypass, DisableReconfig bool
-	// ReconfigUtilization sets the grid→torus trigger threshold
-	// (0 = default).
-	ReconfigUtilization float64
+	// DisableFEC, DisablePower, DisableBypass, DisableReconfig switch
+	// individual policies off (ablations). Adaptive routing always runs,
+	// and grid→torus fires at the CRC's default mean utilization (55%).
+	DisableFEC, DisablePower, DisableBypass, DisableReconfig bool
 }
 
 // ControlOn returns a ControlConfig with every policy enabled.
@@ -120,10 +118,8 @@ type Config struct {
 	// LanesPerLink is the physical bundle width (default 2, per Figure 2).
 	LanesPerLink int
 	// Media is the link medium (default Backplane). Link capacities derive
-	// from it on both engines.
+	// from it on both engines. Adjacent nodes sit 2 m apart (Figure 1).
 	Media Media
-	// NodeSpacingM is the inter-node distance (default 2 m, per Figure 1).
-	NodeSpacingM float64
 	// SwitchMode is the forwarding discipline (default CutThrough).
 	// Packet engine only; the fluid engine has no switches.
 	SwitchMode SwitchMode
@@ -146,11 +142,11 @@ type Config struct {
 	// (uncontended) FCT. 0 means the default of 4; New rejects a negative
 	// or NaN value.
 	SLOTargetX float64
-	// Trace, when non-nil, turns on the flight recorder on either engine:
-	// bounded, deterministic event and time-series capture exported via
-	// Cluster.Trace. Nil (the default) compiles the recording hooks out of
+	// Trace turns on the flight recorder on either engine: bounded,
+	// deterministic event and time-series capture exported via
+	// Cluster.Trace. Off (the default) compiles the recording hooks out of
 	// the hot paths entirely.
-	Trace *TraceConfig
+	Trace bool
 }
 
 // Cluster is a running simulated rack. All traffic, run, fault, and report
@@ -163,7 +159,7 @@ type Cluster struct {
 	be    backend
 	pk    *packetBackend  // non-nil iff Engine == EnginePacket
 	fl    *fluidBackend   // non-nil iff Engine == EngineFluid
-	trace *trace.Recorder // non-nil iff Config.Trace was set
+	trace *trace.Recorder // non-nil iff Config.Trace is set
 
 	// zeroFaults holds the lowered fault schedules applied while the clock
 	// read zero, in call order: the inputs a checkpoint records besides the
@@ -185,9 +181,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LanesPerLink < 0 {
 		return nil, fmt.Errorf("rackfab: lanes per link must not be negative")
 	}
-	if cfg.NodeSpacingM < 0 {
-		return nil, fmt.Errorf("rackfab: node spacing must not be negative")
-	}
 	if cfg.PowerCapW < 0 {
 		return nil, fmt.Errorf("rackfab: power cap must not be negative")
 	}
@@ -206,11 +199,7 @@ func New(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("rackfab: unknown switch mode %q", cfg.SwitchMode)
 	}
-	opts := topo.Options{
-		LanesPerLink: cfg.LanesPerLink,
-		Media:        media,
-		NodeSpacingM: cfg.NodeSpacingM,
-	}
+	opts := topo.Options{LanesPerLink: cfg.LanesPerLink, Media: media}
 	var g *topo.Graph
 	switch cfg.Topology {
 	case Grid, "":
@@ -235,8 +224,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{cfg: cfg, graph: g}
-	if cfg.Trace != nil {
-		c.trace = trace.NewRecorder(cfg.Trace.lower())
+	if cfg.Trace {
+		c.trace = trace.NewRecorder()
 		// The utilization-sample convention differs per engine: the packet
 		// datapath folds per-transmission busy fractions (window = Sum), the
 		// fluid solver instantaneous allocated shares (window = Last).
@@ -298,13 +287,9 @@ func (c *Cluster) buildPacket(g *topo.Graph) error {
 			ccfg.Epoch = sim.Duration(cfg.Control.Epoch.Nanoseconds()) * sim.Nanosecond
 		}
 		ccfg.EnableFEC = !cfg.Control.DisableFEC
-		ccfg.EnableRouting = !cfg.Control.DisableRouting
 		ccfg.EnablePower = !cfg.Control.DisablePower
 		ccfg.EnableBypass = !cfg.Control.DisableBypass
 		ccfg.EnableReconfig = !cfg.Control.DisableReconfig
-		if cfg.Control.ReconfigUtilization > 0 {
-			ccfg.ReconfigUtilization = cfg.Control.ReconfigUtilization
-		}
 		pk.ctl = ringctl.New(eng, fab, ccfg)
 		pk.ctl.Start()
 	}
@@ -353,7 +338,7 @@ func (c *Cluster) PowerW() float64 {
 // RunFor advances simulated time by d.
 func (c *Cluster) RunFor(d time.Duration) error {
 	c.offScript("RunFor")
-	return c.be.runFor(d)
+	return c.be.RunFor(simDur(d))
 }
 
 // RunUntilDone runs until every injected flow completes, or errors at the
@@ -384,7 +369,7 @@ func (c *Cluster) RunPhases(phases [][]FlowSpec, limit time.Duration) ([][]*Flow
 		}
 		if i > 0 {
 			c.trace.Record(trace.Event{
-				At: c.be.now(), Kind: trace.PhaseOpen,
+				At: c.be.Now(), Kind: trace.PhaseOpen,
 				Flow: -1, Link: -1, Node: -1, Value: int64(i),
 			})
 		}
@@ -517,7 +502,7 @@ func (c *Cluster) Decisions() []string {
 }
 
 // Now returns the current simulated time.
-func (c *Cluster) Now() time.Duration { return fromSim(sim.Duration(c.be.now())) }
+func (c *Cluster) Now() time.Duration { return fromSim(sim.Duration(c.be.Now())) }
 
 // simDur converts an API duration (ns resolution) to simulator picoseconds.
 func simDur(d time.Duration) sim.Duration {

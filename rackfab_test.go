@@ -43,7 +43,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"fluid with control", func(c *Config) { c.Engine, c.Control = EngineFluid, ControlOn() }},
 		{"ring of two", func(c *Config) { c.Topology, c.Width = Ring, 2 }},
 		{"negative lanes", func(c *Config) { c.LanesPerLink = -1 }},
-		{"negative spacing", func(c *Config) { c.NodeSpacingM = -1 }},
 		{"negative power cap", func(c *Config) { c.PowerCapW = -1 }},
 		{"negative SLO target", func(c *Config) { c.SLOTargetX = -1 }},
 		{"NaN SLO target", func(c *Config) { c.SLOTargetX = math.NaN() }},
@@ -52,8 +51,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		name string
 		mut  func(*ServeConfig)
 	}{
-		{"SLO target -1", func(s *ServeConfig) { s.SLOTargetX = -1 }},
-		{"SLO target NaN", func(s *ServeConfig) { s.SLOTargetX = math.NaN() }},
 		{"pareto max below zero", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:1.2:-1" }},
 		{"pareto max below min", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:1.2:999" }},
 		{"pareto NaN alpha", func(s *ServeConfig) { s.Arrivals.Sizes = "pareto:1000:NaN" }},
@@ -168,7 +165,7 @@ func TestReconfigurationAPI(t *testing.T) {
 func TestControlDecisionsVisible(t *testing.T) {
 	c, err := New(Config{
 		Topology: Grid, Width: 4, Height: 4, Seed: 3,
-		Control: ControlConfig{Enabled: true, Epoch: 50 * time.Microsecond, ReconfigUtilization: 0.05},
+		Control: ControlConfig{Enabled: true, Epoch: 50 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func svcClusterConfig(engine Engine) Config {
 	return Config{
 		Topology: Grid, Width: 4, Height: 4,
 		Engine: engine, Seed: 9,
-		Trace: &TraceConfig{},
+		Trace: true,
 	}
 }
 

@@ -299,7 +299,7 @@ func TestRunPhasesBarrierInstant(t *testing.T) {
 					}
 				}
 			}
-			if got, want := c.be.now(), drainInstant(t, out[len(out)-1]); got != want {
+			if got, want := c.be.Now(), drainInstant(t, out[len(out)-1]); got != want {
 				t.Errorf("clock ends at %v, want the last drain %v", got, want)
 			}
 		})
@@ -334,7 +334,7 @@ func TestRunPhasesTracesPhaseOpen(t *testing.T) {
 	phases := barrierPhases()
 	for _, eng := range []Engine{EnginePacket, EngineFluid} {
 		t.Run(string(eng), func(t *testing.T) {
-			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: eng, Trace: &TraceConfig{}})
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: eng, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,52 +2,24 @@ package rackfab
 
 import (
 	"io"
-	"time"
 
 	"rackfab/internal/trace"
 )
-
-// TraceConfig turns on the flight recorder and sizes it. All bounds are
-// hard: memory stays O(Capacity + links × SeriesWindows) however long the
-// run, with the oldest events and windows scrolling off. The recorded
-// bytes are deterministic — sim-time stamps, hash-based flow sampling, no
-// wall clocks — so for a given Config and workload the exported trace is
-// byte-identical across repeats and worker counts; experiment sweeps fold
-// it into their determinism fingerprints.
-type TraceConfig struct {
-	// Capacity bounds the event ring (default 65536 events).
-	Capacity int
-	// SampleEvery keeps one in N flows' per-flow events (default 1 —
-	// every flow). The kept set is a deterministic hash selection over
-	// canonical flow IDs (splitmix64(id) mod N == 0), never a random
-	// draw, so the sampled population is identical run to run.
-	SampleEvery int
-	// SeriesInterval is the window width of the per-link utilization and
-	// queue-depth time series (default 1µs of simulated time).
-	SeriesInterval time.Duration
-	// SeriesWindows bounds the retained windows per link series
-	// (default 1024).
-	SeriesWindows int
-}
-
-// lower converts to the internal sizing; nil selects all defaults.
-func (tc *TraceConfig) lower() trace.Config {
-	if tc == nil {
-		return trace.Config{}
-	}
-	return trace.Config{
-		Capacity:       tc.Capacity,
-		SampleEvery:    tc.SampleEvery,
-		SeriesInterval: simDur(tc.SeriesInterval),
-		SeriesWindows:  tc.SeriesWindows,
-	}
-}
 
 // Trace is a cluster's recorded flight data: typed sim-time events (flow
 // arrivals/completions, queue enqueue/dequeue with depth, fault apply and
 // repair, fluid refill outcomes, phase gates) plus windowed per-link
 // utilization and queue-depth series. Obtain one from Cluster.Trace after
 // running with Config.Trace set.
+//
+// All bounds are fixed: the ring keeps the latest 65536 events, and each
+// link series keeps its latest 1024 windows of 1µs of simulated time, so
+// memory stays bounded however long the run, with the oldest events and
+// windows scrolling off. Every flow's events are recorded. The recorded
+// bytes are deterministic (sim-time stamps, no wall clocks), so for a given
+// Config and workload the exported trace is byte-identical across repeats
+// and worker counts; experiment sweeps fold it into their determinism
+// fingerprints.
 type Trace struct {
 	rec *trace.Recorder
 }
@@ -89,7 +61,7 @@ func (t *Trace) Overwritten() int64 {
 }
 
 // Trace returns the cluster's flight recorder, or nil when Config.Trace
-// was not set. The returned handle reads live recorder state: export after
+// was false. The returned handle reads live recorder state: export after
 // the run (or between Run calls — the engines are quiescent then).
 func (c *Cluster) Trace() *Trace {
 	if c.trace == nil {
@@ -107,25 +79,10 @@ type TraceSet struct {
 	set *trace.Set
 }
 
-// NewTraceSet returns an empty set whose trials share cfg's sizing.
-func NewTraceSet(cfg TraceConfig) *TraceSet {
-	return &TraceSet{set: trace.NewSet(cfg.lower())}
-}
-
-// ClusterConfig returns the Config.Trace value a trial cluster should be
-// built with so its recorder matches the set's sizing. Nil-safe: a nil set
-// (tracing off) yields nil, which leaves tracing off.
-func (s *TraceSet) ClusterConfig() *TraceConfig {
-	if s == nil {
-		return nil
-	}
-	c := s.set.Config()
-	return &TraceConfig{
-		Capacity:       c.Capacity,
-		SampleEvery:    c.SampleEvery,
-		SeriesInterval: fromSim(c.SeriesInterval),
-		SeriesWindows:  c.SeriesWindows,
-	}
+// NewTraceSet returns an empty set. A trial cluster records into it when
+// built with Config.Trace set, and a nil set means tracing is off.
+func NewTraceSet() *TraceSet {
+	return &TraceSet{set: trace.NewSet()}
 }
 
 // Add registers a finished trial's trace under name. Nil sets and nil

@@ -14,7 +14,7 @@ func traceRun(t *testing.T, engine Engine) (string, string, *Trace) {
 	c, err := New(Config{
 		Topology: Grid, Width: 4, Height: 4,
 		Seed: 7, Engine: engine,
-		Trace: &TraceConfig{},
+		Trace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +43,8 @@ func traceRun(t *testing.T, engine Engine) (string, string, *Trace) {
 // TestTraceDeterministic is the flight recorder's core contract: two
 // identically configured runs export byte-identical traces — text form
 // (the determinism-fingerprint bytes) and Perfetto JSON alike — on both
-// engines. Sim-time stamps and hash-based sampling leave no room for
-// wall clocks or scheduling to leak in.
+// engines. Sim-time stamps leave no room for wall clocks or scheduling to
+// leak in.
 func TestTraceDeterministic(t *testing.T) {
 	for _, engine := range []Engine{EnginePacket, EngineFluid} {
 		t.Run(string(engine), func(t *testing.T) {
