@@ -218,7 +218,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range en.flows {
-			en.arrive(int32(i), 0)
+			en.arrive([]int32{int32(i)}, 0)
 		}
 		return g, en
 	}

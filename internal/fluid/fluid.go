@@ -12,14 +12,17 @@
 // The solver is incremental and deterministic. Flows and links live in flat
 // slices keyed by stable integer IDs (flow IDs follow a canonical spec
 // ordering; link IDs are topo Edge.Index), so no result ever depends on Go
-// map iteration order or on the order specs were handed in. On each arrival
-// or completion only the connected component of the link–flow sharing graph
-// around the affected flow's path is re-solved — max-min allocations
-// decompose over such components — and the progressive-filling pass inside a
-// component retires every link tied at the round's bottleneck share in one
-// flat scan of the component's live links (see refill). Completions pop from
-// a heap keyed by (finish time, flowID), so simultaneous finishes resolve in
-// flow-ID order, byte-stably, at O(log F) per event.
+// map iteration order or on the order specs were handed in. On each
+// completion, and at each instant with arrivals, only the connected
+// component of the link–flow sharing graph around the affected paths is
+// re-solved — max-min allocations decompose over such components. Every
+// arrival due at one instant joins a single refill seeded by the union of
+// their paths, as the fault events of one instant do. The
+// progressive-filling pass inside a component retires every link tied at
+// the round's bottleneck share in one flat scan of the component's live
+// links (see refill). Completions pop from a heap keyed by (finish time,
+// flowID), so simultaneous finishes resolve in flow-ID order, byte-stably,
+// at O(log F) per event.
 package fluid
 
 import (
@@ -50,7 +53,10 @@ type Config struct {
 	Faults *faults.Schedule
 	// Trace, when non-nil, receives the run's flight-recorder events
 	// (arrivals, completions, refill outcomes, fault replay)
-	// and windowed per-link utilization/flow-count series. The recorder
+	// and windowed per-link utilization/flow-count series. Each arrival
+	// and completion records its own event; the arrivals of one instant
+	// share one refill, so they record one fill outcome and one set of
+	// series points, after all their arrival events. The recorder
 	// must already have its link tracks initialized (trace.LinkNames over
 	// Graph). Traces differ between warm and cold solver paths — fill
 	// outcomes are recorded — even though flow results are bit-identical.

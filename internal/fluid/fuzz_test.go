@@ -10,16 +10,20 @@ import (
 )
 
 // FuzzSolverMaxMin drives the solver over fuzzer-chosen topologies and
-// workloads through a random interleaving of arrivals, completions, and
-// link capacity ops (down / up / degrade — the fault subsystem's whole
-// event vocabulary) and asserts, after every event:
+// workloads through a random interleaving of arrivals (1–3 flows per
+// arrival op, activated as one batch), completions, and link capacity ops
+// (down / up / degrade — the fault subsystem's whole event vocabulary) and
+// asserts, after every event:
 //
 //  1. the max-min certificate — the allocation is feasible and every active
 //     flow is bottlenecked at a saturated link where no flow is faster,
-//     with rate 0 legal only behind a dead link (checkMaxMin), and
+//     with rate 0 legal only behind a dead link (checkMaxMin),
 //  2. warm start ≡ cold start — the warm engine's rate vector equals a
 //     from-zero re-solve's bit for bit, and the two engines' completion
-//     schedules never diverge (churnEngines compares nextDone each event).
+//     schedules never diverge (churnEngines compares nextDone each event),
+//     and
+//  3. one batch ≡ one flow at a time — a third engine that takes each
+//     batch's flows in one-flow batches holds the same rate vector.
 //
 // On top of the stepwise engines, the whole scenario runs through Run twice
 // (warm and cold) and must fingerprint identically — first fault-free, then
@@ -69,7 +73,7 @@ func FuzzSolverMaxMin(f *testing.F) {
 			specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: bytes})
 		}
 
-		churnEngines(t, g, specs, rng, true, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, true, 3, func(warm, cold *engine) {
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
 				if w != c {

@@ -42,6 +42,7 @@ type Session struct {
 	// order: canonical IDs are At-major, so (At, fid) ascending ≡ fid
 	// ascending.
 	arrivalQ heapx.Heap[arrivalEntry]
+	batch    []int32 // scratch: the arrivals due at the current instant
 
 	// idBase is the count of flows retired (prefix-compacted) so far:
 	// public flow ID = internal engine index + idBase. Handles returned
@@ -192,11 +193,8 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 	for s.pending() > 0 || en.activeCount > 0 {
 		nextDone, doneID := en.nextDone()
 		nextArrival := sim.Forever
-		arriveFid := int32(-1)
 		if s.arrivalQ.Len() > 0 {
-			e := s.arrivalQ.Min()
-			arriveFid = e.fid
-			nextArrival = max(e.at, s.now)
+			nextArrival = max(s.arrivalQ.Min().at, s.now)
 		}
 		nextFault := sim.Forever
 		if s.faulted < len(s.linkEvents) {
@@ -230,7 +228,10 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 		// the heap. Every fault event sharing the instant applies as one
 		// group: a node loss lowers to per-link events at the same At, and
 		// the engine commits them through a single table RepairBatch and
-		// refill rather than chasing intermediate topologies.
+		// refill rather than chasing intermediate topologies. Every arrival
+		// due at the instant likewise activates as one batch with one
+		// refill; each still counts and traces as its own event, in queue
+		// order.
 		switch {
 		case next == nextFault && s.faulted < len(s.linkEvents):
 			j := s.faulted + 1
@@ -239,15 +240,19 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 			}
 			en.applyLinkEventGroup(s.now, s.linkEvents[s.faulted:j])
 			s.faulted = j
-		case next == nextArrival && arriveFid >= 0:
-			s.arrivalQ.Pop()
-			s.res.Events++
-			spec := en.flows[arriveFid].spec
-			en.trace.Record(trace.Event{
-				At: s.now, Kind: trace.FlowArrive,
-				Flow: s.publicID(arriveFid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
-			})
-			en.arrive(arriveFid, s.now)
+		case next == nextArrival && s.arrivalQ.Len() > 0:
+			s.batch = s.batch[:0]
+			for s.arrivalQ.Len() > 0 && s.arrivalQ.Min().at <= s.now {
+				fid := s.arrivalQ.Pop().fid
+				s.res.Events++
+				spec := en.flows[fid].spec
+				en.trace.Record(trace.Event{
+					At: s.now, Kind: trace.FlowArrive,
+					Flow: s.publicID(fid), Link: -1, Node: int32(spec.Src), Value: spec.Bytes,
+				})
+				s.batch = append(s.batch, fid)
+			}
+			en.arrive(s.batch, s.now)
 		default:
 			s.res.Events++
 			fr := en.complete(doneID, s.now)
@@ -342,7 +347,6 @@ func (s *Session) Retire() int {
 	en.flows = en.flows[:n]
 	en.flowEpoch = append(en.flowEpoch[:0], en.flowEpoch[cut:]...)
 	en.frozenEpoch = append(en.frozenEpoch[:0], en.frozenEpoch[cut:]...)
-	en.suspect = append(en.suspect[:0], en.suspect[cut:]...)
 	s.status = append(s.status[:0], s.status[cut:]...)
 	s.idBase += cut
 	return cut

@@ -97,7 +97,7 @@ type engine struct {
 	edgeByIdx     []*topo.Edge
 	routesChanged bool
 	starvedNow    int
-	seedBuf       []int32 // reroute refill seed: old path ∪ new path
+	seedBuf       []int32 // refill seed: an arrival batch's paths, or a reroute's old ∪ new path
 
 	// Fault-group scratch (applyLinkEventGroup): the instant's changed
 	// links (refill seed), admin-flipped edges (one RepairBatch), and
@@ -124,7 +124,6 @@ type engine struct {
 	linkEpoch   []uint32
 	flowEpoch   []uint32
 	frozenEpoch []uint32
-	suspect     []uint32 // flows on the perturbed path this fill
 	capLeft     []float64
 	unfrozen    []int32
 	alive       []int32
@@ -137,7 +136,7 @@ type engine struct {
 	// Round-closure state: tied is the worklist of links at exactly the
 	// round's bottleneck share; tieStamp dedupes enqueues per round.
 	// seedMark stamps the current fill's seed links (epoch-scoped) so the
-	// warm drain can recognize suspects confined to the perturbed path.
+	// warm drain can recognize flows confined to the perturbed path.
 	round    uint32
 	tieStamp []uint32
 	tied     []int32
@@ -222,7 +221,6 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 	en.flows = slices.Grow(en.flows, len(specs))
 	en.flowEpoch = slices.Grow(en.flowEpoch, len(specs))
 	en.frozenEpoch = slices.Grow(en.frozenEpoch, len(specs))
-	en.suspect = slices.Grow(en.suspect, len(specs))
 	for _, spec := range specs {
 		fs := flowState{spec: spec}
 		path, err := en.table.Path(topo.NodeID(spec.Src), topo.NodeID(spec.Dst))
@@ -238,40 +236,63 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 		en.flows = append(en.flows, fs)
 		en.flowEpoch = append(en.flowEpoch, 0)
 		en.frozenEpoch = append(en.frozenEpoch, 0)
-		en.suspect = append(en.suspect, 0)
 	}
 	return nil
 }
 
-// arrive activates flow fid at `now` and re-solves its component. After a
-// fault has changed routing, the path addBatch computed may be stale: the
-// flow re-paths against the repaired table, and if its destination is
-// currently unreachable it keeps the path it was injected with (or none, if
-// it was injected unreachable) — every such path crosses a dead link, so
-// the flow parks at rate 0 until a repair heals the partition
-// (rescueStarved re-paths it then).
-func (en *engine) arrive(fid int32, now sim.Time) {
-	f := &en.flows[fid]
-	if en.routesChanged {
-		if links, ok := en.repath(fid); ok {
-			f.links = links
-			f.hops = len(links)
+// arrive activates the flows of batch — every arrival due at `now` — and
+// re-solves their components with one refill seeded by the union of their
+// paths, each link once. A component's fill depends only on its flows and
+// link capacities, so the one fill gives every flow the rate the last of a
+// per-arrival chain of fills would. A batch of one seeds with the flow's
+// path in path order and names it the newcomer the warm replay absorbs; a
+// larger batch has several flows without a previous rate, which the
+// replay's entry guard sends to the scan loop.
+//
+// After a fault has changed routing, the path addBatch computed may be
+// stale: the flow re-paths against the repaired table, and if its
+// destination is currently unreachable it keeps the path it was injected
+// with (or none, if it was injected unreachable) — every such path crosses
+// a dead link, so the flow parks at rate 0 until a repair heals the
+// partition (rescueStarved re-paths it then).
+func (en *engine) arrive(batch []int32, now sim.Time) {
+	// Stamp seed links under a fresh epoch to list each once; component
+	// starts its own epoch, so the stamps never reach the fill.
+	en.epoch++
+	en.seedBuf = en.seedBuf[:0]
+	for _, fid := range batch {
+		f := &en.flows[fid]
+		if en.routesChanged {
+			if links, ok := en.repath(fid); ok {
+				f.links = links
+				f.hops = len(links)
+			}
+		}
+		f.active = true
+		f.start = now
+		f.settled = now
+		f.remaining = float64(f.spec.Bytes) * 8
+		f.rate = 0
+		en.activeCount++
+		for _, li := range f.links {
+			en.linkFlows[li] = append(en.linkFlows[li], fid)
+			if en.linkEpoch[li] != en.epoch {
+				en.linkEpoch[li] = en.epoch
+				en.seedBuf = append(en.seedBuf, li)
+			}
 		}
 	}
-	f.active = true
-	f.start = now
-	f.settled = now
-	f.remaining = float64(f.spec.Bytes) * 8
-	f.rate = 0
-	en.activeCount++
-	for _, li := range f.links {
-		en.linkFlows[li] = append(en.linkFlows[li], fid)
+	newcomer := int32(-1)
+	if len(batch) == 1 {
+		newcomer = batch[0]
 	}
-	en.refill(now, f.links, fid)
-	if f.rate == 0 {
-		// Arrived straight into a dead path: the refill froze it at zero,
-		// which setRate's transition tracking cannot see (0 → 0).
-		en.noteStarved(fid, now)
+	en.refill(now, en.seedBuf, newcomer)
+	for _, fid := range batch {
+		if en.flows[fid].rate == 0 {
+			// Arrived straight into a dead path: the refill froze it at
+			// zero, which setRate's transition tracking cannot see (0 → 0).
+			en.noteStarved(fid, now)
+		}
 	}
 }
 
@@ -362,10 +383,10 @@ func (en *engine) component(seed []int32) {
 // floating-point operation of the fill — is independent of link visit
 // order: a pure function of component state.
 //
-// newcomer is the flow (≥ 0) whose arrival triggered this refill — the one
-// component flow with no previous rate. The warm path replays the previous
-// allocation as the round schedule and falls back to the scan loop the
-// moment the perturbation deviates from it; see warmRounds.
+// newcomer is the flow (≥ 0) whose lone arrival triggered this refill —
+// the one component flow with no previous rate. The warm path replays the
+// previous allocation as the round schedule and falls back to the scan
+// loop the moment the perturbation deviates from it; see warmRounds.
 func (en *engine) refill(now sim.Time, seed []int32, newcomer int32) {
 	en.component(seed)
 	remaining := len(en.compFlows)
@@ -523,14 +544,17 @@ func (en *engine) freeze(fid int32, now sim.Time, best float64) {
 // coldRounds, skipping the per-round scan of every live component link:
 //
 //   - links off the seed path ("clean") evolve exactly as in their own
-//     last fill while rounds match, so the minimum share over them is the
-//     next old level and a scheduled flow touching no seed link freezes at
-//     its old rate unconditionally — no verification needed;
+//     last fill while rounds match, so no clean share lies below the next
+//     old level;
 //   - seed links are perturbed (a flow arrived on or departed from them),
 //     so they are checked explicitly each round: their live minimum can
-//     undercut the schedule (then the round is seed-led) and flows on them
-//     ("suspects") may have lost their old bottleneck, so a suspect only
-//     freezes when one of its links actually sits at the level;
+//     undercut the schedule (then the round is seed-led);
+//   - a scheduled flow freezes at round start only when one of its links
+//     sits exactly at the level. The old level may have been set by a
+//     seed link, with clean links joining that round's closure only
+//     through the freezes of flows crossing the seed links: a flow that
+//     sits at no level link now is left to the closure, and the round
+//     goes off-schedule if the closure never reaches it;
 //   - the newcomer has no old rate and crosses only seed links; it freezes
 //     whenever a seed link carrying it reaches the round's level — the one
 //     off-schedule freeze the replay absorbs, since it perturbs no clean
@@ -607,16 +631,12 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			return 1
 		})
 	}
-	// Suspects: flows crossing a seed link. Everything else in the schedule
-	// freezes at its old rate without per-flow checks. seedMark stamps the
-	// seed links themselves so the drain loop can tell a suspect confined
-	// entirely to the perturbed path — absorbable like the newcomer — from
-	// one whose rate change would invalidate a clean link's trajectory.
+	// seedMark stamps the seed links so the drain loop can tell a flow
+	// confined entirely to the perturbed path — absorbable like the
+	// newcomer — from one whose rate change would invalidate a clean
+	// link's trajectory.
 	for _, li := range seed {
 		en.seedMark[li] = en.epoch
-		for _, fid := range en.linkFlows[li] {
-			en.suspect[fid] = en.epoch
-		}
 	}
 
 	i := 0
@@ -662,24 +682,17 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			}
 			// Decide every scheduled flow against round-START state before
 			// any freeze mutates it — coldRounds collects its tied set the
-			// same way. A suspect lost its old bottleneck if no link of its
-			// sits at the level now; it may still join the closure later.
+			// same way. A flow with no link at the level now may still
+			// join the closure later.
 			en.passA = en.passA[:0]
 			for k := i; k < j; k++ {
 				fid := lv[k].fid
-				if en.suspect[fid] == en.epoch {
-					tied := false
-					for _, li := range en.flows[fid].links {
-						if en.capLeft[li]/float64(en.unfrozen[li]) == b {
-							tied = true
-							break
-						}
-					}
-					if !tied {
-						continue
+				for _, li := range en.flows[fid].links {
+					if en.capLeft[li]/float64(en.unfrozen[li]) == b {
+						en.passA = append(en.passA, fid)
+						break
 					}
 				}
-				en.passA = append(en.passA, fid)
 			}
 			for _, fid := range en.passA {
 				if en.frozenEpoch[fid] == en.epoch {

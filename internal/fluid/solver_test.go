@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func activeEngine(t testing.TB, g *topo.Graph, specs []workload.FlowSpec) *engin
 		t.Fatal(err)
 	}
 	for i := range en.flows {
-		en.arrive(int32(i), 0)
+		en.arrive([]int32{int32(i)}, 0)
 	}
 	return en
 }
@@ -166,17 +167,27 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 // lowest-indexed dead edge (the role a fault schedule's repair events play
 // in a real run) so it always terminates; it restores the shared graph's
 // administrative state on exit.
-func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, withFaults bool, check func(warm, cold *engine)) {
+//
+// Each arrival op activates one flow, or with maxBatch > 1 a batch of
+// 1..maxBatch flows at one instant. Batches then also drive a third, warm
+// engine that takes the same flows in one-flow batches; its rate vector
+// must equal the batched warm engine's bit for bit after every op.
+func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, withFaults bool, maxBatch int, check func(warm, cold *engine)) {
 	t.Helper()
 	specs = canonicalize(specs)
 	warm := newEngine(g)
 	cold := newEngine(g)
 	cold.cold = true
-	if err := warm.addBatch(specs); err != nil {
-		t.Fatal(err)
+	engines := []*engine{warm, cold}
+	var chain *engine
+	if maxBatch > 1 {
+		chain = newEngine(g)
+		engines = append(engines, chain)
 	}
-	if err := cold.addBatch(specs); err != nil {
-		t.Fatal(err)
+	for _, en := range engines {
+		if err := en.addBatch(specs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	edges := g.Edges()
 	factor := make([]float64, g.EdgeIndexBound())
@@ -190,12 +201,25 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 			}
 		}()
 	}
-	applyBoth := func(now sim.Time, ev faults.LinkEvent) {
-		warm.applyLinkEvent(now, ev)
-		cold.applyLinkEvent(now, ev)
+	now := sim.Time(0)
+	applyAll := func(now sim.Time, ev faults.LinkEvent) {
+		for _, en := range engines {
+			en.applyLinkEvent(now, ev)
+		}
 		factor[ev.Edge] = ev.Factor
 	}
-	now := sim.Time(0)
+	checkAll := func() {
+		t.Helper()
+		if chain != nil {
+			for fid := range warm.flows {
+				if b, c := warm.flows[fid].rate, chain.flows[fid].rate; b != c {
+					t.Fatalf("at %v: flow %d batched rate %g != one-at-a-time rate %g", now, fid, b, c)
+				}
+			}
+		}
+		check(warm, cold)
+	}
+	var batch []int32
 	arrived := 0
 	for ops := 0; arrived < len(specs) || warm.activeCount > 0; ops++ {
 		if ops > 100000 {
@@ -213,17 +237,30 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 			default:
 				f = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
 			}
-			applyBoth(now, faults.LinkEvent{At: now, Edge: e.Index(), Factor: f})
-			check(warm, cold)
+			applyAll(now, faults.LinkEvent{At: now, Edge: e.Index(), Factor: f})
+			checkAll()
 			continue
 		}
 		// Bias toward arrivals while any remain, but complete often enough
 		// that components shrink, split, and regrow mid-run.
 		doArrive := arrived < len(specs) && (warm.activeCount == 0 || rng.Intn(3) != 0)
 		if doArrive {
-			warm.arrive(int32(arrived), now)
-			cold.arrive(int32(arrived), now)
-			arrived++
+			k := 1
+			if maxBatch > 1 {
+				k = min(1+rng.Intn(maxBatch), len(specs)-arrived)
+			}
+			batch = batch[:0]
+			for ; k > 0; k-- {
+				batch = append(batch, int32(arrived))
+				arrived++
+			}
+			warm.arrive(batch, now)
+			cold.arrive(batch, now)
+			if chain != nil {
+				for _, fid := range batch {
+					chain.arrive([]int32{fid}, now)
+				}
+			}
 		} else {
 			wt, wid := warm.nextDone()
 			ct, cid := cold.nextDone()
@@ -236,7 +273,7 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 				healed := false
 				for li, f := range factor {
 					if f == 0 {
-						applyBoth(now, faults.LinkEvent{At: now, Edge: li, Factor: 1})
+						applyAll(now, faults.LinkEvent{At: now, Edge: li, Factor: 1})
 						healed = true
 						break
 					}
@@ -244,16 +281,17 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 				if !healed {
 					t.Fatalf("active flows but no projected completion at %v and no dead link to heal", now)
 				}
-				check(warm, cold)
+				checkAll()
 				continue
 			}
 			if wt > now {
 				now = wt
 			}
-			warm.complete(wid, now)
-			cold.complete(cid, now)
+			for _, en := range engines {
+				en.complete(wid, now)
+			}
 		}
-		check(warm, cold)
+		checkAll()
 	}
 }
 
@@ -282,7 +320,7 @@ func TestWarmStartMatchesColdUnderChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, false, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, false, 1, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -324,7 +362,7 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, true, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, true, 1, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -419,12 +457,13 @@ func BenchmarkFluidAllocate(b *testing.B) {
 // via the seq tie-break) and replays warm — zero fallbacks through the
 // merge, never a ColdFill. The pre-merge arrivals also replay warm: an
 // empty-oracle fill is the trivial schedule, driven entirely by the live
-// seed-link minimum with the newcomer absorbed.
+// seed-link minimum with the newcomer absorbed. B arrives 1 ns after A:
+// same-instant arrivals share one fill, and the merge needs two.
 func TestMergeFallbackFillOnce(t *testing.T) {
 	g := topo.NewLine(7, topo.Options{})
 	specs := []workload.FlowSpec{
 		{Src: 0, Dst: 1, Bytes: 1e6, At: 0, Label: "A"},
-		{Src: 5, Dst: 6, Bytes: 2e6, At: 0, Label: "B"},
+		{Src: 5, Dst: 6, Bytes: 2e6, At: 1 * sim.Time(sim.Nanosecond), Label: "B"},
 		// C spans the whole line, merging A's and B's disjoint components.
 		{Src: 0, Dst: 6, Bytes: 1e6, At: 1 * sim.Time(sim.Microsecond), Label: "C"},
 	}
@@ -444,7 +483,7 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	// C's arrival merges the two components. Their oracle entries carry two
 	// different fill stamps, but each part's levels ascend in its own freeze
 	// order, so the rate-sorted union is a valid merged schedule; A and B —
-	// suspects whose every link is on C's (seed) path — are absorbed at the
+	// flows whose every link is on C's (seed) path — are absorbed at the
 	// new shared level rather than killing the schedule. Zero fallbacks.
 	if err := s.Advance(1 * sim.Time(sim.Microsecond)); err != nil {
 		t.Fatal(err)
@@ -471,6 +510,76 @@ func TestMergeFallbackFillOnce(t *testing.T) {
 	// (counted as neither).
 	if want := (SolverStats{WarmHits: 4, WarmFallbacks: 1}); fin != want {
 		t.Errorf("final solver stats = %+v, want %+v", fin, want)
+	}
+}
+
+// TestSameInstantArrivalsOneFill: arrivals due at one instant activate as
+// one batch and share one refill. On a line 0–1–2 with 0→1, 0→2 and 1→2
+// active, 0→2 and 1→2 arrive together. One flow at a time, the second
+// arrival's fill would take the 0→1 flow from c/2 to c/3 and the third's
+// back to c/2 within the instant. The batch counts one fill for the
+// instant and leaves every rate, and every FlowResult of the drained run,
+// equal to an engine fed the same flows in one-flow batches.
+func TestSameInstantArrivalsOneFill(t *testing.T) {
+	g := topo.NewLine(3, topo.Options{})
+	at := sim.Time(sim.Microsecond)
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: 1, Bytes: 1e6},
+		{Src: 0, Dst: 2, Bytes: 1e6},
+		{Src: 1, Dst: 2, Bytes: 1e6},
+		{Src: 0, Dst: 2, Bytes: 1e6, At: at},
+		{Src: 1, Dst: 2, Bytes: 1e6, At: at},
+	}
+	fills := func(st SolverStats) int64 { return st.WarmHits + st.WarmFallbacks + st.ColdFills }
+
+	s, err := NewSession(Config{Graph: g}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(at - 1); err != nil {
+		t.Fatal(err)
+	}
+	before := fills(s.Snapshot().Solver)
+	if err := s.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	if got := fills(s.Snapshot().Solver) - before; got != 1 {
+		t.Fatalf("the instant's two arrivals ran %d fills, want 1", got)
+	}
+
+	// The reference takes the same canonical flows one at a time.
+	ref := newEngine(g)
+	if err := ref.addBatch(canonicalize(specs)); err != nil {
+		t.Fatal(err)
+	}
+	for fid := int32(0); fid < 3; fid++ {
+		ref.arrive([]int32{fid}, 0)
+	}
+	c := ref.linkCap[ref.flows[0].links[0]]
+	var path []float64
+	for fid := int32(3); fid < 5; fid++ {
+		ref.arrive([]int32{fid}, at)
+		path = append(path, ref.flows[0].rate)
+	}
+	if path[0] != c/3 || path[1] != c/2 {
+		t.Fatalf("one at a time, the 0→1 flow went to %v within the instant, want [c/3 c/2] with c = %g", path, c)
+	}
+	for fid := range ref.flows {
+		if b, r := s.en.flows[fid].rate, ref.flows[fid].rate; b != r {
+			t.Errorf("flow %d: batched rate %g != one-at-a-time rate %g", fid, b, r)
+		}
+	}
+
+	if err := s.AdvanceUntilDone(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	var want []FlowResult
+	for ref.activeCount > 0 {
+		done, fid := ref.nextDone()
+		want = append(want, ref.complete(fid, done))
+	}
+	if got := s.Snapshot().Flows; !slices.Equal(got, want) {
+		t.Errorf("batched results %+v\nwant one-at-a-time %+v", got, want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package telemetry
 
+import "slices"
+
 // Series is a bounded, fixed-interval sim-time time series. Observations
 // carry their own picosecond timestamps; each lands in the window
 // at/interval and folds into that window's streaming summary
@@ -7,7 +9,8 @@ package telemetry
 // memory is O(windows) regardless of event rate. When the window count
 // exceeds the bound the oldest windows fall off and are tallied in
 // Evicted; a long-running service-mode Cluster therefore holds a sliding
-// recent view at constant cost.
+// recent view at constant cost. The windows form a ring, so opening a
+// window costs O(1) even on a full series.
 //
 // Observations must not move backwards past a full window: an observation
 // older than the newest open window is folded into that newest window
@@ -16,8 +19,11 @@ package telemetry
 type Series struct {
 	interval   int64 // window width, picoseconds
 	maxWindows int
-	windows    []Window // time-ordered, len ≤ maxWindows
-	evicted    int64
+	// windows is a ring of len ≤ maxWindows: time-ordered from head,
+	// wrapping at the end. head is 0 until the ring is full.
+	windows []Window
+	head    int
+	evicted int64
 }
 
 // Window is one interval's streaming summary. Index is the window ordinal
@@ -48,7 +54,7 @@ func (s *Series) Evicted() int64 { return s.evicted }
 func (s *Series) Observe(atPs int64, v float64) {
 	idx := atPs / s.interval
 	if n := len(s.windows); n > 0 {
-		last := &s.windows[n-1]
+		last := &s.windows[(s.head+n-1)%n]
 		if idx <= last.Index {
 			// Same window, or a straggler behind the open one: fold into
 			// the newest window so closed summaries stay immutable.
@@ -64,16 +70,26 @@ func (s *Series) Observe(atPs int64, v float64) {
 			return
 		}
 	}
-	if len(s.windows) == s.maxWindows {
-		copy(s.windows, s.windows[1:])
-		s.windows = s.windows[:s.maxWindows-1]
-		s.evicted++
+	w := Window{Index: idx, Count: 1, Sum: v, Min: v, Max: v, Last: v}
+	if len(s.windows) < s.maxWindows {
+		s.windows = append(s.windows, w)
+		return
 	}
-	s.windows = append(s.windows, Window{
-		Index: idx, Count: 1, Sum: v, Min: v, Max: v, Last: v,
-	})
+	// Full: the new window replaces the oldest.
+	s.windows[s.head] = w
+	s.head = (s.head + 1) % s.maxWindows
+	s.evicted++
 }
 
-// Windows returns the retained windows in time order. The slice aliases
-// internal storage; callers must not mutate it.
-func (s *Series) Windows() []Window { return s.windows }
+// Windows returns the retained windows in time order, rotating the ring
+// into that order in place. The slice aliases internal storage; callers
+// must not mutate it, and the next Observe may overwrite it.
+func (s *Series) Windows() []Window {
+	if s.head > 0 {
+		slices.Reverse(s.windows[:s.head])
+		slices.Reverse(s.windows[s.head:])
+		slices.Reverse(s.windows)
+		s.head = 0
+	}
+	return s.windows
+}

@@ -1,6 +1,10 @@
 package telemetry
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 func TestSeriesFoldsIntoWindows(t *testing.T) {
 	s := NewSeries(1000, 8)
@@ -45,6 +49,46 @@ func TestSeriesEvictsOldest(t *testing.T) {
 	if len(wins) != 3 || wins[0].Index != 2 || wins[2].Index != 4 {
 		t.Fatalf("retained windows = %+v", wins)
 	}
+}
+
+// TestSeriesRingWraps streams windows through a full series several times
+// over (some windows skipped, several observations per window) and holds
+// Windows and Evicted to the last maxWindows windows of a plain
+// append-only record, including after a read in the middle of the stream.
+func TestSeriesRingWraps(t *testing.T) {
+	const maxWindows = 7
+	s := NewSeries(10, maxWindows)
+	var all []Window
+	check := func(at string) {
+		t.Helper()
+		want := all[max(0, len(all)-maxWindows):]
+		if got := s.Windows(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Windows() = %+v\nwant %+v", at, got, want)
+		}
+		if got, want := s.Evicted(), int64(len(all)-len(want)); got != want {
+			t.Fatalf("%s: Evicted() = %d, want %d", at, got, want)
+		}
+	}
+	for idx := int64(0); len(all) < 5*maxWindows+3; idx++ {
+		if idx%4 == 3 {
+			continue // an empty window is never materialized
+		}
+		w := Window{Index: idx, Min: math.Inf(1), Max: math.Inf(-1)}
+		for k := int64(0); k <= idx%3; k++ {
+			v := float64(idx*10 + k)
+			s.Observe(idx*10+k, v)
+			w.Count++
+			w.Sum += v
+			w.Min = min(w.Min, v)
+			w.Max = max(w.Max, v)
+			w.Last = v
+		}
+		all = append(all, w)
+		if len(all) == 2*maxWindows+3 {
+			check("mid-stream")
+		}
+	}
+	check("end of stream")
 }
 
 func TestSeriesRejectsNonPositiveInterval(t *testing.T) {

@@ -6,28 +6,49 @@ import "fmt"
 // whose links are currently up (express edges count as one hop: the whole
 // point of a bypass is that intermediate switches vanish from the path).
 // Unreachable nodes get -1.
-func (g *Graph) HopsFrom(src NodeID) []int {
-	dist := make([]int, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
+func (g *Graph) HopsFrom(src NodeID) []int { return g.NewHopCounter().From(src) }
+
+// HopCounter counts hops from one source at a time over a snapshot of which
+// links were up when it was made, reusing one distance array and one queue
+// across sources.
+type HopCounter struct {
+	g     *Graph
+	up    []bool // by Edge.Index
+	dist  []int
+	queue []NodeID
+}
+
+// NewHopCounter snapshots which of g's links are up now.
+func (g *Graph) NewHopCounter() *HopCounter {
+	h := &HopCounter{g: g, up: make([]bool, g.nextEdgeIdx), dist: make([]int, g.NumNodes())}
+	for _, e := range g.edges {
+		h.up[e.idx] = e.Link.Up()
 	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[n] {
-			if !e.Link.Up() {
+	return h
+}
+
+// From returns HopsFrom(src) over the snapshot. The slice is overwritten by
+// the next call.
+func (h *HopCounter) From(src NodeID) []int {
+	for i := range h.dist {
+		h.dist[i] = -1
+	}
+	h.dist[src] = 0
+	h.queue = append(h.queue[:0], src)
+	for i := 0; i < len(h.queue); i++ {
+		n := h.queue[i]
+		for _, e := range h.g.adj[n] {
+			if !h.up[e.idx] {
 				continue
 			}
 			m := e.Other(n)
-			if dist[m] == -1 {
-				dist[m] = dist[n] + 1
-				queue = append(queue, m)
+			if h.dist[m] == -1 {
+				h.dist[m] = h.dist[n] + 1
+				h.queue = append(h.queue, m)
 			}
 		}
 	}
-	return dist
+	return h.dist
 }
 
 // Connected reports whether every node can reach every other over live

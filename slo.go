@@ -1,8 +1,11 @@
 package rackfab
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
 	"rackfab/internal/netstack"
 	"rackfab/internal/sim"
@@ -47,6 +50,9 @@ func (c *Cluster) sloTargetX() float64 {
 // the fastest link rate in the fabric as the wire rate and shortest-path
 // hop counts over currently-up links; flows that failed, never finished,
 // or are unreachable at report time are excluded from the population.
+// Flows are taken grouped by source, so one breadth-first search serves
+// each distinct source; ComputeSLO sorts the stretches, so their order
+// cannot change the report.
 func (c *Cluster) fillSLO(r *Report) {
 	handles := c.be.flows()
 	if len(handles) == 0 {
@@ -61,29 +67,40 @@ func (c *Cluster) fillSLO(r *Report) {
 	if rate <= 0 {
 		return
 	}
-	hops := make([][]int, c.graph.NumNodes())
-	stretches := make([]float64, 0, len(handles))
+	type completed struct {
+		src, dst int
+		bytes    int64
+		fct      time.Duration
+	}
+	done := make([]completed, 0, len(handles))
 	for _, f := range handles {
 		if f.Failed() || !f.Done() {
-			continue
-		}
-		src, dst := f.Endpoints()
-		if hops[src] == nil {
-			hops[src] = c.graph.HopsFrom(topo.NodeID(src))
-		}
-		h := hops[src][dst]
-		if h < 0 {
 			continue
 		}
 		fct, err := f.CompletionTime()
 		if err != nil {
 			continue
 		}
-		ideal := workload.IdealFCT(f.Bytes(), rate, h, sloPerHopLatency)
+		src, dst := f.Endpoints()
+		done = append(done, completed{src, dst, f.Bytes(), fct})
+	}
+	slices.SortFunc(done, func(a, b completed) int { return cmp.Compare(a.src, b.src) })
+	hc := c.graph.NewHopCounter()
+	var hops []int
+	stretches := make([]float64, 0, len(done))
+	for i, d := range done {
+		if i == 0 || d.src != done[i-1].src {
+			hops = hc.From(topo.NodeID(d.src))
+		}
+		h := hops[d.dst]
+		if h < 0 {
+			continue
+		}
+		ideal := workload.IdealFCT(d.bytes, rate, h, sloPerHopLatency)
 		if ideal <= 0 {
 			continue
 		}
-		stretches = append(stretches, float64(simDur(fct))/float64(ideal))
+		stretches = append(stretches, float64(simDur(d.fct))/float64(ideal))
 	}
 	if len(stretches) == 0 {
 		return

@@ -4,9 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"rackfab/internal/phy"
 	"rackfab/internal/sim"
 	"rackfab/internal/switching"
+	"rackfab/internal/telemetry"
+	"rackfab/internal/topo"
 	"rackfab/internal/trace"
+	"rackfab/internal/workload"
 )
 
 // incastSpecs returns the canonical 16→1 pattern the token-vs-VLB
@@ -123,6 +127,80 @@ func TestSLOReportDefaultsAndConfig(t *testing.T) {
 	}
 	if slo.Flows != 4 {
 		t.Errorf("Flows = %d, want 4", slo.Flows)
+	}
+}
+
+// TestSLOHopCountsMatchHopsFrom holds Report().SLO, whose hop counts come
+// from one search per distinct source over a snapshot of the up links, to
+// a reference that asks topo.HopsFrom for every flow, on both engines.
+// After a shuffle completes, one link goes dark (lengthening some shortest
+// paths) and so does every link of one corner node (leaving its flows'
+// pairs unreachable, so the population shrinks).
+func TestSLOHopCountsMatchHopsFrom(t *testing.T) {
+	darken := func(t *testing.T, e *topo.Edge) {
+		t.Helper()
+		for _, lane := range e.Link.Lanes {
+			if err := lane.SetState(phy.LaneOff); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reference := func(c *Cluster) SLOReport {
+		var rate float64
+		for _, e := range c.graph.Edges() {
+			rate = max(rate, e.Link.EffectiveRate())
+		}
+		var stretches []float64
+		for _, f := range c.be.flows() {
+			fct, err := f.CompletionTime()
+			if f.Failed() || err != nil {
+				continue
+			}
+			src, dst := f.Endpoints()
+			h := c.graph.HopsFrom(topo.NodeID(src))[dst]
+			if h < 0 {
+				continue
+			}
+			ideal := workload.IdealFCT(f.Bytes(), rate, h, sloPerHopLatency)
+			stretches = append(stretches, float64(simDur(fct))/float64(ideal))
+		}
+		s := telemetry.ComputeSLO(stretches, c.sloTargetX())
+		return SLOReport{
+			TargetX: s.TargetX, Flows: s.Flows, Attained: s.Attained, AttainPct: s.AttainPct,
+			P50Stretch: s.P50Stretch, P99Stretch: s.P99Stretch, MaxStretch: s.MaxStretch,
+		}
+	}
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 3, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := c.Inject(ShuffleTraffic(c, 32<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntilDone(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			before := c.graph.HopsFrom(0)[1]
+			e, _ := c.graph.EdgeBetween(0, 1)
+			darken(t, e)
+			if after := c.graph.HopsFrom(0)[1]; after <= before {
+				t.Fatalf("darkening 0–1 left its hop count at %d (was %d)", after, before)
+			}
+			corner := c.graph.NodeAt(3, 3)
+			for _, e := range c.graph.Adjacent(corner) {
+				darken(t, e)
+			}
+			got, want := c.Report().SLO, reference(c)
+			if got != want {
+				t.Fatalf("Report().SLO = %+v\nreference    %+v", got, want)
+			}
+			if want.Flows == 0 || want.Flows >= int64(len(flows)) {
+				t.Fatalf("reference counts %d of %d flows; want the corner's flows excluded and the rest kept", want.Flows, len(flows))
+			}
+		})
 	}
 }
 
