@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"rackfab/internal/netstack"
 	"rackfab/internal/sim"
@@ -67,40 +66,35 @@ func (c *Cluster) fillSLO(r *Report) {
 	if rate <= 0 {
 		return
 	}
-	type completed struct {
-		src, dst int
-		bytes    int64
-		fct      time.Duration
+	done := make([]int32, 0, len(handles))
+	for i, f := range handles {
+		if !f.Failed() && f.Done() {
+			done = append(done, int32(i))
+		}
 	}
-	done := make([]completed, 0, len(handles))
-	for _, f := range handles {
-		if f.Failed() || !f.Done() {
+	slices.SortFunc(done, func(a, b int32) int { return cmp.Compare(handles[a].spec.Src, handles[b].spec.Src) })
+	hc := c.graph.NewHopCounter()
+	var hops []int
+	stretches := make([]float64, 0, len(done))
+	for k, i := range done {
+		f := handles[i]
+		src, dst := f.Endpoints()
+		if k == 0 || src != handles[done[k-1]].spec.Src {
+			hops = hc.From(topo.NodeID(src))
+		}
+		h := hops[dst]
+		if h < 0 {
 			continue
 		}
 		fct, err := f.CompletionTime()
 		if err != nil {
 			continue
 		}
-		src, dst := f.Endpoints()
-		done = append(done, completed{src, dst, f.Bytes(), fct})
-	}
-	slices.SortFunc(done, func(a, b completed) int { return cmp.Compare(a.src, b.src) })
-	hc := c.graph.NewHopCounter()
-	var hops []int
-	stretches := make([]float64, 0, len(done))
-	for i, d := range done {
-		if i == 0 || d.src != done[i-1].src {
-			hops = hc.From(topo.NodeID(d.src))
-		}
-		h := hops[d.dst]
-		if h < 0 {
-			continue
-		}
-		ideal := workload.IdealFCT(d.bytes, rate, h, sloPerHopLatency)
+		ideal := workload.IdealFCT(f.Bytes(), rate, h, sloPerHopLatency)
 		if ideal <= 0 {
 			continue
 		}
-		stretches = append(stretches, float64(simDur(d.fct))/float64(ideal))
+		stretches = append(stretches, float64(simDur(fct))/float64(ideal))
 	}
 	if len(stretches) == 0 {
 		return
