@@ -21,7 +21,12 @@ type HopCounter struct {
 // NewHopCounter snapshots which of g's links are up now.
 func (g *Graph) NewHopCounter() *HopCounter {
 	n := g.NumNodes()
-	h := &HopCounter{g: g, up: make([]bool, g.nextEdgeIdx), dist: make([]int, n), queue: make([]NodeID, 0, n)}
+	h := &HopCounter{
+		g:     g,
+		up:    make([]bool, g.nextEdgeIdx),
+		dist:  make([]int, n),
+		queue: make([]NodeID, 0, n),
+	}
 	for _, e := range g.edges {
 		h.up[e.idx] = e.Link.Up()
 	}
