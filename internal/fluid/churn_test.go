@@ -63,6 +63,57 @@ func TestLinkDownReroutesFlow(t *testing.T) {
 	}
 }
 
+// TestDegradeAndRerouteInOneInstant: on a 2×2 grid, flow g (0→a) and flow
+// f (0→3) share f's first link X at half its capacity each. One fault
+// instant degrades X to half and takes down f's second link Y, so f moves
+// to the other side of the square. In that reroute's refill X carries only
+// g, at a share equal to both flows' old level, while f's new links carry
+// nothing else: the warm replay must judge f by the links it crosses now,
+// not by the ones it was last frozen through. Warm and cold runs agree to
+// the byte.
+func TestDegradeAndRerouteInOneInstant(t *testing.T) {
+	g := topo.NewGrid(2, 2, topo.Options{})
+	path, err := route.Build(g, route.UniformCost).Path(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := int(path[0]), int(path[1])
+	a := topo.NodeID(-1)
+	for _, e := range g.Edges() {
+		if e.Index() == x {
+			a = e.Other(0)
+		}
+	}
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: int(a), Bytes: 10e6},
+		{Src: 0, Dst: 3, Bytes: 10e6},
+	}
+	base, err := Run(Config{Graph: g}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := sim.Time(base.Flows[0].FCT / 4)
+	sched := faults.New(
+		faults.Event{At: at, Target: x, Kind: faults.Degrade, Frac: 0.5},
+		faults.Event{At: at, Target: y, Kind: faults.LinkDown},
+	)
+	warm, err := Run(Config{Graph: g, Faults: sched}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Faults.Reroutes != 1 || warm.Faults.StarvedEpisodes != 0 {
+		t.Fatalf("want one reroute and no starvation: %+v", warm.Faults)
+	}
+	cold, err := Run(Config{Graph: g, Faults: sched, coldStart: true}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(cold) != fingerprint(warm) {
+		t.Fatalf("warm and cold diverged:\n--- warm ---\n%s\n--- cold ---\n%s",
+			fingerprint(warm), fingerprint(cold))
+	}
+}
+
 // TestPartitionStarvesUntilRepair: on a line there is no detour, so a
 // mid-flow outage parks the flow at rate 0 for exactly the outage and the
 // FCT stretches by it — the recovery-time accounting the churn experiment

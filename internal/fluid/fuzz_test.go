@@ -10,10 +10,10 @@ import (
 )
 
 // FuzzSolverMaxMin drives the solver over fuzzer-chosen topologies and
-// workloads through a random interleaving of arrivals (1–3 flows per
-// arrival op, activated as one batch), completions, and link capacity ops
-// (down / up / degrade — the fault subsystem's whole event vocabulary) and
-// asserts, after every event:
+// workloads through two random interleavings of arrivals, completions, and
+// link capacity ops (down / up / degrade — the fault subsystem's whole
+// event vocabulary): one walk arrives one flow per arrival op, the other
+// 1–3 flows activated as one batch. It asserts, after every event:
 //
 //  1. the max-min certificate — the allocation is feasible and every active
 //     flow is bottlenecked at a saturated link where no flow is faster,
@@ -22,8 +22,9 @@ import (
 //     from-zero re-solve's bit for bit, and the two engines' completion
 //     schedules never diverge (churnEngines compares nextDone each event),
 //     and
-//  3. one batch ≡ one flow at a time — a third engine that takes each
-//     batch's flows in one-flow batches holds the same rate vector.
+//  3. one batch ≡ one flow at a time — in the batched walk, a third engine
+//     that takes each batch's flows in one-flow batches holds the same
+//     rate vector.
 //
 // On top of the stepwise engines, the whole scenario runs through Run twice
 // (warm and cold) and must fingerprint identically — first fault-free, then
@@ -45,43 +46,12 @@ func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(-77), uint8(2), uint8(3), uint8(44))
 	f.Add(int64(31337), uint8(1), uint8(2), uint8(25))
 	f.Fuzz(func(t *testing.T, seed int64, topoKind, sideRaw, flowsRaw uint8) {
-		side := 2 + int(sideRaw)%4
-		flows := 2 + int(flowsRaw)%48
-		var g *topo.Graph
-		switch topoKind % 3 {
-		case 0:
-			g = topo.NewLine(side*side, topo.Options{})
-		case 1:
-			g = topo.NewGrid(side, side, topo.Options{})
-		default:
-			g = topo.NewTorus(side, side, topo.Options{})
-		}
-		n := g.NumNodes()
-		rng := sim.NewRNG(seed)
-		specs := make([]workload.FlowSpec, 0, flows)
-		for len(specs) < flows {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src == dst {
-				continue
-			}
-			// Mix exact ties (identical sizes) with ragged sizes so both
-			// tie-heavy closures and irregular schedules get exercised.
-			bytes := int64(250e3)
-			if rng.Intn(2) == 1 {
-				bytes = 50e3 + int64(rng.Intn(1e6))
-			}
-			specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: bytes})
-		}
-
-		churnEngines(t, g, specs, rng, true, 3, func(warm, cold *engine) {
-			for fid := range warm.flows {
-				w, c := warm.flows[fid].rate, cold.flows[fid].rate
-				if w != c {
-					t.Fatalf("flow %d: warm rate %g != cold rate %g", fid, w, c)
-				}
-			}
-			checkMaxMin(t, warm)
-		})
+		g, specs, rng := fuzzScenario(seed, topoKind, sideRaw, flowsRaw)
+		churnEngines(t, g, specs, rng, true, 1, checkWarmCold(t))
+		// The batched walk draws from its own stream, so the walk above and
+		// the Run schedules below replay exactly what they did before
+		// arrivals were batched, committed corpus entries included.
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), true, 3, checkWarmCold(t))
 
 		for i := range specs {
 			specs[i].At = sim.Time(rng.Intn(200)) * sim.Time(sim.Microsecond)
@@ -120,4 +90,64 @@ func FuzzSolverMaxMin(f *testing.F) {
 				fingerprint(warmFlap), fingerprint(coldFlap))
 		}
 	})
+}
+
+// fuzzScenario builds FuzzSolverMaxMin's fabric and flows from its inputs
+// and returns the stream the rest of the scenario draws from.
+func fuzzScenario(seed int64, topoKind, sideRaw, flowsRaw uint8) (*topo.Graph, []workload.FlowSpec, *sim.RNG) {
+	side := 2 + int(sideRaw)%4
+	flows := 2 + int(flowsRaw)%48
+	var g *topo.Graph
+	switch topoKind % 3 {
+	case 0:
+		g = topo.NewLine(side*side, topo.Options{})
+	case 1:
+		g = topo.NewGrid(side, side, topo.Options{})
+	default:
+		g = topo.NewTorus(side, side, topo.Options{})
+	}
+	n := g.NumNodes()
+	rng := sim.NewRNG(seed)
+	specs := make([]workload.FlowSpec, 0, flows)
+	for len(specs) < flows {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if src == dst {
+			continue
+		}
+		// Mix exact ties (identical sizes) with ragged sizes so both
+		// tie-heavy closures and irregular schedules get exercised.
+		bytes := int64(250e3)
+		if rng.Intn(2) == 1 {
+			bytes = 50e3 + int64(rng.Intn(1e6))
+		}
+		specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: bytes})
+	}
+	return g, specs, rng
+}
+
+// checkWarmCold is the fuzz walks' per-event check: the warm and cold rate
+// vectors agree bit for bit and the warm one is max-min fair.
+func checkWarmCold(t *testing.T) func(warm, cold *engine) {
+	return func(warm, cold *engine) {
+		t.Helper()
+		for fid := range warm.flows {
+			w, c := warm.flows[fid].rate, cold.flows[fid].rate
+			if w != c {
+				t.Fatalf("flow %d: warm rate %g != cold rate %g", fid, w, c)
+			}
+		}
+		checkMaxMin(t, warm)
+	}
+}
+
+// TestReplayChecksEveryScheduledFlow replays the batched churn walk that
+// found a warm-replay defect: after a completion, the old level of a round
+// had been set by the completed flow's link, and a clean link had joined
+// that round's closure only through freezes of flows on the seed path.
+// The replay froze flows that cross no seed link at that level without
+// looking at their links, 1–2 ulps off the cold fill. Every scheduled flow
+// must sit at a link at the level, or wait for the closure to reach it.
+func TestReplayChecksEveryScheduledFlow(t *testing.T) {
+	g, specs, rng := fuzzScenario(-111, 0x16, '\t', '.')
+	churnEngines(t, g, specs, rng, true, 3, checkWarmCold(t))
 }

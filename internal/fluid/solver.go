@@ -30,7 +30,6 @@ type flowState struct {
 	settled   sim.Time // instant `remaining` was last brought up to date
 	finish    sim.Time // projected completion under `rate`
 	gen       uint32   // bumped on every rate change; stale doneHeap filter
-	via       int32    // a link at the flow's level when the last fill froze it
 	seq       int64    // global freeze order; encodes the last fill's round chronology
 	fill      uint64   // ID of the fill that last froze this flow
 	active    bool
@@ -501,7 +500,7 @@ func (en *engine) closeRound(now sim.Time, best float64, remaining int) int {
 			}
 			en.frozenEpoch[fid] = en.epoch
 			remaining--
-			en.freeze(fid, li, now, best)
+			en.freeze(fid, now, best)
 		}
 	}
 	return remaining
@@ -513,11 +512,8 @@ func (en *engine) closeRound(now sim.Time, best float64, remaining int) int {
 // tied worklist — growing the round's closure one observed subtraction at
 // a time, which is what makes the closure independent of visit order. The
 // sequence stamp records the engine-wide freeze chronology the next warm
-// replay of this component will follow; via is the link at the level
-// through which the round reached the flow, which the next replay checks
-// first.
-func (en *engine) freeze(fid, via int32, now sim.Time, best float64) {
-	en.flows[fid].via = via
+// replay of this component will follow.
+func (en *engine) freeze(fid int32, now sim.Time, best float64) {
 	en.flows[fid].seq = en.freezeSeq
 	en.flows[fid].fill = en.fillSeq
 	en.freezeSeq++
@@ -686,20 +682,13 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			}
 			// Decide every scheduled flow against round-START state before
 			// any freeze mutates it — coldRounds collects its tied set the
-			// same way. The link the last fill froze a flow through is
-			// checked first; a flow with no link at the level now may
-			// still join the closure later.
+			// same way. A flow with no link at the level now may still
+			// join the closure later.
 			en.passA = en.passA[:0]
 			for k := i; k < j; k++ {
 				fid := lv[k].fid
-				f := &en.flows[fid]
-				if en.capLeft[f.via]/float64(en.unfrozen[f.via]) == b {
-					en.passA = append(en.passA, fid)
-					continue
-				}
-				for _, li := range f.links {
+				for _, li := range en.flows[fid].links {
 					if en.capLeft[li]/float64(en.unfrozen[li]) == b {
-						f.via = li
 						en.passA = append(en.passA, fid)
 						break
 					}
@@ -711,7 +700,7 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 				}
 				en.frozenEpoch[fid] = en.epoch
 				remaining--
-				en.freeze(fid, en.flows[fid].via, now, b)
+				en.freeze(fid, now, b)
 			}
 		}
 		// Drain the closure: every flow of every link at the level freezes.
@@ -737,7 +726,7 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 				}
 				en.frozenEpoch[fid] = en.epoch
 				remaining--
-				en.freeze(fid, li, now, b)
+				en.freeze(fid, now, b)
 			}
 		}
 		if b == next {
