@@ -49,8 +49,9 @@ func FuzzSolverMaxMin(f *testing.F) {
 		g, specs, rng := fuzzScenario(seed, topoKind, sideRaw, flowsRaw)
 		churnEngines(t, g, specs, rng, true, 1, checkWarmCold(t))
 		// The batched walk draws from its own stream, so the walk above and
-		// the Run schedules below replay exactly what they did before
-		// arrivals were batched, committed corpus entries included.
+		// the Run schedules below draw the same values with or without it,
+		// and each committed corpus entry keeps replaying the walk it was
+		// found on.
 		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), true, 3, checkWarmCold(t))
 
 		for i := range specs {
