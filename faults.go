@@ -239,13 +239,9 @@ func PoissonFlaps(c *Cluster, cfg FlapConfig) *FaultSchedule {
 		MeanGap:    simDur(cfg.MeanGap),
 		MeanOutage: simDur(cfg.MeanOutage),
 	})
-	byIdx := make(map[int]*topo.Edge, len(c.graph.Edges()))
-	for _, e := range c.graph.Edges() {
-		byIdx[e.Index()] = e
-	}
 	specs := make([]FaultSpec, 0, sched.Len())
 	for _, ev := range sched.Events() {
-		e := byIdx[ev.Target]
+		e, _ := c.graph.Edge(ev.Target) // drawn from the live edges
 		kind := LinkDown
 		if ev.Kind == faults.LinkUp {
 			kind = LinkUp

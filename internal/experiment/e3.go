@@ -42,7 +42,7 @@ func E3(cfg Config) (*Table, error) {
 				return 0, fmt.Errorf("experiment: bisection link missing")
 			}
 			if err := f.Execute(plp.Command{
-				Kind: plp.LaneOff, Link: e.Link.ID, Lane: 1,
+				Kind: plp.LaneOff, Link: e.Index(), Lane: 1,
 				Reason: "injected fault",
 			}, nil); err != nil {
 				return 0, err

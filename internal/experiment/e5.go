@@ -38,7 +38,7 @@ func E5(cfg Config) (*Table, error) {
 			for x := 0; x+1 < 5; x++ {
 				e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
 				if err := f.Execute(plp.Command{
-					Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1,
+					Kind: plp.Break, Link: e.Index(), KeepLanes: 1,
 					FreedState: phy.LaneBypassed,
 				}, nil); err != nil {
 					return 0, err

@@ -45,7 +45,7 @@ func E6(cfg Config) (*Table, error) {
 		case "none":
 			prof = "none"
 		case "rs-fixed":
-			if err := f.Execute(plp.Command{Kind: plp.SetFEC, Link: e.Link.ID, FECProfile: "rs(255,223)"}, nil); err != nil {
+			if err := f.Execute(plp.Command{Kind: plp.SetFEC, Link: e.Index(), FECProfile: "rs(255,223)"}, nil); err != nil {
 				return nil, err
 			}
 			prof = "rs(255,223)"

@@ -48,7 +48,7 @@ func E9(cfg Config) (*Table, error) {
 		case "none", "":
 			// default profile
 		case "rs-fixed":
-			if err := f.Execute(plp.Command{Kind: plp.SetFEC, Link: e.Link.ID, FECProfile: "rs(255,223)"}, nil); err != nil {
+			if err := f.Execute(plp.Command{Kind: plp.SetFEC, Link: e.Index(), FECProfile: "rs(255,223)"}, nil); err != nil {
 				return nil, err
 			}
 		case "adaptive":

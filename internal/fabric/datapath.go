@@ -45,11 +45,11 @@ func (f *Fabric) forward(node int, fr *switching.Frame) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	port, ok := f.portOf[node][e]
-	if !ok {
-		return 0, false // port map stale (edge removed mid-flight)
+	ls := f.links[e.Index()]
+	if ls == nil {
+		return 0, false // edge removed mid-flight
 	}
-	return port, true
+	return ls.port(topo.NodeID(node)), true
 }
 
 // txTime is the serialization time of fr on node's output port.
@@ -80,7 +80,7 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 		f.onDrop(fr, "link-down")
 		return
 	}
-	ls := f.links[e.Link.ID]
+	ls := f.links[e.Index()]
 	link := e.Link
 
 	serialize := link.SerializationDelay(fr.DataBits)
@@ -104,11 +104,7 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 	}
 
 	// Direction accounting for utilization reports.
-	dir := 0
-	if topo.NodeID(node) == e.B {
-		dir = 1
-	}
-	ls.busyPs[dir] += int64(serialize)
+	ls.busyPs[ls.side(topo.NodeID(node))] += int64(serialize)
 	if f.trace != nil {
 		// Both directions fold into the edge's one utilization track.
 		f.trace.ObserveBusy(int32(e.Index()), f.eng.Now(), float64(serialize))
@@ -139,12 +135,11 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 // over ls's edge (its header under cut-through, its tail otherwise).
 func (ls *linkState) Handle(peer int, x any) {
 	f, fr := ls.fab, x.(*switching.Frame)
-	peerPort, ok := f.portOf[peer][ls.edge]
-	if !ok {
+	if f.links[ls.edge.Index()] == nil {
 		f.onDrop(fr, "peer-port-gone")
 		return
 	}
-	f.switches[peer].Inject(peerPort, fr)
+	f.switches[peer].Inject(ls.port(topo.NodeID(peer)), fr)
 }
 
 // hostRx is the host-rx event: frame x has finished serializing out of
@@ -192,10 +187,8 @@ func (f *Fabric) onPause(node, port int, paused bool) {
 	if e == nil {
 		return
 	}
-	peer := int(e.Other(topo.NodeID(node)))
-	if peerPort, ok := f.portOf[peer][e]; ok {
-		f.switches[peer].SetOutputPaused(peerPort, paused)
-	}
+	peer := e.Other(topo.NodeID(node))
+	f.switches[peer].SetOutputPaused(f.links[e.Index()].port(peer), paused)
 }
 
 // nackDelay estimates the reverse-path control latency for a corruption

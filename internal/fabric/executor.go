@@ -16,27 +16,6 @@ type plpJob struct {
 	done func(plp.Result)
 }
 
-// plpLabels precomputes the event labels for each primitive so pumping the
-// control channel never concatenates strings per command.
-var plpLabels = func() map[plp.Kind]string {
-	m := make(map[plp.Kind]string)
-	for _, k := range []plp.Kind{
-		plp.Break, plp.Bundle, plp.BypassOn, plp.BypassOff,
-		plp.LaneOn, plp.LaneOff, plp.SetFEC, plp.QueryStats,
-	} {
-		m[k] = "plp-" + k.String()
-	}
-	return m
-}()
-
-// plpLabel resolves a command kind to its precomputed event label.
-func plpLabel(k plp.Kind) string {
-	if l, ok := plpLabels[k]; ok {
-		return l
-	}
-	return "plp-" + k.String()
-}
-
 // Execute implements plp.Executor: commands are validated immediately,
 // then applied sequentially through the fabric's control channel, each
 // taking its media-dependent execution latency. Sequential execution is
@@ -69,7 +48,7 @@ func (f *Fabric) precheck(cmd plp.Command) error {
 			}
 		}
 	default:
-		if _, ok := f.g.LinkByID(cmd.Link); !ok && cmd.Kind != plp.QueryStats {
+		if _, ok := f.g.Edge(cmd.Link); !ok && cmd.Kind != plp.QueryStats {
 			return fmt.Errorf("fabric: unknown link %d", cmd.Link)
 		}
 	}
@@ -87,7 +66,7 @@ func (f *Fabric) pumpPLP() {
 
 	prof := f.commandProfile(job.cmd)
 	latency, downtime := plp.Cost(prof, job.cmd.Kind)
-	f.eng.After(latency, plpLabel(job.cmd.Kind), func() {
+	f.eng.After(latency, "plp", func() {
 		powerBefore := f.budget.CurrentW()
 		err := f.apply(job.cmd)
 		f.samplePower()
@@ -116,17 +95,30 @@ func (f *Fabric) commandProfile(cmd plp.Command) phy.Profile {
 			return e.Link.Profile()
 		}
 	}
-	if e, ok := f.g.LinkByID(cmd.Link); ok {
+	if e, ok := f.g.Edge(cmd.Link); ok {
 		return e.Link.Profile()
 	}
 	return phy.ProfileOf(phy.Backplane)
 }
 
-// apply mutates the fabric for one completed primitive.
+// apply mutates the fabric for one completed primitive. A command whose
+// link vanished while it was queued (an express channel a BypassOff
+// removed) is a no-op.
 func (f *Fabric) apply(cmd plp.Command) error {
 	switch cmd.Kind {
+	case plp.BypassOn:
+		return f.applyBypassOn(cmd)
+	case plp.BypassOff:
+		return f.applyBypassOff(cmd)
+	case plp.QueryStats:
+		return nil // reports flow through Reports()
+	}
+	e, ok := f.g.Edge(cmd.Link)
+	if !ok {
+		return nil
+	}
+	switch cmd.Kind {
 	case plp.Break:
-		e, _ := f.g.LinkByID(cmd.Link)
 		if e.Link.ActiveLanes() <= cmd.KeepLanes {
 			return nil // already at or below the target width
 		}
@@ -137,7 +129,6 @@ func (f *Fabric) apply(cmd plp.Command) error {
 		return nil
 
 	case plp.Bundle:
-		e, _ := f.g.LinkByID(cmd.Link)
 		if err := e.Link.BundleLanes(); err != nil {
 			return err
 		}
@@ -156,14 +147,7 @@ func (f *Fabric) apply(cmd plp.Command) error {
 		})
 		return nil
 
-	case plp.BypassOn:
-		return f.applyBypassOn(cmd)
-
-	case plp.BypassOff:
-		return f.applyBypassOff(cmd)
-
 	case plp.LaneOn:
-		e, _ := f.g.LinkByID(cmd.Link)
 		lanes := f.targetLanes(e, cmd.Lane)
 		for _, lane := range lanes {
 			if lane.State() == phy.LaneOff {
@@ -187,7 +171,6 @@ func (f *Fabric) apply(cmd plp.Command) error {
 		return nil
 
 	case plp.LaneOff:
-		e, _ := f.g.LinkByID(cmd.Link)
 		for _, lane := range f.targetLanes(e, cmd.Lane) {
 			if lane.State() == phy.LaneFailed {
 				continue
@@ -200,16 +183,12 @@ func (f *Fabric) apply(cmd plp.Command) error {
 		return nil
 
 	case plp.SetFEC:
-		e, _ := f.g.LinkByID(cmd.Link)
 		prof, ok := fec.ProfileByName(cmd.FECProfile)
 		if !ok {
 			return fmt.Errorf("fabric: unknown FEC profile %q", cmd.FECProfile)
 		}
 		e.Link.SetFEC(prof)
 		return nil
-
-	case plp.QueryStats:
-		return nil // reports flow through Reports()
 
 	default:
 		return fmt.Errorf("fabric: unhandled primitive %v", cmd.Kind)
@@ -248,7 +227,7 @@ func (f *Fabric) applyBypassOn(cmd plp.Command) error {
 		}
 		donor := f.donorLane(e)
 		if donor == nil {
-			return fmt.Errorf("fabric: link %d has no unclaimed donated lane for bypass", e.Link.ID)
+			return fmt.Errorf("fabric: link %d has no unclaimed donated lane for bypass", e.Index())
 		}
 		donors = append(donors, donor)
 		totalLen += e.Link.LengthM
@@ -260,7 +239,7 @@ func (f *Fabric) applyBypassOn(cmd plp.Command) error {
 	if len(f.freePorts[a]) == 0 || len(f.freePorts[b]) == 0 {
 		return fmt.Errorf("fabric: no free express ports for %d↔%d", a, b)
 	}
-	link, err := phy.NewLink(f.g.NextLinkID(), media, totalLen, 1, rate)
+	link, err := phy.NewLink(media, totalLen, 1, rate)
 	if err != nil {
 		return err
 	}
@@ -269,7 +248,6 @@ func (f *Fabric) applyBypassOn(cmd plp.Command) error {
 		via = append(via, topo.NodeID(n))
 	}
 	e := f.g.AddExpress(a, b, via, link)
-	f.links[link.ID] = &linkState{fab: f, edge: e, windowStart: f.eng.Now(), qDelay: telemetry.NewEWMA(queueDelayWeight)}
 	for _, donor := range donors {
 		f.claimed[donor] = [2]topo.NodeID{a, b}
 	}
@@ -279,10 +257,11 @@ func (f *Fabric) applyBypassOn(cmd plp.Command) error {
 	f.freePorts[a] = f.freePorts[a][1:]
 	pb := f.freePorts[b][0]
 	f.freePorts[b] = f.freePorts[b][1:]
-	f.portOf[a][e] = pa
 	f.edgeAt[a][pa] = e
-	f.portOf[b][e] = pb
 	f.edgeAt[b][pb] = e
+	f.links = append(f.links, make([]*linkState, e.Index()+1-len(f.links))...)
+	f.links[e.Index()] = &linkState{fab: f, edge: e, ports: [2]int{pa, pb}, windowStart: f.eng.Now(), qDelay: telemetry.NewEWMA(queueDelayWeight)}
+	f.trace.AddLink(e)
 
 	f.RebuildRoutes(f.costFn)
 	return nil
@@ -299,7 +278,8 @@ func (f *Fabric) applyBypassOff(cmd plp.Command) error {
 	if err := f.g.RemoveExpress(e); err != nil {
 		return err
 	}
-	delete(f.links, e.Link.ID)
+	ls := f.links[e.Index()]
+	f.links[e.Index()] = nil
 	//det:ordered pure filter-delete: every entry matching the owner pair is removed, no per-entry effect escapes the map
 	for lane, owner := range f.claimed {
 		if owner == [2]topo.NodeID{a, b} {
@@ -307,11 +287,9 @@ func (f *Fabric) applyBypassOff(cmd plp.Command) error {
 		}
 	}
 	for _, end := range []topo.NodeID{a, b} {
-		if p, ok := f.portOf[end][e]; ok {
-			delete(f.portOf[end], e)
-			f.edgeAt[end][p] = nil
-			f.freePorts[end] = append(f.freePorts[end], p)
-		}
+		p := ls.port(end)
+		f.edgeAt[end][p] = nil
+		f.freePorts[end] = append(f.freePorts[end], p)
 	}
 	f.RebuildRoutes(f.costFn)
 	return nil

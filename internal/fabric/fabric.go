@@ -40,7 +40,8 @@ type Config struct {
 	// (flow arrivals/completions, VOQ and NIC queue churn, fault replay)
 	// and windowed per-link utilization/queue-depth series. The recorder
 	// must already have its link tracks initialized (trace.LinkNames over
-	// this graph). Nil costs the hot paths a single pointer test.
+	// this graph); the fabric adds the tracks of the express links it
+	// builds. Nil costs the hot paths a single pointer test.
 	Trace *trace.Recorder
 }
 
@@ -93,6 +94,8 @@ type Stats struct {
 type linkState struct {
 	fab  *Fabric
 	edge *topo.Edge
+	// ports are the switch ports the link occupies at edge.A and edge.B.
+	ports [2]int
 	// busyPs accumulates transmitter busy time per direction (index 0:
 	// A→B, 1: B→A) since windowStart, for utilization reports.
 	busyPs      [2]int64
@@ -123,12 +126,11 @@ type Fabric struct {
 	vlb      *route.VLB
 	rng      *sim.RNG
 
-	// port maps: portOf[node][edge] and edgeAt[node][port] (port 0 = host).
-	portOf    []map[*topo.Edge]int
+	// edgeAt[node][port] is the edge on a switch port (port 0 = host).
 	edgeAt    [][]*topo.Edge
 	freePorts [][]int
 
-	links   map[phy.LinkID]*linkState
+	links   []*linkState // by edge index; nil once an express edge is removed
 	budget  *power.Budget
 	claimed map[*phy.Lane][2]topo.NodeID // donated lanes in use, by express endpoints
 
@@ -143,10 +145,9 @@ type Fabric struct {
 	plpQueue []plpJob
 	plpBusy  bool
 
-	// Fault replay (see faults.go): stable edge-index lookup, the
-	// applied-event counters Report surfaces, and the open starvation
-	// episodes (flow ID → episode start) awaiting a healing repair.
-	edgeByIdx  []*topo.Edge
+	// Fault replay (see faults.go): the applied-event counters Report
+	// surfaces, and the open starvation episodes (flow ID → episode start)
+	// awaiting a healing repair.
 	faultStats faults.Stats
 	starved    map[host.FlowID]sim.Time
 }
@@ -174,13 +175,15 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		cfg:     cfg,
 		g:       cfg.Graph,
 		rng:     sim.NewRNG(cfg.Seed),
-		links:   make(map[phy.LinkID]*linkState),
+		links:   make([]*linkState, cfg.Graph.EdgeIndexBound()),
 		budget:  power.NewBudget(cfg.PowerCapW),
 		claimed: make(map[*phy.Lane][2]topo.NodeID),
 		active:  make(map[host.FlowID]*host.Flow),
-		portOf:  make([]map[*topo.Edge]int, n),
 		edgeAt:  make([][]*topo.Edge, n),
 		trace:   cfg.Trace,
+	}
+	for _, e := range f.g.Edges() {
+		f.links[e.Index()] = &linkState{fab: f, edge: e, qDelay: telemetry.NewEWMA(queueDelayWeight)}
 	}
 	f.stats.Latency = telemetry.NewHistogram()
 	f.stats.Hops = telemetry.NewHistogram()
@@ -191,10 +194,10 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	for node := 0; node < n; node++ {
 		adj := f.g.Adjacent(topo.NodeID(node))
 		ports := 1 + len(adj) + cfg.ExpressPorts
-		f.portOf[node] = make(map[*topo.Edge]int, len(adj))
 		f.edgeAt[node] = make([]*topo.Edge, ports)
 		for i, e := range adj {
-			f.portOf[node][e] = i + 1
+			ls := f.links[e.Index()]
+			ls.ports[ls.side(topo.NodeID(node))] = i + 1
 			f.edgeAt[node][i+1] = e
 		}
 		for p := 1 + len(adj); p < ports; p++ {
@@ -230,9 +233,6 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		f.switches[node] = switching.New(eng, swCfg, swCb)
 		f.hosts[node] = host.New(node, eng, cfg.Host, hostCb, f.onFlowDone)
 	}
-	for _, e := range f.g.Edges() {
-		f.links[e.Link.ID] = &linkState{fab: f, edge: e, qDelay: telemetry.NewEWMA(queueDelayWeight)}
-	}
 	f.costFn = route.UniformCost
 	f.table = route.Build(f.g, f.costFn)
 	f.samplePower()
@@ -250,16 +250,27 @@ func (f *Fabric) Stats() *Stats { return &f.stats }
 
 // PeakQueueDelay returns the worst per-hop frame sojourn observed on any
 // link so far — the receiver-queueing bound incast experiments compare
-// across admission schemes. Scanned in Edges() order, byte-stable.
+// across admission schemes.
 func (f *Fabric) PeakQueueDelay() sim.Duration {
 	var peak sim.Duration
-	for _, e := range f.g.Edges() {
-		if ls := f.links[e.Link.ID]; ls != nil && ls.qPeak > peak {
+	for _, ls := range f.links {
+		if ls != nil && ls.qPeak > peak {
 			peak = ls.qPeak
 		}
 	}
 	return peak
 }
+
+// side is 0 when node is the link's A end and 1 when it is the B end.
+func (ls *linkState) side(node topo.NodeID) int {
+	if node == ls.edge.A {
+		return 0
+	}
+	return 1
+}
+
+// port returns the switch port the link occupies at node, one of its ends.
+func (ls *linkState) port(node topo.NodeID) int { return ls.ports[ls.side(node)] }
 
 // PowerBudget returns the rack power envelope tracker.
 func (f *Fabric) PowerBudget() *power.Budget { return f.budget }
@@ -297,10 +308,8 @@ func (f *Fabric) SetFrameTrains(n int) {
 }
 
 // samplePower re-prices the whole fabric and records it in the budget.
-// Links are summed in the graph's stable edge order, not map order:
-// float64 addition is order-sensitive, and f.links mirrors g.Edges()
-// exactly (construction edges at build time, express edges added and
-// removed in lockstep), so the draw is byte-stable across runs.
+// Links are summed in the graph's stable edge order: float64 addition is
+// order-sensitive.
 func (f *Fabric) samplePower() {
 	var w float64
 	for _, e := range f.g.Edges() {

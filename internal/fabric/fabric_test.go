@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"rackfab/internal/sim"
 	"rackfab/internal/switching"
 	"rackfab/internal/topo"
+	"rackfab/internal/trace"
 	"rackfab/internal/workload"
 )
 
@@ -156,7 +158,7 @@ func TestPLPBreakChangesRate(t *testing.T) {
 	before := e.Link.RawRate()
 	var completed *plp.Result
 	err := f.Execute(plp.Command{
-		Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneOff,
+		Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneOff,
 	}, func(r plp.Result) { completed = &r })
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +242,7 @@ func TestBypassExpressLatency(t *testing.T) {
 		if withBypass {
 			for x := 0; x+1 < 4; x++ {
 				e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
-				if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+				if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -276,7 +278,7 @@ func TestBypassOffRestores(t *testing.T) {
 	eng, f := build(t, g)
 	for x := 0; x+1 < 3; x++ {
 		e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
-		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,6 +306,100 @@ func TestBypassOffRestores(t *testing.T) {
 	}
 	if err := f.RunUntilDone(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bypassLine donates one lane of every link of an n-node line and joins
+// its end nodes with an express link, returned once it is up.
+func bypassLine(t *testing.T, eng *sim.Engine, f *Fabric, n int) *topo.Edge {
+	t.Helper()
+	path := []int{0}
+	for x := 0; x+1 < n; x++ {
+		e, _ := f.Graph().EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+			t.Fatal(err)
+		}
+		path = append(path, x+1)
+	}
+	if err := f.Execute(plp.Command{Kind: plp.BypassOn, Path: path}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(eng.Now().Add(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := f.Graph().ExpressBetween(0, topo.NodeID(n-1))
+	if !ok {
+		t.Fatal("express missing")
+	}
+	return e
+}
+
+// TestCommandBehindBypassOffIsNoop: commands that target an express link
+// and are queued behind the BypassOff that removes it find no link when
+// they apply. Each completes without touching the fabric.
+func TestCommandBehindBypassOffIsNoop(t *testing.T) {
+	g := topo.NewLine(3, topo.Options{LanesPerLink: 2})
+	eng, f := build(t, g)
+	express := bypassLine(t, eng, f, 3)
+	if err := f.Execute(plp.Command{Kind: plp.BypassOff, Path: []int{0, 1, 2}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	queued := []plp.Command{
+		{Kind: plp.SetFEC, FECProfile: "rs(255,223)"},
+		{Kind: plp.Break, KeepLanes: 1, FreedState: phy.LaneOff},
+		{Kind: plp.Bundle},
+		{Kind: plp.LaneOff, Lane: -1},
+		{Kind: plp.LaneOn, Lane: -1},
+	}
+	completed := 0
+	for _, cmd := range queued {
+		cmd.Link = express.Index()
+		if err := f.Execute(cmd, func(plp.Result) { completed++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.RunUntil(eng.Now().Add(10 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if completed != len(queued) {
+		t.Fatalf("%d of %d queued commands completed", completed, len(queued))
+	}
+	if _, ok := g.Edge(express.Index()); ok {
+		t.Fatal("express link not removed")
+	}
+	if express.Link.FEC().Name() != "none" || express.Link.ActiveLanes() != 1 {
+		t.Fatalf("removed link reconfigured: FEC %s, %d lanes", express.Link.FEC().Name(), express.Link.ActiveLanes())
+	}
+}
+
+// TestTraceCoversExpressLinks: a traced fabric that builds an express link
+// at runtime gives it a track named like the others, and traffic over it
+// fills that track's utilization series.
+func TestTraceCoversExpressLinks(t *testing.T) {
+	g := topo.NewLine(4, topo.Options{LanesPerLink: 2})
+	rec := trace.NewRecorder()
+	rec.InitLinks(trace.LinkNames(g), true)
+	eng, f := build(t, g, func(c *Config) { c.Trace = rec })
+	express := bypassLine(t, eng, f, 4)
+	if _, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: 3, Bytes: 15000}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RunUntilDone(sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Hops.Max(); got != 1 {
+		t.Fatalf("flow took %d hops, want 1 (express)", got)
+	}
+	var out strings.Builder
+	if err := rec.WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("L%d:0-3", express.Index())
+	if !strings.Contains(out.String(), " link="+name+" node=0 ") {
+		t.Fatalf("no queue event names express link %s in:\n%s", name, out.String())
+	}
+	if !strings.Contains(out.String(), "series link="+name+" kind=util") {
+		t.Fatalf("no utilization series for express link %s in:\n%s", name, out.String())
 	}
 }
 
@@ -408,7 +504,7 @@ func TestPowerAccounting(t *testing.T) {
 	}
 	// Darken a link: power must drop.
 	e := g.Edges()[0]
-	if err := f.Execute(plp.Command{Kind: plp.LaneOff, Link: e.Link.ID, Lane: -1}, nil); err != nil {
+	if err := f.Execute(plp.Command{Kind: plp.LaneOff, Link: e.Index(), Lane: -1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(sim.Time(sim.Millisecond)); err != nil {

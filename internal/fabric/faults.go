@@ -14,6 +14,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rackfab/internal/faults"
@@ -50,12 +51,6 @@ func (f *Fabric) ScheduleFaults(sched *faults.Schedule, onApply func(evs []fault
 	if len(evs) == 0 {
 		return 0, nil
 	}
-	if f.edgeByIdx == nil {
-		f.edgeByIdx = make([]*topo.Edge, f.g.EdgeIndexBound())
-		for _, e := range f.g.Edges() {
-			f.edgeByIdx[e.Index()] = e
-		}
-	}
 	for start := 0; start < len(evs); {
 		end := start
 		for end < len(evs) && evs[end].At == evs[start].At {
@@ -78,17 +73,21 @@ func (f *Fabric) ScheduleFaults(sched *faults.Schedule, onApply func(evs []fault
 }
 
 // applyFaultGroup applies one instant's capacity events and repairs the
-// routing table once. Returns the number of destination columns whose
-// distances the repair rewrote.
+// routing table once. An event on an express edge removed since the
+// schedule was lowered is skipped. Returns the number of destination
+// columns whose distances the repair rewrote.
 func (f *Fabric) applyFaultGroup(evs []faults.LinkEvent) int {
-	edges := make([]*topo.Edge, len(evs))
-	downed := make(map[int32]bool)
+	edges := make([]*topo.Edge, 0, len(evs))
+	var downed []int32
 	restored := false
-	for i, ev := range evs {
-		e := f.edgeByIdx[ev.Edge]
-		edges[i] = e
+	for _, ev := range evs {
+		e, ok := f.g.Edge(ev.Edge)
+		if !ok {
+			continue
+		}
+		edges = append(edges, e)
 		if ev.Factor == 0 && e.Enabled() {
-			downed[int32(e.Index())] = true
+			downed = append(downed, int32(e.Index()))
 		} else if ev.Factor > 0 && !e.Enabled() {
 			restored = true
 		}
@@ -103,8 +102,11 @@ func (f *Fabric) applyFaultGroup(evs []faults.LinkEvent) int {
 	if len(downed) > 0 {
 		hit = f.flowsCrossing(downed)
 	}
-	for i, ev := range evs {
-		e := edges[i]
+	for _, ev := range evs {
+		e, ok := f.g.Edge(ev.Edge)
+		if !ok {
+			continue
+		}
 		f.faultStats.CapacityEvents++
 		switch {
 		case ev.Factor == 0:
@@ -160,7 +162,7 @@ func (f *Fabric) starvedSince(id host.FlowID) bool {
 // whose current shortest path (under the pre-repair table) crosses a link
 // whose edge index is in `downed`. Flows whose destination was already
 // unreachable are skipped: their episode is already open.
-func (f *Fabric) flowsCrossing(downed map[int32]bool) []*host.Flow {
+func (f *Fabric) flowsCrossing(downed []int32) []*host.Flow {
 	ids := make([]host.FlowID, 0, len(f.active))
 	//det:ordered keys are collected then sorted before any ordered use
 	for id := range f.active {
@@ -175,7 +177,7 @@ func (f *Fabric) flowsCrossing(downed map[int32]bool) []*host.Flow {
 			continue
 		}
 		for _, li := range path {
-			if downed[li] {
+			if slices.Contains(downed, li) {
 				hit = append(hit, fl)
 				break
 			}
@@ -248,7 +250,7 @@ func (f *Fabric) setActiveLanes(e *topo.Edge, target int) {
 		seen++
 		if s != want {
 			if err := lane.SetState(want); err != nil {
-				panic(fmt.Sprintf("fabric: fault lane toggle on link %d: %v", e.Link.ID, err))
+				panic(fmt.Sprintf("fabric: fault lane toggle on link %d: %v", e.Index(), err))
 			}
 		}
 	}

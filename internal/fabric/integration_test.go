@@ -62,7 +62,7 @@ func TestExpressPortExhaustion(t *testing.T) {
 	// First bypass claims the single express port pair on nodes 0 and 2.
 	for x := 0; x+1 < 3; x++ {
 		e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
-		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 3, FreedState: phy.LaneBypassed}, nil); err != nil {
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 3, FreedState: phy.LaneBypassed}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestExpressPortExhaustion(t *testing.T) {
 	for x := 0; x+1 < 3; x++ {
 		e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
 		if e.Link.ActiveLanes() >= 2 {
-			if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: e.Link.ActiveLanes() - 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+			if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: e.Link.ActiveLanes() - 1, FreedState: phy.LaneBypassed}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,7 +145,7 @@ func TestRoutesTrackAdjacency(t *testing.T) {
 	path := []int{0, 1, 2, 3}
 	for i := 0; i+1 < len(path); i++ {
 		e, _ := g.EdgeBetween(topo.NodeID(path[i]), topo.NodeID(path[i+1]))
-		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestBundleRestoresRate(t *testing.T) {
 	eng, f := build(t, g)
 	e := g.Edges()[0]
 	full := e.Link.RawRate()
-	if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneOff}, nil); err != nil {
+	if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneOff}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(sim.Time(sim.Millisecond)); err != nil {
@@ -185,7 +185,7 @@ func TestBundleRestoresRate(t *testing.T) {
 	if e.Link.RawRate() >= full {
 		t.Fatal("break did not cut rate")
 	}
-	if err := f.Execute(plp.Command{Kind: plp.Bundle, Link: e.Link.ID}, nil); err != nil {
+	if err := f.Execute(plp.Command{Kind: plp.Bundle, Link: e.Index()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Bundle takes reshape + retrain before lanes carry traffic again.
@@ -317,7 +317,7 @@ func TestBypassLifecycleEndToEnd(t *testing.T) {
 			t.Fatal("express edge still present after reclaim")
 		}
 		if e.Link.ActiveLanes() != 2 {
-			t.Fatalf("link %d not re-bundled: %d lanes", e.Link.ID, e.Link.ActiveLanes())
+			t.Fatalf("link %d not re-bundled: %d lanes", e.Index(), e.Link.ActiveLanes())
 		}
 	}
 }
@@ -327,7 +327,7 @@ func TestReportsCoverExpressChannels(t *testing.T) {
 	eng, f := build(t, g)
 	for x := 0; x+1 < 3; x++ {
 		e, _ := g.EdgeBetween(topo.NodeID(x), topo.NodeID(x+1))
-		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Link.ID, KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
+		if err := f.Execute(plp.Command{Kind: plp.Break, Link: e.Index(), KeepLanes: 1, FreedState: phy.LaneBypassed}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,10 +1,7 @@
 package fabric
 
 import (
-	"sort"
-
 	"rackfab/internal/host"
-	"rackfab/internal/phy"
 	"rackfab/internal/power"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
@@ -16,15 +13,11 @@ import (
 // collection token would see.
 func (f *Fabric) Reports() []ringctl.LinkReport {
 	now := f.eng.Now()
-	ids := make([]int, 0, len(f.links))
-	//det:ordered keys are collected then sorted before any ordered use
-	for id := range f.links {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	reports := make([]ringctl.LinkReport, 0, len(ids))
-	for _, id := range ids {
-		ls := f.links[phy.LinkID(id)]
+	reports := make([]ringctl.LinkReport, 0, len(f.g.Edges()))
+	for id, ls := range f.links {
+		if ls == nil {
+			continue
+		}
 		link := ls.edge.Link
 		window := now.Sub(ls.windowStart)
 		util := 0.0
@@ -53,7 +46,7 @@ func (f *Fabric) Reports() []ringctl.LinkReport {
 		}
 
 		reports = append(reports, ringctl.LinkReport{
-			Link:          link.ID,
+			Link:          id,
 			Utilization:   util,
 			QueueDelay:    sim.Duration(ls.qDelay.Value()),
 			MeasuredBER:   ls.lastBER,

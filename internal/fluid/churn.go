@@ -57,7 +57,7 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 		})
 		en.faultSeeds = append(en.faultSeeds, li)
 		if wasUp != isUp {
-			e := en.edgeByIdx[li]
+			e, _ := en.graph.Edge(int(li)) // a fluid graph never loses an edge
 			e.SetEnabled(isUp)
 			en.faultEdges = append(en.faultEdges, e)
 			if !isUp {

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzSolverMaxMin drives the solver over fuzzer-chosen topologies and
-// workloads through two random interleavings of arrivals, completions, and
-// link capacity ops (down / up / degrade — the fault subsystem's whole
-// event vocabulary): one walk arrives one flow per arrival op, the other
-// 1–3 flows activated as one batch. It asserts, after every event:
+// workloads through three random interleavings of arrivals, completions,
+// and link capacity ops (down / up / degrade — the fault subsystem's whole
+// event vocabulary): one walk arrives one flow per arrival op, one 1–3
+// flows activated as one batch, and one applies 1–3 capacity events on
+// distinct links as one same-instant group. It asserts, after every event:
 //
 //  1. the max-min certificate — the allocation is feasible and every active
 //     flow is bottlenecked at a saturated link where no flow is faster,
@@ -32,8 +33,10 @@ import (
 // starvation, and repair end to end. The committed seed corpus under
 // testdata/fuzz/FuzzSolverMaxMin keeps the interesting shapes (tie-heavy
 // permutations, elephants-and-mice, line bottlenecks, flap-through-load
-// walks) in every plain `go test` run; `go test -fuzz FuzzSolverMaxMin`
-// explores further.
+// walks, and degrade-reroute-group: on a 2×2 grid, one instant degrades a
+// link two flows share to half and takes down the next link of one of
+// them, which reroutes it off the degraded link) in every plain `go test`
+// run; `go test -fuzz FuzzSolverMaxMin` explores further.
 func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(4))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(16))
@@ -47,12 +50,13 @@ func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(31337), uint8(1), uint8(2), uint8(25))
 	f.Fuzz(func(t *testing.T, seed int64, topoKind, sideRaw, flowsRaw uint8) {
 		g, specs, rng := fuzzScenario(seed, topoKind, sideRaw, flowsRaw)
-		churnEngines(t, g, specs, rng, true, 1, checkWarmCold(t))
-		// The batched walk draws from its own stream, so the walk above and
-		// the Run schedules below draw the same values with or without it,
-		// and each committed corpus entry keeps replaying the walk it was
-		// found on.
-		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), true, 3, checkWarmCold(t))
+		churnEngines(t, g, specs, rng, 1, 1, checkWarmCold(t))
+		// The batched and grouped walks draw from their own streams, so the
+		// walk above and the Run schedules below draw the same values with
+		// or without them, and each committed corpus entry keeps replaying
+		// the walk it was found on.
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), 1, 3, checkWarmCold(t))
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("fault-groups"), 3, 1, checkWarmCold(t))
 
 		for i := range specs {
 			specs[i].At = sim.Time(rng.Intn(200)) * sim.Time(sim.Microsecond)
@@ -150,5 +154,5 @@ func checkWarmCold(t *testing.T) func(warm, cold *engine) {
 // must sit at a link at the level, or wait for the closure to reach it.
 func TestReplayChecksEveryScheduledFlow(t *testing.T) {
 	g, specs, rng := fuzzScenario(-111, 0x16, '\t', '.')
-	churnEngines(t, g, specs, rng, true, 3, checkWarmCold(t))
+	churnEngines(t, g, specs, rng, 1, 3, checkWarmCold(t))
 }

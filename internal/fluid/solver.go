@@ -89,12 +89,10 @@ type engine struct {
 	linkFlows [][]int32 // active flow IDs crossing each link
 
 	// Fault-injection state. nominalCap is the healthy-capacity snapshot
-	// fault factors multiply; edgeByIdx resolves a stable link ID back to
-	// its edge for enable/disable + route repair; routesChanged marks the
-	// table diverged from the one addBatch routed against, so arrivals
-	// re-path; starvedNow counts active flows pinned at rate 0.
+	// fault factors multiply; routesChanged marks the table diverged from
+	// the one addBatch routed against, so arrivals re-path; starvedNow
+	// counts active flows pinned at rate 0.
 	nominalCap    []float64
-	edgeByIdx     []*topo.Edge
 	routesChanged bool
 	starvedNow    int
 	seedBuf       []int32 // refill seed: an arrival batch's paths, or a reroute's old ∪ new path
@@ -102,7 +100,6 @@ type engine struct {
 	// Fault-group scratch (applyLinkEventGroup): the instant's changed
 	// links (refill seed), admin-flipped edges (one RepairBatch), and
 	// downed links (reroute pass), reused across events.
-	faultGroup  []faults.LinkEvent
 	faultSeeds  []int32
 	faultEdges  []*topo.Edge
 	faultDowned []int32
@@ -179,11 +176,9 @@ func newEngine(g *topo.Graph) *engine {
 	en.linkCap = make([]float64, nl)
 	en.nominalCap = make([]float64, nl)
 	en.linkFlows = make([][]int32, nl)
-	en.edgeByIdx = make([]*topo.Edge, nl)
 	for _, e := range g.Edges() {
 		en.linkCap[e.Index()] = e.Link.EffectiveRate()
 		en.nominalCap[e.Index()] = en.linkCap[e.Index()]
-		en.edgeByIdx[e.Index()] = e
 	}
 	en.linkEpoch = make([]uint32, nl)
 	en.tieStamp = make([]uint32, nl)

@@ -39,8 +39,8 @@ func shuffleSpecs(rng *sim.RNG, specs []workload.FlowSpec) {
 // moves flows — off a dead link if an alternative exists, back onto live
 // paths for flows a restore just un-partitioned.
 func (en *engine) applyLinkEvent(now sim.Time, ev faults.LinkEvent) {
-	en.faultGroup = append(en.faultGroup[:0], ev)
-	en.applyLinkEventGroup(now, en.faultGroup)
+	group := [1]faults.LinkEvent{ev}
+	en.applyLinkEventGroup(now, group[:])
 }
 
 // activeEngine builds an engine over g with every spec arrived at t=0, the
@@ -157,9 +157,10 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 }
 
 // churnEngines drives a warm and a cold engine through the identical random
-// interleaving of arrivals and completions — and, when withFaults is set,
+// interleaving of arrivals and completions — and, when maxFaults > 0,
 // link capacity ops (down / up / degrade on random edges) — calling check
-// after every event. The interleaving deliberately drains and regrows
+// after every event. A capacity op applies one event, or with maxFaults > 1
+// 1..maxFaults events on distinct edges as one same-instant group. The interleaving deliberately drains and regrows
 // components, so warm refills seed from non-zero previous allocations —
 // arrivals into partially frozen neighborhoods, completions that split
 // components — not just the monotone growth of a t=0 burst. When every
@@ -172,7 +173,7 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 // 1..maxBatch flows at one instant. Batches then also drive a third, warm
 // engine that takes the same flows in one-flow batches; its rate vector
 // must equal the batched warm engine's bit for bit after every op.
-func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, withFaults bool, maxBatch int, check func(warm, cold *engine)) {
+func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, maxFaults, maxBatch int, check func(warm, cold *engine)) {
 	t.Helper()
 	specs = canonicalize(specs)
 	warm := newEngine(g)
@@ -194,7 +195,7 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 	for i := range factor {
 		factor[i] = 1
 	}
-	if withFaults {
+	if maxFaults > 0 {
 		defer func() {
 			for _, e := range edges {
 				e.SetEnabled(true)
@@ -202,11 +203,13 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 		}()
 	}
 	now := sim.Time(0)
-	applyAll := func(now sim.Time, ev faults.LinkEvent) {
+	applyAll := func(now sim.Time, group []faults.LinkEvent) {
 		for _, en := range engines {
-			en.applyLinkEvent(now, ev)
+			en.applyLinkEventGroup(now, group)
 		}
-		factor[ev.Edge] = ev.Factor
+		for _, ev := range group {
+			factor[ev.Edge] = ev.Factor
+		}
 	}
 	checkAll := func() {
 		t.Helper()
@@ -220,24 +223,35 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 		check(warm, cold)
 	}
 	var batch []int32
+	var group []faults.LinkEvent
 	arrived := 0
 	for ops := 0; arrived < len(specs) || warm.activeCount > 0; ops++ {
 		if ops > 100000 {
 			t.Fatal("churn walk did not terminate")
 		}
 		now = now.Add(sim.Microsecond)
-		if withFaults && rng.Intn(4) == 0 {
-			e := edges[rng.Intn(len(edges))]
-			var f float64
-			switch rng.Intn(3) {
-			case 0:
-				f = 0
-			case 1:
-				f = 1
-			default:
-				f = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
+		if maxFaults > 0 && rng.Intn(4) == 0 {
+			k := 1
+			if maxFaults > 1 {
+				k = 1 + rng.Intn(maxFaults)
 			}
-			applyAll(now, faults.LinkEvent{At: now, Edge: e.Index(), Factor: f})
+			group = group[:0]
+			for ; k > 0; k-- {
+				e := edges[rng.Intn(len(edges))]
+				var f float64
+				switch rng.Intn(3) {
+				case 0:
+					f = 0
+				case 1:
+					f = 1
+				default:
+					f = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
+				}
+				if !slices.ContainsFunc(group, func(ev faults.LinkEvent) bool { return ev.Edge == e.Index() }) {
+					group = append(group, faults.LinkEvent{At: now, Edge: e.Index(), Factor: f})
+				}
+			}
+			applyAll(now, group)
 			checkAll()
 			continue
 		}
@@ -273,7 +287,7 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 				healed := false
 				for li, f := range factor {
 					if f == 0 {
-						applyAll(now, faults.LinkEvent{At: now, Edge: li, Factor: 1})
+						applyAll(now, []faults.LinkEvent{{At: now, Edge: li, Factor: 1}})
 						healed = true
 						break
 					}
@@ -320,7 +334,7 @@ func TestWarmStartMatchesColdUnderChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, false, 1, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, 0, 1, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -362,7 +376,7 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, true, 1, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, 1, 1, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate

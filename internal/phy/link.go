@@ -7,15 +7,11 @@ import (
 	"rackfab/internal/sim"
 )
 
-// LinkID identifies a link within a fabric.
-type LinkID int
-
 // Link is a bundle of lanes over one media span — the paper's unit of
 // reconfiguration. PLP #1 (break/bundle) changes how many lanes carry
 // switched traffic; PLP #3 (on/off) powers lanes; PLP #4 picks the FEC
 // profile; PLP #5's BER counters are each lane's Stats.
 type Link struct {
-	ID LinkID
 	// LengthM is the physical span in meters.
 	LengthM float64
 	// Media is the transmission medium.
@@ -41,19 +37,18 @@ type lossMemo struct {
 
 // NewLink builds a link of laneCount lanes at laneRate over media. All
 // lanes start up with the "none" FEC profile.
-func NewLink(id LinkID, media Media, lengthM float64, laneCount int, laneRate float64) (*Link, error) {
+func NewLink(media Media, lengthM float64, laneCount int, laneRate float64) (*Link, error) {
 	if laneCount <= 0 {
-		return nil, fmt.Errorf("phy: link %d needs at least one lane", id)
+		return nil, fmt.Errorf("phy: a link needs at least one lane")
 	}
 	if lengthM <= 0 {
-		return nil, fmt.Errorf("phy: link %d length must be positive", id)
+		return nil, fmt.Errorf("phy: link length must be positive")
 	}
 	prof := ProfileOf(media)
 	if !prof.SupportsRate(laneRate) {
 		return nil, fmt.Errorf("phy: media %v does not support %g bit/s lanes", media, laneRate)
 	}
 	l := &Link{
-		ID:      id,
 		LengthM: lengthM,
 		Media:   media,
 		profile: prof,
@@ -113,7 +108,7 @@ func (l *Link) PropagationDelay() sim.Duration { return l.profile.Propagation(l.
 func (l *Link) SerializationDelay(dataBits int64) sim.Duration {
 	rate := l.EffectiveRate()
 	if rate <= 0 {
-		panic(fmt.Sprintf("phy: serialization on down link %d", l.ID))
+		panic("phy: serialization on a down link")
 	}
 	return sim.Transmission(dataBits, rate)
 }
@@ -147,7 +142,7 @@ func (l *Link) TransferFrame(rng *sim.RNG, now sim.Time, dataBits int64) (lost b
 		}
 	}
 	if carrying == 0 {
-		panic(fmt.Sprintf("phy: TransferFrame on down link %d", l.ID))
+		panic("phy: TransferFrame on a down link")
 	}
 	perLane := int64(float64(dataBits)*l.fecP.Overhead()) / int64(carrying)
 	for _, lane := range l.Lanes {

@@ -80,7 +80,7 @@ func TestLaneBERValidation(t *testing.T) {
 // 25.78125G lanes.
 func testLink(t testing.TB, lanes int) *Link {
 	t.Helper()
-	l, err := NewLink(1, Backplane, 2, lanes, 25.78125e9)
+	l, err := NewLink(Backplane, 2, lanes, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func testLink(t testing.TB, lanes int) *Link {
 }
 
 func TestLinkConstruction(t *testing.T) {
-	if _, err := NewLink(1, Backplane, 2, 0, 25.78125e9); err == nil {
+	if _, err := NewLink(Backplane, 2, 0, 25.78125e9); err == nil {
 		t.Error("zero lanes accepted")
 	}
-	if _, err := NewLink(1, Backplane, 0, 4, 25.78125e9); err == nil {
+	if _, err := NewLink(Backplane, 0, 4, 25.78125e9); err == nil {
 		t.Error("zero length accepted")
 	}
-	if _, err := NewLink(1, Backplane, 2, 4, 1234); err == nil {
+	if _, err := NewLink(Backplane, 2, 4, 1234); err == nil {
 		t.Error("unsupported rate accepted")
 	}
 	l := testLink(t, 4)

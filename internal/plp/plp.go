@@ -81,8 +81,9 @@ func (k Kind) String() string {
 // interpreted per kind; Validate rejects nonsensical combinations.
 type Command struct {
 	Kind Kind
-	// Link targets a link for Break/Bundle/Lane*/SetFEC/QueryStats.
-	Link phy.LinkID
+	// Link targets a link, by its topo edge index, for
+	// Break/Bundle/Lane*/SetFEC/QueryStats.
+	Link int
 	// KeepLanes is the switched lane count left by Break.
 	KeepLanes int
 	// FreedState is the state Break leaves freed lanes in

@@ -10,7 +10,7 @@ import (
 )
 
 func TestLinkPowerStates(t *testing.T) {
-	l, err := phy.NewLink(1, phy.Backplane, 2, 4, 25.78125e9)
+	l, err := phy.NewLink(phy.Backplane, 2, 4, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestLinkPowerStates(t *testing.T) {
 }
 
 func TestLinkPowerFEC(t *testing.T) {
-	l, err := phy.NewLink(1, phy.Backplane, 2, 2, 25.78125e9)
+	l, err := phy.NewLink(phy.Backplane, 2, 2, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}

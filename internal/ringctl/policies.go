@@ -28,8 +28,11 @@ func (c *Controller) runFECPolicy(reports []LinkReport) {
 		if !r.Up {
 			continue
 		}
-		st, ok := c.fecStates[r.Link]
-		if !ok {
+		if r.Link >= len(c.fecStates) {
+			c.fecStates = append(c.fecStates, make([]*linkFEC, r.Link+1-len(c.fecStates))...)
+		}
+		st := c.fecStates[r.Link]
+		if st == nil {
 			dwell := c.cfg.FECDeescalateDwell
 			if dwell <= 0 {
 				dwell = fec.DefaultDeescalateDwell
@@ -139,7 +142,7 @@ func (c *Controller) runBypassPolicy(reports []LinkReport) {
 	// Links whose spare lane was promised to an express channel in this
 	// epoch: the Break commands have not applied yet, so graph state alone
 	// cannot prevent double-donation.
-	donated := make(map[phy.LinkID]bool)
+	donated := make([]bool, g.EdgeIndexBound())
 	for _, f := range flows {
 		if c.bypasses >= MaxBypasses {
 			return
@@ -185,15 +188,15 @@ func (c *Controller) runBypassPolicy(reports []LinkReport) {
 		// Issue the donor breaks, then the bypass.
 		nodes := pathNodes(src, path)
 		for _, e := range path {
-			donated[e.Link.ID] = true
+			donated[e.Index()] = true
 			cmd := plp.Command{
 				Kind:       plp.Break,
-				Link:       e.Link.ID,
+				Link:       e.Index(),
 				KeepLanes:  e.Link.ActiveLanes() - 1,
 				FreedState: phy.LaneBypassed,
 				Reason:     fmt.Sprintf("donate lane to flow %d express", f.ID),
 			}
-			c.issue("bypass", fmt.Sprintf("break link %d for express %d→%d", e.Link.ID, src, dst), cmd)
+			c.issue("bypass", fmt.Sprintf("break link %d for express %d→%d", e.Index(), src, dst), cmd)
 		}
 		cmd := plp.Command{
 			Kind:   plp.BypassOn,
@@ -209,7 +212,7 @@ func (c *Controller) runBypassPolicy(reports []LinkReport) {
 
 // donorPath returns the flow's current non-express route if every hop has a
 // fresh spare lane to donate (≥2 active and not promised this epoch).
-func (c *Controller) donorPath(g *topo.Graph, src, dst topo.NodeID, donated map[phy.LinkID]bool) []*topo.Edge {
+func (c *Controller) donorPath(g *topo.Graph, src, dst topo.NodeID, donated []bool) []*topo.Edge {
 	// Walk a BFS shortest path over construction edges only.
 	type crumb struct {
 		node topo.NodeID
@@ -245,7 +248,7 @@ func (c *Controller) donorPath(g *topo.Graph, src, dst topo.NodeID, donated map[
 	}
 	// Every hop must have a fresh donor lane.
 	for _, e := range path {
-		if e.Link.ActiveLanes() < 2 || donated[e.Link.ID] {
+		if e.Link.ActiveLanes() < 2 || donated[e.Index()] {
 			return nil
 		}
 	}
@@ -289,9 +292,10 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 	if len(c.bypassed) == 0 {
 		return
 	}
-	byLink := make(map[phy.LinkID]LinkReport, len(reports))
-	for _, r := range reports {
-		byLink[r.Link] = r
+	g := c.fabric.Graph()
+	byLink := make([]*LinkReport, g.EdgeIndexBound())
+	for i := range reports {
+		byLink[reports[i].Link] = &reports[i]
 	}
 	// Visit channels in (src, dst) order: several may go idle in one
 	// epoch, and their commands and log lines must not follow map order.
@@ -306,15 +310,14 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 	slices.SortFunc(pairs, func(a, b [2]int) int {
 		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	g := c.fabric.Graph()
 	for _, pair := range pairs {
 		st := c.bypassed[pair]
 		e, ok := g.ExpressBetween(topo.NodeID(pair[0]), topo.NodeID(pair[1]))
 		if !ok {
 			continue // still setting up, or already gone
 		}
-		r, have := byLink[e.Link.ID]
-		if !have {
+		r := byLink[e.Index()]
+		if r == nil {
 			continue
 		}
 		if r.Utilization > BypassIdleUtilization {
@@ -341,10 +344,10 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 			}
 			bundle := plp.Command{
 				Kind:   plp.Bundle,
-				Link:   de.Link.ID,
+				Link:   de.Index(),
 				Reason: "restore donor lanes after express reclaim",
 			}
-			c.issue("bypass", fmt.Sprintf("re-bundle link %d", de.Link.ID), bundle)
+			c.issue("bypass", fmt.Sprintf("re-bundle link %d", de.Index()), bundle)
 		}
 		delete(c.bypassed, pair)
 		c.bypasses--

@@ -1,7 +1,6 @@
 package ringctl
 
 import (
-	"rackfab/internal/phy"
 	"rackfab/internal/power"
 	"rackfab/internal/sim"
 	"rackfab/internal/telemetry"
@@ -24,16 +23,12 @@ const (
 type PriceBook struct {
 	weights   PriceWeights
 	smoothing float64
-	prices    map[phy.LinkID]*telemetry.EWMA
+	prices    []*telemetry.EWMA // by link index; nil until first reported
 }
 
 // NewPriceBook returns an empty book.
 func NewPriceBook(w PriceWeights, smoothing float64) *PriceBook {
-	return &PriceBook{
-		weights:   w,
-		smoothing: smoothing,
-		prices:    make(map[phy.LinkID]*telemetry.EWMA),
-	}
+	return &PriceBook{weights: w, smoothing: smoothing}
 }
 
 // Update folds one epoch of link reports into the book.
@@ -44,12 +39,13 @@ func (b *PriceBook) Update(reports []LinkReport, budget *power.Budget) {
 	}
 	for _, r := range reports {
 		raw := b.rawPrice(r, powerDenom)
-		e, ok := b.prices[r.Link]
-		if !ok {
-			e = telemetry.NewEWMA(b.smoothing)
-			b.prices[r.Link] = e
+		if r.Link >= len(b.prices) {
+			b.prices = append(b.prices, make([]*telemetry.EWMA, r.Link+1-len(b.prices))...)
 		}
-		e.Observe(raw)
+		if b.prices[r.Link] == nil {
+			b.prices[r.Link] = telemetry.NewEWMA(b.smoothing)
+		}
+		b.prices[r.Link].Observe(raw)
 	}
 }
 
@@ -78,9 +74,9 @@ func (b *PriceBook) rawPrice(r LinkReport, powerDenom float64) float64 {
 
 // Price returns the smoothed price of a link (0 for unknown links: new
 // express channels start cheap by design).
-func (b *PriceBook) Price(id phy.LinkID) float64 {
-	if e, ok := b.prices[id]; ok {
-		return e.Value()
+func (b *PriceBook) Price(link int) float64 {
+	if link < len(b.prices) && b.prices[link] != nil {
+		return b.prices[link].Value()
 	}
 	return 0
 }

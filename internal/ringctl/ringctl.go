@@ -37,7 +37,8 @@ import (
 
 // LinkReport is one link's telemetry snapshot, collected by the ring.
 type LinkReport struct {
-	Link phy.LinkID
+	// Link is the link's topo edge index.
+	Link int
 	// Utilization is the busy fraction of the link in the last window.
 	Utilization float64
 	// QueueDelay is the mean upstream VOQ residency feeding this link.
@@ -182,7 +183,7 @@ type Controller struct {
 	cfg    Config
 
 	prices    *PriceBook
-	fecStates map[phy.LinkID]*linkFEC
+	fecStates []*linkFEC // by link index; nil until the FEC policy sees it
 	decisions []Decision
 	bypasses  int
 	bypassed  map[[2]int]*bypassState // (src,dst) pairs with an issued express setup
@@ -198,12 +199,11 @@ type bypassState struct {
 // New builds a controller. Call Start to begin the control loop.
 func New(eng *sim.Engine, fab Fabric, cfg Config) *Controller {
 	return &Controller{
-		eng:       eng,
-		fabric:    fab,
-		cfg:       cfg,
-		prices:    NewPriceBook(cfg.Weights, PriceSmoothing),
-		fecStates: make(map[phy.LinkID]*linkFEC),
-		bypassed:  make(map[[2]int]*bypassState),
+		eng:      eng,
+		fabric:   fab,
+		cfg:      cfg,
+		prices:   NewPriceBook(cfg.Weights, PriceSmoothing),
+		bypassed: make(map[[2]int]*bypassState),
 	}
 }
 
@@ -290,7 +290,7 @@ func (c *Controller) CostFunc() route.CostFunc {
 			// with retimers; price it near one hop's propagation.
 			base = 0.2 + 0.02*float64(len(e.Via))
 		}
-		return base + c.prices.Price(e.Link.ID)
+		return base + c.prices.Price(e.Index())
 	}
 }
 

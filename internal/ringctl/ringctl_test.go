@@ -45,8 +45,7 @@ func (f *fakeFabric) Execute(cmd plp.Command, done func(plp.Result)) error {
 		a := topo.NodeID(cmd.Path[0])
 		b := topo.NodeID(cmd.Path[len(cmd.Path)-1])
 		if _, exists := f.graph.ExpressBetween(a, b); !exists {
-			link, err := phy.NewLink(f.graph.NextLinkID(), phy.Backplane,
-				2*float64(len(cmd.Path)-1), 1, 25.78125e9)
+			link, err := phy.NewLink(phy.Backplane, 2*float64(len(cmd.Path)-1), 1, 25.78125e9)
 			if err != nil {
 				return err
 			}
@@ -65,7 +64,7 @@ func (f *fakeFabric) Execute(cmd plp.Command, done func(plp.Result)) error {
 			}
 		}
 	default:
-		if e, ok := f.graph.LinkByID(cmd.Link); ok {
+		if e, ok := f.graph.Edge(cmd.Link); ok {
 			switch cmd.Kind {
 			case plp.Break:
 				if e.Link.ActiveLanes() > cmd.KeepLanes {
@@ -107,7 +106,7 @@ func (f *fakeFabric) reportAll(util float64, ber float64) {
 	f.reports = f.reports[:0]
 	for _, e := range f.graph.Edges() {
 		f.reports = append(f.reports, LinkReport{
-			Link:        e.Link.ID,
+			Link:        e.Index(),
 			Utilization: util,
 			QueueDelay:  sim.Microsecond,
 			MeasuredBER: ber,
@@ -151,7 +150,13 @@ func TestPriceBookOrdering(t *testing.T) {
 	if b.Price(99) != 0 {
 		t.Fatal("unknown link should be free")
 	}
-	if len(b.prices) != 4 {
+	priced := 0
+	for _, e := range b.prices {
+		if e != nil {
+			priced++
+		}
+	}
+	if priced != 4 {
 		t.Fatal("price book size")
 	}
 }
@@ -269,7 +274,7 @@ func TestPowerPolicyRelights(t *testing.T) {
 	fab.reportAll(0.2, 1e-13)
 	// Make the broken link hot.
 	for i := range fab.reports {
-		if fab.reports[i].Link == hot.Link.ID {
+		if fab.reports[i].Link == hot.Index() {
 			fab.reports[i].Utilization = 0.9
 			fab.reports[i].ActiveLanes = 1
 		}
@@ -283,7 +288,7 @@ func TestPowerPolicyRelights(t *testing.T) {
 	}
 	found := false
 	for _, cmd := range fab.executed {
-		if cmd.Kind == plp.LaneOn && cmd.Link == hot.Link.ID {
+		if cmd.Kind == plp.LaneOn && cmd.Link == hot.Index() {
 			found = true
 		}
 	}
@@ -370,7 +375,7 @@ func TestBypassReclaim(t *testing.T) {
 			t.Fatal("express edge survived")
 		}
 		if e.Link.ActiveLanes() != 2 {
-			t.Fatalf("link %d left at %d lanes", e.Link.ID, e.Link.ActiveLanes())
+			t.Fatalf("link %d left at %d lanes", e.Index(), e.Link.ActiveLanes())
 		}
 	}
 	// A returning elephant can get a fresh channel (the pair was cleared).
@@ -562,13 +567,13 @@ func TestCostFuncPrefersCheapAndExpress(t *testing.T) {
 	}
 	c.prices.Update(fab.reports, nil)
 	cost := c.CostFunc()
-	e0, _ := g.LinkByID(0)
-	e1, _ := g.LinkByID(1)
+	e0, _ := g.Edge(0)
+	e1, _ := g.Edge(1)
 	if cost(e0) <= cost(e1) {
 		t.Fatal("priced link not more expensive")
 	}
 	// Express edges are cheaper than a switch hop.
-	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 4, 1, 25.78125e9)
+	link, err := phy.NewLink(phy.Backplane, 4, 1, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}

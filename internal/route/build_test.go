@@ -82,7 +82,7 @@ func expressGrid(t *testing.T) *topo.Graph {
 	g := topo.NewGrid(9, 9, topo.Options{})
 	for _, ex := range [][2][2]int{{{4, 4}, {4, 0}}, {{4, 4}, {8, 4}}, {{1, 1}, {1, 7}}, {{2, 6}, {7, 6}}} {
 		a, b := g.NodeAt(ex[0][0], ex[0][1]), g.NodeAt(ex[1][0], ex[1][1])
-		link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+		link, err := phy.NewLink(phy.Backplane, 6, 1, 25.78125e9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func TestECMPSpreads(t *testing.T) {
 
 func TestExpressEdgeShortcut(t *testing.T) {
 	g := topo.NewGrid(4, 1, topo.Options{})
-	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	link, err := phy.NewLink(phy.Backplane, 6, 1, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}

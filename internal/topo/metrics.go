@@ -23,7 +23,7 @@ func (g *Graph) NewHopCounter() *HopCounter {
 	n := g.NumNodes()
 	h := &HopCounter{
 		g:     g,
-		up:    make([]bool, g.nextEdgeIdx),
+		up:    make([]bool, len(g.byIndex)),
 		dist:  make([]int, n),
 		queue: make([]NodeID, 0, n),
 	}

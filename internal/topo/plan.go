@@ -52,7 +52,7 @@ func GridToTorusPlan(g *Graph, keepLanes int) (*Plan, error) {
 				}
 				plan.Commands = append(plan.Commands, plp.Command{
 					Kind:       plp.Break,
-					Link:       e.Link.ID,
+					Link:       e.Index(),
 					KeepLanes:  keepLanes,
 					FreedState: phy.LaneBypassed,
 					Reason:     fmt.Sprintf("free lanes for row %d wrap", y),
@@ -78,7 +78,7 @@ func GridToTorusPlan(g *Graph, keepLanes int) (*Plan, error) {
 				}
 				plan.Commands = append(plan.Commands, plp.Command{
 					Kind:       plp.Break,
-					Link:       e.Link.ID,
+					Link:       e.Index(),
 					KeepLanes:  keepLanes,
 					FreedState: phy.LaneBypassed,
 					Reason:     fmt.Sprintf("free lanes for column %d wrap", x),

@@ -36,8 +36,9 @@ type Edge struct {
 	Via     []NodeID
 
 	// idx is the edge's dense insertion index within its graph; it never
-	// changes once assigned and is never reused, so solvers can key flat
-	// per-link arrays on it instead of iterating pointer maps.
+	// changes once assigned and is never reused. It is the link's one name:
+	// PLP commands, price tags, fault events, solvers and traces all key on
+	// it.
 	idx int
 
 	// disabled marks the edge administratively down (fault injection /
@@ -117,10 +118,9 @@ type Graph struct {
 	width, height int
 	coords        []Coord
 	edges         []*Edge
+	byIndex       []*Edge // every edge ever added, by Index; nil once removed
 	adj           [][]*Edge
 	opts          Options
-	nextLink      phy.LinkID
-	nextEdgeIdx   int
 }
 
 // Kind names the construction ("grid", "torus", "ring", "line").
@@ -175,14 +175,13 @@ func (g *Graph) ExpressBetween(a, b NodeID) (*Edge, bool) {
 	return nil, false
 }
 
-// LinkByID finds an edge by its physical link ID.
-func (g *Graph) LinkByID(id phy.LinkID) (*Edge, bool) {
-	for _, e := range g.edges {
-		if e.Link.ID == id {
-			return e, true
-		}
+// Edge returns the edge with index i. It reports false for an index never
+// assigned and for a removed express edge.
+func (g *Graph) Edge(i int) (*Edge, bool) {
+	if i < 0 || i >= len(g.byIndex) || g.byIndex[i] == nil {
+		return nil, false
 	}
-	return nil, false
+	return g.byIndex[i], true
 }
 
 // addEdge wires a constructed edge between a and b.
@@ -190,16 +189,20 @@ func (g *Graph) addEdge(a, b NodeID, lengthM float64) *Edge {
 	if a > b {
 		a, b = b, a
 	}
-	link, err := phy.NewLink(g.nextLink, g.opts.Media, lengthM, g.opts.LanesPerLink, g.opts.LaneRate)
+	link, err := phy.NewLink(g.opts.Media, lengthM, g.opts.LanesPerLink, g.opts.LaneRate)
 	if err != nil {
-		panic(fmt.Sprintf("topo: building link %d: %v", g.nextLink, err))
+		panic(fmt.Sprintf("topo: building link %d: %v", len(g.byIndex), err))
 	}
-	g.nextLink++
-	e := &Edge{A: a, B: b, Link: link, idx: g.nextEdgeIdx}
-	g.nextEdgeIdx++
+	return g.add(&Edge{A: a, B: b, Link: link})
+}
+
+// add assigns e the next index and wires it in.
+func (g *Graph) add(e *Edge) *Edge {
+	e.idx = len(g.byIndex)
+	g.byIndex = append(g.byIndex, e)
 	g.edges = append(g.edges, e)
-	g.adj[a] = append(g.adj[a], e)
-	g.adj[b] = append(g.adj[b], e)
+	g.adj[e.A] = append(g.adj[e.A], e)
+	g.adj[e.B] = append(g.adj[e.B], e)
 	return e
 }
 
@@ -207,12 +210,7 @@ func (g *Graph) addEdge(a, b NodeID, lengthM float64) *Edge {
 // channel link is provided by the caller (the fabric builds it from freed
 // bypassed lanes). Via lists the bypassed intermediate nodes.
 func (g *Graph) AddExpress(a, b NodeID, via []NodeID, link *phy.Link) *Edge {
-	e := &Edge{A: a, B: b, Link: link, Express: true, Via: append([]NodeID(nil), via...), idx: g.nextEdgeIdx}
-	g.nextEdgeIdx++
-	g.edges = append(g.edges, e)
-	g.adj[a] = append(g.adj[a], e)
-	g.adj[b] = append(g.adj[b], e)
-	return e
+	return g.add(&Edge{A: a, B: b, Link: link, Express: true, Via: append([]NodeID(nil), via...)})
 }
 
 // RemoveExpress deletes a runtime express edge. Construction edges cannot
@@ -222,6 +220,7 @@ func (g *Graph) RemoveExpress(e *Edge) error {
 		return fmt.Errorf("topo: cannot remove construction edge %d-%d", e.A, e.B)
 	}
 	g.edges = removeEdge(g.edges, e)
+	g.byIndex[e.idx] = nil
 	g.adj[e.A] = removeEdge(g.adj[e.A], e)
 	g.adj[e.B] = removeEdge(g.adj[e.B], e)
 	return nil
@@ -239,11 +238,4 @@ func removeEdge(s []*Edge, e *Edge) []*Edge {
 // EdgeIndexBound returns one past the largest Edge.Index ever assigned by
 // this graph. Flat arrays sized by this bound can be indexed directly by
 // Edge.Index for every edge, past and present.
-func (g *Graph) EdgeIndexBound() int { return g.nextEdgeIdx }
-
-// NextLinkID hands out fresh physical link IDs for runtime express links.
-func (g *Graph) NextLinkID() phy.LinkID {
-	id := g.nextLink
-	g.nextLink++
-	return id
-}
+func (g *Graph) EdgeIndexBound() int { return len(g.byIndex) }

@@ -189,7 +189,7 @@ func TestDisconnection(t *testing.T) {
 
 func TestExpressEdges(t *testing.T) {
 	g := NewGrid(4, 4, Options{})
-	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 6, 1, 25.78125e9)
+	link, err := phy.NewLink(phy.Backplane, 6, 1, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestEdgeIndexStable(t *testing.T) {
 	if bound != len(g.Edges()) {
 		t.Fatalf("bound %d != %d edges", bound, len(g.Edges()))
 	}
-	link, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 2, 1, 25.78125e9)
+	link, err := phy.NewLink(phy.Backplane, 2, 1, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestEdgeIndexStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The removed index stays retired: the next express edge gets a fresh one.
-	link2, err := phy.NewLink(g.NextLinkID(), phy.Backplane, 2, 1, 25.78125e9)
+	link2, err := phy.NewLink(phy.Backplane, 2, 1, 25.78125e9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,26 +143,46 @@ func (r *Recorder) InitLinks(names []string, utilSummed bool) {
 		return
 	}
 	r.utilSummed = utilSummed
-	r.links = make([]linkSeries, len(names))
-	for i, name := range names {
-		r.links[i] = linkSeries{
-			name:  name,
-			util:  telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
-			depth: telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
-		}
+	r.links = make([]linkSeries, 0, len(names))
+	for _, name := range names {
+		r.addTrack(name)
 	}
 }
 
+// AddLink opens the track of an edge added after InitLinks (an express
+// channel the fabric builds at runtime), named as LinkNames names the
+// others. The track stays after the edge is removed.
+func (r *Recorder) AddLink(e *topo.Edge) {
+	if r == nil {
+		return
+	}
+	for len(r.links) <= e.Index() {
+		r.addTrack("")
+	}
+	r.links[e.Index()].name = trackName(e)
+}
+
+func (r *Recorder) addTrack(name string) {
+	r.links = append(r.links, linkSeries{
+		name:  name,
+		util:  telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
+		depth: telemetry.NewSeries(int64(SeriesInterval), SeriesWindows),
+	})
+}
+
 // LinkNames derives the canonical link track names for a graph, indexed by
-// Edge.Index (gaps — e.g. removed express channels — stay empty). The name
-// is stable across engines: "L<index>:<A>-<B>".
+// Edge.Index (gaps — e.g. removed express channels — stay empty).
 func LinkNames(g *topo.Graph) []string {
 	names := make([]string, g.EdgeIndexBound())
 	for _, e := range g.Edges() {
-		names[e.Index()] = fmt.Sprintf("L%d:%d-%d", e.Index(), e.A, e.B)
+		names[e.Index()] = trackName(e)
 	}
 	return names
 }
+
+// trackName is an edge's track name, stable across engines:
+// "L<index>:<A>-<B>".
+func trackName(e *topo.Edge) string { return fmt.Sprintf("L%d:%d-%d", e.Index(), e.A, e.B) }
 
 // Record appends ev to the ring, overwriting the oldest event when full.
 func (r *Recorder) Record(ev Event) {
