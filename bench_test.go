@@ -296,11 +296,12 @@ func BenchmarkServiceTick(b *testing.B) {
 // let each column search pop a FIFO queue. The priced arm is the same Build
 // under fixed unequal costs, the binary-heap search every CRC re-price
 // takes. The repair arm is one link failing and recovering against a live
-// table. In each direction the triage leaves most of the 256 columns alone
-// or re-derives a tie mask in place, and repairs the 14 columns whose
-// distances move over the few nodes whose distance changes. Re-running
-// Dijkstra on those columns was 98% of the arm's time before they were
-// repaired in place; BENCH_engine.json records all three. Build spreads
+// table. In each direction the prefilter leaves most of the 256 columns
+// alone; the column repair re-derives the tie masks of those the link ties
+// on, and repairs the 14 columns whose distances move over the few nodes
+// whose distance changes. Re-running Dijkstra on those columns was 98% of
+// the arm's time before they were repaired in place; BENCH_engine.json
+// records all three. Build spreads
 // its columns over GOMAXPROCS goroutines, so CI gates full and priced at
 // -cpu 1.
 func BenchmarkRouteRebuild(b *testing.B) {

@@ -7,7 +7,10 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick/<id>.golden from the current output")
+var (
+	update = flag.Bool("update", false, "rewrite the goldens the run compares with from the current output")
+	full   = flag.Bool("full", false, "also compare every experiment's Full-scale output with testdata/full/<id>.golden")
+)
 
 // TestExperimentsDeterministic is the regression gate for the paper's
 // reproducibility claim and for the parallel trial runner: every
@@ -30,35 +33,72 @@ func TestExperimentsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			run, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("experiment %q missing from registry", id)
-			}
-			render := func(cfg Config) string {
-				tab, err := run(cfg)
-				if err != nil {
-					t.Fatalf("%s at %+v: %v", id, cfg, err)
-				}
-				return tab.Fingerprint()
-			}
-			seq1 := render(Sequential(Quick))
-			golden := filepath.Join("testdata", "quick", id+".golden")
-			if *update {
-				if err := os.WriteFile(golden, []byte(seq1), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%s: %v (run with -update to create it)", id, err)
-			}
-			if seq1 != string(want) {
-				t.Fatalf("%s differs from %s:\n--- golden ---\n%s\n--- got ---\n%s", id, golden, want, seq1)
-			}
-			par := render(Config{Scale: Quick, Parallel: 4})
-			if par != seq1 {
-				t.Fatalf("%s diverges under the parallel runner:\n--- sequential ---\n%s\n--- parallel(4) ---\n%s", id, seq1, par)
+			seq := fingerprint(t, id, Sequential(Quick))
+			matchGolden(t, id, filepath.Join("testdata", "quick", id+".golden"), seq)
+			par := fingerprint(t, id, Config{Scale: Quick, Parallel: 4})
+			if par != seq {
+				t.Fatalf("%s diverges under the parallel runner:\n--- sequential ---\n%s\n--- parallel(4) ---\n%s", id, seq, par)
 			}
 		})
+	}
+}
+
+// TestFullScaleGoldens pins the paper-scale runs: every registered
+// experiment, run sequentially at Full scale, must render the bytes
+// committed in testdata/full/<id>.golden. The run takes minutes, so it
+// needs the -full flag and is skipped under -short:
+//
+//	go test ./internal/experiment -run TestFullScaleGoldens -timeout 30m -full
+//
+// The package comes first: go test hands every argument after -full, a
+// flag it does not know, to the test binary. -update rewrites the goldens
+// it compares with, under the same rule as the Quick ones. The subtests
+// run one at a time, so at most one Full-scale fabric (e8's 4,096 nodes
+// the largest) is live at once.
+func TestFullScaleGoldens(t *testing.T) {
+	if !*full || testing.Short() {
+		t.Skip("full-scale goldens run only with -full and without -short")
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			got := fingerprint(t, id, Sequential(Full))
+			matchGolden(t, id, filepath.Join("testdata", "full", id+".golden"), got)
+		})
+	}
+}
+
+// fingerprint runs experiment id under cfg and returns its table's
+// Fingerprint.
+func fingerprint(t *testing.T, id string, cfg Config) string {
+	t.Helper()
+	run, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("experiment %q missing from registry", id)
+	}
+	tab, err := run(cfg)
+	if err != nil {
+		t.Fatalf("%s at %+v: %v", id, cfg, err)
+	}
+	return tab.Fingerprint()
+}
+
+// matchGolden fails unless got equals the golden file's bytes; -update
+// writes got there first.
+func matchGolden(t *testing.T, id, golden, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update to create it)", id, err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s differs from %s:\n--- golden ---\n%s\n--- got ---\n%s", id, golden, want, got)
 	}
 }

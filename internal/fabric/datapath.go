@@ -35,8 +35,8 @@ func (f *Fabric) forward(node int, fr *switching.Frame) (int, bool) {
 	}
 	var e *topo.Edge
 	var ok bool
-	if f.vlb != nil {
-		e, fr.VLBPhase2, ok = f.vlb.NextHop(
+	if f.vlb {
+		e, fr.VLBPhase2, ok = f.table.VLBNextHop(
 			topo.NodeID(fr.SrcNode), topo.NodeID(node), topo.NodeID(fr.DstNode),
 			splitmix64(fr.FlowID), fr.VLBPhase2)
 	} else {
@@ -192,13 +192,14 @@ func (f *Fabric) onPause(node, port int, paused bool) {
 }
 
 // nackDelay estimates the reverse-path control latency for a corruption
-// NACK: hops × (pipeline + one hop of flight time), no queueing.
+// NACK: hops × (pipeline + one hop of flight time), no queueing. The hops
+// are the primary path's links, not its distance, which the CRC's prices
+// scale; an unreachable sender is charged one hop.
 func (f *Fabric) nackDelay(from, to int) sim.Duration {
-	d := f.table.Distance(topo.NodeID(from), topo.NodeID(to))
-	hops := int64(d)
-	if hops < 1 {
+	hops, err := f.table.Hops(topo.NodeID(from), topo.NodeID(to))
+	if err != nil || hops < 1 {
 		hops = 1
 	}
 	perHop := f.cfg.Switch.PipelineLatency + 10*sim.Nanosecond
-	return sim.Duration(hops * int64(perHop))
+	return sim.Duration(int64(hops) * int64(perHop))
 }

@@ -123,7 +123,7 @@ type Fabric struct {
 	hosts    []*host.Host
 	table    *route.Table
 	costFn   route.CostFunc
-	vlb      *route.VLB
+	vlb      bool // Valiant load balancing over table instead of shortest path
 	rng      *sim.RNG
 
 	// edgeAt[node][port] is the edge on a switch port (port 0 = host).
@@ -283,20 +283,11 @@ func (f *Fabric) RebuildRoutes(cost route.CostFunc) {
 	}
 	f.costFn = cost
 	f.table = route.Build(f.g, cost)
-	if f.vlb != nil {
-		f.vlb = route.NewVLB(f.table, f.g.NumNodes())
-	}
 }
 
 // SetVLB switches the fabric between shortest-path forwarding (default)
-// and Valiant load balancing over the current table.
-func (f *Fabric) SetVLB(enabled bool) {
-	if enabled {
-		f.vlb = route.NewVLB(f.table, f.g.NumNodes())
-	} else {
-		f.vlb = nil
-	}
-}
+// and Valiant load balancing over the routing table.
+func (f *Fabric) SetVLB(enabled bool) { f.vlb = enabled }
 
 // SetFrameTrains sets every NIC's train-coalescing limit for frames
 // queued from now on. Callers that switch a run to per-frame observation

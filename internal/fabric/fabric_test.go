@@ -151,6 +151,19 @@ func TestCorruptFrameRecovered(t *testing.T) {
 	}
 }
 
+// TestNACKDelayCountsHops: a corruption NACK is charged per switch hop of
+// the reverse path, not per unit of its price. On a 3-node line re-priced
+// at 2.5 per link, node 2 is 2 hops from node 0 at a distance of 5.
+func TestNACKDelayCountsHops(t *testing.T) {
+	g := topo.NewLine(3, topo.Options{})
+	_, f := build(t, g)
+	f.RebuildRoutes(func(*topo.Edge) float64 { return 2.5 })
+	perHop := f.cfg.Switch.PipelineLatency + 10*sim.Nanosecond
+	if got, want := f.nackDelay(2, 0), 2*perHop; got != want {
+		t.Fatalf("NACK delay over 2 hops priced 2.5 each = %v, want %v", got, want)
+	}
+}
+
 func TestPLPBreakChangesRate(t *testing.T) {
 	g := topo.NewGrid(3, 3, topo.Options{LanesPerLink: 2})
 	eng, f := build(t, g)

@@ -2,7 +2,7 @@
 // faults.Schedule the fluid engine takes via its Config, as simulation
 // events on its own clock. Each event group administratively toggles the
 // affected edges (and darkens lanes for degrades), then repairs the live
-// routing table incrementally in one batch triage — no oracle full rebuild.
+// routing table in place with one RepairBatch — no full rebuild.
 // With the Closed Ring Control running, the next epoch's collection sees
 // the changed fabric (disabled edges price to +Inf, darkened bundles lose
 // effective rate) and the CRC's own re-pricing loop takes over the healing;
@@ -33,7 +33,7 @@ func (f *Fabric) FaultStats() faults.Stats { return f.faultStats }
 // events, and registers them on the simulation clock. Events sharing one
 // instant — a node loss lowered to its incident edges — apply as a single
 // group: every administrative change lands first, then one RepairBatch
-// triages the group's edges against the current table. onApply, when
+// repairs the current table for the group's edges. onApply, when
 // non-nil, observes each applied group (the Closed Ring Control uses it to
 // put replayed faults on its decision log). Returns the number of capacity
 // events scheduled.
@@ -143,9 +143,6 @@ func (f *Fabric) applyFaultGroup(evs []faults.LinkEvent) int {
 	}
 	if restored && len(f.starved) > 0 {
 		f.closeHealedStarvation(now)
-	}
-	if cols > 0 && f.vlb != nil {
-		f.SetVLB(true) // re-derive VLB over the repaired table
 	}
 	f.samplePower()
 	return cols

@@ -32,8 +32,9 @@ import (
 // chasing intermediate topologies that never exist observably (no
 // simulated time separates the events). The group path commits all
 // capacity and administrative changes first, repairs the table once
-// through RepairBatch, then reroutes off every downed link in event order
-// and re-solves the union component with a single refill. Final paths and
+// through RepairBatch, which leaves it equal to a fresh route.Build, then
+// reroutes off every downed link in event order and re-solves the union
+// component with a single refill. Final paths and
 // rates are those of the fully-updated topology either way (zero time
 // elapses between same-instant events, so the intermediate solves settle
 // no volume) — TestFaultGroupMatchesSequential holds the two shapes to

@@ -40,7 +40,6 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		ties:    make([]uint16, n*n),
 		dist:    make([]float64, n*n),
 		costOf:  make([]float64, g.EdgeIndexBound()),
-		rows:    make([]int, 0, n),
 		moved:   make([]int, 0, n),
 		mark:    make([]uint32, n),
 		rowMark: make([]uint32, n),

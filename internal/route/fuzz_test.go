@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rackfab/internal/topo"
@@ -11,19 +12,22 @@ import (
 // FuzzRepairBatch builds a table, demands it equal referenceBuild, drives
 // it through fuzzer-chosen batches of edge-cost changes and, after every
 // batch, demands it equal a fresh Build over the same costs: every
-// distance bit for bit and every tie mask. A batch moves
-// 1–4 edges up, down (finite to smaller finite included), to +Inf or back
-// from it, so it reaches each triage outcome and each pass of the
-// incremental column repair, on fractional costs as well as whole ones.
+// distance bit for bit and every tie mask. It also demands that
+// RepairBatch count exactly the columns whose distances the batch moved. A
+// batch moves 1–4 edges up, down (finite to smaller finite included), to
+// +Inf or back from it, so it reaches each pass of the incremental column
+// repair, on fractional costs as well as whole ones, and on costs whose
+// path sums round as well as exact ones.
 //
 // Input layout: shape picks a grid, torus, line or ring and size its
 // dimensions; prices[i mod len(prices)] prices edge i at build; ops is a
 // run of batches, each a count byte (1 + b mod 4 edges) followed by that
 // many (edge, price) byte pairs. fuzzPrice maps a price byte to a cost.
 // The committed corpus under testdata/fuzz/FuzzRepairBatch keeps a
-// partition and heal, a node loss, a decrease onto a tied cost and a
-// restore from +Inf in every plain `go test` run; `go test -fuzz
-// FuzzRepairBatch ./internal/route/` explores further.
+// partition and heal, a node loss, a decrease onto a tied cost, a restore
+// from +Inf, a rise behind a fall and a pair of changes on tenths in every
+// plain `go test` run; `go test -run xxx -fuzz FuzzRepairBatch
+// ./internal/route/` explores further.
 func FuzzRepairBatch(f *testing.F) {
 	f.Add(uint8(0), uint8(5), []byte{3}, []byte{0, 4, 0xff, 0, 4, 3})
 	f.Add(uint8(1), uint8(4), []byte{3, 1, 7, 0}, []byte{3, 0, 2, 1, 9, 2, 0xff, 3, 5, 1, 8, 0, 1})
@@ -52,8 +56,13 @@ func FuzzRepairBatch(f *testing.F) {
 				batch = append(batch, e)
 				ops = ops[2:]
 			}
-			tab.RepairBatch(g, costFn, batch)
-			tablesEqual(t, fmt.Sprintf("%s batch %d", g.Kind(), step), Build(g, costFn), tab)
+			before := slices.Clone(tab.dist)
+			cols := tab.RepairBatch(g, costFn, batch)
+			label := fmt.Sprintf("%s batch %d", g.Kind(), step)
+			tablesEqual(t, label, Build(g, costFn), tab)
+			if want := movedColumns(before, tab); cols != want {
+				t.Fatalf("%s: RepairBatch counted %d columns, %d moved", label, cols, want)
+			}
 		}
 	})
 }
@@ -73,16 +82,34 @@ func fuzzGraph(shape, size uint8) *topo.Graph {
 	}
 }
 
-// fuzzPrice maps a price byte to an edge cost: +Inf from 0xf0 up, else a
-// multiple of 1/4 in [0.25, 4] (3 is 1, 7 is 2). The quarters keep every
-// path sum exact in float64, so two paths tie exactly or differ by at
-// least 1/4. The triage compares distances within a 1e-9 tolerance, and
-// costs whose sums round (a fraction like 0.1) can leave two orderings
-// of one path a few ulps apart: the triage takes them for a tie while
-// Build keeps the smaller sum.
+// fuzzPrice maps a price byte to an edge cost: a multiple of 1/4 in
+// [0.25, 4] below 0x80 (3 is 1, 7 is 2), a multiple of 1/10 in [0.1, 3.2]
+// from 0x80 (0x83 is 0.4), and +Inf from 0xf0. Quarters keep every path
+// sum exact in float64, so two paths tie exactly or differ by at least
+// 1/4. Tenths round the way CRC prices do: two paths of one length can sum
+// a few ulps apart, and a repaired column matches Build only if it lands
+// on the exact fixed point. The corpus entries found before tenths were
+// mapped use only bytes below 0x80 and from 0xf0, so they replay the costs
+// they were found with.
 func fuzzPrice(b byte) float64 {
-	if b >= 0xf0 {
+	switch {
+	case b >= 0xf0:
 		return math.Inf(1)
+	case b >= 0x80:
+		return float64(1+b%32) / 10
 	}
 	return float64(1+b%16) / 4
+}
+
+// movedColumns counts the destination columns whose distances differ
+// between before, a copy of tab.dist, and tab.
+func movedColumns(before []float64, tab *Table) int {
+	moved := 0
+	for dst := 0; dst < tab.n; dst++ {
+		lo, hi := dst*tab.n, (dst+1)*tab.n
+		if !slices.Equal(before[lo:hi], tab.dist[lo:hi]) {
+			moved++
+		}
+	}
+	return moved
 }

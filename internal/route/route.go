@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"rackfab/internal/heapx"
 	"rackfab/internal/topo"
@@ -79,7 +78,6 @@ type Table struct {
 	// epoch, which advances once per repaired column, so no column clears
 	// them.
 	changes []costChange // the batch's edges whose cost moved
-	rows    []int        // ties-only rows of the column being triaged
 	moved   []int        // nodes whose distance repairColumn rewrote
 	mark    []uint32     // [node] repairColumn's verdict: epoch+markKeep/Lost/Lowered
 	rowMark []uint32     // [node] epoch once the column's tie mask is re-derived
@@ -106,58 +104,6 @@ func (t *Table) setCost(e *topo.Edge, c float64) {
 	}
 }
 
-// Per-destination triage outcomes.
-const (
-	colNone = iota // untouched
-	colTies        // distances survive; one endpoint's ECMP tie set changes
-	colFull        // distances can move: incremental column repair
-)
-
-// columnImpact is RepairBatch's per-destination triage: how can an edge (a,b)
-// whose cost moved c0 → c1 touch destination dst? Returns the impact and,
-// for colTies, the node whose tie set must be re-derived. The test is O(1)
-// against the stored distance matrix, which must still describe the
-// table's current column when the test runs — batch callers triage a
-// column against every change BEFORE mutating it.
-func (t *Table) columnImpact(dst, a, b int, c0, c1 float64) (int, int) {
-	const eps = 1e-9
-	off := dst * t.n
-	da, db := t.dist[off+a], t.dist[off+b]
-	if !math.IsInf(c0, 1) && !math.IsInf(da, 1) && !math.IsInf(db, 1) {
-		gap, hiNode := da-db, a
-		if gap < 0 {
-			gap, hiNode = -gap, b
-		}
-		if math.Abs(gap-c0) < eps { // the edge was on dst's shortest-path DAG
-			if c1 < c0 {
-				return colFull, 0 // cheaper edge on the DAG: strictly shorter paths
-			}
-			// Increase or removal: the edge leaves the far endpoint's tie
-			// set. Distances survive iff a cost-tied alternative remains.
-			if bits.OnesCount16(t.ties[off+hiNode]) >= 2 {
-				return colTies, hiNode
-			}
-			return colFull, 0
-		}
-	}
-	if !math.IsInf(c1, 1) {
-		lo, hi, hiNode := da, db, b
-		if lo > hi {
-			lo, hi, hiNode = hi, lo, a
-		}
-		if !math.IsInf(lo, 1) {
-			// hi may be +Inf (connectivity restored): strictly shorter.
-			if c1+lo < hi-eps {
-				return colFull, 0
-			}
-			if c1+lo <= hi+eps {
-				return colTies, hiNode // newly cost-tied next hop
-			}
-		}
-	}
-	return colNone, 0
-}
-
 // tieMask is the tie rule: the mask of from's links that start a
 // minimum-cost path to the destination whose distance column is col, under
 // the cost snapshot. The destination itself (distance 0) and unreachable
@@ -181,62 +127,20 @@ func (t *Table) tieMask(from int, col []float64) uint16 {
 	return mask
 }
 
-// scrubRow re-derives the tie mask of one (from, dst) pair against the
-// stored (unchanged) distance column and the current cost snapshot. It
-// reports whether the row emptied: the triage's distance-survival
-// assumption broke (every tie of a reachable pair vanished) and the caller
-// must rebuild the column.
-func (t *Table) scrubRow(from, dst int) bool {
-	col := t.dist[dst*t.n : (dst+1)*t.n]
-	mask := t.tieMask(from, col)
-	t.ties[dst*t.n+from] = mask
-	return mask == 0
-}
-
 // RepairBatch updates the table in place after one or more simultaneous
-// edge-cost changes (a link failed, recovered, or was re-priced; a node
-// event's incident links; a multi-link pulse), repairing distances only in
-// the destination columns whose shortest-path *distances* the changes can
-// move. All cost snapshots move first, then every destination column is
-// triaged once against every change, using the pre-batch distance matrix
-// throughout. The triage distinguishes three impacts per destination:
-//
-//   - none: no changed edge was on the column's shortest-path DAG and the
-//     new costs create no shorter or tied path — untouched.
-//   - ties only: distances provably survive, only ECMP tie sets at edge
-//     endpoints change — a cost increase removing one of ≥2 cost-tied
-//     next hops, or a decrease landing exactly on the current shortest
-//     cost. Each touched row's tie mask is re-derived in place against the
-//     unchanged distance column by the same rule Build uses.
-//   - distances move (the sole shortest path died, a strictly shorter path
-//     appeared, reachability was restored): repairColumn rewrites only the
-//     distances that move and the tie masks that can follow them.
-//
-// A repaired column equals a fresh Build's bit for bit. Costs are positive
-// and dist+c > dist holds in float64 for every distance and cost a table
-// sees, so a column's distances are the unique fixed point of
-// dist[v] = min over links (v,u) of dist[u]+c, with dist[dst] = 0 — the
-// point Build's Dijkstra reaches, and the one repairColumn restores. Tie
-// masks are a function of the distances and costs, so they follow. The
-// triage compares distances within 1e-9, so where path sums round (costs
-// that are not short binary fractions), two paths a few ulps apart pass
-// for a tie and a ties-only verdict keeps a distance those ulps from
-// Build's. On whole or quarter costs the sums are exact and the whole
-// table equals a fresh Build.
-//
-// The result is bit-identical in routing behavior to a chain of one-edge
-// batches in any order. Sketch: each one-edge repair keeps the table
-// equivalent to a fresh Build, so a column neither repair touches has
-// unchanged distances — the batch triage sees exactly the values each
-// sequential triage would, and a column any single-edge test flags is
-// repaired here over the union of changes, which is where the sequential
-// chain also lands it.
-//
-// Every write lands in the table's fixed-size arrays, so repair never grows
-// it. g must be the graph the table was built over, with its adjacency
-// unchanged. Returns the number of destination columns whose distances the
-// triage found could move, at most once each, so the count can undercut
-// the sequential sum (ties-only scrubs are not counted).
+// edge-cost changes (a link failed, recovered or was re-priced, a node
+// event's incident links, a multi-link pulse), leaving it equal to a fresh
+// Build over the new costs bit for bit. All cost snapshots move first;
+// then every destination column that touched flags goes through
+// repairColumn. Costs are positive and dist+c > dist holds in float64 for
+// every distance and cost a table sees, so a column's distances are the
+// unique fixed point of dist[v] = min over links (v,u) of dist[u]+c, with
+// dist[dst] = 0: the point Build's search reaches and repairColumn
+// restores. Tie masks are a function of the distances and costs, so they
+// follow. Every write lands in the table's fixed-size arrays, so repair
+// never grows it. g must be the graph the table was built over, with its
+// adjacency unchanged. Returns the number of destination columns whose
+// distances moved.
 func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) int {
 	if cost == nil {
 		cost = UniformCost
@@ -257,44 +161,39 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 	if len(t.changes) == 0 {
 		return 0
 	}
-	repaired := 0
+	cols := 0
 	for dst := 0; dst < t.n; dst++ {
-		// Triage this column against every change before mutating it: a
-		// column's own distances are exactly the pre-batch ones until its
-		// scrub/repair below, and no other column's repair touches them.
-		impact := colNone
-		t.rows = t.rows[:0]
-		for _, ch := range t.changes {
-			imp, row := t.columnImpact(dst, ch.a, ch.b, ch.c0, ch.c1)
-			if imp == colFull {
-				impact = colFull
-				break
-			}
-			if imp == colTies {
-				impact = colTies
-				if !slices.Contains(t.rows, row) {
-					t.rows = append(t.rows, row)
-				}
-			}
-		}
-		if impact == colTies {
-			// Scrub each touched row once over the final costs. A row that
-			// empties means the changes composed into a distance move no
-			// single-edge test could see (e.g. both ties of a node dying in
-			// one batch) — escalate to a distance repair.
-			for _, row := range t.rows {
-				if t.scrubRow(row, dst) {
-					impact = colFull
-					break
-				}
-			}
-		}
-		if impact == colFull {
-			t.repairColumn(dst)
-			repaired++
+		if t.touched(dst) && t.repairColumn(dst) {
+			cols++
 		}
 	}
-	return repaired
+	return cols
+}
+
+// touched is RepairBatch's prefilter: whether a change of the batch can
+// move dst's distances or tie masks, judged against the column's distances
+// before the batch. A changed link can move them only if it was on the
+// column's shortest-path DAG (its old cost spans its endpoints' distance
+// gap) or if its new cost ties or beats the farther endpoint's distance
+// from the nearer one. Both tests allow tieMask's 1e-9 tolerance, so they
+// can send repairColumn a column it leaves as it was, but never miss one
+// it would change.
+func (t *Table) touched(dst int) bool {
+	const eps = 1e-9
+	col := t.dist[dst*t.n : (dst+1)*t.n]
+	for _, ch := range t.changes {
+		lo, hi := col[ch.a], col[ch.b]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if math.IsInf(lo, 1) {
+			continue // neither endpoint reaches dst
+		}
+		if math.Abs(hi-lo-ch.c0) < eps || ch.c1+lo <= hi+eps {
+			return true
+		}
+	}
+	return false
 }
 
 // Verdicts repairColumn stamps into Table.mark, as offsets from the
@@ -326,7 +225,13 @@ const (
 //  3. Re-derive the tie masks that can change: those of nodes whose
 //     distance was rewritten, of their neighbours, and of the changed
 //     links' endpoints.
-func (t *Table) repairColumn(dst int) {
+//
+// It reports whether any distance moved, which is just when it rewrote
+// one. An uncollected node the Dijkstra pass lowers ends strictly below
+// its old distance. If there is none, the collected node that ends
+// nearest takes its distance from an unmoved, uncollected neighbour, which
+// would have witnessed it had that distance come back unchanged.
+func (t *Table) repairColumn(dst int) bool {
 	off := dst * t.n
 	col := t.dist[off : off+t.n]
 	if t.epoch > math.MaxUint32-2*markSpan {
@@ -410,6 +315,7 @@ func (t *Table) repairColumn(dst int) {
 		t.retie(ch.a, col, ties)
 		t.retie(ch.b, col, ties)
 	}
+	return len(t.moved) > 0
 }
 
 // pushFinite queues v for repairColumn's first pass, keyed by its old
@@ -492,20 +398,11 @@ func (t *Table) Path(from, to topo.NodeID) ([]int32, error) {
 	if from == to {
 		return nil, nil
 	}
-	if math.IsInf(t.Distance(from, to), 1) {
-		return nil, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
+	hops, err := t.Hops(from, to)
+	if err != nil {
+		return nil, err
 	}
 	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
-	hops := 0
-	for cur := int32(from); cur != int32(to); hops++ {
-		if ties[cur] == 0 {
-			return nil, fmt.Errorf("route: no next hop from %d to %d", cur, to)
-		}
-		if hops == t.n {
-			return nil, fmt.Errorf("route: loop routing %d→%d", from, to)
-		}
-		cur = t.adjNbr[t.primary(cur, ties)]
-	}
 	path := make([]int32, hops)
 	cur := int32(from)
 	for i := range path {
@@ -513,6 +410,27 @@ func (t *Table) Path(from, to topo.NodeID) ([]int32, error) {
 		path[i], cur = t.adjEdge[s], t.adjNbr[s]
 	}
 	return path, nil
+}
+
+// Hops returns the number of links on the primary path, walking it as Path
+// does without building it, with Path's errors. Unlike the distance, the
+// count does not depend on the link prices.
+func (t *Table) Hops(from, to topo.NodeID) (int, error) {
+	if math.IsInf(t.Distance(from, to), 1) {
+		return 0, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
+	}
+	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
+	hops := 0
+	for cur := int32(from); cur != int32(to); hops++ {
+		if ties[cur] == 0 {
+			return 0, fmt.Errorf("route: no next hop from %d to %d", cur, to)
+		}
+		if hops == t.n {
+			return 0, fmt.Errorf("route: loop routing %d→%d", from, to)
+		}
+		cur = t.adjNbr[t.primary(cur, ties)]
+	}
+	return hops, nil
 }
 
 // primary returns the snapshot slot of v's primary next hop in the tie

@@ -40,7 +40,7 @@ const (
 	// Value=capacity factor in per-mille; 0 = link down).
 	FaultApply
 	// FaultRepair is a routing-table repair pass after fault application
-	// (Value=repaired destination columns).
+	// (Value=destination columns whose distances moved).
 	FaultRepair
 	// FillWarm is a fluid refill answered by the warm-start oracle
 	// (Value=flows in the re-solved component).
