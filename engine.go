@@ -3,7 +3,6 @@ package rackfab
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"rackfab/internal/fabric"
@@ -13,7 +12,6 @@ import (
 	"rackfab/internal/ringctl"
 	"rackfab/internal/service"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
 	"rackfab/internal/workload"
@@ -94,17 +92,22 @@ func (f *Flow) Failed() bool {
 // CompletionTime returns the flow completion time; it errors on unfinished
 // flows.
 func (f *Flow) CompletionTime() (time.Duration, error) {
+	start, end, err := f.window()
+	return fromSim(end.Sub(start)), err
+}
+
+// result returns the flow's start instant and its exact completion time
+// in simulator picoseconds, and whether it finished (a failed flow did
+// not).
+func (f *Flow) result() (start sim.Time, fct sim.Duration, ok bool) {
 	if f.pk != nil {
-		if !f.pk.Done() {
-			return 0, fmt.Errorf("rackfab: flow %d unfinished", f.pk.ID)
+		if !f.pk.Done() || f.pk.Failed() {
+			return 0, 0, false
 		}
-		return fromSim(f.pk.FCT()), nil
+		return f.pk.Started(), f.pk.FCT(), true
 	}
 	st := f.fb.status(f)
-	if !st.Done {
-		return 0, fmt.Errorf("rackfab: flow %d→%d unfinished", f.spec.Src, f.spec.Dst)
-	}
-	return fromSim(st.FCT), nil
+	return st.Start, st.FCT, st.Done
 }
 
 // Retransmits returns the number of retransmitted frames (always zero on
@@ -128,17 +131,11 @@ func (f *Flow) Bytes() int64 { return f.spec.Bytes }
 // window returns the flow's (start, end) instants; it errors on unfinished
 // flows. Both engines feed JobCompletionTime through this.
 func (f *Flow) window() (start, end sim.Time, err error) {
-	if f.pk != nil {
-		if !f.pk.Done() {
-			return 0, 0, fmt.Errorf("rackfab: flow %d unfinished", f.pk.ID)
-		}
-		return f.pk.Started(), f.pk.Started().Add(f.pk.FCT()), nil
-	}
-	st := f.fb.status(f)
-	if !st.Done {
+	start, fct, ok := f.result()
+	if !ok {
 		return 0, 0, fmt.Errorf("rackfab: flow %d→%d unfinished", f.spec.Src, f.spec.Dst)
 	}
-	return st.Start, st.Start.Add(st.FCT), nil
+	return start, start.Add(fct), nil
 }
 
 // lowerSpecs converts façade specs, whose At is relative to base, to the
@@ -283,28 +280,17 @@ func (b *packetBackend) applyFaults(sched *faults.Schedule) error {
 
 func (b *packetBackend) fill(r *Report) {
 	st := b.fab.Stats()
-	toSummary := func(h interface {
-		Count() int64
-		Mean() float64
-		Quantile(float64) int64
-		Max() int64
-	}) Summary {
-		const us = 1e6 // ps per µs
-		return Summary{
-			Count:  h.Count(),
-			MeanUs: h.Mean() / us,
-			P50Us:  float64(h.Quantile(0.5)) / us,
-			P99Us:  float64(h.Quantile(0.99)) / us,
-			MaxUs:  float64(h.Max()) / us,
-		}
+	r.Latency = Summary{
+		Count:  st.Latency.Count(),
+		MeanUs: st.Latency.Mean() / psPerUs,
+		P50Us:  float64(st.Latency.Quantile(0.5)) / psPerUs,
+		P99Us:  float64(st.Latency.Quantile(0.99)) / psPerUs,
+		MaxUs:  float64(st.Latency.Max()) / psPerUs,
 	}
-	r.Latency = toSummary(st.Latency)
-	r.FCT = toSummary(st.FCT)
 	r.MeanHops = st.Hops.Mean()
 	r.FramesDelivered = st.Delivered.Value()
 	r.FramesDropped = st.Dropped.Value()
 	r.FramesCorrupt = st.Corrupt.Value()
-	r.FlowsCompleted = st.FlowsCompleted.Value()
 	r.PowerPeakW = b.fab.PowerBudget().PeakW()
 	r.PowerNowW = b.fab.TotalPowerW()
 	r.EnergyJ = b.fab.PowerBudget().EnergyJ()
@@ -477,24 +463,10 @@ func (b *fluidBackend) fill(r *Report) {
 		return
 	}
 	snap := b.sess.Snapshot()
-	r.FlowsCompleted = int64(len(snap.Flows))
 	if n := len(snap.Flows); n > 0 {
-		const us = 1e6 // ps per µs
-		fcts := make([]sim.Duration, n)
-		var sum float64
 		var hops int64
-		for i, fl := range snap.Flows {
-			fcts[i] = fl.FCT
-			sum += float64(fl.FCT)
+		for _, fl := range snap.Flows {
 			hops += int64(fl.Hops)
-		}
-		sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
-		r.FCT = Summary{
-			Count:  int64(n),
-			MeanUs: sum / float64(n) / us,
-			P50Us:  float64(fcts[telemetry.NearestRank(n, 50)]) / us,
-			P99Us:  float64(fcts[telemetry.NearestRank(n, 99)]) / us,
-			MaxUs:  float64(fcts[n-1]) / us,
 		}
 		r.MeanHops = float64(hops) / float64(n)
 	}

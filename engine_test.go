@@ -79,7 +79,7 @@ func TestFluidQuickstart(t *testing.T) {
 	}
 }
 
-// TestFluidReportMatchesPacketConventions: the same completed workload
+// TestFlowsCompletedConsistentAcrossEngines: the same completed workload
 // reports the same FlowsCompleted on either engine.
 func TestFlowsCompletedConsistentAcrossEngines(t *testing.T) {
 	counts := map[Engine]int64{}
@@ -98,6 +98,69 @@ func TestFlowsCompletedConsistentAcrossEngines(t *testing.T) {
 	}
 	if counts[EnginePacket] != counts[EngineFluid] || counts[EnginePacket] != int64(len(differentialSpecs())) {
 		t.Fatalf("FlowsCompleted diverged: %v", counts)
+	}
+}
+
+// TestReportFlowSectionsAreHandleSummaries pins Report's per-flow sections
+// to one definition on both engines: FlowsCompleted and FCT's Count, P50Us,
+// P99Us and MaxUs are the exact nearest-rank summary of the completion
+// times of the handles Inject returned, whatever the engine's own
+// instruments hold. Flows a Service injected have no handle and count in
+// neither.
+func TestReportFlowSectionsAreHandleSummaries(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 3, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := c.Inject(UniformTraffic(c, 50, 64<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntilDone(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			fcts := make([]int64, len(flows))
+			for i, f := range flows {
+				_, d, ok := f.result()
+				if !ok {
+					t.Fatalf("flow %d unfinished", i)
+				}
+				fcts[i] = int64(d)
+			}
+			sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
+			n := len(fcts)
+			// rank returns the ceil(n·pct/100)-th smallest FCT in µs.
+			rank := func(pct int) float64 { return float64(fcts[(n*pct+99)/100-1]) / 1e6 }
+			want := Summary{Count: int64(n), P50Us: rank(50), P99Us: rank(99), MaxUs: rank(100)}
+			rep := c.Report()
+			got := rep.FCT
+			got.MeanUs = 0
+			if rep.FlowsCompleted != int64(n) || got != want {
+				t.Fatalf("Report: %d flows, FCT %+v\nhandles: %d flows, FCT %+v", rep.FlowsCompleted, got, n, want)
+			}
+
+			served, err := New(Config{Topology: Grid, Width: 4, Height: 4, Seed: 3, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := served.Serve(ServeConfig{Arrivals: ArrivalSpec{Rate: 1e5, Sizes: "fixed:1000"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := svc.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if svc.Stats().Completed == 0 {
+				t.Fatal("the service completed no flow")
+			}
+			if r := served.Report(); r.FlowsCompleted != 0 || r.FCT != (Summary{}) {
+				t.Fatalf("served cluster reports %d flows, FCT %+v; want none", r.FlowsCompleted, r.FCT)
+			}
+		})
 	}
 }
 

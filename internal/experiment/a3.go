@@ -58,11 +58,8 @@ func A3(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &result{
-			jct:      jct,
-			fctP99:   sim.Duration(f.Stats().FCT.Quantile(0.99)),
-			meanHops: f.Stats().Hops.Mean(),
-		}, nil
+		_, p99 := fctPercentiles(flows)
+		return &result{jct: jct, fctP99: p99, meanHops: f.Stats().Hops.Mean()}, nil
 	}
 
 	modes := []string{"shortest", "vlb", "adaptive"}

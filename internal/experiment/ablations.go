@@ -40,14 +40,15 @@ func A1(cfg Config) (*Table, error) {
 			HotFraction:      0.6,
 			MeanInterarrival: 2 * sim.Microsecond,
 		})
-		if _, err := f.InjectFlows(specs); err != nil {
+		injected, err := f.InjectFlows(specs)
+		if err != nil {
 			return 0, 0, err
 		}
 		if err := f.RunUntilDone(sim.Time(30 * sim.Second)); err != nil {
 			return 0, 0, err
 		}
-		return sim.Duration(f.Stats().FCT.Quantile(0.5)),
-			sim.Duration(f.Stats().FCT.Quantile(0.99)), nil
+		p50, p99 := fctPercentiles(injected)
+		return p50, p99, nil
 	}
 
 	full := ringctl.DefaultWeights()

@@ -2,13 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"rackfab/internal/fabric"
 	"rackfab/internal/faults"
 	"rackfab/internal/fluid"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -116,26 +114,22 @@ func e10PacketRung(kind string, side int) (e10Cell, error) {
 		if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
 			return 0, 0, 0, 0, 0, 0, err
 		}
-		fcts := make([]sim.Duration, 0, len(flows))
 		var sum sim.Duration
 		for i, flw := range flows {
 			if !flw.Done() || flw.Failed() {
 				return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: flow %d unfinished", kind, side*side, i)
 			}
-			d := flw.FCT()
-			fcts = append(fcts, d)
-			sum += d
+			sum += flw.FCT()
 		}
-		if len(fcts) == 0 {
+		if len(flows) == 0 {
 			return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: %w", kind, side*side, ErrNoCompletedFlows)
 		}
 		if jct, err = fabric.JobCompletionTime(flows); err != nil {
 			return 0, 0, 0, 0, 0, 0, err
 		}
-		sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
+		_, p99 = fctPercentiles(flows)
 		fs := f.FaultStats()
-		return sum / sim.Duration(len(fcts)), fcts[telemetry.NearestRank(len(fcts), 99)],
-			jct, fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
+		return sum / sim.Duration(len(flows)), p99, jct, fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
 	}
 
 	baseMean, baseP99, baseJCT, _, _, _, err := run(nil)

@@ -10,7 +10,9 @@ import (
 
 	"rackfab"
 	"rackfab/internal/fabric"
+	"rackfab/internal/host"
 	"rackfab/internal/sim"
+	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 )
 
@@ -75,6 +77,17 @@ func buildFabric(g *topo.Graph, seed int64, mutate ...func(*fabric.Config)) (*si
 		return nil, nil, err
 	}
 	return eng, f, nil
+}
+
+// fctPercentiles returns the exact nearest-rank p50 and p99 of the
+// completion times of flows, which must all have finished.
+func fctPercentiles(flows []*host.Flow) (p50, p99 sim.Duration) {
+	fcts := make([]sim.Duration, len(flows))
+	for i, fl := range flows {
+		fcts[i] = fl.FCT()
+	}
+	p50, p99, _ = telemetry.Percentiles(fcts)
+	return p50, p99
 }
 
 // ns formats a duration as nanoseconds with sensible precision.

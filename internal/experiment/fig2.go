@@ -66,7 +66,8 @@ func Fig2(cfg Config) (*Table, error) {
 			Size:             workload.Fixed(512),
 			MeanInterarrival: 2 * sim.Microsecond,
 		})
-		if _, err := f.InjectFlows(specs); err != nil {
+		injected, err := f.InjectFlows(specs)
+		if err != nil {
 			return nil, err
 		}
 		if err := f.RunUntilDone(sim.Time(10 * sim.Second)); err != nil {
@@ -82,11 +83,12 @@ func Fig2(cfg Config) (*Table, error) {
 				express++
 			}
 		}
+		_, fctP99 := fctPercentiles(injected)
 		return &phase{
 			meanHops:   mean,
 			latP50:     sim.Duration(f.Stats().Latency.Quantile(0.5)),
 			latP99:     sim.Duration(f.Stats().Latency.Quantile(0.99)),
-			fctP99:     sim.Duration(f.Stats().FCT.Quantile(0.99)),
+			fctP99:     fctP99,
 			powerPeakW: f.PowerBudget().PeakW(),
 			express:    express,
 			commands:   commands,

@@ -70,9 +70,10 @@ func DefaultConfig(g *topo.Graph) Config {
 	}
 }
 
-// Stats aggregates the fabric-wide instruments that a run's Report and the
-// experiments read. Delivered, Corrupt, Latency and Hops count a train as
-// the member frames it carries.
+// Stats aggregates the fabric-wide per-frame instruments that a run's
+// Report and the experiments read. Delivered, Corrupt, Latency and Hops
+// count a train as the member frames it carries. Flow completion times are
+// read off the flows InjectFlows returns.
 type Stats struct {
 	// Latency is the end-to-end frame latency distribution (ps).
 	Latency *telemetry.Histogram
@@ -83,10 +84,6 @@ type Stats struct {
 	Delivered telemetry.Counter
 	Dropped   telemetry.Counter
 	Corrupt   telemetry.Counter
-	// FlowsCompleted counts flows.
-	FlowsCompleted telemetry.Counter
-	// FCT is the flow-completion-time distribution (ps).
-	FCT *telemetry.Histogram
 }
 
 // linkState is the fabric's per-link bookkeeping, and the handler of the
@@ -187,7 +184,6 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	}
 	f.stats.Latency = telemetry.NewHistogram()
 	f.stats.Hops = telemetry.NewHistogram()
-	f.stats.FCT = telemetry.NewHistogram()
 	f.freePorts = make([][]int, n)
 
 	// Port plan: 0 = host, 1..deg = fabric edges, then express spares.

@@ -529,20 +529,21 @@ func TestPowerAccounting(t *testing.T) {
 }
 
 func TestClosedLoopWithController(t *testing.T) {
-	// Full loop: fabric + CRC. A hot grid under shuffle traffic must end
-	// reconfigured with routes intact and all flows completing.
+	// Full loop: fabric + CRC. A grid under enough uniform bulk traffic to
+	// cross ringctl.ReconfigUtilization must end reconfigured with routes
+	// intact and all flows completing.
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	eng, f := build(t, g)
 	cfg := ringctl.DefaultConfig()
 	cfg.Epoch = 50 * sim.Microsecond
-	cfg.ReconfigUtilization = 0.05 // trigger easily under test load
 	ctl := ringctl.New(eng, f, cfg)
 	ctl.Start()
 
 	rng := sim.NewRNG(7)
-	specs := workload.Shuffle(rng, workload.ShuffleConfig{
-		Mappers: workload.Range(16), Reducers: workload.Range(16),
-		BytesPerPair: 64e3,
+	specs := workload.Uniform(rng, workload.UniformConfig{
+		Nodes: 16, Flows: 200,
+		Size:             workload.Fixed(1e6),
+		MeanInterarrival: 2 * sim.Microsecond,
 	})
 	flows, err := f.InjectFlows(specs)
 	if err != nil {

@@ -45,8 +45,6 @@ func (f *Fabric) InjectFlows(specs []workload.FlowSpec) ([]*host.Flow, error) {
 // onFlowDone is the completion hook shared by all hosts.
 func (f *Fabric) onFlowDone(fl *host.Flow) {
 	delete(f.active, fl.ID)
-	f.stats.FlowsCompleted.Inc()
-	f.stats.FCT.Record(int64(fl.FCT()))
 	f.trace.Record(trace.Event{
 		At: f.eng.Now(), Kind: trace.FlowComplete,
 		Flow: int64(fl.ID), Link: -1, Node: int32(fl.Dst), Value: int64(fl.FCT()),

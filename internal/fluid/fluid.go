@@ -108,9 +108,7 @@ type Result struct {
 	Flows []FlowResult
 	// MeanFCT and P99FCT summarize completion times. P99FCT is the exact
 	// nearest-rank sample, the ceil(0.99·n)-th smallest
-	// (telemetry.NearestRank). telemetry.Histogram.Quantile resolves the
-	// same rank but returns the lower bound of that sample's bucket, up to
-	// 6.25% low.
+	// (telemetry.Percentiles).
 	MeanFCT, P99FCT sim.Duration
 	// JCT is the barrier completion time across all flows.
 	JCT sim.Duration
@@ -195,8 +193,7 @@ func summarize(res *Result) {
 			earliest = f.Start
 		}
 	}
-	sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
 	res.MeanFCT = sim.Duration(sum / float64(len(fcts)))
-	res.P99FCT = fcts[telemetry.NearestRank(len(fcts), 99)]
+	_, res.P99FCT, _ = telemetry.Percentiles(fcts)
 	res.JCT = latest.Sub(earliest)
 }

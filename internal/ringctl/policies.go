@@ -357,7 +357,7 @@ func (c *Controller) runBypassReclaim(reports []LinkReport) {
 // runReconfigPolicy fires Figure 2's grid→torus mutation when sustained
 // utilization shows the grid's mean hop count is the bottleneck.
 func (c *Controller) runReconfigPolicy(reports []LinkReport) {
-	if c.reconfigd || c.cfg.ReconfigUtilization <= 0 {
+	if c.reconfigd {
 		return
 	}
 	g := c.fabric.Graph()
@@ -376,10 +376,10 @@ func (c *Controller) runReconfigPolicy(reports []LinkReport) {
 		return
 	}
 	meanUtil /= float64(n)
-	if meanUtil < c.cfg.ReconfigUtilization {
+	if meanUtil < ReconfigUtilization {
 		return
 	}
-	c.log("reconfig", fmt.Sprintf("mean util %.2f ≥ %.2f: triggering grid→torus", meanUtil, c.cfg.ReconfigUtilization), nil)
+	c.log("reconfig", fmt.Sprintf("mean util %.2f ≥ %.2f: triggering grid→torus", meanUtil, ReconfigUtilization), nil)
 	if err := c.ApplyGridToTorus(1); err != nil {
 		c.log("reconfig", fmt.Sprintf("plan failed: %v", err), nil)
 	}

@@ -125,6 +125,9 @@ const (
 	// BypassIdleUtilization is the utilization floor below which an
 	// express channel counts as idle.
 	BypassIdleUtilization = 0.02
+	// ReconfigUtilization is the mean link utilization at which the
+	// reconfiguration policy turns a grid into a torus.
+	ReconfigUtilization = 0.55
 )
 
 // Config parameterizes the controller.
@@ -140,22 +143,17 @@ type Config struct {
 	// EnableFEC / EnableRouting / EnablePower / EnableBypass /
 	// EnableReconfig gate the policies (ablation switches).
 	EnableFEC, EnableRouting, EnablePower, EnableBypass, EnableReconfig bool
-	// ReconfigUtilization triggers grid→torus when mean utilization
-	// crosses it (0 disables the automatic trigger).
-	ReconfigUtilization float64
 }
 
-// DefaultConfig enables every policy with the default price weights and
-// reconfiguration trigger.
+// DefaultConfig enables every policy with the default price weights.
 func DefaultConfig() Config {
 	return Config{
-		Weights:             DefaultWeights(),
-		EnableFEC:           true,
-		EnableRouting:       true,
-		EnablePower:         true,
-		EnableBypass:        true,
-		EnableReconfig:      true,
-		ReconfigUtilization: 0.55,
+		Weights:        DefaultWeights(),
+		EnableFEC:      true,
+		EnableRouting:  true,
+		EnablePower:    true,
+		EnableBypass:   true,
+		EnableReconfig: true,
 	}
 }
 

@@ -59,7 +59,7 @@ type Config struct {
 	// attainment; nil disables attainment accounting.
 	Ideal func(c Completion) sim.Duration
 	// SLOTargetX is the attainment multiplier k (FCT ≤ k × ideal attains);
-	// 0 means 4, matching the façade's Report default.
+	// it must be a positive number.
 	SLOTargetX float64
 }
 
@@ -85,8 +85,8 @@ func New(cfg Config, t Target) (*Driver, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("service: an arrival source is required")
 	}
-	if cfg.SLOTargetX == 0 {
-		cfg.SLOTargetX = 4
+	if !(cfg.SLOTargetX > 0) {
+		return nil, fmt.Errorf("service: SLO target multiplier must be a positive number, got %v", cfg.SLOTargetX)
 	}
 	return &Driver{cfg: cfg, t: t, fct: telemetry.NewHistogram()}, nil
 }
@@ -151,6 +151,8 @@ type Stats struct {
 	// completed).
 	AttainPct float64
 	// P50FCT, P99FCT, MaxFCT summarize the completion-time distribution.
+	// P50FCT and P99FCT are histogram estimates, up to 6.25% below the
+	// exact nearest-rank sample; MaxFCT is exact.
 	P50FCT, P99FCT, MaxFCT sim.Duration
 }
 

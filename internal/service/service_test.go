@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"testing"
 
 	"rackfab/internal/sim"
@@ -81,6 +82,9 @@ func newTestDriver(t *testing.T, cfg Config, tgt Target) *Driver {
 		}
 		cfg.Source = src
 	}
+	if cfg.SLOTargetX == 0 {
+		cfg.SLOTargetX = 4
+	}
 	d, err := New(cfg, tgt)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +160,13 @@ func TestDriverErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Tick: sim.Millisecond, Source: src}, &fakeTarget{}); err != nil {
+	if _, err := New(Config{Tick: sim.Millisecond, Source: src, SLOTargetX: 4}, &fakeTarget{}); err != nil {
 		t.Fatal(err)
+	}
+	for _, x := range []float64{0, -1, math.NaN()} {
+		if _, err := New(Config{Tick: sim.Millisecond, Source: src, SLOTargetX: x}, &fakeTarget{}); err == nil {
+			t.Fatalf("New accepted SLO target %v", x)
+		}
 	}
 
 	tgt := &fakeTarget{delay: sim.Microsecond, runErr: errScripted}

@@ -8,9 +8,9 @@ import (
 // Histogram is a log-linear histogram of non-negative int64 samples
 // (latencies in picoseconds, flow sizes in bytes). Each power-of-two major
 // bucket is divided into 2^subBits linear sub-buckets, bounding relative
-// quantile error by 2^-subBits (6.25% error at the default 4 sub-bits —
-// comfortably inside experiment noise while keeping the histogram a flat
-// 4 KiB array that merges cheaply).
+// quantile error by 2^-subBits (6.25% at the default 4 sub-bits) in a flat
+// 4 KiB array. It holds what must stay O(1) however long a run goes:
+// per-frame latency and hop counts, and the service driver's FCTs.
 type Histogram struct {
 	subBits uint
 	counts  []int64
@@ -114,9 +114,11 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1). The estimate
-// is the lower bound of the bucket holding the q-th sample, clamped to the
-// observed min/max, so it never exceeds the true max nor undershoots min.
+// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1): the floor of
+// the bucket holding the nearest-rank sample, clamped to the observed
+// min/max, so it reads up to 6.25% below that sample at the default
+// precision and never exceeds the true max nor undershoots min. A set of
+// completed flows is ranked exactly with Percentiles instead.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0

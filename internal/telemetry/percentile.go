@@ -1,19 +1,35 @@
 package telemetry
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // NearestRank returns the 0-based index of the pct-th percentile sample
 // under the nearest-rank convention: the ceil(pct/100·n)-th smallest of n
-// sorted samples. This is the ONE definition of the convention; no caller
-// may re-derive it. Histogram.Quantile resolves the same rank but returns
-// the lower bound of that sample's bucket, so a histogram summary reads up
-// to 6.25% below the exact sample this index selects.
+// sorted samples. Percentiles is its one caller; rank a sample set through
+// that. Histogram.Quantile resolves the same rank but returns the lower
+// bound of that sample's bucket, so a histogram summary reads up to 6.25%
+// below the exact sample this index selects.
 func NearestRank(n, pct int) int {
 	idx := (n*pct + 99) / 100 // ceil(n·pct/100)
 	if idx < 1 {
 		idx = 1
 	}
 	return idx - 1
+}
+
+// Percentiles sorts samples in place and returns their exact nearest-rank
+// 50th and 99th percentiles and their maximum, or zeros for an empty set.
+// The façade's Report, the fluid Result and the experiments take every
+// completion-time and stretch percentile from here.
+func Percentiles[T cmp.Ordered](samples []T) (p50, p99, top T) {
+	n := len(samples)
+	if n == 0 {
+		return p50, p99, top
+	}
+	slices.Sort(samples)
+	return samples[NearestRank(n, 50)], samples[NearestRank(n, 99)], samples[n-1]
 }
 
 // SLOSummary describes how a flow population met a completion-time SLO
@@ -34,25 +50,21 @@ type SLOSummary struct {
 }
 
 // ComputeSLO summarizes per-flow stretch samples (FCT divided by ideal FCT,
-// ≥ 1 for any physical run) against the k×ideal target. The input is not
-// mutated; an empty population returns a zero summary with TargetX set.
+// ≥ 1 for any physical run) against the k×ideal target. It sorts stretches
+// in place; an empty population returns a zero summary with TargetX set.
 func ComputeSLO(stretches []float64, targetX float64) SLOSummary {
 	s := SLOSummary{TargetX: targetX}
 	n := len(stretches)
 	if n == 0 {
 		return s
 	}
-	sorted := append([]float64(nil), stretches...)
-	sort.Float64s(sorted)
-	for _, v := range sorted {
+	for _, v := range stretches {
 		if v <= targetX {
 			s.Attained++
 		}
 	}
 	s.Flows = int64(n)
 	s.AttainPct = 100 * float64(s.Attained) / float64(n)
-	s.P50Stretch = sorted[NearestRank(n, 50)]
-	s.P99Stretch = sorted[NearestRank(n, 99)]
-	s.MaxStretch = sorted[n-1]
+	s.P50Stretch, s.P99Stretch, s.MaxStretch = Percentiles(stretches)
 	return s
 }

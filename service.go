@@ -55,6 +55,8 @@ type ServeConfig struct {
 }
 
 // ServiceStats mirrors the driver's streaming statistics in façade units.
+// P50FCT and P99FCT are histogram estimates, up to 6.25% below the exact
+// nearest-rank sample.
 type ServiceStats struct {
 	Ticks                                  int64
 	Injected, Completed, Attained, Retired int64
@@ -85,12 +87,7 @@ func (c *Cluster) Serve(cfg ServeConfig) (*Service, error) {
 	if tick < 0 {
 		return nil, fmt.Errorf("rackfab: serve tick must be positive, got %v", tick)
 	}
-	var wireRate float64
-	for _, e := range c.graph.Edges() {
-		if r := e.Link.EffectiveRate(); r > wireRate {
-			wireRate = r
-		}
-	}
+	wireRate := c.wireRate()
 	if wireRate <= 0 {
 		return nil, fmt.Errorf("rackfab: serve needs a usable link")
 	}

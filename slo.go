@@ -45,66 +45,73 @@ func (c *Cluster) sloTargetX() float64 {
 	return 4
 }
 
-// fillSLO computes Report.SLO from every completed flow handle. Ideals use
-// the fastest link rate in the fabric as the wire rate and shortest-path
-// hop counts over currently-up links; flows that failed, never finished,
-// or are unreachable at report time are excluded from the population.
-// Flows are taken grouped by source, so one breadth-first search serves
-// each distinct source; ComputeSLO sorts the stretches, so their order
+// fillFlows fills Report's per-flow sections, FlowsCompleted, FCT and SLO,
+// from the completed flow handles, the same way on both engines. SLO ideals use the fastest link rate in the fabric as the wire
+// rate and shortest-path hop counts over currently-up links; a flow
+// unreachable at report time stays out of the SLO population. Flows are
+// taken grouped by source, so one breadth-first search serves each
+// distinct source; telemetry.Percentiles sorts its samples, so that order
 // cannot change the report.
-func (c *Cluster) fillSLO(r *Report) {
+func (c *Cluster) fillFlows(r *Report) {
 	handles := c.be.flows()
-	if len(handles) == 0 {
-		return
-	}
-	var rate float64
-	for _, e := range c.graph.Edges() {
-		if rr := e.Link.EffectiveRate(); rr > rate {
-			rate = rr
+	done := make([]int32, 0, len(handles))
+	fcts := make([]sim.Duration, 0, len(handles))
+	var sum sim.Duration
+	for i, f := range handles {
+		if _, fct, ok := f.result(); ok {
+			done = append(done, int32(i))
+			fcts = append(fcts, fct)
+			sum += fct
 		}
 	}
+	n := len(fcts)
+	if n == 0 {
+		return
+	}
+	p50, p99, top := telemetry.Percentiles(fcts)
+	r.FlowsCompleted = int64(n)
+	r.FCT = Summary{
+		Count:  int64(n),
+		MeanUs: float64(sum) / float64(n) / psPerUs,
+		P50Us:  float64(p50) / psPerUs,
+		P99Us:  float64(p99) / psPerUs,
+		MaxUs:  float64(top) / psPerUs,
+	}
+	rate := c.wireRate()
 	if rate <= 0 {
 		return
-	}
-	done := make([]int32, 0, len(handles))
-	for i, f := range handles {
-		if !f.Failed() && f.Done() {
-			done = append(done, int32(i))
-		}
 	}
 	slices.SortFunc(done, func(a, b int32) int { return cmp.Compare(handles[a].spec.Src, handles[b].spec.Src) })
 	hc := c.graph.NewHopCounter()
 	var hops []int
-	stretches := make([]float64, 0, len(done))
+	stretches := make([]float64, 0, n)
 	for k, i := range done {
 		f := handles[i]
 		src, dst := f.Endpoints()
 		if k == 0 || src != handles[done[k-1]].spec.Src {
 			hops = hc.From(topo.NodeID(src))
 		}
-		h := hops[dst]
-		if h < 0 {
+		if hops[dst] < 0 {
 			continue
 		}
-		fct, err := f.CompletionTime()
-		if err != nil {
-			continue
+		_, fct, _ := f.result()
+		if ideal := workload.IdealFCT(f.Bytes(), rate, hops[dst], sloPerHopLatency); ideal > 0 {
+			stretches = append(stretches, float64(fct)/float64(ideal))
 		}
-		ideal := workload.IdealFCT(f.Bytes(), rate, h, sloPerHopLatency)
-		if ideal <= 0 {
-			continue
-		}
-		stretches = append(stretches, float64(simDur(fct))/float64(ideal))
 	}
 	if len(stretches) == 0 {
 		return
 	}
-	s := telemetry.ComputeSLO(stretches, c.sloTargetX())
-	r.SLO = SLOReport{
-		TargetX: s.TargetX, Flows: s.Flows, Attained: s.Attained,
-		AttainPct:  s.AttainPct,
-		P50Stretch: s.P50Stretch, P99Stretch: s.P99Stretch, MaxStretch: s.MaxStretch,
+	r.SLO = SLOReport(telemetry.ComputeSLO(stretches, c.sloTargetX()))
+}
+
+// wireRate is the fastest link rate in the fabric: the rate an ideal
+// (uncontended) FCT serializes at.
+func (c *Cluster) wireRate() (rate float64) {
+	for _, e := range c.graph.Edges() {
+		rate = max(rate, e.Link.EffectiveRate())
 	}
+	return rate
 }
 
 // TokenPaced re-times flow releases through per-receiver token pacers — the

@@ -167,6 +167,9 @@ func JobCompletionTime(flows []*Flow) (time.Duration, error) {
 	return fromSim(latest.Sub(earliest)), nil
 }
 
+// psPerUs converts simulator picoseconds to Summary's microseconds.
+const psPerUs = 1e6
+
 // Summary condenses a latency/size distribution for reports.
 type Summary struct {
 	Count        int64
@@ -214,9 +217,13 @@ type SolverReport struct {
 // Report is a cluster-wide results snapshot, unified across engines:
 // frame-level sections (Latency, Frames*, Power*, CRCDecisions) are
 // packet-engine instruments, Solver is a fluid-engine instrument, and
-// FCT, MeanHops, FlowsCompleted, and Faults fill on both.
+// FCT, MeanHops, FlowsCompleted, Faults and SLO fill on both.
+// FlowsCompleted, FCT and SLO come from the flows Inject returned, the
+// same way on both engines, with exact nearest-rank percentiles; flows a
+// Service injected have no handle and are not counted.
 type Report struct {
-	// Latency is the end-to-end frame latency distribution.
+	// Latency is the end-to-end frame latency distribution, a histogram
+	// estimate: its percentiles read up to 6.25% below the exact sample.
 	Latency Summary
 	// FCT is the flow-completion-time distribution.
 	FCT Summary
@@ -225,8 +232,8 @@ type Report struct {
 	MeanHops float64
 	// FramesDelivered, FramesDropped, FramesCorrupt count datapath events.
 	FramesDelivered, FramesDropped, FramesCorrupt int64
-	// FlowsCompleted counts finished flows — the same count on either
-	// engine for the same completed workload.
+	// FlowsCompleted counts the handles whose flows finished — the same
+	// count on either engine for the same completed workload.
 	FlowsCompleted int64
 	// PowerPeakW and PowerNowW describe the rack envelope.
 	PowerPeakW, PowerNowW float64
@@ -249,7 +256,7 @@ type Report struct {
 func (c *Cluster) Report() Report {
 	var r Report
 	c.be.fill(&r)
-	c.fillSLO(&r)
+	c.fillFlows(&r)
 	return r
 }
 
