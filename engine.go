@@ -1,8 +1,10 @@
 package rackfab
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rackfab/internal/fabric"
@@ -13,7 +15,6 @@ import (
 	"rackfab/internal/service"
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
-	"rackfab/internal/trace"
 	"rackfab/internal/workload"
 )
 
@@ -68,7 +69,8 @@ type Flow struct {
 	spec FlowSpec
 	pk   *host.Flow
 	fb   *fluidBackend
-	id   int // batch-major fluid flow ID, valid once the fluid run started
+	id   int               // batch-major fluid flow ID
+	fin  *fluid.FlowStatus // the fluid flow's final status, once Retire copied it
 }
 
 // Done reports completion.
@@ -171,11 +173,10 @@ func faultReport(fs faults.Stats) FaultReport {
 
 // packetBackend drives the cycle-accurate fabric (and, when enabled, the
 // Closed Ring Control). Flows injected through the façade keep handles.
-// Flows the service driver injects stay in live and specs only until Drain
-// sees them finish, so a soak's memory is bounded by the in-flight flow
-// count: that is the packet engine's retirement, as host state frees with
-// the last reference. hops caches shortest-path hop counts for the
-// ideal-FCT model, built per source on first use.
+// Flows the service driver injects stay in live only until Drain sees them
+// finish, so a soak's memory is bounded by the in-flight flow count: that
+// is the packet engine's retirement, as host state frees with the last
+// reference.
 type packetBackend struct {
 	eng     *sim.Engine
 	fab     *fabric.Fabric
@@ -183,9 +184,7 @@ type packetBackend struct {
 	handles []*Flow
 
 	live    []*host.Flow
-	specs   []workload.FlowSpec
 	retired int64
-	hops    [][]int
 }
 
 func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
@@ -207,7 +206,6 @@ func (b *packetBackend) Inject(specs []workload.FlowSpec) error {
 		return err
 	}
 	b.live = append(b.live, flows...)
-	b.specs = append(b.specs, specs...)
 	return nil
 }
 
@@ -221,43 +219,43 @@ func (b *packetBackend) runUntilDone(limit time.Duration) error {
 
 func (b *packetBackend) Now() sim.Time { return b.eng.Now() }
 
+// Drain hands off the service flows finished since the last drain, grouped
+// by source: their hop counts come from one snapshot of the live links,
+// with one search per distinct source.
 func (b *packetBackend) Drain() []service.Completion {
-	g := b.fab.Graph()
-	if b.hops == nil {
-		b.hops = make([][]int, g.NumNodes())
-	}
-	var out []service.Completion
+	var done []*host.Flow
 	kept := 0
-	for i, f := range b.live {
+	for _, f := range b.live {
 		switch {
 		case f.Failed():
 			// Abandoned flows leave the live set (and the SLO denominator).
 			b.retired++
 		case f.Done():
-			sp := b.specs[i]
-			if b.hops[sp.Src] == nil {
-				b.hops[sp.Src] = g.HopsFrom(topo.NodeID(sp.Src))
-			}
-			h := b.hops[sp.Src][sp.Dst]
-			if h < 0 {
-				h = 0
-			}
-			out = append(out, service.Completion{
-				Src: sp.Src, Dst: sp.Dst, Bytes: sp.Bytes,
-				Start: f.Started(), FCT: f.FCT(), Hops: h, Label: sp.Label,
-			})
+			done = append(done, f)
 			b.retired++
 		default:
 			b.live[kept] = f
-			b.specs[kept] = b.specs[i]
 			kept++
 		}
 	}
-	for i := kept; i < len(b.live); i++ {
-		b.live[i] = nil
-	}
+	clear(b.live[kept:])
 	b.live = b.live[:kept]
-	b.specs = b.specs[:kept]
+	if len(done) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(done, func(x, y *host.Flow) int { return cmp.Compare(x.Src, y.Src) })
+	hc := b.fab.Graph().NewHopCounter()
+	var hops []int
+	out := make([]service.Completion, len(done))
+	for i, f := range done {
+		if i == 0 || f.Src != done[i-1].Src {
+			hops = hc.From(topo.NodeID(f.Src))
+		}
+		out[i] = service.Completion{
+			Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
+			Start: f.Started(), FCT: f.FCT(), Hops: max(hops[f.Dst], 0),
+		}
+	}
 	return out
 }
 
@@ -304,80 +302,43 @@ func (b *packetBackend) fill(r *Report) {
 // Fluid backend
 
 // fluidBackend adapts the incremental max-min solver to the Cluster
-// surface. Before the first Run call specs accumulate and the session is
-// built lazily; after it, Inject routes batches into the live session
-// (batch-major flow IDs, so earlier handles never renumber).
+// surface. New builds the session; every Inject is its own batch with
+// batch-major flow IDs, so earlier handles never renumber, and fault
+// schedules merge into the session's replay at any time. handles are in
+// flow-ID order, and handles[:copied] hold their final status, which
+// Retire copies before the session drops it.
 type fluidBackend struct {
-	graph   *topo.Graph
-	sched   *faults.Schedule
-	pending []workload.FlowSpec
-	handles []*Flow
 	sess    *fluid.Session
-	trace   *trace.Recorder // shared with Cluster; nil = tracing off
+	handles []*Flow
+	copied  int
 }
 
+// inject lowers specs against the current instant (the packet engine's
+// convention) and hands them to the session as one batch.
 func (b *fluidBackend) inject(specs []FlowSpec) ([]*Flow, error) {
-	wl := lowerSpecs(specs, b.Now())
+	ids, err := b.sess.Inject(lowerSpecs(specs, b.Now()))
+	if err != nil {
+		return nil, err
+	}
 	flows := make([]*Flow, len(specs))
-	if b.sess == nil {
-		b.pending = append(b.pending, wl...)
-		for i, s := range specs {
-			flows[i] = &Flow{spec: s, fb: b, id: -1}
-		}
-	} else {
-		// Mid-run injection: At values are relative to the current instant
-		// (same convention as the packet engine), and previously returned
-		// handles keep their IDs.
-		ids, err := b.sess.Inject(wl)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range specs {
-			flows[i] = &Flow{spec: s, fb: b, id: ids[i]}
-		}
+	for i, s := range specs {
+		flows[i] = &Flow{spec: s, fb: b, id: ids[i]}
 	}
 	b.handles = append(b.handles, flows...)
+	slices.SortFunc(b.handles[len(b.handles)-len(flows):], func(x, y *Flow) int { return cmp.Compare(x.id, y.id) })
 	return flows, nil
 }
 
 func (b *fluidBackend) Inject(wl []workload.FlowSpec) error {
-	if b.sess == nil {
-		b.pending = append(b.pending, wl...)
-		return nil
-	}
 	_, err := b.sess.Inject(wl)
 	return err
 }
 
-// ensure seals the spec set and builds the session, resolving every
-// handle's canonical flow ID.
-func (b *fluidBackend) ensure() error {
-	if b.sess != nil {
-		return nil
-	}
-	sess, err := fluid.NewSession(fluid.Config{Graph: b.graph, Faults: b.sched, Trace: b.trace}, b.pending)
-	if err != nil {
-		return err
-	}
-	b.sess = sess
-	order := sess.Order()
-	for i, f := range b.handles {
-		f.id = order[i]
-	}
-	return nil
-}
-
 func (b *fluidBackend) RunFor(d sim.Duration) error {
-	if err := b.ensure(); err != nil {
-		return err
-	}
 	return b.sess.Advance(b.sess.Now().Add(d))
 }
 
 func (b *fluidBackend) runUntilDone(limit time.Duration) error {
-	if err := b.ensure(); err != nil {
-		return err
-	}
 	if err := b.sess.AdvanceUntilDone(sim.Time(simDur(limit))); err != nil {
 		return err
 	}
@@ -388,11 +349,8 @@ func (b *fluidBackend) runUntilDone(limit time.Duration) error {
 }
 
 // Drain hands off the session's completions accumulated since the last
-// drain (none before the run starts).
+// drain.
 func (b *fluidBackend) Drain() []service.Completion {
-	if b.sess == nil {
-		return nil
-	}
 	rs := b.sess.TakeCompleted()
 	if len(rs) == 0 {
 		return nil
@@ -407,61 +365,44 @@ func (b *fluidBackend) Drain() []service.Completion {
 	return out
 }
 
-// Retire executes a prefix retirement of completed flow state.
+// Retire lets the session drop the state of its longest finished ID
+// prefix. It first copies each leading finished handle's status into the
+// handle: handles are in ID order, so every handle the prefix can cross is
+// copied and keeps its answer.
 func (b *fluidBackend) Retire() int {
-	if b.sess == nil {
-		return 0
+	for ; b.copied < len(b.handles); b.copied++ {
+		f := b.handles[b.copied]
+		st := b.sess.FlowStatus(f.id)
+		if !st.Done {
+			break
+		}
+		f.fin = &st
 	}
 	return b.sess.Retire()
 }
 
-func (b *fluidBackend) Retained() int {
-	if b.sess == nil {
-		return len(b.pending)
-	}
-	return b.sess.RetainedFlows()
-}
+func (b *fluidBackend) Retained() int { return b.sess.RetainedFlows() }
 
-func (b *fluidBackend) RetiredTotal() int64 {
-	if b.sess == nil {
-		return 0
-	}
-	return int64(b.sess.Retired())
-}
+func (b *fluidBackend) RetiredTotal() int64 { return int64(b.sess.Retired()) }
 
 func (b *fluidBackend) flows() []*Flow { return b.handles }
 
-func (b *fluidBackend) Now() sim.Time {
-	if b.sess == nil {
-		return 0
-	}
-	return b.sess.Now()
-}
+func (b *fluidBackend) Now() sim.Time { return b.sess.Now() }
 
 func (b *fluidBackend) applyFaults(sched *faults.Schedule) error {
-	if b.sess != nil {
-		return fmt.Errorf("rackfab: the fluid engine accepts fault schedules only before the first Run call")
-	}
-	if b.sched == nil {
-		b.sched = sched
-	} else {
-		b.sched = b.sched.Merge(sched)
-	}
-	return nil
+	return b.sess.ApplyFaults(sched)
 }
 
-// status resolves one handle's live progress.
+// status resolves one handle's progress: the copy Retire kept, else the
+// session's record.
 func (b *fluidBackend) status(f *Flow) fluid.FlowStatus {
-	if b.sess == nil || f.id < 0 {
-		return fluid.FlowStatus{}
+	if f.fin != nil {
+		return *f.fin
 	}
 	return b.sess.FlowStatus(f.id)
 }
 
 func (b *fluidBackend) fill(r *Report) {
-	if b.sess == nil {
-		return
-	}
 	snap := b.sess.Snapshot()
 	if n := len(snap.Flows); n > 0 {
 		var hops int64

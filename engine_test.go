@@ -424,7 +424,7 @@ func TestReportStringSections(t *testing.T) {
 
 // TestFluidSurfaceGuards: packet-hardware surfaces reject the fluid engine
 // with ErrPacketOnly; injection and fault application after the run starts
-// are rejected.
+// are accepted and take effect.
 func TestFluidSurfaceGuards(t *testing.T) {
 	if _, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: EngineFluid, Control: ControlOn()}); err == nil {
 		t.Fatal("CRC accepted on the fluid engine")
@@ -461,8 +461,8 @@ func TestFluidSurfaceGuards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mid-run Inject: %v", err)
 	}
-	if err := c.ApplyFaults(flapSchedule()); err == nil {
-		t.Fatal("ApplyFaults accepted after the fluid run started")
+	if err := c.ApplyFaults(flapSchedule()); err != nil {
+		t.Fatalf("mid-run ApplyFaults: %v", err)
 	}
 	if err := c.RunUntilDone(time.Minute); err != nil {
 		t.Fatal(err)
@@ -470,6 +470,66 @@ func TestFluidSurfaceGuards(t *testing.T) {
 	for i, f := range late {
 		if !f.Done() {
 			t.Fatalf("mid-run injected flow %d unfinished", i)
+		}
+	}
+	if got := c.Report().Faults.CapacityEvents; got != 2 {
+		t.Fatalf("mid-run flap applied %d capacity events, want 2", got)
+	}
+}
+
+// TestApplyFaultsMidRunMatchesConstruction: on both engines, a schedule
+// applied mid-run before its first instant gives the same run as the same
+// schedule applied at construction: every handle's completion time and
+// Report's fault section agree.
+func TestApplyFaultsMidRunMatchesConstruction(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		run := func(after time.Duration) ([]time.Duration, FaultReport) {
+			t.Helper()
+			cfg := Config{Topology: Grid, Width: 4, Height: 4, Seed: 4, Engine: eng}
+			if after == 0 {
+				cfg.Faults = flapSchedule()
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := c.Inject(differentialSpecs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after > 0 {
+				if err := c.RunFor(after); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ApplyFaults(flapSchedule()); err != nil {
+					t.Fatalf("%v: ApplyFaults after RunFor(%v): %v", eng, after, err)
+				}
+			}
+			if err := c.RunUntilDone(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			fcts := make([]time.Duration, len(flows))
+			for i, f := range flows {
+				if fcts[i], err = f.CompletionTime(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return fcts, c.Report().Faults
+		}
+		wantFCT, wantFaults := run(0)
+		if wantFaults.CapacityEvents != 2 {
+			t.Fatalf("%v: the flap applied %d capacity events, want 2", eng, wantFaults.CapacityEvents)
+		}
+		for _, after := range []time.Duration{20 * time.Microsecond, 29 * time.Microsecond} {
+			gotFCT, gotFaults := run(after)
+			if gotFaults != wantFaults {
+				t.Errorf("%v: applied after %v: faults %+v, want %+v", eng, after, gotFaults, wantFaults)
+			}
+			for i := range gotFCT {
+				if gotFCT[i] != wantFCT[i] {
+					t.Errorf("%v: applied after %v: flow %d took %v, want %v", eng, after, i, gotFCT[i], wantFCT[i])
+				}
+			}
 		}
 	}
 }

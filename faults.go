@@ -180,11 +180,12 @@ func (s *FaultSchedule) lower(g *topo.Graph) (*faults.Schedule, error) {
 
 // ApplyFaults registers a fault timeline with the cluster — the same
 // surface Config.Faults feeds, available after construction so schedules
-// derived from the built cluster (PoissonFlaps) can be applied. The packet
-// engine accepts schedules at any time (events already in the past apply
-// immediately); the fluid engine accepts them only before the first Run
-// call. A service checkpoint records the schedules applied while the
-// clock reads zero; one applied later makes Service.Checkpoint refuse.
+// derived from the built cluster (PoissonFlaps) can be applied. Both
+// engines accept schedules at any time, before the first Run call or
+// mid-run: events already in the past apply at the current instant, and
+// same-instant events apply after those registered earlier. A service
+// checkpoint records the schedules applied while the clock reads zero;
+// one applied later makes Service.Checkpoint refuse.
 func (c *Cluster) ApplyFaults(s *FaultSchedule) error {
 	if c.be.Now() != 0 {
 		c.offScript("ApplyFaults after the clock moved")

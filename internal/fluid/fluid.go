@@ -49,7 +49,8 @@ type Config struct {
 	// the incrementally repaired table when a path survives and park at
 	// rate 0 until a repair heals the partition otherwise. The run
 	// restores the graph's administrative link state on exit, so the same
-	// graph can host a fault-free run afterwards.
+	// graph can host a fault-free run afterwards. NewSession hands it to
+	// Session.ApplyFaults, which takes further schedules mid-run.
 	Faults *faults.Schedule
 	// Trace, when non-nil, receives the run's flight-recorder events
 	// (arrivals, completions, refill outcomes, fault replay)

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"testing"
 
 	"rackfab/internal/faults"
@@ -30,13 +31,15 @@ import (
 // On top of the stepwise engines, the whole scenario runs through Run twice
 // (warm and cold) and must fingerprint identically — first fault-free, then
 // under a Poisson link-flap schedule that exercises mid-run rerouting,
-// starvation, and repair end to end. The committed seed corpus under
-// testdata/fuzz/FuzzSolverMaxMin keeps the interesting shapes (tie-heavy
-// permutations, elephants-and-mice, line bottlenecks, flap-through-load
-// walks, and degrade-reroute-group: on a 2×2 grid, one instant degrades a
-// link two flows share to half and takes down the next link of one of
-// them, which reroutes it off the degraded link) in every plain `go test`
-// run; `go test -fuzz FuzzSolverMaxMin` explores further.
+// starvation, and repair end to end. A third run takes that schedule
+// through ApplyFaults on a session already advanced to just before its
+// first instant, and must equal the warm Run bit for bit. The committed
+// seed corpus under testdata/fuzz/FuzzSolverMaxMin keeps the interesting
+// shapes (tie-heavy permutations, elephants-and-mice, line bottlenecks,
+// flap-through-load walks, and degrade-reroute-group: on a 2×2 grid, one
+// instant degrades a link two flows share to half and takes down the next
+// link of one of them, which reroutes it off the degraded link) in every
+// plain `go test` run; `go test -fuzz FuzzSolverMaxMin` explores further.
 func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(4))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(16))
@@ -93,6 +96,30 @@ func FuzzSolverMaxMin(f *testing.F) {
 		if fingerprint(warmFlap) != fingerprint(coldFlap) {
 			t.Fatalf("faulted Run diverged between warm and cold start:\n--- warm ---\n%s\n--- cold ---\n%s",
 				fingerprint(warmFlap), fingerprint(coldFlap))
+		}
+
+		// The same schedule handed to a running session just before its
+		// first instant replays the same run, solver counts included:
+		// Config.Faults goes through the same ApplyFaults.
+		if sched.Len() > 0 {
+			s, err := NewSession(Config{Graph: g}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Advance(sched.Events()[0].At - 1)
+			if err == nil {
+				err = s.ApplyFaults(sched)
+			}
+			if err == nil {
+				err = s.Advance(sim.Forever)
+			}
+			s.RestoreGraph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%+v", *s.finish()), fmt.Sprintf("%+v", *warmFlap); got != want {
+				t.Fatalf("schedule applied mid-run diverged from Config.Faults:\n--- Config.Faults ---\n%s\n--- ApplyFaults ---\n%s", want, got)
+			}
 		}
 	})
 }

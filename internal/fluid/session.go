@@ -1,7 +1,9 @@
 package fluid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rackfab/internal/faults"
 	"rackfab/internal/heapx"
@@ -32,6 +34,8 @@ type Session struct {
 	// caller uses with FlowStatus.
 	order []int
 
+	// linkEvents[faulted:] is the pending fault replay, sorted by instant;
+	// ApplyFaults merges into it and drops the applied prefix.
 	linkEvents []faults.LinkEvent
 	now        sim.Time
 	faulted    int
@@ -54,19 +58,19 @@ type Session struct {
 	// keeps completion order, this keeps handle order.
 	status []FlowStatus
 
-	// Administrative link-state snapshot for RestoreGraph (only taken when
-	// the schedule is non-empty, mirroring Run's restore-on-exit contract).
+	// Administrative link-state snapshot for RestoreGraph, taken by the
+	// first ApplyFaults that carries an event (Run's restore-on-exit
+	// contract).
 	savedEdges   []*topo.Edge
 	savedEnabled []bool
 }
 
-// FlowStatus is one flow's progress snapshot. Start and Hops are live for
-// active flows; FCT is valid once Done.
+// FlowStatus is one flow's progress snapshot. Start is live for active
+// flows; FCT is valid once Done.
 type FlowStatus struct {
 	Done  bool
 	Start sim.Time
 	FCT   sim.Duration
-	Hops  int
 }
 
 // arrivalEntry is one pending arrival: ordered by instant, then flow ID — a
@@ -84,38 +88,55 @@ func (e arrivalEntry) Before(other arrivalEntry) bool {
 	return e.fid < other.fid
 }
 
-// NewSession validates the configuration and lowers the fault schedule into
-// an empty session, then injects specs as its first batch (canonical IDs
-// 0..len(specs)−1, see Order), without running anything: the clock sits at
-// zero until the first Advance.
+// NewSession validates the configuration and builds an empty session,
+// hands cfg.Faults to ApplyFaults, then injects specs as its first batch
+// (canonical IDs 0..len(specs)−1, see Order), without running anything:
+// the clock sits at zero until the first Advance.
 func NewSession(cfg Config, specs []workload.FlowSpec) (*Session, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("fluid: config needs a graph")
 	}
-	linkEvents, err := cfg.Faults.Links(cfg.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("fluid: faults: %w", err)
-	}
 	en := newEngine(cfg.Graph)
 	en.cold = cfg.coldStart
 	en.trace = cfg.Trace
-	s := &Session{
-		cfg:        cfg,
-		en:         en,
-		res:        &Result{Flows: make([]FlowResult, 0, len(specs))},
-		linkEvents: linkEvents,
+	s := &Session{cfg: cfg, en: en, res: &Result{Flows: make([]FlowResult, 0, len(specs))}}
+	if err := s.ApplyFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
-	if len(linkEvents) > 0 {
-		s.savedEdges = cfg.Graph.Edges()
+	var err error
+	if s.order, err = s.Inject(specs); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ApplyFaults validates sched against the session's graph, lowers it to
+// per-link capacity events and merges them into the pending replay — the
+// one way faults enter a session, before the first Advance or mid-run. The
+// merge is stable: an event goes after those already due at its instant,
+// so schedules applied one by one replay exactly what their
+// faults.Schedule.Merge would. An event before the clock applies at the
+// current instant. The first call that carries an event snapshots the
+// graph's administrative link state for RestoreGraph.
+func (s *Session) ApplyFaults(sched *faults.Schedule) error {
+	evs, err := sched.Links(s.cfg.Graph)
+	if err != nil {
+		return fmt.Errorf("fluid: faults: %w", err)
+	}
+	if len(evs) == 0 {
+		return nil
+	}
+	if s.savedEnabled == nil {
+		s.savedEdges = s.cfg.Graph.Edges()
 		s.savedEnabled = make([]bool, len(s.savedEdges))
 		for i, e := range s.savedEdges {
 			s.savedEnabled[i] = e.Enabled()
 		}
 	}
-	if s.order, err = s.Inject(specs); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.linkEvents = append(slices.Clip(s.linkEvents[s.faulted:]), evs...)
+	s.faulted = 0
+	slices.SortStableFunc(s.linkEvents, func(a, b faults.LinkEvent) int { return cmp.Compare(a.At, b.At) })
+	return nil
 }
 
 // Order returns, for each input spec position, the canonical flow ID the
@@ -162,9 +183,7 @@ func (s *Session) FlowStatus(id int) FlowStatus {
 	}
 	st := s.status[fid]
 	if !st.Done {
-		f := &s.en.flows[fid]
-		st.Start = f.start
-		st.Hops = f.hops
+		st.Start = s.en.flows[fid].start
 	}
 	return st
 }
@@ -172,9 +191,10 @@ func (s *Session) FlowStatus(id int) FlowStatus {
 // Advance runs the event loop until the next event lies strictly after
 // `until` (events at exactly `until` are processed), every flow completes,
 // or an error state is reached. The error conditions — starvation behind an
-// unhealed partition, or a stall — are exactly Run's, and they are
-// permanent: the session cannot progress past them. If the run completes
-// before `until`, the clock idles forward to `until` — RunFor semantics.
+// unhealed partition, or a stall — are exactly Run's: the session cannot
+// progress past them unless an ApplyFaults heals the partition. If the run
+// completes before `until`, the clock idles forward to `until` — RunFor
+// semantics.
 func (s *Session) Advance(until sim.Time) error {
 	return s.advance(until, true)
 }
@@ -261,7 +281,7 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 				Flow: s.publicID(doneID), Link: -1, Node: int32(fr.Spec.Dst), Value: int64(fr.FCT),
 			})
 			s.res.Flows = append(s.res.Flows, fr)
-			s.status[doneID] = FlowStatus{Done: true, Start: fr.Start, FCT: fr.FCT, Hops: fr.Hops}
+			s.status[doneID] = FlowStatus{Done: true, Start: fr.Start, FCT: fr.FCT}
 		}
 		en.compactDone()
 	}

@@ -279,7 +279,7 @@ func (c *Controller) actuate(reports []LinkReport) {
 // current price tag.
 func (c *Controller) CostFunc() route.CostFunc {
 	return func(e *topo.Edge) float64 {
-		if !e.Enabled() || !e.Link.Up() {
+		if !e.Live() {
 			return math.Inf(1)
 		}
 		base := 1.0

@@ -30,11 +30,11 @@ var ErrUnreachable = errors.New("route: destination unreachable")
 // finite for usable edges; return +Inf to exclude an edge.
 type CostFunc func(e *topo.Edge) float64
 
-// UniformCost prices every live, administratively enabled edge at 1
-// (minimum hop count). Disabled edges — the fault layer's link-down state —
-// are excluded exactly like physically dead ones.
+// UniformCost prices every live edge (topo.Edge.Live) at 1 (minimum hop
+// count). Disabled edges — the fault layer's link-down state — are
+// excluded exactly like physically dead ones.
 func UniformCost(e *topo.Edge) float64 {
-	if !e.Enabled() || !e.Link.Up() {
+	if !e.Live() {
 		return math.Inf(1)
 	}
 	return 1

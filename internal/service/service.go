@@ -37,8 +37,8 @@ type Target interface {
 	Inject(specs []workload.FlowSpec) error
 	// RunFor advances simulation time by d.
 	RunFor(d sim.Duration) error
-	// Drain returns flows completed since the last Drain, in completion
-	// order (ties in canonical flow order).
+	// Drain returns flows completed since the last Drain, in an order the
+	// engine fixes deterministically.
 	Drain() []Completion
 	// Retire releases per-flow state the engine no longer needs and
 	// returns how many flows it reclaimed this call.

@@ -2,23 +2,23 @@ package topo
 
 import "fmt"
 
-// HopsFrom returns the minimum hop count from src to every node over edges
-// whose links are currently up (express edges count as one hop: the whole
+// HopsFrom returns the minimum hop count from src to every node over the
+// edges live now (Edge.Live; express edges count as one hop: the whole
 // point of a bypass is that intermediate switches vanish from the path).
 // Unreachable nodes get -1.
 func (g *Graph) HopsFrom(src NodeID) []int { return g.NewHopCounter().From(src) }
 
 // HopCounter counts hops from one source at a time over a snapshot of which
-// links were up when it was made, reusing one distance array and one queue
+// edges were live when it was made, reusing one distance array and one queue
 // across sources.
 type HopCounter struct {
 	g     *Graph
-	up    []bool // by Edge.Index
+	up    []bool // Edge.Live, by Edge.Index
 	dist  []int
 	queue []NodeID
 }
 
-// NewHopCounter snapshots which of g's links are up now.
+// NewHopCounter snapshots which of g's edges are live now.
 func (g *Graph) NewHopCounter() *HopCounter {
 	n := g.NumNodes()
 	h := &HopCounter{
@@ -28,7 +28,7 @@ func (g *Graph) NewHopCounter() *HopCounter {
 		queue: make([]NodeID, 0, n),
 	}
 	for _, e := range g.edges {
-		h.up[e.idx] = e.Link.Up()
+		h.up[e.idx] = e.Live()
 	}
 	return h
 }

@@ -43,7 +43,7 @@ type Edge struct {
 
 	// disabled marks the edge administratively down (fault injection /
 	// maintenance). A disabled edge keeps its index, its adjacency slots,
-	// and its physical link state — only routing-cost functions consult it.
+	// and its physical link state — only Live consults it.
 	disabled bool
 }
 
@@ -71,6 +71,12 @@ func (e *Edge) Touches(n NodeID) bool { return e.A == n || e.B == n }
 // Enabled reports whether the edge is administratively up. Edges start
 // enabled; the fault-injection layer toggles them.
 func (e *Edge) Enabled() bool { return !e.disabled }
+
+// Live reports whether the edge can carry traffic: administratively
+// enabled, with at least one lit lane. Routing costs and hop counts read
+// it, so a fault's LinkDown, which leaves the lanes lit, takes the edge out
+// of both.
+func (e *Edge) Live() bool { return !e.disabled && e.Link.Up() }
 
 // SetEnabled marks the edge administratively up or down without removing
 // it: Index, adjacency, and the Edge.Index() space PR-stable solvers key

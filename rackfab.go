@@ -52,6 +52,7 @@ import (
 
 	"rackfab/internal/fabric"
 	"rackfab/internal/faults"
+	"rackfab/internal/fluid"
 	"rackfab/internal/phy"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
@@ -240,7 +241,11 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.Control.Enabled {
 			return nil, fmt.Errorf("rackfab: the Closed Ring Control %w", ErrPacketOnly)
 		}
-		c.fl = &fluidBackend{graph: g, trace: c.trace}
+		sess, err := fluid.NewSession(fluid.Config{Graph: g, Trace: c.trace}, nil)
+		if err != nil {
+			return nil, err
+		}
+		c.fl = &fluidBackend{sess: sess}
 		c.be = c.fl
 	default:
 		return nil, fmt.Errorf("rackfab: unknown engine %q", cfg.Engine)

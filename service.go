@@ -221,7 +221,7 @@ func (s *Service) Stats() ServiceStats {
 // counters. Split-run equality tests compare these bytes.
 func (s *Service) Fingerprint() string {
 	fp := s.d.Fingerprint()
-	if s.c.fl != nil && s.c.fl.sess != nil {
+	if s.c.fl != nil {
 		snap := s.c.fl.sess.Snapshot()
 		fp += fmt.Sprintf("solver=%+v faults=%+v\n", snap.Solver, snap.Faults)
 	}

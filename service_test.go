@@ -334,6 +334,95 @@ func TestInjectMidRunHandleStability(t *testing.T) {
 	}
 }
 
+// TestServeKeepsEarlierHandleAnswers: a handle injected and run before
+// Serve keeps its completion time once the service retires its flow, and
+// Report's flow sections keep counting it, on both engines. The fluid
+// session drops a retired flow's record, so the handle must have kept its
+// own copy.
+func TestServeKeepsEarlierHandleAnswers(t *testing.T) {
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(engine), func(t *testing.T) {
+			c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := c.Inject(UniformTraffic(c, 10, 64<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntilDone(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			fcts := func() []time.Duration {
+				out := make([]time.Duration, len(flows))
+				for i, f := range flows {
+					if out[i], err = f.CompletionTime(); err != nil {
+						t.Fatalf("flow %d: %v", i, err)
+					}
+				}
+				return out
+			}
+			before, report := fcts(), c.Report()
+			s, err := c.Serve(ServeConfig{Tick: time.Millisecond, Arrivals: ArrivalSpec{Rate: 1000}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := s.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if retired := s.Stats().Retired; engine == EngineFluid && retired < int64(len(flows)) {
+				t.Fatalf("the service retired %d flows, want at least the %d injected before it", retired, len(flows))
+			}
+			for i, after := range fcts() {
+				if after != before[i] {
+					t.Errorf("flow %d: completion time %v before Serve, %v after", i, before[i], after)
+				}
+			}
+			if got := c.Report(); got.FlowsCompleted != report.FlowsCompleted || got.FCT != report.FCT || got.SLO != report.SLO {
+				t.Errorf("flow sections moved across Serve:\nbefore %d %+v %+v\nafter  %d %+v %+v",
+					report.FlowsCompleted, report.FCT, report.SLO, got.FlowsCompleted, got.FCT, got.SLO)
+			}
+		})
+	}
+}
+
+// TestPacketDrainHopsFollowTheFabric: a service flow's hop count, which
+// prices its SLO ideal, is taken over the links live when it drains: three
+// hops around a downed link, and one again once the link heals.
+func TestPacketDrainHopsFollowTheFabric(t *testing.T) {
+	c, err := New(Config{
+		Topology: Grid, Width: 4, Height: 4, Seed: 3,
+		Faults: NewFaultSchedule(
+			FaultSpec{At: 10 * time.Microsecond, Kind: LinkDown, A: 0, B: 1},
+			FaultSpec{At: 500 * time.Microsecond, Kind: LinkUp, A: 0, B: 1},
+		),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := c.pk
+	for _, tc := range []struct {
+		at   time.Duration
+		hops int
+	}{{20 * time.Microsecond, 3}, {600 * time.Microsecond, 1}} {
+		if err := b.Inject(lowerSpecs([]FlowSpec{{Src: 0, Dst: 1, Bytes: 64 << 10, At: tc.at}}, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.RunFor(simDur(tc.at + 200*time.Microsecond - c.Now())); err != nil {
+			t.Fatal(err)
+		}
+		cs := b.Drain()
+		if len(cs) != 1 {
+			t.Fatalf("flow at %v: drained %d completions, want 1", tc.at, len(cs))
+		}
+		if cs[0].Hops != tc.hops {
+			t.Errorf("flow at %v drained with %d hops, want %d", tc.at, cs[0].Hops, tc.hops)
+		}
+	}
+}
+
 // TestRestoreGuards pins ResumeService's error contract: it refuses bytes
 // that are not a whole checkpoint and inputs that differ from the
 // original's, down to one ServeConfig field.
@@ -465,6 +554,8 @@ func TestServiceCheckpointRefusesOffScript(t *testing.T) {
 			after: func(c *Cluster, _ *Service) error { c.SetValiantRouting(true); return nil }},
 		{name: "ApplyFaults after the clock moved", engine: EnginePacket,
 			after: func(c *Cluster, _ *Service) error { return c.ApplyFaults(linkDown) }},
+		{name: "ApplyFaults after the clock moved on fluid", engine: EngineFluid,
+			after: func(c *Cluster, _ *Service) error { return c.ApplyFaults(linkDown) }},
 		{name: "a second Serve", engine: EnginePacket,
 			after: func(c *Cluster, _ *Service) error { _, err := c.Serve(scfg); return err }},
 		{name: "a failed Tick", engine: EngineFluid,
@@ -501,34 +592,38 @@ func TestServiceCheckpointRefusesOffScript(t *testing.T) {
 	}
 
 	t.Run("ApplyFaults at clock zero", func(t *testing.T) {
-		cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: EnginePacket, Seed: 5}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ApplyFaults(linkDown); err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Serve(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ApplyFaults(NewFaultSchedule(FaultSpec{At: 8 * time.Millisecond, Kind: LinkUp, A: 0, B: 1})); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunUntil(10 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		ckpt, err := s.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ResumeService(cfg, scfg, ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := r.Fingerprint(), s.Fingerprint(); got != want {
-			t.Fatalf("resumed fingerprint diverged:\n--- original ---\n%s--- resumed ---\n%s", want, got)
+		for _, engine := range []Engine{EnginePacket, EngineFluid} {
+			t.Run(string(engine), func(t *testing.T) {
+				cfg := Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 5}
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ApplyFaults(linkDown); err != nil {
+					t.Fatal(err)
+				}
+				s, err := c.Serve(scfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ApplyFaults(NewFaultSchedule(FaultSpec{At: 8 * time.Millisecond, Kind: LinkUp, A: 0, B: 1})); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.RunUntil(10 * time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+				ckpt, err := s.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := ResumeService(cfg, scfg, ckpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := r.Fingerprint(), s.Fingerprint(); got != want {
+					t.Fatalf("resumed fingerprint diverged:\n--- original ---\n%s--- resumed ---\n%s", want, got)
+				}
+			})
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package rackfab
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,6 +206,45 @@ func TestSLOHopCountsMatchHopsFrom(t *testing.T) {
 	}
 }
 
+// TestHopCountsSkipFaultDownedLinks: a fault's LinkDown and NodeDown leave
+// the lanes lit, yet hop counts, MeanHops and the SLO ideal must treat the
+// downed links as gone, on both engines, as routing does.
+func TestHopCountsSkipFaultDownedLinks(t *testing.T) {
+	for _, tc := range []struct {
+		engine  Engine
+		stretch float64
+	}{{EngineFluid, 1.000}, {EnginePacket, 1.121}} {
+		t.Run(string(tc.engine), func(t *testing.T) {
+			c, err := New(Config{
+				Topology: Grid, Width: 4, Height: 4, Engine: tc.engine, Seed: 3,
+				Faults: NewFaultSchedule(
+					FaultSpec{At: 10 * time.Microsecond, Kind: LinkDown, A: 0, B: 1},
+					FaultSpec{At: 10 * time.Microsecond, Kind: NodeDown, Node: 15},
+				),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Inject([]FlowSpec{{Src: 0, Dst: 1, Bytes: 64 << 10, At: 20 * time.Microsecond}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntilDone(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			hops := c.graph.HopsFrom(0)
+			if hops[1] != 3 || hops[15] != -1 {
+				t.Errorf("hops from 0: to 1 = %d, to 15 = %d; want 3 and -1", hops[1], hops[15])
+			}
+			if mh, err := c.MeanHops(); err == nil || !strings.Contains(err.Error(), "graph disconnected") {
+				t.Errorf("MeanHops = %v, %v; want the graph disconnected error", mh, err)
+			}
+			if got := c.Report().SLO.P50Stretch; math.Abs(got-tc.stretch) > 5e-4 {
+				t.Errorf("SLO stretch %.4f, want %.3f", got, tc.stretch)
+			}
+		})
+	}
+}
+
 // TestIncastTokenPacingBoundsQueueing is the PL2 claim inside our fabric:
 // on the same 16→1 incast under the same VLB routing, the receiver-driven
 // token path must (a) strictly lower the worst per-hop queueing delay any
@@ -329,10 +370,10 @@ func barrierPhases() [][]FlowSpec {
 
 // drainInstant returns the instant the last flow of a finished phase
 // drained: the completion event RunUntilDone leaves the clock at. A fluid
-// FCT also carries a delivery tail of one switch pipeline per hop, which
-// the event instant excludes (the packet engine simulates that tail frame
-// by frame).
-func drainInstant(t *testing.T, phase []*Flow) sim.Time {
+// FCT also carries a delivery tail of one switch pipeline per hop of its
+// shortest path on the healthy fabric, which the event instant excludes
+// (the packet engine simulates that tail frame by frame).
+func drainInstant(t *testing.T, c *Cluster, phase []*Flow) sim.Time {
 	t.Helper()
 	var last sim.Time
 	for _, f := range phase {
@@ -341,7 +382,9 @@ func drainInstant(t *testing.T, phase []*Flow) sim.Time {
 			t.Fatal(err)
 		}
 		if f.fb != nil {
-			end = end.Add(-sim.Duration(int64(switching.DefaultPipelineLatency) * int64(f.fb.status(f).Hops)))
+			src, dst := f.Endpoints()
+			hops := c.graph.HopsFrom(topo.NodeID(src))[dst]
+			end = end.Add(-sim.Duration(int64(switching.DefaultPipelineLatency) * int64(hops)))
 		}
 		last = max(last, end)
 	}
@@ -365,7 +408,7 @@ func TestRunPhasesBarrierInstant(t *testing.T) {
 				t.Fatal(err)
 			}
 			for p := 1; p < len(out); p++ {
-				drain := drainInstant(t, out[p-1])
+				drain := drainInstant(t, c, out[p-1])
 				for i, f := range out[p] {
 					start, _, err := f.window()
 					if err != nil {
@@ -377,7 +420,7 @@ func TestRunPhasesBarrierInstant(t *testing.T) {
 					}
 				}
 			}
-			if got, want := c.be.Now(), drainInstant(t, out[len(out)-1]); got != want {
+			if got, want := c.be.Now(), drainInstant(t, c, out[len(out)-1]); got != want {
 				t.Errorf("clock ends at %v, want the last drain %v", got, want)
 			}
 		})
@@ -430,9 +473,9 @@ func TestRunPhasesTracesPhaseOpen(t *testing.T) {
 				t.Fatalf("recorded %d phase-open events, want %d", len(opens), len(phases)-1)
 			}
 			for i, ev := range opens {
-				if ev.Value != int64(i+1) || ev.At != drainInstant(t, out[i]) {
+				if ev.Value != int64(i+1) || ev.At != drainInstant(t, c, out[i]) {
 					t.Errorf("phase-open %d = (phase %d at %v), want (phase %d at %v)",
-						i, ev.Value, ev.At, i+1, drainInstant(t, out[i]))
+						i, ev.Value, ev.At, i+1, drainInstant(t, c, out[i]))
 				}
 			}
 		})

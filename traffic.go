@@ -19,9 +19,9 @@ type FlowSpec struct {
 
 // Inject schedules flows into the cluster and returns their handles. Both
 // engines accept injections at any time, including mid-run: At is relative
-// to the current simulated instant, and on the fluid engine a mid-run batch
-// gets batch-major flow IDs (canonical within the batch) so handles from
-// earlier batches never renumber.
+// to the current simulated instant. On the fluid engine every call is one
+// batch with batch-major flow IDs (canonical within the batch), so handles
+// from earlier batches never renumber.
 func (c *Cluster) Inject(specs []FlowSpec) ([]*Flow, error) {
 	c.offScript("Inject")
 	return c.be.inject(specs)
