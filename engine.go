@@ -173,12 +173,12 @@ func faultReport(fs faults.Stats) FaultReport {
 
 // packetBackend drives the cycle-accurate fabric (and, when enabled, the
 // Closed Ring Control). Flows injected through the façade keep handles.
-// Flows the service driver injects stay in live only until Drain sees them
-// finish, so a soak's memory is bounded by the in-flight flow count: that
-// is the packet engine's retirement, as host state frees with the last
-// reference.
+// Every injected flow, the service driver's and the façade's alike, stays
+// in live only until Drain sees it finish, as the fluid session holds every
+// flow until it retires; a soak's live set is bounded by the in-flight flow
+// count. That is the packet engine's retirement, as host state frees with
+// the last reference.
 type packetBackend struct {
-	eng     *sim.Engine
 	fab     *fabric.Fabric
 	ctl     *ringctl.Controller
 	handles []*Flow
@@ -188,7 +188,7 @@ type packetBackend struct {
 }
 
 func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
-	inner, err := b.fab.InjectFlows(lowerSpecs(specs, b.eng.Now()))
+	inner, err := b.fab.InjectFlows(lowerSpecs(specs, b.Now()))
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +197,7 @@ func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
 		flows[i] = &Flow{spec: specs[i], pk: fl}
 	}
 	b.handles = append(b.handles, flows...)
+	b.live = append(b.live, inner...)
 	return flows, nil
 }
 
@@ -217,10 +218,10 @@ func (b *packetBackend) runUntilDone(limit time.Duration) error {
 	return b.fab.RunUntilDone(sim.Time(simDur(limit)))
 }
 
-func (b *packetBackend) Now() sim.Time { return b.eng.Now() }
+func (b *packetBackend) Now() sim.Time { return b.fab.Engine().Now() }
 
-// Drain hands off the service flows finished since the last drain, grouped
-// by source: their hop counts come from one snapshot of the live links,
+// Drain hands off the flows finished since the last drain, grouped by
+// source: their hop counts come from one snapshot of the live links,
 // with one search per distinct source.
 func (b *packetBackend) Drain() []service.Completion {
 	var done []*host.Flow

@@ -534,6 +534,35 @@ func TestApplyFaultsMidRunMatchesConstruction(t *testing.T) {
 	}
 }
 
+// TestIdleFaultApplies: a fault whose instant passes while the cluster
+// holds no flow applies at that instant on both engines, so the fault
+// report and the hop counts agree after an idle stretch.
+func TestIdleFaultApplies(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFluid} {
+		t.Run(string(eng), func(t *testing.T) {
+			c, err := New(Config{
+				Topology: Grid, Width: 4, Height: 4, Engine: eng,
+				Faults: NewFaultSchedule(FaultSpec{At: 10 * time.Microsecond, Kind: LinkDown, A: 0, B: 1}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunFor(50 * time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Report().Faults.CapacityEvents; got != 1 {
+				t.Errorf("applied %d capacity events, want 1", got)
+			}
+			if e, _ := c.graph.EdgeBetween(0, 1); e.Enabled() {
+				t.Error("link 0-1 still enabled after its LinkDown")
+			}
+			if hops := c.graph.HopsFrom(0); hops[1] != 3 {
+				t.Errorf("hops from 0 to 1 = %d, want 3 around the downed link", hops[1])
+			}
+		})
+	}
+}
+
 // TestFluidRunForInterleavesInspection: RunFor advances the fluid clock in
 // steps and the report stays consistent mid-run.
 func TestFluidRunForInterleavesInspection(t *testing.T) {

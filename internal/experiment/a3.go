@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"rackfab/internal/fabric"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
@@ -23,43 +22,33 @@ func A3(cfg Config) (*Table, error) {
 	n := side * side
 
 	type result struct {
-		jct      sim.Duration
-		fctP99   sim.Duration
+		flowStats
 		meanHops float64
 	}
 	run := func(mode string) (*result, error) {
-		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 91)
+		var ctl *ringctl.Config
+		if mode == "adaptive" {
+			c := ringctl.DefaultConfig()
+			c.Epoch = 30 * sim.Microsecond
+			c.EnableReconfig, c.EnableBypass, c.EnablePower, c.EnableFEC = false, false, false, false
+			ctl = &c
+		}
+		f, _, err := buildFabric(topo.NewGrid(side, side, topo.Options{LanesPerLink: 2}), 91, ctl)
 		if err != nil {
 			return nil, err
 		}
-		switch mode {
-		case "shortest":
-			// default
-		case "vlb":
-			f.SetVLB(true)
-		case "adaptive":
-			cfg := ringctl.DefaultConfig()
-			cfg.Epoch = 30 * sim.Microsecond
-			cfg.EnableReconfig, cfg.EnableBypass, cfg.EnablePower, cfg.EnableFEC = false, false, false, false
-			ctl := ringctl.New(eng, f, cfg)
-			ctl.Start()
-		}
+		f.SetVLB(mode == "vlb")
 		rng := sim.NewRNG(19)
 		specs := workload.Permutation(rng, n, workload.Fixed(flowBytes))
-		flows, err := f.InjectFlows(specs)
+		flows, err := runFlows(f, specs, sim.Time(60*sim.Second))
 		if err != nil {
 			return nil, err
 		}
-		if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
-			return nil, err
-		}
-		jct, err := fabric.JobCompletionTime(flows)
+		st, err := hostStats(flows)
 		if err != nil {
 			return nil, err
 		}
-		_, p99 := fctPercentiles(flows)
-		return &result{jct: jct, fctP99: p99, meanHops: f.Stats().Hops.Mean()}, nil
+		return &result{st, f.Stats().Hops.Mean()}, nil
 	}
 
 	modes := []string{"shortest", "vlb", "adaptive"}
@@ -81,7 +70,7 @@ func A3(cfg Config) (*Table, error) {
 	}
 	for i, mode := range modes {
 		r := res[i]
-		t.AddRow(mode, ms(r.jct), us(r.fctP99), fmt.Sprintf("%.2f", r.meanHops))
+		t.AddRow(mode, ms(r.jct), us(r.p99), fmt.Sprintf("%.2f", r.meanHops))
 	}
 	t.AddNote("VLB pays ~2x hops for oblivious worst-case guarantees; the CRC adapts with measured prices instead")
 	return t, nil

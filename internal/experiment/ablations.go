@@ -18,19 +18,18 @@ func A1(cfg Config) (*Table, error) {
 	flows := cfg.Scale.pick(120, 600)
 	n := side * side
 
-	run := func(weights *ringctl.PriceWeights) (sim.Duration, sim.Duration, error) {
-		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 71)
-		if err != nil {
-			return 0, 0, err
-		}
+	run := func(weights *ringctl.PriceWeights) (flowStats, error) {
+		var ctl *ringctl.Config
 		if weights != nil {
-			cfg := ringctl.DefaultConfig()
-			cfg.Weights = *weights
-			cfg.Epoch = 30 * sim.Microsecond
-			cfg.EnableReconfig, cfg.EnableBypass, cfg.EnablePower, cfg.EnableFEC = false, false, false, false
-			ctl := ringctl.New(eng, f, cfg)
-			ctl.Start()
+			c := ringctl.DefaultConfig()
+			c.Weights = *weights
+			c.Epoch = 30 * sim.Microsecond
+			c.EnableReconfig, c.EnableBypass, c.EnablePower, c.EnableFEC = false, false, false, false
+			ctl = &c
+		}
+		f, _, err := buildFabric(topo.NewGrid(side, side, topo.Options{LanesPerLink: 2}), 71, ctl)
+		if err != nil {
+			return flowStats{}, err
 		}
 		rng := sim.NewRNG(13)
 		specs := workload.Hotspot(rng, workload.HotspotConfig{
@@ -40,22 +39,17 @@ func A1(cfg Config) (*Table, error) {
 			HotFraction:      0.6,
 			MeanInterarrival: 2 * sim.Microsecond,
 		})
-		injected, err := f.InjectFlows(specs)
+		injected, err := runFlows(f, specs, sim.Time(30*sim.Second))
 		if err != nil {
-			return 0, 0, err
+			return flowStats{}, err
 		}
-		if err := f.RunUntilDone(sim.Time(30 * sim.Second)); err != nil {
-			return 0, 0, err
-		}
-		p50, p99 := fctPercentiles(injected)
-		return p50, p99, nil
+		return hostStats(injected)
 	}
 
 	full := ringctl.DefaultWeights()
 	latOnly := ringctl.PriceWeights{Latency: 1}
 	congOnly := ringctl.PriceWeights{Congestion: 1}
 
-	type quantiles struct{ p50, p99 sim.Duration }
 	cases := []struct {
 		name string
 		w    *ringctl.PriceWeights
@@ -65,14 +59,11 @@ func A1(cfg Config) (*Table, error) {
 		{"latency term only", &latOnly},
 		{"congestion term only", &congOnly},
 	}
-	trials := make([]Trial[quantiles], 0, len(cases))
+	trials := make([]Trial[flowStats], 0, len(cases))
 	for _, c := range cases {
-		trials = append(trials, Trial[quantiles]{
+		trials = append(trials, Trial[flowStats]{
 			Name: c.name,
-			Run: func() (quantiles, error) {
-				p50, p99, err := run(c.w)
-				return quantiles{p50, p99}, err
-			},
+			Run:  func() (flowStats, error) { return run(c.w) },
 		})
 	}
 	res, err := Sweep(cfg, trials)
@@ -106,23 +97,21 @@ func A2(cfg Config) (*Table, error) {
 	n := side * side
 
 	run := func(bypass bool) (sim.Duration, int, error) {
-		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 81)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := ringctl.DefaultConfig()
-		cfg.Epoch = 50 * sim.Microsecond
-		cfg.EnableReconfig, cfg.EnablePower, cfg.EnableFEC = false, false, false
+		ctl := ringctl.DefaultConfig()
+		ctl.Epoch = 50 * sim.Microsecond
+		ctl.EnableReconfig, ctl.EnablePower, ctl.EnableFEC = false, false, false
 		// Price-driven re-routing is ablated out on both arms: with it on,
 		// the mice would discover the cheap express edge and dilute the
 		// elephant's dedicated lane — a real interaction, but A3's story;
 		// this table isolates PLP #2. Shortest-path routing still adopts
 		// the express for the elephant (one hop beats six).
-		cfg.EnableRouting = false
-		cfg.EnableBypass = bypass
-		ctl := ringctl.New(eng, f, cfg)
-		ctl.Start()
+		ctl.EnableRouting = false
+		ctl.EnableBypass = bypass
+		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
+		f, _, err := buildFabric(g, 81, &ctl)
+		if err != nil {
+			return 0, 0, err
+		}
 
 		// One elephant crosses the rack through sustained cross traffic:
 		// streams of medium flows occupy every interior link for the
@@ -153,11 +142,8 @@ func A2(cfg Config) (*Table, error) {
 			stream(at(0, y), at(side-1, y))
 			stream(at(1, y), at(side-1, y))
 		}
-		flows, err := f.InjectFlows(specs)
+		flows, err := runFlows(f, specs, sim.Time(60*sim.Second), 0)
 		if err != nil {
-			return 0, 0, err
-		}
-		if err := f.RunUntilDone(sim.Time(60*sim.Second), flows[0]); err != nil {
 			return 0, 0, err
 		}
 		express := 0

@@ -54,7 +54,7 @@ func TestFluidPacketRankOrder(t *testing.T) {
 	})
 
 	g2 := topo.NewGrid(4, 4, topo.Options{})
-	_, f, err := buildFabric(g2, 7)
+	f, _, err := buildFabric(g2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFluidPacketDistributionAgreement1024(t *testing.T) {
 	sort.Float64s(fluidFCT)
 
 	g2 := topo.NewGrid(side, side, topo.Options{})
-	_, f, err := buildFabric(g2, 7)
+	f, _, err := buildFabric(g2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,11 @@ func TestFluidPacketRankOrderUnderFlap(t *testing.T) {
 
 	// Packet side: the same flap as scheduled control-plane events.
 	g2 := topo.NewGrid(4, 4, topo.Options{})
-	eng, f, err := buildFabric(g2, 7)
+	f, _, err := buildFabric(g2, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := f.Engine()
 	e2, ok := g2.EdgeBetween(9, 10)
 	if !ok {
 		t.Fatal("missing central edge 9-10 on packet graph")

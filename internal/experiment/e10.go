@@ -11,19 +11,21 @@ import (
 	"rackfab/internal/workload"
 )
 
-// e10Cell is one churn trial reduced to engine-neutral scalars: the same
-// permutation workload run fault-free (baseline) and under a deterministic
-// fault schedule (churn), on either engine, plus the schedule's shape and
-// the solver's warm-start telemetry (fluid rungs only).
+// e10Run is one run of a churn rung: its flow summary, the fault counters,
+// and the solver's warm-start hit rate (fluid runs only).
+type e10Run struct {
+	flows   flowStats
+	faults  faults.Stats
+	warmPct float64
+}
+
+// e10Cell is one churn rung: the same permutation run fault-free (base)
+// and under a deterministic fault schedule (churn) on one engine, plus the
+// schedule's shape.
 type e10Cell struct {
-	baseMean, churnMean sim.Duration
-	baseP99, churnP99   sim.Duration
-	baseJCT, churnJCT   sim.Duration
-	reroutes, starved   int64
-	starvedTime         sim.Duration
-	flaps               int
-	warmPct             float64
-	packet              bool
+	base, churn e10Run
+	flaps       int
+	packet      bool
 }
 
 // e10Schedule derives the churn timeline from a baseline JCT so flaps land
@@ -54,101 +56,55 @@ func e10Graph(kind string, side int) *topo.Graph {
 	return topo.NewTorus(side, side, topo.Options{})
 }
 
-// e10Rung runs one fluid churn trial.
-func e10Rung(kind string, side int) (e10Cell, error) {
-	g := e10Graph(kind, side)
-	rng := sim.NewRNG(int64(side) * 31)
-	specs := workload.Permutation(rng, side*side, workload.Fixed(1e6))
-
-	base, err := fluid.Run(fluid.Config{Graph: g}, specs)
-	if err != nil {
-		return e10Cell{}, fmt.Errorf("%s/%d baseline: %w", kind, side*side, err)
-	}
-	if len(base.Flows) == 0 {
-		return e10Cell{}, fmt.Errorf("%s/%d baseline: %w", kind, side*side, ErrNoCompletedFlows)
-	}
-
-	sched, flapPulses := e10Schedule(kind, side, g, base.JCT)
-	churn, err := fluid.Run(fluid.Config{Graph: g, Faults: sched}, specs)
-	if err != nil {
-		return e10Cell{}, fmt.Errorf("%s/%d churn: %w", kind, side*side, err)
-	}
-	if len(churn.Flows) == 0 {
-		return e10Cell{}, fmt.Errorf("%s/%d churn: %w", kind, side*side, ErrNoCompletedFlows)
-	}
-	return e10Cell{
-		baseMean: base.MeanFCT, churnMean: churn.MeanFCT,
-		baseP99: base.P99FCT, churnP99: churn.P99FCT,
-		baseJCT: base.JCT, churnJCT: churn.JCT,
-		reroutes: churn.Faults.Reroutes, starved: churn.Faults.StarvedEpisodes,
-		starvedTime: churn.Faults.StarvedTime,
-		flaps:       flapPulses, warmPct: churn.Solver.WarmHitPct(),
-	}, nil
-}
-
-// e10PacketRung runs the churn trial on the packet engine: the identical
-// permutation and schedule construction, with the baseline's own packet
-// JCT anchoring the fault timeline. Frame-train batching (16 frames per
-// event) plus the calendar queue are what make this rung affordable — at
-// Full scale it carries the 1024-node fabric the issue tracker's fidelity
-// ladder asks for.
-func e10PacketRung(kind string, side int) (e10Cell, error) {
-	run := func(sched *faults.Schedule) (mean, p99, jct sim.Duration, reroutes, starved int64, starvedTime sim.Duration, err error) {
-		g := e10Graph(kind, side)
-		rng := sim.NewRNG(int64(side) * 31)
-		specs := workload.Permutation(rng, side*side, workload.Fixed(1e6))
-		_, f, err := buildFabric(g, int64(side)*31)
-		if err != nil {
-			return 0, 0, 0, 0, 0, 0, err
-		}
-		f.SetFrameTrains(fabric.TrainLength)
-		if sched != nil {
-			if _, err := f.ScheduleFaults(sched, nil); err != nil {
-				return 0, 0, 0, 0, 0, 0, err
-			}
-		}
-		flows, err := f.InjectFlows(specs)
-		if err != nil {
-			return 0, 0, 0, 0, 0, 0, err
-		}
-		if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
-			return 0, 0, 0, 0, 0, 0, err
-		}
-		var sum sim.Duration
-		for i, flw := range flows {
-			if !flw.Done() || flw.Failed() {
-				return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: flow %d unfinished", kind, side*side, i)
-			}
-			sum += flw.FCT()
-		}
-		if len(flows) == 0 {
-			return 0, 0, 0, 0, 0, 0, fmt.Errorf("packet %s/%d: %w", kind, side*side, ErrNoCompletedFlows)
-		}
-		if jct, err = fabric.JobCompletionTime(flows); err != nil {
-			return 0, 0, 0, 0, 0, 0, err
-		}
-		_, p99 = fctPercentiles(flows)
-		fs := f.FaultStats()
-		return sum / sim.Duration(len(flows)), p99, jct, fs.Reroutes, fs.StarvedEpisodes, fs.StarvedTime, nil
-	}
-
-	baseMean, baseP99, baseJCT, _, _, _, err := run(nil)
-	if err != nil {
-		return e10Cell{}, err
+// e10Rung runs one churn rung on the fluid engine, or on the packet engine
+// with frame trains (16 frames per event), which with the calendar queue
+// make a 1024-node packet rung affordable. Both runs take the identical
+// permutation, and the baseline's own JCT anchors the fault timeline. The
+// two fluid runs and the schedule share the rung's graph, which fluid.Run
+// restores after a faulted run; each packet run builds its own.
+func e10Rung(kind string, side int, packet bool) (e10Cell, error) {
+	name := fmt.Sprintf("%s/%d", kind, side*side)
+	if packet {
+		name = "packet " + name
 	}
 	g := e10Graph(kind, side)
-	sched, flapPulses := e10Schedule(kind, side, g, baseJCT)
-	churnMean, churnP99, churnJCT, reroutes, starved, starvedTime, err := run(sched)
-	if err != nil {
-		return e10Cell{}, err
+	specs := workload.Permutation(sim.NewRNG(int64(side)*31), side*side, workload.Fixed(1e6))
+	run := func(sched *faults.Schedule) (e10Run, error) {
+		if !packet {
+			res, err := fluid.Run(fluid.Config{Graph: g, Faults: sched}, specs)
+			if err != nil {
+				return e10Run{}, err
+			}
+			st, err := fluidStats(res)
+			return e10Run{st, res.Faults, res.Solver.WarmHitPct()}, err
+		}
+		f, _, err := buildFabric(e10Graph(kind, side), int64(side)*31, nil, func(c *fabric.Config) {
+			c.Host.TrainLength = fabric.TrainLength
+		})
+		if err != nil {
+			return e10Run{}, err
+		}
+		if _, err := f.ScheduleFaults(sched, nil); err != nil {
+			return e10Run{}, err
+		}
+		flows, err := runFlows(f, specs, sim.Time(60*sim.Second))
+		if err != nil {
+			return e10Run{}, err
+		}
+		st, err := hostStats(flows)
+		return e10Run{flows: st, faults: f.FaultStats()}, err
 	}
-	return e10Cell{
-		baseMean: baseMean, churnMean: churnMean,
-		baseP99: baseP99, churnP99: churnP99,
-		baseJCT: baseJCT, churnJCT: churnJCT,
-		reroutes: reroutes, starved: starved, starvedTime: starvedTime,
-		flaps: flapPulses, packet: true,
-	}, nil
+	c := e10Cell{packet: packet}
+	var err error
+	if c.base, err = run(nil); err != nil {
+		return e10Cell{}, fmt.Errorf("%s baseline: %w", name, err)
+	}
+	var sched *faults.Schedule
+	sched, c.flaps = e10Schedule(kind, side, g, c.base.flows.jct)
+	if c.churn, err = run(sched); err != nil {
+		return e10Cell{}, fmt.Errorf("%s churn: %w", name, err)
+	}
+	return c, nil
 }
 
 // E10 is the churn experiment: the fabric's *adaptive* claim made
@@ -178,7 +134,7 @@ func E10(cfg Config) (*Table, error) {
 			side, kind := side, kind
 			trials = append(trials, Trial[e10Cell]{
 				Name: fmt.Sprintf("%s/%d", kind, side*side),
-				Run:  func() (e10Cell, error) { return e10Rung(kind, side) },
+				Run:  func() (e10Cell, error) { return e10Rung(kind, side, false) },
 			})
 		}
 	}
@@ -190,7 +146,7 @@ func E10(cfg Config) (*Table, error) {
 		kind := kind
 		trials = append(trials, Trial[e10Cell]{
 			Name: fmt.Sprintf("packet-%s/%d", kind, packetSide*packetSide),
-			Run:  func() (e10Cell, error) { return e10PacketRung(kind, packetSide) },
+			Run:  func() (e10Cell, error) { return e10Rung(kind, packetSide, true) },
 		})
 	}
 	cells, err := Sweep(cfg, trials)
@@ -210,25 +166,26 @@ func E10(cfg Config) (*Table, error) {
 	i := 0
 	addRow := func(side int, kind string, c e10Cell) {
 		engine := "fluid"
-		warm := fmt.Sprintf("%.1f", c.warmPct)
+		warm := fmt.Sprintf("%.1f", c.churn.warmPct)
 		if c.packet {
 			engine, warm = "packet", "-"
 		}
-		thrDegr := (1 - float64(c.baseJCT)/float64(c.churnJCT)) * 100
-		p99Infl := (float64(c.churnP99)/float64(c.baseP99) - 1) * 100
+		base, churn, fs := c.base.flows, c.churn.flows, c.churn.faults
+		thrDegr := (1 - float64(base.jct)/float64(churn.jct)) * 100
+		p99Infl := (float64(churn.p99)/float64(base.p99) - 1) * 100
 		recovery := 0.0
-		if c.starved > 0 {
-			recovery = (c.starvedTime / sim.Duration(c.starved)).Microseconds()
+		if fs.StarvedEpisodes > 0 {
+			recovery = (fs.StarvedTime / sim.Duration(fs.StarvedEpisodes)).Microseconds()
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", side*side), kind, engine,
 			fmt.Sprintf("%d", c.flaps),
-			us(c.baseMean), us(c.churnMean),
+			us(base.mean), us(churn.mean),
 			fmt.Sprintf("%.1f", thrDegr),
 			fmt.Sprintf("%.1f", p99Infl),
 			fmt.Sprintf("%.2f", recovery),
-			fmt.Sprintf("%d", c.reroutes),
-			fmt.Sprintf("%d", c.starved),
+			fmt.Sprintf("%d", fs.Reroutes),
+			fmt.Sprintf("%d", fs.StarvedEpisodes),
 			warm,
 		)
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"rackfab/internal/fabric"
 	"rackfab/internal/plp"
 	"rackfab/internal/ringctl"
 	"rackfab/internal/sim"
@@ -30,8 +29,16 @@ func E3(cfg Config) (*Table, error) {
 	n := side * side
 
 	run := func(degrade, adaptive bool) (sim.Duration, error) {
+		var ctl *ringctl.Config
+		if adaptive {
+			c := ringctl.DefaultConfig()
+			c.Epoch = 20 * sim.Microsecond
+			c.EnableReconfig = false // isolate the routing response
+			c.EnableBypass = false
+			ctl = &c
+		}
 		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 11)
+		f, _, err := buildFabric(g, 11, ctl)
 		if err != nil {
 			return 0, err
 		}
@@ -48,16 +55,8 @@ func E3(cfg Config) (*Table, error) {
 				return 0, err
 			}
 		}
-		if adaptive {
-			cfg := ringctl.DefaultConfig()
-			cfg.Epoch = 20 * sim.Microsecond
-			cfg.EnableReconfig = false // isolate the routing response
-			cfg.EnableBypass = false
-			ctl := ringctl.New(eng, f, cfg)
-			ctl.Start()
-		}
 		// Let the fault apply before traffic starts.
-		if err := eng.RunUntil(sim.Time(sim.Millisecond)); err != nil {
+		if err := f.RunFor(sim.Millisecond); err != nil {
 			return 0, err
 		}
 		// Left-half mappers, right-half reducers: the shuffle crosses the
@@ -79,14 +78,12 @@ func E3(cfg Config) (*Table, error) {
 			BytesPerPair: bytesPerPair,
 			Jitter:       10 * sim.Microsecond,
 		})
-		flows, err := f.InjectFlows(specs)
+		flows, err := runFlows(f, specs, sim.Time(60*sim.Second))
 		if err != nil {
 			return 0, err
 		}
-		if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
-			return 0, err
-		}
-		return fabric.JobCompletionTime(flows)
+		st, err := hostStats(flows)
+		return st.jct, err
 	}
 
 	res, err := Sweep(cfg, []Trial[sim.Duration]{

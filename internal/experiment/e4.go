@@ -29,18 +29,16 @@ func E4(cfg Config) (*Table, error) {
 		lanesShed int
 	}
 	run := func(capW float64, flows int) (*result, error) {
-		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 21, func(c *fabric.Config) { c.PowerCapW = capW })
-		if err != nil {
-			return nil, err
-		}
 		cfg := ringctl.DefaultConfig()
 		cfg.Epoch = 50 * sim.Microsecond
 		cfg.EnableReconfig = false
 		cfg.EnableBypass = false
 		cfg.EnableFEC = false
-		ctl := ringctl.New(eng, f, cfg)
-		ctl.Start()
+		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
+		f, ctl, err := buildFabric(g, 21, &cfg, func(c *fabric.Config) { c.PowerCapW = capW })
+		if err != nil {
+			return nil, err
+		}
 
 		rng := sim.NewRNG(5)
 		specs := workload.Uniform(rng, workload.UniformConfig{
@@ -48,11 +46,12 @@ func E4(cfg Config) (*Table, error) {
 			Size:             workload.Fixed(64e3),
 			MeanInterarrival: 3 * sim.Microsecond,
 		})
-		injected, err := f.InjectFlows(specs)
+		injected, err := runFlows(f, specs, sim.Time(30*sim.Second))
 		if err != nil {
 			return nil, err
 		}
-		if err := f.RunUntilDone(sim.Time(30 * sim.Second)); err != nil {
+		st, err := hostStats(injected)
+		if err != nil {
 			return nil, err
 		}
 		shed := 0
@@ -61,12 +60,11 @@ func E4(cfg Config) (*Table, error) {
 				shed++
 			}
 		}
-		_, fctP99 := fctPercentiles(injected)
 		return &result{
 			peakW:     f.PowerBudget().PeakW(),
 			finalW:    f.TotalPowerW(),
 			overTime:  f.PowerBudget().OverTime(),
-			fctP99:    fctP99,
+			fctP99:    st.p99,
 			lanesShed: shed,
 		}, nil
 	}

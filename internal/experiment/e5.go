@@ -30,7 +30,7 @@ func E5(cfg Config) (*Table, error) {
 
 	run := func(bytes int64, express bool) (sim.Duration, error) {
 		g := topo.NewLine(5, topo.Options{LanesPerLink: 2})
-		_, f, err := buildFabric(g, 31)
+		f, _, err := buildFabric(g, 31, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -57,16 +57,12 @@ func E5(cfg Config) (*Table, error) {
 			{Src: 2, Dst: 4, Bytes: 1e9, Label: "bg"},
 		}
 		probe := workload.FlowSpec{Src: 0, Dst: 4, Bytes: bytes, Label: "probe"}
-		flows, err := f.InjectFlows(append(bg, probe))
+		// Run until the probe (not the elephants) completes.
+		flows, err := runFlows(f, append(bg, probe), sim.Time(60*sim.Second), 2)
 		if err != nil {
 			return 0, err
 		}
-		probeFlow := flows[2]
-		// Run until the probe (not the elephants) completes.
-		if err := f.RunUntilDone(sim.Time(60*sim.Second), probeFlow); err != nil {
-			return 0, err
-		}
-		return probeFlow.FCT(), nil
+		return flows[2].FCT(), nil
 	}
 
 	trials := make([]Trial[sim.Duration], 0, 2*len(sizes))

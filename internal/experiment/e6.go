@@ -36,7 +36,14 @@ func E6(cfg Config) (*Table, error) {
 		for _, lane := range e.Link.Lanes {
 			lane.SetBER(ber)
 		}
-		eng, f, err := buildFabric(g, 61)
+		var ctl *ringctl.Config
+		if mode == "adaptive" {
+			c := ringctl.DefaultConfig()
+			c.Epoch = 20 * sim.Microsecond
+			c.EnableReconfig, c.EnableBypass, c.EnablePower, c.EnableRouting = false, false, false, false
+			ctl = &c
+		}
+		f, _, err := buildFabric(g, 61, ctl)
 		if err != nil {
 			return nil, err
 		}
@@ -50,27 +57,16 @@ func E6(cfg Config) (*Table, error) {
 			}
 			prof = "rs(255,223)"
 		case "adaptive":
-			cfg := ringctl.DefaultConfig()
-			cfg.Epoch = 20 * sim.Microsecond
-			cfg.EnableReconfig, cfg.EnableBypass, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
-			ctl := ringctl.New(eng, f, cfg)
-			ctl.Start()
 			// Prime the channel so the first reports carry a measured BER:
 			// a short leading transfer plays the role of live traffic.
-			warm, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: 1, Bytes: 256e3, Label: "warmup"}})
-			if err != nil {
+			warmup := []workload.FlowSpec{{Src: 0, Dst: 1, Bytes: 256e3, Label: "warmup"}}
+			if _, err := runFlows(f, warmup, sim.Time(5*sim.Second)); err != nil {
 				return nil, err
 			}
-			if err := f.RunUntilDone(sim.Time(5 * sim.Second)); err != nil {
-				return nil, err
-			}
-			_ = warm
 		}
-		flows, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: 1, Bytes: flowBytes, Label: "probe"}})
+		probe := []workload.FlowSpec{{Src: 0, Dst: 1, Bytes: flowBytes, Label: "probe"}}
+		flows, err := runFlows(f, probe, f.Engine().Now().Add(60*sim.Second))
 		if err != nil {
-			return nil, err
-		}
-		if err := f.RunUntilDone(f.Engine().Now().Add(60 * sim.Second)); err != nil {
 			return nil, err
 		}
 		if mode == "adaptive" {

@@ -1,8 +1,8 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"rackfab/internal/fluid"
@@ -11,21 +11,17 @@ import (
 	"rackfab/internal/workload"
 )
 
-// ErrNoCompletedFlows reports a fluid/packet run that finished with zero
-// completed flows — a mean FCT over such a run is 0/0, and the NaN it used
-// to produce would silently poison the table.
-var ErrNoCompletedFlows = errors.New("experiment: run completed no flows")
-
 // e8CrossSide is the grid side the fluid-vs-packet cross-check runs at.
 // The rung is explicit in the trial spec (crosscheck/16 in the sweep) so
 // the table says which scale the validation ladder was anchored at; the
 // packet engine bounds it to small fabrics.
 const e8CrossSide = 4
 
-// e8Cell is one E8 trial result: a scale rung (res+wall) or the
-// cross-check note's delta.
+// e8Cell is one E8 trial result: a scale rung (res, its flow summary and
+// wall time) or the cross-check note's delta.
 type e8Cell struct {
 	res   *fluid.Result
+	stats flowStats
 	wall  time.Duration
 	delta float64
 }
@@ -46,10 +42,11 @@ func e8Rung(kind string, side int, specs []workload.FlowSpec) (e8Cell, error) {
 	if err != nil {
 		return e8Cell{}, err
 	}
-	if len(res.Flows) == 0 {
-		return e8Cell{}, fmt.Errorf("%s/%d: %w", kind, side*side, ErrNoCompletedFlows)
+	st, err := fluidStats(res)
+	if err != nil {
+		return e8Cell{}, fmt.Errorf("%s/%d: %w", kind, side*side, err)
 	}
-	return e8Cell{res: res, wall: time.Since(start)}, nil //det:wallclock feeds only the table's wall column, which is Volatile-masked out of fingerprints
+	return e8Cell{res: res, stats: st, wall: time.Since(start)}, nil //det:wallclock feeds only the table's wall column, which is Volatile-masked out of fingerprints
 }
 
 // E8 is the scale experiment: "rack-scale systems contain hundreds to
@@ -121,7 +118,7 @@ func E8(cfg Config) (*Table, error) {
 			i++
 			t.AddRow(
 				fmt.Sprintf("%d", side*side), kind,
-				us(c.res.MeanFCT), us(c.res.P99FCT), ms(c.res.JCT),
+				us(c.stats.mean), us(c.stats.p99), ms(c.stats.jct),
 				fmt.Sprintf("%d", c.res.Events),
 				fmt.Sprintf("%.1f", c.res.Solver.WarmHitPct()),
 				fmt.Sprintf("%d", c.wall.Milliseconds()),
@@ -139,50 +136,28 @@ func E8(cfg Config) (*Table, error) {
 // crossCheck runs the identical workload on both engines (a side×side grid)
 // and returns the mean-FCT percentage difference. A run that completes no
 // flows on either engine yields ErrNoCompletedFlows rather than a NaN
-// delta.
+// delta, and a packet run that leaves a flow unfinished errors: the
+// comparison is only meaningful over the full workload.
 func crossCheck(side int, specs []workload.FlowSpec) (float64, error) {
-	g1 := topo.NewGrid(side, side, topo.Options{})
-	fl, err := fluid.Run(fluid.Config{Graph: g1}, specs)
+	res, err := fluid.Run(fluid.Config{Graph: topo.NewGrid(side, side, topo.Options{})}, specs)
 	if err != nil {
 		return 0, err
 	}
-	if len(fl.Flows) == 0 {
-		return 0, fmt.Errorf("fluid engine: %w", ErrNoCompletedFlows)
+	fl, err := fluidStats(res)
+	if err != nil {
+		return 0, fmt.Errorf("fluid engine: %w", err)
 	}
-	g2 := topo.NewGrid(side, side, topo.Options{})
-	_, f, err := buildFabric(g2, 99)
+	f, _, err := buildFabric(topo.NewGrid(side, side, topo.Options{}), 99, nil)
 	if err != nil {
 		return 0, err
 	}
-	flows, err := f.InjectFlows(specs)
+	flows, err := runFlows(f, specs, sim.Time(60*sim.Second))
 	if err != nil {
 		return 0, err
 	}
-	if err := f.RunUntilDone(sim.Time(60 * sim.Second)); err != nil {
-		return 0, err
+	pk, err := hostStats(flows)
+	if err != nil {
+		return 0, fmt.Errorf("packet engine: %w", err)
 	}
-	var sum float64
-	completed := 0
-	for _, flw := range flows {
-		if !flw.Done() {
-			continue
-		}
-		sum += float64(flw.FCT())
-		completed++
-	}
-	if completed == 0 {
-		return 0, fmt.Errorf("packet engine: %w", ErrNoCompletedFlows)
-	}
-	// A partial packet run would bias the delta toward whatever happened to
-	// finish — the comparison is only meaningful over the full workload.
-	if completed < len(flows) {
-		return 0, fmt.Errorf("experiment: cross-check packet engine completed %d of %d flows", completed, len(flows))
-	}
-	packetMean := sum / float64(completed)
-	fluidMean := float64(fl.MeanFCT)
-	d := (fluidMean - packetMean) / packetMean * 100
-	if d < 0 {
-		d = -d
-	}
-	return d, nil
+	return math.Abs(float64(fl.mean-pk.mean)) / float64(pk.mean) * 100, nil
 }

@@ -39,45 +39,35 @@ func E9(cfg Config) (*Table, error) {
 			}
 			lane.AttachBurstChannel(ch)
 		}
-		eng, f, err := buildFabric(g, 62)
+		var ctlCfg *ringctl.Config
+		if mode == "adaptive" || mode == "adaptive-sticky" {
+			c := ringctl.DefaultConfig()
+			c.Epoch = 50 * sim.Microsecond
+			c.EnableReconfig, c.EnableBypass, c.EnablePower, c.EnableRouting = false, false, false, false
+			if mode == "adaptive-sticky" {
+				// Dwell sized above the burst period (2 ms / 50 µs epochs =
+				// 40): the controller escalates once and holds through the
+				// clean gaps instead of paying switch downtime every cycle.
+				c.FECDeescalateDwell = 64
+			}
+			ctlCfg = &c
+		}
+		f, ctl, err := buildFabric(g, 62, ctlCfg)
 		if err != nil {
 			return nil, err
 		}
-		var ctl *ringctl.Controller
-		switch mode {
-		case "none", "":
-			// default profile
-		case "rs-fixed":
+		if mode == "rs-fixed" {
 			if err := f.Execute(plp.Command{Kind: plp.SetFEC, Link: e.Index(), FECProfile: "rs(255,223)"}, nil); err != nil {
 				return nil, err
 			}
-		case "adaptive":
-			cfg := ringctl.DefaultConfig()
-			cfg.Epoch = 50 * sim.Microsecond
-			cfg.EnableReconfig, cfg.EnableBypass, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
-			ctl = ringctl.New(eng, f, cfg)
-			ctl.Start()
-		case "adaptive-sticky":
-			// Dwell sized above the burst period (2 ms / 50 µs epochs =
-			// 40): the controller escalates once and holds through the
-			// clean gaps instead of paying switch downtime every cycle.
-			cfg := ringctl.DefaultConfig()
-			cfg.Epoch = 50 * sim.Microsecond
-			cfg.FECDeescalateDwell = 64
-			cfg.EnableReconfig, cfg.EnableBypass, cfg.EnablePower, cfg.EnableRouting = false, false, false, false
-			ctl = ringctl.New(eng, f, cfg)
-			ctl.Start()
 		}
 		// A stream of transfers spanning many burst cycles.
 		specs := make([]workload.FlowSpec, streamFlows)
 		for i := range specs {
 			specs[i] = workload.FlowSpec{Src: 0, Dst: 1, Bytes: flowBytes, Label: "stream"}
 		}
-		flows, err := f.InjectFlows(specs)
+		flows, err := runFlows(f, specs, sim.Time(120*sim.Second))
 		if err != nil {
-			return nil, err
-		}
-		if err := f.RunUntilDone(sim.Time(120 * sim.Second)); err != nil {
 			return nil, err
 		}
 		out := &outcome{}

@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rackfab/internal/sim"
+	"rackfab/internal/telemetry"
 )
 
 // parse helpers for asserting on rendered cells.
@@ -51,6 +55,53 @@ func TestTableRowMismatchPanics(t *testing.T) {
 		}
 	}()
 	tab.AddRow("only-one")
+}
+
+// TestP99Convention pins summarize's P99 to the nearest-rank convention
+// telemetry.Histogram.Quantile uses: the ceil(0.99·n)-th smallest sample.
+// The two disagreed at small n — (n-1)·99/100 picks the 11th of 12 samples
+// where nearest-rank demands the 12th. Sample values are chosen to sit
+// exactly on histogram bucket bounds so the comparison is exact.
+func TestP99Convention(t *testing.T) {
+	for _, n := range []int{1, 12, 100} {
+		var fcts []sim.Duration
+		h := telemetry.NewHistogramPrecision(8)
+		for k := 1; k <= n; k++ {
+			v := sim.Duration(k) << 12
+			fcts = append(fcts, v)
+			h.Record(int64(v))
+		}
+		st, err := summarize(make([]sim.Time, n), fcts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Duration(int64(math.Ceil(float64(n)*0.99))) << 12
+		if st.p99 != want {
+			t.Errorf("n=%d: summarize P99 = %d, want nearest-rank %d", n, st.p99, want)
+		}
+		if got := h.Quantile(0.99); got != int64(want) {
+			t.Errorf("n=%d: histogram P99 = %d, want %d — conventions diverged", n, got, want)
+		}
+	}
+}
+
+// TestNearestRankShared holds the flow summary's P99 to
+// telemetry.NearestRank across the whole small-n range — the convention
+// has exactly one definition and this pins any future re-derivation drift.
+func TestNearestRankShared(t *testing.T) {
+	for n := 1; n <= 500; n++ {
+		var fcts []sim.Duration
+		for k := n; k >= 1; k-- { // descending: summarize must sort
+			fcts = append(fcts, sim.Duration(k))
+		}
+		st, err := summarize(make([]sim.Time, n), fcts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sim.Duration(telemetry.NearestRank(n, 99) + 1); st.p99 != want {
+			t.Fatalf("n=%d: summarize P99 = %d, telemetry.NearestRank says %d", n, st.p99, want)
+		}
+	}
 }
 
 func TestRegistry(t *testing.T) {

@@ -105,14 +105,11 @@ func fig1Measure(hops int, spacingM float64) (sim.Duration, error) {
 		Media:        phy.OpticalFiber,
 		NodeSpacingM: spacingM,
 	})
-	_, f, err := buildFabric(g, 1)
+	f, _, err := buildFabric(g, 1, nil)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.InjectFlows([]workload.FlowSpec{{Src: 0, Dst: hops, Bytes: probeBytes}}); err != nil {
-		return 0, err
-	}
-	if err := f.RunUntilDone(sim.Time(sim.Second)); err != nil {
+	if _, err := runFlows(f, []workload.FlowSpec{{Src: 0, Dst: hops, Bytes: probeBytes}}, sim.Time(sim.Second)); err != nil {
 		return 0, err
 	}
 	nicSerial := sim.Transmission(netstack.WireBitsForPayload(probeBytes), host.DefaultConfig().NICRate)

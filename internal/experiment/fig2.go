@@ -35,18 +35,18 @@ func Fig2(cfg Config) (*Table, error) {
 	}
 	run := func(reconfigure bool) (*phase, error) {
 		g := topo.NewGrid(side, side, topo.Options{LanesPerLink: 2})
-		eng, f, err := buildFabric(g, 42)
+		f, _, err := buildFabric(g, 42, nil)
 		if err != nil {
 			return nil, err
 		}
 		var commands int
 		if reconfigure {
-			ctl := ringctl.New(eng, f, ringctl.DefaultConfig())
+			ctl := ringctl.New(f.Engine(), f, ringctl.DefaultConfig())
 			if err := ctl.ApplyGridToTorus(1); err != nil {
 				return nil, err
 			}
 			// Let the PLP plan drain before offering traffic.
-			if err := eng.RunUntil(sim.Time(50 * sim.Millisecond)); err != nil {
+			if err := f.RunFor(50 * sim.Millisecond); err != nil {
 				return nil, err
 			}
 			for _, d := range ctl.Decisions() {
@@ -66,11 +66,12 @@ func Fig2(cfg Config) (*Table, error) {
 			Size:             workload.Fixed(512),
 			MeanInterarrival: 2 * sim.Microsecond,
 		})
-		injected, err := f.InjectFlows(specs)
+		injected, err := runFlows(f, specs, sim.Time(10*sim.Second))
 		if err != nil {
 			return nil, err
 		}
-		if err := f.RunUntilDone(sim.Time(10 * sim.Second)); err != nil {
+		st, err := hostStats(injected)
+		if err != nil {
 			return nil, err
 		}
 		mean, err := g.MeanHops()
@@ -83,12 +84,11 @@ func Fig2(cfg Config) (*Table, error) {
 				express++
 			}
 		}
-		_, fctP99 := fctPercentiles(injected)
 		return &phase{
 			meanHops:   mean,
 			latP50:     sim.Duration(f.Stats().Latency.Quantile(0.5)),
 			latP99:     sim.Duration(f.Stats().Latency.Quantile(0.99)),
-			fctP99:     fctP99,
+			fctP99:     st.p99,
 			powerPeakW: f.PowerBudget().PeakW(),
 			express:    express,
 			commands:   commands,

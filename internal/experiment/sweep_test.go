@@ -23,7 +23,7 @@ func sweepTrials(n int) []Trial[int] {
 		trials[i] = Trial[int]{
 			Name: fmt.Sprintf("t%d", i),
 			Run: func() (int, error) {
-				eng := sim.New()
+				eng := sim.NewSized(256)
 				sum := 0
 				for k := 0; k < 20; k++ {
 					eng.After(sim.Duration(k+1)*sim.Nanosecond, "tick", func() { sum += k })
@@ -173,7 +173,7 @@ func TestSweepConcurrentFabricTrials(t *testing.T) {
 				Name: fmt.Sprintf("fabric%d", i),
 				Run: func() (string, error) {
 					g := topo.NewGrid(3, 3, topo.Options{LanesPerLink: 2})
-					_, f, err := buildFabric(g, int64(100+i))
+					f, _, err := buildFabric(g, int64(100+i), nil)
 					if err != nil {
 						return "", err
 					}
@@ -183,15 +183,12 @@ func TestSweepConcurrentFabricTrials(t *testing.T) {
 						Size:             workload.Fixed(16e3),
 						MeanInterarrival: 2 * sim.Microsecond,
 					})
-					flows, err := f.InjectFlows(specs)
+					flows, err := runFlows(f, specs, sim.Time(10*sim.Second))
 					if err != nil {
 						return "", err
 					}
-					if err := f.RunUntilDone(sim.Time(10 * sim.Second)); err != nil {
-						return "", err
-					}
-					_, p99 := fctPercentiles(flows)
-					return fmt.Sprintf("%d:%.3f", i, p99.Microseconds()), nil
+					st, err := hostStats(flows)
+					return fmt.Sprintf("%d:%.3f", i, st.p99.Microseconds()), err
 				},
 			}
 		}

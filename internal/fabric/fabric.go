@@ -12,6 +12,7 @@ import (
 	"rackfab/internal/host"
 	"rackfab/internal/phy"
 	"rackfab/internal/power"
+	"rackfab/internal/ringctl"
 	"rackfab/internal/route"
 	"rackfab/internal/sim"
 	"rackfab/internal/switching"
@@ -233,6 +234,25 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	f.table = route.Build(f.g, f.costFn)
 	f.samplePower()
 	return f, nil
+}
+
+// Assemble builds a fabric over cfg.Graph on a fresh engine whose event
+// list is sized for the node count, and starts a Closed Ring Control over
+// it when ctl is non-nil; the controller is nil otherwise. It is the one
+// packet assembly: the public façade, the PoC validation and every packet
+// experiment build through it, and New stays the primitive for callers
+// that bring their own engine.
+func Assemble(cfg Config, ctl *ringctl.Config) (*Fabric, *ringctl.Controller, error) {
+	if cfg.Graph == nil {
+		return nil, nil, fmt.Errorf("fabric: config needs a graph")
+	}
+	f, err := New(sim.NewSized(4*cfg.Graph.NumNodes()), cfg)
+	if err != nil || ctl == nil {
+		return f, nil, err
+	}
+	c := ringctl.New(f.eng, f, *ctl)
+	c.Start()
+	return f, c, nil
 }
 
 // Engine returns the fabric's simulation engine.

@@ -112,7 +112,7 @@ func TestExpressPortsFitRouteDegree(t *testing.T) {
 	for _, ports := range []int{fits, fits + 1} {
 		cfg := DefaultConfig(g)
 		cfg.ExpressPorts = ports
-		_, err := New(sim.New(), cfg)
+		_, err := New(sim.NewSized(256), cfg)
 		if ok := ports <= fits; (err == nil) != ok {
 			t.Fatalf("ExpressPorts %d: err = %v, want accepted = %v", ports, err, ok)
 		}

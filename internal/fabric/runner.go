@@ -103,27 +103,3 @@ func (f *Fabric) RunFor(d sim.Duration) error {
 	}
 	return err
 }
-
-// JobCompletionTime returns the barrier completion time of a flow group:
-// the latest FCT endpoint among them (MapReduce's "reducer waits for all
-// mappers"). It errors if any flow is unfinished.
-func JobCompletionTime(flows []*host.Flow) (sim.Duration, error) {
-	if len(flows) == 0 {
-		return 0, fmt.Errorf("fabric: empty job")
-	}
-	var earliest, latest sim.Time
-	for i, fl := range flows {
-		if !fl.Done() {
-			return 0, fmt.Errorf("fabric: flow %d unfinished", fl.ID)
-		}
-		start := fl.Started()
-		end := fl.Started().Add(fl.FCT())
-		if i == 0 || start.Before(earliest) {
-			earliest = start
-		}
-		if end.After(latest) {
-			latest = end
-		}
-	}
-	return latest.Sub(earliest), nil
-}

@@ -30,7 +30,6 @@ import (
 
 	"rackfab/internal/faults"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
 	"rackfab/internal/workload"
@@ -102,17 +101,12 @@ type FlowResult struct {
 	Hops  int
 }
 
-// Result summarizes a fluid run. Flows is in completion order, ties broken
-// by canonical spec order, so two runs over the same spec multiset — in any
-// input order — produce identical Results.
+// Result is a fluid run's record. Flows is in completion order, ties
+// broken by canonical spec order, so two runs over the same spec multiset
+// — in any input order — produce identical Results. Callers summarize the
+// flows themselves (the experiments' flowStats).
 type Result struct {
 	Flows []FlowResult
-	// MeanFCT and P99FCT summarize completion times. P99FCT is the exact
-	// nearest-rank sample, the ceil(0.99·n)-th smallest
-	// (telemetry.Percentiles).
-	MeanFCT, P99FCT sim.Duration
-	// JCT is the barrier completion time across all flows.
-	JCT sim.Duration
 	// Events counts arrival/completion events processed (capacity-change
 	// events are tallied separately in Faults.CapacityEvents).
 	Events int
@@ -159,10 +153,11 @@ func canonicalOrder(specs []workload.FlowSpec) []int {
 }
 
 // Run executes the fluid simulation over the given specs: a Session
-// advanced to completion in one shot, with the graph's administrative link
-// state restored on every exit path so a faulted run leaves the topology as
-// it found it (warm/cold replays and baseline-vs-churn trials share
-// graphs).
+// advanced in one shot until every flow has completed and every fault has
+// applied (Faults counts events after the last completion too), with the
+// graph's administrative link state restored on every exit path so a
+// faulted run leaves the topology as it found it (warm/cold replays and
+// baseline-vs-churn trials share graphs).
 func Run(cfg Config, specs []workload.FlowSpec) (*Result, error) {
 	s, err := NewSession(cfg, specs)
 	if err != nil {
@@ -173,28 +168,4 @@ func Run(cfg Config, specs []workload.FlowSpec) (*Result, error) {
 		return nil, err
 	}
 	return s.finish(), nil
-}
-
-// summarize fills the aggregate fields.
-func summarize(res *Result) {
-	if len(res.Flows) == 0 {
-		return
-	}
-	fcts := make([]sim.Duration, len(res.Flows))
-	var sum float64
-	var latest sim.Time
-	var earliest = res.Flows[0].Start
-	for i, f := range res.Flows {
-		fcts[i] = f.FCT
-		sum += float64(f.FCT)
-		if end := f.Start.Add(f.FCT); end > latest {
-			latest = end
-		}
-		if f.Start < earliest {
-			earliest = f.Start
-		}
-	}
-	res.MeanFCT = sim.Duration(sum / float64(len(fcts)))
-	_, res.P99FCT, _ = telemetry.Percentiles(fcts)
-	res.JCT = latest.Sub(earliest)
 }

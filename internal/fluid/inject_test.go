@@ -148,7 +148,6 @@ func TestSessionRetireBitIdentical(t *testing.T) {
 			Solver: snap.Solver,
 			Faults: snap.Faults,
 		}
-		summarize(res)
 		return resultFingerprint(res), s.Retired(), peakRetained
 	}
 

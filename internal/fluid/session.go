@@ -189,10 +189,12 @@ func (s *Session) FlowStatus(id int) FlowStatus {
 }
 
 // Advance runs the event loop until the next event lies strictly after
-// `until` (events at exactly `until` are processed), every flow completes,
-// or an error state is reached. The error conditions — starvation behind an
-// unhealed partition, or a stall — are exactly Run's: the session cannot
-// progress past them unless an ApplyFaults heals the partition. If the run
+// `until` (events at exactly `until` are processed), every flow completes
+// and every fault has applied, or an error state is reached. A fault due
+// while the session holds no flow applies at its own instant, as on the
+// packet engine. The error conditions — starvation behind an unhealed
+// partition, or a stall — are exactly Run's: the session cannot progress
+// past them unless an ApplyFaults heals the partition. If the run
 // completes before `until`, the clock idles forward to `until` — RunFor
 // semantics.
 func (s *Session) Advance(until sim.Time) error {
@@ -200,17 +202,18 @@ func (s *Session) Advance(until sim.Time) error {
 }
 
 // AdvanceUntilDone is Advance without the idle-forward: when every flow
-// completes before `until`, the clock stops at the last event — the packet
-// engine's RunUntilDone semantics, which the façade keeps interchangeable
-// across engines. A run that does NOT finish by `until` still leaves the
-// clock at `until`, exactly where the packet engine's limit stops it.
+// completes before `until`, the clock stops at the last event and later
+// faults stay pending — the packet engine's RunUntilDone semantics, which
+// the façade keeps interchangeable across engines. A run that does NOT
+// finish by `until` still leaves the clock at `until`, exactly where the
+// packet engine's limit stops it.
 func (s *Session) AdvanceUntilDone(until sim.Time) error {
 	return s.advance(until, false)
 }
 
 func (s *Session) advance(until sim.Time, idleForward bool) error {
 	en := s.en
-	for s.pending() > 0 || en.activeCount > 0 {
+	for s.pending() > 0 || en.activeCount > 0 || (idleForward && s.faulted < len(s.linkEvents)) {
 		nextDone, doneID := en.nextDone()
 		nextArrival := sim.Forever
 		if s.arrivalQ.Len() > 0 {
@@ -375,32 +378,29 @@ func (s *Session) Retire() int {
 // TakeCompleted drains and returns the completion records accumulated since
 // the last call, in completion order. Service drivers stream results out
 // through it so a long-running session's Result does not grow with history;
-// a Snapshot after a Take summarizes only the undrained tail.
+// a Snapshot after a Take holds only the undrained tail.
 func (s *Session) TakeCompleted() []FlowResult {
 	out := s.res.Flows
 	s.res.Flows = nil
 	return out
 }
 
-// Snapshot returns a summarized copy of the results so far. The live run is
+// Snapshot returns a copy of the results so far. The live run is
 // untouched; completed flows are in completion order exactly as Run reports
 // them.
 func (s *Session) Snapshot() *Result {
-	res := &Result{
+	return &Result{
 		Flows:  append([]FlowResult(nil), s.res.Flows...),
 		Events: s.res.Events,
 		Solver: s.en.stats.SolverStats,
 		Faults: s.en.stats.Faults,
 	}
-	summarize(res)
-	return res
 }
 
 // finish seals the session's own Result — Run's return value.
 func (s *Session) finish() *Result {
 	s.res.Solver = s.en.stats.SolverStats
 	s.res.Faults = s.en.stats.Faults
-	summarize(s.res)
 	return s.res
 }
 

@@ -24,8 +24,7 @@ func sessionSpecs() []workload.FlowSpec {
 }
 
 func resultFingerprint(res *Result) string {
-	s := fmt.Sprintf("events=%d mean=%d p99=%d jct=%d solver=%+v faults=%+v\n",
-		res.Events, res.MeanFCT, res.P99FCT, res.JCT, res.Solver, res.Faults)
+	s := fmt.Sprintf("events=%d solver=%+v faults=%+v\n", res.Events, res.Solver, res.Faults)
 	for _, f := range res.Flows {
 		s += fmt.Sprintf("%s %d %d %d %d\n", f.Spec.Label, f.Spec.Bytes, int64(f.Start), int64(f.FCT), f.Hops)
 	}
@@ -34,8 +33,8 @@ func resultFingerprint(res *Result) string {
 
 // TestSessionMatchesRun holds the stepped Session bit-equal to the one-shot
 // Run: the same scenario advanced in many small chunks must reproduce every
-// flow result, counter, and summary byte Run produces — fault-free and
-// under a link flap + node pulse schedule.
+// flow result and counter Run produces — fault-free and under a link flap +
+// node pulse schedule.
 func TestSessionMatchesRun(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		name := "fault-free"

@@ -1,7 +1,6 @@
 package fluid
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,7 +9,6 @@ import (
 
 	"rackfab/internal/faults"
 	"rackfab/internal/sim"
-	"rackfab/internal/telemetry"
 	"rackfab/internal/topo"
 	"rackfab/internal/workload"
 )
@@ -393,31 +391,6 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 	}
 }
 
-// TestP99Convention pins summarize's P99 to the nearest-rank convention
-// telemetry.Histogram.Quantile uses: the ceil(0.99·n)-th smallest sample.
-// The two disagreed at small n — (n-1)·99/100 picks the 11th of 12 samples
-// where nearest-rank demands the 12th. Sample values are chosen to sit
-// exactly on histogram bucket bounds so the comparison is exact.
-func TestP99Convention(t *testing.T) {
-	for _, n := range []int{1, 12, 100} {
-		res := &Result{}
-		h := telemetry.NewHistogramPrecision(8)
-		for k := 1; k <= n; k++ {
-			v := sim.Duration(k) << 12
-			res.Flows = append(res.Flows, FlowResult{FCT: v})
-			h.Record(int64(v))
-		}
-		summarize(res)
-		want := sim.Duration(int64(math.Ceil(float64(n)*0.99))) << 12
-		if res.P99FCT != want {
-			t.Errorf("n=%d: summarize P99 = %d, want nearest-rank %d", n, res.P99FCT, want)
-		}
-		if got := h.Quantile(0.99); got != int64(want) {
-			t.Errorf("n=%d: histogram P99 = %d, want %d — conventions diverged", n, got, want)
-		}
-	}
-}
-
 // BenchmarkFluidAllocate measures one incremental re-solve in isolation: a
 // 256-node torus with a full permutation active, re-filling the component
 // around one flow's path per iteration (the exact work an arrival or
@@ -594,21 +567,5 @@ func TestSameInstantArrivalsOneFill(t *testing.T) {
 	}
 	if got := s.Snapshot().Flows; !slices.Equal(got, want) {
 		t.Errorf("batched results %+v\nwant one-at-a-time %+v", got, want)
-	}
-}
-
-// TestNearestRankShared holds the fluid summary's P99 to
-// telemetry.NearestRank across the whole small-n range — the convention
-// has exactly one definition and this pins any future re-derivation drift.
-func TestNearestRankShared(t *testing.T) {
-	for n := 1; n <= 500; n++ {
-		res := &Result{}
-		for k := n; k >= 1; k-- { // descending: summarize must sort
-			res.Flows = append(res.Flows, FlowResult{FCT: sim.Duration(k)})
-		}
-		summarize(res)
-		if want := sim.Duration(telemetry.NearestRank(n, 99) + 1); res.P99FCT != want {
-			t.Fatalf("n=%d: summarize P99 = %d, telemetry.NearestRank says %d", n, res.P99FCT, want)
-		}
 	}
 }

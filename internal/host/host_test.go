@@ -21,7 +21,7 @@ type loopback struct {
 }
 
 func newLoopback(delay sim.Duration) *loopback {
-	lb := &loopback{eng: sim.New(), hosts: map[int]*Host{}, delay: delay, corruptSeqs: map[int64]bool{}}
+	lb := &loopback{eng: sim.NewSized(256), hosts: map[int]*Host{}, delay: delay, corruptSeqs: map[int64]bool{}}
 	for _, node := range []int{0, 1} {
 		node := node
 		lb.hosts[node] = New(node, lb.eng, DefaultConfig(), Callbacks{
@@ -263,7 +263,7 @@ func TestNICTraceDepths(t *testing.T) {
 // keeps the train length it was queued with, even though the NIC cuts its
 // later trains after SetTrainLength changed the limit.
 func TestSetTrainLengthKeepsQueuedShape(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	type shape struct {
 		flow     uint64
 		seq      int64

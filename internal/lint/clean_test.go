@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"path/filepath"
@@ -117,6 +118,49 @@ func TestPublicSettingsHaveCallers(t *testing.T) {
 	sort.Strings(unset)
 	for _, name := range unset {
 		t.Errorf("%s is set by no non-test file; make it a named constant where it is read", name)
+	}
+}
+
+// TestOneAssemblyPath keeps packet assembly in one place: no non-test file
+// outside internal/fabric may use fabric.New, sim.NewSized or
+// (*ringctl.Controller).Start. The façade, the PoC validation and the
+// experiments build through fabric.Assemble, so its queue sizing and CRC
+// start reach every packet run. perfbench/ is exempt until the next
+// benchmark change.
+func TestOneAssemblyPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module plus std imports from source")
+	}
+	l := testLoader(t)
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := l.Module()
+	assembly := map[string]bool{
+		mod + "/internal/fabric.New":                       true,
+		mod + "/internal/sim.NewSized":                     true,
+		"(*" + mod + "/internal/ringctl.Controller).Start": true,
+	}
+	var calls []string
+	for _, pkg := range pkgs {
+		if pkg.Path == mod+"/internal/fabric" || pkg.Path == mod+"/perfbench" {
+			continue
+		}
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && assembly[fn.FullName()] {
+				pos := l.Fset.Position(id.Pos())
+				rel, err := filepath.Rel(l.Root(), pos.Filename)
+				if err != nil {
+					t.Fatal(err)
+				}
+				calls = append(calls, fmt.Sprintf("%s:%d uses %s", rel, pos.Line, fn.FullName()))
+			}
+		}
+	}
+	sort.Strings(calls)
+	for _, c := range calls {
+		t.Errorf("%s; build through fabric.Assemble", c)
 	}
 }
 

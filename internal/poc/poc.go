@@ -106,13 +106,12 @@ func Validate(hops, frames, payloadBytes int, seed int64) (*Report, error) {
 		Media:        Media,
 		NodeSpacingM: SpacingM,
 	})
-	eng := sim.New()
 	fcfg := fabric.DefaultConfig(g)
 	fcfg.Switch.Mode = switching.StoreAndForward
 	fcfg.Switch.PipelineLatency = PipelineMean
 	fcfg.Host.NICRate = LaneRate
 	fcfg.Seed = seed
-	f, err := fabric.New(eng, fcfg)
+	f, _, err := fabric.Assemble(fcfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -184,7 +184,7 @@ func TestPriceSmoothingDampsSpikes(t *testing.T) {
 }
 
 func TestControllerEpochLoop(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.2, 1e-13)
@@ -211,7 +211,7 @@ func TestControllerEpochLoop(t *testing.T) {
 }
 
 func TestFECPolicyEscalates(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(3, 3, topo.Options{})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.1, 1e-5) // noisy rack
@@ -242,7 +242,7 @@ func TestFECPolicyEscalates(t *testing.T) {
 }
 
 func TestPowerPolicySheds(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(3, 3, topo.Options{})
 	fab := newFakeFabric(t, g)
 	fab.budget = power.NewBudget(50)
@@ -261,7 +261,7 @@ func TestPowerPolicySheds(t *testing.T) {
 }
 
 func TestPowerPolicyRelights(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(3, 3, topo.Options{})
 	// Pre-dark one lane on the hot link.
 	hot := g.Edges()[0]
@@ -298,7 +298,7 @@ func TestPowerPolicyRelights(t *testing.T) {
 }
 
 func TestBypassPolicyUsesThreshold(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.3, 1e-13)
@@ -333,7 +333,7 @@ func TestBypassPolicyUsesThreshold(t *testing.T) {
 }
 
 func TestBypassReclaim(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.3, 1e-13)
@@ -392,7 +392,7 @@ func TestBypassReclaim(t *testing.T) {
 }
 
 func TestBusyBypassNotReclaimed(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.3, 1e-13)
@@ -422,7 +422,7 @@ func TestBusyBypassNotReclaimed(t *testing.T) {
 // map order would differ from run to run.
 func TestBypassReclaimOrderIsDeterministic(t *testing.T) {
 	run := func() []string {
-		eng := sim.New()
+		eng := sim.NewSized(256)
 		g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 		fab := newFakeFabric(t, g)
 		fab.reportAll(0.3, 1e-13)
@@ -480,7 +480,7 @@ func TestBypassReclaimOrderIsDeterministic(t *testing.T) {
 }
 
 func TestReconfigPolicyTriggersOnUtilization(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	construction := len(g.Edges())
 	fab := newFakeFabric(t, g)
@@ -512,7 +512,7 @@ func TestReconfigPolicyTriggersOnUtilization(t *testing.T) {
 }
 
 func TestReconfigPolicyIdleHoldsOff(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.1, 1e-13) // idle rack
@@ -529,7 +529,7 @@ func TestReconfigPolicyIdleHoldsOff(t *testing.T) {
 }
 
 func TestDecisionLogReadable(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(4, 4, topo.Options{LanesPerLink: 2})
 	fab := newFakeFabric(t, g)
 	fab.reportAll(0.8, 1e-13)
@@ -557,7 +557,7 @@ func TestDecisionLogReadable(t *testing.T) {
 }
 
 func TestCostFuncPrefersCheapAndExpress(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	g := topo.NewGrid(3, 3, topo.Options{})
 	fab := newFakeFabric(t, g)
 	c := New(eng, fab, DefaultConfig())
@@ -584,7 +584,7 @@ func TestCostFuncPrefersCheapAndExpress(t *testing.T) {
 }
 
 func TestRingRTTScalesWithRack(t *testing.T) {
-	eng := sim.New()
+	eng := sim.NewSized(256)
 	small := New(eng, newFakeFabric(t, topo.NewGrid(3, 3, topo.Options{})), DefaultConfig())
 	big := New(eng, newFakeFabric(t, topo.NewGrid(8, 8, topo.Options{})), DefaultConfig())
 	if big.RingRTT() <= small.RingRTT() {

@@ -140,9 +140,10 @@ func (d *Driver) account(cs []Completion) {
 type Stats struct {
 	// Ticks is the number of completed service iterations.
 	Ticks int64
-	// Injected counts flows ever handed to the engine; Completed of those
-	// finished; Attained of those met the SLO; Retired had their engine
-	// state reclaimed.
+	// Injected counts every flow the engine has held, whoever injected it
+	// (RetiredTotal + Retained); Completed of those finished and drained;
+	// Attained of those met the SLO; Retired had their engine state
+	// reclaimed.
 	Injected, Completed, Attained, Retired int64
 	// Retained is the engine's current per-flow state count; RetainedPeak
 	// its soak-lifetime maximum — the number the flat-memory gate bounds.

@@ -251,7 +251,7 @@ func TestCalendarReuseNoDoubleDelivery(t *testing.T) {
 	const rounds = 120
 	const batch = 60
 
-	e := New()
+	e := NewSized(256)
 	fired := make(map[int]int)
 	scheduled := 0
 	delays := []Duration{
@@ -294,7 +294,7 @@ func TestCalendarReuseNoDoubleDelivery(t *testing.T) {
 // at the limit, so a later At between the limit and the minimum must still
 // fire first.
 func TestScheduleBeforeBlockedMinimum(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	var got []Time
 	record := func() { got = append(got, e.Now()) }
 	e.At(Time(6*Microsecond), "pending", record)
@@ -318,7 +318,7 @@ func TestScheduleBeforeBlockedMinimum(t *testing.T) {
 // path allocates nothing once warm, including when consecutive events land
 // in fresh day buckets as the clock advances around the wheel.
 func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	nop := func() {}
 	const window = 128
 	for i := 0; i < window; i++ {
@@ -337,7 +337,7 @@ func TestCalendarSteadyStateZeroAlloc(t *testing.T) {
 // handful of events spread across seconds (thousands of years at the
 // initial day width) still pop in exact (at, seq) order.
 func TestCalendarFarFutureOrdering(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	var got []Time
 	times := []Time{
 		Time(3 * Second), Time(Nanosecond), Time(2 * Second),
@@ -383,7 +383,7 @@ func lockstep(e *Engine) {
 // far tail of fault events seconds ahead. Days scanned plus instants
 // walked stay at or below calDriftFactor per pop.
 func TestCalendarLockstepWorkPerPop(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	lockstep(e)
 	nop := func() {}
 	for i := 1; i <= 64; i++ {

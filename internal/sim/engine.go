@@ -22,14 +22,9 @@ type Engine struct {
 // list drained.
 var ErrStopped = errors.New("sim: stopped by model")
 
-// New returns an engine with the clock at zero and an empty event list.
-func New() *Engine {
-	return NewSized(256)
-}
-
-// NewSized returns an engine whose event list is pre-sized for roughly
-// hint simultaneous pending events, avoiding calendar-growth rebuilds
-// during the warm-up of large models.
+// NewSized returns an engine with the clock at zero and an empty event
+// list pre-sized for roughly hint simultaneous pending events, avoiding
+// calendar-growth rebuilds during the warm-up of large models.
 func NewSized(hint int) *Engine {
 	if hint < 0 {
 		hint = 0

@@ -53,7 +53,7 @@ func TestTransmission(t *testing.T) {
 }
 
 func TestEngineOrdering(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	var order []int
 	e.At(30*1000, "c", func() { order = append(order, 3) })
 	e.At(10*1000, "a", func() { order = append(order, 1) })
@@ -78,7 +78,7 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineAfterAndNesting(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	var fired []Time
 	e.After(10*Nanosecond, "outer", func() {
 		fired = append(fired, e.Now())
@@ -95,7 +95,7 @@ func TestEngineAfterAndNesting(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.At(Time(i)*Time(Microsecond), "tick", func() { count++ })
@@ -118,7 +118,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.At(Time(i), "tick", func() {
@@ -137,7 +137,7 @@ func TestStop(t *testing.T) {
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	e.At(10*Time(Nanosecond), "x", func() {
 		defer func() {
 			if recover() == nil {
@@ -158,7 +158,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 		if len(times) > 200 {
 			times = times[:200]
 		}
-		e := New()
+		e := NewSized(256)
 		var executed []Time
 		for _, v := range times {
 			e.At(Time(v)*Time(Nanosecond), "t", func() {
@@ -181,7 +181,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 // TestClockOnlyMovesForward: a RunUntil limit behind the clock, with later
 // events pending, runs nothing and leaves the clock where it was.
 func TestClockOnlyMovesForward(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	fired := 0
 	e.At(Time(200*Microsecond), "later", func() { fired++ })
 	if err := e.RunUntil(Time(100 * Microsecond)); err != nil {

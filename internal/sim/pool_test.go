@@ -14,7 +14,7 @@ func TestEventReuseNoDoubleDelivery(t *testing.T) {
 	const rounds = 200
 	const batch = 50
 
-	e := New()
+	e := NewSized(256)
 	fired := make(map[int]int)
 	scheduled := 0
 
@@ -53,7 +53,7 @@ func TestEventReuseNoDoubleDelivery(t *testing.T) {
 // TestEventReuseRecycles proves the free list actually recycles: in steady
 // state a schedule→fire cycle performs no event allocation.
 func TestEventReuseRecycles(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	nop := func() {}
 	// Warm the free list and the heap's backing array.
 	for i := 0; i < 64; i++ {
@@ -87,7 +87,7 @@ func (c *counter) Handle(arg int, _ any) { *c += counter(arg) }
 // one queue: same-instant events fire in schedule order whichever entry
 // point scheduled them, and each typed event sees its own arguments.
 func TestPostSharesOrderWithAt(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	r := &recorder{}
 	a, b := "a", "b"
 	e.PostAt(5, r, 1, &a)
@@ -113,7 +113,7 @@ func TestPostPanicsNameHandler(t *testing.T) {
 		{"negative", func(e *Engine) { e.PostAfter(-1, &recorder{}, 0, nil) }},
 	} {
 		name, post := c.name, c.post
-		e := New()
+		e := NewSized(256)
 		e.At(10, "tick", func() {
 			defer func() {
 				msg, _ := recover().(string)
@@ -134,7 +134,7 @@ func TestPostPanicsNameHandler(t *testing.T) {
 // pins neither a closure's captures nor a frame, and that the pooled
 // event stays within 72 bytes.
 func TestRecycledEventHoldsNothing(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	r := &recorder{}
 	x := "x"
 	e.PostAfter(Nanosecond, r, 7, &x)
@@ -159,7 +159,7 @@ func TestRecycledEventHoldsNothing(t *testing.T) {
 // TestPostSteadyStateZeroAlloc checks that a typed event with a pointer
 // argument schedules and fires without allocating once the pool is warm.
 func TestPostSteadyStateZeroAlloc(t *testing.T) {
-	e := New()
+	e := NewSized(256)
 	var c counter
 	x := "x"
 	for i := 0; i < 64; i++ {
@@ -184,7 +184,7 @@ func TestPostSteadyStateZeroAlloc(t *testing.T) {
 // window of pending events with one scheduled and one popped per
 // iteration — the regime every packet model keeps the engine in.
 func BenchmarkEngineSchedule(b *testing.B) {
-	e := New()
+	e := NewSized(256)
 	nop := func() {}
 	const window = 128
 	for i := 0; i < window; i++ {
@@ -202,7 +202,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // packet traffic keeps the engine in: 1024 same-instant events, each
 // rescheduling 2 µs ahead, plus 32 epoch timers rescheduling 1 ms ahead.
 func BenchmarkEngineLockstep(b *testing.B) {
-	e := New()
+	e := NewSized(256)
 	lockstep(e)
 	// Warm through the first millisecond so the wheel has settled.
 	if err := e.RunUntil(Time(Millisecond)); err != nil {

@@ -24,7 +24,7 @@ type sentRec struct {
 }
 
 func newHarness(ports int, cfg Config) *harness {
-	h := &harness{eng: sim.New(), paused: map[int][]bool{}, txTime: 100 * sim.Nanosecond}
+	h := &harness{eng: sim.NewSized(256), paused: map[int][]bool{}, txTime: 100 * sim.Nanosecond}
 	h.forward = func(f *Frame) (int, bool) { return f.DstNode % ports, true }
 	cfg.Ports = ports
 	h.sw = New(h.eng, cfg, Callbacks{
@@ -280,7 +280,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(sim.New(), Config{Ports: 0}, Callbacks{
+	New(sim.NewSized(256), Config{Ports: 0}, Callbacks{
 		Forward:  func(f *Frame) (int, bool) { return 0, true },
 		TxTime:   func(int, *Frame) sim.Duration { return 1 },
 		Transmit: func(int, *Frame) {},

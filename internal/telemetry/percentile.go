@@ -21,7 +21,7 @@ func NearestRank(n, pct int) int {
 
 // Percentiles sorts samples in place and returns their exact nearest-rank
 // 50th and 99th percentiles and their maximum, or zeros for an empty set.
-// The façade's Report, the fluid Result and the experiments take every
+// The façade's Report and the experiments' flow summary take every
 // completion-time and stretch percentile from here.
 func Percentiles[T cmp.Ordered](samples []T) (p50, p99, top T) {
 	n := len(samples)

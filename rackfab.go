@@ -261,7 +261,6 @@ func New(cfg Config) (*Cluster, error) {
 // buildPacket assembles the packet datapath and, when configured, the CRC.
 func (c *Cluster) buildPacket(g *topo.Graph) error {
 	cfg := c.cfg
-	eng := sim.NewSized(4 * g.NumNodes())
 	fcfg := fabric.DefaultConfig(g)
 	fcfg.Seed = cfg.Seed
 	fcfg.PowerCapW = cfg.PowerCapW
@@ -272,20 +271,11 @@ func (c *Cluster) buildPacket(g *topo.Graph) error {
 		// SetLinkBER drops the fabric back to per-frame granularity.
 		fcfg.Host.TrainLength = fabric.TrainLength
 	}
-	switch cfg.SwitchMode {
-	case CutThrough, "":
-		fcfg.Switch.Mode = switching.CutThrough
-	case StoreAndForward:
+	if cfg.SwitchMode == StoreAndForward {
 		fcfg.Switch.Mode = switching.StoreAndForward
-	default:
-		return fmt.Errorf("rackfab: unknown switch mode %q", cfg.SwitchMode)
 	}
 	fcfg.Trace = c.trace
-	fab, err := fabric.New(eng, fcfg)
-	if err != nil {
-		return err
-	}
-	pk := &packetBackend{eng: eng, fab: fab}
+	var ctl *ringctl.Config
 	if cfg.Control.Enabled {
 		ccfg := ringctl.DefaultConfig()
 		if cfg.Control.Epoch > 0 {
@@ -295,11 +285,14 @@ func (c *Cluster) buildPacket(g *topo.Graph) error {
 		ccfg.EnablePower = !cfg.Control.DisablePower
 		ccfg.EnableBypass = !cfg.Control.DisableBypass
 		ccfg.EnableReconfig = !cfg.Control.DisableReconfig
-		pk.ctl = ringctl.New(eng, fab, ccfg)
-		pk.ctl.Start()
+		ctl = &ccfg
 	}
-	c.pk = pk
-	c.be = pk
+	fab, crc, err := fabric.Assemble(fcfg, ctl)
+	if err != nil {
+		return err
+	}
+	c.pk = &packetBackend{fab: fab, ctl: crc}
+	c.be = c.pk
 	return nil
 }
 
@@ -417,7 +410,7 @@ func (c *Cluster) ApplyGridToTorus(keepLanes int) error {
 	}
 	ctl := c.pk.ctl
 	if ctl == nil {
-		ctl = ringctl.New(c.pk.eng, c.pk.fab, ringctl.DefaultConfig())
+		ctl = ringctl.New(c.pk.fab.Engine(), c.pk.fab, ringctl.DefaultConfig())
 	}
 	return ctl.ApplyGridToTorus(keepLanes)
 }

@@ -55,8 +55,10 @@ type ServeConfig struct {
 }
 
 // ServiceStats mirrors the driver's streaming statistics in façade units.
-// P50FCT and P99FCT are histogram estimates, up to 6.25% below the exact
-// nearest-rank sample.
+// Injected, Completed, Attained and Retired count every flow the engine
+// holds, those Cluster.Inject added before Serve included, on both
+// engines: Injected is Retired plus Retained. P50FCT and P99FCT are
+// histogram estimates, up to 6.25% below the exact nearest-rank sample.
 type ServiceStats struct {
 	Ticks                                  int64
 	Injected, Completed, Attained, Retired int64

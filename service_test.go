@@ -372,7 +372,7 @@ func TestServeKeepsEarlierHandleAnswers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if retired := s.Stats().Retired; engine == EngineFluid && retired < int64(len(flows)) {
+			if retired := s.Stats().Retired; retired < int64(len(flows)) {
 				t.Fatalf("the service retired %d flows, want at least the %d injected before it", retired, len(flows))
 			}
 			for i, after := range fcts() {
@@ -385,6 +385,46 @@ func TestServeKeepsEarlierHandleAnswers(t *testing.T) {
 					report.FlowsCompleted, report.FCT, report.SLO, got.FlowsCompleted, got.FCT, got.SLO)
 			}
 		})
+	}
+}
+
+// TestServiceStatsCountEveryFlow: Injected, Completed and Retired count
+// every flow the engine holds, those injected before Serve included, so
+// both engines report the same numbers for the same call sequence.
+func TestServiceStatsCountEveryFlow(t *testing.T) {
+	stats := make(map[Engine]ServiceStats)
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows, err := c.Inject(UniformTraffic(c, 10, 64<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunUntilDone(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.Serve(ServeConfig{Tick: time.Millisecond, Arrivals: ArrivalSpec{Rate: 1000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.Injected <= int64(len(flows)) || st.Completed != st.Injected || st.Retired != st.Injected {
+			t.Errorf("%s: injected/completed/retired %d/%d/%d; want every one of the %d flows injected before Serve and the service's own, all finished",
+				engine, st.Injected, st.Completed, st.Retired, len(flows))
+		}
+		stats[engine] = st
+	}
+	pk, fl := stats[EnginePacket], stats[EngineFluid]
+	if pk.Injected != fl.Injected || pk.Completed != fl.Completed || pk.Retired != fl.Retired {
+		t.Errorf("engines disagree: packet %d/%d/%d, fluid %d/%d/%d injected/completed/retired",
+			pk.Injected, pk.Completed, pk.Retired, fl.Injected, fl.Completed, fl.Retired)
 	}
 }
 
