@@ -404,19 +404,15 @@ func (b *fluidBackend) status(f *Flow) fluid.FlowStatus {
 }
 
 func (b *fluidBackend) fill(r *Report) {
-	snap := b.sess.Snapshot()
-	if n := len(snap.Flows); n > 0 {
-		var hops int64
-		for _, fl := range snap.Flows {
-			hops += int64(fl.Hops)
-		}
-		r.MeanHops = float64(hops) / float64(n)
+	tot := b.sess.Totals()
+	if tot.Completed > 0 {
+		r.MeanHops = float64(tot.Hops) / float64(tot.Completed)
 	}
-	r.Faults = faultReport(snap.Faults)
+	r.Faults = faultReport(tot.Faults)
 	r.Solver = SolverReport{
-		WarmHits:      snap.Solver.WarmHits,
-		WarmFallbacks: snap.Solver.WarmFallbacks,
-		ColdFills:     snap.Solver.ColdFills,
-		WarmHitPct:    snap.Solver.WarmHitPct(),
+		WarmHits:      tot.Solver.WarmHits,
+		WarmFallbacks: tot.Solver.WarmFallbacks,
+		ColdFills:     tot.Solver.ColdFills,
+		WarmHitPct:    tot.Solver.WarmHitPct(),
 	}
 }

@@ -115,16 +115,7 @@ func (en *engine) reroute(now sim.Time, fid int32, links []int32) {
 	en.seedBuf = en.seedBuf[:0]
 	en.seedBuf = append(en.seedBuf, f.links...)
 	en.seedBuf = append(en.seedBuf, links...)
-	for _, li := range f.links {
-		lf := en.linkFlows[li]
-		for k, id := range lf {
-			if id == fid {
-				lf[k] = lf[len(lf)-1]
-				en.linkFlows[li] = lf[:len(lf)-1]
-				break
-			}
-		}
-	}
+	en.unlink(fid)
 	f.links = links
 	f.hops = len(links)
 	for _, li := range links {

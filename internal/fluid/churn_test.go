@@ -360,7 +360,8 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			if fid < 0 {
 				t.Fatal("stalled with active flows")
 			}
-			out = append(out, en.complete(fid, at))
+			en.complete([]int32{fid}, at)
+			out = append(out, en.result(fid, at))
 		}
 		return out
 	}

@@ -130,3 +130,36 @@ func TestShuffledInputFingerprint(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmMatchesColdOnPermutation1024: on a full-scale permutation, where
+// most completions share their instant with others, a warm Run must
+// fingerprint equal to a cold one on the 32×32 grid and torus, and the
+// warm one must replay nearly every completion batch's fill.
+func TestWarmMatchesColdOnPermutation1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node permutations in -short mode")
+	}
+	specs := workload.Permutation(sim.NewRNG(32), 1024, workload.Fixed(1e6))
+	for _, tc := range []struct {
+		name string
+		g    *topo.Graph
+	}{
+		{"grid", topo.NewGrid(32, 32, topo.Options{})},
+		{"torus", topo.NewTorus(32, 32, topo.Options{})},
+	} {
+		warm, err := Run(Config{Graph: tc.g}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Run(Config{Graph: tc.g, coldStart: true}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(warm) != fingerprint(cold) {
+			t.Fatalf("%s: warm Run diverged from cold", tc.name)
+		}
+		if pct := warm.Solver.WarmHitPct(); pct < 90 {
+			t.Errorf("%s: warm fills %.1f%% (%+v), want at least 90%%", tc.name, pct, warm.Solver)
+		}
+	}
+}

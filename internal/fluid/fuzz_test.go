@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzSolverMaxMin drives the solver over fuzzer-chosen topologies and
-// workloads through three random interleavings of arrivals, completions,
+// workloads through four random interleavings of arrivals, completions,
 // and link capacity ops (down / up / degrade — the fault subsystem's whole
 // event vocabulary): one walk arrives one flow per arrival op, one 1–3
-// flows activated as one batch, and one applies 1–3 capacity events on
-// distinct links as one same-instant group. It asserts, after every event:
+// flows activated as one batch, one applies 1–3 capacity events on
+// distinct links as one same-instant group, and one also completes each
+// instant's due flows as one batch. It asserts, after every event:
 //
 //  1. the max-min certificate — the allocation is feasible and every active
 //     flow is bottlenecked at a saturated link where no flow is faster,
@@ -24,9 +25,10 @@ import (
 //     from-zero re-solve's bit for bit, and the two engines' completion
 //     schedules never diverge (churnEngines compares nextDone each event),
 //     and
-//  3. one batch ≡ one flow at a time — in the batched walk, a third engine
-//     that takes each batch's flows in one-flow batches holds the same
-//     rate vector.
+//  3. one batch ≡ one flow at a time — in the batched walks, a third
+//     engine that takes each arrival batch's flows in one-flow batches,
+//     and in the completion-batch walk completes each batch's flows one
+//     at a time, holds the same rate vector.
 //
 // On top of the stepwise engines, the whole scenario runs through Run twice
 // (warm and cold) and must fingerprint identically — first fault-free, then
@@ -38,8 +40,11 @@ import (
 // shapes (tie-heavy permutations, elephants-and-mice, line bottlenecks,
 // flap-through-load walks, and degrade-reroute-group: on a 2×2 grid, one
 // instant degrades a link two flows share to half and takes down the next
-// link of one of them, which reroutes it off the degraded link) in every
-// plain `go test` run; `go test -fuzz FuzzSolverMaxMin` explores further.
+// link of one of them, which reroutes it off the degraded link;
+// overdue-fault-group, whose grouped walk let a flow's finish fall behind
+// the op clock; drain-finishes-walk, whose grouped walk completes its last
+// flows before an op) in every plain `go test` run;
+// `go test -fuzz FuzzSolverMaxMin` explores further.
 func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(4))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(16))
@@ -53,13 +58,14 @@ func FuzzSolverMaxMin(f *testing.F) {
 	f.Add(int64(31337), uint8(1), uint8(2), uint8(25))
 	f.Fuzz(func(t *testing.T, seed int64, topoKind, sideRaw, flowsRaw uint8) {
 		g, specs, rng := fuzzScenario(seed, topoKind, sideRaw, flowsRaw)
-		churnEngines(t, g, specs, rng, 1, 1, checkWarmCold(t))
-		// The batched and grouped walks draw from their own streams, so the
-		// walk above and the Run schedules below draw the same values with
-		// or without them, and each committed corpus entry keeps replaying
-		// the walk it was found on.
-		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), 1, 3, checkWarmCold(t))
-		churnEngines(t, g, specs, sim.NewRNG(seed).Split("fault-groups"), 3, 1, checkWarmCold(t))
+		churnEngines(t, g, specs, rng, 1, 1, false, checkWarmCold(t))
+		// The batched, grouped and completion-batch walks draw from their
+		// own streams, so the walk above and the Run schedules below draw
+		// the same values with or without them, and each committed corpus
+		// entry keeps replaying the walk it was found on.
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("batched"), 1, 3, false, checkWarmCold(t))
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("fault-groups"), 3, 1, false, checkWarmCold(t))
+		churnEngines(t, g, specs, sim.NewRNG(seed).Split("completion-batches"), 1, 3, true, checkWarmCold(t))
 
 		for i := range specs {
 			specs[i].At = sim.Time(rng.Intn(200)) * sim.Time(sim.Microsecond)
@@ -181,5 +187,5 @@ func checkWarmCold(t *testing.T) func(warm, cold *engine) {
 // must sit at a link at the level, or wait for the closure to reach it.
 func TestReplayChecksEveryScheduledFlow(t *testing.T) {
 	g, specs, rng := fuzzScenario(-111, 0x16, '\t', '.')
-	churnEngines(t, g, specs, rng, 1, 3, checkWarmCold(t))
+	churnEngines(t, g, specs, rng, 1, 3, false, checkWarmCold(t))
 }

@@ -46,7 +46,7 @@ type Session struct {
 	// order: canonical IDs are At-major, so (At, fid) ascending ≡ fid
 	// ascending.
 	arrivalQ heapx.Heap[arrivalEntry]
-	batch    []int32 // scratch: the arrivals due at the current instant
+	batch    []int32 // scratch: the arrivals, or completions, due at the current instant
 
 	// idBase is the count of flows retired (prefix-compacted) so far:
 	// public flow ID = internal engine index + idBase. Handles returned
@@ -57,6 +57,10 @@ type Session struct {
 	// status caches each flow's completion record by flow ID — Result
 	// keeps completion order, this keeps handle order.
 	status []FlowStatus
+
+	// completed and hops count every flow the session completed and sum
+	// their path hops; TakeCompleted and Retire leave them alone.
+	completed, hops int64
 
 	// Administrative link-state snapshot for RestoreGraph, taken by the
 	// first ApplyFaults that carries an event (Run's restore-on-exit
@@ -211,10 +215,20 @@ func (s *Session) AdvanceUntilDone(until sim.Time) error {
 	return s.advance(until, false)
 }
 
+// advance is the event loop of Advance and AdvanceUntilDone. An instant's
+// events go by kind — faults, then arrivals, then completions — and each
+// kind's events at the instant share one refill. A flow whose projected
+// finish is the instant completes at it. A survivor that the refill
+// re-projects onto the same instant completes in a further batch at that
+// instant. Max-min within a component is unique, and no simulated time
+// passes within an instant, so every survivor's rate and remaining bits
+// equal what the last fill of a chain of one-flow completions gives. Only
+// a flow that such a chain would re-project off the instant by a rounding
+// unit completes at the instant instead.
 func (s *Session) advance(until sim.Time, idleForward bool) error {
 	en := s.en
 	for s.pending() > 0 || en.activeCount > 0 || (idleForward && s.faulted < len(s.linkEvents)) {
-		nextDone, doneID := en.nextDone()
+		nextDone, _ := en.nextDone()
 		nextArrival := sim.Forever
 		if s.arrivalQ.Len() > 0 {
 			nextArrival = max(s.arrivalQ.Min().at, s.now)
@@ -247,14 +261,14 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 		// Faults win exact ties against both flow event kinds — capacity is
 		// infrastructure, so a same-instant arrival already sees the new
 		// topology. Arrivals win ties against completions, as in the
-		// original engine; tied completions resolve in flow-ID order via
-		// the heap. Every fault event sharing the instant applies as one
-		// group: a node loss lowers to per-link events at the same At, and
-		// the engine commits them through a single table RepairBatch and
-		// refill rather than chasing intermediate topologies. Every arrival
-		// due at the instant likewise activates as one batch with one
-		// refill; each still counts and traces as its own event, in queue
-		// order.
+		// original engine. Every fault event sharing the instant applies as
+		// one group: a node loss lowers to per-link events at the same At,
+		// and the engine commits them through a single table RepairBatch
+		// and refill rather than chasing intermediate topologies. The
+		// arrivals and the completions due at the instant are batches too;
+		// each flow still counts and traces as its own event — an arrival
+		// in queue order, a completion in flow-ID order after the batch's
+		// fill outcome.
 		switch {
 		case next == nextFault && s.faulted < len(s.linkEvents):
 			j := s.faulted + 1
@@ -277,14 +291,20 @@ func (s *Session) advance(until sim.Time, idleForward bool) error {
 			}
 			en.arrive(s.batch, s.now)
 		default:
-			s.res.Events++
-			fr := en.complete(doneID, s.now)
-			en.trace.Record(trace.Event{
-				At: s.now, Kind: trace.FlowComplete,
-				Flow: s.publicID(doneID), Link: -1, Node: int32(fr.Spec.Dst), Value: int64(fr.FCT),
-			})
-			s.res.Flows = append(s.res.Flows, fr)
-			s.status[doneID] = FlowStatus{Done: true, Start: fr.Start, FCT: fr.FCT}
+			s.batch = en.popDue(s.now, s.batch[:0])
+			en.complete(s.batch, s.now)
+			for _, fid := range s.batch {
+				s.res.Events++
+				fr := en.result(fid, s.now)
+				en.trace.Record(trace.Event{
+					At: s.now, Kind: trace.FlowComplete,
+					Flow: s.publicID(fid), Link: -1, Node: int32(fr.Spec.Dst), Value: int64(fr.FCT),
+				})
+				s.res.Flows = append(s.res.Flows, fr)
+				s.status[fid] = FlowStatus{Done: true, Start: fr.Start, FCT: fr.FCT}
+				s.completed++
+				s.hops += int64(fr.Hops)
+			}
 		}
 		en.compactDone()
 	}
@@ -383,6 +403,22 @@ func (s *Session) TakeCompleted() []FlowResult {
 	out := s.res.Flows
 	s.res.Flows = nil
 	return out
+}
+
+// Totals is a session's running counters. Completed and Hops cover every
+// flow the session completed, those TakeCompleted drained and Retire
+// dropped included.
+type Totals struct {
+	Completed int64 // flows completed
+	Hops      int64 // path hops summed over those flows
+	Solver    SolverStats
+	Faults    faults.Stats
+}
+
+// Totals returns the session's running counters without copying its
+// completion records.
+func (s *Session) Totals() Totals {
+	return Totals{Completed: s.completed, Hops: s.hops, Solver: s.en.stats.SolverStats, Faults: s.en.stats.Faults}
 }
 
 // Snapshot returns a copy of the results so far. The live run is

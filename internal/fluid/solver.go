@@ -95,7 +95,7 @@ type engine struct {
 	nominalCap    []float64
 	routesChanged bool
 	starvedNow    int
-	seedBuf       []int32 // refill seed: an arrival batch's paths, or a reroute's old ∪ new path
+	seedBuf       []int32 // refill seed: an arrival or completion batch's paths, or a reroute's old ∪ new path
 
 	// Fault-group scratch (applyLinkEventGroup): the instant's changed
 	// links (refill seed), admin-flipped edges (one RepairBatch), and
@@ -126,7 +126,8 @@ type engine struct {
 	alive       []int32
 	compLinks   []int32
 	compFlows   []int32
-	levels      []levelEntry // warm-start oracle, sorted by seq in warmRounds
+	levels      []levelEntry // warm-start oracle, put in seq order by warmRounds
+	slots       []levelEntry // warmRounds' scratch: levels placed by seq
 	passA       []int32      // scheduled flows cleared to freeze this round
 	zeroRates   int          // component flows with no previous rate
 
@@ -251,10 +252,6 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 // a dead link, so the flow parks at rate 0 until a repair heals the
 // partition (rescueStarved re-paths it then).
 func (en *engine) arrive(batch []int32, now sim.Time) {
-	// Stamp seed links under a fresh epoch to list each once; component
-	// starts its own epoch, so the stamps never reach the fill.
-	en.epoch++
-	en.seedBuf = en.seedBuf[:0]
 	for _, fid := range batch {
 		f := &en.flows[fid]
 		if en.routesChanged {
@@ -271,17 +268,13 @@ func (en *engine) arrive(batch []int32, now sim.Time) {
 		en.activeCount++
 		for _, li := range f.links {
 			en.linkFlows[li] = append(en.linkFlows[li], fid)
-			if en.linkEpoch[li] != en.epoch {
-				en.linkEpoch[li] = en.epoch
-				en.seedBuf = append(en.seedBuf, li)
-			}
 		}
 	}
 	newcomer := int32(-1)
 	if len(batch) == 1 {
 		newcomer = batch[0]
 	}
-	en.refill(now, en.seedBuf, newcomer)
+	en.refill(now, en.seedPaths(batch), newcomer)
 	for _, fid := range batch {
 		if en.flows[fid].rate == 0 {
 			// Arrived straight into a dead path: the refill froze it at
@@ -291,15 +284,56 @@ func (en *engine) arrive(batch []int32, now sim.Time) {
 	}
 }
 
-// complete deactivates flow fid at `now`, re-solves the component it leaves
-// behind, and returns its result.
-func (en *engine) complete(fid int32, now sim.Time) FlowResult {
+// complete deactivates the flows of batch — every completion due at `now`
+// — and re-solves the components they leave behind with one refill seeded
+// by the union of their paths, each link once. A component's fill depends
+// only on its flows and link capacities, so the one fill gives every
+// survivor the rate the last of a per-completion chain of fills would. A
+// batch of one seeds with the flow's path in path order. The flows keep
+// their paths and start instants for result.
+func (en *engine) complete(batch []int32, now sim.Time) {
+	for _, fid := range batch {
+		f := &en.flows[fid]
+		f.active = false
+		f.remaining = 0
+		f.rate = 0
+		en.activeCount--
+		en.unlink(fid)
+	}
+	en.refill(now, en.seedPaths(batch), -1)
+}
+
+// result is the record of flow fid, completed at `now`.
+func (en *engine) result(fid int32, now sim.Time) FlowResult {
 	f := &en.flows[fid]
-	f.active = false
-	f.remaining = 0
-	f.rate = 0
-	en.activeCount--
-	for _, li := range f.links {
+	return FlowResult{
+		Spec:  f.spec,
+		Start: f.start,
+		FCT:   now.Sub(f.start) + sim.Duration(int64(switching.DefaultPipelineLatency)*int64(f.hops)),
+		Hops:  f.hops,
+	}
+}
+
+// seedPaths lists, in seedBuf, each link of the batch's paths once, in
+// batch then path order. The stamps use a fresh epoch; component starts
+// its own, so they never reach the fill.
+func (en *engine) seedPaths(batch []int32) []int32 {
+	en.epoch++
+	en.seedBuf = en.seedBuf[:0]
+	for _, fid := range batch {
+		for _, li := range en.flows[fid].links {
+			if en.linkEpoch[li] != en.epoch {
+				en.linkEpoch[li] = en.epoch
+				en.seedBuf = append(en.seedBuf, li)
+			}
+		}
+	}
+	return en.seedBuf
+}
+
+// unlink drops flow fid from the flow list of every link on its path.
+func (en *engine) unlink(fid int32) {
+	for _, li := range en.flows[fid].links {
 		lf := en.linkFlows[li]
 		for k, id := range lf {
 			if id == fid {
@@ -308,13 +342,6 @@ func (en *engine) complete(fid int32, now sim.Time) FlowResult {
 				break
 			}
 		}
-	}
-	en.refill(now, f.links, -1)
-	return FlowResult{
-		Spec:  f.spec,
-		Start: f.start,
-		FCT:   now.Sub(f.start) + sim.Duration(int64(switching.DefaultPipelineLatency)*int64(f.hops)),
-		Hops:  f.hops,
 	}
 }
 
@@ -378,10 +405,13 @@ func (en *engine) component(seed []int32) {
 // floating-point operation of the fill — is independent of link visit
 // order: a pure function of component state.
 //
-// newcomer is the flow (≥ 0) whose lone arrival triggered this refill —
-// the one component flow with no previous rate. The warm path replays the
-// previous allocation as the round schedule and falls back to the scan
-// loop the moment the perturbation deviates from it; see warmRounds.
+// The seed is every link a perturbation touched: the paths of an instant's
+// arrivals or of its completions, the links of a fault group, or a
+// reroute's old and new path. newcomer is the flow (≥ 0) whose lone
+// arrival triggered this refill — the one component flow with no previous
+// rate. The warm path replays the previous allocation as the round
+// schedule and falls back to the scan loop the moment the perturbation
+// deviates from it; see warmRounds.
 func (en *engine) refill(now sim.Time, seed []int32, newcomer int32) {
 	en.component(seed)
 	remaining := len(en.compFlows)
@@ -618,13 +648,27 @@ func (en *engine) warmRounds(now sim.Time, seed []int32, newcomer int32, remaini
 			}
 			return 1
 		})
-	} else {
-		slices.SortFunc(lv, func(a, b levelEntry) int {
-			if a.seq < b.seq {
-				return -1
+	} else if len(lv) > 1 {
+		// One fill stamped every entry, with consecutive sequence numbers:
+		// each entry's place in freeze order is its seq less the smallest,
+		// with a gap for each flow that fill froze and the component no
+		// longer holds a rate for. Compacting the slots needs no compare.
+		lo, hi := lv[0].seq, lv[0].seq
+		for _, e := range lv[1:] {
+			lo, hi = min(lo, e.seq), max(hi, e.seq)
+		}
+		slots := slices.Grow(en.slots[:0], int(hi-lo+1))[:hi-lo+1]
+		clear(slots)
+		for _, e := range lv {
+			slots[e.seq-lo] = e
+		}
+		lv = lv[:0]
+		for _, e := range slots {
+			if e.rate > 0 { // every entry holds a positive rate; gaps are zero
+				lv = append(lv, e)
 			}
-			return 1
-		})
+		}
+		en.slots = slots
 	}
 	// seedMark stamps the seed links so the drain loop can tell a flow
 	// confined entirely to the perturbed path — absorbable like the
@@ -805,6 +849,19 @@ func (en *engine) nextDone() (sim.Time, int32) {
 		en.done.Pop()
 	}
 	return sim.Forever, -1
+}
+
+// popDue pops every valid completion entry whose finish is `now` onto
+// batch, in flow-ID order (the heap's tie order), and returns it.
+func (en *engine) popDue(now sim.Time, batch []int32) []int32 {
+	for {
+		t, fid := en.nextDone()
+		if fid < 0 || t != now {
+			return batch
+		}
+		en.done.Pop()
+		batch = append(batch, fid)
+	}
 }
 
 // compactDone drops stale completion entries in place when they dominate.

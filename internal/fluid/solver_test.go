@@ -170,8 +170,18 @@ func TestMaxMinInvariantProperty(t *testing.T) {
 // Each arrival op activates one flow, or with maxBatch > 1 a batch of
 // 1..maxBatch flows at one instant. Batches then also drive a third, warm
 // engine that takes the same flows in one-flow batches; its rate vector
-// must equal the batched warm engine's bit for bit after every op.
-func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, maxFaults, maxBatch int, check func(warm, cold *engine)) {
+// must equal the batched warm engine's bit for bit after every op. With
+// batchDone (and maxBatch > 1), a completion op completes every flow due
+// at its instant as one batch on the warm and cold engines, and the third
+// engine completes the same flows one at a time at that instant.
+//
+// A flow's projected finish can fall behind the walk's op clock. With
+// maxFaults > 1 or batchDone, the walk first completes every flow due
+// before the op's instant, each at its own instant, as Session.advance
+// would; this draws nothing from rng. The first two walk shapes leave such
+// a flow overdue, so the committed inputs keep replaying the walks they
+// were found on.
+func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *sim.RNG, maxFaults, maxBatch int, batchDone bool, check func(warm, cold *engine)) {
 	t.Helper()
 	specs = canonicalize(specs)
 	warm := newEngine(g)
@@ -220,7 +230,37 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 		}
 		check(warm, cold)
 	}
-	var batch []int32
+	var batch, coldBatch []int32
+	nextDone := func() (sim.Time, int32) {
+		t.Helper()
+		wt, wid := warm.nextDone()
+		ct, cid := cold.nextDone()
+		if wt != ct || wid != cid {
+			t.Fatalf("completion schedules diverged: warm (%v, %d) vs cold (%v, %d)", wt, wid, ct, cid)
+		}
+		return wt, wid
+	}
+	// completeAt completes flow wid, due first, at its instant at — or,
+	// with batchDone, every flow due at it.
+	completeAt := func(at sim.Time, wid int32) {
+		t.Helper()
+		if !batchDone {
+			for _, en := range engines {
+				en.complete([]int32{wid}, at)
+			}
+			return
+		}
+		batch = warm.popDue(at, batch[:0])
+		coldBatch = cold.popDue(at, coldBatch[:0])
+		if !slices.Equal(batch, coldBatch) {
+			t.Fatalf("completion batches diverged at %v: warm %v vs cold %v", at, batch, coldBatch)
+		}
+		warm.complete(batch, at)
+		cold.complete(coldBatch, at)
+		for _, fid := range batch {
+			chain.complete([]int32{fid}, at)
+		}
+	}
 	var group []faults.LinkEvent
 	arrived := 0
 	for ops := 0; arrived < len(specs) || warm.activeCount > 0; ops++ {
@@ -228,6 +268,17 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 			t.Fatal("churn walk did not terminate")
 		}
 		now = now.Add(sim.Microsecond)
+		for maxFaults > 1 || batchDone {
+			wt, wid := nextDone()
+			if wt >= now {
+				break
+			}
+			completeAt(wt, wid)
+			checkAll()
+		}
+		if arrived == len(specs) && warm.activeCount == 0 {
+			break // the drain completed the last flows
+		}
 		if maxFaults > 0 && rng.Intn(4) == 0 {
 			k := 1
 			if maxFaults > 1 {
@@ -274,11 +325,7 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 				}
 			}
 		} else {
-			wt, wid := warm.nextDone()
-			ct, cid := cold.nextDone()
-			if wt != ct || wid != cid {
-				t.Fatalf("completion schedules diverged: warm (%v, %d) vs cold (%v, %d)", wt, wid, ct, cid)
-			}
+			wt, wid := nextDone()
 			if wid < 0 {
 				// Every active flow is starved behind a dead link: heal the
 				// lowest-indexed one and retry, as a repair event would.
@@ -299,9 +346,7 @@ func churnEngines(t *testing.T, g *topo.Graph, specs []workload.FlowSpec, rng *s
 			if wt > now {
 				now = wt
 			}
-			for _, en := range engines {
-				en.complete(wid, now)
-			}
+			completeAt(now, wid)
 		}
 		checkAll()
 	}
@@ -332,7 +377,7 @@ func TestWarmStartMatchesColdUnderChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, 0, 1, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, 0, 1, false, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -374,7 +419,7 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 		}
 		g := topo.NewTorus(side, side, topo.Options{})
 		events := 0
-		churnEngines(t, g, specs, rng, 1, 1, func(warm, cold *engine) {
+		churnEngines(t, g, specs, rng, 1, 1, false, func(warm, cold *engine) {
 			events++
 			for fid := range warm.flows {
 				w, c := warm.flows[fid].rate, cold.flows[fid].rate
@@ -563,7 +608,85 @@ func TestSameInstantArrivalsOneFill(t *testing.T) {
 	var want []FlowResult
 	for ref.activeCount > 0 {
 		done, fid := ref.nextDone()
-		want = append(want, ref.complete(fid, done))
+		ref.complete([]int32{fid}, done)
+		want = append(want, ref.result(fid, done))
+	}
+	if got := s.Snapshot().Flows; !slices.Equal(got, want) {
+		t.Errorf("batched results %+v\nwant one-at-a-time %+v", got, want)
+	}
+}
+
+// TestSameInstantCompletionsOneFill: completions due at one instant
+// complete as one batch and share one refill. On one link, two equal flows
+// and a larger third run at c/3 each, so the two finish together. One flow
+// at a time, the first completion's fill would take the third flow to c/2
+// and the second's to c within the instant. The batch counts one fill for
+// the instant and leaves every rate, and every FlowResult of the drained
+// run, equal to an engine that completes the flows one at a time.
+func TestSameInstantCompletionsOneFill(t *testing.T) {
+	g := topo.NewLine(2, topo.Options{})
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: 1, Bytes: 1e6, Label: "a"},
+		{Src: 0, Dst: 1, Bytes: 1e6, Label: "b"},
+		{Src: 0, Dst: 1, Bytes: 3e6, Label: "c"},
+	}
+	fills := func(st SolverStats) int64 { return st.WarmHits + st.WarmFallbacks + st.ColdFills }
+
+	// The reference completes the same canonical flows one at a time.
+	ref := newEngine(g)
+	if err := ref.addBatch(canonicalize(specs)); err != nil {
+		t.Fatal(err)
+	}
+	ref.arrive([]int32{0, 1, 2}, 0)
+	c := ref.linkCap[ref.flows[0].links[0]]
+	path := []float64{ref.flows[2].rate}
+	var want []FlowResult
+	var refRates []float64 // every flow's rate once the instant is over
+	var at sim.Time
+	for ref.activeCount > 0 {
+		done, fid := ref.nextDone()
+		if len(want) == 0 {
+			at = done
+		}
+		ref.complete([]int32{fid}, done)
+		want = append(want, ref.result(fid, done))
+		if done == at {
+			path = append(path, ref.flows[2].rate)
+			refRates = refRates[:0]
+			for i := range ref.flows {
+				refRates = append(refRates, ref.flows[i].rate)
+			}
+		}
+	}
+	if !slices.Equal(path, []float64{c / 3, c / 2, c}) {
+		t.Fatalf("one at a time, the third flow went %v within the instant, want [c/3 c/2 c] with c = %g", path, c)
+	}
+
+	s, err := NewSession(Config{Graph: g}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(at - 1); err != nil {
+		t.Fatal(err)
+	}
+	before := fills(s.Snapshot().Solver)
+	if err := s.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	if got := fills(s.Snapshot().Solver) - before; got != 1 {
+		t.Fatalf("the instant's two completions ran %d fills, want 1", got)
+	}
+	if got := s.Remaining(); got != 1 {
+		t.Fatalf("%d flows left after the instant, want 1", got)
+	}
+	for fid, r := range refRates {
+		if b := s.en.flows[fid].rate; b != r {
+			t.Errorf("flow %d: batched rate %g != one-at-a-time rate %g", fid, b, r)
+		}
+	}
+
+	if err := s.AdvanceUntilDone(sim.Forever); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.Snapshot().Flows; !slices.Equal(got, want) {
 		t.Errorf("batched results %+v\nwant one-at-a-time %+v", got, want)

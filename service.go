@@ -224,8 +224,8 @@ func (s *Service) Stats() ServiceStats {
 func (s *Service) Fingerprint() string {
 	fp := s.d.Fingerprint()
 	if s.c.fl != nil {
-		snap := s.c.fl.sess.Snapshot()
-		fp += fmt.Sprintf("solver=%+v faults=%+v\n", snap.Solver, snap.Faults)
+		tot := s.c.fl.sess.Totals()
+		fp += fmt.Sprintf("solver=%+v faults=%+v\n", tot.Solver, tot.Faults)
 	}
 	return fp
 }

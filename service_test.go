@@ -428,6 +428,39 @@ func TestServiceStatsCountEveryFlow(t *testing.T) {
 	}
 }
 
+// TestMeanHopsCoversServedFlows: Report.MeanHops keeps counting the flows
+// a Service drained and retired. After a finished workload and three 1 ms
+// ticks, both engines read a mean hop count inside the 4×4 grid's 1–6
+// range; the fluid engine used to average only the undrained completions
+// and read 0.
+func TestMeanHopsCoversServedFlows(t *testing.T) {
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Inject(UniformTraffic(c, 10, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunUntilDone(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Report().MeanHops
+		s, err := c.Serve(ServeConfig{Tick: time.Millisecond, Arrivals: ArrivalSpec{Rate: 1000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := c.Report().MeanHops; before < 1 || after < 1 || after > 6 {
+			t.Errorf("%s: MeanHops %.3f before Serve and %.3f after, want both within 1–6", engine, before, after)
+		}
+	}
+}
+
 // TestPacketDrainHopsFollowTheFabric: a service flow's hop count, which
 // prices its SLO ideal, is taken over the links live when it drains: three
 // hops around a downed link, and one again once the link heals.

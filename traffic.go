@@ -227,8 +227,10 @@ type Report struct {
 	Latency Summary
 	// FCT is the flow-completion-time distribution.
 	FCT Summary
-	// MeanHops is the mean switch-traversal count (per delivered frame on
-	// the packet engine, per completed flow on the fluid engine).
+	// MeanHops is the mean switch-traversal count: per delivered frame on
+	// the packet engine, and on the fluid engine per flow the session
+	// completed — every one, those a Service injected, drained and
+	// retired included.
 	MeanHops float64
 	// FramesDelivered, FramesDropped, FramesCorrupt count datapath events.
 	FramesDelivered, FramesDropped, FramesCorrupt int64
