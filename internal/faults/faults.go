@@ -30,8 +30,8 @@ import (
 // active flows a fault instant moved onto a new path, and starvation
 // episodes. An episode is an active flow pinned at rate zero by a dead
 // link for a positive span of simulated time, counted when a later repair
-// heals the partition; same-instant freeze/revive transients during a
-// fault's own reroute cascade don't count. StarvedTime is the total
+// heals the partition; a flow cut and healed within one instant never
+// waited, so it doesn't count. StarvedTime is the total
 // flow-time spent starved, so StarvedTime/StarvedEpisodes is the mean
 // service-recovery time after a failure: flows an immediate reroute saved
 // never appear, flows that had to wait for the repair contribute their

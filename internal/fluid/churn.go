@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"rackfab/internal/faults"
 	"rackfab/internal/route"
@@ -25,25 +24,25 @@ import (
 // a later repair heals them.
 
 // applyLinkEventGroup applies every lowered fault event of one schedule
-// instant as a single topology transaction — the discipline the packet
-// fabric's fault replay already follows. A node loss lowers to one event
-// per incident link, all at the same At; applying them one at a time paid
-// one table repair, one reroute pass, and one refill per link, with flows
-// chasing intermediate topologies that never exist observably (no
-// simulated time separates the events). The group path commits all
-// capacity and administrative changes first, repairs the table once
-// through RepairBatch, which leaves it equal to a fresh route.Build, then
-// reroutes off every downed link in event order and re-solves the union
-// component with a single refill. Final paths and
-// rates are those of the fully-updated topology either way (zero time
-// elapses between same-instant events, so the intermediate solves settle
-// no volume) — TestFaultGroupMatchesSequential holds the two shapes to
-// identical flow outcomes.
+// instant as one transaction — the discipline the packet fabric's fault
+// replay already follows. A node loss lowers to one event per incident
+// link, all at the same At, and no simulated time separates them, so the
+// intermediate topologies of a one-at-a-time replay never exist
+// observably. The group commits every capacity and administrative change,
+// repairs the table once through RepairBatch (which leaves it equal to a
+// fresh route.Build), then moves every stranded active flow onto the
+// repaired table in one pass in flow-ID order; a flow whose destination is
+// cut off keeps its path. One refill, seeded by the changed links and the
+// moved flows' old and new paths, re-solves the instant: survivors of a
+// degrade pick up the new share, cut-off flows freeze at rate 0, flows of
+// a restored link get their capacity back. A starved flow whose own path
+// the group healed is not stranded, so it stays on that path.
+// TestFaultGroupMatchesSequential holds a group to the flow outcomes of
+// its events applied one at a time, and to one fill.
 func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
-	en.faultSeeds = en.faultSeeds[:0]
+	en.epoch++
+	en.seedBuf = en.seedBuf[:0]
 	en.faultEdges = en.faultEdges[:0]
-	en.faultDowned = en.faultDowned[:0]
-	restored := false
 	for _, ev := range evs {
 		li := int32(ev.Edge)
 		newCap := en.nominalCap[li] * ev.Factor
@@ -56,16 +55,11 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 			Flow: -1, Link: li, Node: -1,
 			Value: int64(math.Round(ev.Factor * 1000)),
 		})
-		en.faultSeeds = append(en.faultSeeds, li)
+		en.seed(li)
 		if wasUp != isUp {
 			e, _ := en.graph.Edge(int(li)) // a fluid graph never loses an edge
 			e.SetEnabled(isUp)
 			en.faultEdges = append(en.faultEdges, e)
-			if !isUp {
-				en.faultDowned = append(en.faultDowned, li)
-			} else {
-				restored = true
-			}
 		}
 	}
 	if len(en.faultEdges) > 0 && en.table != nil {
@@ -76,17 +70,48 @@ func (en *engine) applyLinkEventGroup(now sim.Time, evs []faults.LinkEvent) {
 			At: now, Kind: trace.FaultRepair,
 			Flow: -1, Link: -1, Node: -1, Value: int64(cols),
 		})
+		// Only an administrative flip changes the table, so only then can
+		// a stranded flow find a path. The moved flow keeps its remaining
+		// volume (the refill's setRate settles it); its hop count — and
+		// with it the per-hop latency charged at completion — tracks the
+		// path it finishes on.
+		for fid := range en.flows {
+			f := &en.flows[fid]
+			if !f.active || !en.stranded(f) {
+				continue
+			}
+			links, ok := en.repath(int32(fid))
+			if !ok {
+				continue
+			}
+			for _, li := range f.links {
+				en.seed(li)
+			}
+			en.unlink(int32(fid))
+			f.links = links
+			f.hops = len(links)
+			for _, li := range links {
+				en.seed(li)
+				en.linkFlows[li] = append(en.linkFlows[li], int32(fid))
+			}
+			en.stats.Faults.Reroutes++
+		}
 	}
-	for _, li := range en.faultDowned {
-		en.rerouteOff(now, li)
+	en.refill(now, en.seedBuf, -1)
+}
+
+// stranded reports whether flow f has no path or a path that crosses a
+// zero-capacity link: the flows a fault group re-paths.
+func (en *engine) stranded(f *flowState) bool {
+	if len(f.links) == 0 {
+		return true
 	}
-	// Re-solve what is left on the changed links: survivors of a degrade
-	// pick up the new share, stranded flows of a down link freeze at rate
-	// 0, flows of a restored link get their capacity back.
-	en.refill(now, en.faultSeeds, -1)
-	if restored {
-		en.rescueStarved(now)
+	for _, li := range f.links {
+		if en.linkCap[li] == 0 {
+			return true
+		}
 	}
+	return false
 }
 
 // repath computes flow fid's current shortest path against the live
@@ -103,61 +128,4 @@ func (en *engine) repath(fid int32) ([]int32, bool) {
 		panic(fmt.Sprintf("fluid: repath flow %d: %v", fid, err))
 	}
 	return path, true
-}
-
-// reroute moves active flow fid onto a new path mid-flight and re-solves
-// the union component of the old and new paths. The flow keeps its
-// remaining volume (settlement is handled by the refill's setRate); its
-// hop count — and with it the per-hop latency charged at completion —
-// tracks the path it finishes on.
-func (en *engine) reroute(now sim.Time, fid int32, links []int32) {
-	f := &en.flows[fid]
-	en.seedBuf = en.seedBuf[:0]
-	en.seedBuf = append(en.seedBuf, f.links...)
-	en.seedBuf = append(en.seedBuf, links...)
-	en.unlink(fid)
-	f.links = links
-	f.hops = len(links)
-	for _, li := range links {
-		en.linkFlows[li] = append(en.linkFlows[li], fid)
-	}
-	en.stats.Faults.Reroutes++
-	en.refill(now, en.seedBuf, -1)
-}
-
-// rerouteOff re-paths, in flow-ID order, every active flow crossing the
-// just-failed link li. Flows whose destination survived the failure move
-// to the repaired table's shortest path; partitioned ones stay — the
-// subsequent refill freezes them at rate 0 and rescueStarved retries them
-// on the next restore.
-func (en *engine) rerouteOff(now sim.Time, li int32) {
-	if en.table == nil {
-		return
-	}
-	fids := append([]int32(nil), en.linkFlows[li]...)
-	slices.Sort(fids)
-	for _, fid := range fids {
-		if links, ok := en.repath(fid); ok {
-			en.reroute(now, fid, links)
-		}
-	}
-}
-
-// rescueStarved retries every starved flow after a restore, in flow-ID
-// order: flows whose partition just healed reroute onto the live table and
-// leave starvation inside reroute's refill. Flows still cut off stay
-// parked.
-func (en *engine) rescueStarved(now sim.Time) {
-	if en.starvedNow == 0 || en.table == nil {
-		return
-	}
-	for fid := range en.flows {
-		f := &en.flows[fid]
-		if !f.active || !f.starved {
-			continue
-		}
-		if links, ok := en.repath(int32(fid)); ok {
-			en.reroute(now, int32(fid), links)
-		}
-	}
 }

@@ -117,7 +117,8 @@ func TestDegradeAndRerouteInOneInstant(t *testing.T) {
 // TestPartitionStarvesUntilRepair: on a line there is no detour, so a
 // mid-flow outage parks the flow at rate 0 for exactly the outage and the
 // FCT stretches by it — the recovery-time accounting the churn experiment
-// reports.
+// reports. The repair heals the flow's own path, so the flow is not
+// stranded and stays on it: no reroute.
 func TestPartitionStarvesUntilRepair(t *testing.T) {
 	g := topo.NewLine(4, topo.Options{})
 	specs := []workload.FlowSpec{{Src: 0, Dst: 3, Bytes: 10e6}}
@@ -141,6 +142,9 @@ func TestPartitionStarvesUntilRepair(t *testing.T) {
 	}
 	if churn.Faults.StarvedTime != outage {
 		t.Fatalf("starved time = %v, want the outage %v", churn.Faults.StarvedTime, outage)
+	}
+	if churn.Faults.Reroutes != 0 {
+		t.Fatalf("reroutes = %d, want 0: the repair healed the flow's own path", churn.Faults.Reroutes)
 	}
 	if got, want := churn.Flows[0].FCT, base.Flows[0].FCT+outage; got != want {
 		t.Fatalf("FCT = %v, want baseline+outage = %v", got, want)
@@ -245,15 +249,16 @@ func TestFaultedRunRestoresGraph(t *testing.T) {
 
 // TestFaultGroupMatchesSequential: a node loss lowers to one capacity
 // event per incident link, all at the same instant. Applying that instant
-// as one group (one RepairBatch, one reroute pass, one refill) must leave
-// every traffic-carrying flow on the same path, at the same rate, with the
-// same remaining volume, as applying the events one at a time — no
-// simulated time separates the events, so the intermediate topologies the
-// sequential path routes against are unobservable. The transit scenario
-// (no flow terminates at the lost node) demands full equivalence through
-// to the drained completion records. The endpoint scenario pins down the
-// bug the group path fixes: sequential restore rescues starved flows after
-// every individual link-up, stranding them on detours through half-healed
+// as one group (one RepairBatch, one pass over the stranded flows, one
+// refill) must leave every traffic-carrying flow on the same path, at the
+// same rate, with the same remaining volume, as applying the events one at
+// a time — no simulated time separates the events, so the intermediate
+// topologies the sequential path routes against are unobservable. Each
+// grouped instant runs at most one fill. The transit scenario (no flow
+// terminates at the lost node) demands full equivalence through to the
+// drained completion records. The endpoint scenario pins down the bug the
+// group path fixes: sequential restore rescues starved flows after every
+// individual link-up, stranding them on detours through half-healed
 // topologies, while the group rescues once against the instant's true
 // final table — so rescued flows must sit on exactly the healed table's
 // shortest paths, never longer than sequential left them.
@@ -288,9 +293,18 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		}
 		return evs
 	}
-	apply := func(en *engine, evs []faults.LinkEvent, grouped bool) {
+	fills := func(en *engine) int64 {
+		st := en.stats.SolverStats
+		return st.WarmHits + st.WarmFallbacks + st.ColdFills
+	}
+	apply := func(t *testing.T, en *engine, evs []faults.LinkEvent, grouped bool) {
+		t.Helper()
 		if grouped {
+			before := fills(en)
 			en.applyLinkEventGroup(evs[0].At, evs)
+			if n := fills(en) - before; n > 1 {
+				t.Fatalf("the group at %v ran %d fills, want at most 1", evs[0].At, n)
+			}
 			return
 		}
 		for _, ev := range evs {
@@ -304,7 +318,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 	norm := func(f *flowState, at sim.Time) float64 {
 		return f.remaining - f.rate*at.Sub(f.settled).Seconds()
 	}
-	sameFlows := func(seq, batch *engine, phase string, at sim.Time) {
+	sameFlows := func(t *testing.T, seq, batch *engine, phase string, at sim.Time) {
 		t.Helper()
 		for fid := range seq.flows {
 			sf, bf := &seq.flows[fid], &batch.flows[fid]
@@ -312,8 +326,8 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 				t.Errorf("%s: flow %d starved %v vs %v", phase, fid, sf.starved, bf.starved)
 			}
 			// A starved flow's parked path is unobservable: it moves no
-			// bits there and rescueStarved re-paths it on the healing
-			// repair. Sequential application parks it on whichever
+			// bits there and the healing group re-paths it if the path
+			// is still cut. Sequential application parks it on whichever
 			// intermediate-topology path it last held; the group parks it
 			// on its pre-fault path.
 			if !sf.starved && !slices.Equal(sf.links, bf.links) {
@@ -337,7 +351,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	sameStats := func(seq, batch *engine) {
+	sameStats := func(t *testing.T, seq, batch *engine) {
 		t.Helper()
 		if seq.stats.Faults.CapacityEvents != batch.stats.Faults.CapacityEvents {
 			t.Fatalf("capacity events %d vs %d", seq.stats.Faults.CapacityEvents, batch.stats.Faults.CapacityEvents)
@@ -352,7 +366,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			t.Fatalf("batch rerouted %d times, sequential only %d", batch.stats.Faults.Reroutes, seq.stats.Faults.Reroutes)
 		}
 	}
-	drain := func(en *engine) []FlowResult {
+	drain := func(t *testing.T, en *engine) []FlowResult {
 		t.Helper()
 		var out []FlowResult
 		for en.activeCount > 0 {
@@ -380,9 +394,9 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		evsSeq, evsBatch := lower(gSeq), lower(gBatch)
 		h := len(evsSeq) / 2
 
-		apply(seq, evsSeq[:h], false)
-		apply(batch, evsBatch[:h], true)
-		sameFlows(seq, batch, "after node loss", down)
+		apply(t, seq, evsSeq[:h], false)
+		apply(t, batch, evsBatch[:h], true)
+		sameFlows(t, seq, batch, "after node loss", down)
 		if seq.stats.Faults.Reroutes == 0 {
 			t.Fatal("node loss rerouted nothing — the scenario is inert")
 		}
@@ -390,12 +404,12 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			t.Fatalf("%d transit flows starved — meant to exercise the no-rescue path", seq.starvedNow)
 		}
 
-		apply(seq, evsSeq[h:], false)
-		apply(batch, evsBatch[h:], true)
-		sameFlows(seq, batch, "after restore", up)
-		sameStats(seq, batch)
+		apply(t, seq, evsSeq[h:], false)
+		apply(t, batch, evsBatch[h:], true)
+		sameFlows(t, seq, batch, "after restore", up)
+		sameStats(t, seq, batch)
 
-		sr, br := drain(seq), drain(batch)
+		sr, br := drain(t, seq), drain(t, batch)
 		for i := range sr {
 			if sr[i].Spec != br[i].Spec || sr[i].Start != br[i].Start || sr[i].Hops != br[i].Hops {
 				t.Fatalf("completion %d diverged:\nseq:   %+v\nbatch: %+v", i, sr[i], br[i])
@@ -418,9 +432,9 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		evsSeq, evsBatch := lower(gSeq), lower(gBatch)
 		h := len(evsSeq) / 2
 
-		apply(seq, evsSeq[:h], false)
-		apply(batch, evsBatch[:h], true)
-		sameFlows(seq, batch, "after node loss", down)
+		apply(t, seq, evsSeq[:h], false)
+		apply(t, batch, evsBatch[:h], true)
+		sameFlows(t, seq, batch, "after node loss", down)
 		if seq.starvedNow == 0 {
 			t.Fatal("node loss starved nothing — the scenario is inert")
 		}
@@ -431,15 +445,16 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 			}
 		}
 
-		apply(seq, evsSeq[h:], false)
-		apply(batch, evsBatch[h:], true)
-		sameStats(seq, batch)
+		apply(t, seq, evsSeq[h:], false)
+		apply(t, batch, evsBatch[h:], true)
+		sameStats(t, seq, batch)
 
-		// The group's one rescue pass runs against the instant's final
-		// table: every rescued flow must sit on exactly the healed
-		// topology's shortest path. Sequential rescue fires after each
-		// individual link-up and can strand a flow on a detour through the
-		// half-healed fabric — never shorter than the group's choice.
+		// The group's one pass over stranded flows runs against the
+		// instant's final table: every rescued flow must sit on exactly
+		// the healed topology's shortest path. Sequential rescue fires
+		// after each individual link-up and can strand a flow on a detour
+		// through the half-healed fabric — never shorter than the group's
+		// choice.
 		healed := route.Build(gBatch, route.UniformCost)
 		for _, fid := range rescued {
 			bf, sf := &batch.flows[fid], &seq.flows[fid]
@@ -465,7 +480,7 @@ func TestFaultGroupMatchesSequential(t *testing.T) {
 		}
 
 		// Both shapes drain completely; the group never costs a flow hops.
-		sr, br := drain(seq), drain(batch)
+		sr, br := drain(t, seq), drain(t, batch)
 		seqHops, batchHops := 0, 0
 		for i := range sr {
 			seqHops += sr[i].Hops

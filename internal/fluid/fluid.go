@@ -1,6 +1,7 @@
 // Package fluid is the flow-level companion engine to the packet-level
 // fabric: flows are fluid streams sharing link capacity max-min fairly,
-// and events are only flow arrivals and completions.
+// and events are only flow arrivals, flow completions and link capacity
+// changes (faults).
 //
 // The paper's evaluation plan scales from a hardware-validated small
 // simulation to "hundreds to thousands of connected nodes". Packet-level
@@ -13,16 +14,17 @@
 // slices keyed by stable integer IDs (flow IDs follow a canonical spec
 // ordering; link IDs are topo Edge.Index), so no result ever depends on Go
 // map iteration order or on the order specs were handed in. At each
-// instant with arrivals or completions, only the connected component of
-// the link–flow sharing graph around the affected paths is re-solved —
-// max-min allocations decompose over such components. Every arrival due at
-// one instant joins a single refill seeded by the union of their paths, as
-// the fault events of one instant do, and so does every completion due at
-// it. The progressive-filling pass inside a component retires every link
-// tied at the round's bottleneck share in one flat scan of the component's
-// live links (see refill). Completions pop from a heap keyed by (finish
-// time, flowID), so the flows finishing at one instant pop as one batch in
-// flow-ID order, byte-stably, at O(log F) per flow.
+// instant with faults, arrivals or completions, only the connected
+// component of the link–flow sharing graph around the affected paths is
+// re-solved — max-min allocations decompose over such components. Each
+// instant's events go in batches that share one refill: its fault group,
+// seeded by the changed links and the old and new paths of the flows it
+// moves; its arrivals, seeded by the union of their paths; and its
+// completions, likewise. The progressive-filling pass inside a component
+// retires every link tied at the round's bottleneck share in one flat scan
+// of the component's live links (see refill). Completions pop from a heap
+// keyed by (finish time, flowID), so the flows finishing at one instant
+// pop as one batch in flow-ID order, byte-stably, at O(log F) per flow.
 package fluid
 
 import (
@@ -58,7 +60,8 @@ type Config struct {
 	// share one refill, so they record one fill outcome and one set of
 	// series points, after all their arrival events; the completions of
 	// one instant likewise record one fill outcome, before all their
-	// completion events. The recorder
+	// completion events, and a fault group records one after its fault
+	// events. The recorder
 	// must already have its link tracks initialized (trace.LinkNames over
 	// Graph). Traces differ between warm and cold solver paths — fill
 	// outcomes are recorded — even though flow results are bit-identical.

@@ -216,8 +216,9 @@ func (s *Session) AdvanceUntilDone(until sim.Time) error {
 }
 
 // advance is the event loop of Advance and AdvanceUntilDone. An instant's
-// events go by kind — faults, then arrivals, then completions — and each
-// kind's events at the instant share one refill. A flow whose projected
+// events go in batches by kind — its fault group, then its arrivals, then
+// its completions — and each batch shares one refill; a fault group moves
+// every stranded flow before its refill. A flow whose projected
 // finish is the instant completes at it. A survivor that the refill
 // re-projects onto the same instant completes in a further batch at that
 // instant. Max-min within a component is unique, and no simulated time

@@ -95,14 +95,14 @@ type engine struct {
 	nominalCap    []float64
 	routesChanged bool
 	starvedNow    int
-	seedBuf       []int32 // refill seed: an arrival or completion batch's paths, or a reroute's old ∪ new path
 
-	// Fault-group scratch (applyLinkEventGroup): the instant's changed
-	// links (refill seed), admin-flipped edges (one RepairBatch), and
-	// downed links (reroute pass), reused across events.
-	faultSeeds  []int32
-	faultEdges  []*topo.Edge
-	faultDowned []int32
+	// seedBuf is the refill seed of one batch, each link once: an
+	// instant's arrival or completion paths, or a fault group's changed
+	// links and the old and new paths of the flows it moved. faultEdges
+	// holds a fault group's administratively flipped edges for its one
+	// RepairBatch.
+	seedBuf    []int32
+	faultEdges []*topo.Edge
 
 	// stats accumulates the run's solver and fault observability counters,
 	// copied into Result at end of run.
@@ -167,7 +167,7 @@ type engine struct {
 
 // newEngine builds the indexed solver for one run. Healthy link capacities
 // are snapshotted once into nominalCap; the live linkCap starts equal and
-// moves only through applyLinkEvent (fault injection) — a fault-free run
+// moves only through applyLinkEventGroup (fault injection) — a fault-free run
 // never reconfigures mid-flight. The routing table is built lazily by
 // addBatch — a run over zero specs (which guards probe for) never pays the
 // O(n²) table build.
@@ -204,8 +204,8 @@ func (en *engine) onlySeedLinks(fid int32) bool {
 // Session.Inject's engine half, the only way flows enter the engine. Flows
 // start inactive; arrive activates them. An unreachable destination is not
 // an error: an injection can race an unhealed fault, so the flow parks with
-// no path (it starves at rate 0 on arrival) and repath / rescueStarved pick
-// it up when the topology heals. The zero epoch stamps of appended entries
+// no path (it starves at rate 0 on arrival) and the fault group that heals
+// the partition re-paths it. The zero epoch stamps of appended entries
 // are never live: engine.epoch starts counting at 1.
 func (en *engine) addBatch(specs []workload.FlowSpec) error {
 	if len(specs) == 0 {
@@ -250,7 +250,7 @@ func (en *engine) addBatch(specs []workload.FlowSpec) error {
 // destination is currently unreachable it keeps the path it was injected
 // with (or none, if it was injected unreachable) — every such path crosses
 // a dead link, so the flow parks at rate 0 until a repair heals the
-// partition (rescueStarved re-paths it then).
+// partition (the healing fault group re-paths it then).
 func (en *engine) arrive(batch []int32, now sim.Time) {
 	for _, fid := range batch {
 		f := &en.flows[fid]
@@ -322,13 +322,19 @@ func (en *engine) seedPaths(batch []int32) []int32 {
 	en.seedBuf = en.seedBuf[:0]
 	for _, fid := range batch {
 		for _, li := range en.flows[fid].links {
-			if en.linkEpoch[li] != en.epoch {
-				en.linkEpoch[li] = en.epoch
-				en.seedBuf = append(en.seedBuf, li)
-			}
+			en.seed(li)
 		}
 	}
 	return en.seedBuf
+}
+
+// seed appends link li to seedBuf unless the current epoch already
+// stamped it there.
+func (en *engine) seed(li int32) {
+	if en.linkEpoch[li] != en.epoch {
+		en.linkEpoch[li] = en.epoch
+		en.seedBuf = append(en.seedBuf, li)
+	}
 }
 
 // unlink drops flow fid from the flow list of every link on its path.
@@ -406,12 +412,12 @@ func (en *engine) component(seed []int32) {
 // order: a pure function of component state.
 //
 // The seed is every link a perturbation touched: the paths of an instant's
-// arrivals or of its completions, the links of a fault group, or a
-// reroute's old and new path. newcomer is the flow (≥ 0) whose lone
-// arrival triggered this refill — the one component flow with no previous
-// rate. The warm path replays the previous allocation as the round
-// schedule and falls back to the scan loop the moment the perturbation
-// deviates from it; see warmRounds.
+// arrivals or of its completions, or the changed links of its fault group
+// with the old and new paths of the flows the group moved. newcomer is the
+// flow (≥ 0) whose lone arrival triggered this refill — the one component
+// flow with no previous rate. The warm path replays the previous
+// allocation as the round schedule and falls back to the scan loop the
+// moment the perturbation deviates from it; see warmRounds.
 func (en *engine) refill(now sim.Time, seed []int32, newcomer int32) {
 	en.component(seed)
 	remaining := len(en.compFlows)
@@ -807,9 +813,10 @@ func (en *engine) setRate(fid int32, now sim.Time, rate float64) {
 		if f.starved {
 			// The flow came back: a repair restored capacity or a reroute
 			// found a live path. An episode only counts if the flow
-			// actually waited — a flow frozen at zero and revived within
-			// one fault instant (it was mid-queue while its down event's
-			// reroutes re-solved the component) never lost service time.
+			// actually waited. A flow starved by one fault group and
+			// revived by another at the same instant never lost service
+			// time; only an ApplyFaults whose events fall at or before the
+			// clock gives one instant two groups.
 			if d := now.Sub(f.starvedAt); d > 0 {
 				en.stats.Faults.StarvedEpisodes++
 				en.stats.Faults.StarvedTime += d

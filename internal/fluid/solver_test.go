@@ -444,7 +444,10 @@ func TestWarmColdUnderFaultChurn(t *testing.T) {
 // arm forces the from-zero progressive fill for comparison. The capacity
 // arm is the fault subsystem's hot path: one link capacity change
 // (alternating degrade/restore, no topology transition) re-solved through
-// the same oracle.
+// the same oracle. The reroute arm takes down, then restores, the first
+// link of flow i % n, which always carries that flow: one op is a down/up
+// pair of fault groups, with its table repairs, the flows the down moves
+// and their refill. It reports the fills and reroutes per pair.
 func BenchmarkFluidAllocate(b *testing.B) {
 	for _, arm := range []struct {
 		name string
@@ -480,6 +483,27 @@ func BenchmarkFluidAllocate(b *testing.B) {
 			en.applyLinkEvent(0, faults.LinkEvent{Edge: int(li), Factor: factor})
 			en.compactDone() // as Run does after every event; bounds the heap
 		}
+	})
+	b.Run("reroute", func(b *testing.B) {
+		g := topo.NewTorus(16, 16, topo.Options{})
+		rng := sim.NewRNG(3)
+		specs := workload.Permutation(rng, 256, workload.Fixed(1e6))
+		en := activeEngine(b, g, specs)
+		before := en.stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			li := en.flows[i%len(en.flows)].links[0]
+			for _, factor := range []float64{0, 1} {
+				en.applyLinkEvent(0, faults.LinkEvent{Edge: int(li), Factor: factor})
+				en.compactDone()
+			}
+		}
+		b.StopTimer()
+		st := en.stats
+		fills := st.WarmHits + st.WarmFallbacks + st.ColdFills - before.WarmHits - before.WarmFallbacks - before.ColdFills
+		b.ReportMetric(float64(fills)/float64(b.N), "fills/op")
+		b.ReportMetric(float64(st.Faults.Reroutes-before.Faults.Reroutes)/float64(b.N), "reroutes/op")
 	})
 }
 
