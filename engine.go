@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -61,6 +62,9 @@ type backend interface {
 	applyFaults(s *faults.Schedule) error
 	flows() []*Flow
 	fill(r *Report)
+	// hops returns the shortest live-path hop count from src to dst, -1
+	// when dst is unreachable, for calls grouped by source.
+	hops() func(src, dst int) int
 }
 
 // Flow is a handle on one injected transfer, engine-agnostic: exactly one
@@ -299,6 +303,20 @@ func (b *packetBackend) fill(r *Report) {
 	r.Faults = faultReport(b.fab.FaultStats())
 }
 
+// hops counts with one breadth-first search per distinct source over a
+// snapshot of the live links: the packet table may be priced by the CRC,
+// so its distances are not hop counts.
+func (b *packetBackend) hops() func(src, dst int) int {
+	hc := b.fab.Graph().NewHopCounter()
+	from, counts := -1, []int(nil)
+	return func(src, dst int) int {
+		if src != from {
+			from, counts = src, hc.From(topo.NodeID(src))
+		}
+		return counts[dst]
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Fluid backend
 
@@ -414,5 +432,17 @@ func (b *fluidBackend) fill(r *Report) {
 		WarmFallbacks: tot.Solver.WarmFallbacks,
 		ColdFills:     tot.Solver.ColdFills,
 		WarmHitPct:    tot.Solver.WarmHitPct(),
+	}
+}
+
+// hops reads the session's route table, which prices every live link at 1,
+// so its distances are the hop counts.
+func (b *fluidBackend) hops() func(src, dst int) int {
+	return func(src, dst int) int {
+		d := b.sess.Distance(src, dst)
+		if math.IsInf(d, 1) {
+			return -1
+		}
+		return int(d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"rackfab/internal/faults"
 	"rackfab/internal/heapx"
+	"rackfab/internal/route"
 	"rackfab/internal/sim"
 	"rackfab/internal/topo"
 	"rackfab/internal/trace"
@@ -404,6 +405,21 @@ func (s *Session) TakeCompleted() []FlowResult {
 	out := s.res.Flows
 	s.res.Flows = nil
 	return out
+}
+
+// Distance returns the hop count of the shortest live path from src to dst
+// (+Inf when dst is unreachable, 0 for src itself). It reads the session's
+// route table, which prices every live link (topo.Edge.Live) at 1 and which
+// each applied fault group repairs, so it equals a topo.HopCounter count
+// over the graph the session's faults left. The first batch of flows
+// builds the table; before it, Distance builds one it does not keep, so
+// that a fault group's repair count does not depend on the call.
+func (s *Session) Distance(src, dst int) float64 {
+	t := s.en.table
+	if t == nil {
+		t = route.Build(s.en.graph, route.UniformCost)
+	}
+	return t.Distance(topo.NodeID(src), topo.NodeID(dst))
 }
 
 // Totals is a session's running counters. Completed and Hops cover every

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"rackfab/internal/faults"
@@ -267,5 +268,70 @@ func TestApplyFaultsMergesLikeScheduleMerge(t *testing.T) {
 		if got, want := fmt.Sprintf("%+v", *s.finish()), run(tc.want); got != want {
 			t.Fatalf("%s: ApplyFaults diverged from Run:\n--- Run ---\n%s\n--- ApplyFaults ---\n%s", tc.name, want, got)
 		}
+	}
+}
+
+// TestDistanceMatchesHopCounter holds Session.Distance, which reads the
+// session's route table, to topo.HopCounter over the graph the session's
+// faults left. On a 6×6 grid a LinkDown group cuts two links at 20 µs and
+// a NodeDown group takes node 14 at 40 µs, while flows that neither start
+// nor end at node 14 run across both. Every completed flow's count, and
+// every pair's, must agree, an unreachable pair reading +Inf against -1.
+func TestDistanceMatchesHopCounter(t *testing.T) {
+	const us = sim.Time(sim.Microsecond)
+	const lost = 14
+	g := topo.NewGrid(6, 6, topo.Options{})
+	var evs []faults.Event
+	for _, p := range [][2]topo.NodeID{{2, 3}, {20, 26}} {
+		e, ok := g.EdgeBetween(p[0], p[1])
+		if !ok {
+			t.Fatalf("missing edge %d-%d", p[0], p[1])
+		}
+		evs = append(evs, faults.Event{At: 20 * us, Target: e.Index(), Kind: faults.LinkDown})
+	}
+	evs = append(evs, faults.Event{At: 40 * us, Target: lost, Kind: faults.NodeDown})
+	var specs []workload.FlowSpec
+	for src := 0; src < g.NumNodes(); src++ {
+		dst := (src*7 + 5) % g.NumNodes()
+		if src != lost && dst != lost && src != dst {
+			specs = append(specs, workload.FlowSpec{Src: src, Dst: dst, Bytes: 200e3, At: sim.Time(src) * us, Label: fmt.Sprint(src)})
+		}
+	}
+	s, err := NewSession(Config{Graph: g, Faults: faults.New(evs...)}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceUntilDone(sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if tot := s.Totals(); tot.Completed != int64(len(specs)) || tot.Faults.CapacityEvents != 6 {
+		t.Fatalf("%d of %d flows completed and %d capacity events applied; want all flows and 6 events", tot.Completed, len(specs), tot.Faults.CapacityEvents)
+	}
+	hc := g.NewHopCounter()
+	check := func(src, dst int) {
+		t.Helper()
+		want := float64(hc.From(topo.NodeID(src))[dst])
+		if want < 0 {
+			want = math.Inf(1)
+		}
+		if got := s.Distance(src, dst); got != want {
+			t.Fatalf("Distance(%d, %d) = %v, HopCounter %v", src, dst, got, want)
+		}
+	}
+	for _, f := range s.Snapshot().Flows {
+		check(f.Spec.Src, f.Spec.Dst)
+	}
+	healthy := topo.NewGrid(6, 6, topo.Options{}).NewHopCounter()
+	longer := 0
+	for src := 0; src < g.NumNodes(); src++ {
+		for dst := 0; dst < g.NumNodes(); dst++ {
+			check(src, dst)
+			if hc.From(topo.NodeID(src))[dst] > healthy.From(topo.NodeID(src))[dst] {
+				longer++
+			}
+		}
+	}
+	if longer == 0 {
+		t.Fatal("the faults lengthened no pair's path")
 	}
 }

@@ -26,12 +26,14 @@ const minParallelNodes = 64
 // MaxDegree links, a state only a bug can reach.
 //
 // When every finite cost is equal (UniformCost, or any uniform price), each
-// search pops a FIFO queue, which is already in distance order; otherwise
-// it pops a binary heap. Either reaches the unique fixed point RepairBatch
-// describes, so the table is the same bit for bit. The columns are split
-// into contiguous ranges over GOMAXPROCS goroutines, each with its own
-// queue or heap and writing only its own columns, and all of them join
-// before Build returns, so the table is the same at any worker count.
+// search pops a FIFO queue, which is already in distance order, and sets
+// each node's tie mask as it pops it; otherwise it pops a binary heap and
+// tieMask derives the column's masks afterwards. Either reaches the unique
+// fixed point RepairBatch describes, under tieMask's tie rule, so the table
+// is the same bit for bit. The columns are split into contiguous ranges
+// over GOMAXPROCS goroutines, each with its own queue or heap and writing
+// only its own columns, and all of them join before Build returns, so the
+// table is the same at any worker count.
 func Build(g *topo.Graph, cost CostFunc) *Table {
 	n := g.NumNodes()
 	t := &Table{
@@ -45,11 +47,11 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		rowMark: make([]uint32, n),
 	}
 	t.snapshot(g)
-	fifo := t.price(g, cost)
+	step := t.price(g, cost)
 	t.pq.Grow(n)
 	workers := buildWorkers(n)
 	if workers == 1 {
-		t.buildColumns(0, n, fifo, &t.pq) // no goroutine, no escaping WaitGroup
+		t.buildColumns(0, n, step, &t.pq) // no goroutine, no escaping WaitGroup
 		return t
 	}
 	var wg sync.WaitGroup
@@ -58,13 +60,13 @@ func Build(g *topo.Graph, cost CostFunc) *Table {
 		go func() {
 			defer wg.Done()
 			var pq heapx.Heap[nodeDist]
-			if !fifo {
+			if step == 0 {
 				pq.Grow(n)
 			}
-			t.buildColumns(w*n/workers, (w+1)*n/workers, fifo, &pq)
+			t.buildColumns(w*n/workers, (w+1)*n/workers, step, &pq)
 		}()
 	}
-	t.buildColumns(0, n/workers, fifo, &t.pq)
+	t.buildColumns(0, n/workers, step, &t.pq)
 	wg.Wait()
 	return t
 }
@@ -104,10 +106,10 @@ func (t *Table) snapshot(g *topo.Graph) {
 	}
 }
 
-// price fills the cost snapshot, costOf and its per-slot copy, and reports
-// whether every finite cost in it is equal, the condition for a FIFO
-// search.
-func (t *Table) price(g *topo.Graph, cost CostFunc) bool {
+// price fills the cost snapshot, costOf and its per-slot copy, and returns
+// its one finite cost when every finite cost is equal, the condition for a
+// FIFO search: +Inf when no cost is finite, 0 when two costs differ.
+func (t *Table) price(g *topo.Graph, cost CostFunc) float64 {
 	uniform, first := true, math.Inf(1)
 	for _, e := range g.Edges() {
 		c := cost(e)
@@ -126,31 +128,48 @@ func (t *Table) price(g *topo.Graph, cost CostFunc) bool {
 	for s, e := range t.adjEdge {
 		t.adjCost[s] = t.costOf[e]
 	}
-	return uniform
+	if !uniform {
+		return 0
+	}
+	return first
 }
 
-// buildColumns searches destinations lo..hi-1 into their distance columns,
-// then derives each column's tie masks. A FIFO search holds each node at
-// most once, so its queue is one n-entry slice reused across the range.
-func (t *Table) buildColumns(lo, hi int, fifo bool, pq *heapx.Heap[nodeDist]) {
+// minFusedCost is the smallest uniform cost whose FIFO search sets each
+// node's tie mask as it pops it. A link to a node one level nearer ties
+// exactly at any cost. A link to a node on the same level or farther sits
+// about one or two costs off the tie, which from minFusedCost up is clear
+// of tieMask's tolerance, so the exact test in searchFIFO gives tieMask's
+// masks. Below it, one level can fall inside the tolerance, and the column
+// takes tieMask's pass.
+const minFusedCost = 2 * tieEps
+
+// buildColumns searches destinations lo..hi-1 into their distance and tie
+// columns, which must be Build's fresh zeroes. step is price's result: a
+// FIFO search when it is positive, the heap otherwise. tieMask derives the
+// masks of a heap column, and of a FIFO column whose cost is below
+// minFusedCost. A FIFO search holds each node at most once, so its queue
+// is one n-entry slice reused across the range.
+func (t *Table) buildColumns(lo, hi int, step float64, pq *heapx.Heap[nodeDist]) {
 	var queue []int32
-	if fifo {
+	if step > 0 {
 		queue = make([]int32, 0, t.n)
 	}
 	for dst := lo; dst < hi; dst++ {
 		col := t.dist[dst*t.n : (dst+1)*t.n]
+		ties := t.ties[dst*t.n : (dst+1)*t.n]
 		for i := range col {
 			col[i] = math.Inf(1)
 		}
 		col[dst] = 0
-		if fifo {
-			t.searchFIFO(dst, col, queue)
+		if step > 0 {
+			t.searchFIFO(dst, col, ties, queue)
 		} else {
 			t.searchHeap(dst, col, pq)
 		}
-		ties := t.ties[dst*t.n : (dst+1)*t.n]
-		for from := range ties {
-			ties[from] = t.tieMask(from, col)
+		if step < minFusedCost {
+			for from := range ties {
+				ties[from] = t.tieMask(from, col)
+			}
 		}
 	}
 }
@@ -160,7 +179,13 @@ func (t *Table) buildColumns(lo, hi int, fifo bool, pq *heapx.Heap[nodeDist]) {
 // grow with k, so the queue pops nodes in distance order and a node's
 // first value is final: each node enters the queue at most once. An +Inf
 // cost makes the sum +Inf, which never relaxes.
-func (t *Table) searchFIFO(dst int, col []float64, queue []int32) {
+//
+// When a node pops, its distance and those of every node one level nearer
+// are final, and each of those holds the same sum, so a link to one of
+// them is a tie exactly when c plus the far distance equals the node's.
+// The loop sets the node's tie mask from the values it loads to relax its
+// links; a node never popped is unreachable and keeps its zero mask.
+func (t *Table) searchFIFO(dst int, col []float64, ties []uint16, queue []int32) {
 	queue = append(queue[:0], int32(dst))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -168,12 +193,17 @@ func (t *Table) searchFIFO(dst int, col []float64, queue []int32) {
 		lo, hi := t.adjOff[u], t.adjOff[u+1]
 		nbr, cost := t.adjNbr[lo:hi], t.adjCost[lo:hi]
 		cost = cost[:len(nbr)]
+		var mask uint16
 		for i, v := range nbr {
-			if d := du + cost[i]; d < col[v] {
+			c, dv := cost[i], col[v]
+			if c+dv == du {
+				mask |= 1 << i
+			} else if d := du + c; d < dv {
 				col[v] = d
 				queue = append(queue, v)
 			}
 		}
+		ties[u] = mask
 	}
 }
 

@@ -94,8 +94,11 @@ func expressGrid(t *testing.T) *topo.Graph {
 // TestBuildMatchesReference holds Build to referenceBuild bit for bit,
 // every distance and every tie mask, across fabric shapes and costs, with
 // GOMAXPROCS at 1 and at 4. Uniform and tenth costs take the FIFO search
-// (tenths with sums that round); priced costs take the heap; the +Inf
-// cases cut links and, on the line, partition it. The 16×16 torus is
+// (tenths with sums that round), which sets the tie masks as it pops; the
+// tiny (1e-10) and small (5e-10) uniform costs take it too, below
+// minFusedCost, where one level lies inside the tie tolerance and tieMask
+// sets the masks; priced costs take the heap; the +Inf cases cut links
+// and, on the line, partition it. The 16×16 torus is
 // above minParallelNodes, so at GOMAXPROCS 4 its columns are built by four
 // goroutines.
 func TestBuildMatchesReference(t *testing.T) {
@@ -122,6 +125,8 @@ func TestBuildMatchesReference(t *testing.T) {
 			return 1
 		}},
 		{"tenths", func(*topo.Edge) float64 { return 0.1 }},
+		{"tiny", func(*topo.Edge) float64 { return 1e-10 }},
+		{"small", func(*topo.Edge) float64 { return 5e-10 }},
 		{"priced", priced},
 		{"priced-cut", func(e *topo.Edge) float64 {
 			if e.Index()%5 == 2 {

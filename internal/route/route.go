@@ -104,13 +104,19 @@ func (t *Table) setCost(e *topo.Edge, c float64) {
 	}
 }
 
+// tieEps is the tie rule's tolerance: a link ties when its cost plus the
+// far end's distance is within tieEps of the near end's.
+const tieEps = 1e-9
+
 // tieMask is the tie rule: the mask of from's links that start a
 // minimum-cost path to the destination whose distance column is col, under
 // the cost snapshot. The destination itself (distance 0) and unreachable
 // nodes have no ties; an +Inf cost or neighbour distance makes the sum
-// +Inf, never a tie.
+// +Inf, never a tie. It derives the masks of a heap-searched column and
+// of a column below minFusedCost (Build), and those repairColumn
+// re-derives; a FIFO search from minFusedCost up sets the same masks as it
+// pops.
 func (t *Table) tieMask(from int, col []float64) uint16 {
-	const eps = 1e-9
 	d := col[from]
 	if d == 0 || math.IsInf(d, 1) {
 		return 0
@@ -120,12 +126,16 @@ func (t *Table) tieMask(from int, col []float64) uint16 {
 	nbr, cost := t.adjNbr[lo:hi], t.adjCost[lo:hi]
 	cost = cost[:len(nbr)]
 	for i, w := range nbr {
-		if math.Abs(cost[i]+col[w]-d) < eps {
+		if isTie(cost[i], col[w], d) {
 			mask |= 1 << i
 		}
 	}
 	return mask
 }
+
+// isTie is tieMask's rule for one link: whether cost c to a neighbour at
+// distance far lands within tieEps of distance near.
+func isTie(c, far, near float64) bool { return math.Abs(c+far-near) < tieEps }
 
 // RepairBatch updates the table in place after one or more simultaneous
 // edge-cost changes (a link failed, recovered or was re-priced, a node
@@ -179,7 +189,6 @@ func (t *Table) RepairBatch(g *topo.Graph, cost CostFunc, edges []*topo.Edge) in
 // can send repairColumn a column it leaves as it was, but never miss one
 // it would change.
 func (t *Table) touched(dst int) bool {
-	const eps = 1e-9
 	col := t.dist[dst*t.n : (dst+1)*t.n]
 	for _, ch := range t.changes {
 		lo, hi := col[ch.a], col[ch.b]
@@ -189,7 +198,7 @@ func (t *Table) touched(dst int) bool {
 		if math.IsInf(lo, 1) {
 			continue // neither endpoint reaches dst
 		}
-		if math.Abs(hi-lo-ch.c0) < eps || ch.c1+lo <= hi+eps {
+		if math.Abs(hi-lo-ch.c0) < tieEps || ch.c1+lo <= hi+tieEps {
 			return true
 		}
 	}
@@ -209,13 +218,13 @@ const (
 // costs before t.changes, into the fixed point of the costs after them,
 // touching only the nodes whose distance moves (Ramalingam–Reps):
 //
-//  1. Starting from the endpoints of edges whose cost rose, and in
-//     ascending old distance, collect the nodes left with no exact
-//     witness: a neighbour u, itself not collected, over a finite-cost
-//     link, with dist[u]+c == dist[v]. A witness is strictly nearer than
-//     the node it witnesses, so each node's witnesses are settled before
-//     it is examined, and a collected node puts every farther neighbour up
-//     for examination.
+//  1. Starting from each endpoint that an edge whose cost rose exactly
+//     witnessed, and in ascending old distance, collect the nodes left
+//     with no exact witness: a neighbour u, itself not collected, over a
+//     finite-cost link, with dist[u]+c == dist[v]. A witness is strictly
+//     nearer than the node it witnesses, so each node's witnesses are
+//     settled before it is examined, and a collected node puts every
+//     farther neighbour up for examination.
 //  2. Reset the collected nodes to +Inf and seed each with its best
 //     uncollected neighbour; relax the links whose cost fell; then run
 //     Dijkstra from the seeds, over the nodes whose distance improves.
@@ -223,8 +232,8 @@ const (
 //     ends relaxed, so the column lands on the unique fixed point: the one
 //     a fresh Build computes.
 //  3. Re-derive the tie masks that can change: those of nodes whose
-//     distance was rewritten, of their neighbours, and of the changed
-//     links' endpoints.
+//     distance was rewritten, of their neighbours, and of each changed
+//     link's endpoints where the link was or becomes a tie.
 //
 // It reports whether any distance moved, which is just when it rewrote
 // one. An uncollected node the Dijkstra pass lowers ends strictly below
@@ -247,8 +256,8 @@ func (t *Table) repairColumn(dst int) bool {
 	t.pq.Reset()
 	for _, ch := range t.changes {
 		if ch.c1 > ch.c0 {
-			t.pushFinite(ch.a, col)
-			t.pushFinite(ch.b, col)
+			t.pushWitnessed(ch.a, ch.b, ch.c0, col)
+			t.pushWitnessed(ch.b, ch.a, ch.c0, col)
 		}
 	}
 	for t.pq.Len() > 0 {
@@ -312,10 +321,19 @@ func (t *Table) repairColumn(dst int) bool {
 		}
 	}
 	for _, ch := range t.changes {
-		t.retie(ch.a, col, ties)
-		t.retie(ch.b, col, ties)
+		t.retieEnd(ch.a, ch.b, ch, col, ties)
+		t.retieEnd(ch.b, ch.a, ch, col, ties)
 	}
 	return len(t.moved) > 0
+}
+
+// pushWitnessed queues end for repairColumn's first pass if the link from
+// it to other, at its old cost c0, was an exact witness of its distance:
+// only then can the link's rise leave end without one.
+func (t *Table) pushWitnessed(end, other int, c0 float64, col []float64) {
+	if col[other]+c0 == col[end] {
+		t.pushFinite(end, col)
+	}
 }
 
 // pushFinite queues v for repairColumn's first pass, keyed by its old
@@ -351,6 +369,16 @@ func (t *Table) lower(v int, d float64, col []float64, lost, lowered uint32) {
 		t.moved = append(t.moved, v)
 	}
 	t.pq.Push(nodeDist{node: topo.NodeID(v), dist: d})
+}
+
+// retieEnd re-derives the tie mask of end, an endpoint of the changed link
+// ch whose other endpoint is other, if the link was or becomes a tie there.
+// If end is not yet re-derived, neither its distance nor any neighbour's
+// moved, so the link's own bit is the only one the change can flip.
+func (t *Table) retieEnd(end, other int, ch costChange, col []float64, ties []uint16) {
+	if isTie(ch.c0, col[other], col[end]) || isTie(ch.c1, col[other], col[end]) {
+		t.retie(end, col, ties)
+	}
 }
 
 // retie re-derives v's tie mask in the column being repaired, once per

@@ -46,12 +46,13 @@ func (c *Cluster) sloTargetX() float64 {
 }
 
 // fillFlows fills Report's per-flow sections, FlowsCompleted, FCT and SLO,
-// from the completed flow handles, the same way on both engines. SLO ideals use the fastest link rate in the fabric as the wire
-// rate and shortest-path hop counts over currently-up links; a flow
+// from the completed flow handles, the same way on both engines. SLO
+// ideals use the fastest link rate in the fabric as the wire rate and the
+// backend's shortest-path hop counts over currently-live links; a flow
 // unreachable at report time stays out of the SLO population. Flows are
-// taken grouped by source, so one breadth-first search serves each
-// distinct source; telemetry.Percentiles sorts its samples, so that order
-// cannot change the report.
+// taken grouped by source, so the packet engine's one breadth-first search
+// serves each distinct source; telemetry.Percentiles sorts its samples, so
+// that order cannot change the report.
 func (c *Cluster) fillFlows(r *Report) {
 	handles := c.be.flows()
 	done := make([]int32, 0, len(handles))
@@ -82,20 +83,16 @@ func (c *Cluster) fillFlows(r *Report) {
 		return
 	}
 	slices.SortFunc(done, func(a, b int32) int { return cmp.Compare(handles[a].spec.Src, handles[b].spec.Src) })
-	hc := c.graph.NewHopCounter()
-	var hops []int
+	hopsOf := c.be.hops()
 	stretches := make([]float64, 0, n)
-	for k, i := range done {
+	for _, i := range done {
 		f := handles[i]
-		src, dst := f.Endpoints()
-		if k == 0 || src != handles[done[k-1]].spec.Src {
-			hops = hc.From(topo.NodeID(src))
-		}
-		if hops[dst] < 0 {
+		hops := hopsOf(f.Endpoints())
+		if hops < 0 {
 			continue
 		}
 		_, fct, _ := f.result()
-		if ideal := workload.IdealFCT(f.Bytes(), rate, hops[dst], sloPerHopLatency); ideal > 0 {
+		if ideal := workload.IdealFCT(f.Bytes(), rate, hops, sloPerHopLatency); ideal > 0 {
 			stretches = append(stretches, float64(fct)/float64(ideal))
 		}
 	}

@@ -133,17 +133,37 @@ func TestSLOReportDefaultsAndConfig(t *testing.T) {
 }
 
 // TestSLOHopCountsMatchHopsFrom holds Report().SLO, whose hop counts come
-// from one search per distinct source over a snapshot of the up links, to
-// a reference that asks topo.HopsFrom for every flow, on both engines.
-// After a shuffle completes, one link goes dark (lengthening some shortest
-// paths) and so does every link of one corner node (leaving its flows'
-// pairs unreachable, so the population shrinks).
+// from one search per distinct source over a snapshot of the live links on
+// the packet engine and from the session's route table on the fluid
+// engine, to a reference that asks topo.HopsFrom for every flow. After a
+// shuffle completes, one link goes dark (lengthening some shortest paths)
+// and so does every link of one corner node (leaving its flows' pairs
+// unreachable, so the population shrinks). The packet arm turns the lanes
+// off. The fluid arm applies a LinkDown and a NodeDown: a fault is the one
+// way a fluid cluster loses a link, and the table follows it.
 func TestSLOHopCountsMatchHopsFrom(t *testing.T) {
-	darken := func(t *testing.T, e *topo.Edge) {
+	darken := func(t *testing.T, c *Cluster, f FaultSpec) {
 		t.Helper()
-		for _, lane := range e.Link.Lanes {
-			if err := lane.SetState(phy.LaneOff); err != nil {
+		if c.Engine() == EngineFluid {
+			f.At = c.Now()
+			if err := c.ApplyFaults(NewFaultSchedule(f)); err != nil {
 				t.Fatal(err)
+			}
+			if err := c.RunFor(time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		e, _ := c.graph.EdgeBetween(topo.NodeID(f.A), topo.NodeID(f.B))
+		edges := []*topo.Edge{e}
+		if f.Kind == NodeDown {
+			edges = c.graph.Adjacent(topo.NodeID(f.Node))
+		}
+		for _, e := range edges {
+			for _, lane := range e.Link.Lanes {
+				if err := lane.SetState(phy.LaneOff); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -186,15 +206,11 @@ func TestSLOHopCountsMatchHopsFrom(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := c.graph.HopsFrom(0)[1]
-			e, _ := c.graph.EdgeBetween(0, 1)
-			darken(t, e)
+			darken(t, c, FaultSpec{Kind: LinkDown, A: 0, B: 1})
 			if after := c.graph.HopsFrom(0)[1]; after <= before {
 				t.Fatalf("darkening 0–1 left its hop count at %d (was %d)", after, before)
 			}
-			corner := c.graph.NodeAt(3, 3)
-			for _, e := range c.graph.Adjacent(corner) {
-				darken(t, e)
-			}
+			darken(t, c, FaultSpec{Kind: NodeDown, Node: int(c.graph.NodeAt(3, 3))})
 			got, want := c.Report().SLO, reference(c)
 			if got != want {
 				t.Fatalf("Report().SLO = %+v\nreference    %+v", got, want)
