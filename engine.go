@@ -181,7 +181,7 @@ func faultReport(fs faults.Stats) FaultReport {
 // in live only until Drain sees it finish, as the fluid session holds every
 // flow until it retires; a soak's live set is bounded by the in-flight flow
 // count. That is the packet engine's retirement, as host state frees with
-// the last reference.
+// the last reference. done, drained and hc are Drain's reused storage.
 type packetBackend struct {
 	fab     *fabric.Fabric
 	ctl     *ringctl.Controller
@@ -189,6 +189,10 @@ type packetBackend struct {
 
 	live    []*host.Flow
 	retired int64
+
+	done    []*host.Flow
+	drained []service.Completion
+	hc      *topo.HopCounter
 }
 
 func (b *packetBackend) inject(specs []FlowSpec) ([]*Flow, error) {
@@ -226,9 +230,10 @@ func (b *packetBackend) Now() sim.Time { return b.fab.Engine().Now() }
 
 // Drain hands off the flows finished since the last drain, grouped by
 // source: their hop counts come from one snapshot of the live links,
-// with one search per distinct source.
+// with one search per distinct source. The result is valid until the next
+// Drain.
 func (b *packetBackend) Drain() []service.Completion {
-	var done []*host.Flow
+	done := b.done[:0]
 	kept := 0
 	for _, f := range b.live {
 		switch {
@@ -249,18 +254,26 @@ func (b *packetBackend) Drain() []service.Completion {
 		return nil
 	}
 	slices.SortStableFunc(done, func(x, y *host.Flow) int { return cmp.Compare(x.Src, y.Src) })
-	hc := b.fab.Graph().NewHopCounter()
+	if b.hc == nil {
+		b.hc = b.fab.Graph().NewHopCounter()
+	} else {
+		b.hc.Refresh()
+	}
 	var hops []int
-	out := make([]service.Completion, len(done))
+	out := b.drained[:0]
 	for i, f := range done {
 		if i == 0 || f.Src != done[i-1].Src {
-			hops = hc.From(topo.NodeID(f.Src))
+			hops = b.hc.From(topo.NodeID(f.Src))
 		}
-		out[i] = service.Completion{
+		out = append(out, service.Completion{
 			Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
 			Start: f.Started(), FCT: f.FCT(), Hops: max(hops[f.Dst], 0),
-		}
+		})
 	}
+	// Drop the finished flows' references, so their host state can be
+	// freed; the buffer keeps only its storage.
+	clear(done)
+	b.done, b.drained = done[:0], out
 	return out
 }
 
@@ -325,11 +338,13 @@ func (b *packetBackend) hops() func(src, dst int) int {
 // batch-major flow IDs, so earlier handles never renumber, and fault
 // schedules merge into the session's replay at any time. handles are in
 // flow-ID order, and handles[:copied] hold their final status, which
-// Retire copies before the session drops it.
+// Retire copies before the session drops it. drained is Drain's reused
+// result.
 type fluidBackend struct {
 	sess    *fluid.Session
 	handles []*Flow
 	copied  int
+	drained []service.Completion
 }
 
 // inject lowers specs against the current instant (the packet engine's
@@ -368,20 +383,20 @@ func (b *fluidBackend) runUntilDone(limit time.Duration) error {
 }
 
 // Drain hands off the session's completions accumulated since the last
-// drain.
+// drain. The result is valid until the next Drain.
 func (b *fluidBackend) Drain() []service.Completion {
 	rs := b.sess.TakeCompleted()
 	if len(rs) == 0 {
 		return nil
 	}
-	out := make([]service.Completion, len(rs))
-	for i, r := range rs {
-		out[i] = service.Completion{
+	b.drained = b.drained[:0]
+	for _, r := range rs {
+		b.drained = append(b.drained, service.Completion{
 			Src: r.Spec.Src, Dst: r.Spec.Dst, Bytes: r.Spec.Bytes,
 			Start: r.Start, FCT: r.FCT, Hops: r.Hops, Label: r.Spec.Label,
-		}
+		})
 	}
-	return out
+	return b.drained
 }
 
 // Retire lets the session drop the state of its longest finished ID

@@ -52,33 +52,21 @@ func (f *Fabric) forward(node int, fr *switching.Frame) (int, bool) {
 	return ls.port(topo.NodeID(node)), true
 }
 
-// txTime is the serialization time of fr on node's output port.
-func (f *Fabric) txTime(node, port int, fr *switching.Frame) sim.Duration {
-	if port == 0 {
-		return sim.Transmission(fr.DataBits, f.cfg.Host.NICRate)
-	}
-	e := f.edgeAt[node][port]
-	if e == nil || !e.Link.Up() {
-		// The link died with the frame queued; charge a nominal time, the
-		// arrival side will drop it.
-		return sim.Microsecond
-	}
-	return e.Link.SerializationDelay(fr.DataBits)
-}
-
-// transmit puts fr on the wire of node's output port. It runs exactly when
-// serialization starts.
-func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
+// transmit puts fr on the wire of node's output port and returns its
+// serialization time. It runs exactly when serialization starts.
+func (f *Fabric) transmit(node, port int, fr *switching.Frame) sim.Duration {
 	if port == 0 {
 		// Egress to the local host: deliver when serialization completes.
 		tx := sim.Transmission(fr.DataBits, f.cfg.Host.NICRate)
 		f.eng.PostAfter(tx, (*hostRx)(f), node, fr)
-		return
+		return tx
 	}
 	e := f.edgeAt[node][port]
 	if e == nil || !e.Link.Up() {
+		// The link died with the frame queued: drop it, and hold the
+		// output for a nominal time.
 		f.onDrop(fr, "link-down")
-		return
+		return sim.Microsecond
 	}
 	ls := f.links[e.Index()]
 	link := e.Link
@@ -129,6 +117,7 @@ func (f *Fabric) transmit(node, port int, fr *switching.Frame) {
 	}
 	fr.Hops++
 	f.eng.PostAfter(ingress, ls, int(e.Other(topo.NodeID(node))), fr)
+	return serialize
 }
 
 // Handle is the link-rx event: frame x has reached node peer's ingress

@@ -210,8 +210,7 @@ func New(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		swCfg.Ports = 1 + len(adj) + cfg.ExpressPorts
 		swCb := switching.Callbacks{
 			Forward:  func(fr *switching.Frame) (int, bool) { return f.forward(node, fr) },
-			TxTime:   func(port int, fr *switching.Frame) sim.Duration { return f.txTime(node, port, fr) },
-			Transmit: func(port int, fr *switching.Frame) { f.transmit(node, port, fr) },
+			Transmit: func(port int, fr *switching.Frame) sim.Duration { return f.transmit(node, port, fr) },
 			Drop:     func(fr *switching.Frame, reason string) { f.onDrop(fr, reason) },
 			Pause:    func(port int, paused bool) { f.onPause(node, port, paused) },
 		}

@@ -28,7 +28,8 @@
 package fluid
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rackfab/internal/faults"
 	"rackfab/internal/sim"
@@ -123,38 +124,35 @@ type Result struct {
 	Faults faults.Stats
 }
 
-// specLess is the canonical spec order: (At, Src, Dst, Bytes, Label).
-func specLess(a, b workload.FlowSpec) bool {
+// specCompare is the canonical spec order: (At, Src, Dst, Bytes, Label).
+func specCompare(a, b workload.FlowSpec) int {
 	if a.At != b.At {
-		return a.At < b.At
+		return cmp.Compare(a.At, b.At)
 	}
 	if a.Src != b.Src {
-		return a.Src < b.Src
+		return cmp.Compare(a.Src, b.Src)
 	}
 	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	}
 	if a.Bytes != b.Bytes {
-		return a.Bytes < b.Bytes
+		return cmp.Compare(a.Bytes, b.Bytes)
 	}
-	return a.Label < b.Label
+	return cmp.Compare(a.Label, b.Label)
 }
 
-// canonicalOrder returns the permutation canonicalize applies: order[i] is
-// the canonical flow ID assigned to input spec i. Stable-sorting indexes by
-// the spec key yields exactly the permutation a stable sort of the values
-// performs, so the two stay interchangeable.
-func canonicalOrder(specs []workload.FlowSpec) []int {
-	idx := make([]int, len(specs))
-	for i := range idx {
-		idx[i] = i
+// canonicalOrder writes the canonical order of specs into idx's storage
+// and returns it: idx[id] is the input position of the spec that gets
+// canonical flow ID id. Stable-sorting positions by the spec key yields
+// exactly the permutation a stable sort of the values performs, so the two
+// stay interchangeable.
+func canonicalOrder(specs []workload.FlowSpec, idx []int) []int {
+	idx = slices.Grow(idx[:0], len(specs))
+	for i := range specs {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return specLess(specs[idx[a]], specs[idx[b]]) })
-	order := make([]int, len(specs))
-	for id, in := range idx {
-		order[in] = id
-	}
-	return order
+	slices.SortStableFunc(idx, func(a, b int) int { return specCompare(specs[a], specs[b]) })
+	return idx
 }
 
 // Run executes the fluid simulation over the given specs: a Session

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"slices"
 	"testing"
 
 	"rackfab/internal/faults"
@@ -247,4 +248,98 @@ func TestSessionInjectUnreachableParks(t *testing.T) {
 		t.Fatalf("completions %+v, want the parked flow last, with 2 hops", fr)
 	}
 	s.RestoreGraph()
+}
+
+// TestTakeCompletedValidUntilNextTake holds TakeCompleted to its window: a
+// result stays intact while the session advances and completes more flows,
+// and the records taken one window at a time are Run's, in Run's order.
+func TestTakeCompletedValidUntilNextTake(t *testing.T) {
+	g := topo.NewGrid(4, 4, topo.Options{})
+	want, err := Run(Config{Graph: g}, sessionSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(Config{Graph: g}, sessionSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Take only once new records exist, so every held result outlives at
+	// least one completion.
+	var taken []FlowResult
+	var held, heldCopy []FlowResult
+	crossed := 0
+	step := 7 * sim.Time(sim.Microsecond)
+	for until := step; !s.Done(); until += step {
+		if err := s.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(held, heldCopy) {
+			t.Fatalf("at %v: the last TakeCompleted result changed before the next Take:\n got %v\nwant %v", until, held, heldCopy)
+		}
+		if s.Totals().Completed == int64(len(taken)) {
+			continue
+		}
+		if len(held) > 0 {
+			crossed++
+		}
+		held = s.TakeCompleted()
+		heldCopy = slices.Clone(held)
+		taken = append(taken, held...)
+	}
+	if crossed == 0 {
+		t.Fatal("no held result outlived a completion: the window went untested")
+	}
+	if got := resultFingerprint(&Result{Flows: taken}); got != resultFingerprint(&Result{Flows: want.Flows}) {
+		t.Fatalf("taken records differ from Run's:\n--- taken ---\n%s--- run ---\n%s", got, resultFingerprint(&Result{Flows: want.Flows}))
+	}
+}
+
+// TestInjectAfterRetireStartsNotDone: Retire compacts the status table in
+// place, which leaves the retired flows' Done records past its end. Flows
+// injected after it must not inherit them: each reads not Done, and a
+// further Retire cuts none of them.
+func TestInjectAfterRetireStartsNotDone(t *testing.T) {
+	g := topo.NewGrid(4, 4, topo.Options{})
+	s, err := NewSession(Config{Graph: g}, sessionSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	s.TakeCompleted()
+	if got := s.Retire(); got != len(sessionSpecs()) {
+		t.Fatalf("retired %d of %d flows", got, len(sessionSpecs()))
+	}
+	late := []workload.FlowSpec{
+		{Src: 0, Dst: 3, Bytes: 10e3, At: sim.Time(2 * sim.Second), Label: "x"},
+		{Src: 4, Dst: 9, Bytes: 20e3, At: sim.Time(2 * sim.Second), Label: "y"},
+		{Src: 14, Dst: 1, Bytes: 30e3, At: sim.Time(2 * sim.Second), Label: "z"},
+	}
+	ids, err := s.Inject(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if s.FlowStatus(id).Done {
+			t.Fatalf("flow %d injected after a Retire reads Done before it arrived", id)
+		}
+	}
+	if got := s.Retire(); got != 0 {
+		t.Fatalf("a Retire before the new flows arrive cut %d of them", got)
+	}
+	if got := s.RetainedFlows(); got != len(late) {
+		t.Fatalf("retained %d flows, want %d", got, len(late))
+	}
+	if err := s.Advance(sim.Time(3 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if !s.FlowStatus(id).Done {
+			t.Fatalf("flow %d unfinished", id)
+		}
+	}
+	if got := s.Retire(); got != len(late) {
+		t.Fatalf("retired %d of %d late flows", got, len(late))
+	}
 }

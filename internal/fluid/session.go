@@ -49,6 +49,16 @@ type Session struct {
 	arrivalQ heapx.Heap[arrivalEntry]
 	batch    []int32 // scratch: the arrivals, or completions, due at the current instant
 
+	// Inject's scratch: canon[id] is the input position of canonical ID id
+	// in the batch being injected, and sorted holds that batch in canonical
+	// order. The engine copies each spec it keeps.
+	canon  []int
+	sorted []workload.FlowSpec
+
+	// taken is the completion-record buffer the last TakeCompleted handed
+	// out; the next one hands it back to res.Flows.
+	taken []FlowResult
+
 	// idBase is the count of flows retired (prefix-compacted) so far:
 	// public flow ID = internal engine index + idBase. Handles returned
 	// before a Retire stay valid forever; the internal rebase is a uniform
@@ -328,28 +338,34 @@ func (s *Session) Inject(specs []workload.FlowSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	order := canonicalOrder(specs)
-	sorted := make([]workload.FlowSpec, len(specs))
-	for i, sp := range specs {
-		sorted[order[i]] = sp
+	s.canon = canonicalOrder(specs, s.canon)
+	s.sorted = slices.Grow(s.sorted[:0], len(specs))
+	for _, in := range s.canon {
+		s.sorted = append(s.sorted, specs[in])
 	}
-	if err := workload.ValidateSpecs(sorted, s.cfg.Graph.NumNodes()); err != nil {
+	if err := workload.ValidateSpecs(s.sorted, s.cfg.Graph.NumNodes()); err != nil {
 		return nil, err
 	}
 	en := s.en
 	fidBase := len(en.flows)
-	if err := en.addBatch(sorted); err != nil {
+	if err := en.addBatch(s.sorted); err != nil {
 		return nil, fmt.Errorf("fluid: routing: %w", err)
 	}
-	s.status = append(s.status, make([]FlowStatus, len(sorted))...)
-	s.arrivalQ.Grow(s.arrivalQ.Len() + len(sorted))
-	for i := range sorted {
-		s.arrivalQ.Push(arrivalEntry{at: sorted[i].At, fid: int32(fidBase + i)})
+	// Append a zero record per new flow (Retire's compaction leaves Done
+	// records past the end). Unlike append(s, make(...)...), whose
+	// temporary race builds allocate, this allocates only to grow.
+	s.status = slices.Grow(s.status, len(s.sorted))
+	for range s.sorted {
+		s.status = append(s.status, FlowStatus{})
+	}
+	s.arrivalQ.Grow(s.arrivalQ.Len() + len(s.sorted))
+	for i := range s.sorted {
+		s.arrivalQ.Push(arrivalEntry{at: s.sorted[i].At, fid: int32(fidBase + i)})
 	}
 	ids := make([]int, len(specs))
 	base := s.idBase + fidBase
-	for i, id := range order {
-		ids[i] = base + id
+	for id, in := range s.canon {
+		ids[in] = base + id
 	}
 	return ids, nil
 }
@@ -400,10 +416,13 @@ func (s *Session) Retire() int {
 // TakeCompleted drains and returns the completion records accumulated since
 // the last call, in completion order. Service drivers stream results out
 // through it so a long-running session's Result does not grow with history;
-// a Snapshot after a Take holds only the undrained tail.
+// a Snapshot after a Take holds only the undrained tail. The result is
+// valid until the next TakeCompleted: the session hands out two record
+// buffers in turn, so a warmed service tick drains without allocating, and
+// a caller that keeps records longer copies them.
 func (s *Session) TakeCompleted() []FlowResult {
 	out := s.res.Flows
-	s.res.Flows = nil
+	s.res.Flows, s.taken = s.taken[:0], out
 	return out
 }
 

@@ -3,7 +3,6 @@ package fluid
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +17,7 @@ import (
 // therefore the whole run — independent of the caller's spec ordering.
 func canonicalize(specs []workload.FlowSpec) []workload.FlowSpec {
 	sorted := append([]workload.FlowSpec(nil), specs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return specLess(sorted[i], sorted[j]) })
+	slices.SortStableFunc(sorted, specCompare)
 	return sorted
 }
 

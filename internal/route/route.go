@@ -421,37 +421,55 @@ func (t *Table) Reachable(from, to topo.NodeID) bool {
 // in one exact-size slice. An unreachable destination — a genuine
 // partition — returns an error wrapping ErrUnreachable (never a zero-value
 // path); any other error means the table is inconsistent (a routing loop),
-// which would indicate a build bug rather than a network condition.
+// which would indicate a build bug rather than a network condition. A path
+// of up to pathBuf links takes one walk of the tie column, into a stack
+// buffer; a longer one is counted by Hops first.
 func (t *Table) Path(from, to topo.NodeID) ([]int32, error) {
 	if from == to {
 		return nil, nil
 	}
-	hops, err := t.Hops(from, to)
-	if err != nil {
-		return nil, err
-	}
 	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
+	var buf [pathBuf]int32
+	n, cur := 0, int32(from)
+	for ; cur != int32(to) && n < len(buf); n++ {
+		if ties[cur] == 0 {
+			return nil, t.noHop(from, to, cur)
+		}
+		if n == t.n {
+			return nil, fmt.Errorf("route: loop routing %d→%d", from, to)
+		}
+		s := t.primary(cur, ties)
+		buf[n], cur = t.adjEdge[s], t.adjNbr[s]
+	}
+	hops := n
+	if cur != int32(to) {
+		var err error
+		if hops, err = t.Hops(from, to); err != nil {
+			return nil, err
+		}
+	}
 	path := make([]int32, hops)
-	cur := int32(from)
-	for i := range path {
+	copy(path, buf[:n])
+	for i := n; i < hops; i++ {
 		s := t.primary(cur, ties)
 		path[i], cur = t.adjEdge[s], t.adjNbr[s]
 	}
 	return path, nil
 }
 
+// pathBuf is the longest path Path walks only once: a 32×32 grid's
+// diameter is 62 links.
+const pathBuf = 64
+
 // Hops returns the number of links on the primary path, walking it as Path
 // does without building it, with Path's errors. Unlike the distance, the
 // count does not depend on the link prices.
 func (t *Table) Hops(from, to topo.NodeID) (int, error) {
-	if math.IsInf(t.Distance(from, to), 1) {
-		return 0, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
-	}
 	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
 	hops := 0
 	for cur := int32(from); cur != int32(to); hops++ {
 		if ties[cur] == 0 {
-			return 0, fmt.Errorf("route: no next hop from %d to %d", cur, to)
+			return 0, t.noHop(from, to, cur)
 		}
 		if hops == t.n {
 			return 0, fmt.Errorf("route: loop routing %d→%d", from, to)
@@ -459,6 +477,17 @@ func (t *Table) Hops(from, to topo.NodeID) (int, error) {
 		cur = t.adjNbr[t.primary(cur, ties)]
 	}
 	return hops, nil
+}
+
+// noHop is the error of a walk from from to to that found no next hop at
+// cur. At the walk's first node it reads the distance: every node with a
+// tie has a finite one, so an infinite distance there is a partition, not
+// an inconsistent table.
+func (t *Table) noHop(from, to topo.NodeID, cur int32) error {
+	if cur == int32(from) && math.IsInf(t.Distance(from, to), 1) {
+		return fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
+	}
+	return fmt.Errorf("route: no next hop from %d to %d", cur, to)
 }
 
 // primary returns the snapshot slot of v's primary next hop in the tie

@@ -1,8 +1,11 @@
 package route
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +201,127 @@ func TestNoLoopsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPathMatchesTwoWalks holds Path and Hops, which read the distance only
+// when a walk fails at its first node, to twoWalkPath and twoWalkHops on
+// every pair: the same links, in an exact-size slice, and the same error.
+// A 4×4 grid cut in two halves gives reachable and unreachable pairs, and
+// three damaged copies of its table give the errors a built table never
+// does: no next hop at the source, no next hop mid-path, and a loop. A
+// 130-node line gives paths longer than Path's stack buffer, healthy and
+// with a next hop missing past it.
+func TestPathMatchesTwoWalks(t *testing.T) {
+	grid := topo.NewGrid(4, 4, topo.Options{})
+	for y := 0; y < 4; y++ {
+		e, _ := grid.EdgeBetween(grid.NodeAt(1, y), grid.NodeAt(2, y))
+		e.SetEnabled(false)
+	}
+	cut := Build(grid, UniformCost)
+	to := int(grid.NodeAt(1, 3))
+	src, mid := grid.NodeAt(0, 0), grid.NodeAt(0, 2)
+	a, b := grid.NodeAt(0, 0), grid.NodeAt(1, 0)
+	line := topo.NewLine(130, topo.Options{})
+	long := Build(line, UniformCost)
+
+	damaged := func(tab *Table, damage func(col []uint16)) *Table {
+		c := *tab
+		c.ties = slices.Clone(tab.ties)
+		damage(c.ties[to*c.n : (to+1)*c.n])
+		return &c
+	}
+	slot := func(g *topo.Graph, from, next topo.NodeID) uint16 {
+		for i, e := range g.Adjacent(from) {
+			if e.Other(from) == next {
+				return 1 << i
+			}
+		}
+		t.Fatalf("%d is no neighbour of %d", next, from)
+		return 0
+	}
+	tables := []struct {
+		name string
+		tab  *Table
+	}{
+		{"cut", cut},
+		{"no-hop-at-source", damaged(cut, func(col []uint16) { col[src] = 0 })},
+		{"no-hop-mid-path", damaged(cut, func(col []uint16) { col[mid] = 0 })},
+		{"loop", damaged(cut, func(col []uint16) { col[a], col[b] = slot(grid, a, b), slot(grid, b, a) })},
+		{"long", long},
+		// Column 13 of the line: the walks from 105 up reach node 40 past
+		// the buffer.
+		{"long-no-hop", damaged(long, func(col []uint16) { col[40] = 0 })},
+	}
+	kinds := map[string]int{}
+	for _, tc := range tables {
+		n := tc.tab.n
+		for from := 0; from < n; from++ {
+			for dst := 0; dst < n; dst++ {
+				f, d := topo.NodeID(from), topo.NodeID(dst)
+				want, wantErr := twoWalkPath(tc.tab, f, d)
+				got, err := tc.tab.Path(f, d)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) || cap(got) != len(got) {
+					t.Fatalf("%s: Path(%d, %d) = %v (cap %d), %v; want %v, %v", tc.name, f, d, got, cap(got), err, want, wantErr)
+				}
+				wantHops, wantErr := twoWalkHops(tc.tab, f, d)
+				hops, err := tc.tab.Hops(f, d)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || hops != wantHops {
+					t.Fatalf("%s: Hops(%d, %d) = %d, %v; want %d, %v", tc.name, f, d, hops, err, wantHops, wantErr)
+				}
+				switch {
+				case err == nil:
+					kinds["ok"]++
+				case errors.Is(err, ErrUnreachable):
+					kinds["unreachable"]++
+				default:
+					kinds["inconsistent"]++
+				}
+			}
+		}
+	}
+	if kinds["ok"] == 0 || kinds["unreachable"] == 0 || kinds["inconsistent"] == 0 {
+		t.Fatalf("outcomes %v: every kind must occur", kinds)
+	}
+}
+
+// twoWalkHops is the reference for Hops: it reads the distance first,
+// then counts the walk.
+func twoWalkHops(t *Table, from, to topo.NodeID) (int, error) {
+	if math.IsInf(t.Distance(from, to), 1) {
+		return 0, fmt.Errorf("route: %d→%d: %w", from, to, ErrUnreachable)
+	}
+	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
+	hops := 0
+	for cur := int32(from); cur != int32(to); hops++ {
+		if ties[cur] == 0 {
+			return 0, fmt.Errorf("route: no next hop from %d to %d", cur, to)
+		}
+		if hops == t.n {
+			return 0, fmt.Errorf("route: loop routing %d→%d", from, to)
+		}
+		cur = t.adjNbr[t.primary(cur, ties)]
+	}
+	return hops, nil
+}
+
+// twoWalkPath is the reference for Path: twoWalkHops, then a second walk
+// that fills the path.
+func twoWalkPath(t *Table, from, to topo.NodeID) ([]int32, error) {
+	if from == to {
+		return nil, nil
+	}
+	hops, err := twoWalkHops(t, from, to)
+	if err != nil {
+		return nil, err
+	}
+	ties := t.ties[int(to)*t.n : (int(to)+1)*t.n]
+	path := make([]int32, hops)
+	cur := int32(from)
+	for i := range path {
+		s := t.primary(cur, ties)
+		path[i], cur = t.adjEdge[s], t.adjNbr[s]
+	}
+	return path, nil
 }
 
 // edgeByIndex returns g's edge whose Index is idx, the form Path returns.

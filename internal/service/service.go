@@ -38,7 +38,8 @@ type Target interface {
 	// RunFor advances simulation time by d.
 	RunFor(d sim.Duration) error
 	// Drain returns flows completed since the last Drain, in an order the
-	// engine fixes deterministically.
+	// engine fixes deterministically. The result is valid until the next
+	// Drain, which may reuse its storage.
 	Drain() []Completion
 	// Retire releases per-flow state the engine no longer needs and
 	// returns how many flows it reclaimed this call.

@@ -112,11 +112,10 @@ type Callbacks struct {
 	// Forward maps a frame to its output port; ok=false drops the frame
 	// (no route).
 	Forward func(f *Frame) (port int, ok bool)
-	// TxTime returns the serialization time of f on output port's link.
-	TxTime func(port int, f *Frame) sim.Duration
-	// Transmit puts f on the wire of output port. Called exactly when
-	// serialization starts; the output stays busy for TxTime.
-	Transmit func(port int, f *Frame)
+	// Transmit puts f on the wire of output port and returns its
+	// serialization time. Called exactly when serialization starts; the
+	// output stays busy for the returned time.
+	Transmit func(port int, f *Frame) sim.Duration
 	// Drop reports a discarded frame and the reason.
 	Drop func(f *Frame, reason string)
 	// Pause asks the fabric to pause/resume the upstream transmitter
@@ -159,8 +158,8 @@ func New(eng *sim.Engine, cfg Config, cb Callbacks) *Switch {
 	if cfg.Ports <= 0 {
 		panic("switching: switch needs ports")
 	}
-	if cb.Forward == nil || cb.TxTime == nil || cb.Transmit == nil {
-		panic("switching: Forward, TxTime and Transmit callbacks are required")
+	if cb.Forward == nil || cb.Transmit == nil {
+		panic("switching: Forward and Transmit callbacks are required")
 	}
 	s := &Switch{
 		eng:        eng,
@@ -280,9 +279,8 @@ func (s *Switch) tryGrant(out int) {
 			s.cb.Trace(false, out, head.frame, q.Len())
 		}
 
-		tx := s.cb.TxTime(out, head.frame)
 		s.outBusy[out] = true
-		s.cb.Transmit(out, head.frame)
+		tx := s.cb.Transmit(out, head.frame)
 		s.eng.PostAfter(tx, (*swOutFree)(s), out, nil)
 		return
 	}

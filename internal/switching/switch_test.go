@@ -29,9 +29,9 @@ func newHarness(ports int, cfg Config) *harness {
 	cfg.Ports = ports
 	h.sw = New(h.eng, cfg, Callbacks{
 		Forward: func(f *Frame) (int, bool) { return h.forward(f) },
-		TxTime:  func(port int, f *Frame) sim.Duration { return h.txTime },
-		Transmit: func(port int, f *Frame) {
+		Transmit: func(port int, f *Frame) sim.Duration {
 			h.sent = append(h.sent, sentRec{port, f.FlowID, h.eng.Now()})
+			return h.txTime
 		},
 		Drop:  func(f *Frame, reason string) { h.dropped = append(h.dropped, reason) },
 		Pause: func(port int, p bool) { h.paused[port] = append(h.paused[port], p) },
@@ -282,7 +282,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	New(sim.NewSized(256), Config{Ports: 0}, Callbacks{
 		Forward:  func(f *Frame) (int, bool) { return 0, true },
-		TxTime:   func(int, *Frame) sim.Duration { return 1 },
-		Transmit: func(int, *Frame) {},
+		Transmit: func(int, *Frame) sim.Duration { return 1 },
 	})
 }

@@ -9,8 +9,8 @@ import "fmt"
 func (g *Graph) HopsFrom(src NodeID) []int { return g.NewHopCounter().From(src) }
 
 // HopCounter counts hops from one source at a time over a snapshot of which
-// edges were live when it was made, reusing one distance array and one queue
-// across sources.
+// edges were live when it was made or last refreshed, reusing one distance
+// array and one queue across sources.
 type HopCounter struct {
 	g     *Graph
 	up    []bool // Edge.Live, by Edge.Index
@@ -23,14 +23,27 @@ func (g *Graph) NewHopCounter() *HopCounter {
 	n := g.NumNodes()
 	h := &HopCounter{
 		g:     g,
-		up:    make([]bool, len(g.byIndex)),
 		dist:  make([]int, n),
 		queue: make([]NodeID, 0, n),
 	}
-	for _, e := range g.edges {
+	h.Refresh()
+	return h
+}
+
+// Refresh re-snapshots which of the graph's edges are live now, in place. It
+// allocates only when the graph has gained edges (an express link) since
+// the last snapshot.
+func (h *HopCounter) Refresh() {
+	nb := len(h.g.byIndex)
+	if cap(h.up) < nb {
+		h.up = make([]bool, nb)
+	} else {
+		h.up = h.up[:nb]
+		clear(h.up)
+	}
+	for _, e := range h.g.edges {
 		h.up[e.idx] = e.Live()
 	}
-	return h
 }
 
 // From returns HopsFrom(src) over the snapshot. The slice is overwritten by

@@ -68,7 +68,8 @@ type ArrivalProcess interface {
 	// Next returns every arrival with At < to, in At order, with absolute
 	// timestamps. Successive calls with increasing to partition the arrival
 	// sequence: splitting a run across Next(a); Next(b) yields the same flows
-	// as one Next(b).
+	// as one Next(b). The result is valid until the next call, which may
+	// reuse its storage: a caller injects or copies it at once.
 	Next(to sim.Time) []FlowSpec
 	// Name identifies the process in reports.
 	Name() string
@@ -84,7 +85,8 @@ type Poisson struct {
 	label string
 
 	rng  Stream
-	next sim.Time // pre-drawn upcoming arrival instant
+	next sim.Time   // pre-drawn upcoming arrival instant
+	out  []FlowSpec // Next's result, reused by the following call
 }
 
 // NewPoisson returns a Poisson arrival process over nodes hosts at rate flows
@@ -106,14 +108,14 @@ func meanGap(rate float64) sim.Duration {
 	return sim.Duration(float64(sim.Second) / rate)
 }
 
-// Next returns every arrival with At < to.
+// Next returns every arrival with At < to, valid until the next call.
 func (p *Poisson) Next(to sim.Time) []FlowSpec {
-	var out []FlowSpec
+	p.out = p.out[:0]
 	for p.next.Before(to) {
-		out = append(out, p.emit(p.next))
+		p.out = append(p.out, p.emit(p.next))
 		p.next = p.next.Add(p.rng.ExpDuration(meanGap(p.rate)))
 	}
-	return out
+	return p.out
 }
 
 // emit draws one flow at instant at.
@@ -153,6 +155,7 @@ type Markov struct {
 	mode    uint8 // 0 = quiet, 1 = burst
 	modeEnd sim.Time
 	next    sim.Time
+	out     []FlowSpec // Next's result, reused by the following call
 }
 
 // MarkovConfig parameterizes a Markov-modulated arrival process.
@@ -221,16 +224,16 @@ func (m *Markov) draw(t sim.Time) {
 	}
 }
 
-// Next returns every arrival with At < to.
+// Next returns every arrival with At < to, valid until the next call.
 func (m *Markov) Next(to sim.Time) []FlowSpec {
-	var out []FlowSpec
+	m.out = m.out[:0]
 	for m.next.Before(to) {
 		src := m.rng.Intn(m.nodes)
 		dst := m.rng.Intn(m.nodes - 1)
 		if dst >= src {
 			dst++
 		}
-		out = append(out, FlowSpec{
+		m.out = append(m.out, FlowSpec{
 			Src:   src,
 			Dst:   dst,
 			Bytes: m.sizes.SampleU(m.rng.Float64()),
@@ -239,7 +242,7 @@ func (m *Markov) Next(to sim.Time) []FlowSpec {
 		})
 		m.draw(m.next)
 	}
-	return out
+	return m.out
 }
 
 // Name identifies the process.

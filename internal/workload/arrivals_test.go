@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rackfab/internal/sim"
@@ -78,6 +79,53 @@ func TestArrivalsTickInvariant(t *testing.T) {
 			if coarse != fine || coarse != oneShot {
 				t.Fatalf("arrival sequence depends on tick slicing:\ncoarse %d bytes, fine %d bytes, one-shot %d bytes",
 					len(coarse), len(fine), len(oneShot))
+			}
+		})
+	}
+}
+
+// TestNextValidUntilNextCall holds each process's Next to its window: a
+// result stays intact until the next call, which reuses its storage, and
+// the results taken one window at a time are a one-shot Next's flows. A
+// warmed Next allocates nothing.
+func TestNextValidUntilNextCall(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		make func() ArrivalProcess
+	}{
+		{"poisson", func() ArrivalProcess { return newTestPoisson(t) }},
+		{"markov", func() ArrivalProcess { return newTestMarkov(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tick = 100 * sim.Microsecond
+			horizon := sim.Time(0).Add(20 * tick)
+			p := tc.make()
+			var all, held, heldCopy []FlowSpec
+			reused := 0
+			for to := sim.Time(0).Add(tick); !to.After(horizon); to = to.Add(tick) {
+				if !slices.Equal(held, heldCopy) {
+					t.Fatalf("before Next(%v): the last result changed", to)
+				}
+				_ = p.Name()
+				next := p.Next(to)
+				if len(held) > 0 && len(next) > 0 && &held[0] == &next[0] {
+					reused++
+				}
+				held, heldCopy = next, slices.Clone(next)
+				all = append(all, next...)
+			}
+			if reused == 0 {
+				t.Fatal("no Next reused the previous result's storage")
+			}
+			if want := tc.make().Next(horizon); !slices.Equal(all, want) {
+				t.Fatalf("windowed Next gave %d flows, one-shot %d, or they differ", len(all), len(want))
+			}
+			to := horizon
+			if allocs := testing.AllocsPerRun(100, func() {
+				to = to.Add(tick)
+				p.Next(to)
+			}); allocs != 0 {
+				t.Fatalf("a warmed Next allocates %.0f times, want 0", allocs)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -492,6 +493,94 @@ func TestPacketDrainHopsFollowTheFabric(t *testing.T) {
 		}
 		if cs[0].Hops != tc.hops {
 			t.Errorf("flow at %v drained with %d hops, want %d", tc.at, cs[0].Hops, tc.hops)
+		}
+	}
+}
+
+// TestServeTickAllocations holds a warmed fluid service tick to the
+// allocations its new flows keep: one path per arriving flow and the ID
+// slice Session.Inject returns, with two to spare for the amortized growth
+// of the per-flow tables. The arrivals, Inject's canonical copy, the
+// completion records and the drained completions live in reused storage; a
+// tick that rebuilt any of them would pay at least one more allocation.
+func TestServeTickAllocations(t *testing.T) {
+	c, err := New(Config{Topology: Grid, Width: 16, Height: 16, Engine: EngineFluid, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Serve(ServeConfig{
+		Tick:     time.Millisecond,
+		Arrivals: ArrivalSpec{Seed: 1, Rate: 20000, Sizes: "fixed:262144"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Stats()
+	var tickErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Tick(); err != nil && tickErr == nil {
+			tickErr = err
+		}
+	})
+	if tickErr != nil {
+		t.Fatal(tickErr)
+	}
+	after := s.Stats()
+	perTick := float64(after.Injected-before.Injected) / float64(after.Ticks-before.Ticks)
+	if allocs > perTick+2 {
+		t.Fatalf("a warmed tick allocates %.2f times at %.2f flows injected per tick, want at most %.2f", allocs, perTick, perTick+2)
+	}
+}
+
+// TestDrainValidUntilNextDrain holds each backend's Drain to its window, on
+// both engines: a result stays intact while flows arrive, run and complete
+// and the engine retires state, and the next Drain hands out only the
+// completions since.
+func TestDrainValidUntilNextDrain(t *testing.T) {
+	for _, engine := range []Engine{EnginePacket, EngineFluid} {
+		c, err := New(Config{Topology: Grid, Width: 4, Height: 4, Engine: engine, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := c.be
+		batch := func(bytes int64) {
+			t.Helper()
+			specs := make([]FlowSpec, 4)
+			for i := range specs {
+				specs[i] = FlowSpec{Src: i, Dst: 15 - i, Bytes: bytes + int64(i)}
+			}
+			if err := be.Inject(lowerSpecs(specs, be.Now())); err != nil {
+				t.Fatal(err)
+			}
+			if err := be.RunFor(simDur(time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch(10_000)
+		first := be.Drain()
+		kept := slices.Clone(first)
+		if len(first) != 4 {
+			t.Fatalf("%s: first Drain gave %d completions, want 4", engine, len(first))
+		}
+		be.Retire()
+		batch(20_000)
+		be.Retire()
+		if !slices.Equal(first, kept) {
+			t.Fatalf("%s: a Drain result changed before the next Drain:\n got %v\nwant %v", engine, first, kept)
+		}
+		second := be.Drain()
+		if len(second) != 4 {
+			t.Fatalf("%s: second Drain gave %d completions, want 4", engine, len(second))
+		}
+		for _, cp := range second {
+			if cp.Bytes < 20_000 {
+				t.Fatalf("%s: second Drain handed out an earlier flow: %+v", engine, cp)
+			}
 		}
 	}
 }
